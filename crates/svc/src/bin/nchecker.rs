@@ -301,11 +301,15 @@ fn main() -> ExitCode {
     for ((path, _), outcome) in items.iter().zip(&outcomes) {
         match &outcome.report {
             Ok(report) => {
-                events.info(&format!(
-                    "{path}: {} requests, {} defects",
-                    report.stats.requests,
-                    report.defects.len()
-                ));
+                // Reading the structured report decodes a disk hit's
+                // stored entry; `--json` alone never needs to.
+                if events.would_log(Level::Info) || events.sink().is_some() {
+                    events.info(&format!(
+                        "{path}: {} requests, {} defects",
+                        report.stats.requests,
+                        report.defects.len()
+                    ));
+                }
                 if report.degraded() {
                     degraded += 1;
                     events.warn(&format!(
@@ -322,11 +326,7 @@ fn main() -> ExitCode {
                 if doctor_mode {
                     // The snapshot is the only stdout content.
                 } else if json {
-                    println!(
-                        "{}",
-                        serde_json::to_string_pretty(&nchecker::app_report_to_json(report))
-                            .expect("report serializes")
-                    );
+                    print!("{}", report.json());
                 } else if summary {
                     println!(
                         "{path}: {} ({} requests, {} defects{})",
@@ -375,8 +375,9 @@ fn main() -> ExitCode {
     let mut merged = nck_obs::MetricsSnapshot::default();
     let mut phases = PhaseTotals::new();
     let mut latency = Series::new();
+    // A disk hit's undecoded stored report carries no telemetry.
     for outcome in &outcomes {
-        if let Ok(report) = &outcome.report {
+        if let Some(report) = outcome.report.as_ref().ok().filter(|r| r.is_decoded()) {
             if let Some(m) = &report.metrics {
                 merged.merge(m);
             }
@@ -416,7 +417,7 @@ fn main() -> ExitCode {
             .iter()
             .zip(&outcomes)
             .filter_map(|((path, _), outcome)| match &outcome.report {
-                Ok(report) => report.trace.clone().map(|t| {
+                Ok(report) if report.is_decoded() => report.trace.clone().map(|t| {
                     let label = if report.stats.package.is_empty() {
                         path.clone()
                     } else {
@@ -424,7 +425,7 @@ fn main() -> ExitCode {
                     };
                     (label, t)
                 }),
-                Err(_) => None,
+                _ => None,
             })
             .collect();
         if let Err(e) = std::fs::write(path, nck_obs::chrome_trace(&traces)) {
@@ -801,7 +802,8 @@ fn vet_main(args: &[String]) -> ExitCode {
 
     // The worker command: this very binary in serve --stdio mode, with
     // the checker and cache configuration forwarded. Queue capacity is
-    // pinned to the submit window so pipelined chunks are never
+    // pinned to two submit windows — the orchestrator keeps one window
+    // queued behind the one in flight — so pipelined submits are never
     // admission-rejected.
     let exe = match worker_exe {
         Some(exe) => exe,
@@ -819,7 +821,7 @@ fn vet_main(args: &[String]) -> ExitCode {
         "--stdio".to_owned(),
         "--quiet".to_owned(),
         "--queue-capacity".to_owned(),
-        window.to_string(),
+        (2 * window).to_string(),
     ];
     if strict {
         worker_cmd.push("--strict".to_owned());

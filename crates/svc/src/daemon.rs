@@ -6,7 +6,9 @@
 //! thread drains the queue in batches onto the work-stealing pool;
 //! finished jobs keep their rendered report — the *exact* bytes the
 //! one-shot CLI would print under `--json` — until they age out of
-//! retention.
+//! retention. A `report` request answers at once (`not-ready` for an
+//! unfinished job) unless it asks to `wait`, in which case the reply is
+//! held until the dispatcher finishes the job.
 //!
 //! Admission control is explicit: a submit against a full queue is
 //! rejected with a typed `queue-full` reply (never blocked, never
@@ -182,6 +184,9 @@ pub struct Daemon {
     state: Mutex<State>,
     /// Signals the dispatcher: work arrived or shutdown began.
     work: Condvar,
+    /// Signals waiting `report` requests: a batch finished, or the
+    /// dispatcher exited.
+    finished: Condvar,
     /// Signals drain waiters: the dispatcher exited.
     idle: Condvar,
 }
@@ -207,6 +212,7 @@ impl Daemon {
             metrics: Metrics::enabled(),
             state: Mutex::new(State::new()),
             work: Condvar::new(),
+            finished: Condvar::new(),
             idle: Condvar::new(),
         }
     }
@@ -346,6 +352,7 @@ impl Daemon {
                         let mut st = self.state.lock().expect("daemon state");
                         st.stopped = true;
                         self.idle.notify_all();
+                        self.finished.notify_all();
                         return;
                     }
                     st = self.work.wait(st).expect("daemon state");
@@ -358,6 +365,8 @@ impl Daemon {
 
     /// Drains the queue synchronously on the calling thread (tests and
     /// single-shot embedding; the daemon binary uses the dispatcher).
+    /// A waiting `report` is only answered by the dispatcher, so issue
+    /// one only once the job is finished when draining this way.
     pub fn drain_now(&self) {
         loop {
             let batch = {
@@ -404,6 +413,7 @@ impl Daemon {
         }
         st.inflight = 0;
         self.metrics.gauge("svc.queue.inflight", 0);
+        self.finished.notify_all();
     }
 
     fn finish_job(&self, st: &mut State, id: u64, outcome: crate::service::AppOutcome) {
@@ -413,26 +423,13 @@ impl Daemon {
         match outcome.report {
             Ok(report) => {
                 // The exact byte surface the one-shot CLI prints under
-                // --json: pretty JSON plus the println! newline. The
-                // daemon's per-app obs is always disabled, so this
-                // rendering is a pure function of the report — which is
-                // what makes memoizing it in the store's render cell
-                // sound. A repeat hit whose cell is already filled
-                // costs an Arc clone here, not a re-encode.
-                let render = || {
-                    let mut text =
-                        serde_json::to_string_pretty(&nchecker::app_report_to_json(&report))
-                            .expect("report serializes");
-                    text.push('\n');
-                    text
-                };
-                let text = match &outcome.rendered {
-                    Some(cell) => cell.get_or_render(render),
-                    None => std::sync::Arc::new(render()),
-                };
+                // --json. The daemon's per-app obs is always disabled, so
+                // these are the stored bytes of a disk hit or the
+                // memoized rendering of a resident entry — a repeat hit
+                // costs an Arc clone, not a decode or re-encode.
                 job.degraded = report.degraded();
-                job.defects = report.defects.len();
-                job.report_json = Some(text);
+                job.defects = report.defects();
+                job.report_json = Some(report.json());
                 job.delta = outcome.delta.map(|d| d.to_json());
                 job.phase = Phase::Done;
                 st.completed += 1;
@@ -513,8 +510,20 @@ impl Daemon {
                     })),
                 }
             }
-            Request::Report { id } => {
-                let st = self.state.lock().expect("daemon state");
+            Request::Report { id, wait } => {
+                let mut st = self.state.lock().expect("daemon state");
+                // A waiting fetch holds its reply until the job leaves
+                // the queue and the pool. Only the dispatcher finishes
+                // jobs, so the wait also ends if it has exited.
+                while wait
+                    && !st.stopped
+                    && st
+                        .jobs
+                        .get(&id)
+                        .is_some_and(|j| matches!(j.phase, Phase::Queued | Phase::Running))
+                {
+                    st = self.finished.wait(st).expect("daemon state");
+                }
                 match st.jobs.get(&id) {
                     None => Reply::error(ErrorCode::NotFound, &format!("no job {id}")),
                     Some(job) => match job.phase {

@@ -8,7 +8,8 @@
 //!   contained per job; one adversarial bundle cannot take a run down),
 //! - [`store`] — a sharded, content-addressed analysis cache with an
 //!   in-memory tier (full replay seeds) and an optional on-disk tier
-//!   (durable whole-report entries in the [`wire`] format),
+//!   (checksummed whole-report entries: the rendered `--json` bytes a
+//!   hit serves as they are, plus the report in the [`wire`] format),
 //! - [`service`] — the [`service::AnalysisService`] façade gluing pool,
 //!   store, and checker together behind a keyed batch API,
 //! - [`daemon`] + [`protocol`] — the long-running `nchecker serve`
@@ -49,6 +50,6 @@ pub use doctor::DoctorReport;
 pub use orchestrator::{vet, OrchestratorOptions, ShardReport, VetOutcome, WorkerFleet};
 pub use pool::{default_workers, run_pool};
 pub use protocol::{ErrorCode, Request, MAX_REQUEST_LINE};
-pub use service::{AnalysisService, AppOutcome, BatchCacheStats, ServiceOptions};
+pub use service::{AnalysisService, AppOutcome, BatchCacheStats, ServedReport, ServiceOptions};
 pub use store::{AnalysisStore, DiskStats, GcStats, RenderCell};
 pub use watch::Watcher;

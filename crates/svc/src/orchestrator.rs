@@ -44,7 +44,6 @@
 //! the normal restart path. The one-shot [`vet`] entry point wraps a
 //! fleet around a single round and shuts it down.
 
-use crate::protocol;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -59,9 +58,11 @@ pub struct OrchestratorOptions {
     /// The worker command line: argv[0] plus arguments. Must speak the
     /// serve wire protocol on stdio.
     pub worker_cmd: Vec<String>,
-    /// Submits pipelined per chunk before reading replies back. Must
-    /// stay at or below the worker's queue capacity, or admission
-    /// control rejects the overflow.
+    /// Submits per pipelined window. Two windows are outstanding at a
+    /// time, so `2 × window` must stay at or below the worker's queue
+    /// capacity, or admission control rejects the overflow. Both
+    /// windows' requests sit in the worker's stdin pipe at once, so the
+    /// window must also stay small enough for them to fit its buffer.
     pub window: usize,
     /// Worker restarts tolerated per shard before the shard's remaining
     /// items are marked failed.
@@ -304,143 +305,157 @@ fn run_shard(
         }
     }
 
-    let window = window.max(1);
-    let mut chunk_start = 0usize;
-    while chunk_start < items.len() {
-        let chunk: Vec<&(usize, String)> = items[chunk_start..]
+    // Each pass pipelines every unresolved item through the live worker;
+    // a pass that dies leaves its finished items resolved, and the next
+    // pass (on a respawned worker) resubmits only the rest.
+    loop {
+        let pending: Vec<&(usize, String)> = items
             .iter()
             .filter(|(idx, _)| !results.contains_key(idx))
-            .take(window)
             .collect();
-        if chunk.is_empty() {
-            chunk_start = items.len();
-            continue;
+        if pending.is_empty() {
+            return (results, usage);
         }
         let w = slot.as_mut().expect("live worker");
-        match run_chunk(w, &chunk, &mut results) {
-            Ok(()) => {
-                // Everything in the chunk resolved (done or failed);
-                // advance past every leading resolved item.
-                while chunk_start < items.len() && results.contains_key(&items[chunk_start].0) {
-                    chunk_start += 1;
-                }
+        let Err(e) = run_pipelined(w, &pending, window, &mut results) else {
+            return (results, usage);
+        };
+        // Worker I/O died mid-pass. Kill, maybe respawn, and retry the
+        // unfinished items — finished ones keep their results, and
+        // re-analysis of items the dead worker had completed hits the
+        // shared disk cache.
+        slot.take().expect("live worker").kill();
+        if usage.restarts >= max_restarts {
+            for (idx, _) in items {
+                results.entry(*idx).or_insert_with(|| {
+                    ItemResult::Failed(format!(
+                        "worker died ({e}); restart budget ({max_restarts}) exhausted"
+                    ))
+                });
             }
-            Err(e) => {
-                // Worker I/O died mid-chunk. Kill, maybe respawn, and
-                // retry the chunk's unfinished items — finished ones
-                // keep their results, and re-analysis of items the dead
-                // worker had completed hits the shared disk cache.
-                slot.take().expect("live worker").kill();
-                if usage.restarts >= max_restarts {
-                    for (idx, _) in items {
-                        results.entry(*idx).or_insert_with(|| {
-                            ItemResult::Failed(format!(
-                                "worker died ({e}); restart budget ({max_restarts}) exhausted"
-                            ))
-                        });
-                    }
-                    return (results, usage);
+            return (results, usage);
+        }
+        usage.restarts += 1;
+        match Worker::spawn(cmd) {
+            Ok(w) => {
+                *slot = Some(w);
+                usage.spawned += 1;
+            }
+            Err(spawn_err) => {
+                for (idx, _) in items {
+                    results.entry(*idx).or_insert_with(|| {
+                        ItemResult::Failed(format!("worker respawn failed: {spawn_err}"))
+                    });
                 }
-                usage.restarts += 1;
-                match Worker::spawn(cmd) {
-                    Ok(w) => {
-                        *slot = Some(w);
-                        usage.spawned += 1;
-                    }
-                    Err(spawn_err) => {
-                        for (idx, _) in items {
-                            results.entry(*idx).or_insert_with(|| {
-                                ItemResult::Failed(format!("worker respawn failed: {spawn_err}"))
-                            });
-                        }
-                        return (results, usage);
-                    }
-                }
+                return (results, usage);
             }
         }
     }
-    (results, usage)
 }
 
-/// One pipelined chunk: submit everything, then resolve each id to a
-/// report. `Err` means the worker connection is unusable (caller
-/// restarts); per-item analysis failures are recorded and are *not*
-/// errors.
-fn run_chunk(
+/// Pipelines `items` through one worker in windows, one window ahead:
+/// window *k + 1*'s submits go out before window *k*'s waiting `report`
+/// fetches, so the worker's queue already holds the next window while
+/// it finishes the current one and never idles between windows. Two
+/// windows must fit the worker's queue capacity. The daemon replies
+/// serially in request order, so replies are read back in send order.
+/// `Err` means the worker connection is unusable (caller restarts);
+/// per-item failures are recorded and are *not* errors.
+fn run_pipelined(
     worker: &mut Worker,
-    chunk: &[&(usize, String)],
+    items: &[&(usize, String)],
+    window: usize,
     results: &mut BTreeMap<usize, ItemResult>,
 ) -> std::io::Result<()> {
-    // Phase 1: pipelined submits (the daemon replies in request order).
-    for (_, path) in chunk {
+    let mut windows = items.chunks(window.max(1));
+    let Some(first) = windows.next() else {
+        return Ok(());
+    };
+    send_submits(worker, first)?;
+    let mut current = recv_submits(worker, first, results)?;
+    loop {
+        let next = windows.next();
+        if let Some(next) = next {
+            send_submits(worker, next)?;
+        }
+        for (_, id) in &current {
+            worker.send(&serde_json::json!({"verb": "report", "id": id, "wait": true}))?;
+        }
+        let queued = match next {
+            Some(next) => recv_submits(worker, next, results)?,
+            None => Vec::new(),
+        };
+        for (idx, _) in current {
+            let reply = worker.recv()?;
+            results.insert(idx, item_result(&reply)?);
+        }
+        if next.is_none() {
+            return Ok(());
+        }
+        current = queued;
+    }
+}
+
+fn send_submits(worker: &mut Worker, items: &[&(usize, String)]) -> std::io::Result<()> {
+    for (_, path) in items {
         worker.send(&serde_json::json!({"verb": "submit", "path": path}))?;
     }
-    let mut job_ids: Vec<(usize, Option<u64>)> = Vec::with_capacity(chunk.len());
-    for (idx, path) in chunk {
-        let reply = worker.recv()?;
-        if reply["ok"].as_bool() == Some(true) {
-            job_ids.push((*idx, reply["id"].as_i64().map(|id| id as u64)));
-        } else {
-            // An admission reject is a protocol-level surprise (the
-            // window is sized to the queue) but not a dead worker.
-            results.insert(
-                *idx,
-                ItemResult::Failed(format!(
-                    "{path}: submit rejected: {}",
-                    reply["error"]["code"].as_str().unwrap_or("unknown")
-                )),
-            );
-            job_ids.push((*idx, None));
-        }
-    }
-
-    // Phase 2: fetch each report, polling not-ready jobs. The daemon
-    // drains in batches, so by the time the first report is ready the
-    // rest of the chunk usually is too.
-    for (idx, id) in job_ids {
-        let Some(id) = id else { continue };
-        loop {
-            let reply = worker.rpc(&serde_json::json!({"verb": "report", "id": id}))?;
-            if reply["ok"].as_bool() == Some(true) {
-                results.insert(
-                    idx,
-                    ItemResult::Done {
-                        report: reply["report"].as_str().unwrap_or("").to_owned(),
-                        delta: match &reply["delta"] {
-                            Value::Null => None,
-                            d => Some(d.clone()),
-                        },
-                        degraded: reply["degraded"].as_bool().unwrap_or(false),
-                    },
-                );
-                break;
-            }
-            match reply["error"]["code"].as_str() {
-                Some(code) if code == protocol::ErrorCode::NotReady.tag() => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Some(code) => {
-                    results.insert(
-                        idx,
-                        ItemResult::Failed(format!(
-                            "{code}: {}",
-                            reply["error"]["message"]
-                                .as_str()
-                                .unwrap_or("analysis failed")
-                        )),
-                    );
-                    break;
-                }
-                None => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "worker reply carries neither ok nor error",
-                    ));
-                }
-            }
-        }
-    }
     Ok(())
+}
+
+/// Reads the submit replies for `items`: the `(input index, job id)`
+/// of every accepted submit. A rejected submit fails its item — a
+/// protocol-level surprise (two windows fit the queue), not a dead
+/// worker.
+fn recv_submits(
+    worker: &mut Worker,
+    items: &[&(usize, String)],
+    results: &mut BTreeMap<usize, ItemResult>,
+) -> std::io::Result<Vec<(usize, u64)>> {
+    let mut accepted = Vec::with_capacity(items.len());
+    for (idx, path) in items {
+        let reply = worker.recv()?;
+        match reply["id"].as_i64() {
+            Some(id) if reply["ok"].as_bool() == Some(true) => accepted.push((*idx, id as u64)),
+            _ => {
+                results.insert(
+                    *idx,
+                    ItemResult::Failed(format!(
+                        "{path}: submit rejected: {}",
+                        reply["error"]["code"].as_str().unwrap_or("unknown")
+                    )),
+                );
+            }
+        }
+    }
+    Ok(accepted)
+}
+
+/// One `report` reply as an item result. `Err` when the reply carries
+/// neither a report nor a typed error (the connection is out of sync).
+fn item_result(reply: &Value) -> std::io::Result<ItemResult> {
+    if reply["ok"].as_bool() == Some(true) {
+        return Ok(ItemResult::Done {
+            report: reply["report"].as_str().unwrap_or("").to_owned(),
+            delta: match &reply["delta"] {
+                Value::Null => None,
+                d => Some(d.clone()),
+            },
+            degraded: reply["degraded"].as_bool().unwrap_or(false),
+        });
+    }
+    match reply["error"]["code"].as_str() {
+        Some(code) => Ok(ItemResult::Failed(format!(
+            "{code}: {}",
+            reply["error"]["message"]
+                .as_str()
+                .unwrap_or("analysis failed")
+        ))),
+        None => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "worker reply carries neither ok nor error",
+        )),
+    }
 }
 
 /// A persistent fleet of shard worker processes. One fleet serves any

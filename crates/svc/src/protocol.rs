@@ -16,9 +16,15 @@
 //! |------------|-------------------|-----------------------------------------|
 //! | `submit`   | `path`, `key`?    | `id`, `pending`                         |
 //! | `status`   | `id`?             | queue counters, or one job's state      |
-//! | `report`   | `id`              | `report` (exact `--json` bytes)         |
+//! | `report`   | `id`, `wait`?     | `report` (exact `--json` bytes)         |
 //! | `doctor`   | —                 | `doctor` (exact `--doctor` bytes + queue)|
 //! | `shutdown` | —                 | `pending`; daemon drains and exits      |
+//!
+//! A plain `report` never blocks: an unfinished job answers `not-ready`.
+//! With `"wait": true` the reply is held until the job finishes, so a
+//! client can pipeline its fetches behind its submits instead of
+//! polling. A wait for an unknown id answers `not-found` at once, and a
+//! pending wait is answered when shutdown drains the job.
 //!
 //! Errors are typed: `{"ok": false, "error": {"code": ..., "message":
 //! ...}}`. Malformed lines, unknown verbs, and oversized requests get
@@ -55,6 +61,9 @@ pub enum Request {
     Report {
         /// Job to fetch.
         id: u64,
+        /// Hold the reply until the job finishes instead of answering
+        /// `not-ready`.
+        wait: bool,
     },
     /// The canonical health snapshot plus the queue section.
     Doctor,
@@ -153,9 +162,11 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
             })
         }
         "status" => Ok(Request::Status { id: id_of(m)? }),
-        "report" => match id_of(m)? {
-            Some(id) => Ok(Request::Report { id }),
-            None => Err(malformed("report requires an integer field \"id\"")),
+        "report" => match (id_of(m)?, m.get("wait")) {
+            (None, _) => Err(malformed("report requires an integer field \"id\"")),
+            (Some(id), None) => Ok(Request::Report { id, wait: false }),
+            (Some(id), Some(Value::Bool(wait))) => Ok(Request::Report { id, wait: *wait }),
+            (Some(_), Some(_)) => Err(malformed("field \"wait\" must be a boolean")),
         },
         "doctor" => Ok(Request::Doctor),
         "shutdown" => Ok(Request::Shutdown),
@@ -261,7 +272,11 @@ mod tests {
         );
         assert_eq!(
             parse_request(r#"{"verb": "report", "id": 1}"#).unwrap(),
-            Request::Report { id: 1 }
+            Request::Report { id: 1, wait: false }
+        );
+        assert_eq!(
+            parse_request(r#"{"verb": "report", "id": 1, "wait": true}"#).unwrap(),
+            Request::Report { id: 1, wait: true }
         );
         assert_eq!(
             parse_request(r#"{"verb": "doctor"}"#).unwrap(),
@@ -284,6 +299,7 @@ mod tests {
             r#"{"verb": "submit", "path": 3}"#,
             r#"{"verb": "report"}"#,
             r#"{"verb": "report", "id": -1}"#,
+            r#"{"verb": "report", "id": 1, "wait": 1}"#,
             r#"{"verb": "status", "id": "x"}"#,
         ] {
             let (code, _) = parse_request(line).unwrap_err();

@@ -14,18 +14,18 @@
 
 use crate::delta::{diff_reports, DeltaReport};
 use crate::pool::run_pool;
-use crate::store::{AnalysisStore, RenderCell};
-use nchecker::cache::{config_fingerprint, AppCacheEntry, ReuseStats};
+use crate::store::{render_json, AnalysisStore, RenderCell, StoredEntry};
+use nchecker::cache::{config_fingerprint, ReuseStats};
 use nchecker::{AnalyzeError, AppReport, CheckerConfig, NChecker};
 use nck_obs::Obs;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One analyzed app: the report (or failure) plus what the cache did.
 #[derive(Debug)]
 pub struct AppOutcome {
     /// The analysis result.
-    pub report: Result<AppReport, AnalyzeError>,
+    pub report: Result<ServedReport, AnalyzeError>,
     /// Cache/reuse accounting for this app.
     pub reuse: ReuseStats,
     /// The defect delta against the previous version of this key, when
@@ -34,13 +34,90 @@ pub struct AppOutcome {
     /// (whole-report reuse — nothing changed), failure, and degraded
     /// runs (an incomplete report would produce phantom "fixes").
     pub delta: Option<DeltaReport>,
-    /// Render-memoization cell for this outcome's report, shared with
-    /// the memory-tier entry it came from (or was recorded as). A
-    /// consumer that serializes reports deterministically — the daemon,
-    /// whose per-app obs is always disabled — renders through it once
-    /// and serves the cached bytes on every later hit. `None` when the
-    /// report is not resident (failure, degraded, cache disabled).
-    pub rendered: Option<Arc<RenderCell>>,
+}
+
+/// A finished app's report as the service hands it out.
+///
+/// Misses and memory hits carry the decoded [`AppReport`]. A disk-tier
+/// hit carries the stored entry instead: [`ServedReport::json`] serves
+/// its one-shot `--json` bytes as they are, and the structured report is
+/// decoded from the entry only when a consumer dereferences it (text and
+/// summary output, tests).
+#[derive(Debug)]
+pub struct ServedReport {
+    report: OnceLock<AppReport>,
+    /// The disk entry of a hit, decoded into `report` on first deref.
+    stored: Option<StoredEntry>,
+    /// Render-memoization cell shared with the memory-tier entry this
+    /// report came from (or was recorded as). Only attached when the
+    /// report carries no per-app metrics, so the cell's bytes — rendered
+    /// from the unsealed entry — are this report's bytes.
+    rendered: Option<Arc<RenderCell>>,
+}
+
+impl ServedReport {
+    fn decoded(report: AppReport, rendered: Option<Arc<RenderCell>>) -> ServedReport {
+        ServedReport {
+            report: OnceLock::from(report),
+            stored: None,
+            rendered,
+        }
+    }
+
+    fn stored(entry: StoredEntry) -> ServedReport {
+        ServedReport {
+            report: OnceLock::new(),
+            stored: Some(entry),
+            rendered: None,
+        }
+    }
+
+    /// The report's one-shot `--json` bytes (pretty JSON plus trailing
+    /// newline): a disk hit's stored bytes, the resident entry's
+    /// memoized rendering, or a fresh rendering.
+    pub fn json(&self) -> Arc<String> {
+        if let Some(entry) = &self.stored {
+            return Arc::clone(&entry.json);
+        }
+        match &self.rendered {
+            Some(cell) => cell.get_or_render(|| render_json(self)),
+            None => Arc::new(render_json(self)),
+        }
+    }
+
+    /// Defects in the report, without decoding a stored one.
+    pub fn defects(&self) -> usize {
+        match (&self.stored, self.report.get()) {
+            (_, Some(report)) => report.defects.len(),
+            (Some(entry), None) => entry.defects,
+            (None, None) => unreachable!("a served report is decoded or stored"),
+        }
+    }
+
+    /// Whether the analysis degraded. Stored entries never are: degraded
+    /// apps bypass the cache.
+    pub fn degraded(&self) -> bool {
+        self.report.get().is_some_and(AppReport::degraded)
+    }
+
+    /// Whether the structured report has been materialized (always, for
+    /// a miss or memory hit; after the first deref, for a disk hit).
+    pub fn is_decoded(&self) -> bool {
+        self.report.get().is_some()
+    }
+}
+
+impl std::ops::Deref for ServedReport {
+    type Target = AppReport;
+
+    fn deref(&self) -> &AppReport {
+        self.report.get_or_init(|| {
+            self.stored
+                .as_ref()
+                .expect("a served report is decoded or stored")
+                .decode()
+        })
+    }
 }
 
 /// Aggregate cache accounting for a batch.
@@ -183,7 +260,6 @@ impl AnalysisService {
                     )),
                     reuse: ReuseStats::default(),
                     delta: None,
-                    rendered: None,
                 })
             })
             .collect();
@@ -218,12 +294,12 @@ impl AnalysisService {
         let svc_obs = self.obs.fresh();
 
         if self.no_cache {
-            let report = checker.analyze_bytes_checked(bytes);
             return AppOutcome {
-                report,
+                report: checker
+                    .analyze_bytes_checked(bytes)
+                    .map(|r| ServedReport::decoded(r, None)),
                 reuse: ReuseStats::default(),
                 delta: None,
-                rendered: None,
             };
         }
 
@@ -236,42 +312,33 @@ impl AnalysisService {
 
         // Disk tier: only consulted when the memory tier has nothing for
         // this key (a memory entry subsumes its own disk twin). An exact
-        // fingerprint match is a whole-report hit — *promoted* into the
-        // memory tier so the next lookup for this key skips the read and
-        // decode entirely. A *stale* entry (same key, different bundle —
+        // fingerprint match is a whole-report hit served from the
+        // entry's stored bytes — not decoded, rendered, or promoted into
+        // the memory tier. A *stale* entry (same key, different bundle —
         // a resubmitted version) becomes the delta base, so version
         // diffs survive process restarts.
         let mut disk_base: Option<(u64, AppReport)> = None;
         if prev.is_none() && self.store.has_disk() {
-            match self.store.lookup_disk_any(key, self.config_fp, &svc_obs) {
-                Some((stored_fp, report)) if stored_fp == bundle_fp => {
+            match self.store.lookup_disk_entry(key, self.config_fp, &svc_obs) {
+                Some(entry) if entry.bundle_fp == bundle_fp => {
                     self.store.count_outcome(true, &svc_obs);
-                    // The disk tier holds exactly this: fingerprints and
-                    // report, no replay seeds. The promoted entry serves
-                    // rung 1 (whole-report reuse) from memory; a changed
-                    // bundle recomputes cold either way.
-                    self.store.promote(
-                        key,
-                        AppCacheEntry {
-                            bundle_fp,
-                            config_fp: self.config_fp,
-                            report: report.clone(),
-                            ..AppCacheEntry::default()
-                        },
-                        &svc_obs,
-                    );
-                    let reuse = ReuseStats {
-                        whole_report: true,
-                        ..ReuseStats::default()
+                    // Per-app metrics are sealed into the report, so the
+                    // stored bytes (rendered without them) cannot serve.
+                    let report = if svc_obs.metrics.is_enabled() {
+                        ServedReport::decoded(self.stamp(entry.decode(), &svc_obs), None)
+                    } else {
+                        ServedReport::stored(entry)
                     };
                     return AppOutcome {
-                        report: Ok(self.stamp(report, &svc_obs)),
-                        reuse,
+                        report: Ok(report),
+                        reuse: ReuseStats {
+                            whole_report: true,
+                            ..ReuseStats::default()
+                        },
                         delta: None,
-                        rendered: self.store.render_cell(key, bundle_fp),
                     };
                 }
-                Some(stale) => disk_base = Some(stale),
+                Some(stale) => disk_base = Some((stale.bundle_fp, stale.decode())),
                 None => {}
             }
         }
@@ -336,12 +403,16 @@ impl AnalysisService {
                 // The resident entry's render cell — present after an
                 // insert, and on a rung-1 memory hit (the entry that
                 // served it is still resident with this fingerprint).
-                let rendered = self.store.render_cell(key, bundle_fp);
+                let rendered = (!svc_obs.metrics.is_enabled())
+                    .then(|| self.store.render_cell(key, bundle_fp))
+                    .flatten();
                 AppOutcome {
-                    report: Ok(self.stamp(report, &svc_obs)),
+                    report: Ok(ServedReport::decoded(
+                        self.stamp(report, &svc_obs),
+                        rendered,
+                    )),
                     reuse,
                     delta,
-                    rendered,
                 }
             }
             Err(e) => {
@@ -350,7 +421,6 @@ impl AnalysisService {
                     report: Err(e),
                     reuse: ReuseStats::default(),
                     delta: None,
-                    rendered: None,
                 }
             }
         }

@@ -9,12 +9,41 @@
 //!   small apps respect). Seeds embed interned symbol ids and shared
 //!   pointers, so this tier is process-local by construction.
 //! - **Disk** (optional, under `--cache-dir`) — the durable subset: the
-//!   bundle and config fingerprints plus the report in the faithful
-//!   [`crate::wire`] format. A disk hit serves an *identical* bundle
-//!   across process restarts; a changed bundle misses and re-records —
-//!   but the stale entry is still *readable* ([`AnalysisStore::lookup_disk_any`]),
-//!   which is what lets a resubmitted app version produce a defect
-//!   delta even across process boundaries.
+//!   bundle and config fingerprints plus the report. A disk hit serves
+//!   an *identical* bundle across process restarts; a changed bundle
+//!   misses and re-records — but the stale entry is still *readable*
+//!   ([`AnalysisStore::lookup_disk_any`]), which is what lets a
+//!   resubmitted app version produce a defect delta even across process
+//!   boundaries.
+//!
+//! A disk entry is one file, `{key_hash:016x}-{config_fp:016x}.json`:
+//!
+//! ```text
+//! nck-entry 2 <wire schema> <bundle_fp> <config_fp> <defects> <json len> <wire len> <checksum>\n
+//! <json section: the canonical one-shot --json bytes><wire section: crate::wire JSON>
+//! ```
+//!
+//! Fingerprints and the checksum are 16 hex digits, the rest decimal.
+//! The checksum (a word-wise multiply-xor) covers the header up to the
+//! checksum field plus both sections, so a hit is a file read plus one pass over
+//! the bytes: the JSON section goes straight to the reply
+//! ([`StoredEntry::json`]) and nothing is decoded or re-rendered. The
+//! wire section is decoded only when a consumer asks for the structured
+//! report ([`StoredEntry::decode`], counted as `svc.cache.disk_decode`):
+//! CLI text output, per-app metrics, a delta base, and
+//! [`AnalysisStore::lookup_disk_any`], which benchmark tooling decodes
+//! through. The checksum guards against accidental damage (torn or
+//! bit-flipped files), not forgery: the cache directory is trusted.
+//!
+//! Disk hits are **not** promoted into the memory tier. Promotion would
+//! force the decode a hit otherwise skips, and a re-vetting workload
+//! meets each key once per process. [`AnalysisStore::promote`] remains
+//! for callers that want it.
+//!
+//! The file keeps its `.json` name across layout changes so that a
+//! format upgrade overwrites old entries in place. An entry in an older
+//! layout — the schema-1 JSON object, or an older header — is a plain
+//! miss, never a quarantine, and the next insert rewrites it.
 //!
 //! The disk tier is garbage-collected by [`AnalysisStore::gc_disk`]:
 //! size-budgeted LRU eviction ordered by per-entry *atime sidecar*
@@ -41,9 +70,9 @@
 //! Every lookup runs under a `cache_lookup` span and bumps the
 //! `svc.cache.{hit,miss}` counters on the obs handle it is given;
 //! evictions bump `svc.cache.evict`, GC bumps `svc.cache.gc_*`. Corrupt
-//! disk files decode as misses, never errors — and are *quarantined*
-//! (renamed out of the cache namespace) so they are not re-read and
-//! re-rejected on every subsequent lookup.
+//! disk files (a bad checksum, header, or length) read as misses, never
+//! errors — and are *quarantined* (renamed out of the cache namespace)
+//! so they are not re-read and re-rejected on every subsequent lookup.
 //!
 //! Besides the per-app obs handle, the store owns a service-lifetime
 //! [`Metrics`] registry mirroring every `svc.cache.*` counter. Per-app
@@ -94,6 +123,11 @@ struct MemEntry {
 pub struct RenderCell(OnceLock<Arc<String>>);
 
 impl RenderCell {
+    /// A cell already holding `text`.
+    pub fn filled(text: Arc<String>) -> RenderCell {
+        RenderCell(OnceLock::from(text))
+    }
+
     /// The cached rendering, computing (and caching) it via `render` on
     /// first use.
     pub fn get_or_render(&self, render: impl FnOnce() -> String) -> Arc<String> {
@@ -222,56 +256,48 @@ impl AnalysisStore {
             .map(|m| Arc::clone(&m.rendered))
     }
 
-    /// Disk-tier lookup: returns the cached report only when both
-    /// fingerprints match exactly.
+    /// Disk-tier read: whatever checksum-valid entry exists for
+    /// `(key, config_fp)`, undecoded. The caller decides hit (the
+    /// entry's `bundle_fp` matches) vs. *delta base* (it differs — the
+    /// entry describes the previous version of this app).
     ///
-    /// A *stale* entry (well-formed, but recorded for a different
-    /// bundle) is a plain miss and stays on disk for the next insert to
-    /// overwrite. A *corrupt* entry (unparseable, wrong wire schema, or
-    /// a shape the decoder rejects) is quarantined: left in place it
-    /// would be re-read and re-rejected on every lookup and permanently
-    /// inflate the disk occupancy stats.
-    pub fn lookup_disk(
-        &self,
-        key: &str,
-        bundle_fp: u64,
-        config_fp: u64,
-        obs: &Obs,
-    ) -> Option<nchecker::AppReport> {
-        let (stored_fp, report) = self.lookup_disk_any(key, config_fp, obs)?;
-        (stored_fp == bundle_fp).then_some(report)
-    }
-
-    /// Disk-tier read *without* the bundle-fingerprint gate: returns
-    /// whatever well-formed entry exists for `(key, config_fp)`, along
-    /// with the bundle fingerprint it was recorded for. The caller
-    /// decides hit (fingerprints match) vs. *delta base* (they differ —
-    /// the entry's report describes the previous version of this app).
-    /// Corrupt entries quarantine exactly as in
-    /// [`AnalysisStore::lookup_disk`]. Reading records the entry in the
+    /// An entry in an older layout is a plain miss and stays on disk for
+    /// the next insert to overwrite. A *corrupt* entry (bad checksum,
+    /// header, or lengths) is quarantined: left in place it would be
+    /// re-read and re-rejected on every lookup and permanently inflate
+    /// the disk occupancy stats. Reading records the entry in the
     /// in-memory atime journal (no sidecar I/O on the hot path), which
     /// is what makes [`AnalysisStore::gc_disk`]'s eviction order an LRU
     /// rather than FIFO.
+    pub fn lookup_disk_entry(&self, key: &str, config_fp: u64, obs: &Obs) -> Option<StoredEntry> {
+        let dir = self.disk.as_deref()?;
+        let _s = obs.tracer.span("cache_lookup_disk");
+        let path = disk_path(dir, key, config_fp);
+        let bytes = std::fs::read(&path).ok()?;
+        match parse_entry(&bytes, config_fp, &self.metrics) {
+            Parsed::Entry(entry) => {
+                lock_plain(&self.atime_journal).insert(path, SystemTime::now());
+                Some(entry)
+            }
+            Parsed::Outdated => None,
+            Parsed::Corrupt => {
+                self.quarantine(&path, obs);
+                None
+            }
+        }
+    }
+
+    /// [`AnalysisStore::lookup_disk_entry`] with the report decoded:
+    /// the bundle fingerprint the entry was recorded for, and its
+    /// report.
     pub fn lookup_disk_any(
         &self,
         key: &str,
         config_fp: u64,
         obs: &Obs,
     ) -> Option<(u64, nchecker::AppReport)> {
-        let dir = self.disk.as_deref()?;
-        let _s = obs.tracer.span("cache_lookup_disk");
-        let path = disk_path(dir, key, config_fp);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match decode_disk_entry(&text, config_fp) {
-            DiskEntry::Entry(stored_fp, report) => {
-                lock_plain(&self.atime_journal).insert(path, SystemTime::now());
-                Some((stored_fp, *report))
-            }
-            DiskEntry::Corrupt => {
-                self.quarantine(&path, obs);
-                None
-            }
-        }
+        self.lookup_disk_entry(key, config_fp, obs)
+            .map(|entry| (entry.bundle_fp, entry.decode()))
     }
 
     /// Flushes the write-behind atime journal: every journaled read
@@ -327,31 +353,43 @@ impl AnalysisStore {
 
     /// Records a finished clean analysis in both tiers. Degraded apps
     /// must never reach this (the service enforces it; the checker
-    /// already returns no entry for them).
+    /// already returns no entry for them). With a disk tier, the report
+    /// is rendered here — the disk entry stores those bytes — and the
+    /// memory entry's render cell starts out holding them.
     pub fn insert(&self, key: &str, entry: AppCacheEntry, obs: &Obs) {
+        let mut rendered = None;
         if let Some(dir) = self.disk.as_deref() {
             self.seed_occupancy();
-            let (new_len, old_len) = write_disk(dir, key, &entry, obs);
+            let json = render_json(&entry.report);
+            let (new_len, old_len) = write_disk(dir, key, &entry, &json, obs);
             self.sub_occupancy(old_len);
             self.disk_bytes.fetch_add(new_len, Ordering::Relaxed);
+            rendered = Some(Arc::new(json));
         }
-        self.insert_memory(key, entry, obs);
+        self.insert_memory(key, entry, rendered, obs);
     }
 
-    /// Promotes an entry into the memory tier *only* — the disk tier
-    /// already holds it. Used on a disk hit so the next lookup for the
-    /// same key is a memory hit instead of a read + decode.
+    /// Records an entry in the memory tier *only*, leaving the disk
+    /// tier alone. The service does not promote disk hits (see the
+    /// module docs); this is for callers that hold a decoded entry and
+    /// want later lookups served from memory.
     pub fn promote(&self, key: &str, entry: AppCacheEntry, obs: &Obs) {
-        self.insert_memory(key, entry, obs);
+        self.insert_memory(key, entry, None, obs);
     }
 
-    fn insert_memory(&self, key: &str, entry: AppCacheEntry, obs: &Obs) {
+    fn insert_memory(
+        &self,
+        key: &str,
+        entry: AppCacheEntry,
+        rendered: Option<Arc<String>>,
+        obs: &Obs,
+    ) {
         let approx = entry.approx_bytes();
         let slot = MemEntry {
             tick: self.tick(),
             approx,
             entry: Arc::new(entry),
-            rendered: Arc::new(RenderCell::default()),
+            rendered: Arc::new(rendered.map_or_else(RenderCell::default, RenderCell::filled)),
         };
         let mut shard = lock(self.shard(key));
         if let Some(old) = shard.entries.insert(key.to_owned(), slot) {
@@ -612,34 +650,169 @@ impl GcStats {
     }
 }
 
-enum DiskEntry {
-    /// A well-formed entry: the bundle fingerprint it was recorded for,
-    /// plus its report.
-    Entry(u64, Box<nchecker::AppReport>),
+/// The exact byte surface the one-shot CLI prints under `--json`: pretty
+/// JSON plus the trailing newline. Daemon `report` payloads, `vet`
+/// stdout, and disk entries' JSON sections all carry these bytes.
+pub fn render_json(report: &nchecker::AppReport) -> String {
+    let mut text = serde_json::to_string_pretty(&nchecker::app_report_to_json(report))
+        .expect("report serializes");
+    text.push('\n');
+    text
+}
+
+/// First token of a disk entry's header line.
+const ENTRY_MAGIC: &str = "nck-entry";
+
+/// Layout version of disk entries (the header line's second token).
+/// Schema 1 was a single JSON object holding the wire report.
+const ENTRY_SCHEMA: u32 = 2;
+
+/// A checksum-verified disk entry, not yet decoded.
+#[derive(Debug, Clone)]
+pub struct StoredEntry {
+    /// The bundle fingerprint the entry was recorded for.
+    pub bundle_fp: u64,
+    /// Defects in the stored report.
+    pub defects: usize,
+    /// The stored report's one-shot `--json` bytes ([`render_json`]).
+    /// Disk entries are recorded from unsealed reports, so these bytes
+    /// never carry a `"metrics"` key.
+    pub json: Arc<String>,
+    /// The stored report in the [`crate::wire`] format.
+    wire: String,
+    /// The owning store's lifetime registry (`svc.cache.disk_decode`).
+    metrics: Metrics,
+}
+
+impl StoredEntry {
+    /// Decodes the structured report from the wire section, counting
+    /// `svc.cache.disk_decode` on the owning store.
+    ///
+    /// # Panics
+    ///
+    /// If the wire section does not decode. The checksum and the
+    /// header's wire schema were verified at lookup, so that means the
+    /// writer and decoder disagree — a bug, not a damaged file.
+    pub fn decode(&self) -> nchecker::AppReport {
+        self.metrics.inc("svc.cache.disk_decode", 1);
+        serde_json::from_str(&self.wire)
+            .ok()
+            .and_then(|v| crate::wire::report_from_wire(&v))
+            .expect("a checksum-valid entry decodes")
+    }
+}
+
+/// What a disk file turned out to hold.
+enum Parsed {
+    Entry(StoredEntry),
+    /// An entry in an older layout: a plain miss, overwritten in place.
+    Outdated,
     Corrupt,
 }
 
-fn decode_disk_entry(text: &str, config_fp: u64) -> DiskEntry {
-    let Ok(v) = serde_json::from_str(text) else {
-        return DiskEntry::Corrupt;
-    };
-    let fps = (|| {
-        let b = v.get("bundle_fp")?.as_str()?.parse::<u64>().ok()?;
-        let c = v.get("config_fp")?.as_str()?.parse::<u64>().ok()?;
-        Some((b, c))
-    })();
-    let Some((stored_bundle, stored_config)) = fps else {
-        return DiskEntry::Corrupt;
-    };
-    if stored_config != config_fp {
-        // The file name encodes the config fingerprint, so a mismatch
-        // inside means the payload does not belong to its name.
-        return DiskEntry::Corrupt;
+/// Disk entry checksum: a multiply-xor over 8-byte little-endian words
+/// (one dependent multiply per word, where byte-wise FNV-1a pays one
+/// per byte), then the tail and the length. Each step is a bijection of
+/// the running state, so any change confined to one word always changes
+/// the sum.
+fn checksum(parts: &[&[u8]]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut len = 0u64;
+    for part in parts {
+        let mut words = part.chunks_exact(8);
+        for w in &mut words {
+            let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+            h = (h ^ w).wrapping_mul(K).rotate_left(31);
+        }
+        for &b in words.remainder() {
+            h = (h ^ u64::from(b)).wrapping_mul(K).rotate_left(31);
+        }
+        len += part.len() as u64;
     }
-    match v.get("report").and_then(crate::wire::report_from_wire) {
-        Some(report) => DiskEntry::Entry(stored_bundle, Box::new(report)),
-        None => DiskEntry::Corrupt,
+    (h ^ len).wrapping_mul(K)
+}
+
+/// Renders an entry file: header line, then the JSON and wire sections.
+fn encode_entry(entry: &AppCacheEntry, json: &str, wire: &str) -> Vec<u8> {
+    let prefix = format!(
+        "{ENTRY_MAGIC} {ENTRY_SCHEMA} {} {:016x} {:016x} {} {} {} ",
+        crate::wire::WIRE_SCHEMA,
+        entry.bundle_fp,
+        entry.config_fp,
+        entry.report.defects.len(),
+        json.len(),
+        wire.len(),
+    );
+    let mut out = Vec::with_capacity(prefix.len() + 17 + json.len() + wire.len());
+    out.extend_from_slice(prefix.as_bytes());
+    out.extend_from_slice(&[b'0'; 16]);
+    out.push(b'\n');
+    let body = out.len();
+    out.extend_from_slice(json.as_bytes());
+    out.extend_from_slice(wire.as_bytes());
+    let sum = checksum(&[prefix.as_bytes(), &out[body..]]);
+    out[prefix.len()..prefix.len() + 16].copy_from_slice(format!("{sum:016x}").as_bytes());
+    out
+}
+
+/// Parses and verifies one entry file read for `config_fp`.
+fn parse_entry(bytes: &[u8], config_fp: u64, metrics: &Metrics) -> Parsed {
+    // The schema-1 layout: one compact JSON object, keys in sorted order.
+    if bytes.starts_with(b"{\"bundle_fp\":\"") {
+        return Parsed::Outdated;
     }
+    let Some(nl) = bytes.iter().take(256).position(|&b| b == b'\n') else {
+        return Parsed::Corrupt;
+    };
+    let Ok(header) = std::str::from_utf8(&bytes[..nl]) else {
+        return Parsed::Corrupt;
+    };
+    let Some((prefix, sum)) = header.rsplit_once(' ') else {
+        return Parsed::Corrupt;
+    };
+    let fields: Vec<&str> = prefix.split(' ').collect();
+    let [ENTRY_MAGIC, schema, wire_schema, bundle_fp, stored_config, defects, json_len, wire_len] =
+        fields[..]
+    else {
+        return Parsed::Corrupt;
+    };
+    if schema.parse() != Ok(ENTRY_SCHEMA) || wire_schema.parse() != Ok(crate::wire::WIRE_SCHEMA) {
+        return Parsed::Outdated;
+    }
+    let hex = |s: &str| u64::from_str_radix(s, 16).ok().filter(|_| s.len() == 16);
+    let (Some(bundle_fp), Some(stored_config), Some(sum)) =
+        (hex(bundle_fp), hex(stored_config), hex(sum))
+    else {
+        return Parsed::Corrupt;
+    };
+    let (Ok(defects), Ok(json_len), Ok(wire_len)) = (
+        defects.parse::<usize>(),
+        json_len.parse::<usize>(),
+        wire_len.parse::<usize>(),
+    ) else {
+        return Parsed::Corrupt;
+    };
+    let body = &bytes[nl + 1..];
+    // The file name encodes the config fingerprint, so a mismatch inside
+    // means the payload does not belong to its name.
+    if stored_config != config_fp
+        || json_len.checked_add(wire_len) != Some(body.len())
+        || checksum(&[&bytes[..=prefix.len()], body]) != sum
+    {
+        return Parsed::Corrupt;
+    }
+    let (json, wire) = body.split_at(json_len);
+    let (Ok(json), Ok(wire)) = (std::str::from_utf8(json), std::str::from_utf8(wire)) else {
+        return Parsed::Corrupt;
+    };
+    Parsed::Entry(StoredEntry {
+        bundle_fp,
+        defects,
+        json: Arc::new(json.to_owned()),
+        wire: wire.to_owned(),
+        metrics: metrics.clone(),
+    })
 }
 
 /// Disk-tier occupancy, derived from the cache directory alone (the
@@ -731,18 +904,11 @@ fn disk_path(dir: &Path, key: &str, config_fp: u64) -> PathBuf {
 /// the bytes the write added and the bytes of whatever same-named
 /// entry it overwrote — so the caller can maintain the live occupancy
 /// estimate without a rescan.
-fn write_disk(dir: &Path, key: &str, entry: &AppCacheEntry, obs: &Obs) -> (u64, u64) {
-    // u64 fingerprints ride as strings: the wire format's numbers are
-    // i64, and fingerprints use the full unsigned range.
-    let v = serde_json::json!({
-        "schema": crate::wire::WIRE_SCHEMA,
-        "bundle_fp": entry.bundle_fp.to_string(),
-        "config_fp": entry.config_fp.to_string(),
-        "report": crate::wire::report_to_wire(&entry.report),
-    });
-    let Ok(text) = serde_json::to_string(&v) else {
+fn write_disk(dir: &Path, key: &str, entry: &AppCacheEntry, json: &str, obs: &Obs) -> (u64, u64) {
+    let Ok(wire) = serde_json::to_string(&crate::wire::report_to_wire(&entry.report)) else {
         return (0, 0);
     };
+    let text = encode_entry(entry, json, &wire);
     // Cache writes are best-effort: a read-only or vanished directory
     // degrades to memory-only, it does not fail the analysis.
     if std::fs::create_dir_all(dir).is_err() {
@@ -903,25 +1069,63 @@ mod tests {
         assert_eq!(store.len(), 1);
     }
 
+    /// The strict disk hit: an entry recorded for exactly `bundle_fp`.
+    fn disk_hit(store: &AnalysisStore, key: &str, bundle_fp: u64, config_fp: u64) -> bool {
+        store
+            .lookup_disk_entry(key, config_fp, &Obs::disabled())
+            .is_some_and(|e| e.bundle_fp == bundle_fp)
+    }
+
     #[test]
     fn disk_tier_roundtrips_and_rejects_stale_fingerprints() {
         let dir = tmpdir("roundtrip");
         let store = AnalysisStore::with_options(8, Some(dir.clone()));
         let obs = Obs::disabled();
-        store.insert("app.d", entry(7, "app.d"), &obs);
-        let hit = store.lookup_disk("app.d", 7, 42, &obs).unwrap();
-        assert_eq!(hit.stats.package, "app.d");
+        let stored = entry(7, "app.d");
+        let want = render_json(&stored.report);
+        store.insert("app.d", stored, &obs);
+        let hit = store.lookup_disk_entry("app.d", 42, &obs).unwrap();
+        assert_eq!(hit.bundle_fp, 7);
+        assert_eq!(*hit.json, want, "the JSON section is the rendered report");
+        assert_eq!(hit.defects, 0);
         assert!(
-            store.lookup_disk("app.d", 8, 42, &obs).is_none(),
-            "bundle moved"
+            !store
+                .metrics()
+                .snapshot()
+                .counters
+                .contains_key("svc.cache.disk_decode"),
+            "a lookup decodes nothing"
         );
-        assert!(
-            store.lookup_disk("app.d", 7, 43, &obs).is_none(),
-            "config moved"
+        assert_eq!(hit.decode().stats.package, "app.d");
+        assert_eq!(
+            store.metrics().snapshot().counters["svc.cache.disk_decode"],
+            1
         );
+        assert!(!disk_hit(&store, "app.d", 8, 42), "bundle moved");
+        assert!(!disk_hit(&store, "app.d", 7, 43), "config moved");
         // Corrupt file: miss, not error.
         std::fs::write(disk_path(&dir, "app.d", 42), "{not json").unwrap();
-        assert!(store.lookup_disk("app.d", 7, 42, &obs).is_none());
+        assert!(!disk_hit(&store, "app.d", 7, 42));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flipped_byte_anywhere_in_an_entry_fails_the_checksum() {
+        let dir = tmpdir("flip");
+        let store = AnalysisStore::with_options(8, Some(dir.clone()));
+        store.insert("app.f", entry(3, "app.f"), &Obs::disabled());
+        let path = disk_path(&dir, "app.f", 42);
+        let good = std::fs::read(&path).unwrap();
+        let metrics = Metrics::enabled();
+        assert!(matches!(parse_entry(&good, 42, &metrics), Parsed::Entry(_)));
+        for at in 0..good.len() {
+            let mut bad = good.clone();
+            bad[at] ^= 0x01;
+            assert!(
+                !matches!(parse_entry(&bad, 42, &metrics), Parsed::Entry(_)),
+                "flipping byte {at} still parsed as an entry"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -932,7 +1136,7 @@ mod tests {
         let obs = Obs::disabled();
         store.insert("app.v", entry(7, "app.v"), &obs);
         // The strict lookup under the *new* bundle misses...
-        assert!(store.lookup_disk("app.v", 8, 42, &obs).is_none());
+        assert!(!disk_hit(&store, "app.v", 8, 42));
         // ...but the any-lookup recovers the previous version's report
         // and says which bundle it belonged to.
         let (stored_fp, report) = store.lookup_disk_any("app.v", 42, &obs).unwrap();
@@ -952,7 +1156,7 @@ mod tests {
 
         // First lookup: miss, file moved out of the cache namespace,
         // counter bumped on both the per-app obs and the store registry.
-        assert!(store.lookup_disk("app.q", 9, 42, &obs).is_none());
+        assert!(store.lookup_disk_entry("app.q", 42, &obs).is_none());
         assert!(!path.exists(), "corrupt file left in the cache namespace");
         assert!(
             path.with_extension("quarantine").exists(),
@@ -974,7 +1178,7 @@ mod tests {
 
         // Second lookup: plain miss — the bad file is gone, so it is
         // neither re-read nor re-quarantined.
-        assert!(store.lookup_disk("app.q", 9, 42, &obs).is_none());
+        assert!(store.lookup_disk_entry("app.q", 42, &obs).is_none());
         assert_eq!(
             obs.metrics.snapshot().counters["svc.cache.corrupt_evict"],
             1
@@ -983,37 +1187,55 @@ mod tests {
     }
 
     #[test]
-    fn wrong_wire_schema_is_corrupt_but_stale_fingerprints_are_not() {
+    fn damaged_entries_are_corrupt_but_stale_and_outdated_ones_are_not() {
         let dir = tmpdir("staleschema");
         let store = AnalysisStore::with_options(8, Some(dir.clone()));
         let obs = Obs::enabled();
         store.insert("app.s", entry(5, "app.s"), &obs);
         let path = disk_path(&dir, "app.s", 42);
+        let current = std::fs::read(&path).unwrap();
+        let corrupt_evicts = || {
+            obs.metrics
+                .snapshot()
+                .counters
+                .get("svc.cache.corrupt_evict")
+                .copied()
+        };
 
         // Stale: well-formed entry for a different bundle — left on
         // disk (the next insert overwrites it), no quarantine.
-        assert!(store.lookup_disk("app.s", 6, 42, &obs).is_none());
+        assert!(!disk_hit(&store, "app.s", 6, 42));
         assert!(path.exists(), "stale entries stay for overwrite");
-        assert!(!obs
-            .metrics
-            .snapshot()
-            .counters
-            .contains_key("svc.cache.corrupt_evict"));
 
-        // Wrong wire schema: decoder rejects the payload → corrupt.
-        let mut v = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        if let serde_json::Value::Object(m) = &mut v {
-            if let Some(serde_json::Value::Object(r)) = m.get_mut("report") {
-                r.insert("schema".to_owned(), serde_json::json!(999));
-            }
+        // Outdated layouts — the schema-1 JSON object, an older entry
+        // schema, another wire schema — miss and stay for overwrite.
+        let text = String::from_utf8(current.clone()).unwrap();
+        let outdated = [
+            format!(
+                "{{\"bundle_fp\":\"5\",\"config_fp\":\"42\",\"report\":{},\"schema\":1}}",
+                serde_json::to_string(&crate::wire::report_to_wire(&entry(5, "app.s").report))
+                    .unwrap()
+            ),
+            text.replacen("nck-entry 2 ", "nck-entry 1 ", 1),
+            text.replacen("nck-entry 2 1 ", "nck-entry 2 999 ", 1),
+        ];
+        for old in outdated {
+            std::fs::write(&path, &old).unwrap();
+            assert!(store.lookup_disk_entry("app.s", 42, &obs).is_none());
+            assert!(path.exists(), "outdated entries stay for overwrite");
         }
-        std::fs::write(&path, serde_json::to_string(&v).unwrap()).unwrap();
-        assert!(store.lookup_disk("app.s", 5, 42, &obs).is_none());
-        assert!(!path.exists(), "undecodable entry quarantined");
-        assert_eq!(
-            obs.metrics.snapshot().counters["svc.cache.corrupt_evict"],
-            1
-        );
+        assert_eq!(corrupt_evicts(), None, "nothing quarantined so far");
+        store.insert("app.s", entry(5, "app.s"), &obs);
+        assert_eq!(std::fs::read(&path).unwrap(), current, "rewritten in place");
+
+        // Damaged: one flipped body byte fails the checksum → quarantine.
+        let mut damaged = current;
+        let last = damaged.len() - 1;
+        damaged[last] ^= 0x01;
+        std::fs::write(&path, damaged).unwrap();
+        assert!(store.lookup_disk_entry("app.s", 42, &obs).is_none());
+        assert!(!path.exists(), "damaged entry quarantined");
+        assert_eq!(corrupt_evicts(), Some(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1071,7 +1293,7 @@ mod tests {
         let obs = Obs::disabled();
         store.insert("app.t", entry(3, "app.t"), &obs);
         let sidecar = disk_path(&dir, "app.t", 42).with_extension("atime");
-        assert!(store.lookup_disk("app.t", 3, 42, &obs).is_some());
+        assert!(disk_hit(&store, "app.t", 3, 42));
         assert!(
             !sidecar.exists(),
             "the hit path must not do sidecar I/O — the read is journaled"
@@ -1146,7 +1368,7 @@ mod tests {
         let corrupt_len = 7u64;
         std::fs::write(&path, "corrupt").unwrap();
         let before = store.disk_occupancy();
-        assert!(store.lookup_disk("app.a", 3, 42, &obs).is_none());
+        assert!(store.lookup_disk_entry("app.a", 42, &obs).is_none());
         assert_eq!(store.disk_occupancy(), before - corrupt_len);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -232,6 +232,73 @@ fn unreadable_and_unknown_ids_get_typed_errors() {
     assert_eq!(error_code(&v), "not-found");
 }
 
+/// A daemon with its dispatcher running on a background thread.
+fn dispatched_daemon() -> (Arc<Daemon>, std::thread::JoinHandle<()>) {
+    let daemon = Arc::new(default_daemon());
+    let d = Arc::clone(&daemon);
+    (daemon, std::thread::spawn(move || d.run_dispatcher()))
+}
+
+fn report_line(id: u64, wait: bool) -> String {
+    format!(r#"{{"verb": "report", "id": {id}, "wait": {wait}}}"#)
+}
+
+#[test]
+fn a_waiting_report_returns_the_bytes_a_polled_one_does() {
+    let bytes = sample_app("com.daemon.wait");
+    let (daemon, dispatcher) = dispatched_daemon();
+    let (id, _) = daemon.submit_bytes("k".into(), bytes.clone()).unwrap();
+    let waited = request(&daemon, &report_line(id, true)).line;
+    let polled = request(&daemon, &report_line(id, false)).line;
+    assert_eq!(
+        waited, polled,
+        "wait changes when the reply comes, not what"
+    );
+    assert_eq!(
+        parse(&request(&daemon, &report_line(id, true)))["report"].as_str(),
+        Some(one_shot_json(&bytes).as_str())
+    );
+    daemon.begin_shutdown();
+    dispatcher.join().unwrap();
+}
+
+#[test]
+fn a_waiting_report_for_an_unknown_or_failed_job_answers_with_its_error() {
+    let (daemon, dispatcher) = dispatched_daemon();
+    // Unknown id: answered at once, not held.
+    let v = parse(&request(&daemon, &report_line(42, true)));
+    assert_eq!(error_code(&v), "not-found");
+    // A bundle that does not parse fails its analysis.
+    let (id, _) = daemon
+        .submit_bytes("junk".into(), b"not a bundle".to_vec())
+        .unwrap();
+    let v = parse(&request(&daemon, &report_line(id, true)));
+    assert_eq!(error_code(&v), "analysis-failed");
+    daemon.begin_shutdown();
+    dispatcher.join().unwrap();
+}
+
+#[test]
+fn shutdown_with_a_waiter_pending_drains_it_without_hanging() {
+    let bytes = sample_app("com.daemon.waitdrain");
+    let daemon = Arc::new(default_daemon());
+    let (id, _) = daemon.submit_bytes("k".into(), bytes.clone()).unwrap();
+    // No dispatcher yet, so the waiter blocks on a queued job.
+    let waiter = {
+        let d = Arc::clone(&daemon);
+        std::thread::spawn(move || request(&d, &report_line(id, true)).line)
+    };
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let v = parse(&request(&daemon, r#"{"verb": "shutdown"}"#));
+    assert_eq!(v["pending"], 1);
+    let d = Arc::clone(&daemon);
+    let dispatcher = std::thread::spawn(move || d.run_dispatcher());
+    daemon.await_drained();
+    let v: Value = serde_json::from_str(&waiter.join().unwrap()).unwrap();
+    assert_eq!(v["report"].as_str(), Some(one_shot_json(&bytes).as_str()));
+    dispatcher.join().unwrap();
+}
+
 #[test]
 fn admission_control_rejects_on_full_queue_and_after_shutdown() {
     let daemon = quiet_daemon(DaemonOptions {

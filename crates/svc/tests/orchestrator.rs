@@ -52,7 +52,7 @@ fn worker_cmd(exe: &str) -> Vec<String> {
         "--stdio".to_owned(),
         "--quiet".to_owned(),
         "--queue-capacity".to_owned(),
-        "32".to_owned(),
+        "64".to_owned(),
     ]
 }
 

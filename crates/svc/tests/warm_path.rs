@@ -1,10 +1,10 @@
-//! Warm-path byte-identity suite: after the cache-hit overhaul
-//! (write-behind atime journal, disk-hit promotion, memoized report
-//! rendering, warm worker fleets), every warm surface must still be
-//! byte-identical to a cold analysis of the same bytes — including
-//! after a crash-restart that loses the unflushed atime journal, where
-//! GC degrades to the entry-mtime fallback and must never evict
-//! *wrongly* (only rank by an older stamp).
+//! Warm-path byte-identity suite: every warm surface (memory hit, disk
+//! hit served as stored bytes, memoized report rendering, warm worker
+//! fleets) must be byte-identical to a cold analysis of the same bytes —
+//! including after a crash-restart that loses the unflushed atime
+//! journal, where GC degrades to the entry-mtime fallback and must
+//! never evict *wrongly* (only rank by an older stamp), after a disk
+//! format upgrade, and when an entry's bytes are damaged.
 
 use nck_appgen::generate_with_bulk;
 use nck_appgen::profile;
@@ -12,9 +12,11 @@ use nck_appgen::spec::{AppSpec, Origin, RequestSpec};
 use nck_netlibs::library::Library;
 use nck_obs::{Events, Obs};
 use nck_svc::{
-    AnalysisService, Daemon, DaemonOptions, OrchestratorOptions, ServiceOptions, WorkerFleet,
+    AnalysisService, Daemon, DaemonOptions, OrchestratorOptions, Request, ServiceOptions,
+    WorkerFleet,
 };
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// The exact byte surface the one-shot CLI prints under `--json`:
 /// pretty JSON plus the trailing newline (what the daemon `report`
@@ -58,6 +60,8 @@ fn cold_renders(items: &[(String, Vec<u8>)]) -> Vec<String> {
         .collect()
 }
 
+/// Checks the bytes each outcome serves (what the daemon replies and
+/// `vet` prints) against the cold renderings.
 fn assert_matches_cold(
     outcomes: &[nck_svc::AppOutcome],
     cold: &[String],
@@ -65,9 +69,39 @@ fn assert_matches_cold(
     label: &str,
 ) {
     for ((o, c), (key, _)) in outcomes.iter().zip(cold).zip(items) {
-        let got = render(o.report.as_ref().expect("warm analyzes"));
-        assert_eq!(&got, c, "{key}: {label} output must equal cold");
+        let got = o.report.as_ref().expect("warm analyzes").json();
+        assert_eq!(got.as_str(), c, "{key}: {label} output must equal cold");
     }
+}
+
+fn disk_service(dir: &std::path::Path) -> AnalysisService {
+    AnalysisService::new(
+        ServiceOptions {
+            cache_dir: Some(dir.to_path_buf()),
+            ..ServiceOptions::default()
+        },
+        Obs::disabled(),
+    )
+}
+
+fn counter(svc: &AnalysisService, name: &str) -> u64 {
+    svc.store()
+        .metrics()
+        .snapshot()
+        .counters
+        .get(name)
+        .copied()
+        .unwrap_or(0)
+}
+
+fn entry_files(dir: &std::path::Path, ext: &str) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == ext))
+        .collect();
+    files.sort();
+    files
 }
 
 #[test]
@@ -77,29 +111,17 @@ fn memory_and_disk_warm_paths_are_byte_identical_to_cold() {
     let cold = cold_renders(&items);
 
     // Process 1: populate both tiers, then hit the memory tier.
-    let svc = AnalysisService::new(
-        ServiceOptions {
-            cache_dir: Some(dir.clone()),
-            ..ServiceOptions::default()
-        },
-        Obs::disabled(),
-    );
+    let svc = disk_service(&dir);
     assert_matches_cold(&svc.analyze_batch(&items), &cold, &items, "populate");
     let mem_warm = svc.analyze_batch(&items);
     assert_eq!(AnalysisService::batch_stats(&mem_warm).hits, items.len());
     assert_matches_cold(&mem_warm, &cold, &items, "memory-warm");
     drop(svc); // clean shutdown: flushes the (empty) journal
 
-    // Process 2: every app is a disk hit. The hit path must journal
-    // the reads (no sidecar I/O inline) and promote each entry into
-    // the memory tier.
-    let svc = AnalysisService::new(
-        ServiceOptions {
-            cache_dir: Some(dir.clone()),
-            ..ServiceOptions::default()
-        },
-        Obs::disabled(),
-    );
+    // Process 2: every app is a disk hit, served from the entry's
+    // stored bytes. The hit path journals the reads (no sidecar I/O
+    // inline), decodes nothing, and promotes nothing.
+    let svc = disk_service(&dir);
     let disk_warm = svc.analyze_batch(&items);
     assert_eq!(AnalysisService::batch_stats(&disk_warm).hits, items.len());
     assert_matches_cold(&disk_warm, &cold, &items, "disk-warm");
@@ -108,25 +130,187 @@ fn memory_and_disk_warm_paths_are_byte_identical_to_cold() {
         items.len(),
         "disk hits land in the journal, not in sidecar files"
     );
-    assert_eq!(
-        svc.store().len(),
-        items.len(),
-        "disk hits are promoted into the memory tier"
+    assert_eq!(svc.store().len(), 0, "disk hits are not promoted");
+    assert_eq!(counter(&svc, "svc.cache.disk_decode"), 0);
+
+    // Asking for the structured report decodes it — to the same bytes.
+    for (o, c) in disk_warm.iter().zip(&cold) {
+        let served = o.report.as_ref().unwrap();
+        assert!(!served.is_decoded());
+        assert_eq!(&render(served), c, "the decoded report renders identically");
+        assert!(served.is_decoded());
+    }
+    assert_eq!(counter(&svc, "svc.cache.disk_decode"), items.len() as u64);
+
+    // Round 3 in the same process: disk hits again, same bytes.
+    let again = svc.analyze_batch(&items);
+    assert_eq!(AnalysisService::batch_stats(&again).hits, items.len());
+    assert_matches_cold(&again, &cold, &items, "disk-warm again");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_metrics_off_disk_hit_decodes_and_renders_nothing() {
+    let dir = tmpdir("nodecode");
+    let items = suite(4, 2016);
+    let cold = cold_renders(&items);
+    let _ = disk_service(&dir).analyze_batch(&items);
+
+    // A warm daemon round: every reply is a disk hit's stored bytes.
+    let daemon = Arc::new(Daemon::new(
+        DaemonOptions {
+            service: ServiceOptions {
+                cache_dir: Some(dir.clone()),
+                ..ServiceOptions::default()
+            },
+            ..DaemonOptions::default()
+        },
+        Events::silent(),
+    ));
+    let dispatcher = {
+        let d = Arc::clone(&daemon);
+        std::thread::spawn(move || d.run_dispatcher())
+    };
+    let ids: Vec<u64> = items
+        .iter()
+        .map(|(key, bytes)| daemon.submit_bytes(key.clone(), bytes.clone()).unwrap().0)
+        .collect();
+    for (id, want) in ids.into_iter().zip(&cold) {
+        let reply = daemon.handle_request(Request::Report { id, wait: true });
+        let v: serde_json::Value = serde_json::from_str(&reply.line).unwrap();
+        assert_eq!(v["report"].as_str(), Some(want.as_str()));
+    }
+    daemon.begin_shutdown();
+    dispatcher.join().unwrap();
+    let store = daemon.service().store();
+    let counters = store.metrics().snapshot().counters;
+    assert_eq!(counters["svc.cache.hit"], items.len() as u64);
+    assert!(
+        !counters.contains_key("svc.cache.disk_decode"),
+        "no disk hit was decoded (and so none re-rendered)"
     );
 
-    // Round 3 in the same process: the promoted entries serve rung-1
-    // memory hits — no new journal traffic, same bytes.
-    let promoted_warm = svc.analyze_batch(&items);
-    assert_eq!(
-        AnalysisService::batch_stats(&promoted_warm).hits,
-        items.len()
+    // With per-app metrics on, the hit decodes and renders the report
+    // with its run metrics, as a cold run would.
+    let svc = AnalysisService::new(
+        ServiceOptions {
+            cache_dir: Some(dir.clone()),
+            ..ServiceOptions::default()
+        },
+        Obs::enabled(),
     );
-    assert_matches_cold(&promoted_warm, &cold, &items, "promoted-warm");
-    assert_eq!(
-        svc.store().journaled_atimes(),
-        items.len(),
-        "memory hits do not touch the disk tier at all"
+    let metered = svc.analyze_batch(&items);
+    assert_eq!(AnalysisService::batch_stats(&metered).hits, items.len());
+    assert_eq!(counter(&svc, "svc.cache.disk_decode"), items.len() as u64);
+    for o in &metered {
+        let json = o.report.as_ref().unwrap().json();
+        assert!(json.contains("\"metrics\""), "metered bytes carry metrics");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_schema_1_cache_dir_misses_without_quarantine_and_is_rewritten() {
+    let dir = tmpdir("schema1");
+    let items = suite(4, 2016);
+    let cold = cold_renders(&items);
+
+    // Build the cache, then turn every entry into the schema-1 layout:
+    // one JSON object holding the fingerprints and the wire report.
+    let svc = disk_service(&dir);
+    let _ = svc.analyze_batch(&items);
+    let config_fp = nchecker::cache::config_fingerprint(&nchecker::CheckerConfig::default());
+    for (key, bytes) in &items {
+        let (bundle_fp, report) = svc
+            .store()
+            .lookup_disk_any(key, config_fp, &Obs::disabled())
+            .expect("entry written");
+        assert_eq!(bundle_fp, nck_dex::wire::fnv1a(bytes));
+        let legacy = serde_json::json!({
+            "schema": 1,
+            "bundle_fp": bundle_fp.to_string(),
+            "config_fp": config_fp.to_string(),
+            "report": nck_svc::wire::report_to_wire(&report),
+        });
+        let path = entry_files(&dir, "json")
+            .into_iter()
+            .find(|p| {
+                let name = p.file_name().unwrap().to_str().unwrap();
+                name.starts_with(&format!("{:016x}", nck_dex::wire::fnv1a(key.as_bytes())))
+            })
+            .expect("entry file for the key");
+        std::fs::write(&path, serde_json::to_string(&legacy).unwrap()).unwrap();
+    }
+    drop(svc);
+
+    // The new build: every lookup misses, nothing is quarantined, the
+    // entries are rewritten in the current layout, output is unchanged.
+    let svc = disk_service(&dir);
+    let upgraded = svc.analyze_batch(&items);
+    let stats = AnalysisService::batch_stats(&upgraded);
+    assert_eq!((stats.hits, stats.misses), (0, items.len()));
+    assert_matches_cold(&upgraded, &cold, &items, "upgrade");
+    assert!(
+        entry_files(&dir, "quarantine").is_empty(),
+        "nothing quarantined"
     );
+    assert_eq!(counter(&svc, "svc.cache.corrupt_evict"), 0);
+    let entries = entry_files(&dir, "json");
+    assert_eq!(entries.len(), items.len(), "rewritten in place, not beside");
+    for path in &entries {
+        assert!(std::fs::read(path).unwrap().starts_with(b"nck-entry 2 "));
+    }
+    drop(svc);
+
+    // And the rewritten entries serve the next process.
+    let svc = disk_service(&dir);
+    let warm = svc.analyze_batch(&items);
+    assert_eq!(AnalysisService::batch_stats(&warm).hits, items.len());
+    assert_matches_cold(&warm, &cold, &items, "after upgrade");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_flipped_byte_in_either_section_quarantines_and_recomputes() {
+    let dir = tmpdir("flip");
+    let items = suite(2, 2016);
+    let cold = cold_renders(&items);
+    let _ = disk_service(&dir).analyze_batch(&items);
+
+    // Damage one section of one entry per round, then re-vet everything.
+    for (round, section) in ["json", "wire"].into_iter().enumerate() {
+        let path = entry_files(&dir, "json").remove(round);
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The JSON section follows the header line; the wire section
+        // ends the file.
+        let i = match section {
+            "json" => bytes.iter().position(|&b| b == b'\n').unwrap() + 40,
+            _ => bytes.len() - 40,
+        };
+        bytes[i] ^= 0x01;
+        std::fs::write(&path, bytes).unwrap();
+
+        let svc = disk_service(&dir);
+        let outcomes = svc.analyze_batch(&items);
+        let stats = AnalysisService::batch_stats(&outcomes);
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (items.len() - 1, 1),
+            "{section}: the damaged entry recomputes"
+        );
+        assert_matches_cold(&outcomes, &cold, &items, section);
+        assert_eq!(counter(&svc, "svc.cache.corrupt_evict"), 1, "{section}");
+        assert_eq!(
+            entry_files(&dir, "quarantine").len(),
+            round + 1,
+            "{section}"
+        );
+        assert_eq!(
+            entry_files(&dir, "json").len(),
+            items.len(),
+            "{section}: rewritten"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -218,7 +402,7 @@ fn daemon_report_verb_serves_identical_bytes_through_the_render_cell() {
 
     let daemon = Daemon::new(DaemonOptions::default(), Events::silent());
     let report_of = |id: u64| {
-        let reply = daemon.handle_request(nck_svc::Request::Report { id });
+        let reply = daemon.handle_request(Request::Report { id, wait: false });
         let v: serde_json::Value = serde_json::from_str(&reply.line).unwrap();
         assert_eq!(v["ok"], true, "{v:?}");
         v["report"].as_str().expect("report payload").to_owned()
@@ -261,7 +445,7 @@ fn a_warm_fleet_serves_a_second_round_without_spawning_and_byte_identically() {
             "--stdio".to_owned(),
             "--quiet".to_owned(),
             "--queue-capacity".to_owned(),
-            "32".to_owned(),
+            "64".to_owned(),
         ],
         ..OrchestratorOptions::default()
     });

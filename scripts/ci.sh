@@ -229,6 +229,25 @@ trap 'rm -rf "$smoke_dir" "$targeted_dir" "$tele_dir" "$daemon_dir" "$vet_dir"' 
 cmp "$vet_dir/oneshot.json" "$vet_dir/vet.json" \
     || { echo "vet smoke: multi-process output differs from one-shot"; exit 1; }
 echo "vet smoke ok: 40 apps byte-identical across 2 worker processes"
+# Served bytes are checksummed bytes: flip one byte in one entry's JSON
+# section (the bytes a disk hit replies with). The re-run must
+# quarantine that entry and recompute it, never serve it.
+python3 - "$vet_dir/cache" <<'EOF'
+import os, sys
+
+d = sys.argv[1]
+path = os.path.join(d, sorted(f for f in os.listdir(d) if f.endswith(".json"))[0])
+data = bytearray(open(path, "rb").read())
+data[data.index(b"\n") + 40] ^= 1
+open(path, "wb").write(data)
+EOF
+./target/release/nchecker vet --workers 2 --corpus-dir "$vet_dir/corpus" \
+    --cache-dir "$vet_dir/cache" --quiet > "$vet_dir/vet-damaged.json"
+cmp "$vet_dir/oneshot.json" "$vet_dir/vet-damaged.json" \
+    || { echo "vet smoke: a damaged cache entry was served"; exit 1; }
+compgen -G "$vet_dir/cache/*.quarantine" > /dev/null \
+    || { echo "vet smoke: the damaged entry was not quarantined"; exit 1; }
+echo "vet corruption ok: damaged entry quarantined and recomputed"
 ./target/release/genapp corpus --seed 7 --count 40 --shards 8 --version 1 \
     "$vet_dir/corpus"
 # Keep the summary on stderr this time: the clean path must spawn the
