@@ -3,7 +3,8 @@
 
 use crate::checker::{AppReport, AppStats};
 use crate::report::{DefectKind, Evidence, OverRetryContext, Report};
-use serde_json::{json, Value};
+use nck_obs::MetricsSnapshot;
+use serde_json::{json, Value, Writer};
 use std::collections::BTreeMap;
 
 /// A stable machine-readable identifier for a defect kind.
@@ -27,17 +28,21 @@ pub fn kind_id(kind: DefectKind) -> &'static str {
     }
 }
 
-/// Serializes one evidence item of a defect's provenance chain.
-pub fn evidence_to_json(e: &Evidence) -> Value {
-    let kind = match e {
+/// A stable machine-readable identifier for an evidence variant.
+fn evidence_kind(e: &Evidence) -> &'static str {
+    match e {
         Evidence::Request { .. } => "request",
         Evidence::CallEdge { .. } => "call-edge",
         Evidence::IrFact { .. } => "ir-fact",
         Evidence::SummaryFact { .. } => "summary-fact",
         Evidence::Absence { .. } => "absence",
-    };
+    }
+}
+
+/// Serializes one evidence item of a defect's provenance chain.
+pub fn evidence_to_json(e: &Evidence) -> Value {
     json!({
-        "kind": kind,
+        "kind": evidence_kind(e),
         "method": e.method().map(str::to_owned),
         "detail": e.render(),
     })
@@ -200,6 +205,202 @@ pub fn app_report_to_json(r: &AppReport) -> Value {
         obj.insert("metrics".to_owned(), metrics_to_json(r));
     }
     Value::Object(obj)
+}
+
+/// Streams a full app report into `w`: the canonical `--json` document,
+/// byte-identical to writing [`app_report_to_json`]'s tree through the
+/// same writer, but without building the tree. Keys are written in the
+/// sorted order the tree's `BTreeMap`s print in (the writer asserts it
+/// in debug builds). [`app_report_to_json`] stays the independent
+/// reference the differential tests compare this against.
+pub fn write_app_report(w: &mut Writer, r: &AppReport) {
+    w.begin_object();
+    w.key("defects");
+    w.begin_array();
+    for d in &r.defects {
+        write_report(w, d);
+    }
+    w.end_array();
+    w.key("degraded");
+    w.bool(r.degraded());
+    if let Some(snap) = &r.metrics {
+        w.key("metrics");
+        write_metrics(w, &r.stats, snap);
+    }
+    w.key("skipped_methods");
+    w.begin_array();
+    for s in &r.skipped_methods {
+        w.begin_object();
+        w.key("cause");
+        w.display(&s.cause);
+        w.key("detail");
+        w.str(&s.detail);
+        w.key("method");
+        w.str(&s.method);
+        w.end_object();
+    }
+    w.end_array();
+    w.key("stats");
+    write_stats(w, &r.stats);
+    w.end_object();
+}
+
+fn write_report(w: &mut Writer, r: &Report) {
+    w.begin_object();
+    w.key("call_stack");
+    w.begin_array();
+    for frame in &r.call_stack {
+        w.str(frame);
+    }
+    w.end_array();
+    w.key("context");
+    w.str(&r.context);
+    w.key("default_caused");
+    match r.kind {
+        DefectKind::OverRetry { default_caused, .. } => w.bool(default_caused),
+        _ => w.null(),
+    }
+    w.key("fix");
+    w.str(&r.fix);
+    w.key("impact");
+    w.str(r.kind.impact());
+    w.key("kind");
+    w.str(kind_id(r.kind));
+    w.key("library");
+    w.str(r.library.name());
+    w.key("location");
+    w.begin_object();
+    w.key("class");
+    w.str(&r.location.class);
+    w.key("method");
+    w.str(&r.location.method);
+    w.key("stmt");
+    w.int(i64::from(r.location.stmt));
+    w.end_object();
+    w.key("message");
+    w.str(&r.message);
+    w.key("provenance");
+    w.begin_array();
+    for e in &r.provenance {
+        w.begin_object();
+        w.key("detail");
+        w.display(e);
+        w.key("kind");
+        w.str(evidence_kind(e));
+        w.key("method");
+        match e.method() {
+            Some(m) => w.str(m),
+            None => w.null(),
+        }
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+}
+
+/// Counts print as `json!` prints them: cast to `i64`.
+fn int_members(w: &mut Writer, members: &[(&str, usize)]) {
+    for &(k, v) in members {
+        w.key(k);
+        w.int(v as i64);
+    }
+}
+
+fn write_stats(w: &mut Writer, s: &AppStats) {
+    w.begin_object();
+    int_members(w, &[("custom_retry_loops", s.custom_retry_loops)]);
+    w.key("libraries");
+    w.begin_array();
+    for l in &s.libraries {
+        w.str(l.name());
+    }
+    w.end_array();
+    int_members(
+        w,
+        &[
+            ("no_retry_activity", s.no_retry_activity),
+            ("over_retry_post", s.over_retry_post),
+            ("over_retry_service", s.over_retry_service),
+        ],
+    );
+    w.key("package");
+    w.str(&s.package);
+    int_members(
+        w,
+        &[
+            ("requests", s.requests),
+            ("requests_missing_conn", s.requests_missing_conn),
+            ("requests_missing_retry", s.requests_missing_retry),
+            ("requests_missing_timeout", s.requests_missing_timeout),
+            ("responses", s.responses),
+            ("responses_missing_check", s.responses_missing_check),
+            ("retry_capable_requests", s.retry_capable_requests),
+            ("user_requests", s.user_requests),
+            (
+                "user_requests_missing_notification",
+                s.user_requests_missing_notification,
+            ),
+        ],
+    );
+    w.end_object();
+}
+
+fn write_metrics(w: &mut Writer, s: &AppStats, snap: &MetricsSnapshot) {
+    let ints = |w: &mut Writer, xs: &[u64]| {
+        w.begin_array();
+        for &x in xs {
+            w.int(x as i64);
+        }
+        w.end_array();
+    };
+    w.begin_object();
+    w.key("counters");
+    w.begin_object();
+    for (k, v) in &snap.counters {
+        w.key(k);
+        w.int(*v as i64);
+    }
+    w.end_object();
+    w.key("gauges");
+    w.begin_object();
+    for (k, g) in &snap.gauges {
+        w.key(k);
+        w.int(g.value);
+    }
+    w.end_object();
+    w.key("histograms");
+    w.begin_object();
+    for (k, h) in &snap.histograms {
+        w.key(k);
+        w.begin_object();
+        w.key("bounds");
+        ints(w, &h.bounds);
+        w.key("count");
+        w.int(h.count as i64);
+        w.key("counts");
+        ints(w, &h.counts);
+        w.key("sum");
+        w.int(h.sum as i64);
+        w.end_object();
+    }
+    w.end_object();
+    w.key("schema");
+    w.int(1);
+    w.key("summary_cache");
+    w.begin_object();
+    int_members(
+        w,
+        &[
+            ("const_returns", s.summary_const_returns),
+            ("field_consts", s.summary_field_consts),
+            ("hits", s.summary_hits),
+            ("largest_scc", s.summary_largest_scc),
+            ("methods", s.summary_methods),
+            ("sccs", s.summary_sccs),
+        ],
+    );
+    w.end_object();
+    w.end_object();
 }
 
 #[cfg(test)]

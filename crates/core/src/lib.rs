@@ -75,6 +75,7 @@ pub use context::{callee_fingerprints, AnalyzedApp, AppReuse, ContextReuse, Meth
 pub use icc::{find_icc_sends, IccKind, IccSend};
 pub use json::{
     app_report_to_json, evidence_to_json, kind_id, metrics_to_json, report_to_json, stats_to_json,
+    write_app_report,
 };
 pub use reach::{find_request_sites, RequestSite};
 pub use report::{fix_suggestion, DefectKind, Evidence, Location, OverRetryContext, Report};

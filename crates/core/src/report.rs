@@ -151,24 +151,33 @@ pub enum Evidence {
     },
 }
 
-impl Evidence {
-    /// Renders the evidence item as one human-readable line.
-    pub fn render(&self) -> String {
+/// The one definition of an evidence item's human-readable line: the
+/// text report's `Evidence` section and the JSON `detail` field both
+/// write it through this impl.
+impl std::fmt::Display for Evidence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Evidence::Request { method, stmt, api } => {
-                format!("request {api} at {method}:{stmt}")
+                write!(f, "request {api} at {method}:{stmt}")
             }
             Evidence::CallEdge {
                 caller,
                 callee,
                 stmt,
-            } => format!("call edge {caller} -> {callee} (stmt {stmt})"),
-            Evidence::IrFact { method, stmt, what } => format!("{method}:{stmt}: {what}"),
-            Evidence::SummaryFact { method, what } => format!("summary({method}): {what}"),
+            } => write!(f, "call edge {caller} -> {callee} (stmt {stmt})"),
+            Evidence::IrFact { method, stmt, what } => write!(f, "{method}:{stmt}: {what}"),
+            Evidence::SummaryFact { method, what } => write!(f, "summary({method}): {what}"),
             Evidence::Absence { what, scanned } => {
-                format!("not found: {what} ({scanned} candidates examined)")
+                write!(f, "not found: {what} ({scanned} candidates examined)")
             }
         }
+    }
+}
+
+impl Evidence {
+    /// Renders the evidence item as one human-readable line.
+    pub fn render(&self) -> String {
+        self.to_string()
     }
 
     /// The app method this evidence names, when it names one.
@@ -224,7 +233,7 @@ impl Report {
         if !self.provenance.is_empty() {
             out.push_str("Evidence\n");
             for e in &self.provenance {
-                out.push_str(&format!("  - {}\n", e.render()));
+                out.push_str(&format!("  - {e}\n"));
             }
         }
         out

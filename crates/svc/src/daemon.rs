@@ -535,19 +535,10 @@ impl Daemon {
                             ErrorCode::AnalysisFailed,
                             job.error.as_deref().unwrap_or("analysis failed"),
                         ),
-                        Phase::Done => Reply::plain(&json!({
-                            "ok": true,
-                            "verb": "report",
-                            "id": id,
-                            "key": job.key,
-                            "degraded": job.degraded,
-                            "defects": job.defects,
-                            // The report string stays byte-identical to
-                            // one-shot --json; the delta rides alongside
-                            // (null on first submission).
-                            "delta": job.delta.clone().unwrap_or(Value::Null),
-                            "report": job.report_json.as_deref().map_or("", String::as_str),
-                        })),
+                        Phase::Done => Reply {
+                            line: report_line(id, job),
+                            shutdown: false,
+                        },
                     },
                 }
             }
@@ -625,6 +616,43 @@ impl Daemon {
     }
 }
 
+/// The `report` reply line of a finished job, streamed so the report
+/// bytes are escaped straight from the job (no copy into a `Value`).
+/// Same keys and bytes as rendering the equivalent `json!` object with
+/// [`protocol::render_reply`]. The report string stays byte-identical to
+/// one-shot `--json`; the delta rides alongside (null on first
+/// submission).
+fn report_line(id: u64, job: &Job) -> String {
+    let report = job.report_json.as_deref().map_or("", String::as_str);
+    let mut w = serde_json::Writer::compact();
+    // Escaping adds a backslash per quote and newline of the report.
+    w.reserve(report.len() + report.len() / 4 + 256);
+    w.begin_object();
+    w.key("defects");
+    w.int(job.defects as i64);
+    w.key("degraded");
+    w.bool(job.degraded);
+    w.key("delta");
+    match &job.delta {
+        Some(delta) => w.value(delta),
+        None => w.null(),
+    }
+    w.key("id");
+    w.int(id as i64);
+    w.key("key");
+    w.str(&job.key);
+    w.key("ok");
+    w.bool(true);
+    w.key("report");
+    w.str(report);
+    w.key("verb");
+    w.str("report");
+    w.end_object();
+    let mut line = w.into_string();
+    line.push('\n');
+    line
+}
+
 /// Serves one client connection; returns `true` when the client issued
 /// an accepted `shutdown`. A client disconnect (read or write failure)
 /// closes this connection only — the daemon survives.
@@ -697,4 +725,50 @@ pub fn serve_lines<R: BufRead, W: Write>(
     }
     daemon.begin_shutdown();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `report` reply as the `json!` tree it replaced rendered it.
+    fn json_line(id: u64, job: &Job) -> String {
+        protocol::render_reply(&json!({
+            "ok": true,
+            "verb": "report",
+            "id": id,
+            "key": job.key,
+            "degraded": job.degraded,
+            "defects": job.defects,
+            "delta": job.delta.clone().unwrap_or(Value::Null),
+            "report": job.report_json.as_deref().map_or("", String::as_str),
+        }))
+    }
+
+    #[test]
+    fn report_line_matches_the_value_rendering() {
+        let report = "{\n  \"defects\": [],\n  \"s\": \"tab\\t \\\"q\\\" é\u{1}\"\n}\n";
+        let mut job = Job {
+            key: "dir/app \"one\".apk".to_owned(),
+            bytes: None,
+            phase: Phase::Done,
+            enqueued: Instant::now(),
+            report_json: Some(Arc::new(report.to_owned())),
+            delta: None,
+            error: None,
+            degraded: true,
+            defects: 3,
+        };
+        for delta in [
+            None,
+            Some(json!({ "key": "k", "fixed": vec!["a\nb"], "new": Vec::<String>::new() })),
+        ] {
+            job.delta = delta;
+            let line = report_line(42, &job);
+            assert_eq!(line, json_line(42, &job));
+            assert_eq!(line.matches('\n').count(), 1);
+        }
+        job.report_json = None;
+        assert_eq!(report_line(7, &job), json_line(7, &job));
+    }
 }

@@ -387,7 +387,7 @@ fn run_pipelined(
         };
         for (idx, _) in current {
             let reply = worker.recv()?;
-            results.insert(idx, item_result(&reply)?);
+            results.insert(idx, item_result(reply)?);
         }
         if next.is_none() {
             return Ok(());
@@ -433,15 +433,20 @@ fn recv_submits(
 
 /// One `report` reply as an item result. `Err` when the reply carries
 /// neither a report nor a typed error (the connection is out of sync).
-fn item_result(reply: &Value) -> std::io::Result<ItemResult> {
+/// The report and delta are moved out of the parsed reply, not copied.
+fn item_result(reply: Value) -> std::io::Result<ItemResult> {
     if reply["ok"].as_bool() == Some(true) {
+        let degraded = reply["degraded"].as_bool().unwrap_or(false);
+        let Value::Object(mut fields) = reply else {
+            unreachable!("an \"ok\" reply is an object");
+        };
         return Ok(ItemResult::Done {
-            report: reply["report"].as_str().unwrap_or("").to_owned(),
-            delta: match &reply["delta"] {
-                Value::Null => None,
-                d => Some(d.clone()),
+            report: match fields.remove("report") {
+                Some(Value::String(report)) => report,
+                _ => String::new(),
             },
-            degraded: reply["degraded"].as_bool().unwrap_or(false),
+            delta: fields.remove("delta").filter(|d| *d != Value::Null),
+            degraded,
         });
     }
     match reply["error"]["code"].as_str() {

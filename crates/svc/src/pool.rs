@@ -6,7 +6,8 @@
 //! of its neighbours' when empty (stolen work is the *oldest* queued, so
 //! contention stays at opposite deque ends), and every job runs under
 //! panic containment — a panicking job loses only its own result slot,
-//! and the worker rebuilds its state and keeps going.
+//! and the worker rebuilds its state and keeps going. The calling
+//! thread is worker 0, so a one-worker pool spawns no thread at all.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,27 +73,29 @@ where
         .collect();
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
-    crossbeam::scope(|scope| {
-        for me in 0..n_workers {
-            let deques = &deques;
-            let slots = &slots;
-            let make_worker = &make_worker;
-            let task = &task;
-            scope.spawn(move |_| {
-                let mut state = make_worker();
-                while let Some(i) = pop_or_steal(me, deques) {
-                    match catch_unwind(AssertUnwindSafe(|| task(&mut state, i))) {
-                        Ok(v) => *lock(&slots[i]) = Some(v),
-                        Err(_) => {
-                            // The job panicked through `task`'s own
-                            // containment; its slot stays empty and the
-                            // worker state is suspect — rebuild it.
-                            state = make_worker();
-                        }
-                    }
+    let work = |me: usize| {
+        let mut state = make_worker();
+        while let Some(i) = pop_or_steal(me, &deques) {
+            match catch_unwind(AssertUnwindSafe(|| task(&mut state, i))) {
+                Ok(v) => *lock(&slots[i]) = Some(v),
+                Err(_) => {
+                    // The job panicked through `task`'s own
+                    // containment; its slot stays empty and the worker
+                    // state is suspect — rebuild it.
+                    state = make_worker();
                 }
-            });
+            }
         }
+    };
+    // The caller is worker 0: only the other `n_workers - 1` run on
+    // spawned threads, so a one-worker pool (`--jobs 1`) runs on the
+    // calling thread and spawns nothing.
+    crossbeam::scope(|scope| {
+        for me in 1..n_workers {
+            let work = &work;
+            scope.spawn(move |_| work(me));
+        }
+        work(0);
     })
     .expect("pool workers");
 
@@ -128,29 +131,40 @@ mod tests {
 
     #[test]
     fn panicking_job_loses_only_its_slot() {
-        let rebuilds = AtomicUsize::new(0);
-        let out = run_pool(
-            20,
-            Some(3),
-            || {
-                rebuilds.fetch_add(1, Ordering::SeqCst);
-            },
-            |(), i| {
-                if i == 7 {
-                    panic!("job 7 explodes");
+        // Three workers, and one: the caller-as-worker-0 path must
+        // contain a panic just like a spawned worker.
+        for workers in [3, 1] {
+            let rebuilds = AtomicUsize::new(0);
+            let out = run_pool(
+                20,
+                Some(workers),
+                || {
+                    rebuilds.fetch_add(1, Ordering::SeqCst);
+                },
+                |(), i| {
+                    if i == 7 {
+                        panic!("job 7 explodes");
+                    }
+                    i
+                },
+            );
+            assert_eq!(out[7], None);
+            for (i, v) in out.iter().enumerate() {
+                if i != 7 {
+                    assert_eq!(*v, Some(i), "job {i} unaffected ({workers} workers)");
                 }
-                i
-            },
-        );
-        assert_eq!(out[7], None);
-        for (i, v) in out.iter().enumerate() {
-            if i != 7 {
-                assert_eq!(*v, Some(i), "job {i} unaffected");
             }
+            // Initial worker states plus at least one rebuild after the
+            // contained panic.
+            assert!(rebuilds.load(Ordering::SeqCst) > workers);
         }
-        // Initial 3 worker states plus at least one rebuild after the
-        // contained panic.
-        assert!(rebuilds.load(Ordering::SeqCst) >= 4);
+    }
+
+    #[test]
+    fn one_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let out = run_pool(5, Some(1), || (), |(), _| std::thread::current().id());
+        assert!(out.iter().all(|t| *t == Some(caller)));
     }
 
     #[test]

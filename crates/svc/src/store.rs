@@ -652,10 +652,13 @@ impl GcStats {
 
 /// The exact byte surface the one-shot CLI prints under `--json`: pretty
 /// JSON plus the trailing newline. Daemon `report` payloads, `vet`
-/// stdout, and disk entries' JSON sections all carry these bytes.
+/// stdout, and disk entries' JSON sections all carry these bytes. The
+/// report streams straight to text ([`nchecker::write_app_report`]); no
+/// `Value` tree is built.
 pub fn render_json(report: &nchecker::AppReport) -> String {
-    let mut text = serde_json::to_string_pretty(&nchecker::app_report_to_json(report))
-        .expect("report serializes");
+    let mut w = serde_json::Writer::pretty();
+    nchecker::write_app_report(&mut w, report);
+    let mut text = w.into_string();
     text.push('\n');
     text
 }
