@@ -51,12 +51,13 @@ pub struct CheckerConfig {
     /// Disabling this is the ablation of the summary engine, reverting
     /// to the method-local analyses.
     pub interproc: bool,
-    /// Demand-driven targeted mode: prescan the constant pool against
-    /// the registry, skip bundles that reference no relevant API, and
-    /// lift only the relevance slice in full (everything else gets a
-    /// stub body). Report-equivalent to a whole-app run — see DESIGN.md
-    /// "Targeted analysis". Ignored when `icc` is on (the ICC model
-    /// reads bodies the slice does not cover).
+    /// Demand-driven targeted mode: lift only the relevance slice in
+    /// full (everything else gets a stub body). Bundles whose constant
+    /// pool names no relevant API are skipped in every mode, so this
+    /// adds the skeleton lift and the slice for network apps only.
+    /// Report-equivalent to a whole-app run — see DESIGN.md "Targeted
+    /// analysis". Ignored when `icc` is on (the ICC model reads bodies
+    /// the slice does not cover).
     pub targeted: bool,
     /// Bound the strict connectivity check's caller walk to this depth
     /// instead of the default unbounded visited-set traversal. Only
@@ -354,7 +355,10 @@ impl NChecker {
     ///
     /// Checkers always run in full: their evidence inspects global state
     /// (entry reachability, scanned-loop counts, call-graph paths) that
-    /// per-method caching cannot soundly slice. The returned entry is
+    /// per-method caching cannot soundly slice. A verify-clean bundle
+    /// whose pool names no relevant API skips lift and checkers
+    /// altogether (the prescan fast path); its entry carries the report
+    /// and class fingerprints but no seeds. The returned entry is
     /// `None` exactly when there is nothing safe to cache: the analysis
     /// degraded (skipped methods mean unknown behaviour — such apps also
     /// never *read* the cache beyond rung 1, which requires bytes
@@ -395,8 +399,7 @@ impl NChecker {
         ),
         AnalyzeError,
     > {
-        use crate::cache::{config_fingerprint, AppCacheEntry, ReuseStats};
-        use crate::context::AppReuse;
+        use crate::cache::{config_fingerprint, ReuseStats};
 
         debug_assert_eq!(bundle_fp, nck_dex::wire::fnv1a(bytes));
         let obs = self.obs.fresh();
@@ -415,112 +418,129 @@ impl NChecker {
         // A seed computed under different analysis semantics is useless.
         let prev = prev.filter(|p| p.config_fp == config_fp);
 
+        let mut stats = ReuseStats::default();
+        let (report, entry) = {
+            let _app = obs.tracer.span("app");
+            self.analyze_reusing_with(bytes, bundle_fp, config_fp, prev, &mut stats, &obs)?
+        };
+        Ok((seal(report, &obs), entry, stats))
+    }
+
+    /// The body of [`NChecker::analyze_bytes_reusing_fp`] below rung 1:
+    /// the report and the entry to record (`None` for degraded runs).
+    /// `prev` has already been filtered to the current configuration.
+    fn analyze_reusing_with(
+        &self,
+        bytes: &[u8],
+        bundle_fp: u64,
+        config_fp: u64,
+        prev: Option<&crate::cache::AppCacheEntry>,
+        stats: &mut crate::cache::ReuseStats,
+        obs: &Obs,
+    ) -> Result<(AppReport, Option<crate::cache::AppCacheEntry>), AnalyzeError> {
+        use crate::cache::AppCacheEntry;
+        use crate::context::AppReuse;
+
+        let apk = {
+            let _s = obs.tracer.span("parse");
+            Apk::from_bytes_obs(bytes, &obs.metrics).map_err(AnalyzeError::Apk)?
+        };
+
         // Targeted mode only participates in rung 1 (whole-report
         // reuse): class-prefix replay materializes *full* lifted bodies,
         // which would silently re-run the whole-app pipeline and forfeit
-        // the prescan/slice savings. Targeted entries therefore carry
-        // only the report; their seed fields stay empty.
+        // the slice savings. Targeted entries therefore carry only the
+        // report; their seed fields stay empty.
         if self.config.targeted {
-            let report = {
-                let _app = obs.tracer.span("app");
-                let apk = {
-                    let _s = obs.tracer.span("parse");
-                    Apk::from_bytes_obs(bytes, &obs.metrics).map_err(AnalyzeError::Apk)?
-                };
-                self.analyze_apk_with(&apk, &obs)?
-            };
-            let stats = ReuseStats {
-                degraded: report.degraded(),
-                ..ReuseStats::default()
-            };
+            let report = self.analyze_apk_with(&apk, obs)?;
+            stats.degraded = report.degraded();
             let entry = (!report.degraded()).then(|| AppCacheEntry {
                 bundle_fp,
                 config_fp,
                 report: report.clone(),
                 ..AppCacheEntry::default()
             });
-            return Ok((seal(report, &obs), entry, stats));
+            return Ok((report, entry));
         }
 
-        let mut stats = ReuseStats::default();
-        let (report, entry) = {
-            let _app = obs.tracer.span("app");
-            let apk = {
-                let _s = obs.tracer.span("parse");
-                Apk::from_bytes_obs(bytes, &obs.metrics).map_err(AnalyzeError::Apk)?
-            };
-            let class_fps = {
-                let _s = obs.tracer.span("class_fps");
-                nck_dex::class_fingerprints(&apk.adx)
-            };
-            let prefix = prev.map_or(0, |p| p.lift_seed.common_prefix(&class_fps));
-            stats.classes_total = class_fps.len();
+        let class_fps = {
+            let _s = obs.tracer.span("class_fps");
+            nck_dex::class_fingerprints(&apk.adx)
+        };
+        let prefix = prev.map_or(0, |p| p.lift_seed.common_prefix(&class_fps));
+        stats.classes_total = class_fps.len();
 
-            // Skip per-class verification only for prefix classes: they
-            // were verified clean by the run that recorded the seed
-            // (degraded runs never write entries).
-            let skip: Vec<bool> = (0..class_fps.len()).map(|i| i < prefix).collect();
-            let verify_errors = {
-                let s = obs.tracer.span("verify");
-                let errs = nck_dex::verify::verify_with_skip(&apk.adx, &skip);
-                s.add_items(errs.len() as u64);
-                errs
-            };
-            if !verify_errors.is_empty() {
-                // Degraded (or unanalyzable) input: take the cold path in
-                // full — its per-method degradation policy applies — and
-                // write nothing back.
-                stats.degraded = true;
-                let report = self.analyze_apk_with(&apk, &obs)?;
-                return Ok((seal(report, &obs), None, stats));
-            }
+        // Skip per-class verification only for prefix classes: they
+        // were verified clean by the run that recorded the seed
+        // (degraded runs never write entries).
+        let skip: Vec<bool> = (0..class_fps.len()).map(|i| i < prefix).collect();
+        let verify_errors = {
+            let s = obs.tracer.span("verify");
+            let errs = nck_dex::verify::verify_with_skip(&apk.adx, &skip);
+            s.add_items(errs.len() as u64);
+            errs
+        };
+        if !verify_errors.is_empty() {
+            // Degraded (or unanalyzable) input: take the cold path in
+            // full — its per-method degradation policy applies — and
+            // write nothing back.
+            stats.degraded = true;
+            return Ok((self.analyze_apk_with(&apk, obs)?, None));
+        }
 
-            let lifted = {
-                let _s = obs.tracer.span("lift");
-                nck_ir::lift::lift_file_seeded(&apk.adx, &class_fps, prev.map(|p| &p.lift_seed))
-                    .map_err(AnalyzeError::Lift)?
-            };
-            let nck_ir::lift::SeededLift {
-                program,
-                seed: lift_seed,
-                reused_classes,
-                reused_methods,
-            } = lifted;
-            stats.classes_reused = reused_classes;
-            stats.methods_total = program.methods.iter().filter(|m| m.body.is_some()).count();
-
-            let reuse = prev.map(|p| AppReuse {
-                analyses: &p.analyses,
-                reused_methods: &reused_methods,
-                callee_fps: &p.callee_fps,
-                summary_seed: &p.summary_seed,
-            });
-            let app = AnalyzedApp::new_reusing(
-                apk.manifest.clone(),
-                program,
-                &self.registry,
-                reuse,
-                &obs,
-            );
-            let ctx = app.reuse_stats();
-            stats.analyses_reused = ctx.analyses_reused;
-            stats.summaries_clean = ctx.summaries_clean;
-            stats.summaries_dirty = ctx.summaries_dirty;
-
-            let report = self.analyze_with(&app, &obs);
+        // A clean pool ends the run here. The entry holds the report and
+        // the class fingerprints but no seeds, so a later version that
+        // gains network code finds no prefix to replay and runs cold.
+        if let Some(report) = self.pool_clean_report(&apk, obs) {
             let entry = AppCacheEntry {
                 bundle_fp,
                 config_fp,
                 class_fps,
-                lift_seed,
-                callee_fps: app.callee_fps().to_vec(),
-                analyses: app.analyses_arc().clone(),
-                summary_seed: app.summary_seed().clone(),
                 report: report.clone(),
+                ..AppCacheEntry::default()
             };
-            (report, entry)
+            return Ok((report, Some(entry)));
+        }
+
+        let lifted = {
+            let _s = obs.tracer.span("lift");
+            nck_ir::lift::lift_file_seeded(&apk.adx, &class_fps, prev.map(|p| &p.lift_seed))
+                .map_err(AnalyzeError::Lift)?
         };
-        Ok((seal(report, &obs), Some(entry), stats))
+        let nck_ir::lift::SeededLift {
+            program,
+            seed: lift_seed,
+            reused_classes,
+            reused_methods,
+        } = lifted;
+        stats.classes_reused = reused_classes;
+        stats.methods_total = program.methods.iter().filter(|m| m.body.is_some()).count();
+
+        let reuse = prev.map(|p| AppReuse {
+            analyses: &p.analyses,
+            reused_methods: &reused_methods,
+            callee_fps: &p.callee_fps,
+            summary_seed: &p.summary_seed,
+        });
+        let app =
+            AnalyzedApp::new_reusing(apk.manifest.clone(), program, &self.registry, reuse, obs);
+        let ctx = app.reuse_stats();
+        stats.analyses_reused = ctx.analyses_reused;
+        stats.summaries_clean = ctx.summaries_clean;
+        stats.summaries_dirty = ctx.summaries_dirty;
+
+        let report = self.analyze_with(&app, obs);
+        let entry = AppCacheEntry {
+            bundle_fp,
+            config_fp,
+            class_fps,
+            lift_seed,
+            callee_fps: app.callee_fps().to_vec(),
+            analyses: app.analyses_arc().clone(),
+            summary_seed: app.summary_seed().clone(),
+            report: report.clone(),
+        };
+        Ok((report, Some(entry)))
     }
 
     /// Analyzes a parsed APK bundle.
@@ -561,6 +581,12 @@ impl NChecker {
             bad_methods
                 .entry(e.method.clone())
                 .or_insert_with(|| e.to_string());
+        }
+
+        if bad_methods.is_empty() {
+            if let Some(report) = self.pool_clean_report(apk, obs) {
+                return Ok(report);
+            }
         }
 
         if self.config.targeted {
@@ -645,9 +671,47 @@ impl NChecker {
         Ok(report)
     }
 
+    /// The prescan fast path, shared by every mode: when no method-pool
+    /// entry names a relevant API, no statement anywhere in the bundle
+    /// can invoke one, so the checkers find zero request sites and zero
+    /// retry loops. For a bundle that verified clean — no method the
+    /// lifter could skip — that whole-app report is the empty one, and
+    /// it is returned without lifting a single instruction. `None` means
+    /// the pipeline must run: the pool names a relevant API, or `icc` is
+    /// on (the ICC model reads component bodies beyond request sites).
+    ///
+    /// Callers must only ask after verification came back clean.
+    fn pool_clean_report(&self, apk: &Apk, obs: &Obs) -> Option<AppReport> {
+        if self.config.icc {
+            return None;
+        }
+        let touches = {
+            let _s = obs.tracer.span("prescan");
+            nck_dex::pool_touches(&apk.adx, &|class, name| {
+                self.registry.is_relevant_api(class, name)
+            })
+        };
+        if touches {
+            return None;
+        }
+        if obs.metrics.is_enabled() {
+            obs.metrics.inc("targeted.prescan_skipped", 1);
+            if self.config.targeted {
+                obs.metrics.inc(
+                    "targeted.methods_total",
+                    apk.adx.concrete_methods().count() as u64,
+                );
+            }
+        }
+        let mut report = AppReport::default();
+        report.stats.package = apk.manifest.package.clone();
+        Some(report)
+    }
+
     /// The demand-driven pipeline behind [`CheckerConfig::targeted`]:
-    /// constant-pool prescan, skeleton lift, relevance slice, on-demand
-    /// full lift of the slice, then the unchanged checkers.
+    /// skeleton lift, relevance slice, on-demand full lift of the slice,
+    /// then the unchanged checkers. Pool-clean bundles never get here:
+    /// [`NChecker::pool_clean_report`] answers them in every mode.
     ///
     /// Equivalence to the whole-app pipeline is structural, not
     /// best-effort: stub bodies preserve exactly the statement numbering
@@ -666,38 +730,18 @@ impl NChecker {
         bad_methods: &BTreeMap<String, String>,
         obs: &Obs,
     ) -> Result<AppReport, AnalyzeError> {
-        let scan = {
-            let s = obs.tracer.span("prescan");
+        if obs.metrics.is_enabled() {
+            // The funnel's middle: how much of the pool and the code the
+            // relevant APIs touch. Only the counters need this walk.
             let scan = nck_dex::prescan(&apk.adx, &|class, name| {
                 self.registry.is_relevant_api(class, name)
             });
-            s.add_items(scan.relevant_refs.len() as u64);
-            scan
-        };
-        if obs.metrics.is_enabled() {
             obs.metrics
                 .inc("targeted.relevant_refs", scan.relevant_refs.len() as u64);
             obs.metrics.inc(
                 "targeted.touching_classes",
                 scan.touching_classes.len() as u64,
             );
-        }
-
-        // Fast path: nothing in the pool names a relevant API and no
-        // method failed verification, so a whole-app run provably finds
-        // zero request sites, zero defects, and zero skips — emit that
-        // report without lifting a single instruction.
-        if !scan.touches_network() && bad_methods.is_empty() {
-            if obs.metrics.is_enabled() {
-                obs.metrics.inc("targeted.prescan_skipped", 1);
-                obs.metrics.inc(
-                    "targeted.methods_total",
-                    apk.adx.concrete_methods().count() as u64,
-                );
-            }
-            let mut report = AppReport::default();
-            report.stats.package = apk.manifest.package.clone();
-            return Ok(report);
         }
 
         let (mut program, lift_skips, origins) = {

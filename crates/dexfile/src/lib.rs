@@ -56,7 +56,7 @@ pub use model::{
 pub use pool::{
     FieldIdx, FieldRef, MethodIdx, MethodRef, Pools, Proto, ProtoIdx, StringIdx, TypeIdx,
 };
-pub use prescan::{prescan, PoolScan};
+pub use prescan::{pool_touches, prescan, PoolScan};
 pub use read::{read_adx, read_adx_obs};
 pub use verify::{VerifyError, VerifyScope};
 pub use write::write_adx;

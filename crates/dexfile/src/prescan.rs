@@ -32,6 +32,20 @@ impl PoolScan {
     }
 }
 
+/// Whether any method-pool entry of `file` satisfies `is_relevant`: the
+/// pool-only half of [`prescan`], stopping at the first match. This is
+/// the whole decision behind the analysis fast path, so a network app
+/// pays for a handful of pool lookups and a clean one for one pass over
+/// the pool, never for a walk of the instruction stream.
+pub fn pool_touches(file: &AdxFile, is_relevant: &dyn Fn(&str, &str) -> bool) -> bool {
+    file.pools.methods().iter().any(|m| {
+        matches!(
+            (file.pools.get_type(m.class), file.pools.get_string(m.name)),
+            (Some(class), Some(name)) if is_relevant(class, name)
+        )
+    })
+}
+
 /// Scans `file`'s method pool for entries whose `(class, name)` pair
 /// satisfies `is_relevant`, then collects the classes that invoke them.
 ///
@@ -113,6 +127,7 @@ mod tests {
         assert!(scan.touches_network());
         assert_eq!(scan.relevant_refs.len(), 1);
         assert!(scan.touching_classes.contains("Lcom/t/Main;"));
+        assert!(pool_touches(&file, &|class, _| class == "Ljava/net/URL;"));
     }
 
     #[test]
@@ -121,11 +136,13 @@ mod tests {
         let scan = prescan(&file, &|class, _| class.starts_with("Ljava/net/"));
         assert!(!scan.touches_network());
         assert!(scan.touching_classes.is_empty());
+        assert!(!pool_touches(&file, &|class, _| class.starts_with("Ljava/net/")));
     }
 
     #[test]
     fn empty_file_is_clean() {
         let scan = prescan(&AdxFile::new(), &|_, _| true);
         assert!(!scan.touches_network());
+        assert!(!pool_touches(&AdxFile::new(), &|_, _| true));
     }
 }

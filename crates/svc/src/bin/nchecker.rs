@@ -53,8 +53,10 @@ fn usage() -> ExitCode {
     eprintln!("  --strict        require connectivity checks to be control conditions");
     eprintln!("  --interproc     enable the summary engine (the default)");
     eprintln!("  --no-interproc  ablate the interprocedural summary engine");
-    eprintln!("  --targeted      demand-driven mode: prescan the constant pool and lift");
-    eprintln!("                  only the defect-relevant slice (same reports, faster).");
+    eprintln!("  --targeted      demand-driven mode: lift network apps as skeletons and");
+    eprintln!("                  fill in only the defect-relevant slice (same reports).");
+    eprintln!("                  Apps whose constant pool names no network API are");
+    eprintln!("                  skipped in every mode, with or without this flag.");
     eprintln!("                  Ignored when --icc is also given (the ICC model reads");
     eprintln!("                  component bodies outside the relevance slice); the");
     eprintln!("                  fallback to whole-app analysis is warned and counted");

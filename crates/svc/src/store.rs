@@ -736,8 +736,10 @@ fn checksum(parts: &[&[u8]]) -> u64 {
     (h ^ len).wrapping_mul(K)
 }
 
-/// Renders an entry file: header line, then the JSON and wire sections.
-fn encode_entry(entry: &AppCacheEntry, json: &str, wire: &str) -> Vec<u8> {
+/// Renders an entry file: header line, then the JSON section (`json`,
+/// the report's [`render_json`] bytes) and the streamed wire section.
+fn encode_entry(entry: &AppCacheEntry, json: &str) -> Vec<u8> {
+    let wire = crate::wire::encode(&entry.report);
     let prefix = format!(
         "{ENTRY_MAGIC} {ENTRY_SCHEMA} {} {:016x} {:016x} {} {} {} ",
         crate::wire::WIRE_SCHEMA,
@@ -908,26 +910,32 @@ fn disk_path(dir: &Path, key: &str, config_fp: u64) -> PathBuf {
 /// entry it overwrote — so the caller can maintain the live occupancy
 /// estimate without a rescan.
 fn write_disk(dir: &Path, key: &str, entry: &AppCacheEntry, json: &str, obs: &Obs) -> (u64, u64) {
-    let Ok(wire) = serde_json::to_string(&crate::wire::report_to_wire(&entry.report)) else {
-        return (0, 0);
-    };
-    let text = encode_entry(entry, json, &wire);
-    // Cache writes are best-effort: a read-only or vanished directory
-    // degrades to memory-only, it does not fail the analysis.
-    if std::fs::create_dir_all(dir).is_err() {
-        obs.events.warn("cache dir could not be created");
-        return (0, 0);
-    }
+    let text = encode_entry(entry, json);
     let path = disk_path(dir, key, entry.config_fp);
     let old_len = std::fs::metadata(&path).map_or(0, |m| m.len());
     let tmp = path.with_extension("tmp");
-    if std::fs::write(&tmp, &text).is_ok() {
-        if std::fs::rename(&tmp, &path).is_err() {
-            obs.events.warn("cache file rename failed");
-        } else {
-            return (text.len() as u64, old_len);
+    // Cache writes are best-effort: a read-only or vanished directory
+    // degrades to memory-only, it does not fail the analysis. The
+    // directory is created only when a write finds it missing.
+    let mut written = std::fs::write(&tmp, &text);
+    if matches!(&written, Err(e) if e.kind() == std::io::ErrorKind::NotFound) {
+        if std::fs::create_dir_all(dir).is_err() {
+            obs.events.warn("cache dir could not be created");
+            return (0, 0);
         }
+        written = std::fs::write(&tmp, &text);
     }
+    let failure = match written {
+        Err(_) => "cache file write failed",
+        Ok(()) => match std::fs::rename(&tmp, &path) {
+            Ok(()) => return (text.len() as u64, old_len),
+            Err(_) => "cache file rename failed",
+        },
+    };
+    // GC and the occupancy scan ignore `.tmp` names, so a leftover would
+    // sit outside the budget for good.
+    let _ = std::fs::remove_file(&tmp);
+    obs.events.warn(failure);
     (0, 0)
 }
 
@@ -1080,6 +1088,48 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_rename_leaves_no_tmp_and_warns() {
+        let dir = tmpdir("renamefail");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A directory where the entry should go: the tmp write succeeds,
+        // the rename onto it fails.
+        let path = disk_path(&dir, "app.r", 42);
+        std::fs::create_dir(&path).unwrap();
+        let (sink, buf) = nck_obs::JsonlSink::capture();
+        let obs = Obs {
+            events: nck_obs::Events::silent().with_sink(sink),
+            ..Obs::disabled()
+        };
+        assert_eq!(
+            write_disk(&dir, "app.r", &entry(5, "app.r"), "{}\n", &obs),
+            (0, 0)
+        );
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            !names.iter().any(|n| n.ends_with(".tmp")),
+            "tmp file left behind: {names:?}"
+        );
+        let log = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        assert!(
+            log.contains("cache file rename failed"),
+            "no warning: {log}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_missing_cache_dir_is_created_on_first_write() {
+        let dir = tmpdir("lazydir").join("nested");
+        let store = AnalysisStore::with_options(8, Some(dir.clone()));
+        store.insert("app.d", entry(5, "app.d"), &Obs::disabled());
+        assert!(disk_path(&dir, "app.d", 42).exists());
+        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+    }
+
+    #[test]
     fn disk_tier_roundtrips_and_rejects_stale_fingerprints() {
         let dir = tmpdir("roundtrip");
         let store = AnalysisStore::with_options(8, Some(dir.clone()));
@@ -1216,8 +1266,7 @@ mod tests {
         let outdated = [
             format!(
                 "{{\"bundle_fp\":\"5\",\"config_fp\":\"42\",\"report\":{},\"schema\":1}}",
-                serde_json::to_string(&crate::wire::report_to_wire(&entry(5, "app.s").report))
-                    .unwrap()
+                crate::wire::encode(&entry(5, "app.s").report)
             ),
             text.replacen("nck-entry 2 ", "nck-entry 1 ", 1),
             text.replacen("nck-entry 2 1 ", "nck-entry 2 999 ", 1),

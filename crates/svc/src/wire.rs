@@ -9,39 +9,49 @@
 //! are deliberately *not* carried — cache entries hold unsealed reports
 //! (observability is per-run, not per-content).
 //!
-//! Unknown schema versions and malformed payloads decode to `None`; the
-//! caller treats that as a cache miss, never an error.
+//! The encoder streams the report through [`serde_json::Writer`]
+//! (compact, keys ascending); the decoder reads a parsed [`Value`] and
+//! defines the format. Unknown schema versions and malformed payloads
+//! decode to `None`; the caller treats that as a cache miss, never an
+//! error.
 
 use nchecker::checker::{AnalysisSkip, AppReport, AppStats, SkipCause};
 use nchecker::report::{DefectKind, Evidence, Location, OverRetryContext, Report};
 use nck_netlibs::library::Library;
-use serde_json::{json, Value};
+use serde_json::{Value, Writer};
 
 /// Schema version of the disk format; bump on any shape change so old
 /// files miss instead of misparse.
 pub const WIRE_SCHEMA: u64 = 1;
 
-fn kind_to_json(kind: DefectKind) -> Value {
-    match kind {
-        DefectKind::MissedConnectivityCheck => json!({"id": "missed-connectivity-check"}),
-        DefectKind::MissedTimeout => json!({"id": "missed-timeout"}),
-        DefectKind::MissedRetry => json!({"id": "missed-retry"}),
-        DefectKind::NoRetryInActivity => json!({"id": "no-retry-in-activity"}),
-        DefectKind::OverRetry {
-            context,
-            default_caused,
-        } => json!({
-            "id": "over-retry",
-            "context": match context {
-                OverRetryContext::Service => "service",
-                OverRetryContext::Post => "post",
-            },
-            "default_caused": default_caused,
-        }),
-        DefectKind::MissedFailureNotification => json!({"id": "missed-failure-notification"}),
-        DefectKind::NoErrorTypeCheck => json!({"id": "no-error-type-check"}),
-        DefectKind::MissedResponseCheck => json!({"id": "missed-response-check"}),
+fn write_kind(w: &mut Writer, kind: DefectKind) {
+    let id = match kind {
+        DefectKind::MissedConnectivityCheck => "missed-connectivity-check",
+        DefectKind::MissedTimeout => "missed-timeout",
+        DefectKind::MissedRetry => "missed-retry",
+        DefectKind::NoRetryInActivity => "no-retry-in-activity",
+        DefectKind::OverRetry { .. } => "over-retry",
+        DefectKind::MissedFailureNotification => "missed-failure-notification",
+        DefectKind::NoErrorTypeCheck => "no-error-type-check",
+        DefectKind::MissedResponseCheck => "missed-response-check",
+    };
+    w.begin_object();
+    if let DefectKind::OverRetry {
+        context,
+        default_caused,
+    } = kind
+    {
+        w.key("context");
+        w.str(match context {
+            OverRetryContext::Service => "service",
+            OverRetryContext::Post => "post",
+        });
+        w.key("default_caused");
+        w.bool(default_caused);
     }
+    w.key("id");
+    w.str(id);
+    w.end_object();
 }
 
 fn kind_from_json(v: &Value) -> Option<DefectKind> {
@@ -88,26 +98,52 @@ fn library_from_tag(s: &str) -> Option<Library> {
     })
 }
 
-fn evidence_to_json(e: &Evidence) -> Value {
+/// Writes `key: value` string members, in the order given.
+fn str_members(w: &mut Writer, members: &[(&str, &str)]) {
+    for &(k, v) in members {
+        w.key(k);
+        w.str(v);
+    }
+}
+
+fn write_evidence(w: &mut Writer, e: &Evidence) {
+    w.begin_object();
     match e {
         Evidence::Request { method, stmt, api } => {
-            json!({"t": "request", "method": method, "stmt": stmt, "api": api})
+            str_members(w, &[("api", api), ("method", method)]);
+            w.key("stmt");
+            w.int(i64::from(*stmt));
+            str_members(w, &[("t", "request")]);
         }
         Evidence::CallEdge {
             caller,
             callee,
             stmt,
-        } => json!({"t": "call-edge", "caller": caller, "callee": callee, "stmt": stmt}),
+        } => {
+            str_members(w, &[("callee", callee), ("caller", caller)]);
+            w.key("stmt");
+            w.int(i64::from(*stmt));
+            str_members(w, &[("t", "call-edge")]);
+        }
         Evidence::IrFact { method, stmt, what } => {
-            json!({"t": "ir-fact", "method": method, "stmt": stmt, "what": what})
+            str_members(w, &[("method", method)]);
+            w.key("stmt");
+            w.int(i64::from(*stmt));
+            str_members(w, &[("t", "ir-fact"), ("what", what)]);
         }
         Evidence::SummaryFact { method, what } => {
-            json!({"t": "summary-fact", "method": method, "what": what})
+            str_members(
+                w,
+                &[("method", method), ("t", "summary-fact"), ("what", what)],
+            );
         }
         Evidence::Absence { what, scanned } => {
-            json!({"t": "absence", "what": what, "scanned": scanned})
+            w.key("scanned");
+            w.int(*scanned as i64);
+            str_members(w, &[("t", "absence"), ("what", what)]);
         }
     }
+    w.end_object();
 }
 
 fn str_of(v: &Value, key: &str) -> Option<String> {
@@ -151,21 +187,35 @@ fn evidence_from_json(v: &Value) -> Option<Evidence> {
     })
 }
 
-fn defect_to_json(r: &Report) -> Value {
-    json!({
-        "kind": kind_to_json(r.kind),
-        "library": library_tag(r.library),
-        "location": {
-            "class": r.location.class,
-            "method": r.location.method,
-            "stmt": r.location.stmt,
-        },
-        "message": r.message,
-        "context": r.context,
-        "call_stack": r.call_stack,
-        "fix": r.fix,
-        "provenance": r.provenance.iter().map(evidence_to_json).collect::<Vec<_>>(),
-    })
+fn write_defect(w: &mut Writer, r: &Report) {
+    w.begin_object();
+    w.key("call_stack");
+    w.begin_array();
+    for frame in &r.call_stack {
+        w.str(frame);
+    }
+    w.end_array();
+    str_members(w, &[("context", &r.context), ("fix", &r.fix)]);
+    w.key("kind");
+    write_kind(w, r.kind);
+    str_members(w, &[("library", library_tag(r.library))]);
+    w.key("location");
+    w.begin_object();
+    str_members(
+        w,
+        &[("class", &r.location.class), ("method", &r.location.method)],
+    );
+    w.key("stmt");
+    w.int(i64::from(r.location.stmt));
+    w.end_object();
+    str_members(w, &[("message", &r.message)]);
+    w.key("provenance");
+    w.begin_array();
+    for e in &r.provenance {
+        write_evidence(w, e);
+    }
+    w.end_array();
+    w.end_object();
 }
 
 fn defect_from_json(v: &Value) -> Option<Report> {
@@ -196,60 +246,72 @@ fn defect_from_json(v: &Value) -> Option<Report> {
     })
 }
 
-/// The `(name, getter, setter)` triples of every numeric [`AppStats`]
-/// field, so serialization and deserialization cannot drift apart.
+/// Every numeric [`AppStats`] field, so serialization and
+/// deserialization cannot drift apart. Names are in ascending order and
+/// split in three runs around the `libraries` and `package` keys, which
+/// is the order the streamed object must be written in.
 macro_rules! stats_fields {
     ($m:ident) => {
         $m!(
-            requests,
-            requests_missing_conn,
-            requests_missing_timeout,
-            retry_capable_requests,
-            requests_missing_retry,
-            user_requests,
-            user_requests_missing_notification,
-            user_requests_explicit_cb,
-            user_requests_explicit_cb_notified,
-            user_requests_implicit_cb,
-            user_requests_implicit_cb_notified,
-            typed_error_callbacks,
-            typed_error_callbacks_checked,
-            responses,
-            responses_missing_check,
-            custom_retry_loops,
-            no_retry_activity,
-            over_retry_service,
-            over_retry_service_default,
-            over_retry_post,
-            over_retry_post_default,
-            summary_methods,
-            summary_sccs,
-            summary_const_returns,
-            summary_largest_scc,
-            summary_field_consts,
-            summary_hits
+            [custom_retry_loops],
+            [
+                no_retry_activity,
+                over_retry_post,
+                over_retry_post_default,
+                over_retry_service,
+                over_retry_service_default
+            ],
+            [
+                requests,
+                requests_missing_conn,
+                requests_missing_retry,
+                requests_missing_timeout,
+                responses,
+                responses_missing_check,
+                retry_capable_requests,
+                summary_const_returns,
+                summary_field_consts,
+                summary_hits,
+                summary_largest_scc,
+                summary_methods,
+                summary_sccs,
+                typed_error_callbacks,
+                typed_error_callbacks_checked,
+                user_requests,
+                user_requests_explicit_cb,
+                user_requests_explicit_cb_notified,
+                user_requests_implicit_cb,
+                user_requests_implicit_cb_notified,
+                user_requests_missing_notification
+            ]
         )
     };
 }
 
-fn stats_to_json(s: &AppStats) -> Value {
-    let mut obj = std::collections::BTreeMap::new();
-    obj.insert("package".to_owned(), json!(s.package));
-    obj.insert(
-        "libraries".to_owned(),
-        json!(s
-            .libraries
-            .iter()
-            .map(|l| library_tag(*l))
-            .collect::<Vec<_>>()),
-    );
-    macro_rules! put {
+fn write_stats(w: &mut Writer, s: &AppStats) {
+    macro_rules! ints {
         ($($field:ident),*) => {
-            $( obj.insert(stringify!($field).to_owned(), json!(s.$field)); )*
+            $( w.key(stringify!($field)); w.int(s.$field as i64); )*
         };
     }
+    macro_rules! put {
+        ([$($a:ident),*], [$($b:ident),*], [$($c:ident),*]) => {
+            ints!($($a),*);
+            w.key("libraries");
+            w.begin_array();
+            for l in &s.libraries {
+                w.str(library_tag(*l));
+            }
+            w.end_array();
+            ints!($($b),*);
+            w.key("package");
+            w.str(&s.package);
+            ints!($($c),*);
+        };
+    }
+    w.begin_object();
     stats_fields!(put);
-    Value::Object(obj)
+    w.end_object();
 }
 
 fn stats_from_json(v: &Value) -> Option<AppStats> {
@@ -261,26 +323,55 @@ fn stats_from_json(v: &Value) -> Option<AppStats> {
         s.libraries.insert(library_from_tag(l.as_str()?)?);
     }
     macro_rules! take {
-        ($($field:ident),*) => {
-            $( s.$field = usize_of(v, stringify!($field))?; )*
+        ($([$($field:ident),*]),*) => {
+            $($( s.$field = usize_of(v, stringify!($field))?; )*)*
         };
     }
     stats_fields!(take);
     Some(s)
 }
 
-/// Serializes an unsealed report (traces and metrics are dropped).
+/// Encodes an unsealed report (traces and metrics are dropped) as
+/// compact wire-format text, streamed with keys ascending. Disk
+/// entries store this text as their wire section.
+pub fn encode(r: &AppReport) -> String {
+    let mut w = Writer::compact();
+    w.begin_object();
+    w.key("defects");
+    w.begin_array();
+    for d in &r.defects {
+        write_defect(&mut w, d);
+    }
+    w.end_array();
+    w.key("schema");
+    w.int(WIRE_SCHEMA as i64);
+    w.key("skipped_methods");
+    w.begin_array();
+    for skip in &r.skipped_methods {
+        w.begin_object();
+        w.key("cause");
+        w.str(match skip.cause {
+            SkipCause::Verify => "verify",
+            SkipCause::Lift => "lift",
+        });
+        str_members(
+            &mut w,
+            &[("detail", &skip.detail), ("method", &skip.method)],
+        );
+        w.end_object();
+    }
+    w.end_array();
+    w.key("stats");
+    write_stats(&mut w, &r.stats);
+    w.end_object();
+    w.into_string()
+}
+
+/// The wire form as a [`Value`] tree: [`encode`]'s text, parsed. For
+/// callers that inspect or edit the form; the disk tier writes the
+/// text directly.
 pub fn report_to_wire(r: &AppReport) -> Value {
-    json!({
-        "schema": WIRE_SCHEMA,
-        "stats": stats_to_json(&r.stats),
-        "defects": r.defects.iter().map(defect_to_json).collect::<Vec<_>>(),
-        "skipped_methods": r.skipped_methods.iter().map(|s| json!({
-            "method": s.method,
-            "cause": match s.cause { SkipCause::Verify => "verify", SkipCause::Lift => "lift" },
-            "detail": s.detail,
-        })).collect::<Vec<_>>(),
-    })
+    serde_json::from_str(&encode(r)).expect("the wire encoder writes valid JSON")
 }
 
 /// Decodes a report; `None` on any schema or shape mismatch.
@@ -395,7 +486,7 @@ mod tests {
     #[test]
     fn wire_roundtrip_is_faithful() {
         let r = busy_report();
-        let text = serde_json::to_string(&report_to_wire(&r)).unwrap();
+        let text = encode(&r);
         let back = report_from_wire(&serde_json::from_str(&text).unwrap()).unwrap();
         // AppReport has no PartialEq; the rendered JSON of both runs is
         // the comparison surface the rest of the system already uses.
@@ -414,7 +505,7 @@ mod tests {
     fn wrong_schema_is_a_miss() {
         let mut v = report_to_wire(&busy_report());
         if let Value::Object(m) = &mut v {
-            m.insert("schema".to_owned(), json!(999));
+            m.insert("schema".to_owned(), serde_json::json!(999));
         }
         assert!(report_from_wire(&v).is_none());
     }

@@ -385,3 +385,78 @@ proptest! {
         );
     }
 }
+
+/// A network-free app takes the prescan fast path on a miss and is
+/// cached like any other: memory and disk hits serve its cold bytes.
+/// Its entry holds no replay seeds, so a next version that gains network
+/// code runs cold — and still gets the right delta against the clean
+/// version, from either tier.
+#[test]
+fn pool_clean_apps_hit_both_tiers_and_their_network_successor_runs_cold() {
+    let dir = std::env::temp_dir().join(format!("nck-svc-pool-clean-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let clean = profile::no_network_app(3, 8);
+    let mut network = clean.clone();
+    network.requests = vec![
+        RequestSpec::new(Library::Volley, Origin::UserClick),
+        RequestSpec::new(Library::OkHttp, Origin::Service),
+    ];
+    let key = clean.package.clone();
+    let v1 = generate_with_bulk(&clean, 8).to_bytes();
+    let v2 = generate_with_bulk(&network, 8).to_bytes();
+    let cold = |bytes: &[u8]| nchecker::NChecker::new().analyze_bytes(bytes).unwrap();
+    let (cold1, cold2) = (cold(&v1), cold(&v2));
+    assert!(cold1.defects.is_empty() && !cold2.defects.is_empty());
+    let want_delta = nck_svc::diff_reports(
+        &key,
+        nck_dex::wire::fnv1a(&v1),
+        nck_dex::wire::fnv1a(&v2),
+        &cold1,
+        &cold2,
+    );
+    let opts = || ServiceOptions {
+        cache_dir: Some(dir.clone()),
+        ..ServiceOptions::default()
+    };
+
+    let svc = AnalysisService::new(opts(), Obs::disabled());
+    let miss = svc.analyze_one(&key, &v1);
+    assert!(!miss.reuse.whole_report);
+    assert!(
+        miss.reuse.classes_total > 0,
+        "the entry keeps class fingerprints"
+    );
+    assert_eq!(render(miss.report.as_ref().unwrap()), render(&cold1));
+    let mem_hit = svc.analyze_one(&key, &v1);
+    assert!(mem_hit.reuse.whole_report, "memory-tier hit");
+    assert_eq!(render(mem_hit.report.as_ref().unwrap()), render(&cold1));
+
+    // Memory tier: the next version finds the report-only entry, replays
+    // nothing, and diffs against it.
+    let next = svc.analyze_one(&key, &v2);
+    assert!(!next.reuse.whole_report);
+    assert_eq!(next.reuse.classes_reused, 0, "no seed to replay: cold");
+    assert_eq!(render(next.report.as_ref().unwrap()), render(&cold2));
+    assert_eq!(next.delta, Some(want_delta.clone()));
+    drop(svc);
+
+    // Disk tier, across a restart: record v1 afresh, then a new service
+    // serves it as a stored hit, and the next version diffs against the
+    // stored entry.
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = AnalysisService::new(opts(), Obs::disabled()).analyze_one(&key, &v1);
+    let svc = AnalysisService::new(opts(), Obs::disabled());
+    let disk_hit = svc.analyze_one(&key, &v1);
+    let served = disk_hit.report.as_ref().unwrap();
+    assert!(
+        disk_hit.reuse.whole_report && !served.is_decoded(),
+        "disk-tier hit"
+    );
+    assert_eq!(*served.json(), nck_svc::store::render_json(&cold1));
+    let svc = AnalysisService::new(opts(), Obs::disabled());
+    let next = svc.analyze_one(&key, &v2);
+    assert_eq!(next.reuse.classes_reused, 0);
+    assert_eq!(render(next.report.as_ref().unwrap()), render(&cold2));
+    assert_eq!(next.delta, Some(want_delta));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -277,4 +277,14 @@ EOF
     | grep -q "evicted" || { echo "cache-gc smoke: no stats line"; exit 1; }
 ./target/release/store_scale_bench --smoke --apps 1000 --waves 2
 
+echo "==> nckbench smoke test"
+# The benchmark package, built through its own manifest beside the
+# release nchecker it drives: all four workloads at toy sizes with every
+# byte-identity check on. A program change that breaks what the
+# benchmark verifies exits non-zero here.
+cargo build --release --offline --manifest-path nckbench/Cargo.toml --target-dir target
+bench_dir="$(mktemp -d)"
+trap 'rm -rf "$smoke_dir" "$targeted_dir" "$tele_dir" "$daemon_dir" "$vet_dir" "$bench_dir"' EXIT
+./target/release/nckbench --smoke --out "$bench_dir"
+
 echo "CI green."
