@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 /// Apps in a `cleancorpus:` mix (the full 285-app defect corpus is
 /// still reachable through `corpus:`; the mixed corpus exists to
-/// exercise the targeted prescan, where size matters less than mix).
+/// exercise the prescan fast path, where size matters less than mix).
 const CLEAN_CORPUS_SIZE: usize = 100;
 
 fn usage() -> ExitCode {

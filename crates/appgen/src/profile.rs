@@ -463,7 +463,7 @@ const CLEAN_APP_BULK: usize = 40;
 /// A *no-network* app: `bulk` self-contained ballast classes (loops,
 /// fields, intra-class calls) and not a single network-library
 /// reference anywhere in its constant pool. This is the shape the
-/// targeted prescan classifies as skippable without lifting a method.
+/// prescan fast path answers without lifting a method.
 ///
 /// Distinct from the corpus's "clean" apps, which *use* the network but
 /// commit no defect.
@@ -479,7 +479,7 @@ pub fn no_network_app(tag: usize, bulk: usize) -> AppSpec {
 ///
 /// App-store reality is closer to this mix than to the evaluation
 /// corpus: most submissions never touch a network library, which is
-/// exactly the headroom the targeted mode's prescan converts into
+/// exactly the headroom the prescan fast path converts into
 /// throughput. Deterministic in `(seed, size, clean_frac)`.
 pub fn clean_corpus(seed: u64, size: usize, clean_frac: f64) -> Vec<AppSpec> {
     let n_clean = ((size as f64) * clean_frac.clamp(0.0, 1.0)).round() as usize;
@@ -590,10 +590,10 @@ mod tests {
         assert!(nck_dex::verify::verify(&apk.adx).is_empty());
         assert!(!apk.adx.classes.is_empty(), "ballast classes present");
         let registry = nck_netlibs::api::Registry::standard();
-        let scan = nck_dex::prescan(&apk.adx, &|class, name| {
+        let touches = nck_dex::pool_touches(&apk.adx, &|class, name| {
             registry.is_relevant_api(class, name)
         });
-        assert!(!scan.touches_network(), "clean app must prescan clean");
+        assert!(!touches, "clean app must prescan clean");
     }
 
     #[test]

@@ -234,7 +234,7 @@ pub struct AppSpec {
     /// classes: realistic non-network app code (loops, fields, helper
     /// calls) with no network-library references. With `requests`
     /// empty and `bulk > 0` this yields a *clean* app — real code, no
-    /// network surface — the shape the targeted prescan skips.
+    /// network surface — the shape the prescan fast path skips.
     pub bulk: usize,
 }
 

@@ -236,13 +236,12 @@ fn main() {
 
     let mut doc = pipeline_json(reports.len(), elapsed, &phases, &metrics, &mut latency);
     // Merge-preserve the sections other benches own (`hotpath`,
-    // `targeted`, `store_scale`): the regression gate reads one
-    // combined document.
+    // `store_scale`): the regression gate reads one combined document.
     let recorded: Option<Value> = std::fs::read_to_string("BENCH_pipeline.json")
         .ok()
         .and_then(|s| serde_json::from_str(&s).ok());
     if let (Some(Value::Object(old)), Value::Object(new)) = (recorded, &mut doc) {
-        for key in ["hotpath", "targeted", "store_scale"] {
+        for key in ["hotpath", "store_scale"] {
             if let Some(section) = old.get(key) {
                 new.insert(key.to_owned(), section.clone());
             }

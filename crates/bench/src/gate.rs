@@ -5,7 +5,7 @@
 //!
 //! The baseline document has a `"metrics"` object whose keys are dotted
 //! paths into the measured document (`"hotpath.apps_per_sec"`,
-//! `"targeted.speedup"`, …) and whose values record the baseline number
+//! `"store_scale.warm_speedup"`, …) and whose values record the baseline number
 //! plus the tolerance that turns host noise into a verdict:
 //!
 //! ```json
@@ -13,8 +13,8 @@
 //!   "schema": 1,
 //!   "metrics": {
 //!     "hotpath.apps_per_sec": { "value": 950.0, "min_ratio": 0.70 },
-//!     "targeted.lifted_frac": { "value": 0.068, "max": 0.30 },
-//!     "targeted.speedup":     { "value": 3.40,  "min": 3.0 }
+//!     "store_scale.gc.runs":       { "value": 0,    "max": 2 },
+//!     "store_scale.warm_speedup":  { "value": 5.24, "min": 2.0 }
 //!   }
 //! }
 //! ```
@@ -25,7 +25,7 @@
 //!   the ratio band (throughput floors: `min_ratio: 0.70` tolerates a
 //!   30% regression, matching the old smoke floors);
 //! - `min` / `max` — absolute bounds on the current value (structural
-//!   invariants like "targeted mode lifts under 30% of methods");
+//!   invariants like "a warm store run is at least 2x a cold one");
 //! - `optional: true` — a missing current value passes instead of
 //!   failing (for sections a partial bench run did not regenerate).
 //!
@@ -235,8 +235,8 @@ mod tests {
             "schema": 1,
             "metrics": {
                 "hotpath.apps_per_sec": { "value": 1000.0, "min_ratio": 0.7 },
-                "targeted.lifted_frac": { "value": 0.07, "max": 0.30 },
-                "targeted.speedup": { "value": 3.4, "min_ratio": 0.8, "min": 3.0 },
+                "store_scale.gc.runs": { "value": 0.0, "max": 2.0 },
+                "store_scale.warm_speedup": { "value": 5.2, "min_ratio": 0.8, "min": 2.0 },
                 "extra.section": { "value": 5.0, "min_ratio": 0.5, "optional": true },
             }
         })
@@ -254,7 +254,7 @@ mod tests {
     fn in_tolerance_document_passes() {
         let current = json!({
             "hotpath": { "apps_per_sec": 900.0 },
-            "targeted": { "lifted_frac": 0.068, "speedup": 3.5 },
+            "store_scale": { "gc": { "runs": 0.0 }, "warm_speedup": 5.0 },
         });
         let outcomes = run(&baseline(), &current, false).unwrap();
         assert_eq!(outcomes.len(), 4);
@@ -269,7 +269,7 @@ mod tests {
     fn throughput_drop_beyond_min_ratio_fails() {
         let current = json!({
             "hotpath": { "apps_per_sec": 600.0 },
-            "targeted": { "lifted_frac": 0.068, "speedup": 3.5 },
+            "store_scale": { "gc": { "runs": 0.0 }, "warm_speedup": 5.0 },
         });
         let outcomes = run(&baseline(), &current, false).unwrap();
         let hot = outcomes
@@ -284,8 +284,8 @@ mod tests {
     fn absolute_bounds_catch_structural_breaks() {
         let current = json!({
             "hotpath": { "apps_per_sec": 1000.0 },
-            // Over the 30% lifted ceiling; speedup under the 3x floor.
-            "targeted": { "lifted_frac": 0.45, "speedup": 2.9 },
+            // Over the GC-run ceiling; speedup under the 2x floor.
+            "store_scale": { "gc": { "runs": 3.0 }, "warm_speedup": 1.9 },
         });
         let outcomes = run(&baseline(), &current, false).unwrap();
         assert_eq!(outcomes.iter().filter(|o| o.failed()).count(), 2);
@@ -293,7 +293,7 @@ mod tests {
 
     #[test]
     fn missing_metric_fails_unless_tolerated() {
-        let current = json!({ "targeted": { "lifted_frac": 0.068, "speedup": 3.5 } });
+        let current = json!({ "store_scale": { "gc": { "runs": 0.0 }, "warm_speedup": 5.0 } });
         let strict = run(&baseline(), &current, false).unwrap();
         let hot = strict
             .iter()

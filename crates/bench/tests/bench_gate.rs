@@ -54,17 +54,17 @@ fn committed_documents_pass_the_gate() {
 fn doctored_throughput_drop_fails_the_gate() {
     let mut doc = committed_pipeline();
 
-    // Halve the targeted throughput — far beyond the 30% tolerance.
-    let measured = doc["targeted"]["apps_per_sec"]
+    // Halve the hotpath throughput — far beyond the 30% tolerance.
+    let measured = doc["hotpath"]["apps_per_sec"]
         .as_f64()
-        .expect("targeted.apps_per_sec recorded");
+        .expect("hotpath.apps_per_sec recorded");
     let Value::Object(map) = &mut doc else {
         panic!("bench doc is an object");
     };
-    let Some(Value::Object(targeted)) = map.get_mut("targeted") else {
-        panic!("targeted section is an object");
+    let Some(Value::Object(hotpath)) = map.get_mut("hotpath") else {
+        panic!("hotpath section is an object");
     };
-    targeted.insert("apps_per_sec".to_owned(), json!(measured * 0.5));
+    hotpath.insert("apps_per_sec".to_owned(), json!(measured * 0.5));
 
     let doctored = temp_path("doctored.json");
     std::fs::write(&doctored, serde_json::to_string_pretty(&doc).unwrap()).unwrap();
@@ -75,17 +75,17 @@ fn doctored_throughput_drop_fails_the_gate() {
     assert_eq!(out.status.code(), Some(1), "tolerance failure exits 1");
     let text = stdout(&out);
     assert!(
-        text.contains("targeted.apps_per_sec") && text.contains("FAIL"),
+        text.contains("hotpath.apps_per_sec") && text.contains("FAIL"),
         "report names the broken metric:\n{text}"
     );
 }
 
 #[test]
 fn smoke_mode_tolerates_missing_sections_but_not_bad_values() {
-    // A document with only the targeted section: strict mode fails on
-    // the absent hotpath metrics, --smoke skips them.
+    // A document with only the hotpath section: strict mode fails on
+    // the absent pipeline and store_scale metrics, --smoke skips them.
     let doc = committed_pipeline();
-    let partial = json!({ "schema": 1, "targeted": doc["targeted"] });
+    let partial = json!({ "schema": 1, "hotpath": doc["hotpath"] });
     let partial_path = temp_path("partial.json");
     std::fs::write(
         &partial_path,

@@ -47,7 +47,7 @@ pub fn config_fingerprint(config: &CheckerConfig) -> u64 {
         ("icc", config.icc),
         ("strict_connectivity", config.strict_connectivity),
         ("interproc", config.interproc),
-        ("targeted", config.targeted),
+        ("targeted", false), // retired mode, hashed off so persisted keys still match
     ] {
         h.str(name).u32(u32::from(on));
     }
@@ -61,10 +61,9 @@ pub fn config_fingerprint(config: &CheckerConfig) -> u64 {
 /// Everything one clean analysis run leaves behind for the next version
 /// of the same app.
 ///
-/// Targeted-mode runs write *minimal* entries: only the fingerprints and
-/// the report are populated (whole-report reuse), since replaying a lift
-/// seed would materialize full bodies and silently forfeit the mode's
-/// savings. The `Default` impl exists for exactly that shape.
+/// Pool-clean runs (the prescan fast path) write *report-only* entries:
+/// the fingerprints and the report, with every seed empty. The `Default`
+/// impl exists for exactly that shape.
 #[derive(Debug, Clone, Default)]
 pub struct AppCacheEntry {
     /// FNV-1a of the raw bundle bytes: an exact match (plus config
@@ -98,19 +97,23 @@ impl AppCacheEntry {
     /// artifact class is charged a calibrated per-item cost (a
     /// `MethodAnalysis` holds a CFG plus per-statement dataflow facts; a
     /// lift-seed class holds replayable bodies; a report defect carries
-    /// strings and a provenance chain). The absolute numbers are rough
-    /// by design — what matters for a byte-budgeted LRU is that an app
-    /// with 50× the methods is charged ~50× the bytes, so one batch of
-    /// huge apps cannot hide behind an entry-count cap.
+    /// strings and a provenance chain). Report-only entries hold class
+    /// fingerprints but no lift seed, so they pay no per-class share.
+    /// The absolute numbers are rough by design — what matters for a
+    /// byte-budgeted LRU is that an app with 50× the methods is charged
+    /// ~50× the bytes, so one batch of huge apps cannot hide behind an
+    /// entry-count cap.
     pub fn approx_bytes(&self) -> usize {
         const ENTRY_OVERHEAD: usize = 512;
-        const PER_CLASS: usize = 384; // lift-seed share: replayable class body
+        const PER_CLASS: usize = 384; // lift-seed class: replayable class body
+        const PER_CLASS_FP: usize = std::mem::size_of::<u64>();
         const PER_METHOD_ANALYSIS: usize = 4096; // CFG + per-stmt dataflow facts
         const PER_CALLEE_FP: usize = 16;
         const PER_DEFECT: usize = 768; // message, fix, call stack, provenance
         const PER_SKIP: usize = 256;
         ENTRY_OVERHEAD
-            + self.class_fps.len() * PER_CLASS
+            + self.class_fps.len() * PER_CLASS_FP
+            + self.lift_seed.classes.len() * PER_CLASS
             + self.callee_fps.len() * PER_CALLEE_FP
             + self.analyses.len() * PER_METHOD_ANALYSIS
             + self.report.defects.len() * PER_DEFECT
@@ -183,8 +186,7 @@ mod tests {
             custom_retry,
             icc,
             strict_connectivity,
-            interproc,
-            targeted
+            interproc
         );
         let mut c = base;
         c.strict_caller_depth = Some(3);
@@ -214,6 +216,29 @@ mod tests {
             bigger.approx_bytes() > 50 * empty.approx_bytes(),
             "size scales with artifact counts, not entry count"
         );
+    }
+
+    #[test]
+    fn report_only_entries_pay_no_lift_seed_share() {
+        let mut b = nck_dex::builder::AdxBuilder::new();
+        for i in 0..20 {
+            b.class(&format!("Lapp/C{i};"), |c| {
+                c.method("f", "()V", nck_dex::AccessFlags::PUBLIC, 1, |m| m.ret(None));
+            });
+        }
+        let file = b.finish().unwrap();
+        let class_fps = nck_dex::class_fingerprints(&file);
+        let lifted = nck_ir::lift::lift_file_seeded(&file, &class_fps, None).unwrap();
+        let report_only = AppCacheEntry {
+            class_fps: class_fps.clone(),
+            ..AppCacheEntry::default()
+        };
+        let seeded = AppCacheEntry {
+            class_fps,
+            lift_seed: lifted.seed,
+            ..AppCacheEntry::default()
+        };
+        assert!(report_only.approx_bytes() < seeded.approx_bytes());
     }
 
     #[test]

@@ -51,14 +51,6 @@ pub struct CheckerConfig {
     /// Disabling this is the ablation of the summary engine, reverting
     /// to the method-local analyses.
     pub interproc: bool,
-    /// Demand-driven targeted mode: lift only the relevance slice in
-    /// full (everything else gets a stub body). Bundles whose constant
-    /// pool names no relevant API are skipped in every mode, so this
-    /// adds the skeleton lift and the slice for network apps only.
-    /// Report-equivalent to a whole-app run — see DESIGN.md "Targeted
-    /// analysis". Ignored when `icc` is on (the ICC model reads bodies
-    /// the slice does not cover).
-    pub targeted: bool,
     /// Bound the strict connectivity check's caller walk to this depth
     /// instead of the default unbounded visited-set traversal. Only
     /// meaningful with `strict_connectivity`; kept for ablation.
@@ -78,7 +70,6 @@ impl Default for CheckerConfig {
             icc: false,
             strict_connectivity: false,
             interproc: true,
-            targeted: false,
             strict_caller_depth: None,
         }
     }
@@ -446,23 +437,6 @@ impl NChecker {
             Apk::from_bytes_obs(bytes, &obs.metrics).map_err(AnalyzeError::Apk)?
         };
 
-        // Targeted mode only participates in rung 1 (whole-report
-        // reuse): class-prefix replay materializes *full* lifted bodies,
-        // which would silently re-run the whole-app pipeline and forfeit
-        // the slice savings. Targeted entries therefore carry only the
-        // report; their seed fields stay empty.
-        if self.config.targeted {
-            let report = self.analyze_apk_with(&apk, obs)?;
-            stats.degraded = report.degraded();
-            let entry = (!report.degraded()).then(|| AppCacheEntry {
-                bundle_fp,
-                config_fp,
-                report: report.clone(),
-                ..AppCacheEntry::default()
-            });
-            return Ok((report, entry));
-        }
-
         let class_fps = {
             let _s = obs.tracer.span("class_fps");
             nck_dex::class_fingerprints(&apk.adx)
@@ -589,23 +563,6 @@ impl NChecker {
             }
         }
 
-        if self.config.targeted {
-            if self.config.icc {
-                // The restriction stands (the ICC model reads component
-                // bodies the relevance slice does not cover), but the
-                // fallback must leave a trace instead of silently
-                // dropping the flag.
-                obs.metrics.inc("targeted.fallback_icc", 1);
-                obs.events.warn(
-                    "targeted mode is ignored with icc enabled: falling back to \
-                     whole-app analysis (the ICC model reads bodies outside the \
-                     relevance slice)",
-                );
-            } else {
-                return self.analyze_apk_targeted(apk, &bad_methods, obs);
-            }
-        }
-
         let (program, lift_skips) = {
             let _s = obs.tracer.span("lift");
             let (program, skips) =
@@ -671,10 +628,10 @@ impl NChecker {
         Ok(report)
     }
 
-    /// The prescan fast path, shared by every mode: when no method-pool
-    /// entry names a relevant API, no statement anywhere in the bundle
-    /// can invoke one, so the checkers find zero request sites and zero
-    /// retry loops. For a bundle that verified clean — no method the
+    /// The prescan fast path, shared by every entry point: when no
+    /// method-pool entry names a relevant API, no statement anywhere in
+    /// the bundle can invoke one, so the checkers find zero request
+    /// sites and zero retry loops. For a bundle that verified clean — no method the
     /// lifter could skip — that whole-app report is the empty one, and
     /// it is returned without lifting a single instruction. `None` means
     /// the pipeline must run: the pool names a relevant API, or `icc` is
@@ -695,124 +652,11 @@ impl NChecker {
             return None;
         }
         if obs.metrics.is_enabled() {
-            obs.metrics.inc("targeted.prescan_skipped", 1);
-            if self.config.targeted {
-                obs.metrics.inc(
-                    "targeted.methods_total",
-                    apk.adx.concrete_methods().count() as u64,
-                );
-            }
+            obs.metrics.inc("prescan.skipped", 1);
         }
         let mut report = AppReport::default();
         report.stats.package = apk.manifest.package.clone();
         Some(report)
-    }
-
-    /// The demand-driven pipeline behind [`CheckerConfig::targeted`]:
-    /// skeleton lift, relevance slice, on-demand full lift of the slice,
-    /// then the unchanged checkers. Pool-clean bundles never get here:
-    /// [`NChecker::pool_clean_report`] answers them in every mode.
-    ///
-    /// Equivalence to the whole-app pipeline is structural, not
-    /// best-effort: stub bodies preserve exactly the statement numbering
-    /// and the call/field/allocation surface the call graph and summary
-    /// engine read, and every method whose *other* statements any
-    /// checker can consult is in the slice and re-lifted in full (see
-    /// `targeted.rs` and DESIGN.md). The differential suite holds the
-    /// JSON reports byte-identical across both modes.
-    ///
-    /// `bad_methods` are the per-method structural-verification verdicts
-    /// the caller already computed; they drive the same degradation
-    /// policy as the whole-app lift.
-    fn analyze_apk_targeted(
-        &self,
-        apk: &Apk,
-        bad_methods: &BTreeMap<String, String>,
-        obs: &Obs,
-    ) -> Result<AppReport, AnalyzeError> {
-        if obs.metrics.is_enabled() {
-            // The funnel's middle: how much of the pool and the code the
-            // relevant APIs touch. Only the counters need this walk.
-            let scan = nck_dex::prescan(&apk.adx, &|class, name| {
-                self.registry.is_relevant_api(class, name)
-            });
-            obs.metrics
-                .inc("targeted.relevant_refs", scan.relevant_refs.len() as u64);
-            obs.metrics.inc(
-                "targeted.touching_classes",
-                scan.touching_classes.len() as u64,
-            );
-        }
-
-        let (mut program, lift_skips, origins) = {
-            let _s = obs.tracer.span("lift");
-            nck_ir::lift_file_skeleton(&apk.adx, &|name| bad_methods.get(name).cloned())
-        };
-        let slice = {
-            let s = obs.tracer.span("slice");
-            let callgraph = crate::callgraph::CallGraph::build(&program);
-            let slice = crate::targeted::relevance_slice(&program, &self.registry, &callgraph);
-            s.add_items(slice.len() as u64);
-            slice
-        };
-        let mut all_skips = lift_skips;
-        {
-            let _s = obs.tracer.span("relift");
-            let ids: Vec<nck_ir::body::MethodId> = slice.iter().copied().collect();
-            nck_ir::relift_methods(&apk.adx, &mut program, &origins, &ids, &mut all_skips);
-        }
-        if obs.metrics.is_enabled() {
-            obs.metrics
-                .inc("targeted.slice_methods", slice.len() as u64);
-            obs.metrics.inc(
-                "targeted.methods_total",
-                program.methods.iter().filter(|m| m.body.is_some()).count() as u64,
-            );
-            obs.metrics.inc(
-                "targeted.methods_lifted",
-                slice
-                    .iter()
-                    .filter(|&&id| program.method(id).body.is_some())
-                    .count() as u64,
-            );
-        }
-
-        let skipped_methods: Vec<AnalysisSkip> = all_skips
-            .into_iter()
-            .map(|s| {
-                let cause = if bad_methods.contains_key(&s.method) {
-                    SkipCause::Verify
-                } else {
-                    SkipCause::Lift
-                };
-                AnalysisSkip {
-                    method: s.method,
-                    cause,
-                    detail: s.reason,
-                }
-            })
-            .collect();
-        if !skipped_methods.is_empty() {
-            if obs.metrics.is_enabled() {
-                obs.metrics
-                    .inc("analyze.skipped_methods", skipped_methods.len() as u64);
-            }
-            obs.events.warn(&format!(
-                "{}: degraded analysis, {} method(s) skipped (first: {})",
-                apk.manifest.package,
-                skipped_methods.len(),
-                skipped_methods[0].method
-            ));
-            for s in &skipped_methods {
-                obs.events
-                    .debug(&format!("skipped {} [{}]: {}", s.method, s.cause, s.detail));
-            }
-        }
-
-        let app = AnalyzedApp::new_with_obs(apk.manifest.clone(), program, &self.registry, obs);
-        let mut report = self.analyze_with(&app, obs);
-        report.skipped_methods = skipped_methods;
-        Ok(report)
     }
 
     /// Runs all configured analyses over an already-built context.

@@ -77,9 +77,9 @@ pub fn report_to_json(r: &Report) -> Value {
 /// Only *semantic* per-app facts appear here. Engine-internal workload
 /// numbers (the `summary_*` cache counters) live under the optional
 /// `"metrics"` key instead: they describe how much work the engine did,
-/// which legitimately differs between full and targeted analysis even
+/// which legitimately differs between cold and cache-reusing runs even
 /// when the findings are identical, so keeping them out of `stats`
-/// keeps the default report byte-comparable across modes.
+/// keeps the default report byte-comparable across cache tiers.
 pub fn stats_to_json(s: &AppStats) -> Value {
     json!({
         "package": s.package,
@@ -178,9 +178,9 @@ pub fn metrics_to_json(r: &AppReport) -> Value {
 /// Serializes a full app report.
 ///
 /// The `"metrics"` key appears only when the run recorded a snapshot
-/// (`r.metrics` is set): engine workload numbers are mode- and
-/// cache-dependent, so a default (metrics-off) report stays
-/// byte-identical between full and targeted analysis.
+/// (`r.metrics` is set): engine workload numbers are cache-dependent,
+/// so a default (metrics-off) report stays byte-identical between cold
+/// and cache-served analysis.
 pub fn app_report_to_json(r: &AppReport) -> Value {
     let mut obj = match json!({
         "stats": stats_to_json(&r.stats),

@@ -64,7 +64,6 @@ pub mod reach;
 pub mod report;
 pub mod retry;
 pub mod stats;
-pub mod targeted;
 
 pub use cache::{config_fingerprint, AppCacheEntry, ReuseStats, ANALYSIS_VERSION};
 pub use callgraph::{CallEdge, CallGraph};
@@ -81,4 +80,3 @@ pub use reach::{find_request_sites, RequestSite};
 pub use report::{fix_suggestion, DefectKind, Evidence, Location, OverRetryContext, Report};
 pub use retry::{covered_by_retry, find_retry_loops, RetryKind, RetryLoop};
 pub use stats::{CorpusStats, Table6Row, Table8Row};
-pub use targeted::relevance_slice;

@@ -121,41 +121,3 @@ fn both_extensions_reach_perfect_table9_accuracy() {
             });
     assert_eq!((c, f, n), (135, 0, 0));
 }
-
-#[test]
-fn targeted_with_icc_falls_back_loudly_and_equivalently() {
-    // `targeted + icc` falls back to whole-app analysis — but the
-    // fallback must be visible: a `targeted.fallback_icc` counter (and
-    // a warning event), never a silently dropped flag.
-    let mut r = RequestSpec::new(Library::Volley, Origin::UserClick);
-    r.conn_check = ConnCheck::InterComponent;
-    let spec = AppSpec::new("com.ext.iccfallback", vec![r]);
-    let apk = nck_appgen::generate(&spec);
-
-    let mut both = NChecker::with_config(CheckerConfig {
-        icc: true,
-        targeted: true,
-        ..CheckerConfig::default()
-    });
-    both.obs.metrics = nck_obs::Metrics::enabled();
-    let mut report = both.analyze_apk(&apk).unwrap();
-    let metrics = report.metrics.as_ref().expect("metrics were enabled");
-    assert_eq!(
-        metrics.counters.get("targeted.fallback_icc"),
-        Some(&1),
-        "fallback must bump targeted.fallback_icc"
-    );
-    assert!(
-        !metrics.counters.contains_key("targeted.methods_lifted"),
-        "the targeted pipeline must not have run"
-    );
-
-    // And the result is exactly the icc-only result (metrics stripped:
-    // they are observability, not analysis output).
-    report.metrics = None;
-    let icc_only = icc_checker().analyze_apk(&apk).unwrap();
-    assert_eq!(
-        serde_json::to_string(&nchecker::app_report_to_json(&report)).unwrap(),
-        serde_json::to_string(&nchecker::app_report_to_json(&icc_only)).unwrap()
-    );
-}

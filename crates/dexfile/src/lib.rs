@@ -42,7 +42,6 @@ pub mod fingerprint;
 pub mod insn;
 pub mod model;
 pub mod pool;
-pub mod prescan;
 pub mod read;
 pub mod verify;
 pub mod wire;
@@ -54,9 +53,9 @@ pub use model::{
     AccessFlags, AdxFile, CatchHandler, ClassDef, CodeItem, FieldDef, MethodDef, TryBlock,
 };
 pub use pool::{
-    FieldIdx, FieldRef, MethodIdx, MethodRef, Pools, Proto, ProtoIdx, StringIdx, TypeIdx,
+    pool_touches, FieldIdx, FieldRef, MethodIdx, MethodRef, Pools, Proto, ProtoIdx, StringIdx,
+    TypeIdx,
 };
-pub use prescan::{pool_touches, prescan, PoolScan};
 pub use read::{read_adx, read_adx_obs};
 pub use verify::{VerifyError, VerifyScope};
 pub use write::write_adx;

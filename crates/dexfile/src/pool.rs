@@ -289,6 +289,26 @@ impl Pools {
     }
 }
 
+/// Whether any method-pool entry of `file` satisfies `is_relevant`,
+/// stopping at the first match: the prescan behind the analysis fast
+/// path. Every API an app can call must appear as a [`MethodRef`] in the
+/// pool, so no match means no call site to a relevant API can exist
+/// anywhere in the bundle. A network app pays for a handful of pool
+/// lookups and a clean one for one pass over the pool, never for a walk
+/// of the instruction stream.
+///
+/// Dangling pool references (a `MethodRef` whose class or name index
+/// resolves to nothing) cannot name a real API and never match; the
+/// verifier reports them through its own channel.
+pub fn pool_touches(file: &crate::AdxFile, is_relevant: &dyn Fn(&str, &str) -> bool) -> bool {
+    file.pools.methods().iter().any(|m| {
+        matches!(
+            (file.pools.get_type(m.class), file.pools.get_string(m.name)),
+            (Some(class), Some(name)) if is_relevant(class, name)
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,5 +375,42 @@ mod tests {
         assert!(p.get_proto(ProtoIdx(1)).is_none());
         assert!(p.get_field(FieldIdx(9)).is_none());
         assert!(p.get_method(MethodIdx(2)).is_none());
+    }
+
+    fn app_with_call(callee_class: &str, callee: &str) -> crate::AdxFile {
+        let mut b = crate::builder::AdxBuilder::new();
+        b.class("Lcom/t/Main;", |c| {
+            c.super_class("Ljava/lang/Object;");
+            c.method(
+                "run",
+                "()V",
+                crate::AccessFlags::PUBLIC | crate::AccessFlags::STATIC,
+                4,
+                |m| {
+                    m.invoke_static(callee_class, callee, "()V", &[]);
+                    m.ret(None);
+                },
+            );
+        });
+        b.finish().expect("builds")
+    }
+
+    #[test]
+    fn pool_touches_finds_a_referenced_api() {
+        let file = app_with_call("Ljava/net/URL;", "openConnection");
+        assert!(pool_touches(&file, &|class, name| {
+            class == "Ljava/net/URL;" && name == "openConnection"
+        }));
+    }
+
+    #[test]
+    fn pool_touches_skips_an_unrelated_bundle() {
+        let file = app_with_call("Lcom/t/Helper;", "work");
+        assert!(!pool_touches(&file, &|class, _| class.starts_with("Ljava/net/")));
+    }
+
+    #[test]
+    fn empty_file_touches_nothing() {
+        assert!(!pool_touches(&crate::AdxFile::new(), &|_, _| true));
     }
 }

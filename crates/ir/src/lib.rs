@@ -37,9 +37,6 @@ pub use body::{
     Body, Class, ClassId, FieldKey, IdentityKind, InvokeExpr, LocalDecl, LocalId, Method, MethodId,
     MethodKey, Operand, Program, Rvalue, Stmt, StmtId, Trap,
 };
-pub use lift::{
-    lift_file, lift_file_lenient, lift_file_obs, lift_file_skeleton, relift_methods, LiftError,
-    MethodOrigins, MethodSkip,
-};
+pub use lift::{lift_file, lift_file_lenient, lift_file_obs, LiftError, MethodSkip};
 pub use symbols::{Interner, Symbol};
 pub use types::Type;

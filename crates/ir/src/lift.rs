@@ -86,11 +86,6 @@ pub type Result<T> = std::result::Result<T, LiftError>;
 struct Lifter<'a> {
     file: &'a AdxFile,
     program: Program,
-    /// When set, method bodies lift as *skeletons*: statement numbering
-    /// and the call/field/allocation surface are preserved exactly, but
-    /// every other instruction becomes a `Nop`. See
-    /// [`Lifter::lift_code_skeleton`].
-    skeleton: bool,
 }
 
 impl<'a> Lifter<'a> {
@@ -478,173 +473,6 @@ impl<'a> Lifter<'a> {
             traps,
         })
     }
-
-    /// Lifts a method body as a *skeleton*: a stub that preserves exactly
-    /// the facts the call graph, the summary engine, and the relevance
-    /// slice read, at a fraction of the cost of a full lift.
-    ///
-    /// Preserved, with statement numbering identical to [`lift_code`]:
-    /// the identity preamble (including the `this` rename and parameter
-    /// type hints), every invoke (with `move-result` fusion), field loads
-    /// and stores, `new-instance` (including its local type hint — the
-    /// only other source of type hints in a full lift, so implicit
-    /// call-graph edges resolve identically), and returns. Everything
-    /// else — constants, arithmetic, branches, throws, array ops —
-    /// becomes a [`Stmt::Nop`]; traps are dropped. Methods the relevance
-    /// slice selects are then re-lifted in full by [`relift_methods`], so
-    /// stub bodies are never consulted for anything beyond their call and
-    /// field surface.
-    ///
-    /// Error behaviour matches the full lift for the preserved
-    /// instructions (dangling method/field/type refs stay typed errors);
-    /// a dangling reference inside a `Nop`ped instruction is *not*
-    /// detected here, which only matters for bundles that already failed
-    /// structural verification — those methods are policy-skipped before
-    /// lifting in both modes.
-    fn lift_code_skeleton(
-        &mut self,
-        method_name: &str,
-        code: &CodeItem,
-        is_static: bool,
-        param_descriptors: &[String],
-    ) -> Result<Body> {
-        let bad = |pc: u32, what: &'static str| LiftError::BadPoolRef {
-            method: method_name.to_owned(),
-            pc,
-            what,
-        };
-
-        // Same out-of-frame rejection as the full lift: stubs are indexed
-        // by register number too.
-        for (i, insn) in code.insns.iter().enumerate() {
-            let oob = insn
-                .def()
-                .into_iter()
-                .chain(insn.uses())
-                .find(|r| r.0 >= code.registers);
-            if let Some(r) = oob {
-                return Err(LiftError::BadRegister {
-                    method: method_name.to_owned(),
-                    pc: i as u32,
-                    reg: r.0,
-                    frame: code.registers,
-                });
-            }
-        }
-
-        let mut locals: Vec<LocalDecl> = (0..code.registers)
-            .map(|r| LocalDecl {
-                name: format!("v{r}"),
-                ty: None,
-            })
-            .collect();
-
-        let receiver = usize::from(!is_static);
-        if usize::from(code.ins) != param_descriptors.len() + receiver {
-            return Err(LiftError::BadFrame {
-                method: method_name.to_owned(),
-            });
-        }
-
-        let mut stmts: Vec<Stmt> = Vec::with_capacity(code.insns.len() + usize::from(code.ins));
-        for i in 0..code.ins {
-            let reg = code.param_reg(i).ok_or_else(|| LiftError::BadFrame {
-                method: method_name.to_owned(),
-            })?;
-            let kind = if !is_static && i == 0 {
-                locals[reg.0 as usize].name = "this".to_owned();
-                IdentityKind::This
-            } else {
-                IdentityKind::Param(i - receiver as u16)
-            };
-            if let IdentityKind::Param(p) = kind {
-                let desc = &param_descriptors[p as usize];
-                let sym = self.program.symbols.intern(desc);
-                locals[reg.0 as usize].ty = Some(sym);
-            }
-            stmts.push(Stmt::Identity {
-                local: Self::local(reg),
-                kind,
-            });
-        }
-
-        let mut i = 0usize;
-        while i < code.insns.len() {
-            let pc = i as u32;
-            match &code.insns[i] {
-                Insn::Invoke { kind, method, args } => {
-                    let callee = self.method_key(*method).ok_or_else(|| bad(pc, "method"))?;
-                    let expr = InvokeExpr {
-                        kind: *kind,
-                        callee,
-                        args: args.iter().map(|&r| Self::op(r)).collect(),
-                    };
-                    // Fusion mirrors the full lift so every later
-                    // statement lands on the same index.
-                    if let Some(Insn::MoveResult { dst }) = code.insns.get(i + 1) {
-                        stmts.push(Stmt::Assign {
-                            local: Self::local(*dst),
-                            rvalue: Rvalue::Invoke(expr),
-                        });
-                        i += 2;
-                        continue;
-                    }
-                    stmts.push(Stmt::Invoke(expr));
-                }
-                Insn::NewInstance { dst, ty } => {
-                    let sym = self.type_sym(*ty).ok_or_else(|| bad(pc, "type"))?;
-                    locals[dst.0 as usize].ty = Some(sym);
-                    stmts.push(Stmt::Assign {
-                        local: Self::local(*dst),
-                        rvalue: Rvalue::New { ty: sym },
-                    });
-                }
-                Insn::Iget { dst, obj, field } => {
-                    let field = self.field_key(*field).ok_or_else(|| bad(pc, "field"))?;
-                    stmts.push(Stmt::Assign {
-                        local: Self::local(*dst),
-                        rvalue: Rvalue::InstanceField {
-                            base: Self::op(*obj),
-                            field,
-                        },
-                    });
-                }
-                Insn::Iput { src, obj, field } => {
-                    let field = self.field_key(*field).ok_or_else(|| bad(pc, "field"))?;
-                    stmts.push(Stmt::StoreInstanceField {
-                        base: Self::op(*obj),
-                        field,
-                        value: Self::op(*src),
-                    });
-                }
-                Insn::Sget { dst, field } => {
-                    let field = self.field_key(*field).ok_or_else(|| bad(pc, "field"))?;
-                    stmts.push(Stmt::Assign {
-                        local: Self::local(*dst),
-                        rvalue: Rvalue::StaticField { field },
-                    });
-                }
-                Insn::Sput { src, field } => {
-                    let field = self.field_key(*field).ok_or_else(|| bad(pc, "field"))?;
-                    stmts.push(Stmt::StoreStaticField {
-                        field,
-                        value: Self::op(*src),
-                    });
-                }
-                Insn::Return { src } => stmts.push(Stmt::Return {
-                    value: src.map(Self::op),
-                }),
-                _ => stmts.push(Stmt::Nop),
-            }
-            i += 1;
-        }
-
-        Ok(Body {
-            locals,
-            stmts,
-            traps: Vec::new(),
-        })
-    }
 }
 
 /// Record of one method whose body was dropped during lenient lifting.
@@ -741,11 +569,7 @@ impl<'a> Lifter<'a> {
                                 method: display.clone(),
                             })
                             .and_then(|(params, _)| {
-                                if self.skeleton {
-                                    self.lift_code_skeleton(&display, code, is_static, &params)
-                                } else {
-                                    self.lift_code(&display, code, is_static, &params)
-                                }
+                                self.lift_code(&display, code, is_static, &params)
                             });
                         match lifted {
                             Ok(body) => Some(body),
@@ -798,7 +622,6 @@ fn lift_file_impl(
     let mut lifter = Lifter {
         file,
         program: Program::new(),
-        skeleton: false,
     };
     let mut skips = Vec::new();
 
@@ -894,7 +717,6 @@ pub fn lift_file_seeded(
     let mut lifter = Lifter {
         file,
         program: Program::new(),
-        skeleton: false,
     };
     let mut out = LiftSeed::default();
     let mut reused_methods = Vec::new();
@@ -950,113 +772,6 @@ pub fn lift_file(file: &AdxFile) -> Result<Program> {
 /// input yields an empty program plus a skip per method.
 pub fn lift_file_lenient(file: &AdxFile, skip: SkipPolicy<'_>) -> (Program, Vec<MethodSkip>) {
     lift_file_impl(file, Some(skip)).expect("lenient lifting is total")
-}
-
-/// Method origins for a skeleton lift: `origins[id.0]` is the
-/// `(class index, method index within the class)` of the source
-/// definition behind [`MethodId`] `id`.
-pub type MethodOrigins = Vec<(u32, u32)>;
-
-/// Source indices of the methods [`Lifter::lift_class`] will produce for
-/// `class`: every declared method whose pool identity resolves (the ones
-/// it drops under a lenient policy are exactly the dangling ones).
-fn origin_indices(file: &AdxFile, class: &nck_dex::ClassDef) -> Vec<u32> {
-    class
-        .methods
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| {
-            file.pools.get_method(m.method).is_some_and(|mr| {
-                file.pools.get_type(mr.class).is_some() && file.pools.get_string(mr.name).is_some()
-            })
-        })
-        .map(|(j, _)| j as u32)
-        .collect()
-}
-
-/// Lifts a whole ADX file into *skeleton* bodies (see
-/// [`Lifter::lift_code_skeleton`]), degrading per-method like
-/// [`lift_file_lenient`]. Returns the program, the skip list, and the
-/// per-method origins needed to re-lift selected methods in full via
-/// [`relift_methods`].
-pub fn lift_file_skeleton(
-    file: &AdxFile,
-    skip: SkipPolicy<'_>,
-) -> (Program, Vec<MethodSkip>, MethodOrigins) {
-    let mut lifter = Lifter {
-        file,
-        program: Program::new(),
-        skeleton: true,
-    };
-    let mut skips = Vec::new();
-    let mut origins: MethodOrigins = Vec::new();
-
-    for (ci, class) in file.classes.iter().enumerate() {
-        let (c, methods) = lifter
-            .lift_class(class, Some(skip), &mut skips)
-            .expect("lenient lifting is total");
-        let srcs = origin_indices(file, class);
-        debug_assert_eq!(srcs.len(), methods.len(), "one origin per lifted method");
-        register_class(&mut lifter.program, c, methods);
-        origins.extend(srcs.into_iter().map(|j| (ci as u32, j)));
-    }
-    debug_assert_eq!(origins.len(), lifter.program.methods.len());
-
-    (lifter.program, skips, origins)
-}
-
-/// Re-lifts the methods in `ids` with full bodies, in place.
-///
-/// `program` and `origins` must come from [`lift_file_skeleton`] over the
-/// same `file`. Bodiless methods (abstract/native or policy-skipped) are
-/// left untouched. A method that fails the full lift — impossible for
-/// bundles that passed structural verification, since the skeleton
-/// already lifted its preserved surface — degrades like
-/// [`lift_file_lenient`]: its body is dropped and a [`MethodSkip`] is
-/// recorded.
-pub fn relift_methods(
-    file: &AdxFile,
-    program: &mut Program,
-    origins: &MethodOrigins,
-    ids: &[MethodId],
-    skips: &mut Vec<MethodSkip>,
-) {
-    let mut lifter = Lifter {
-        file,
-        program: std::mem::replace(program, Program::new()),
-        skeleton: false,
-    };
-    for &id in ids {
-        let idx = id.0 as usize;
-        if lifter.program.methods[idx].body.is_none() {
-            continue;
-        }
-        let (ci, mi) = origins[idx];
-        let m = &file.classes[ci as usize].methods[mi as usize];
-        let Some(code) = &m.code else { continue };
-        let display = file.pools.display_method(m.method);
-        let is_static = m.flags.contains(AccessFlags::STATIC);
-        let sig_str = {
-            let key = lifter.program.methods[idx].key;
-            lifter.program.symbols.resolve(key.sig).to_owned()
-        };
-        let lifted = nck_dex::parse_signature(&sig_str)
-            .map_err(|_| LiftError::BadFrame {
-                method: display.clone(),
-            })
-            .and_then(|(params, _)| lifter.lift_code(&display, code, is_static, &params));
-        match lifted {
-            Ok(body) => lifter.program.methods[idx].body = Some(Arc::new(body)),
-            Err(err) => {
-                skips.push(MethodSkip {
-                    method: display,
-                    reason: err.to_string(),
-                });
-                lifter.program.methods[idx].body = None;
-            }
-        }
-    }
-    *program = lifter.program;
 }
 
 /// [`lift_file`] with lift metrics recorded into `metrics`:
@@ -1405,98 +1120,6 @@ mod tests {
         assert_eq!(warm.reused_classes, 2);
         assert_eq!(warm.reused_methods.len(), 3);
         programs_equal(&recorded.program, &warm.program);
-    }
-
-    /// A method exercising every preserved-vs-stubbed instruction class:
-    /// constants, branches, a fused call, field traffic, an allocation,
-    /// and a trap.
-    fn mixed_file() -> AdxFile {
-        let mut b = AdxBuilder::new();
-        b.class("Lapp/Mix;", |c| {
-            c.super_class("Ljava/lang/Object;");
-            c.field("count", "I", AccessFlags::PUBLIC);
-            c.method("f", "(I)I", AccessFlags::PUBLIC, 6, |m| {
-                let this = m.param(0).unwrap();
-                let x = m.param(1).unwrap();
-                let end = m.new_label();
-                m.const_int(m.reg(0), 3);
-                m.ifz(CondOp::Eq, x, end);
-                m.new_instance(m.reg(1), "Ljava/lang/Object;");
-                m.invoke_virtual("Lapp/Mix;", "g", "()I", &[this]);
-                m.move_result(m.reg(2));
-                m.iput(m.reg(2), this, "Lapp/Mix;", "count", "I");
-                m.iget(m.reg(0), this, "Lapp/Mix;", "count", "I");
-                m.bind(end);
-                m.ret(Some(m.reg(0)));
-            });
-            c.method("g", "()I", AccessFlags::PUBLIC, 2, |m| {
-                m.const_int(m.reg(0), 9);
-                m.ret(Some(m.reg(0)));
-            });
-        });
-        b.finish().unwrap()
-    }
-
-    #[test]
-    fn skeleton_preserves_statement_numbering_and_call_surface() {
-        let file = mixed_file();
-        let full = lift_file(&file).unwrap();
-        let (skel, skips, origins) = lift_file_skeleton(&file, &|_| None);
-        assert!(skips.is_empty());
-        assert_eq!(origins.len(), skel.methods.len());
-        for (fm, sm) in full.methods.iter().zip(&skel.methods) {
-            let (fb, sb) = (fm.body.as_ref().unwrap(), sm.body.as_ref().unwrap());
-            assert_eq!(fb.stmts.len(), sb.stmts.len(), "numbering must match");
-            for (i, (fs, ss)) in fb.stmts.iter().zip(&sb.stmts).enumerate() {
-                // Wherever the full lift has an invoke, the skeleton has
-                // the same invoke at the same index with the same callee.
-                match (fs.invoke_expr(), ss.invoke_expr()) {
-                    (Some(fi), Some(si)) => {
-                        assert_eq!(
-                            full.symbols.resolve(fi.callee.name),
-                            skel.symbols.resolve(si.callee.name),
-                            "stmt {i}"
-                        );
-                    }
-                    (None, None) => {}
-                    other => panic!("invoke surface diverged at stmt {i}: {other:?}"),
-                }
-            }
-        }
-        // The mixed method's constants and branches are stubbed out.
-        let sb = skel.methods[0].body.as_ref().unwrap();
-        assert!(sb.stmts.iter().any(|s| matches!(s, Stmt::Nop)));
-        assert!(sb.traps.is_empty());
-    }
-
-    #[test]
-    fn relift_restores_full_bodies_in_place() {
-        let file = mixed_file();
-        let full = lift_file(&file).unwrap();
-        let (mut skel, _, origins) = lift_file_skeleton(&file, &|_| None);
-        let ids: Vec<MethodId> = (0..skel.methods.len() as u32).map(MethodId).collect();
-        let mut skips = Vec::new();
-        relift_methods(&file, &mut skel, &origins, &ids, &mut skips);
-        assert!(skips.is_empty());
-        for (fm, sm) in full.methods.iter().zip(&skel.methods) {
-            assert_eq!(
-                format!("{:?}", fm.body),
-                format!("{:?}", sm.body),
-                "re-lifted bodies equal the full lift"
-            );
-        }
-    }
-
-    #[test]
-    fn skeleton_honours_the_skip_policy() {
-        let file = mixed_file();
-        let (skel, skips, _) = lift_file_skeleton(&file, &|name| {
-            name.contains(".g(")
-                .then(|| "failed verification".to_owned())
-        });
-        assert_eq!(skips.len(), 1);
-        assert!(skel.methods[1].body.is_none());
-        assert!(skel.methods[0].body.is_some());
     }
 
     #[test]

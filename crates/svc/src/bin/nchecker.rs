@@ -3,8 +3,8 @@
 //! service — worker pool plus content-addressed cache.
 //!
 //! ```text
-//! nchecker [--summary|--json] [--strict] [--no-interproc] [--targeted]
-//!          [--icc] [--keep-going] [--trace] [--metrics] [--quiet|-v|-vv]
+//! nchecker [--summary|--json] [--strict] [--no-interproc] [--icc]
+//!          [--keep-going] [--trace] [--metrics] [--quiet|-v|-vv]
 //!          [--trace-out FILE] [--log-json FILE] [--doctor]
 //!          [--jobs N] [--cache-dir DIR] [--no-cache] [--cache-budget BYTES]
 //!          [--delta-out FILE] <app.apk>...
@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: nchecker [--summary|--json] [--strict] [--no-interproc] [--targeted] \
+        "usage: nchecker [--summary|--json] [--strict] [--no-interproc] \
          [--icc] [--keep-going] [--trace] [--metrics] [--quiet|-v|-vv] [--trace-out FILE] \
          [--log-json FILE] [--doctor] [--jobs N] [--cache-dir DIR] \
          [--no-cache] <app.apk>...\n\
@@ -53,14 +53,6 @@ fn usage() -> ExitCode {
     eprintln!("  --strict        require connectivity checks to be control conditions");
     eprintln!("  --interproc     enable the summary engine (the default)");
     eprintln!("  --no-interproc  ablate the interprocedural summary engine");
-    eprintln!("  --targeted      demand-driven mode: lift network apps as skeletons and");
-    eprintln!("                  fill in only the defect-relevant slice (same reports).");
-    eprintln!("                  Apps whose constant pool names no network API are");
-    eprintln!("                  skipped in every mode, with or without this flag.");
-    eprintln!("                  Ignored when --icc is also given (the ICC model reads");
-    eprintln!("                  component bodies outside the relevance slice); the");
-    eprintln!("                  fallback to whole-app analysis is warned and counted");
-    eprintln!("                  (targeted.fallback_icc)");
     eprintln!("  --icc           model inter-component communication (launch chains)");
     eprintln!("  --keep-going, -k  continue analyzing remaining apps after a failure");
     eprintln!("  --trace         record per-phase spans; tree printed to stderr");
@@ -68,7 +60,7 @@ fn usage() -> ExitCode {
     eprintln!("  --trace-out FILE  write a Chrome Trace Event JSON of the whole run");
     eprintln!("                  (load in Perfetto or chrome://tracing)");
     eprintln!("  --log-json FILE write structured JSONL telemetry: events, per-app");
-    eprintln!("                  phase totals, cache and targeted-funnel records");
+    eprintln!("                  phase totals, cache and prescan-funnel records");
     eprintln!("  --doctor        print one canonical JSON health snapshot instead of");
     eprintln!("                  reports (byte-deterministic; apps optional)");
     eprintln!("  --jobs N        analyze up to N apps in parallel (default: CPU count)");
@@ -108,7 +100,6 @@ const FLAGS: &[&str] = &[
     "--strict",
     "--interproc",
     "--no-interproc",
-    "--targeted",
     "--icc",
     "--keep-going",
     "-k",
@@ -136,7 +127,6 @@ fn main() -> ExitCode {
     let summary = args.iter().any(|a| a == "--summary");
     let json = args.iter().any(|a| a == "--json");
     let strict = args.iter().any(|a| a == "--strict");
-    let targeted = args.iter().any(|a| a == "--targeted");
     let icc = args.iter().any(|a| a == "--icc");
     let keep_going = args.iter().any(|a| a == "--keep-going" || a == "-k");
     let trace = args.iter().any(|a| a == "--trace");
@@ -243,7 +233,6 @@ fn main() -> ExitCode {
     let config = CheckerConfig {
         strict_connectivity: strict,
         interproc,
-        targeted,
         icc,
         ..CheckerConfig::default()
     };
@@ -500,7 +489,6 @@ const SERVE_FLAGS: &[&str] = &[
     "--strict",
     "--interproc",
     "--no-interproc",
-    "--targeted",
     "--icc",
     "--no-cache",
     "--quiet",
@@ -515,7 +503,6 @@ const SERVE_FLAGS: &[&str] = &[
 /// in-flight work before exiting.
 fn serve_main(args: &[String]) -> ExitCode {
     let strict = args.iter().any(|a| a == "--strict");
-    let targeted = args.iter().any(|a| a == "--targeted");
     let icc = args.iter().any(|a| a == "--icc");
     let no_cache = args.iter().any(|a| a == "--no-cache");
     let stdio = args.iter().any(|a| a == "--stdio");
@@ -609,7 +596,6 @@ fn serve_main(args: &[String]) -> ExitCode {
     let config = CheckerConfig {
         strict_connectivity: strict,
         interproc,
-        targeted,
         icc,
         ..CheckerConfig::default()
     };
@@ -707,7 +693,6 @@ const VET_FLAGS: &[&str] = &[
     "--strict",
     "--interproc",
     "--no-interproc",
-    "--targeted",
     "--icc",
     "--quiet",
     "-q",
@@ -719,7 +704,6 @@ const VET_FLAGS: &[&str] = &[
 fn vet_main(args: &[String]) -> ExitCode {
     let summary = args.iter().any(|a| a == "--summary");
     let strict = args.iter().any(|a| a == "--strict");
-    let targeted = args.iter().any(|a| a == "--targeted");
     let icc = args.iter().any(|a| a == "--icc");
     let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");
     let verbose = args.iter().any(|a| a == "-v");
@@ -827,9 +811,6 @@ fn vet_main(args: &[String]) -> ExitCode {
     ];
     if strict {
         worker_cmd.push("--strict".to_owned());
-    }
-    if targeted {
-        worker_cmd.push("--targeted".to_owned());
     }
     if icc {
         worker_cmd.push("--icc".to_owned());
@@ -987,7 +968,7 @@ fn watch_loop(daemon: &Daemon, dir: &Path, poll_ms: u64, events: &Events) {
 
 /// Writes the structured JSONL records for the batch: one `app` record
 /// per analyzed bundle (phase totals and cache outcome), one `cache`
-/// record, one `funnel` record (targeted-mode counters), and one `run`
+/// record, one `funnel` record (prescan counters), and one `run`
 /// summary record with the latency percentiles.
 fn emit_jsonl(
     sink: &JsonlSink,
@@ -1051,18 +1032,7 @@ fn emit_jsonl(
     sink.emit(
         &JsonObj::new()
             .str("t", "funnel")
-            .u64(
-                "prescan_skipped",
-                counter(merged, "targeted.prescan_skipped"),
-            )
-            .u64(
-                "touching_classes",
-                counter(merged, "targeted.touching_classes"),
-            )
-            .u64("relevant_refs", counter(merged, "targeted.relevant_refs"))
-            .u64("slice_methods", counter(merged, "targeted.slice_methods"))
-            .u64("methods_total", counter(merged, "targeted.methods_total"))
-            .u64("methods_lifted", counter(merged, "targeted.methods_lifted"))
+            .u64("prescan_skipped", counter(merged, "prescan.skipped"))
             .finish(),
     );
     let mut run = JsonObj::new()

@@ -1,6 +1,6 @@
 //! The `--doctor` health snapshot: one canonical JSON document
 //! describing the deployment — build and config fingerprints, cache
-//! occupancy, the targeted-mode funnel, and the last run's phase
+//! occupancy, the prescan funnel, and the last run's phase
 //! totals.
 //!
 //! The snapshot is **byte-deterministic**: repeated runs over an
@@ -77,7 +77,7 @@ pub fn doctor_json(r: &DoctorReport<'_>) -> Value {
         })
         .collect();
     json!({
-        "schema": 1,
+        "schema": 2,
         "build": {
             "analysis_version": ANALYSIS_VERSION,
             "bin": "nchecker",
@@ -87,7 +87,6 @@ pub fn doctor_json(r: &DoctorReport<'_>) -> Value {
             "fingerprint": format!("{:016x}", config_fingerprint(r.config)),
             "interproc": r.config.interproc,
             "strict_connectivity": r.config.strict_connectivity,
-            "targeted": r.config.targeted,
             "icc": r.config.icc,
         },
         "cache": {
@@ -117,13 +116,7 @@ pub fn doctor_json(r: &DoctorReport<'_>) -> Value {
             "replay_classes": counter(&store_counters, "svc.cache.replay_classes"),
         },
         "funnel": {
-            "fallback_icc": counter(r.metrics, "targeted.fallback_icc"),
-            "prescan_skipped": counter(r.metrics, "targeted.prescan_skipped"),
-            "touching_classes": counter(r.metrics, "targeted.touching_classes"),
-            "relevant_refs": counter(r.metrics, "targeted.relevant_refs"),
-            "slice_methods": counter(r.metrics, "targeted.slice_methods"),
-            "methods_total": counter(r.metrics, "targeted.methods_total"),
-            "methods_lifted": counter(r.metrics, "targeted.methods_lifted"),
+            "prescan_skipped": counter(r.metrics, "prescan.skipped"),
         },
         "last_run": {
             "apps": r.apps,
@@ -174,7 +167,7 @@ mod tests {
         store.count_outcome(true, &obs);
         store.count_outcome(true, &obs);
         let m = Metrics::enabled();
-        m.inc("targeted.methods_total", 10);
+        m.inc("prescan.skipped", 10);
         let metrics = m.snapshot();
         let phases = PhaseTotals::new();
         let r = empty_report(&config, &store, &metrics, &phases);
@@ -184,7 +177,7 @@ mod tests {
         }
         assert_eq!(v["cache"]["hit"], 2);
         assert_eq!(v["cache"]["miss"], 0);
-        assert_eq!(v["funnel"]["methods_total"], 10);
+        assert_eq!(v["funnel"]["prescan_skipped"], 10);
         assert_eq!(v["build"]["analysis_version"], ANALYSIS_VERSION);
         assert_eq!(
             v["config"]["fingerprint"].as_str().unwrap().len(),
@@ -212,13 +205,13 @@ mod tests {
         let metrics = MetricsSnapshot::default();
         let phases = PhaseTotals::new();
         let default = CheckerConfig::default();
-        let targeted = CheckerConfig {
-            targeted: true,
+        let strict = CheckerConfig {
+            strict_connectivity: true,
             ..CheckerConfig::default()
         };
         let a = doctor_json(&empty_report(&default, &store, &metrics, &phases));
-        let b = doctor_json(&empty_report(&targeted, &store, &metrics, &phases));
+        let b = doctor_json(&empty_report(&strict, &store, &metrics, &phases));
         assert_ne!(a["config"]["fingerprint"], b["config"]["fingerprint"]);
-        assert_eq!(b["config"]["targeted"], true);
+        assert_eq!(b["config"]["strict_connectivity"], true);
     }
 }

@@ -1018,7 +1018,7 @@ mod tests {
         // with many class fingerprints are charged more.
         let big = |fp: u64, package: &str| {
             let mut e = entry(fp, package);
-            e.class_fps = vec![0; 1000]; // ~384 KB of charged bytes
+            e.class_fps = vec![0; 1000]; // ~8.5 KB of charged bytes
             e
         };
         let budget = big(0, "probe").approx_bytes() * SHARDS * 2;

@@ -71,6 +71,27 @@ fn no_arguments_shows_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
+/// The retired `--targeted` mode is an unknown flag to the one-shot
+/// check, `serve` and `vet` alike.
+#[test]
+fn retired_mode_flag_shows_usage_everywhere() {
+    for args in [
+        &["--targeted", "x.apk"][..],
+        &["serve", "--targeted"],
+        &["vet", "--targeted", "x.apk"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
+            .args(args)
+            .output()
+            .expect("cli runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage"),
+            "{args:?}"
+        );
+    }
+}
+
 #[test]
 fn json_mode_emits_valid_json() {
     let spec = AppSpec::new(
@@ -208,7 +229,7 @@ fn doctor_snapshot_is_byte_identical_across_runs_and_jobs() {
 
     let v: serde_json::Value =
         serde_json::from_str(std::str::from_utf8(&warm1).unwrap()).expect("doctor emits JSON");
-    assert_eq!(v["schema"], 1);
+    assert_eq!(v["schema"], 2);
     assert_eq!(v["cache"]["hit"], 4, "warm run hits all apps");
     assert_eq!(v["cache"]["disk"]["entries"], 4);
     assert_eq!(v["last_run"]["apps"], 4);

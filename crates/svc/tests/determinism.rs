@@ -225,62 +225,71 @@ fn degraded_apps_bypass_the_cache_write_path() {
     assert!(svc.store().is_empty());
 }
 
-/// Analysis-mode isolation: a report computed in full mode must never be
-/// served to a targeted-mode run (or vice versa), on either cache tier.
-/// The two modes are report-equivalent by construction, but a cache that
-/// conflated them would silently paper over any divergence — so the
-/// config fingerprint must keep their entries apart.
+/// Configuration isolation: a report computed under one checker
+/// configuration must never be served to a run under another, on either
+/// cache tier. The config fingerprint keeps their entries apart in the
+/// same cache directory.
 #[test]
-fn targeted_and_full_mode_never_share_cache_entries() {
+fn differently_configured_runs_never_share_cache_entries() {
     use nchecker::CheckerConfig;
     let dir = std::env::temp_dir().join(format!("nck-svc-mode-isolation-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (_, items) = suite(4, 1, 41);
-    let opts = |targeted: bool| ServiceOptions {
+    let opts = |interproc: bool| ServiceOptions {
         config: CheckerConfig {
-            targeted,
+            interproc,
             ..CheckerConfig::default()
         },
         cache_dir: Some(dir.clone()),
         ..ServiceOptions::default()
     };
 
-    // Full mode populates both tiers.
-    let full = AnalysisService::new(opts(false), Obs::disabled());
+    // The default configuration populates both tiers.
+    let full = AnalysisService::new(opts(true), Obs::disabled());
     let cold_full = full.analyze_batch(&items);
     drop(full);
 
-    // A targeted service over the same disk tier must miss everything:
-    // the full-mode entries carry a different config fingerprint.
-    let targeted = AnalysisService::new(opts(true), Obs::disabled());
-    let cold_targeted = targeted.analyze_batch(&items);
-    let stats = AnalysisService::batch_stats(&cold_targeted);
-    assert_eq!(stats.hits, 0, "full-mode cache must not serve targeted");
+    // An ablated service over the same disk tier must miss everything:
+    // the default entries carry a different config fingerprint.
+    let ablated = AnalysisService::new(opts(false), Obs::disabled());
+    let cold_ablated = ablated.analyze_batch(&items);
+    let stats = AnalysisService::batch_stats(&cold_ablated);
+    assert_eq!(stats.hits, 0, "default-config cache must not serve ablated");
     assert_eq!(stats.misses, 4);
-    drop(targeted);
+    drop(ablated);
 
-    // Targeted entries were written under their own key: a fresh
-    // targeted service hits, and a fresh full service still misses.
-    let targeted2 = AnalysisService::new(opts(true), Obs::disabled());
-    let warm_targeted = targeted2.analyze_batch(&items);
-    let stats = AnalysisService::batch_stats(&warm_targeted);
-    assert_eq!(stats.hits, 4, "targeted entries serve targeted runs");
-    let full2 = AnalysisService::new(opts(false), Obs::disabled());
+    // Ablated entries were written under their own key: a fresh ablated
+    // service hits, and a fresh default service hits its own entries.
+    let ablated2 = AnalysisService::new(opts(false), Obs::disabled());
+    let warm_ablated = ablated2.analyze_batch(&items);
+    let stats = AnalysisService::batch_stats(&warm_ablated);
+    assert_eq!(stats.hits, 4, "ablated entries serve ablated runs");
+    let full2 = AnalysisService::new(opts(true), Obs::disabled());
     let warm_full = full2.analyze_batch(&items);
     let stats = AnalysisService::batch_stats(&warm_full);
-    assert_eq!(stats.hits, 4, "full entries survive alongside targeted");
+    assert_eq!(stats.hits, 4, "default entries survive alongside ablated");
 
-    // And the whole point of the equivalence: all four runs rendered the
-    // same report for every app.
-    for (((f, t), w), (key, _)) in cold_full
+    // Each configuration's warm run renders its own cold report.
+    for (((cf, wf), (ca, wa)), (key, _)) in cold_full
         .iter()
-        .zip(&cold_targeted)
-        .zip(&warm_targeted)
+        .zip(&warm_full)
+        .zip(cold_ablated.iter().zip(&warm_ablated))
         .zip(&items)
     {
-        let f = render(f.report.as_ref().unwrap());
-        assert_eq!(f, render(t.report.as_ref().unwrap()), "{key}: modes agree");
-        assert_eq!(f, render(w.report.as_ref().unwrap()), "{key}: warm agrees");
+        let (cf, ca) = (
+            render(cf.report.as_ref().unwrap()),
+            render(ca.report.as_ref().unwrap()),
+        );
+        assert_eq!(
+            cf,
+            render(wf.report.as_ref().unwrap()),
+            "{key}: default warm agrees"
+        );
+        assert_eq!(
+            ca,
+            render(wa.report.as_ref().unwrap()),
+            "{key}: ablated warm agrees"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -25,29 +25,6 @@ echo "==> hot-path throughput smoke test"
 # panic. Regression verdicts live in the bench_gate step below.
 ./target/release/hotpath_bench --smoke
 
-echo "==> targeted-mode differential smoke test"
-# The 16-app interprocedural accuracy suite through the CLI in both
-# modes: the demand-driven (--targeted) pipeline must print the exact
-# bytes the whole-app pipeline prints.
-targeted_dir="$(mktemp -d)"
-trap 'rm -rf "$targeted_dir"' EXIT
-for i in $(seq 0 15); do
-    ./target/release/genapp "suite:$i" "$targeted_dir/app$i.apk"
-done
-./target/release/nchecker --json --no-cache "$targeted_dir"/app*.apk \
-    > "$targeted_dir/full.json"
-./target/release/nchecker --json --no-cache --targeted "$targeted_dir"/app*.apk \
-    > "$targeted_dir/targeted.json"
-diff -u "$targeted_dir/full.json" "$targeted_dir/targeted.json" \
-    || { echo "targeted smoke: reports diverge between modes"; exit 1; }
-echo "targeted smoke ok: 16 apps byte-identical across modes"
-
-echo "==> targeted throughput smoke test"
-# Small clean-heavy corpus, both modes, in-bench byte-diff gate; exits
-# non-zero when the modes disagree. Throughput verdicts come from
-# bench_gate below.
-./target/release/targeted_bench --smoke
-
 echo "==> bench regression gate"
 # One declarative check of the recorded BENCH_pipeline.json against the
 # committed BENCH_baseline.json tolerances (replaces the old per-bench
@@ -57,7 +34,7 @@ echo "==> bench regression gate"
 
 echo "==> observability smoke test"
 smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$targeted_dir"' EXIT
+trap 'rm -rf "$smoke_dir"' EXIT
 ./target/release/genapp gpslogger "$smoke_dir/app.apk"
 ./target/release/nchecker --json --metrics "$smoke_dir/app.apk" > "$smoke_dir/report.json"
 python3 - "$smoke_dir/report.json" <<'EOF'
@@ -83,7 +60,7 @@ echo "==> telemetry export smoke test"
 # trace timestamps, typed JSONL records, and byte-identical doctor
 # output across --jobs on an unchanged cache directory.
 tele_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$targeted_dir" "$tele_dir"' EXIT
+trap 'rm -rf "$smoke_dir" "$tele_dir"' EXIT
 for i in $(seq 0 3); do
     ./target/release/genapp "suite:$i" "$tele_dir/app$i.apk"
 done
@@ -134,7 +111,7 @@ with open(sys.argv[1]) as f:
     doc = json.load(f)
 for key in ("schema", "build", "config", "cache", "funnel", "last_run"):
     assert key in doc, f"doctor snapshot missing {key}"
-assert doc["schema"] == 1
+assert doc["schema"] == 2
 assert doc["cache"]["disk"]["configured"] is True
 assert doc["cache"]["hit"] + doc["cache"]["miss"] >= 4, "no cache traffic recorded"
 print(f"doctor ok: {doc['cache']['disk']['entries']} cache entries, "
@@ -148,7 +125,7 @@ echo "==> daemon smoke test"
 # document + queue section), exercise a typed protocol error, and shut
 # down cleanly with exit 0.
 daemon_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$targeted_dir" "$tele_dir" "$daemon_dir"' EXIT
+trap 'rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir"' EXIT
 ./target/release/genapp "suite:0" "$daemon_dir/app.apk"
 ./target/release/nchecker --json --no-cache "$daemon_dir/app.apk" \
     > "$daemon_dir/oneshot.json"
@@ -220,7 +197,7 @@ echo "==> store-scale vetting smoke test"
 # version-churn rerun over the same cache must emit well-formed report
 # deltas; and an explicit GC pass must respect a tight byte budget.
 vet_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$targeted_dir" "$tele_dir" "$daemon_dir" "$vet_dir"' EXIT
+trap 'rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir" "$vet_dir"' EXIT
 ./target/release/genapp corpus --seed 7 --count 40 --shards 8 "$vet_dir/corpus"
 ./target/release/nchecker --json --no-cache \
     $(find "$vet_dir/corpus" -name '*.apk' | sort) > "$vet_dir/oneshot.json"
@@ -284,7 +261,7 @@ echo "==> nckbench smoke test"
 # benchmark verifies exits non-zero here.
 cargo build --release --offline --manifest-path nckbench/Cargo.toml --target-dir target
 bench_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$targeted_dir" "$tele_dir" "$daemon_dir" "$vet_dir" "$bench_dir"' EXIT
+trap 'rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir" "$vet_dir" "$bench_dir"' EXIT
 ./target/release/nckbench --smoke --out "$bench_dir"
 
 echo "CI green."

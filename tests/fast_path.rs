@@ -183,3 +183,45 @@ fn fast_path_matches_the_reference_on_pool_clean_mutations() {
         "only {pool_clean_mutants} pool-clean mutants"
     );
 }
+
+/// Analyzes `spec` with metrics on and returns the run's counters.
+fn counters(spec: &AppSpec) -> (AppReport, BTreeMap<String, u64>) {
+    let mut checker = NChecker::new();
+    checker.obs.metrics = nck_obs::Metrics::enabled();
+    let report = checker
+        .analyze_bytes_checked(&generate(spec).to_bytes())
+        .expect("analyzes");
+    let counters = report
+        .metrics
+        .as_ref()
+        .expect("metered run")
+        .counters
+        .clone();
+    (report, counters)
+}
+
+/// A pool-clean app ends at the prescan: the skip is counted and not a
+/// single class or method reaches the lifter.
+#[test]
+fn pool_clean_app_lifts_nothing() {
+    let (report, counters) = counters(&profile::no_network_app(0, 16));
+    assert!(report.defects.is_empty());
+    assert!(!report.degraded());
+    assert_eq!(counters.get("prescan.skipped"), Some(&1), "app was skipped");
+    let lifted: Vec<&String> = counters.keys().filter(|k| k.starts_with("lift.")).collect();
+    assert!(lifted.is_empty(), "skipped app was lifted: {lifted:?}");
+}
+
+/// The prescan skips exactly the no-network apps of a clean-heavy mix:
+/// every one of them, and none of the network apps beside them.
+#[test]
+fn prescan_skips_exactly_the_no_network_apps_of_a_mix() {
+    let specs = profile::clean_corpus(7, 100, 0.7);
+    let no_network = specs.iter().filter(|s| s.requests.is_empty()).count();
+    assert_eq!(no_network, 70, "the mix's no-network share");
+    let skipped: u64 = specs
+        .iter()
+        .map(|s| counters(s).1.get("prescan.skipped").copied().unwrap_or(0))
+        .sum();
+    assert_eq!(skipped, 70);
+}
