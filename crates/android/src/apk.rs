@@ -85,12 +85,14 @@ impl Apk {
 
     /// Parses a bundle, validating the embedded manifest and ADX payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Apk, ApkError> {
-        Apk::from_bytes_obs(bytes, &nck_obs::Metrics::disabled())
+        let (manifest, adx) = Apk::split(bytes)?;
+        Ok(Apk::new(manifest, nck_dex::read_adx(adx)?))
     }
 
-    /// Like [`Apk::from_bytes`], recording parser volume metrics
-    /// (`parse.bytes`, `parse.classes`, ...) into `metrics`.
-    pub fn from_bytes_obs(bytes: &[u8], metrics: &nck_obs::Metrics) -> Result<Apk, ApkError> {
+    /// Splits a serialized bundle into its parsed manifest and its raw,
+    /// still unparsed ADX payload (the bytes [`nck_dex::read_adx`]
+    /// takes).
+    pub fn split(bytes: &[u8]) -> Result<(Manifest, &[u8]), ApkError> {
         let mut r = Reader::new(bytes);
         let mut magic = [0u8; 4];
         for m in &mut magic {
@@ -106,8 +108,7 @@ impl Apk {
             return Err(ApkError::Truncated);
         }
         let start = bytes.len() - r.remaining();
-        let adx = nck_dex::read_adx_obs(&bytes[start..start + adx_len], metrics)?;
-        Ok(Apk { manifest, adx })
+        Ok((manifest, &bytes[start..start + adx_len]))
     }
 
     /// Writes the bundle to `path`.

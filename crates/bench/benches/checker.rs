@@ -86,12 +86,16 @@ fn bench_phases(c: &mut Criterion) {
                 .collect();
             let cfgs: Vec<Option<&nck_ir::cfg::Cfg>> =
                 cfgs_owned.iter().map(Option::as_ref).collect();
-            nck_dataflow::Summaries::compute_with_cfgs(&inputs, &cfgs, |_, _, inv| {
-                match p.lookup_method(inv.callee) {
+            nck_dataflow::Summaries::compute_incremental(
+                &inputs,
+                &cfgs,
+                |_, _, inv| match p.lookup_method(inv.callee) {
                     Some(id) => nck_dataflow::CallKind::Callees(vec![id.0 as usize]),
                     None => nck_dataflow::CallKind::Opaque,
-                }
-            })
+                },
+                None,
+                &nck_obs::Obs::disabled(),
+            )
         });
     });
     let app = AnalyzedApp::new(apk.manifest.clone(), program, &registry);

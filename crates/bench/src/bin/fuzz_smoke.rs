@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Each of a handful of structurally different generated apps is damaged
-//! with every seed in `0..N` ([`nck_appgen::mutate`]), then analyzed
+//! with every seed in `0..N` ([`nck_appgen::mutate()`]), then analyzed
 //! with panics contained. The ground truth attached to each mutation
 //! (raw damage must be rejected at parse; structural damage must be
 //! rejected or analyzed degraded) is checked per run; the harness prints

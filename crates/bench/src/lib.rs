@@ -188,13 +188,7 @@ fn analyze_one(checker: &NChecker, spec: &AppSpec) -> Result<AppReport, AnalyzeE
         nck_appgen::generate(spec).to_bytes()
     }))
     .map_err(|payload| {
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_owned()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_owned()
-        };
+        let msg = AnalyzeError::panic_message(&*payload);
         AnalyzeError::Panic(format!("app generation panicked: {msg}"))
     })?;
     checker.analyze_bytes_checked(&bytes)

@@ -1,10 +1,11 @@
 //! The NChecker driver: binary in, warning reports out.
 
+use crate::cache::{config_fingerprint, AppCacheEntry, ReuseStats};
 use crate::checks::{
     check_config_with, check_notification, check_response_with, is_guarded_strict_with,
     is_guarded_with, methods_invoking_connectivity, methods_observing_connectivity,
 };
-use crate::context::AnalyzedApp;
+use crate::context::{AnalyzedApp, AppReuse};
 use crate::icc::{
     conn_guarded_components, find_icc_sends, icc_send_reachable, some_component_displays_alert,
 };
@@ -13,10 +14,13 @@ use crate::report::{fix_suggestion, DefectKind, Evidence, Location, OverRetryCon
 use crate::retry::{covered_by_retry, find_retry_loops};
 use nck_android::apk::{Apk, ApkError};
 use nck_dex::verify::{VerifyError, VerifyScope};
-use nck_ir::lift::LiftError;
+use nck_dex::AdxFile;
+use nck_ir::body::Program;
+use nck_ir::lift::{LiftError, LiftSeed, SeededLift};
 use nck_netlibs::api::Registry;
 use nck_netlibs::library::Library;
-use nck_obs::{MetricsSnapshot, Obs, PipelineTrace};
+use nck_obs::{Metrics, MetricsSnapshot, Obs, PipelineTrace};
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -244,6 +248,24 @@ impl std::fmt::Display for AnalyzeError {
 
 impl std::error::Error for AnalyzeError {}
 
+impl AnalyzeError {
+    /// Wraps a panic payload caught by `catch_unwind` as
+    /// [`AnalyzeError::Panic`].
+    pub fn from_panic(payload: Box<dyn Any + Send>) -> AnalyzeError {
+        AnalyzeError::Panic(AnalyzeError::panic_message(&*payload))
+    }
+
+    /// The message a panic payload carries: the `&str` or `String` a
+    /// `panic!` formats, or a placeholder for any other payload type.
+    pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned())
+    }
+}
+
 /// The NChecker tool.
 #[derive(Debug, Default)]
 pub struct NChecker {
@@ -256,6 +278,23 @@ pub struct NChecker {
     pub obs: Obs,
 }
 
+/// What a bundle enters the pipeline as.
+enum Input<'a> {
+    /// Serialized bytes: the pipeline starts with the parse stage.
+    Bytes(&'a [u8]),
+    /// A bundle the caller already parsed.
+    Parsed(&'a Apk),
+}
+
+/// The caching entry point's share of a run: the fingerprints the new
+/// entry is keyed by, and the previous entry to reuse from (already
+/// filtered to the current configuration).
+struct Caching<'p> {
+    bundle_fp: u64,
+    config_fp: u64,
+    prev: Option<&'p AppCacheEntry>,
+}
+
 /// Attaches the finished trace and metrics snapshot to a report. Every
 /// live span guard must be dropped before this runs.
 fn seal(mut report: AppReport, obs: &Obs) -> AppReport {
@@ -266,6 +305,48 @@ fn seal(mut report: AppReport, obs: &Obs) -> AppReport {
         report.metrics = Some(obs.metrics.snapshot());
     }
     report
+}
+
+/// Parser volume counters: `parse.bytes` (the ADX payload),
+/// `parse.{classes,methods,insns}` and the pool sizes
+/// (`parse.pool.{strings,methods}`).
+fn record_parse(metrics: &Metrics, payload_len: usize, adx: &AdxFile) {
+    if !metrics.is_enabled() {
+        return;
+    }
+    metrics.inc("parse.bytes", payload_len as u64);
+    metrics.inc("parse.classes", adx.classes.len() as u64);
+    metrics.inc(
+        "parse.methods",
+        adx.classes.iter().map(|c| c.methods.len() as u64).sum(),
+    );
+    metrics.inc(
+        "parse.insns",
+        adx.classes
+            .iter()
+            .flat_map(|c| &c.methods)
+            .filter_map(|m| m.code.as_ref())
+            .map(|c| c.insns.len() as u64)
+            .sum(),
+    );
+    metrics.inc("parse.pool.strings", adx.pools.strings().len() as u64);
+    metrics.inc("parse.pool.methods", adx.pools.methods().len() as u64);
+}
+
+/// Lifter volume counters: `lift.classes`, `lift.methods` (bodies
+/// lifted), `lift.bodiless` and `lift.stmts` (IR statements emitted).
+fn record_lift(metrics: &Metrics, program: &Program) {
+    if !metrics.is_enabled() {
+        return;
+    }
+    let bodies = || program.methods.iter().filter_map(|m| m.body.as_ref());
+    metrics.inc("lift.classes", program.classes.len() as u64);
+    metrics.inc("lift.methods", bodies().count() as u64);
+    metrics.inc(
+        "lift.bodiless",
+        program.methods.iter().filter(|m| m.body.is_none()).count() as u64,
+    );
+    metrics.inc("lift.stmts", bodies().map(|b| b.stmts.len() as u64).sum());
 }
 
 impl NChecker {
@@ -293,16 +374,8 @@ impl NChecker {
     /// [`AppReport::skipped_methods`], and the rest of the app is
     /// analyzed normally.
     pub fn analyze_bytes(&self, bytes: &[u8]) -> Result<AppReport, AnalyzeError> {
-        let obs = self.obs.fresh();
-        let report = {
-            let _app = obs.tracer.span("app");
-            let apk = {
-                let _s = obs.tracer.span("parse");
-                Apk::from_bytes_obs(bytes, &obs.metrics).map_err(AnalyzeError::Apk)?
-            };
-            self.analyze_apk_with(&apk, &obs)?
-        };
-        Ok(seal(report, &obs))
+        self.run(Input::Bytes(bytes), None)
+            .map(|(report, _, _)| report)
     }
 
     /// [`NChecker::analyze_bytes`] with a panic-containment backstop.
@@ -313,19 +386,14 @@ impl NChecker {
     /// panic slips through, converting it into [`AnalyzeError::Panic`]
     /// instead of unwinding through the caller.
     pub fn analyze_bytes_checked(&self, bytes: &[u8]) -> Result<AppReport, AnalyzeError> {
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.analyze_bytes(bytes)));
-        match result {
-            Ok(r) => r,
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
-                Err(AnalyzeError::Panic(msg))
-            }
-        }
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.analyze_bytes(bytes)))
+            .unwrap_or_else(|payload| Err(AnalyzeError::from_panic(payload)))
+    }
+
+    /// Analyzes a parsed APK bundle.
+    pub fn analyze_apk(&self, apk: &Apk) -> Result<AppReport, AnalyzeError> {
+        self.run(Input::Parsed(apk), None)
+            .map(|(report, _, _)| report)
     }
 
     /// Analyzes a serialized bundle, reusing everything `prev` can
@@ -344,144 +412,212 @@ impl NChecker {
     ///    transitively through the call-graph dirty set).
     /// 3. **Nothing** — no entry, config mismatch, or a degraded app.
     ///
-    /// Checkers always run in full: their evidence inspects global state
-    /// (entry reachability, scanned-loop counts, call-graph paths) that
-    /// per-method caching cannot soundly slice. A verify-clean bundle
-    /// whose pool names no relevant API skips lift and checkers
-    /// altogether (the prescan fast path); its entry carries the report
-    /// and class fingerprints but no seeds. The returned entry is
-    /// `None` exactly when there is nothing safe to cache: the analysis
-    /// degraded (skipped methods mean unknown behaviour — such apps also
-    /// never *read* the cache beyond rung 1, which requires bytes
-    /// identical to a previously *clean* run), or rung 1 hit (the old
-    /// entry is still current).
-    pub fn analyze_bytes_reusing(
-        &self,
-        bytes: &[u8],
-        prev: Option<&crate::cache::AppCacheEntry>,
-    ) -> Result<
-        (
-            AppReport,
-            Option<crate::cache::AppCacheEntry>,
-            crate::cache::ReuseStats,
-        ),
-        AnalyzeError,
-    > {
-        self.analyze_bytes_reusing_fp(bytes, nck_dex::wire::fnv1a(bytes), prev)
-    }
-
-    /// [`Checker::analyze_bytes_reusing`] with the bundle fingerprint
-    /// supplied by the caller. The service hashes each bundle exactly
-    /// once per lookup (the same fingerprint gates both cache tiers) and
-    /// threads it through here instead of re-hashing per rung.
-    /// `bundle_fp` must be `fnv1a(bytes)`; anything else would record a
-    /// cache entry that can never be matched — or worse, matched
-    /// wrongly.
+    /// Below rung 1 this runs the same pipeline as
+    /// [`NChecker::analyze_bytes`], so the report and its metrics are
+    /// the cold run's. Checkers always run in full: their evidence
+    /// inspects global state (entry reachability, scanned-loop counts,
+    /// call-graph paths) that per-method caching cannot soundly slice.
+    /// A pool-clean bundle's entry carries the report and class
+    /// fingerprints but no seeds. The returned entry is `None` exactly
+    /// when there is nothing safe to cache: the analysis degraded
+    /// (skipped methods mean unknown behaviour — such apps also never
+    /// *read* the cache beyond rung 1, which requires bytes identical to
+    /// a previously *clean* run), or rung 1 hit (the old entry is still
+    /// current).
+    ///
+    /// The caller supplies the bundle fingerprint: the service hashes
+    /// each bundle once per lookup (the same fingerprint gates both
+    /// cache tiers). `bundle_fp` must be `fnv1a(bytes)`; anything else
+    /// would record a cache entry that can never be matched — or worse,
+    /// matched wrongly.
     pub fn analyze_bytes_reusing_fp(
         &self,
         bytes: &[u8],
         bundle_fp: u64,
-        prev: Option<&crate::cache::AppCacheEntry>,
-    ) -> Result<
-        (
-            AppReport,
-            Option<crate::cache::AppCacheEntry>,
-            crate::cache::ReuseStats,
-        ),
-        AnalyzeError,
-    > {
-        use crate::cache::{config_fingerprint, ReuseStats};
-
+        prev: Option<&AppCacheEntry>,
+    ) -> Result<(AppReport, Option<AppCacheEntry>, ReuseStats), AnalyzeError> {
         debug_assert_eq!(bundle_fp, nck_dex::wire::fnv1a(bytes));
-        let obs = self.obs.fresh();
         let config_fp = config_fingerprint(&self.config);
-        if let Some(p) = prev {
-            if p.bundle_fp == bundle_fp && p.config_fp == config_fp {
-                let stats = ReuseStats {
-                    whole_report: true,
-                    classes_total: p.class_fps.len(),
-                    classes_reused: p.class_fps.len(),
-                    ..ReuseStats::default()
-                };
-                return Ok((seal(p.report.clone(), &obs), None, stats));
-            }
-        }
         // A seed computed under different analysis semantics is useless.
         let prev = prev.filter(|p| p.config_fp == config_fp);
+        if let Some(p) = prev.filter(|p| p.bundle_fp == bundle_fp) {
+            let stats = ReuseStats {
+                whole_report: true,
+                classes_total: p.class_fps.len(),
+                classes_reused: p.class_fps.len(),
+                ..ReuseStats::default()
+            };
+            return Ok((seal(p.report.clone(), &self.obs.fresh()), None, stats));
+        }
+        let caching = Caching {
+            bundle_fp,
+            config_fp,
+            prev,
+        };
+        self.run(Input::Bytes(bytes), Some(caching))
+    }
 
+    /// Mints the run's observability sinks, runs the pipeline under the
+    /// `app` span, and seals the report.
+    fn run(
+        &self,
+        input: Input<'_>,
+        caching: Option<Caching<'_>>,
+    ) -> Result<(AppReport, Option<AppCacheEntry>, ReuseStats), AnalyzeError> {
+        let obs = self.obs.fresh();
         let mut stats = ReuseStats::default();
         let (report, entry) = {
             let _app = obs.tracer.span("app");
-            self.analyze_reusing_with(bytes, bundle_fp, config_fp, prev, &mut stats, &obs)?
+            self.pipeline(input, caching, &mut stats, &obs)?
         };
         Ok((seal(report, &obs), entry, stats))
     }
 
-    /// The body of [`NChecker::analyze_bytes_reusing_fp`] below rung 1:
-    /// the report and the entry to record (`None` for degraded runs).
-    /// `prev` has already been filtered to the current configuration.
-    fn analyze_reusing_with(
+    /// The one analysis pipeline behind every entry point: parse →
+    /// class fingerprints (when caching) → verify → degraded branch or
+    /// prescan fast path → lift → context → checkers → cache entry.
+    /// Returns the report and, when caching a clean run, the entry to
+    /// record.
+    fn pipeline(
         &self,
-        bytes: &[u8],
-        bundle_fp: u64,
-        config_fp: u64,
-        prev: Option<&crate::cache::AppCacheEntry>,
-        stats: &mut crate::cache::ReuseStats,
+        input: Input<'_>,
+        caching: Option<Caching<'_>>,
+        stats: &mut ReuseStats,
         obs: &Obs,
-    ) -> Result<(AppReport, Option<crate::cache::AppCacheEntry>), AnalyzeError> {
-        use crate::cache::AppCacheEntry;
-        use crate::context::AppReuse;
-
-        let apk = {
-            let _s = obs.tracer.span("parse");
-            Apk::from_bytes_obs(bytes, &obs.metrics).map_err(AnalyzeError::Apk)?
+    ) -> Result<(AppReport, Option<AppCacheEntry>), AnalyzeError> {
+        let parsed;
+        let apk = match input {
+            Input::Parsed(apk) => apk,
+            Input::Bytes(bytes) => {
+                let _s = obs.tracer.span("parse");
+                let (manifest, payload) = Apk::split(bytes).map_err(AnalyzeError::Apk)?;
+                let adx = nck_dex::read_adx(payload).map_err(|e| AnalyzeError::Apk(e.into()))?;
+                record_parse(&obs.metrics, payload.len(), &adx);
+                parsed = Apk::new(manifest, adx);
+                &parsed
+            }
         };
+        stats.classes_total = apk.adx.classes.len();
 
-        let class_fps = {
+        let class_fps = caching.as_ref().map(|_| {
             let _s = obs.tracer.span("class_fps");
             nck_dex::class_fingerprints(&apk.adx)
+        });
+        let prev = caching.as_ref().and_then(|c| c.prev);
+        let prefix = match (prev, &class_fps) {
+            (Some(p), Some(fps)) => p.lift_seed.common_prefix(fps),
+            _ => 0,
         };
-        let prefix = prev.map_or(0, |p| p.lift_seed.common_prefix(&class_fps));
-        stats.classes_total = class_fps.len();
 
-        // Skip per-class verification only for prefix classes: they
-        // were verified clean by the run that recorded the seed
-        // (degraded runs never write entries).
-        let skip: Vec<bool> = (0..class_fps.len()).map(|i| i < prefix).collect();
-        let verify_errors = {
+        // Structural verification between parse and lift: the lifter and
+        // every downstream analysis assume in-range registers, branch
+        // targets, and pool references; nothing downstream re-checks.
+        // Prefix classes were verified clean by the run that recorded
+        // the seed (degraded runs never write entries), so they skip it.
+        let errors = {
             let s = obs.tracer.span("verify");
-            let errs = nck_dex::verify::verify_with_skip(&apk.adx, &skip);
+            let errs = nck_dex::verify::verify_with_skip(&apk.adx, &vec![true; prefix]);
             s.add_items(errs.len() as u64);
             errs
         };
-        if !verify_errors.is_empty() {
-            // Degraded (or unanalyzable) input: take the cold path in
-            // full — its per-method degradation policy applies — and
-            // write nothing back.
-            stats.degraded = true;
-            return Ok((self.analyze_apk_with(&apk, obs)?, None));
-        }
+        obs.metrics.inc("verify.errors", errors.len() as u64);
 
-        // A clean pool ends the run here. The entry holds the report and
-        // the class fingerprints but no seeds, so a later version that
-        // gains network code finds no prefix to replay and runs cold.
-        if let Some(report) = self.pool_clean_report(&apk, obs) {
-            let entry = AppCacheEntry {
-                bundle_fp,
-                config_fp,
-                class_fps,
-                report: report.clone(),
-                ..AppCacheEntry::default()
-            };
-            return Ok((report, Some(entry)));
-        }
-
-        let lifted = {
+        // A clean bundle ends at the prescan when its pool is clean, and
+        // otherwise lifts strictly, replaying the prefix when caching.
+        let lifted = if errors.is_empty() {
+            if let Some(report) = self.pool_clean_report(apk, obs) {
+                // No seeds: a later version that gains network code
+                // finds no prefix to replay and runs cold.
+                let entry = caching.map(|c| AppCacheEntry {
+                    bundle_fp: c.bundle_fp,
+                    config_fp: c.config_fp,
+                    class_fps: class_fps.unwrap_or_default(),
+                    report: report.clone(),
+                    ..AppCacheEntry::default()
+                });
+                return Ok((report, entry));
+            }
             let _s = obs.tracer.span("lift");
-            nck_ir::lift::lift_file_seeded(&apk.adx, &class_fps, prev.map(|p| &p.lift_seed))
-                .map_err(AnalyzeError::Lift)?
+            let lifted = match &class_fps {
+                Some(fps) => {
+                    nck_ir::lift::lift_file_seeded(&apk.adx, fps, prev.map(|p| &p.lift_seed)).ok()
+                }
+                None => nck_ir::lift_file(&apk.adx).ok().map(|program| SeededLift {
+                    program,
+                    seed: LiftSeed::default(),
+                    reused_classes: 0,
+                    reused_methods: Vec::new(),
+                }),
+            };
+            if let Some(l) = &lifted {
+                record_lift(&obs.metrics, &l.program);
+            }
+            lifted
+        } else {
+            None
         };
-        let nck_ir::lift::SeededLift {
+
+        // Degraded branch: method-scoped damage (or a method the strict
+        // lifter rejects) skips just that method; anything wider (class
+        // or file scope) is unanalyzable. The report is incomplete, so
+        // it is never cached.
+        let Some(lifted) = lifted else {
+            stats.degraded = true;
+            let wide: Vec<VerifyError> = errors
+                .iter()
+                .filter(|e| e.scope != VerifyScope::Method)
+                .cloned()
+                .collect();
+            if !wide.is_empty() {
+                return Err(AnalyzeError::Verify(wide));
+            }
+            let mut bad_methods: BTreeMap<String, String> = BTreeMap::new();
+            for e in &errors {
+                bad_methods
+                    .entry(e.method.clone())
+                    .or_insert_with(|| e.to_string());
+            }
+            let (program, lift_skips) = {
+                let _s = obs.tracer.span("lift");
+                let (program, skips) =
+                    nck_ir::lift_file_lenient(&apk.adx, &|name| bad_methods.get(name).cloned());
+                record_lift(&obs.metrics, &program);
+                (program, skips)
+            };
+            let skipped_methods: Vec<AnalysisSkip> = lift_skips
+                .into_iter()
+                .map(|s| AnalysisSkip {
+                    cause: if bad_methods.contains_key(&s.method) {
+                        SkipCause::Verify
+                    } else {
+                        SkipCause::Lift
+                    },
+                    method: s.method,
+                    detail: s.reason,
+                })
+                .collect();
+            if !skipped_methods.is_empty() {
+                obs.metrics
+                    .inc("analyze.skipped_methods", skipped_methods.len() as u64);
+                obs.events.warn(&format!(
+                    "{}: degraded analysis, {} method(s) skipped (first: {})",
+                    apk.manifest.package,
+                    skipped_methods.len(),
+                    skipped_methods[0].method
+                ));
+                for s in &skipped_methods {
+                    obs.events
+                        .debug(&format!("skipped {} [{}]: {}", s.method, s.cause, s.detail));
+                }
+            }
+            let app =
+                AnalyzedApp::new_reusing(apk.manifest.clone(), program, &self.registry, None, obs);
+            let mut report = self.analyze_with(&app, obs);
+            report.skipped_methods = skipped_methods;
+            return Ok((report, None));
+        };
+
+        let SeededLift {
             program,
             seed: lift_seed,
             reused_classes,
@@ -489,7 +625,6 @@ impl NChecker {
         } = lifted;
         stats.classes_reused = reused_classes;
         stats.methods_total = program.methods.iter().filter(|m| m.body.is_some()).count();
-
         let reuse = prev.map(|p| AppReuse {
             analyses: &p.analyses,
             reused_methods: &reused_methods,
@@ -504,128 +639,17 @@ impl NChecker {
         stats.summaries_dirty = ctx.summaries_dirty;
 
         let report = self.analyze_with(&app, obs);
-        let entry = AppCacheEntry {
-            bundle_fp,
-            config_fp,
-            class_fps,
+        let entry = caching.map(|c| AppCacheEntry {
+            bundle_fp: c.bundle_fp,
+            config_fp: c.config_fp,
+            class_fps: class_fps.unwrap_or_default(),
             lift_seed,
             callee_fps: app.callee_fps().to_vec(),
             analyses: app.analyses_arc().clone(),
             summary_seed: app.summary_seed().clone(),
             report: report.clone(),
-        };
-        Ok((report, Some(entry)))
-    }
-
-    /// Analyzes a parsed APK bundle.
-    pub fn analyze_apk(&self, apk: &Apk) -> Result<AppReport, AnalyzeError> {
-        let obs = self.obs.fresh();
-        let report = {
-            let _app = obs.tracer.span("app");
-            self.analyze_apk_with(apk, &obs)?
-        };
-        Ok(seal(report, &obs))
-    }
-
-    fn analyze_apk_with(&self, apk: &Apk, obs: &Obs) -> Result<AppReport, AnalyzeError> {
-        // Structural verification between parse and lift: the lifter and
-        // every downstream analysis assume in-range registers, branch
-        // targets, and pool references; nothing downstream re-checks.
-        let verify_errors = {
-            let s = obs.tracer.span("verify");
-            let errs = nck_dex::verify::verify(&apk.adx);
-            s.add_items(errs.len() as u64);
-            errs
-        };
-        if obs.metrics.is_enabled() {
-            obs.metrics.inc("verify.errors", verify_errors.len() as u64);
-        }
-        // Degradation policy: method-scoped damage skips just that
-        // method; anything wider (class/file scope) is unanalyzable.
-        let wide: Vec<VerifyError> = verify_errors
-            .iter()
-            .filter(|e| e.scope != VerifyScope::Method)
-            .cloned()
-            .collect();
-        if !wide.is_empty() {
-            return Err(AnalyzeError::Verify(wide));
-        }
-        let mut bad_methods: BTreeMap<String, String> = BTreeMap::new();
-        for e in &verify_errors {
-            bad_methods
-                .entry(e.method.clone())
-                .or_insert_with(|| e.to_string());
-        }
-
-        if bad_methods.is_empty() {
-            if let Some(report) = self.pool_clean_report(apk, obs) {
-                return Ok(report);
-            }
-        }
-
-        let (program, lift_skips) = {
-            let _s = obs.tracer.span("lift");
-            let (program, skips) =
-                nck_ir::lift_file_lenient(&apk.adx, &|name| bad_methods.get(name).cloned());
-            if obs.metrics.is_enabled() {
-                obs.metrics
-                    .inc("lift.classes", program.classes.len() as u64);
-                obs.metrics.inc(
-                    "lift.methods",
-                    program.methods.iter().filter(|m| m.body.is_some()).count() as u64,
-                );
-                obs.metrics.inc(
-                    "lift.bodiless",
-                    program.methods.iter().filter(|m| m.body.is_none()).count() as u64,
-                );
-                obs.metrics.inc(
-                    "lift.stmts",
-                    program
-                        .methods
-                        .iter()
-                        .filter_map(|m| m.body.as_ref())
-                        .map(|b| b.stmts.len() as u64)
-                        .sum(),
-                );
-            }
-            (program, skips)
-        };
-        let skipped_methods: Vec<AnalysisSkip> = lift_skips
-            .into_iter()
-            .map(|s| {
-                let cause = if bad_methods.contains_key(&s.method) {
-                    SkipCause::Verify
-                } else {
-                    SkipCause::Lift
-                };
-                AnalysisSkip {
-                    method: s.method,
-                    cause,
-                    detail: s.reason,
-                }
-            })
-            .collect();
-        if !skipped_methods.is_empty() {
-            if obs.metrics.is_enabled() {
-                obs.metrics
-                    .inc("analyze.skipped_methods", skipped_methods.len() as u64);
-            }
-            obs.events.warn(&format!(
-                "{}: degraded analysis, {} method(s) skipped (first: {})",
-                apk.manifest.package,
-                skipped_methods.len(),
-                skipped_methods[0].method
-            ));
-            for s in &skipped_methods {
-                obs.events
-                    .debug(&format!("skipped {} [{}]: {}", s.method, s.cause, s.detail));
-            }
-        }
-
-        let app = AnalyzedApp::new_with_obs(apk.manifest.clone(), program, &self.registry, obs);
-        let mut report = self.analyze_with(&app, obs);
-        report.skipped_methods = skipped_methods;
-        Ok(report)
+        });
+        Ok((report, entry))
     }
 
     /// The prescan fast path, shared by every entry point: when no

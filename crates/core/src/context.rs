@@ -179,22 +179,12 @@ impl<'r> AnalyzedApp<'r> {
     /// Lifts, builds the call graph, discovers entry points, and runs the
     /// per-method dataflow analyses.
     pub fn new(manifest: Manifest, program: Program, registry: &'r Registry) -> AnalyzedApp<'r> {
-        AnalyzedApp::new_with_obs(manifest, program, registry, &Obs::disabled())
+        AnalyzedApp::new_reusing(manifest, program, registry, None, &Obs::disabled())
     }
 
-    /// Like [`AnalyzedApp::new`], recording per-phase spans and metrics
-    /// into `obs`.
-    pub fn new_with_obs(
-        manifest: Manifest,
-        program: Program,
-        registry: &'r Registry,
-        obs: &Obs,
-    ) -> AnalyzedApp<'r> {
-        AnalyzedApp::new_reusing(manifest, program, registry, None, obs)
-    }
-
-    /// Like [`AnalyzedApp::new_with_obs`], but reusing prior-run
-    /// artifacts for methods the incremental lift replayed unchanged.
+    /// Like [`AnalyzedApp::new`], reusing prior-run artifacts for methods
+    /// the incremental lift replayed unchanged (none when `reuse` is
+    /// `None`) and recording per-phase spans and metrics into `obs`.
     ///
     /// Entry points, the call graph, and entry reachability are always
     /// rebuilt: they are whole-program properties whose inputs (method

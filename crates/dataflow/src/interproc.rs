@@ -49,7 +49,7 @@ use nck_ir::body::{Body, FieldKey, IdentityKind, InvokeExpr, Operand, Rvalue, St
 use nck_ir::cfg::Cfg;
 
 /// What a call site means to the analysis, as decided by the caller of
-/// [`Summaries::compute`].
+/// [`Summaries::compute_incremental`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CallKind {
     /// A connectivity source API (e.g. `NetworkInfo.isConnected()`):
@@ -284,50 +284,9 @@ fn par_workers() -> usize {
 
 impl Summaries {
     /// Computes summaries for all `methods`, classifying each call site
-    /// via `classify` (called once per site, up front).
-    pub fn compute<F>(methods: &[MethodInput<'_>], classify: F) -> Summaries
-    where
-        F: FnMut(usize, StmtId, &InvokeExpr) -> CallKind,
-    {
-        let owned: Vec<Option<Cfg>> = methods.iter().map(|i| i.body.map(Cfg::build)).collect();
-        let cfgs: Vec<Option<&Cfg>> = owned.iter().map(Option::as_ref).collect();
-        Summaries::compute_with_cfgs(methods, &cfgs, classify)
-    }
-
-    /// Like [`Summaries::compute`], but reuses caller-built CFGs
-    /// (`cfgs[i]` for `methods[i]`) instead of rebuilding them — the
-    /// analysis context already has one per body.
-    pub fn compute_with_cfgs<F>(
-        methods: &[MethodInput<'_>],
-        cfgs: &[Option<&Cfg>],
-        classify: F,
-    ) -> Summaries
-    where
-        F: FnMut(usize, StmtId, &InvokeExpr) -> CallKind,
-    {
-        Summaries::compute_with_cfgs_obs(methods, cfgs, classify, &nck_obs::Obs::disabled())
-    }
-
-    /// [`Summaries::compute_with_cfgs`] with observability: records a
-    /// `scc_fixpoint` span per recursive (size > 1) component, an SCC
-    /// size histogram (`summary.scc_size`), fixpoint iteration and
-    /// per-method solve counters (`summary.fixpoint_iters`,
-    /// `summary.method_passes`), field refinement rounds
-    /// (`summary.field_rounds`), and the final [`SummaryStats`] as
-    /// `summary.*` counters.
-    pub fn compute_with_cfgs_obs<F>(
-        methods: &[MethodInput<'_>],
-        cfgs: &[Option<&Cfg>],
-        classify: F,
-        obs: &nck_obs::Obs,
-    ) -> Summaries
-    where
-        F: FnMut(usize, StmtId, &InvokeExpr) -> CallKind,
-    {
-        Summaries::compute_incremental(methods, cfgs, classify, None, obs).0
-    }
-
-    /// The seeded engine behind both cold and warm computation.
+    /// via `classify` (called once per site, up front) and reusing the
+    /// caller's CFGs (`cfgs[i]` for `methods[i]`). The one engine behind
+    /// both cold and warm computation.
     ///
     /// With `seed = None` every method is solved from the bottom — this
     /// *is* the cold path, so the two can never diverge. With
@@ -339,6 +298,13 @@ impl Summaries {
     /// cold run. Recursive components touching the dirty set are reset
     /// wholesale to the bottom so their fixpoint iterates from the same
     /// starting point a cold run uses.
+    ///
+    /// `obs` receives a `scc_fixpoint` span per recursive (size > 1)
+    /// component, an SCC size histogram (`summary.scc_size`), fixpoint
+    /// iteration and per-method solve counters (`summary.fixpoint_iters`,
+    /// `summary.method_passes`), field refinement rounds
+    /// (`summary.field_rounds`), and the final [`SummaryStats`] as
+    /// `summary.*` counters.
     ///
     /// Returns the summaries plus a fresh [`SummarySeed`] for the *next*
     /// run.
@@ -1226,26 +1192,7 @@ mod tests {
     }
 
     fn compute(p: &Program) -> Summaries {
-        let inputs: Vec<MethodInput<'_>> = p
-            .methods
-            .iter()
-            .map(|m| MethodInput {
-                body: m.body.as_deref(),
-                is_static: m.flags.contains(AccessFlags::STATIC),
-            })
-            .collect();
-        Summaries::compute(&inputs, |_, _, inv| {
-            let class = p.symbols.resolve(inv.callee.class);
-            if class == CONN {
-                CallKind::Source
-            } else if class == SINK {
-                CallKind::CheckSink
-            } else if let Some(id) = p.lookup_method(inv.callee) {
-                CallKind::Callees(vec![id.0 as usize])
-            } else {
-                CallKind::Opaque
-            }
-        })
+        compute_seeded(p, None, &nck_obs::Obs::disabled()).0
     }
 
     fn idx(p: &Program, class: &str, name: &str) -> usize {

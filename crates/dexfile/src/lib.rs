@@ -56,7 +56,7 @@ pub use pool::{
     pool_touches, FieldIdx, FieldRef, MethodIdx, MethodRef, Pools, Proto, ProtoIdx, StringIdx,
     TypeIdx,
 };
-pub use read::{read_adx, read_adx_obs};
+pub use read::read_adx;
 pub use verify::{VerifyError, VerifyScope};
 pub use write::write_adx;
 

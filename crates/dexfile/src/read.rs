@@ -339,33 +339,6 @@ fn read_pools(r: &mut Reader<'_>) -> Result<Pools> {
     Ok(pools)
 }
 
-/// [`read_adx`] with parse metrics recorded into `metrics`:
-/// `parse.bytes`, `parse.classes`, `parse.methods`, `parse.insns`, and
-/// the pool sizes (`parse.pool.strings`, `parse.pool.methods`).
-pub fn read_adx_obs(bytes: &[u8], metrics: &nck_obs::Metrics) -> Result<AdxFile> {
-    let file = read_adx(bytes)?;
-    if metrics.is_enabled() {
-        metrics.inc("parse.bytes", bytes.len() as u64);
-        metrics.inc("parse.classes", file.classes.len() as u64);
-        metrics.inc(
-            "parse.methods",
-            file.classes.iter().map(|c| c.methods.len() as u64).sum(),
-        );
-        metrics.inc(
-            "parse.insns",
-            file.classes
-                .iter()
-                .flat_map(|c| &c.methods)
-                .filter_map(|m| m.code.as_ref())
-                .map(|c| c.insns.len() as u64)
-                .sum(),
-        );
-        metrics.inc("parse.pool.strings", file.pools.strings().len() as u64);
-        metrics.inc("parse.pool.methods", file.pools.methods().len() as u64);
-    }
-    Ok(file)
-}
-
 /// Parses the ADX binary container in `bytes`.
 ///
 /// Verifies the magic, version, declared length, and payload checksum

@@ -37,6 +37,6 @@ pub use body::{
     Body, Class, ClassId, FieldKey, IdentityKind, InvokeExpr, LocalDecl, LocalId, Method, MethodId,
     MethodKey, Operand, Program, Rvalue, Stmt, StmtId, Trap,
 };
-pub use lift::{lift_file, lift_file_lenient, lift_file_obs, LiftError, MethodSkip};
+pub use lift::{lift_file, lift_file_lenient, LiftError, MethodSkip};
 pub use symbols::{Interner, Symbol};
 pub use types::Type;

@@ -774,34 +774,6 @@ pub fn lift_file_lenient(file: &AdxFile, skip: SkipPolicy<'_>) -> (Program, Vec<
     lift_file_impl(file, Some(skip)).expect("lenient lifting is total")
 }
 
-/// [`lift_file`] with lift metrics recorded into `metrics`:
-/// `lift.classes`, `lift.methods` (bodies lifted), `lift.bodiless`, and
-/// `lift.stmts` (IR statements emitted).
-pub fn lift_file_obs(file: &AdxFile, metrics: &nck_obs::Metrics) -> Result<Program> {
-    let program = lift_file(file)?;
-    if metrics.is_enabled() {
-        metrics.inc("lift.classes", program.classes.len() as u64);
-        metrics.inc(
-            "lift.methods",
-            program.methods.iter().filter(|m| m.body.is_some()).count() as u64,
-        );
-        metrics.inc(
-            "lift.bodiless",
-            program.methods.iter().filter(|m| m.body.is_none()).count() as u64,
-        );
-        metrics.inc(
-            "lift.stmts",
-            program
-                .methods
-                .iter()
-                .filter_map(|m| m.body.as_ref())
-                .map(|b| b.stmts.len() as u64)
-                .sum(),
-        );
-    }
-    Ok(program)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 pub struct OrchestratorOptions {
     /// Worker processes to spawn (clamped to at least 1).
     pub workers: usize,
-    /// The worker command line: argv[0] plus arguments. Must speak the
+    /// The worker command line: `argv[0]` plus arguments. Must speak the
     /// serve wire protocol on stdio.
     pub worker_cmd: Vec<String>,
     /// Submits per pipelined window. Two windows are outstanding at a

@@ -346,14 +346,7 @@ impl AnalysisService {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             checker.analyze_bytes_reusing_fp(bytes, bundle_fp, prev.as_deref())
         }))
-        .unwrap_or_else(|payload| {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            Err(AnalyzeError::Panic(msg))
-        });
+        .unwrap_or_else(|payload| Err(AnalyzeError::from_panic(payload)));
 
         match result {
             Ok((report, entry, reuse)) => {

@@ -181,6 +181,86 @@ fn no_cache_silences_the_cache_summary() {
     assert!(!stdout.contains("cache:"), "{stdout}");
 }
 
+/// Runs the CLI with `args` on the bundle at `path`: stdout and exit
+/// code.
+fn run_on(args: &[&str], path: &std::path::Path) -> (Vec<u8>, Option<i32>) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
+        .args(args)
+        .arg(path)
+        .output()
+        .expect("cli runs");
+    (out.stdout, out.status.code())
+}
+
+/// The `"metrics"` object of a one-app `--json --metrics` report with
+/// every service-level (`svc.*`) series dropped: what is left describes
+/// the analysis alone.
+fn analysis_metrics(stdout: &[u8]) -> serde_json::Value {
+    let doc = serde_json::from_str(std::str::from_utf8(stdout).expect("utf-8")).expect("json");
+    let mut metrics = doc.get("metrics").expect("metered report").clone();
+    if let serde_json::Value::Object(m) = &mut metrics {
+        for series in ["counters", "gauges", "histograms"] {
+            if let Some(serde_json::Value::Object(s)) = m.get_mut(series) {
+                s.retain(|name, _| !name.starts_with("svc."));
+            }
+        }
+    }
+    metrics
+}
+
+/// The default (cached) path and `--no-cache` run one pipeline, so a
+/// cache miss records exactly the cold run's parse, verify, lift,
+/// context, summary and checker metrics, and renders the same bytes.
+/// Covered: a network app, a pool-clean app (the prescan fast path) and
+/// a degraded mutant (the lenient-lift branch).
+#[test]
+fn cached_and_uncached_runs_record_the_same_analysis_metrics() {
+    let network = nck_appgen::generate(&AppSpec::new(
+        "com.test.parity",
+        vec![RequestSpec::new(Library::Volley, Origin::UserClick)],
+    ));
+    let clean = nck_appgen::generate(&nck_appgen::profile::no_network_app(0, 8));
+    let checker = nck_appgen::mutate::quiet_checker();
+    let degraded = (0..)
+        .map(|seed| nck_appgen::mutate::mutate(&network, seed).0)
+        .find(|bytes| checker.analyze_bytes(bytes).is_ok_and(|r| r.degraded()))
+        .expect("some mutant degrades");
+    let cases = [
+        ("network", network.to_bytes(), Some(0)),
+        ("clean", clean.to_bytes(), Some(0)),
+        ("degraded", degraded, Some(3)),
+    ];
+    for (name, bytes, want_code) in cases {
+        let path = temp_path(&format!("parity-{name}.apk"));
+        std::fs::write(&path, &bytes).unwrap();
+        let (cached, code) = run_on(&["--json", "--metrics"], &path);
+        let (cold, cold_code) = run_on(&["--json", "--metrics", "--no-cache"], &path);
+        let (json, _) = run_on(&["--json"], &path);
+        let (json_cold, _) = run_on(&["--json", "--no-cache"], &path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            (code, cold_code),
+            (want_code, want_code),
+            "{name}: exit codes"
+        );
+
+        let metrics = analysis_metrics(&cached);
+        let counters = metrics["counters"].as_object().expect("counters");
+        assert!(
+            counters.contains_key("verify.errors"),
+            "{name}: {counters:?}"
+        );
+        // The prescan answers the pool-clean app without lifting.
+        assert_eq!(
+            counters.contains_key("lift.stmts"),
+            name != "clean",
+            "{name}: {counters:?}"
+        );
+        assert_eq!(metrics, analysis_metrics(&cold), "{name}: metrics differ");
+        assert!(json == json_cold, "{name}: --json bytes differ");
+    }
+}
+
 fn make_apps(prefix: &str, n: usize) -> Vec<std::path::PathBuf> {
     (0..n)
         .map(|i| {

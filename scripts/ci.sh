@@ -15,6 +15,11 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> cargo doc (deny warnings)"
+# First-party rustdoc, broken intra-doc links included. The vendored
+# proptest stand-in is excluded: its docs are not ours to keep.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest --quiet
+
 echo "==> corruption fuzz smoke test"
 # 2000 seeds x 3 base apps = 6000 mutated bundles through the whole
 # pipeline; exits non-zero on any panic or silently accepted corruption.
@@ -46,6 +51,10 @@ metrics = doc["metrics"]
 assert metrics["schema"] == 1, "metrics schema version changed"
 assert "summary_cache" in metrics, "metrics lacks summary_cache"
 assert metrics["counters"], "metrics lacks recorded counters"
+# The default (cached) path runs the same pipeline as --no-cache, so the
+# verify and lift stages record their counters here too.
+for name in ("verify.errors", "lift.stmts"):
+    assert name in metrics["counters"], f"metrics lacks the {name} counter"
 assert doc["defects"], "smoke app produced no defects"
 for defect in doc["defects"]:
     assert defect["provenance"], f"defect {defect['kind']} lacks provenance"

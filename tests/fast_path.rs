@@ -83,12 +83,12 @@ fn assert_agrees(bytes: &[u8], what: &str) -> bool {
         "{what}: analyze_bytes diverges from the reference"
     );
     let reusing = checker
-        .analyze_bytes_reusing(bytes, None)
+        .analyze_bytes_reusing_fp(bytes, nck_dex::wire::fnv1a(bytes), None)
         .map(|(r, _, _)| r);
     assert_eq!(
         outcome(&reusing),
         want,
-        "{what}: analyze_bytes_reusing diverges from the reference"
+        "{what}: analyze_bytes_reusing_fp diverges from the reference"
     );
     pool_clean(bytes)
 }

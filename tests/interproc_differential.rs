@@ -13,7 +13,9 @@ use nck_dataflow::CVal;
 use nck_dex::builder::AdxBuilder;
 use nck_dex::{AccessFlags, BinOp, UnOp};
 use nck_interp::{Machine, NopEnv, Outcome, Value};
+use nck_ir::cfg::Cfg;
 use nck_ir::{lift_file, Program};
+use nck_obs::Obs;
 use proptest::prelude::*;
 
 /// What one chain method does with the next method's result.
@@ -109,10 +111,19 @@ fn summaries_of(p: &Program) -> Summaries {
             is_static: m.flags.contains(AccessFlags::STATIC),
         })
         .collect();
-    Summaries::compute(&inputs, |_, _, inv| match p.lookup_method(inv.callee) {
-        Some(id) => CallKind::Callees(vec![id.0 as usize]),
-        None => CallKind::Opaque,
-    })
+    let cfgs_owned: Vec<Option<Cfg>> = inputs.iter().map(|i| i.body.map(Cfg::build)).collect();
+    let cfgs: Vec<Option<&Cfg>> = cfgs_owned.iter().map(Option::as_ref).collect();
+    Summaries::compute_incremental(
+        &inputs,
+        &cfgs,
+        |_, _, inv| match p.lookup_method(inv.callee) {
+            Some(id) => CallKind::Callees(vec![id.0 as usize]),
+            None => CallKind::Opaque,
+        },
+        None,
+        &Obs::disabled(),
+    )
+    .0
 }
 
 /// Checks every method of `p`: the summary's constant return must match
