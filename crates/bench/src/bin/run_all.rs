@@ -235,16 +235,14 @@ fn main() {
     }
 
     let mut doc = pipeline_json(reports.len(), elapsed, &phases, &metrics, &mut latency);
-    // Merge-preserve the sections other benches own (`hotpath`,
-    // `store_scale`): the regression gate reads one combined document.
+    // Merge-preserve every section another bench owns (e.g.
+    // `incremental`): run_all replaces only the top-level keys it writes.
     let recorded: Option<Value> = std::fs::read_to_string("BENCH_pipeline.json")
         .ok()
         .and_then(|s| serde_json::from_str(&s).ok());
     if let (Some(Value::Object(old)), Value::Object(new)) = (recorded, &mut doc) {
-        for key in ["hotpath", "store_scale"] {
-            if let Some(section) = old.get(key) {
-                new.insert(key.to_owned(), section.clone());
-            }
+        for (key, section) in old {
+            new.entry(key).or_insert(section);
         }
     }
     let out = serde_json::to_string_pretty(&doc).expect("pipeline doc serializes");

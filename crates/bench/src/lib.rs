@@ -1,7 +1,5 @@
-//! Shared harness for the experiment binaries: corpus runner, text
-//! rendering helpers, and the [`gate`] bench-regression checks.
-
-pub mod gate;
+//! Shared harness for the experiment binaries: corpus runner and text
+//! rendering helpers.
 
 use nchecker::{AnalyzeError, AppReport, CheckerConfig, CorpusStats, NChecker};
 use nck_appgen::profile::corpus;

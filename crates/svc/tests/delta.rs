@@ -182,3 +182,89 @@ fn identical_resubmission_produces_no_delta_and_json_keeps_its_shape() {
     assert!(v["fixed"].as_array().is_some());
     assert!(v["unchanged"].as_i64().is_some());
 }
+
+/// Store re-vetting keeps an exact invariant across waves. One service
+/// with a disk tier takes a cold wave, then two churn waves that resubmit
+/// every app after a fixed set ships a new version. In each warm wave the
+/// apps whose bytes did not change are whole-report hits, every app whose
+/// bytes changed is a miss with a delta, GC never runs under a budget the
+/// cache stays far below, and every served report is byte-identical to a
+/// cache-disabled analysis of the same bytes.
+#[test]
+fn churn_waves_hit_every_unchanged_app_and_delta_every_changed_one() {
+    const APPS: usize = 200;
+    let stream = CorpusStream::new(2016, APPS);
+    let cache = temp_dir("churn");
+    let svc = AnalysisService::new(
+        ServiceOptions {
+            cache_dir: Some(cache.clone()),
+            cache_budget: Some(2 << 30),
+            ..ServiceOptions::default()
+        },
+        Obs::disabled(),
+    );
+    let reference = AnalysisService::new(
+        ServiceOptions {
+            no_cache: true,
+            ..ServiceOptions::default()
+        },
+        Obs::disabled(),
+    );
+    let wave_items = |versions: &[u32]| -> Vec<(String, Vec<u8>)> {
+        versions
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let spec = stream.version_at(i, v);
+                (spec.package.clone(), nck_appgen::generate(&spec).to_bytes())
+            })
+            .collect()
+    };
+
+    let mut versions = vec![0u32; APPS];
+    let mut previous = wave_items(&versions);
+    let cold = svc.analyze_batch(&previous);
+    assert_eq!(AnalysisService::batch_stats(&cold).hits, 0, "cold wave");
+    assert!(cold.iter().all(|o| o.delta.is_none()), "cold wave deltas");
+
+    for wave in 1..=2 {
+        // Fixed churn set: every tenth app ships in both waves (a second
+        // version over a churned base), plus one more tenth per wave.
+        for (i, v) in versions.iter_mut().enumerate() {
+            if i % 10 == 0 || i % 10 == wave {
+                *v += 1;
+            }
+        }
+        let items = wave_items(&versions);
+        let changed: Vec<bool> = items
+            .iter()
+            .zip(&previous)
+            .map(|((_, new), (_, old))| new != old)
+            .collect();
+        let n_changed = changed.iter().filter(|&&c| c).count();
+        assert!(n_changed > 0, "wave {wave}: churn changed no bytes");
+
+        let outcomes = svc.analyze_batch(&items);
+        let stats = AnalysisService::batch_stats(&outcomes);
+        assert_eq!(stats.hits, APPS - n_changed, "wave {wave}: hits");
+        let deltas = outcomes.iter().filter(|o| o.delta.is_some()).count();
+        assert_eq!(deltas, n_changed, "wave {wave}: deltas");
+        for (i, ((key, bytes), outcome)) in items.iter().zip(&outcomes).enumerate() {
+            assert_eq!(
+                outcome.reuse.whole_report, !changed[i],
+                "wave {wave} app {i}"
+            );
+            let served = outcome.report.as_ref().expect("churned app analyzes");
+            let cold = reference.analyze_one(key, bytes);
+            let cold = cold.report.as_ref().expect("reference analyzes");
+            assert_eq!(served.json(), cold.json(), "wave {wave} app {i}: bytes");
+        }
+        previous = items;
+    }
+
+    let counters = svc.store().metrics().snapshot().counters;
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert_eq!(counter("svc.cache.gc_runs"), 0, "GC ran");
+    assert_eq!(counter("svc.cache.gc_skipped"), 3, "one GC check per batch");
+    let _ = std::fs::remove_dir_all(&cache);
+}

@@ -1,9 +1,10 @@
 //! Corpus-level integration tests: a sampled slice of the 285-app corpus
 //! goes through the full binary pipeline, and per-app results must match
-//! each spec's oracle.
+//! each spec's oracle; the whole corpus's work counters are pinned exactly.
 
-use nchecker::{CorpusStats, NChecker};
+use nchecker::{CheckerConfig, CorpusStats, NChecker};
 use nck_appgen::profile::{corpus, CORPUS_SIZE};
+use nck_obs::Obs;
 
 fn sorted_kinds(kinds: Vec<nchecker::DefectKind>) -> Vec<String> {
     let mut v: Vec<String> = kinds.into_iter().map(|k| format!("{k:?}")).collect();
@@ -62,5 +63,23 @@ fn corpus_analysis_is_deterministic() {
     for (x, y) in a.defects.iter().zip(&b.defects) {
         assert_eq!(x.kind, y.kind);
         assert_eq!(x.location, y.location);
+    }
+
+    // The whole corpus does an exact, known amount of work. These are
+    // the counters `run_all` records in `BENCH_pipeline.json`, taken
+    // through the same metrics-enabled path. A failure means the
+    // pipeline did more (or less) work than before, not that the host
+    // was slow; changing a number here needs a CHANGES.md line saying
+    // why the work changed.
+    let reports = nck_bench::run_specs_with(&specs, CheckerConfig::default(), &Obs::enabled());
+    let (_, metrics) = nck_bench::collect_obs(&reports);
+    for (name, want) in [
+        ("parse.bytes", 1_010_011),
+        ("lift.stmts", 42_114),
+        ("summary.method_passes", 4_845),
+        ("check.sites", 1_735),
+        ("check.defects", 4_437),
+    ] {
+        assert_eq!(metrics.counters.get(name), Some(&want), "counter {name}");
     }
 }
