@@ -30,9 +30,11 @@
 //!   outright or degrade per-method, but must not accept them cleanly:
 //!   [`Expectation::MustErrorOrDegrade`].
 
+use crate::spec::{AppSpec, Origin, RequestSpec};
 use nchecker::{AnalyzeError, AppReport, NChecker};
 use nck_android::apk::Apk;
 use nck_dex::{write_adx, AdxFile, Insn, Reg, TypeIdx};
+use nck_netlibs::library::Library;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -302,6 +304,32 @@ fn rebundle(apk: &Apk, adx: AdxFile) -> Vec<u8> {
     Apk::new(apk.manifest.clone(), adx).to_bytes()
 }
 
+/// The fuzz harnesses' base apps: structurally different, so mutations
+/// land in single- and multi-request bodies, user and background
+/// contexts, helper-mediated retries, and every supported library.
+pub fn base_apps() -> Vec<AppSpec> {
+    let mut helper = RequestSpec::new(Library::Volley, Origin::Service);
+    // Volley couples timeout and retry in one DefaultRetryPolicy object.
+    helper.set_timeout = true;
+    helper.set_retries = Some(3);
+    helper.retries_via_helper = true;
+    vec![
+        AppSpec::new(
+            "com.fuzz.single",
+            vec![RequestSpec::new(Library::OkHttp, Origin::UserClick)],
+        ),
+        AppSpec::new(
+            "com.fuzz.multi",
+            vec![
+                RequestSpec::new(Library::Volley, Origin::ActivityLifecycle),
+                RequestSpec::new(Library::ApacheHttpClient, Origin::Service),
+                RequestSpec::new(Library::HttpUrlConnection, Origin::UserClick),
+            ],
+        ),
+        AppSpec::new("com.fuzz.helper", vec![helper]),
+    ]
+}
+
 /// A checker with all diagnostics silenced, for fuzz harnesses that
 /// drive thousands of deliberately damaged bundles and only care about
 /// expectation violations.
@@ -346,8 +374,6 @@ pub fn check(checker: &NChecker, bytes: &[u8], m: &Mutation) -> Result<Outcome, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AppSpec, Origin, RequestSpec};
-    use nck_netlibs::library::Library;
 
     fn healthy() -> Apk {
         crate::generate(&AppSpec::new(

@@ -13,36 +13,8 @@
 //! a per-class outcome histogram and exits non-zero listing every
 //! violating seed, which reproduces the exact damage.
 
-use nck_appgen::mutate::{check, mutate, quiet_checker, Outcome};
-use nck_appgen::spec::{AppSpec, Origin, RequestSpec};
-use nck_netlibs::library::Library;
+use nck_appgen::mutate::{base_apps, check, mutate, quiet_checker, Outcome};
 use std::collections::BTreeMap;
-
-/// Structurally different base apps, so mutations land in single- and
-/// multi-request bodies, user and background contexts, helper-mediated
-/// retries, and every supported library.
-fn base_apps() -> Vec<AppSpec> {
-    let mut helper = RequestSpec::new(Library::Volley, Origin::Service);
-    // Volley couples timeout and retry in one DefaultRetryPolicy object.
-    helper.set_timeout = true;
-    helper.set_retries = Some(3);
-    helper.retries_via_helper = true;
-    vec![
-        AppSpec::new(
-            "com.fuzz.single",
-            vec![RequestSpec::new(Library::OkHttp, Origin::UserClick)],
-        ),
-        AppSpec::new(
-            "com.fuzz.multi",
-            vec![
-                RequestSpec::new(Library::Volley, Origin::ActivityLifecycle),
-                RequestSpec::new(Library::ApacheHttpClient, Origin::Service),
-                RequestSpec::new(Library::HttpUrlConnection, Origin::UserClick),
-            ],
-        ),
-        AppSpec::new("com.fuzz.helper", vec![helper]),
-    ]
-}
 
 fn main() {
     let n: u64 = std::env::args()

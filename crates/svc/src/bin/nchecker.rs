@@ -10,15 +10,18 @@
 //!          [--delta-out FILE] <app.apk>...
 //! nchecker serve (--stdio | --socket PATH) [--watch DIR] [--poll-ms N]
 //!          [--queue-capacity N] [checker and cache flags]
-//! nchecker vet --workers N [--corpus-dir DIR | <app.apk>...]
+//! nchecker vet [--workers N] [--corpus-dir DIR | <app.apk>...]
 //!          [--delta-out FILE] [--summary] [checker and cache flags]
 //! nchecker cache-gc --cache-dir DIR --cache-budget BYTES
 //! ```
 //!
-//! `vet` is the store-scale front end: it shards the corpus across N
-//! worker *processes* (each an `nchecker serve --stdio` child) and
-//! prints the reports in input order — byte-identical to what a single
-//! `nchecker --json` run over the same paths would print.
+//! `vet` is the store-scale front end over the same in-process batch
+//! (`run_batch`): it collects a corpus tree, keeps going past failures,
+//! and prints the reports in input order — byte-identical to what
+//! `nchecker --json --keep-going` over the same paths prints. Its pool
+//! has the one-shot default size, or `--workers` × `--jobs` threads when
+//! `--jobs` is given. Every mode parses the checker toggles, cache
+//! flags and verbosity through one `CommandLine` parser.
 //!
 //! Exit codes: `0` all apps analyzed cleanly, `1` at least one app failed
 //! to analyze, `2` usage error, `3` every app analyzed but at least one
@@ -27,9 +30,9 @@
 use nchecker::CheckerConfig;
 use nck_obs::{Events, JsonObj, JsonlSink, Level, Metrics, Obs, PhaseTotals, Series, Tracer};
 use nck_svc::{
-    daemon, doctor, AnalysisService, AnalysisStore, Daemon, DaemonOptions, OrchestratorOptions,
-    ServiceOptions, Watcher,
+    daemon, doctor, AnalysisService, AnalysisStore, Daemon, DaemonOptions, ServiceOptions, Watcher,
 };
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -42,7 +45,7 @@ fn usage() -> ExitCode {
          [--no-cache] <app.apk>...\n\
          \x20      nchecker serve (--stdio | --socket PATH) [--watch DIR] [--poll-ms N] \
          [--queue-capacity N] [checker and cache flags]\n\
-         \x20      nchecker vet --workers N [--corpus-dir DIR | <app.apk>...] \
+         \x20      nchecker vet [--workers N] [--corpus-dir DIR | <app.apk>...] \
          [--delta-out FILE] [--summary] [checker and cache flags]\n\
          \x20      nchecker cache-gc --cache-dir DIR --cache-budget BYTES"
     );
@@ -81,14 +84,14 @@ fn usage() -> ExitCode {
     eprintln!("  --queue-capacity N  bound the request queue (default: 64); submits");
     eprintln!("                  beyond it are rejected with a queue-full reply");
     eprintln!();
-    eprintln!("vet mode (multi-process store-scale vetting):");
-    eprintln!("  --workers N     worker processes (default: 2); the corpus is");
-    eprintln!("                  partitioned across them by key hash");
+    eprintln!("vet mode (store-scale vetting; keeps going past failures):");
+    eprintln!("  --workers N     with --jobs J, the pool runs N x J threads (default");
+    eprintln!("                  N: 2); without --jobs it has the --jobs default");
     eprintln!("  --corpus-dir DIR  vet every *.apk/*.adx under DIR (recursive),");
     eprintln!("                  sorted; positional paths also accepted");
-    eprintln!("  --summary       per-shard accounting only; skip report output");
-    eprintln!("  stdout is the workers' reports in input order, byte-identical");
-    eprintln!("  to one-shot --json output over the same paths");
+    eprintln!("  --summary       counts only; skip report output");
+    eprintln!("  stdout is the reports in input order, byte-identical to");
+    eprintln!("  one-shot --json output over the same paths");
     eprintln!();
     eprintln!("exit codes: 0 clean, 1 analysis failure, 2 usage, 3 degraded");
     ExitCode::from(2)
@@ -116,6 +119,312 @@ const FLAGS: &[&str] = &[
 const EXIT_FAILED: u8 = 1;
 const EXIT_DEGRADED: u8 = 3;
 
+/// One mode's command line, parsed once. The flags every mode shares —
+/// checker toggles, cache flags and verbosity — land in `service` and
+/// `events`; the mode reads its own flags back by name.
+struct CommandLine {
+    service: ServiceOptions,
+    events: Events,
+    /// Every valueless flag given, in order.
+    switches: Vec<String>,
+    /// Every occurrence of `--jobs` and the mode's own value flags, in
+    /// order.
+    values: Vec<(String, String)>,
+    paths: Vec<String>,
+}
+
+impl CommandLine {
+    /// Parses `args` for a mode that accepts the valueless flags in
+    /// `accepted` (shared ones included) and its own value flags in
+    /// `valued`, besides the shared `--jobs`, `--cache-dir` and
+    /// `--cache-budget`. `None` is a usage error: an unknown flag, a
+    /// value flag without its value, a malformed number or size, or a
+    /// last `--jobs` of 0.
+    fn parse(args: &[String], accepted: &[&str], valued: &[&str]) -> Option<CommandLine> {
+        let mut service = ServiceOptions::default();
+        let mut switches: Vec<String> = Vec::new();
+        let mut values = Vec::new();
+        let mut paths = Vec::new();
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--jobs" => {
+                    let v = it.next()?;
+                    service.jobs = Some(v.parse().ok()?);
+                    values.push((a.clone(), v.clone()));
+                }
+                "--cache-dir" => service.cache_dir = Some(PathBuf::from(it.next()?)),
+                "--cache-budget" => service.cache_budget = Some(parse_bytes(it.next()?)?),
+                s if valued.contains(&s) => values.push((a.clone(), it.next()?.clone())),
+                s if s.starts_with('-') => {
+                    if !accepted.contains(&s) {
+                        return None;
+                    }
+                    switches.push(a.clone());
+                }
+                _ => paths.push(a.clone()),
+            }
+        }
+        if service.jobs == Some(0) {
+            return None;
+        }
+        let has = |flag: &str| switches.iter().any(|f| f == flag);
+        service.config = CheckerConfig {
+            strict_connectivity: has("--strict"),
+            // Last occurrence wins when both interproc flags are given.
+            interproc: switches
+                .iter()
+                .rev()
+                .find(|f| *f == "--interproc" || *f == "--no-interproc")
+                .is_none_or(|f| f == "--interproc"),
+            icc: has("--icc"),
+            ..CheckerConfig::default()
+        };
+        service.no_cache = has("--no-cache");
+        let events = if has("--quiet") || has("-q") {
+            Events::silent()
+        } else if has("-vv") {
+            Events::at(Level::Debug)
+        } else if has("-v") {
+            Events::at(Level::Info)
+        } else {
+            Events::default()
+        };
+        Some(CommandLine {
+            service,
+            events,
+            switches,
+            values,
+            paths,
+        })
+    }
+
+    /// Whether the valueless flag `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.switches.iter().any(|f| f == flag)
+    }
+
+    /// The last value given for the mode's flag `flag`.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .rev()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The last value of `flag` as a number: `Ok(None)` when it is
+    /// absent, `Err` (a usage error) when any value given for it is not
+    /// a number of at least `min`.
+    fn number<T: std::str::FromStr + PartialOrd>(
+        &self,
+        flag: &str,
+        min: T,
+    ) -> Result<Option<T>, ()> {
+        let mut last = None;
+        for (f, v) in &self.values {
+            if f == flag {
+                let n: T = v.parse().map_err(|_| ())?;
+                if n < min {
+                    return Err(());
+                }
+                last = Some(n);
+            }
+        }
+        Ok(last)
+    }
+}
+
+/// What a batch prints on stdout for each analyzed app.
+#[derive(Clone, Copy, PartialEq)]
+enum Print {
+    /// The Figure-7 text report.
+    Reports,
+    /// One line per app.
+    Summary,
+    /// One JSON document per app.
+    Json,
+    Nothing,
+}
+
+/// How a batch reports its outcomes.
+struct View {
+    print: Print,
+    keep_going: bool,
+    /// Print each app's span tree on stderr.
+    trace: bool,
+    /// Print each app's counters on stderr (never under `Print::Json`,
+    /// whose documents embed them).
+    metrics: bool,
+}
+
+/// One finished batch: the bundles read and their outcomes, both in
+/// input order, and the service that ran them.
+struct Batch {
+    service: AnalysisService,
+    items: Vec<(String, Vec<u8>)>,
+    outcomes: Vec<nck_svc::AppOutcome>,
+    /// Unreadable bundles plus failed analyses.
+    failures: usize,
+    degraded: usize,
+}
+
+/// The batch path `nchecker` and `nchecker vet` share: reads every
+/// bundle up front, analyzes them on the service's pool, and reports
+/// each outcome in input order — the report on stdout, a failure as
+/// one logged `<path>: <error>` line. `Err` is the exit code of a batch
+/// that stopped at its first failure (without `keep_going`) or could
+/// not write stdout.
+fn run_batch(
+    options: ServiceOptions,
+    obs: Obs,
+    paths: &[String],
+    view: &View,
+) -> Result<Batch, ExitCode> {
+    let events = obs.events.clone();
+    let mut items = Vec::with_capacity(paths.len());
+    let mut failures = 0usize;
+    for path in paths {
+        match std::fs::read(path) {
+            Ok(bytes) => {
+                events.debug(&format!("{path}: read {} bytes", bytes.len()));
+                items.push((path.clone(), bytes));
+            }
+            Err(e) => {
+                events.error(&format!("{path}: {e}"));
+                failures += 1;
+                if !view.keep_going {
+                    return Err(ExitCode::from(EXIT_FAILED));
+                }
+            }
+        }
+    }
+    let service = AnalysisService::new(options, obs);
+    let outcomes = service.analyze_batch(&items);
+
+    let failed_write = |_| ExitCode::from(EXIT_FAILED);
+    let mut out = std::io::stdout().lock();
+    let mut degraded = 0usize;
+    for ((path, _), outcome) in items.iter().zip(&outcomes) {
+        let report = match &outcome.report {
+            Ok(report) => report,
+            Err(e) => {
+                events.error(&format!("{path}: {e}"));
+                failures += 1;
+                if !view.keep_going {
+                    return Err(ExitCode::from(EXIT_FAILED));
+                }
+                continue;
+            }
+        };
+        // Reading the structured report decodes a disk hit's stored
+        // entry; `--json` alone never needs to.
+        if events.would_log(Level::Info) || events.sink().is_some() {
+            events.info(&format!(
+                "{path}: {} requests, {} defects",
+                report.stats.requests,
+                report.defects.len()
+            ));
+        }
+        if report.degraded() {
+            degraded += 1;
+            events.warn(&format!(
+                "{path}: degraded analysis, {} method(s) skipped",
+                report.skipped_methods.len()
+            ));
+            for s in &report.skipped_methods {
+                events.debug(&format!(
+                    "{path}: skipped {} [{}]: {}",
+                    s.method, s.cause, s.detail
+                ));
+            }
+        }
+        match view.print {
+            Print::Nothing => {}
+            Print::Json => out
+                .write_all(report.json().as_bytes())
+                .map_err(failed_write)?,
+            Print::Summary => writeln!(
+                out,
+                "{path}: {} ({} requests, {} defects{})",
+                report.stats.package,
+                report.stats.requests,
+                report.defects.len(),
+                if report.degraded() { ", degraded" } else { "" }
+            )
+            .map_err(failed_write)?,
+            Print::Reports => {
+                writeln!(
+                    out,
+                    "=== {} ({} defects) ===",
+                    report.stats.package,
+                    report.defects.len()
+                )
+                .map_err(failed_write)?;
+                for d in &report.defects {
+                    writeln!(out, "{}", d.render()).map_err(failed_write)?;
+                }
+            }
+        }
+        // Observability output goes to stderr so stdout stays
+        // machine-parseable under --json. The stderr renderings stay
+        // opt-in even when an exporter enabled recording.
+        if view.trace {
+            if let Some(t) = &report.trace {
+                eprintln!("--- trace: {} ---", report.stats.package);
+                eprint!("{}", t.render());
+            }
+        }
+        if view.metrics && view.print != Print::Json {
+            if let Some(m) = &report.metrics {
+                eprintln!("--- metrics: {} ---", report.stats.package);
+                eprint!("{}", m.render());
+            }
+        }
+    }
+    out.flush().map_err(failed_write)?;
+    Ok(Batch {
+        service,
+        items,
+        outcomes,
+        failures,
+        degraded,
+    })
+}
+
+/// Writes the defect deltas to `path`: one JSONL record per
+/// resubmitted-and-changed app, in input order (apps without a delta
+/// contribute no line). Returns whether the write succeeded; a failure
+/// is logged.
+fn write_deltas(path: &Path, outcomes: &[nck_svc::AppOutcome], events: &Events) -> bool {
+    let mut text = String::new();
+    for delta in outcomes.iter().filter_map(|o| o.delta.as_ref()) {
+        text.push_str(&serde_json::to_string(&delta.to_json()).expect("delta serializes"));
+        text.push('\n');
+    }
+    match std::fs::write(path, text) {
+        Ok(()) => {
+            events.info(&format!("wrote {}", path.display()));
+            true
+        }
+        Err(e) => {
+            events.error(&format!("{}: {e}", path.display()));
+            false
+        }
+    }
+}
+
+/// The run's exit code: failures first, then degraded analyses.
+fn exit_code(failures: usize, degraded: usize) -> ExitCode {
+    if failures > 0 {
+        ExitCode::from(EXIT_FAILED)
+    } else if degraded > 0 {
+        ExitCode::from(EXIT_DEGRADED)
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -124,87 +433,24 @@ fn main() -> ExitCode {
         Some("cache-gc") => return gc_main(&args[1..]),
         _ => {}
     }
-    let summary = args.iter().any(|a| a == "--summary");
-    let json = args.iter().any(|a| a == "--json");
-    let strict = args.iter().any(|a| a == "--strict");
-    let icc = args.iter().any(|a| a == "--icc");
-    let keep_going = args.iter().any(|a| a == "--keep-going" || a == "-k");
-    let trace = args.iter().any(|a| a == "--trace");
-    let metrics = args.iter().any(|a| a == "--metrics");
-    let doctor_mode = args.iter().any(|a| a == "--doctor");
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");
-    let verbose = args.iter().any(|a| a == "-v");
-    let very_verbose = args.iter().any(|a| a == "-vv");
-    // Last occurrence wins when both interproc flags are given.
-    let interproc = !matches!(
-        args.iter()
-            .rev()
-            .find(|a| *a == "--interproc" || *a == "--no-interproc"),
-        Some(a) if a == "--no-interproc"
-    );
-
-    // Value-taking flags and positionals.
-    let mut jobs: Option<usize> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut cache_budget: Option<u64> = None;
-    let mut delta_out: Option<PathBuf> = None;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut log_json: Option<PathBuf> = None;
-    let mut paths: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                jobs = Some(n);
-            }
-            "--cache-dir" => {
-                let Some(dir) = it.next() else {
-                    return usage();
-                };
-                cache_dir = Some(PathBuf::from(dir));
-            }
-            "--cache-budget" => {
-                let Some(n) = it.next().and_then(|v| parse_bytes(v)) else {
-                    return usage();
-                };
-                cache_budget = Some(n);
-            }
-            "--delta-out" => {
-                let Some(file) = it.next() else {
-                    return usage();
-                };
-                delta_out = Some(PathBuf::from(file));
-            }
-            "--trace-out" => {
-                let Some(file) = it.next() else {
-                    return usage();
-                };
-                trace_out = Some(PathBuf::from(file));
-            }
-            "--log-json" => {
-                let Some(file) = it.next() else {
-                    return usage();
-                };
-                log_json = Some(PathBuf::from(file));
-            }
-            s if s.starts_with('-') => {
-                if !FLAGS.contains(&s) {
-                    return usage();
-                }
-            }
-            _ => paths.push(a),
-        }
-    }
+    let Some(cl) = CommandLine::parse(&args, FLAGS, &["--delta-out", "--trace-out", "--log-json"])
+    else {
+        return usage();
+    };
+    let summary = cl.has("--summary");
+    let json = cl.has("--json");
+    let keep_going = cl.has("--keep-going") || cl.has("-k");
+    let trace = cl.has("--trace");
+    let metrics = cl.has("--metrics");
+    let doctor_mode = cl.has("--doctor");
+    let no_cache = cl.service.no_cache;
+    let config = cl.service.config;
+    let delta_out = cl.value("--delta-out").map(PathBuf::from);
+    let trace_out = cl.value("--trace-out").map(PathBuf::from);
+    let log_json = cl.value("--log-json").map(PathBuf::from);
     // `--doctor` reports on the cache dir and config alone; everything
     // else needs at least one bundle.
-    if paths.is_empty() && !doctor_mode {
-        return usage();
-    }
-    if let Some(0) = jobs {
+    if cl.paths.is_empty() && !doctor_mode {
         return usage();
     }
 
@@ -218,24 +464,10 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    let mut events = if quiet {
-        Events::silent()
-    } else if very_verbose {
-        Events::at(Level::Debug)
-    } else if verbose {
-        Events::at(Level::Info)
-    } else {
-        Events::default()
-    };
+    let mut events = cl.events;
     if let Some(sink) = &sink {
         events = events.with_sink(sink.clone());
     }
-    let config = CheckerConfig {
-        strict_connectivity: strict,
-        interproc,
-        icc,
-        ..CheckerConfig::default()
-    };
     // The exporters need spans and counters even when the stderr views
     // (--trace/--metrics) are off: recording is silent unless a flag
     // asks for the stderr rendering.
@@ -255,112 +487,32 @@ fn main() -> ExitCode {
         events: events.clone(),
     };
 
-    // Read everything up front; the batch then runs on the pool.
-    let mut items: Vec<(String, Vec<u8>)> = Vec::new();
-    let mut failures = 0usize;
-    for path in &paths {
-        match std::fs::read(path) {
-            Ok(bytes) => {
-                events.debug(&format!("{path}: read {} bytes", bytes.len()));
-                items.push(((*path).clone(), bytes));
-            }
-            Err(e) => {
-                events.error(&format!("{path}: {e}"));
-                failures += 1;
-                if !keep_going {
-                    return ExitCode::from(EXIT_FAILED);
-                }
-            }
-        }
-    }
-
-    let service = AnalysisService::new(
-        ServiceOptions {
-            config,
-            jobs,
-            cache_dir,
-            no_cache,
-            mem_budget: None,
-            cache_budget,
+    let view = View {
+        print: if doctor_mode {
+            // The snapshot is the only stdout content.
+            Print::Nothing
+        } else if json {
+            Print::Json
+        } else if summary {
+            Print::Summary
+        } else {
+            Print::Reports
         },
-        obs,
-    );
-    let outcomes = service.analyze_batch(&items);
+        keep_going,
+        trace,
+        metrics,
+    };
+    let Batch {
+        service,
+        items,
+        outcomes,
+        mut failures,
+        degraded,
+    } = match run_batch(cl.service, obs, &cl.paths, &view) {
+        Ok(batch) => batch,
+        Err(code) => return code,
+    };
     let cache_stats = AnalysisService::batch_stats(&outcomes);
-
-    let mut degraded = 0usize;
-    for ((path, _), outcome) in items.iter().zip(&outcomes) {
-        match &outcome.report {
-            Ok(report) => {
-                // Reading the structured report decodes a disk hit's
-                // stored entry; `--json` alone never needs to.
-                if events.would_log(Level::Info) || events.sink().is_some() {
-                    events.info(&format!(
-                        "{path}: {} requests, {} defects",
-                        report.stats.requests,
-                        report.defects.len()
-                    ));
-                }
-                if report.degraded() {
-                    degraded += 1;
-                    events.warn(&format!(
-                        "{path}: degraded analysis, {} method(s) skipped",
-                        report.skipped_methods.len()
-                    ));
-                    for s in &report.skipped_methods {
-                        events.debug(&format!(
-                            "{path}: skipped {} [{}]: {}",
-                            s.method, s.cause, s.detail
-                        ));
-                    }
-                }
-                if doctor_mode {
-                    // The snapshot is the only stdout content.
-                } else if json {
-                    print!("{}", report.json());
-                } else if summary {
-                    println!(
-                        "{path}: {} ({} requests, {} defects{})",
-                        report.stats.package,
-                        report.stats.requests,
-                        report.defects.len(),
-                        if report.degraded() { ", degraded" } else { "" }
-                    );
-                } else {
-                    println!(
-                        "=== {} ({} defects) ===",
-                        report.stats.package,
-                        report.defects.len()
-                    );
-                    for d in &report.defects {
-                        println!("{}", d.render());
-                    }
-                }
-                // Observability output goes to stderr so stdout stays
-                // machine-parseable under --json. The stderr renderings
-                // stay opt-in even when an exporter enabled recording.
-                if trace {
-                    if let Some(t) = &report.trace {
-                        eprintln!("--- trace: {} ---", report.stats.package);
-                        eprint!("{}", t.render());
-                    }
-                }
-                if metrics && !json {
-                    if let Some(m) = &report.metrics {
-                        eprintln!("--- metrics: {} ---", report.stats.package);
-                        eprint!("{}", m.render());
-                    }
-                }
-            }
-            Err(e) => {
-                events.error(&format!("{path}: {e}"));
-                failures += 1;
-                if !keep_going {
-                    return ExitCode::from(EXIT_FAILED);
-                }
-            }
-        }
-    }
 
     // Corpus-level aggregation over the attached per-app telemetry.
     let mut merged = nck_obs::MetricsSnapshot::default();
@@ -388,19 +540,7 @@ fn main() -> ExitCode {
     // Defect deltas, one JSONL record per resubmitted-and-changed app,
     // in input order (apps without a delta contribute no line).
     if let Some(path) = &delta_out {
-        let mut text = String::new();
-        for outcome in &outcomes {
-            if let Some(delta) = &outcome.delta {
-                text.push_str(&serde_json::to_string(&delta.to_json()).expect("delta serializes"));
-                text.push('\n');
-            }
-        }
-        if let Err(e) = std::fs::write(path, text) {
-            events.error(&format!("{}: {e}", path.display()));
-            failures += 1;
-        } else {
-            events.info(&format!("wrote {}", path.display()));
-        }
+        failures += usize::from(!write_deltas(path, &outcomes, &events));
     }
 
     if let Some(path) = &trace_out {
@@ -474,13 +614,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if failures > 0 {
-        ExitCode::from(EXIT_FAILED)
-    } else if degraded > 0 {
-        ExitCode::from(EXIT_DEGRADED)
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_code(failures, degraded)
 }
 
 /// Flags `nchecker serve` accepts without a value.
@@ -502,113 +636,31 @@ const SERVE_FLAGS: &[&str] = &[
 /// the protocol on stdio or a Unix socket until shutdown, draining
 /// in-flight work before exiting.
 fn serve_main(args: &[String]) -> ExitCode {
-    let strict = args.iter().any(|a| a == "--strict");
-    let icc = args.iter().any(|a| a == "--icc");
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    let stdio = args.iter().any(|a| a == "--stdio");
-    let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");
-    let verbose = args.iter().any(|a| a == "-v");
-    let very_verbose = args.iter().any(|a| a == "-vv");
-    let interproc = !matches!(
-        args.iter()
-            .rev()
-            .find(|a| *a == "--interproc" || *a == "--no-interproc"),
-        Some(a) if a == "--no-interproc"
-    );
-
-    let mut jobs: Option<usize> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut cache_budget: Option<u64> = None;
-    let mut socket: Option<PathBuf> = None;
-    let mut watch: Option<PathBuf> = None;
-    let mut poll_ms: u64 = 500;
-    let mut queue_capacity: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                jobs = Some(n);
-            }
-            "--cache-dir" => {
-                let Some(dir) = it.next() else {
-                    return usage();
-                };
-                cache_dir = Some(PathBuf::from(dir));
-            }
-            "--cache-budget" => {
-                let Some(n) = it.next().and_then(|v| parse_bytes(v)) else {
-                    return usage();
-                };
-                cache_budget = Some(n);
-            }
-            "--socket" => {
-                let Some(path) = it.next() else {
-                    return usage();
-                };
-                socket = Some(PathBuf::from(path));
-            }
-            "--watch" => {
-                let Some(dir) = it.next() else {
-                    return usage();
-                };
-                watch = Some(PathBuf::from(dir));
-            }
-            "--poll-ms" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                poll_ms = n;
-            }
-            "--queue-capacity" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                queue_capacity = Some(n);
-            }
-            s if s.starts_with('-') => {
-                if !SERVE_FLAGS.contains(&s) {
-                    return usage();
-                }
-            }
-            _ => return usage(),
-        }
-    }
-    // Exactly one transport.
-    if stdio == socket.is_some() {
+    let Some(cl) = CommandLine::parse(
+        args,
+        SERVE_FLAGS,
+        &["--socket", "--watch", "--poll-ms", "--queue-capacity"],
+    ) else {
         return usage();
-    }
-    if let (Some(0), _) | (_, Some(0)) = (jobs, queue_capacity) {
+    };
+    let stdio = cl.has("--stdio");
+    let socket = cl.value("--socket").map(PathBuf::from);
+    let watch = cl.value("--watch").map(PathBuf::from);
+    let (Ok(poll_ms), Ok(queue_capacity)) = (
+        cl.number::<u64>("--poll-ms", 0),
+        cl.number::<usize>("--queue-capacity", 0),
+    ) else {
+        return usage();
+    };
+    // Exactly one transport, and no positional arguments.
+    if stdio == socket.is_some() || queue_capacity == Some(0) || !cl.paths.is_empty() {
         return usage();
     }
 
-    let events = if quiet {
-        Events::silent()
-    } else if very_verbose {
-        Events::at(Level::Debug)
-    } else if verbose {
-        Events::at(Level::Info)
-    } else {
-        Events::default()
-    };
-    let config = CheckerConfig {
-        strict_connectivity: strict,
-        interproc,
-        icc,
-        ..CheckerConfig::default()
-    };
+    let events = cl.events;
     let daemon = Arc::new(Daemon::new(
         DaemonOptions {
-            service: ServiceOptions {
-                config,
-                jobs,
-                cache_dir,
-                no_cache,
-                mem_budget: None,
-                cache_budget,
-            },
+            service: cl.service,
             queue_capacity,
         },
         events.clone(),
@@ -621,7 +673,7 @@ fn serve_main(args: &[String]) -> ExitCode {
     let watcher = watch.map(|dir| {
         let d = Arc::clone(&daemon);
         let ev = events.clone();
-        std::thread::spawn(move || watch_loop(&d, &dir, poll_ms, &ev))
+        std::thread::spawn(move || watch_loop(&d, &dir, poll_ms.unwrap_or(500), &ev))
     });
 
     let served = if stdio {
@@ -699,86 +751,35 @@ const VET_FLAGS: &[&str] = &[
     "-v",
 ];
 
-/// The `nchecker vet` entry point: shard the corpus across worker
-/// processes and merge reports back in input order.
+/// The `nchecker vet` entry point: the one-shot batch over a corpus,
+/// kept going past failures, with every report printed in input order
+/// as `nchecker --json` prints it.
 fn vet_main(args: &[String]) -> ExitCode {
-    let summary = args.iter().any(|a| a == "--summary");
-    let strict = args.iter().any(|a| a == "--strict");
-    let icc = args.iter().any(|a| a == "--icc");
-    let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");
-    let verbose = args.iter().any(|a| a == "-v");
-    let interproc = !matches!(
-        args.iter()
-            .rev()
-            .find(|a| *a == "--interproc" || *a == "--no-interproc"),
-        Some(a) if a == "--no-interproc"
-    );
-
-    let mut workers = 2usize;
-    let mut window = 32usize;
-    let mut jobs: Option<usize> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut cache_budget: Option<u64> = None;
-    let mut delta_out: Option<PathBuf> = None;
-    let mut corpus_dir: Option<PathBuf> = None;
-    let mut worker_exe: Option<String> = None;
-    let mut paths: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => workers = n,
-                _ => return usage(),
-            },
-            "--window" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => window = n,
-                _ => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => jobs = Some(n),
-                _ => return usage(),
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => cache_dir = Some(dir.clone()),
-                None => return usage(),
-            },
-            "--cache-budget" => match it.next().and_then(|v| parse_bytes(v)) {
-                Some(n) => cache_budget = Some(n),
-                None => return usage(),
-            },
-            "--delta-out" => match it.next() {
-                Some(f) => delta_out = Some(PathBuf::from(f)),
-                None => return usage(),
-            },
-            "--corpus-dir" => match it.next() {
-                Some(d) => corpus_dir = Some(PathBuf::from(d)),
-                None => return usage(),
-            },
-            // Testing hook: run THIS program as the worker instead of
-            // current_exe (lets harnesses interpose a crashing wrapper).
-            "--worker-exe" => match it.next() {
-                Some(exe) => worker_exe = Some(exe.clone()),
-                None => return usage(),
-            },
-            s if s.starts_with('-') => {
-                if !VET_FLAGS.contains(&s) {
-                    return usage();
-                }
-            }
-            _ => paths.push(a.clone()),
-        }
-    }
-
-    let events = if quiet {
-        Events::silent()
-    } else if verbose {
-        Events::at(Level::Info)
-    } else {
-        Events::default()
+    let Some(mut cl) = CommandLine::parse(
+        args,
+        VET_FLAGS,
+        &["--workers", "--delta-out", "--corpus-dir"],
+    ) else {
+        return usage();
     };
-    if let Some(dir) = &corpus_dir {
-        if let Err(e) = collect_corpus_dir(dir, &mut paths) {
-            events.error(&format!("{}: {e}", dir.display()));
+    let (Ok(workers), Ok(jobs)) = (
+        cl.number::<usize>("--workers", 1),
+        cl.number::<usize>("--jobs", 1),
+    ) else {
+        return usage();
+    };
+    // `--workers N --jobs J` runs N × J pool threads, the analysis
+    // threads of N processes with J each. Without `--jobs` the pool has
+    // the one-shot default, which already fills every core.
+    cl.service.jobs = jobs.map(|j| workers.unwrap_or(2).saturating_mul(j));
+    let threads = cl.service.jobs.unwrap_or_else(nck_svc::default_workers);
+    let summary = cl.has("--summary");
+    let delta_out = cl.value("--delta-out").map(PathBuf::from);
+    let events = cl.events.clone();
+    let mut paths = std::mem::take(&mut cl.paths);
+    if let Some(dir) = cl.value("--corpus-dir") {
+        if let Err(e) = collect_corpus_dir(Path::new(dir), &mut paths) {
+            events.error(&format!("{dir}: {e}"));
             return ExitCode::from(EXIT_FAILED);
         }
     }
@@ -786,120 +787,37 @@ fn vet_main(args: &[String]) -> ExitCode {
         return usage();
     }
 
-    // The worker command: this very binary in serve --stdio mode, with
-    // the checker and cache configuration forwarded. Queue capacity is
-    // pinned to two submit windows — the orchestrator keeps one window
-    // queued behind the one in flight — so pipelined submits are never
-    // admission-rejected.
-    let exe = match worker_exe {
-        Some(exe) => exe,
-        None => match std::env::current_exe() {
-            Ok(p) => p.to_string_lossy().into_owned(),
-            Err(e) => {
-                events.error(&format!("cannot resolve own executable: {e}"));
-                return ExitCode::from(EXIT_FAILED);
-            }
-        },
+    let view = View {
+        print: if summary { Print::Nothing } else { Print::Json },
+        keep_going: true,
+        trace: false,
+        metrics: false,
     };
-    let mut worker_cmd = vec![
-        exe,
-        "serve".to_owned(),
-        "--stdio".to_owned(),
-        "--quiet".to_owned(),
-        "--queue-capacity".to_owned(),
-        (2 * window).to_string(),
-    ];
-    if strict {
-        worker_cmd.push("--strict".to_owned());
-    }
-    if icc {
-        worker_cmd.push("--icc".to_owned());
-    }
-    if !interproc {
-        worker_cmd.push("--no-interproc".to_owned());
-    }
-    if let Some(j) = jobs {
-        worker_cmd.push("--jobs".to_owned());
-        worker_cmd.push(j.to_string());
-    }
-    if let Some(dir) = &cache_dir {
-        worker_cmd.push("--cache-dir".to_owned());
-        worker_cmd.push(dir.clone());
-    }
-    if let Some(b) = cache_budget {
-        worker_cmd.push("--cache-budget".to_owned());
-        worker_cmd.push(b.to_string());
-    }
-
-    let options = OrchestratorOptions {
-        workers,
-        worker_cmd,
-        window,
-        ..OrchestratorOptions::default()
+    let obs = Obs {
+        events: events.clone(),
+        ..Obs::disabled()
     };
-    let outcome = nck_svc::vet(&options, &paths);
-
-    // stdout: the workers' reports in input order — the same bytes a
-    // single-process `nchecker --json` run over these paths prints.
-    if !summary {
-        let mut stdout = std::io::stdout().lock();
-        use std::io::Write;
-        for report in outcome.reports.iter().flatten() {
-            if stdout.write_all(report.as_bytes()).is_err() {
-                return ExitCode::from(EXIT_FAILED);
-            }
-        }
-    }
-
-    let mut failures = 0usize;
-    for (idx, msg) in &outcome.errors {
-        events.error(&format!("{}: {msg}", paths[*idx]));
-        failures += 1;
-    }
+    let Batch {
+        outcomes,
+        mut failures,
+        degraded,
+        ..
+    } = match run_batch(cl.service, obs, &paths, &view) {
+        Ok(batch) => batch,
+        Err(code) => return code,
+    };
     if let Some(path) = &delta_out {
-        let mut text = String::new();
-        for delta in outcome.deltas.iter().flatten() {
-            text.push_str(&serde_json::to_string(delta).expect("delta serializes"));
-            text.push('\n');
-        }
-        if let Err(e) = std::fs::write(path, text) {
-            events.error(&format!("{}: {e}", path.display()));
-            failures += 1;
-        }
+        failures += usize::from(!write_deltas(path, &outcomes, &events));
     }
-
-    for s in &outcome.shards {
-        events.info(&format!(
-            "vet: shard {}: {} assigned, {} completed, {} failed, {} restart(s), {} ms",
-            s.shard, s.assigned, s.completed, s.failed, s.restarts, s.wall_ms
-        ));
-    }
-    for shard in &outcome.stragglers {
-        events.warn(&format!("vet: shard {shard} straggled"));
-    }
-    let restarts: usize = outcome.shards.iter().map(|s| s.restarts).sum();
-    let deltas = outcome.deltas.iter().flatten().count();
     events.warn(&format!(
-        "vet: {} app(s) over {} worker(s): {} completed, {} failed, {} degraded, \
-         {} delta(s), {} restart(s), {} spawned, {} reused",
+        "vet: {} app(s) on {threads} thread(s): {} completed, {failures} failed, \
+         {degraded} degraded, {} delta(s), {} cache hit(s)",
         paths.len(),
-        workers,
-        outcome.completed(),
-        failures,
-        outcome.degraded,
-        deltas,
-        restarts,
-        outcome.worker_spawns,
-        outcome.workers_reused,
+        outcomes.iter().filter(|o| o.report.is_ok()).count(),
+        outcomes.iter().filter(|o| o.delta.is_some()).count(),
+        AnalysisService::batch_stats(&outcomes).hits,
     ));
-
-    if failures > 0 {
-        ExitCode::from(EXIT_FAILED)
-    } else if outcome.degraded > 0 {
-        ExitCode::from(EXIT_DEGRADED)
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_code(failures, degraded)
 }
 
 /// The `nchecker cache-gc` entry point: one explicit GC pass over a

@@ -17,10 +17,6 @@
 //!   in line-delimited JSON over a Unix socket or stdio,
 //! - [`watch`] — polling directory watcher feeding the daemon changed
 //!   bundles (the `--watch` mode),
-//! - [`orchestrator`] — the store-scale tier: partitions a corpus by
-//!   content hash across worker *processes* (each an `nchecker serve
-//!   --stdio` child spoken to over the wire protocol), with the shared
-//!   disk cache as the coordination-free result tier,
 //! - [`delta`] — defect deltas between versions of the same app
 //!   (added / fixed / unchanged), computed on resubmission under a
 //!   known key.
@@ -36,7 +32,6 @@
 pub mod daemon;
 pub mod delta;
 pub mod doctor;
-pub mod orchestrator;
 pub mod pool;
 pub mod protocol;
 pub mod service;
@@ -47,7 +42,6 @@ pub mod wire;
 pub use daemon::{Daemon, DaemonOptions};
 pub use delta::{defect_id, diff_reports, DeltaReport};
 pub use doctor::DoctorReport;
-pub use orchestrator::{vet, OrchestratorOptions, ShardReport, VetOutcome, WorkerFleet};
 pub use pool::{default_workers, run_pool};
 pub use protocol::{ErrorCode, Request, MAX_REQUEST_LINE};
 pub use service::{AnalysisService, AppOutcome, BatchCacheStats, ServedReport, ServiceOptions};

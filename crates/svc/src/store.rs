@@ -46,16 +46,16 @@
 //! miss, never a quarantine, and the next insert rewrites it.
 //!
 //! The disk tier is garbage-collected by [`AnalysisStore::gc_disk`]:
-//! size-budgeted LRU eviction ordered by per-entry *atime sidecar*
-//! files (entry mtime is the fallback stamp for entries never read
-//! back). A disk hit does **no** sidecar I/O on the hot path: reads
-//! land in an in-memory write-behind journal
+//! size-budgeted LRU eviction ordered by each entry file's own mtime,
+//! which is its last write or its last recorded read, whichever is
+//! later. A disk hit does **no** file I/O beyond the read on the hot
+//! path: reads land in an in-memory write-behind journal
 //! ([`AnalysisStore::flush_atimes`]) that is flushed in batches —
 //! before every GC scan, on [`AnalysisStore::sync_disk`], and when the
-//! store drops. A crash loses only the unflushed journal; GC then
-//! degrades to the mtime fallback for those entries (an entry is never
-//! evicted *wrongly*, only ranked by its older stamp). Eviction is
-//! plain `unlink` against tmp+rename writers, so a concurrent reader
+//! store drops — by stamping the entry's mtime forward. A crash loses
+//! only the unflushed journal: those entries rank by their older
+//! stamps, and none is evicted *wrongly*. Eviction is plain `unlink`
+//! against tmp+rename writers, so a concurrent reader
 //! sees a full entry or a miss — never a torn one. Quarantined
 //! `.quarantine` files are outside the cache namespace: GC neither
 //! counts them against the budget nor touches them.
@@ -155,7 +155,7 @@ pub struct AnalysisStore {
     disk: Option<PathBuf>,
     metrics: Metrics,
     /// Write-behind atime journal: entry path → last read stamp.
-    /// Flushed to sidecar files by [`AnalysisStore::flush_atimes`].
+    /// Flushed to entry mtimes by [`AnalysisStore::flush_atimes`].
     atime_journal: Mutex<HashMap<PathBuf, SystemTime>>,
     /// Live disk-tier occupancy estimate, bytes. Valid once
     /// `disk_seeded` ran; resynced to exact numbers by every GC scan.
@@ -266,7 +266,7 @@ impl AnalysisStore {
     /// header, or lengths) is quarantined: left in place it would be
     /// re-read and re-rejected on every lookup and permanently inflate
     /// the disk occupancy stats. Reading records the entry in the
-    /// in-memory atime journal (no sidecar I/O on the hot path), which
+    /// in-memory atime journal (no stamp I/O on the hot path), which
     /// is what makes [`AnalysisStore::gc_disk`]'s eviction order an LRU
     /// rather than FIFO.
     pub fn lookup_disk_entry(&self, key: &str, config_fp: u64, obs: &Obs) -> Option<StoredEntry> {
@@ -301,26 +301,28 @@ impl AnalysisStore {
     }
 
     /// Flushes the write-behind atime journal: every journaled read
-    /// becomes a sidecar file whose mtime is the recorded read stamp,
-    /// so relative recency survives the batching exactly. Entries that
-    /// vanished since the read (evicted, quarantined) are dropped
-    /// rather than resurrected as orphan sidecars. Called before every
-    /// GC scan, by [`AnalysisStore::sync_disk`], and on drop; a crash
-    /// in between loses only the journal, never an entry.
+    /// stamps its entry file's mtime with the recorded read stamp, so
+    /// relative recency survives the batching exactly. A stamp never
+    /// moves an mtime backwards: an entry rewritten after its read
+    /// keeps the newer write time. The file is opened without create,
+    /// so entries that vanished since the read (evicted, quarantined)
+    /// stay gone. Called before every GC scan, by
+    /// [`AnalysisStore::sync_disk`], and on drop; a crash in between
+    /// loses only the journal, never an entry.
     pub fn flush_atimes(&self) {
         let drained: Vec<(PathBuf, SystemTime)> = {
             let mut journal = lock_plain(&self.atime_journal);
             journal.drain().collect()
         };
         for (path, stamp) in drained {
-            if !path.exists() {
+            let Ok(f) = std::fs::File::options().write(true).open(&path) else {
                 continue;
-            }
-            let sidecar = path.with_extension("atime");
-            if std::fs::write(&sidecar, b"").is_ok() {
-                if let Ok(f) = std::fs::File::options().write(true).open(&sidecar) {
-                    let _ = f.set_modified(stamp);
-                }
+            };
+            if f.metadata()
+                .and_then(|m| m.modified())
+                .is_ok_and(|written| written < stamp)
+            {
+                let _ = f.set_modified(stamp);
             }
         }
     }
@@ -332,16 +334,15 @@ impl AnalysisStore {
 
     /// Renames a corrupt cache file out of the cache namespace
     /// (`.json` → `.quarantine`, which [`scan_disk`] and lookups both
-    /// ignore), deleting it outright if even the rename fails. The
-    /// atime sidecar goes with it — a quarantined entry must never be
-    /// charged against the GC budget again.
+    /// ignore), deleting it outright if even the rename fails — a
+    /// quarantined entry must never be charged against the GC budget
+    /// again.
     fn quarantine(&self, path: &Path, obs: &Obs) {
         self.seed_occupancy();
         let len = std::fs::metadata(path).map_or(0, |m| m.len());
         if std::fs::rename(path, path.with_extension("quarantine")).is_err() {
             let _ = std::fs::remove_file(path);
         }
-        let _ = std::fs::remove_file(path.with_extension("atime"));
         lock_plain(&self.atime_journal).remove(path);
         self.sub_occupancy(len);
         self.count("svc.cache.corrupt_evict", 1, obs);
@@ -530,10 +531,10 @@ impl AnalysisStore {
     }
 
     /// Garbage-collects the disk tier down to `budget` bytes of cache
-    /// entries, evicting least-recently-used first (atime sidecar,
-    /// falling back to the entry's own mtime for entries never read
-    /// back; ties break on file name so repeated runs evict
-    /// deterministically).
+    /// entries, evicting least-recently-used first (by entry mtime, the
+    /// later of its write and its last flushed read; ties break on file
+    /// name so repeated runs evict deterministically). `.atime` sidecars
+    /// left by older builds, which ranked by them, are unlinked.
     ///
     /// Safe under concurrent readers and writers: eviction is a plain
     /// `unlink`, and entries are written tmp+rename, so a reader racing
@@ -551,9 +552,9 @@ impl AnalysisStore {
             return stats;
         };
         let _s = obs.tracer.span("cache_gc");
-        // Journaled reads become sidecars before the scan, so the
-        // eviction order sees every recorded recency. Unflushed entries
-        // from a *crashed* predecessor fall back to entry mtime below.
+        // Journaled reads stamp their entries before the scan, so the
+        // eviction order sees every recorded recency. Reads a *crashed*
+        // predecessor journaled are lost: those entries rank older.
         self.flush_atimes();
         let mut entries: Vec<(SystemTime, String, u64)> = Vec::new();
         let Ok(dirents) = std::fs::read_dir(dir) else {
@@ -562,17 +563,18 @@ impl AnalysisStore {
         for dirent in dirents.flatten() {
             let name = dirent.file_name();
             let Some(name) = name.to_str() else { continue };
+            if name.ends_with(".atime") {
+                let _ = std::fs::remove_file(dirent.path());
+                continue;
+            }
             if !is_entry_name(name) {
                 continue;
             }
             let Ok(meta) = dirent.metadata() else {
                 continue;
             };
-            let atime = std::fs::metadata(dir.join(name).with_extension("atime"))
-                .and_then(|m| m.modified())
-                .or_else(|_| meta.modified())
-                .unwrap_or(SystemTime::UNIX_EPOCH);
-            entries.push((atime, name.to_owned(), meta.len()));
+            let stamp = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+            entries.push((stamp, name.to_owned(), meta.len()));
         }
         stats.entries = entries.len() as u64;
         stats.bytes = entries.iter().map(|(_, _, len)| len).sum();
@@ -587,7 +589,6 @@ impl AnalysisStore {
             }
             let path = dir.join(&name);
             if std::fs::remove_file(&path).is_ok() {
-                let _ = std::fs::remove_file(path.with_extension("atime"));
                 live -= len;
                 stats.evicted += 1;
                 stats.freed_bytes += len;
@@ -625,7 +626,7 @@ impl AnalysisStore {
 impl Drop for AnalysisStore {
     fn drop(&mut self) {
         // A clean shutdown persists every journaled read; a crash
-        // skips this and GC degrades to the mtime fallback.
+        // skips this and those entries keep their older stamps.
         self.flush_atimes();
     }
 }
@@ -844,8 +845,8 @@ impl DiskStats {
 }
 
 /// Whether `name` is a well-formed cache entry file name
-/// (`{key_hash:016x}-{config_fp:016x}.json`). `.tmp` leftovers,
-/// `.atime` sidecars, and `.quarantine`d corrupt entries all fail this.
+/// (`{key_hash:016x}-{config_fp:016x}.json`). `.tmp` leftovers and
+/// `.quarantine`d corrupt entries fail this.
 fn is_entry_name(name: &str) -> bool {
     let Some(stem) = name.strip_suffix(".json") else {
         return false;
@@ -861,8 +862,8 @@ fn is_entry_name(name: &str) -> bool {
 }
 
 /// Scans `dir` for cache entries. Files that are not well-formed cache
-/// names — including `.tmp` leftovers, `.atime` sidecars, and
-/// `.quarantine`d corrupt entries — are ignored.
+/// names — including `.tmp` leftovers and `.quarantine`d corrupt
+/// entries — are ignored.
 fn scan_disk(dir: &Path) -> DiskStats {
     let mut stats = DiskStats::new();
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -1300,16 +1301,20 @@ mod tests {
             store.insert(key, entry(i as u64, key), &obs);
         }
         // Deterministic recency: give old/mid/new strictly increasing
-        // atime stamps via explicit sidecar mtimes (filesystem clocks
-        // are too coarse to rely on insert order).
+        // explicit entry mtimes (filesystem clocks are too coarse to
+        // rely on insert order).
         for (age, key) in ["app.old", "app.mid", "app.new"].iter().enumerate() {
-            let sidecar = disk_path(&dir, key, 42).with_extension("atime");
-            std::fs::write(&sidecar, b"").unwrap();
             let stamp = std::time::SystemTime::UNIX_EPOCH
                 + std::time::Duration::from_secs(1_000_000 + age as u64 * 100);
-            let f = std::fs::File::options().write(true).open(&sidecar).unwrap();
+            let f = std::fs::File::options()
+                .write(true)
+                .open(disk_path(&dir, key, 42))
+                .unwrap();
             f.set_modified(stamp).unwrap();
         }
+        // A sidecar an older build left behind is swept, not counted.
+        let sidecar = disk_path(&dir, "app.new", 42).with_extension("atime");
+        std::fs::write(&sidecar, b"").unwrap();
         let one_entry = std::fs::metadata(disk_path(&dir, "app.old", 42))
             .unwrap()
             .len();
@@ -1320,12 +1325,7 @@ mod tests {
         assert!(stats.freed_bytes > 0);
         assert!(!disk_path(&dir, "app.old", 42).exists(), "LRU evicted");
         assert!(disk_path(&dir, "app.new", 42).exists());
-        assert!(
-            !disk_path(&dir, "app.old", 42)
-                .with_extension("atime")
-                .exists(),
-            "sidecar evicted with its entry"
-        );
+        assert!(!sidecar.exists(), "leftover sidecar unlinked");
         let snap = store.metrics().snapshot();
         assert_eq!(snap.counters["svc.cache.gc_runs"], 1);
         assert_eq!(snap.counters["svc.cache.gc_evicted"], 1);
@@ -1339,26 +1339,53 @@ mod tests {
     }
 
     #[test]
-    fn disk_reads_journal_the_atime_and_flush_writes_the_sidecar() {
+    fn disk_reads_journal_the_atime_and_flush_stamps_the_entry() {
         let dir = tmpdir("atime");
         let store = AnalysisStore::with_options(8, Some(dir.clone()));
         let obs = Obs::disabled();
         store.insert("app.t", entry(3, "app.t"), &obs);
-        let sidecar = disk_path(&dir, "app.t", 42).with_extension("atime");
+        let path = disk_path(&dir, "app.t", 42);
+        let mtime = || std::fs::metadata(&path).unwrap().modified().unwrap();
+        let written = mtime();
+        std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(disk_hit(&store, "app.t", 3, 42));
-        assert!(
-            !sidecar.exists(),
-            "the hit path must not do sidecar I/O — the read is journaled"
+        assert_eq!(
+            mtime(),
+            written,
+            "the hit path must not stamp the entry — the read is journaled"
         );
         assert_eq!(store.journaled_atimes(), 1);
         store.flush_atimes();
-        assert!(sidecar.exists(), "flush materialized the sidecar");
+        assert!(mtime() > written, "flush stamped the entry's mtime");
         assert_eq!(store.journaled_atimes(), 0, "flush drained the journal");
-        assert_eq!(
-            store.disk_stats().entries,
-            1,
-            "sidecars are not cache entries"
-        );
+        let names: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(names.len(), 1, "no file beside the entry");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_rewritten_after_a_read_ranks_by_the_rewrite() {
+        let dir = tmpdir("rewrite");
+        let store = AnalysisStore::with_options(8, Some(dir.clone()));
+        let obs = Obs::disabled();
+        let pause = || std::thread::sleep(std::time::Duration::from_millis(20));
+        store.insert("app.a", entry(1, "app.a"), &obs);
+        store.insert("app.b", entry(1, "app.b"), &obs);
+        pause();
+        assert!(disk_hit(&store, "app.a", 1, 42));
+        pause();
+        assert!(disk_hit(&store, "app.b", 1, 42));
+        pause();
+        // A new version of A: the freshest entry on disk, whatever its
+        // journaled read says.
+        store.insert("app.a", entry(2, "app.a"), &obs);
+        let one_entry = std::fs::metadata(disk_path(&dir, "app.a", 42))
+            .unwrap()
+            .len();
+        let stats = store.gc_disk(one_entry, &obs);
+        assert_eq!(stats.evicted, 1);
+        assert!(disk_path(&dir, "app.a", 42).exists(), "rewritten A kept");
+        assert!(!disk_path(&dir, "app.b", 42).exists(), "B is least recent");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1370,29 +1397,29 @@ mod tests {
         for key in ["app.first", "app.second", "app.gone"] {
             store.insert(key, entry(1, key), &obs);
         }
-        // Journal reads with explicit, strictly increasing stamps.
-        for (age, key) in ["app.first", "app.second"].iter().enumerate() {
-            let path = disk_path(&dir, key, 42);
-            let stamp = std::time::SystemTime::UNIX_EPOCH
-                + std::time::Duration::from_secs(2_000_000 + age as u64 * 100);
-            lock_plain(&store.atime_journal).insert(path, stamp);
+        // Journal reads with explicit, strictly increasing stamps, the
+        // later one first (both after the writes).
+        let stamp = |age: u64| SystemTime::now() + std::time::Duration::from_secs(100 + age * 100);
+        let stamps = [stamp(0), stamp(1)];
+        for (key, at) in [("app.second", stamps[1]), ("app.first", stamps[0])] {
+            lock_plain(&store.atime_journal).insert(disk_path(&dir, key, 42), at);
         }
         // A journaled entry that was evicted before the flush must not
-        // come back as an orphan sidecar.
+        // come back as an empty file.
         let gone = disk_path(&dir, "app.gone", 42);
         lock_plain(&store.atime_journal).insert(gone.clone(), SystemTime::now());
         std::fs::remove_file(&gone).unwrap();
         store.flush_atimes();
-        assert!(!gone.with_extension("atime").exists(), "no orphan sidecar");
+        assert!(!gone.exists(), "no entry resurrected");
         let mtime = |key: &str| {
-            std::fs::metadata(disk_path(&dir, key, 42).with_extension("atime"))
+            std::fs::metadata(disk_path(&dir, key, 42))
                 .unwrap()
                 .modified()
                 .unwrap()
         };
         assert!(
-            mtime("app.first") < mtime("app.second"),
-            "flush reproduced the journaled stamps exactly"
+            stamps[0] <= mtime("app.first") && mtime("app.first") < mtime("app.second"),
+            "flush reproduced the journaled stamps"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

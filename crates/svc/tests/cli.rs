@@ -71,14 +71,19 @@ fn no_arguments_shows_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
-/// The retired `--targeted` mode is an unknown flag to the one-shot
-/// check, `serve` and `vet` alike.
+/// Retired flags are unknown flags: `--targeted` to the one-shot check,
+/// `serve` and `vet` alike, and the worker-fleet tuning flags to `vet`.
 #[test]
 fn retired_mode_flag_shows_usage_everywhere() {
     for args in [
         &["--targeted", "x.apk"][..],
         &["serve", "--targeted"],
         &["vet", "--targeted", "x.apk"],
+        &["vet", "--window", "8", "x.apk"],
+        &["vet", "--worker-exe", "nchecker", "x.apk"],
+        // vet rejects a zero count wherever it appears, not only last.
+        &["vet", "--workers", "0", "--workers", "2", "x.apk"],
+        &["vet", "--jobs", "0", "--jobs", "2", "x.apk"],
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
             .args(args)

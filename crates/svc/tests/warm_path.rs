@@ -1,21 +1,18 @@
 //! Warm-path byte-identity suite: every warm surface (memory hit, disk
-//! hit served as stored bytes, memoized report rendering, warm worker
-//! fleets) must be byte-identical to a cold analysis of the same bytes —
-//! including after a crash-restart that loses the unflushed atime
-//! journal, where GC degrades to the entry-mtime fallback and must
-//! never evict *wrongly* (only rank by an older stamp), after a disk
-//! format upgrade, and when an entry's bytes are damaged.
+//! hit served as stored bytes, memoized report rendering) must be
+//! byte-identical to a cold analysis of the same bytes — including
+//! after a crash-restart that loses the unflushed atime journal, where
+//! GC ranks those entries by their older mtimes and must never evict
+//! *wrongly*, after a disk format upgrade, and when an entry's bytes
+//! are damaged.
 
 use nck_appgen::generate_with_bulk;
 use nck_appgen::profile;
 use nck_appgen::spec::{AppSpec, Origin, RequestSpec};
 use nck_netlibs::library::Library;
 use nck_obs::{Events, Obs};
-use nck_svc::{
-    AnalysisService, Daemon, DaemonOptions, OrchestratorOptions, Request, ServiceOptions,
-    WorkerFleet,
-};
-use std::path::PathBuf;
+use nck_svc::{AnalysisService, Daemon, DaemonOptions, Request, ServiceOptions};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The exact byte surface the one-shot CLI prints under `--json`:
@@ -74,7 +71,7 @@ fn assert_matches_cold(
     }
 }
 
-fn disk_service(dir: &std::path::Path) -> AnalysisService {
+fn disk_service(dir: &Path) -> AnalysisService {
     AnalysisService::new(
         ServiceOptions {
             cache_dir: Some(dir.to_path_buf()),
@@ -94,7 +91,7 @@ fn counter(svc: &AnalysisService, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn entry_files(dir: &std::path::Path, ext: &str) -> Vec<PathBuf> {
+fn entry_files(dir: &Path, ext: &str) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -102,6 +99,14 @@ fn entry_files(dir: &std::path::Path, ext: &str) -> Vec<PathBuf> {
         .collect();
     files.sort();
     files
+}
+
+/// The mtime of every cache entry under `dir`, in file-name order.
+fn entry_mtimes(dir: &Path) -> Vec<std::time::SystemTime> {
+    entry_files(dir, "json")
+        .iter()
+        .map(|p| std::fs::metadata(p).unwrap().modified().unwrap())
+        .collect()
 }
 
 #[test]
@@ -117,9 +122,11 @@ fn memory_and_disk_warm_paths_are_byte_identical_to_cold() {
     assert_eq!(AnalysisService::batch_stats(&mem_warm).hits, items.len());
     assert_matches_cold(&mem_warm, &cold, &items, "memory-warm");
     drop(svc); // clean shutdown: flushes the (empty) journal
+    let written = entry_mtimes(&dir);
+    std::thread::sleep(std::time::Duration::from_millis(20));
 
     // Process 2: every app is a disk hit, served from the entry's
-    // stored bytes. The hit path journals the reads (no sidecar I/O
+    // stored bytes. The hit path journals the reads (no stamp I/O
     // inline), decodes nothing, and promotes nothing.
     let svc = disk_service(&dir);
     let disk_warm = svc.analyze_batch(&items);
@@ -128,8 +135,9 @@ fn memory_and_disk_warm_paths_are_byte_identical_to_cold() {
     assert_eq!(
         svc.store().journaled_atimes(),
         items.len(),
-        "disk hits land in the journal, not in sidecar files"
+        "disk hits land in the journal"
     );
+    assert_eq!(entry_mtimes(&dir), written, "no entry stamped inline");
     assert_eq!(svc.store().len(), 0, "disk hits are not promoted");
     assert_eq!(counter(&svc, "svc.cache.disk_decode"), 0);
 
@@ -146,6 +154,12 @@ fn memory_and_disk_warm_paths_are_byte_identical_to_cold() {
     let again = svc.analyze_batch(&items);
     assert_eq!(AnalysisService::batch_stats(&again).hits, items.len());
     assert_matches_cold(&again, &cold, &items, "disk-warm again");
+    // A clean shutdown stamps every read entry's mtime forward.
+    drop(svc);
+    for (read, write) in entry_mtimes(&dir).iter().zip(&written) {
+        assert!(read > write, "the journaled read stamped its entry");
+    }
+    assert!(entry_files(&dir, "atime").is_empty(), "no sidecar files");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -322,7 +336,7 @@ fn crash_restart_with_unflushed_journal_degrades_to_mtime_without_wrong_eviction
 
     // Populate, then restart and read everything — the reads sit in
     // the journal only. `mem::forget` simulates the crash: Drop never
-    // runs, the journal is lost, no sidecar was ever written.
+    // runs, the journal is lost, no entry was ever stamped.
     {
         let svc = AnalysisService::new(
             ServiceOptions {
@@ -340,19 +354,19 @@ fn crash_restart_with_unflushed_journal_degrades_to_mtime_without_wrong_eviction
         },
         Obs::disabled(),
     );
+    let written = entry_mtimes(&dir);
     let warm = svc.analyze_batch(&items);
     assert_eq!(AnalysisService::batch_stats(&warm).hits, items.len());
     assert_eq!(svc.store().journaled_atimes(), items.len());
     std::mem::forget(svc);
-    let sidecars = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "atime"))
-        .count();
-    assert_eq!(sidecars, 0, "the crash lost every journaled read");
+    assert_eq!(
+        entry_mtimes(&dir),
+        written,
+        "the crash lost every journaled read"
+    );
 
-    // Restart after the crash: GC must degrade to the mtime fallback —
-    // it evicts *by budget*, never corrupts, and every surviving entry
+    // Restart after the crash: GC ranks by the write stamps alone — it
+    // evicts *by budget*, never corrupts, and every surviving entry
     // still serves bytes identical to cold.
     let svc = AnalysisService::new(
         ServiceOptions {
@@ -421,55 +435,4 @@ fn daemon_report_verb_serves_identical_bytes_through_the_render_cell() {
 
     assert_eq!(first, one_shot, "daemon miss matches one-shot --json");
     assert_eq!(second, one_shot, "daemon hit serves the same bytes");
-}
-
-#[test]
-fn a_warm_fleet_serves_a_second_round_without_spawning_and_byte_identically() {
-    let dir = tmpdir("fleet");
-    std::fs::create_dir_all(&dir).unwrap();
-    let paths: Vec<String> = suite(4, 2016)
-        .into_iter()
-        .enumerate()
-        .map(|(i, (_, bytes))| {
-            let p = dir.join(format!("app{i}.apk"));
-            std::fs::write(&p, bytes).unwrap();
-            p.to_str().unwrap().to_owned()
-        })
-        .collect();
-
-    let mut fleet = WorkerFleet::new(OrchestratorOptions {
-        workers: 2,
-        worker_cmd: vec![
-            env!("CARGO_BIN_EXE_nchecker").to_owned(),
-            "serve".to_owned(),
-            "--stdio".to_owned(),
-            "--quiet".to_owned(),
-            "--queue-capacity".to_owned(),
-            "64".to_owned(),
-        ],
-        ..OrchestratorOptions::default()
-    });
-
-    let round1 = fleet.vet(&paths);
-    assert_eq!(round1.completed(), paths.len());
-    assert!(round1.worker_spawns >= 1, "cold fleet spawns its workers");
-    assert_eq!(round1.workers_reused, 0);
-    let spawned = round1.worker_spawns;
-    assert_eq!(fleet.warm_workers(), spawned, "workers stay alive");
-
-    let round2 = fleet.vet(&paths);
-    assert_eq!(round2.completed(), paths.len());
-    assert_eq!(round2.worker_spawns, 0, "warm round spawns nothing");
-    assert_eq!(round2.workers_reused, spawned, "every shard reuses warm");
-    assert_eq!(
-        round2.shards.iter().map(|s| s.restarts).sum::<usize>(),
-        0,
-        "no respawns on the clean path"
-    );
-    assert_eq!(
-        round1.reports, round2.reports,
-        "warm-fleet output is byte-identical to the cold round"
-    );
-    fleet.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }

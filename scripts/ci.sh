@@ -189,10 +189,12 @@ echo "$incr_out" | grep -Eq "warm:.* [1-9][0-9]*% classes replayed" \
     || { echo "incremental smoke: warm pass reported no class reuse"; exit 1; }
 
 echo "==> store-scale vetting smoke test"
-# A small sharded corpus through the multi-process orchestrator: vet
-# output must be byte-identical to the single-process --json run; a
-# version-churn rerun over the same cache must emit well-formed report
-# deltas; and an explicit GC pass must respect a tight byte budget.
+# A small sharded corpus through `nchecker vet`: its output must be
+# byte-identical to the one-shot --json run, cold and with a damaged
+# cache entry; a version-churn rerun over the same cache must print
+# the one-shot reports and --delta-out bytes of a one-shot run over a
+# copy of that cache, and emit well-formed report deltas; and an
+# explicit GC pass must respect a tight byte budget.
 vet_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir" "$vet_dir"' EXIT
 ./target/release/genapp corpus --seed 7 --count 40 --shards 8 "$vet_dir/corpus"
@@ -201,8 +203,8 @@ trap 'rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir" "$vet_dir"' EXIT
 ./target/release/nchecker vet --workers 2 --corpus-dir "$vet_dir/corpus" \
     --cache-dir "$vet_dir/cache" --quiet > "$vet_dir/vet.json"
 cmp "$vet_dir/oneshot.json" "$vet_dir/vet.json" \
-    || { echo "vet smoke: multi-process output differs from one-shot"; exit 1; }
-echo "vet smoke ok: 40 apps byte-identical across 2 worker processes"
+    || { echo "vet smoke: vet output differs from one-shot"; exit 1; }
+echo "vet smoke ok: 40 apps byte-identical to one-shot"
 # Served bytes are checksummed bytes: flip one byte in one entry's JSON
 # section (the bytes a disk hit replies with). The re-run must
 # quarantine that entry and recompute it, never serve it.
@@ -224,15 +226,19 @@ compgen -G "$vet_dir/cache/*.quarantine" > /dev/null \
 echo "vet corruption ok: damaged entry quarantined and recomputed"
 ./target/release/genapp corpus --seed 7 --count 40 --shards 8 --version 1 \
     "$vet_dir/corpus"
-# Keep the summary on stderr this time: the clean path must spawn the
-# worker fleet exactly once (one process per shard, zero respawns).
+cp -r "$vet_dir/cache" "$vet_dir/cache-oneshot"
 ./target/release/nchecker vet --workers 2 --corpus-dir "$vet_dir/corpus" \
     --cache-dir "$vet_dir/cache" --delta-out "$vet_dir/deltas.jsonl" \
-    --summary 2> "$vet_dir/vet-churn.log"
-grep -q "0 restart(s), 2 spawned, 0 reused" "$vet_dir/vet-churn.log" \
-    || { echo "vet smoke: worker fleet was not spawned exactly once"; \
-         cat "$vet_dir/vet-churn.log"; exit 1; }
-echo "vet fleet ok: 2 workers spawned once, 0 respawns on the clean path"
+    --quiet > "$vet_dir/vet-churn.json"
+./target/release/nchecker --json --quiet --cache-dir "$vet_dir/cache-oneshot" \
+    --delta-out "$vet_dir/oneshot-deltas.jsonl" \
+    $(find "$vet_dir/corpus" -name '*.apk' | sort) \
+    > "$vet_dir/oneshot-churn.json" 2> /dev/null
+cmp "$vet_dir/oneshot-churn.json" "$vet_dir/vet-churn.json" \
+    || { echo "vet smoke: churned vet output differs from one-shot"; exit 1; }
+cmp "$vet_dir/oneshot-deltas.jsonl" "$vet_dir/deltas.jsonl" \
+    || { echo "vet smoke: vet --delta-out differs from one-shot"; exit 1; }
+echo "vet churn ok: reports and deltas byte-identical to one-shot"
 python3 - "$vet_dir/deltas.jsonl" <<'EOF'
 import json, sys
 
