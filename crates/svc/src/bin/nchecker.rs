@@ -846,9 +846,10 @@ fn gc_main(args: &[String]) -> ExitCode {
     let store = AnalysisStore::with_options(1, Some(dir));
     let stats = store.gc_disk(budget, &Obs::disabled());
     println!(
-        "cache-gc: {} entries ({} bytes) -> evicted {}, freed {} bytes, {} bytes live",
+        "cache-gc: {} records ({} bytes) -> kept {}, dropped {}, freed {} bytes, {} bytes live",
         stats.entries,
         stats.bytes,
+        stats.kept(),
         stats.evicted,
         stats.freed_bytes,
         stats.live_bytes(),

@@ -18,7 +18,9 @@
 //! Counter-derived fields stay deterministic under parallelism because
 //! each app's cache outcome (hit/miss) and workload counters depend
 //! only on the input and the cache directory contents, never on
-//! scheduling; per-shard eviction counts likewise depend only on how
+//! scheduling. Disk reads append only to the touch log, which the disk
+//! section leaves out, so a warm run leaves that section as it found
+//! it; per-shard eviction counts likewise depend only on how
 //! many distinct keys land in each shard. The one soft spot is
 //! `cache.mem.bytes`: when the memory tier actually evicted, the
 //! *membership* of the resident set (unlike its size) depends on
@@ -94,7 +96,11 @@ pub fn doctor_json(r: &DoctorReport<'_>) -> Value {
                 "configured": r.store.has_disk(),
                 "entries": disk.entries,
                 "bytes": disk.bytes,
+                "dead_bytes": disk.dead_bytes,
+                "segments": disk.segments,
                 "shards": disk.shards,
+                "files_created": counter(&store_counters, "svc.cache.disk_files_created"),
+                "records_appended": counter(&store_counters, "svc.cache.disk_records_appended"),
             },
             "mem": {
                 "entries": mem_shards.iter().sum::<usize>(),

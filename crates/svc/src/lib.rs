@@ -8,8 +8,9 @@
 //!   contained per job; one adversarial bundle cannot take a run down),
 //! - [`store`] — a sharded, content-addressed analysis cache with an
 //!   in-memory tier (full replay seeds) and an optional on-disk tier
-//!   (checksummed whole-report entries: the rendered `--json` bytes a
-//!   hit serves as they are, plus the report in the [`wire`] format),
+//!   (checksummed whole-report records appended to one segment file per
+//!   writing process: the rendered `--json` bytes a hit serves as they
+//!   are, plus the report in the [`wire`] format),
 //! - [`service`] — the [`service::AnalysisService`] façade gluing pool,
 //!   store, and checker together behind a keyed batch API,
 //! - [`daemon`] + [`protocol`] — the long-running `nchecker serve`
@@ -34,6 +35,7 @@ pub mod delta;
 pub mod doctor;
 pub mod pool;
 pub mod protocol;
+mod record;
 pub mod service;
 pub mod store;
 pub mod watch;

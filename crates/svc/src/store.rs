@@ -11,82 +11,67 @@
 //! - **Disk** (optional, under `--cache-dir`) — the durable subset: the
 //!   bundle and config fingerprints plus the report. A disk hit serves
 //!   an *identical* bundle across process restarts; a changed bundle
-//!   misses and re-records — but the stale entry is still *readable*
+//!   misses and re-records — but the stale record is still *readable*
 //!   ([`AnalysisStore::lookup_disk_any`]), which is what lets a
-//!   resubmitted app version produce a defect delta even across process
-//!   boundaries.
+//!   resubmitted app version produce a defect delta across processes.
 //!
-//! A disk entry is one file, `{key_hash:016x}-{config_fp:016x}.json`:
+//! The disk tier is log-structured. Each store that writes appends to a
+//! segment of its own, `{stamp:016x}-{pid}.seg`, created `O_APPEND` by
+//! its first insert. A record is self-delimiting and checksummed:
 //!
 //! ```text
-//! nck-entry 2 <wire schema> <bundle_fp> <config_fp> <defects> <json len> <wire len> <checksum>\n
+//! nck-entry 3 <wire schema> <key hash> <stamp> <bundle_fp> <config_fp> <defects> <json len> <wire len> <checksum>\n
 //! <json section: the canonical one-shot --json bytes><wire section: crate::wire JSON>
 //! ```
 //!
-//! Fingerprints and the checksum are 16 hex digits, the rest decimal.
-//! The checksum (a word-wise multiply-xor) covers the header up to the
-//! checksum field plus both sections, so a hit is a file read plus one pass over
-//! the bytes: the JSON section goes straight to the reply
-//! ([`StoredEntry::json`]) and nothing is decoded or re-rendered. The
-//! wire section is decoded only when a consumer asks for the structured
-//! report ([`StoredEntry::decode`], counted as `svc.cache.disk_decode`):
-//! CLI text output, per-app metrics, a delta base, and
-//! [`AnalysisStore::lookup_disk_any`], which benchmark tooling decodes
-//! through. The checksum guards against accidental damage (torn or
-//! bit-flipped files), not forgery: the cache directory is trusted.
+//! Hashes, fingerprints, the stamp (epoch nanoseconds, strictly rising
+//! within a process) and the checksum are 16 hex digits, the rest
+//! decimal. The checksum (a word-wise multiply-xor) covers the header up
+//! to the checksum field plus both sections.
 //!
-//! Disk hits are **not** promoted into the memory tier. Promotion would
-//! force the decode a hit otherwise skips, and a re-vetting workload
-//! meets each key once per process. [`AnalysisStore::promote`] remains
-//! for callers that want it.
+//! The first disk operation indexes (key hash, config) → (segment,
+//! offset) by walking the record headers; the largest stamp per key is
+//! live, the rest are dead bytes. A lookup the index misses re-lists the
+//! directory and walks only new tails, so other processes' appends stay
+//! visible. A hit is one `pread` on a held descriptor plus the checksum:
+//! the JSON section is the reply ([`StoredEntry::json`]), and the wire
+//! section is decoded only on demand ([`StoredEntry::decode`], counted
+//! as `svc.cache.disk_decode`). Disk hits are not promoted into memory,
+//! which would force that decode.
 //!
-//! The file keeps its `.json` name across layout changes so that a
-//! format upgrade overwrites old entries in place. An entry in an older
-//! layout — the schema-1 JSON object, or an older header — is a plain
-//! miss, never a quarantine, and the next insert rewrites it.
+//! A walk stops at the first header that does not parse or record that
+//! runs past the end of its segment — a killed writer's torn tail, or an
+//! append in flight — and resumes there once the segment grows. A record
+//! that fails its checksum is never served: the lookup misses, counts
+//! `svc.cache.corrupt_evict`, and drops it from the index, and the
+//! recomputed record supersedes it. (The checksum guards against
+//! accidents, not forgery: the cache directory is trusted.)
 //!
-//! The disk tier is garbage-collected by [`AnalysisStore::gc_disk`]:
-//! size-budgeted LRU eviction ordered by each entry file's own mtime,
-//! which is its last write or its last recorded read, whichever is
-//! later. A disk hit does **no** file I/O beyond the read on the hot
-//! path: reads land in an in-memory write-behind journal
-//! ([`AnalysisStore::flush_atimes`]) that is flushed in batches —
-//! before every GC scan, on [`AnalysisStore::sync_disk`], and when the
-//! store drops — by stamping the entry's mtime forward. A crash loses
-//! only the unflushed journal: those entries rank by their older
-//! stamps, and none is evicted *wrongly*. Eviction is plain `unlink`
-//! against tmp+rename writers, so a concurrent reader
-//! sees a full entry or a miss — never a torn one. Quarantined
-//! `.quarantine` files are outside the cache namespace: GC neither
-//! counts them against the budget nor touches them.
+//! Hits are journaled in memory and flushed — before a GC, on
+//! [`AnalysisStore::sync_disk`], and on drop — as one append of 80-byte
+//! checksummed touch records to the shared `touch.log`; a crash loses
+//! only recency. [`AnalysisStore::gc_disk`] compacts the most recently
+//! written or touched live records that fit the budget into one new
+//! segment and unlinks the rest, and sweeps the files of the older
+//! one-file-per-entry layout, which only ever read as misses.
 //!
-//! The store also keeps a **live occupancy estimate** of the disk tier
-//! (seeded by one startup scan, maintained on every insert, eviction,
-//! and quarantine), so a budgeted service can gate GC on a watermark
-//! ([`AnalysisStore::maybe_gc_disk`]) instead of paying a full
-//! directory rescan per batch: under the high watermark the check is
-//! one atomic load and a `svc.cache.gc_skipped` bump.
-//!
-//! Every lookup runs under a `cache_lookup` span and bumps the
-//! `svc.cache.{hit,miss}` counters on the obs handle it is given;
-//! evictions bump `svc.cache.evict`, GC bumps `svc.cache.gc_*`. Corrupt
-//! disk files (a bad checksum, header, or length) read as misses, never
-//! errors — and are *quarantined* (renamed out of the cache namespace)
-//! so they are not re-read and re-rejected on every subsequent lookup.
-//!
-//! Besides the per-app obs handle, the store owns a service-lifetime
-//! [`Metrics`] registry mirroring every `svc.cache.*` counter. Per-app
-//! handles are often disabled (reports must stay byte-identical to
-//! uninstrumented runs), but a long-lived service still needs the
-//! lifetime totals — the `--doctor` snapshot and the daemon's `doctor`
-//! verb read them from [`AnalysisStore::metrics`].
+//! Every call bumps `svc.cache.*` counters on the obs handle it is given
+//! and on a store-lifetime [`Metrics`] registry
+//! ([`AnalysisStore::metrics`]), which `--doctor` and the daemon read
+//! while per-app handles stay disabled. The disk tier's work counters,
+//! `disk_files_created` and `disk_records_appended`, go to the registry
+//! only.
 
+use crate::record::{self, hex, parse_header, verify, MAX_HEADER};
 use nchecker::cache::AppCacheEntry;
 use nck_obs::{Metrics, Obs};
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::SystemTime;
 
 const SHARDS: usize = 16;
@@ -152,16 +137,9 @@ pub struct AnalysisStore {
     clock: AtomicU64,
     capacity: usize,
     mem_budget: usize,
-    disk: Option<PathBuf>,
+    /// The disk tier's directory and record index.
+    disk: Option<(PathBuf, Mutex<Index>)>,
     metrics: Metrics,
-    /// Write-behind atime journal: entry path → last read stamp.
-    /// Flushed to entry mtimes by [`AnalysisStore::flush_atimes`].
-    atime_journal: Mutex<HashMap<PathBuf, SystemTime>>,
-    /// Live disk-tier occupancy estimate, bytes. Valid once
-    /// `disk_seeded` ran; resynced to exact numbers by every GC scan.
-    disk_bytes: AtomicU64,
-    /// Gates the one startup scan that seeds `disk_bytes`.
-    disk_seeded: Once,
 }
 
 impl AnalysisStore {
@@ -197,11 +175,8 @@ impl AnalysisStore {
             clock: AtomicU64::new(0),
             capacity: capacity.max(1),
             mem_budget: mem_budget.max(1),
-            disk,
+            disk: disk.map(|dir| (dir, Mutex::new(Index::default()))),
             metrics: Metrics::enabled(),
-            atime_journal: Mutex::new(HashMap::new()),
-            disk_bytes: AtomicU64::new(0),
-            disk_seeded: Once::new(),
         }
     }
 
@@ -256,39 +231,45 @@ impl AnalysisStore {
             .map(|m| Arc::clone(&m.rendered))
     }
 
-    /// Disk-tier read: whatever checksum-valid entry exists for
+    /// Disk-tier read: the live, checksum-valid record for
     /// `(key, config_fp)`, undecoded. The caller decides hit (the
-    /// entry's `bundle_fp` matches) vs. *delta base* (it differs — the
-    /// entry describes the previous version of this app).
+    /// record's `bundle_fp` matches) vs. *delta base* (it differs — the
+    /// record describes the previous version of this app).
     ///
-    /// An entry in an older layout is a plain miss and stays on disk for
-    /// the next insert to overwrite. A *corrupt* entry (bad checksum,
-    /// header, or lengths) is quarantined: left in place it would be
-    /// re-read and re-rejected on every lookup and permanently inflate
-    /// the disk occupancy stats. Reading records the entry in the
-    /// in-memory atime journal (no stamp I/O on the hot path), which
-    /// is what makes [`AnalysisStore::gc_disk`]'s eviction order an LRU
-    /// rather than FIFO.
+    /// A record that fails its checksum is dropped from the index (so it
+    /// is not re-read) and counted as `svc.cache.corrupt_evict`. Reads
+    /// are journaled for the touch log, with no recency I/O here, which
+    /// is what makes [`AnalysisStore::gc_disk`]'s order an LRU.
     pub fn lookup_disk_entry(&self, key: &str, config_fp: u64, obs: &Obs) -> Option<StoredEntry> {
-        let dir = self.disk.as_deref()?;
+        let (dir, index) = self.disk.as_ref()?;
         let _s = obs.tracer.span("cache_lookup_disk");
-        let path = disk_path(dir, key, config_fp);
-        let bytes = std::fs::read(&path).ok()?;
-        match parse_entry(&bytes, config_fp, &self.metrics) {
-            Parsed::Entry(entry) => {
-                lock_plain(&self.atime_journal).insert(path, SystemTime::now());
-                Some(entry)
-            }
-            Parsed::Outdated => None,
-            Parsed::Corrupt => {
-                self.quarantine(&path, obs);
-                None
-            }
+        let id = (key_hash(key), config_fp);
+        let (file, loc) = lock(index).locate(dir, id)?;
+        let mut bytes = vec![0; loc.len as usize];
+        let read = file.read_exact_at(&mut bytes, loc.offset);
+        if let Some((h, json, wire)) = read.ok().and_then(|()| verify(&bytes, id)) {
+            return Some(StoredEntry {
+                bundle_fp: h.bundle_fp,
+                defects: h.defects,
+                json: Arc::new(json.to_owned()),
+                wire: wire.to_owned(),
+                metrics: self.metrics.clone(),
+            });
         }
+        let mut index = lock(index);
+        if index.live.get(&id) == Some(&loc) {
+            index.live.remove(&id);
+        }
+        self.count("svc.cache.corrupt_evict", 1, obs);
+        obs.events.warn(&format!(
+            "cache: dropped a corrupt record for {:016x}-{config_fp:016x}",
+            id.0
+        ));
+        None
     }
 
     /// [`AnalysisStore::lookup_disk_entry`] with the report decoded:
-    /// the bundle fingerprint the entry was recorded for, and its
+    /// the bundle fingerprint the record was written for, and its
     /// report.
     pub fn lookup_disk_any(
         &self,
@@ -300,71 +281,61 @@ impl AnalysisStore {
             .map(|entry| (entry.bundle_fp, entry.decode()))
     }
 
-    /// Flushes the write-behind atime journal: every journaled read
-    /// stamps its entry file's mtime with the recorded read stamp, so
-    /// relative recency survives the batching exactly. A stamp never
-    /// moves an mtime backwards: an entry rewritten after its read
-    /// keeps the newer write time. The file is opened without create,
-    /// so entries that vanished since the read (evicted, quarantined)
-    /// stay gone. Called before every GC scan, by
-    /// [`AnalysisStore::sync_disk`], and on drop; a crash in between
-    /// loses only the journal, never an entry.
-    pub fn flush_atimes(&self) {
-        let drained: Vec<(PathBuf, SystemTime)> = {
-            let mut journal = lock_plain(&self.atime_journal);
-            journal.drain().collect()
+    /// Flushes the read journal as one append to the touch log: a touch
+    /// record per read key, stamped with its latest read. Called before
+    /// every GC, by [`AnalysisStore::sync_disk`], and on drop.
+    pub fn flush_touches(&self) {
+        let Some((dir, index)) = &self.disk else {
+            return;
         };
-        for (path, stamp) in drained {
-            let Ok(f) = std::fs::File::options().write(true).open(&path) else {
-                continue;
-            };
-            if f.metadata()
-                .and_then(|m| m.modified())
-                .is_ok_and(|written| written < stamp)
-            {
-                let _ = f.set_modified(stamp);
+        let mut index = lock(index);
+        let mut drained: Vec<((u64, u64), u64)> = index.touches.drain().collect();
+        if drained.is_empty() {
+            return;
+        }
+        drained.sort_by_key(|&(id, stamp)| (stamp, id));
+        let batch: String = drained.into_iter().map(record::touch).collect();
+        let path = dir.join(TOUCH_LOG);
+        let created = !path.exists();
+        let log = File::options().append(true).create(true).open(&path);
+        if log.and_then(|mut f| f.write_all(batch.as_bytes())).is_ok() {
+            index.touch_bytes += batch.len() as u64;
+            if created {
+                self.metrics.inc("svc.cache.disk_files_created", 1);
             }
         }
     }
 
-    /// Reads pending in the atime journal (tests and introspection).
-    pub fn journaled_atimes(&self) -> usize {
-        lock_plain(&self.atime_journal).len()
-    }
-
-    /// Renames a corrupt cache file out of the cache namespace
-    /// (`.json` → `.quarantine`, which [`scan_disk`] and lookups both
-    /// ignore), deleting it outright if even the rename fails — a
-    /// quarantined entry must never be charged against the GC budget
-    /// again.
-    fn quarantine(&self, path: &Path, obs: &Obs) {
-        self.seed_occupancy();
-        let len = std::fs::metadata(path).map_or(0, |m| m.len());
-        if std::fs::rename(path, path.with_extension("quarantine")).is_err() {
-            let _ = std::fs::remove_file(path);
-        }
-        lock_plain(&self.atime_journal).remove(path);
-        self.sub_occupancy(len);
-        self.count("svc.cache.corrupt_evict", 1, obs);
-        obs.events.warn(&format!(
-            "cache: quarantined corrupt entry {}",
-            path.display()
-        ));
+    /// Reads pending in the journal (tests and introspection).
+    pub fn journaled_touches(&self) -> usize {
+        self.disk
+            .as_ref()
+            .map_or(0, |(_, index)| lock(index).touches.len())
     }
 
     /// Records a finished clean analysis in both tiers. Degraded apps
     /// must never reach this (the service enforces it; the checker
     /// already returns no entry for them). With a disk tier, the report
-    /// is rendered here — the disk entry stores those bytes — and the
-    /// memory entry's render cell starts out holding them.
+    /// is rendered here — the record stores those bytes — and the
+    /// memory entry's render cell starts out holding them. Disk writes
+    /// are best-effort: a failure warns and leaves the memory tier.
     pub fn insert(&self, key: &str, entry: AppCacheEntry, obs: &Obs) {
         let mut rendered = None;
-        if let Some(dir) = self.disk.as_deref() {
-            self.seed_occupancy();
+        if let Some((dir, index)) = &self.disk {
             let json = render_json(&entry.report);
-            let (new_len, old_len) = write_disk(dir, key, &entry, &json, obs);
-            self.sub_occupancy(old_len);
-            self.disk_bytes.fetch_add(new_len, Ordering::Relaxed);
+            let wire = crate::wire::encode(&entry.report);
+            let (id, stamp) = ((key_hash(key), entry.config_fp), next_stamp());
+            let defects = entry.report.defects.len();
+            let record = record::entry(id, stamp, entry.bundle_fp, defects, &json, &wire);
+            match lock(index).append(dir, id, stamp, &record) {
+                Ok(created) => {
+                    if created {
+                        self.metrics.inc("svc.cache.disk_files_created", 1);
+                    }
+                    self.metrics.inc("svc.cache.disk_records_appended", 1);
+                }
+                Err(e) => obs.events.warn(&format!("cache segment write failed: {e}")),
+            }
             rendered = Some(Arc::new(json));
         }
         self.insert_memory(key, entry, rendered, obs);
@@ -481,45 +452,44 @@ impl AnalysisStore {
         );
     }
 
-    /// Scans this store's disk tier. Zeroed stats when no disk tier is
-    /// configured or the directory does not exist yet.
+    /// The disk tier as the index sees it after catching up with the
+    /// directory. Zeroed stats when no disk tier is configured or the
+    /// directory does not exist yet.
     pub fn disk_stats(&self) -> DiskStats {
-        self.disk.as_deref().map_or_else(DiskStats::new, scan_disk)
+        let mut stats = DiskStats::new();
+        let Some((dir, index)) = &self.disk else {
+            return stats;
+        };
+        let mut index = lock(index);
+        index.refresh(dir);
+        let mut live_bytes = 0;
+        for (id, loc) in &index.live {
+            stats.entries += 1;
+            stats.shards[(id.0 as usize) % SHARDS] += 1;
+            live_bytes += loc.len;
+        }
+        stats.bytes = index.seg_bytes;
+        stats.dead_bytes = stats.bytes - live_bytes;
+        stats.segments = index.segments.len() as u64;
+        stats
     }
 
-    /// Seeds the live occupancy estimate with one full scan, exactly
-    /// once per store. Every disk mutation calls this first, so the
-    /// estimate never double-counts the seeding scan's own bytes.
-    fn seed_occupancy(&self) {
-        self.disk_seeded.call_once(|| {
-            self.disk_bytes
-                .store(self.disk_stats().bytes, Ordering::Relaxed);
-        });
-    }
-
-    fn sub_occupancy(&self, len: u64) {
-        let _ = self
-            .disk_bytes
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(len))
-            });
-    }
-
-    /// The live disk-tier occupancy estimate, in bytes. Seeded by one
-    /// scan on first use, then maintained incrementally on every
-    /// insert, quarantine, and GC resync — reading it is one atomic
-    /// load, not a directory walk.
+    /// The disk tier's occupancy in bytes (segments and the touch log),
+    /// after catching up with the directory.
     pub fn disk_occupancy(&self) -> u64 {
-        self.seed_occupancy();
-        self.disk_bytes.load(Ordering::Relaxed)
+        self.disk.as_ref().map_or(0, |(dir, index)| {
+            let mut index = lock(index);
+            index.refresh(dir);
+            index.occupancy()
+        })
     }
 
-    /// Watermark-gated GC: a no-op (one atomic load plus a
-    /// `svc.cache.gc_skipped` bump) while the occupancy estimate is at
-    /// or under `budget` (the high watermark). When occupancy crosses
-    /// it, collects down to the *low* watermark — `budget` minus one
-    /// eighth — so the next run is not re-triggered by the very next
-    /// insert (hysteresis). Returns `None` when the run was skipped.
+    /// Watermark-gated GC: a no-op (an index refresh plus a
+    /// `svc.cache.gc_skipped` bump) while the occupancy is at or under
+    /// `budget` (the high watermark). When occupancy crosses it,
+    /// compacts down to the *low* watermark — `budget` minus one eighth
+    /// — so the next run is not re-triggered by the very next insert
+    /// (hysteresis). Returns `None` when the run was skipped.
     pub fn maybe_gc_disk(&self, budget: u64, obs: &Obs) -> Option<GcStats> {
         self.disk.as_ref()?;
         if self.disk_occupancy() <= budget {
@@ -530,95 +500,87 @@ impl AnalysisStore {
         Some(self.gc_disk(low, obs))
     }
 
-    /// Garbage-collects the disk tier down to `budget` bytes of cache
-    /// entries, evicting least-recently-used first (by entry mtime, the
-    /// later of its write and its last flushed read; ties break on file
-    /// name so repeated runs evict deterministically). `.atime` sidecars
-    /// left by older builds, which ranked by them, are unlinked.
+    /// Garbage-collects the disk tier down to `budget` bytes, after
+    /// sweeping the files of the one-file-per-entry layout
+    /// (`{key_hash:016x}-{config_fp:016x}.json` and the `.tmp` and
+    /// `.atime` files beside them, never `.quarantine` ones). Over
+    /// budget, it compacts: live records in order of recency (the later
+    /// of their stamp and their last flushed touch; ties break on the
+    /// key) are kept while they fit, checksum-verified and restamped with
+    /// that recency, in one new segment written tmp+rename; then the old
+    /// segments and the touch log are unlinked. Readers hold their
+    /// segment descriptors, so a lookup racing GC reads a whole record
+    /// or misses; a record another process appends meanwhile may be lost
+    /// with its segment (a later miss, never wrong bytes).
     ///
-    /// Safe under concurrent readers and writers: eviction is a plain
-    /// `unlink`, and entries are written tmp+rename, so a reader racing
-    /// GC sees the full entry or a miss — never a torn file.
-    /// `.quarantine` and `.tmp` files are outside the cache namespace:
-    /// neither counted against the budget nor deleted.
-    ///
-    /// Counts `svc.cache.gc_runs`, `svc.cache.gc_evicted`, and
-    /// `svc.cache.gc_freed_bytes`. A no-op (no disk tier, or already
-    /// under budget) still counts the run.
+    /// Counts `svc.cache.gc_runs`, `svc.cache.gc_evicted` (live records
+    /// dropped), and `svc.cache.gc_freed_bytes`. A no-op (no disk tier,
+    /// or already under budget) still counts the run.
     pub fn gc_disk(&self, budget: u64, obs: &Obs) -> GcStats {
         self.count("svc.cache.gc_runs", 1, obs);
         let mut stats = GcStats::default();
-        let Some(dir) = self.disk.as_deref() else {
+        let Some((dir, index)) = &self.disk else {
             return stats;
         };
         let _s = obs.tracer.span("cache_gc");
-        // Journaled reads stamp their entries before the scan, so the
-        // eviction order sees every recorded recency. Reads a *crashed*
-        // predecessor journaled are lost: those entries rank older.
-        self.flush_atimes();
-        let mut entries: Vec<(SystemTime, String, u64)> = Vec::new();
-        let Ok(dirents) = std::fs::read_dir(dir) else {
-            return stats;
-        };
-        for dirent in dirents.flatten() {
-            let name = dirent.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.ends_with(".atime") {
-                let _ = std::fs::remove_file(dirent.path());
-                continue;
-            }
-            if !is_entry_name(name) {
-                continue;
-            }
-            let Ok(meta) = dirent.metadata() else {
-                continue;
-            };
-            let stamp = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-            entries.push((stamp, name.to_owned(), meta.len()));
-        }
-        stats.entries = entries.len() as u64;
-        stats.bytes = entries.iter().map(|(_, _, len)| len).sum();
-        if stats.bytes <= budget {
-            return stats;
-        }
-        entries.sort();
-        let mut live = stats.bytes;
-        for (_, name, len) in entries {
-            if live <= budget {
-                break;
-            }
-            let path = dir.join(&name);
-            if std::fs::remove_file(&path).is_ok() {
-                live -= len;
-                stats.evicted += 1;
-                stats.freed_bytes += len;
+        self.flush_touches();
+        let swept = sweep_legacy(dir);
+        let mut index = lock(index);
+        index.refresh(dir);
+        let before = index.occupancy();
+        stats.entries = index.live.len() as u64;
+        (stats.bytes, stats.freed_bytes) = (before + swept, swept);
+        if before > budget {
+            match index.compact(dir, budget) {
+                Ok((kept, corrupt)) => {
+                    if kept > 0 {
+                        self.metrics.inc("svc.cache.disk_files_created", 1);
+                    }
+                    self.count("svc.cache.corrupt_evict", corrupt, obs);
+                    stats.evicted = stats.entries - kept;
+                    for seg in &index.segments {
+                        let _ = std::fs::remove_file(dir.join(&seg.name));
+                    }
+                    let _ = std::fs::remove_file(dir.join(TOUCH_LOG));
+                    *index = Index::default();
+                    index.refresh(dir);
+                    stats.freed_bytes += before.saturating_sub(index.occupancy());
+                }
+                Err(e) => obs
+                    .events
+                    .warn(&format!("cache-gc: compaction failed: {e}")),
             }
         }
+        drop(index);
         self.count("svc.cache.gc_evicted", stats.evicted, obs);
         self.count("svc.cache.gc_freed_bytes", stats.freed_bytes, obs);
-        // The scan just measured the tier exactly; resync the estimate.
-        self.disk_seeded.call_once(|| {});
-        self.disk_bytes.store(stats.live_bytes(), Ordering::Relaxed);
-        if stats.evicted > 0 {
+        if stats.freed_bytes > 0 {
             obs.events.info(&format!(
-                "cache-gc: evicted {} of {} entries ({} bytes freed)",
-                stats.evicted, stats.entries, stats.freed_bytes
+                "cache-gc: kept {} of {} records ({} bytes freed)",
+                stats.kept(),
+                stats.entries,
+                stats.freed_bytes
             ));
         }
         stats
     }
 
-    /// Best-effort flush of the disk tier: writes out the atime
-    /// journal, then fsyncs the cache directory. Entry files are
-    /// written tmp+rename; the directory fsync is what makes the
-    /// renames themselves durable, so a daemon calls this once at
-    /// shutdown rather than per write.
+    /// Best-effort flush of the disk tier: appends the read journal to
+    /// the touch log, then fsyncs this store's segment and the cache
+    /// directory (which makes the segment's creation durable). A daemon
+    /// calls this once at shutdown rather than per write.
     pub fn sync_disk(&self) {
-        self.flush_atimes();
-        if let Some(dir) = self.disk.as_deref() {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
+        self.flush_touches();
+        let Some((dir, index)) = &self.disk else {
+            return;
+        };
+        let index = lock(index);
+        if let Some(seg) = index.writer {
+            let _ = index.segments[seg].file.sync_data();
+        }
+        drop(index);
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
         }
     }
 }
@@ -626,26 +588,32 @@ impl AnalysisStore {
 impl Drop for AnalysisStore {
     fn drop(&mut self) {
         // A clean shutdown persists every journaled read; a crash
-        // skips this and those entries keep their older stamps.
-        self.flush_atimes();
+        // skips this and those records rank by their write stamps.
+        self.flush_touches();
     }
 }
 
 /// One [`AnalysisStore::gc_disk`] run's accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcStats {
-    /// Cache entries found by the scan (before eviction).
+    /// Live records found (before compaction).
     pub entries: u64,
-    /// Their total bytes (before eviction).
+    /// The tier's bytes before the run: segments, the touch log, and
+    /// legacy files.
     pub bytes: u64,
-    /// Entries evicted this run.
+    /// Live records dropped.
     pub evicted: u64,
-    /// Bytes those evictions freed.
+    /// Bytes the run freed.
     pub freed_bytes: u64,
 }
 
 impl GcStats {
-    /// Bytes still held by cache entries after the run.
+    /// Live records kept.
+    pub fn kept(&self) -> u64 {
+        self.entries - self.evicted
+    }
+
+    /// Bytes the tier still holds after the run.
     pub fn live_bytes(&self) -> u64 {
         self.bytes - self.freed_bytes
     }
@@ -653,7 +621,7 @@ impl GcStats {
 
 /// The exact byte surface the one-shot CLI prints under `--json`: pretty
 /// JSON plus the trailing newline. Daemon `report` payloads, `vet`
-/// stdout, and disk entries' JSON sections all carry these bytes. The
+/// stdout, and disk records' JSON sections all carry these bytes. The
 /// report streams straight to text ([`nchecker::write_app_report`]); no
 /// `Value` tree is built.
 pub fn render_json(report: &nchecker::AppReport) -> String {
@@ -664,23 +632,22 @@ pub fn render_json(report: &nchecker::AppReport) -> String {
     text
 }
 
-/// First token of a disk entry's header line.
-const ENTRY_MAGIC: &str = "nck-entry";
+const TOUCH_LOG: &str = "touch.log";
+const SEGMENT_SUFFIX: &str = ".seg";
+/// Bytes a header walk reads per `pread`: a few headers of small
+/// records at once, and not much more than one header of a large one.
+const WALK_CHUNK: usize = 4 << 10;
 
-/// Layout version of disk entries (the header line's second token).
-/// Schema 1 was a single JSON object holding the wire report.
-const ENTRY_SCHEMA: u32 = 2;
-
-/// A checksum-verified disk entry, not yet decoded.
+/// A checksum-verified disk record, not yet decoded.
 #[derive(Debug, Clone)]
 pub struct StoredEntry {
-    /// The bundle fingerprint the entry was recorded for.
+    /// The bundle fingerprint the record was written for.
     pub bundle_fp: u64,
     /// Defects in the stored report.
     pub defects: usize,
     /// The stored report's one-shot `--json` bytes ([`render_json`]).
-    /// Disk entries are recorded from unsealed reports, so these bytes
-    /// never carry a `"metrics"` key.
+    /// Records are written from unsealed reports, so these bytes never
+    /// carry a `"metrics"` key.
     pub json: Arc<String>,
     /// The stored report in the [`crate::wire`] format.
     wire: String,
@@ -696,7 +663,7 @@ impl StoredEntry {
     ///
     /// If the wire section does not decode. The checksum and the
     /// header's wire schema were verified at lookup, so that means the
-    /// writer and decoder disagree — a bug, not a damaged file.
+    /// writer and decoder disagree — a bug, not a damaged record.
     pub fn decode(&self) -> nchecker::AppReport {
         self.metrics.inc("svc.cache.disk_decode", 1);
         serde_json::from_str(&self.wire)
@@ -706,130 +673,35 @@ impl StoredEntry {
     }
 }
 
-/// What a disk file turned out to hold.
-enum Parsed {
-    Entry(StoredEntry),
-    /// An entry in an older layout: a plain miss, overwritten in place.
-    Outdated,
-    Corrupt,
+/// A fresh stamp: nanoseconds since the epoch, strictly increasing
+/// within the process (so a process's own records for one key order by
+/// write even under a coarse clock).
+fn next_stamp() -> u64 {
+    static LAST: AtomicU64 = AtomicU64::new(0);
+    let now = SystemTime::now()
+        .duration_since(SystemTime::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    let prev = LAST
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |last| {
+            Some(now.max(last + 1))
+        })
+        .expect("the update always succeeds");
+    now.max(prev + 1)
 }
 
-/// Disk entry checksum: a multiply-xor over 8-byte little-endian words
-/// (one dependent multiply per word, where byte-wise FNV-1a pays one
-/// per byte), then the tail and the length. Each step is a bijection of
-/// the running state, so any change confined to one word always changes
-/// the sum.
-fn checksum(parts: &[&[u8]]) -> u64 {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut len = 0u64;
-    for part in parts {
-        let mut words = part.chunks_exact(8);
-        for w in &mut words {
-            let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
-            h = (h ^ w).wrapping_mul(K).rotate_left(31);
-        }
-        for &b in words.remainder() {
-            h = (h ^ u64::from(b)).wrapping_mul(K).rotate_left(31);
-        }
-        len += part.len() as u64;
-    }
-    (h ^ len).wrapping_mul(K)
-}
-
-/// Renders an entry file: header line, then the JSON section (`json`,
-/// the report's [`render_json`] bytes) and the streamed wire section.
-fn encode_entry(entry: &AppCacheEntry, json: &str) -> Vec<u8> {
-    let wire = crate::wire::encode(&entry.report);
-    let prefix = format!(
-        "{ENTRY_MAGIC} {ENTRY_SCHEMA} {} {:016x} {:016x} {} {} {} ",
-        crate::wire::WIRE_SCHEMA,
-        entry.bundle_fp,
-        entry.config_fp,
-        entry.report.defects.len(),
-        json.len(),
-        wire.len(),
-    );
-    let mut out = Vec::with_capacity(prefix.len() + 17 + json.len() + wire.len());
-    out.extend_from_slice(prefix.as_bytes());
-    out.extend_from_slice(&[b'0'; 16]);
-    out.push(b'\n');
-    let body = out.len();
-    out.extend_from_slice(json.as_bytes());
-    out.extend_from_slice(wire.as_bytes());
-    let sum = checksum(&[prefix.as_bytes(), &out[body..]]);
-    out[prefix.len()..prefix.len() + 16].copy_from_slice(format!("{sum:016x}").as_bytes());
-    out
-}
-
-/// Parses and verifies one entry file read for `config_fp`.
-fn parse_entry(bytes: &[u8], config_fp: u64, metrics: &Metrics) -> Parsed {
-    // The schema-1 layout: one compact JSON object, keys in sorted order.
-    if bytes.starts_with(b"{\"bundle_fp\":\"") {
-        return Parsed::Outdated;
-    }
-    let Some(nl) = bytes.iter().take(256).position(|&b| b == b'\n') else {
-        return Parsed::Corrupt;
-    };
-    let Ok(header) = std::str::from_utf8(&bytes[..nl]) else {
-        return Parsed::Corrupt;
-    };
-    let Some((prefix, sum)) = header.rsplit_once(' ') else {
-        return Parsed::Corrupt;
-    };
-    let fields: Vec<&str> = prefix.split(' ').collect();
-    let [ENTRY_MAGIC, schema, wire_schema, bundle_fp, stored_config, defects, json_len, wire_len] =
-        fields[..]
-    else {
-        return Parsed::Corrupt;
-    };
-    if schema.parse() != Ok(ENTRY_SCHEMA) || wire_schema.parse() != Ok(crate::wire::WIRE_SCHEMA) {
-        return Parsed::Outdated;
-    }
-    let hex = |s: &str| u64::from_str_radix(s, 16).ok().filter(|_| s.len() == 16);
-    let (Some(bundle_fp), Some(stored_config), Some(sum)) =
-        (hex(bundle_fp), hex(stored_config), hex(sum))
-    else {
-        return Parsed::Corrupt;
-    };
-    let (Ok(defects), Ok(json_len), Ok(wire_len)) = (
-        defects.parse::<usize>(),
-        json_len.parse::<usize>(),
-        wire_len.parse::<usize>(),
-    ) else {
-        return Parsed::Corrupt;
-    };
-    let body = &bytes[nl + 1..];
-    // The file name encodes the config fingerprint, so a mismatch inside
-    // means the payload does not belong to its name.
-    if stored_config != config_fp
-        || json_len.checked_add(wire_len) != Some(body.len())
-        || checksum(&[&bytes[..=prefix.len()], body]) != sum
-    {
-        return Parsed::Corrupt;
-    }
-    let (json, wire) = body.split_at(json_len);
-    let (Ok(json), Ok(wire)) = (std::str::from_utf8(json), std::str::from_utf8(wire)) else {
-        return Parsed::Corrupt;
-    };
-    Parsed::Entry(StoredEntry {
-        bundle_fp,
-        defects,
-        json: Arc::new(json.to_owned()),
-        wire: wire.to_owned(),
-        metrics: metrics.clone(),
-    })
-}
-
-/// Disk-tier occupancy, derived from the cache directory alone (the
-/// shard of each entry is recoverable from its file name).
+/// Disk-tier occupancy, as the record index sees it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DiskStats {
-    /// Cache entries (well-formed `.json` files).
+    /// Live records: the newest intact-looking record per key and config.
     pub entries: u64,
-    /// Total bytes across those entries.
+    /// Bytes across all segments.
     pub bytes: u64,
-    /// Entries per shard, `SHARDS` slots in shard order.
+    /// Segment bytes not in a live record: superseded and dropped
+    /// records, which the next compaction reclaims.
+    pub dead_bytes: u64,
+    /// Segment files.
+    pub segments: u64,
+    /// Live records per shard, `SHARDS` slots in shard order.
     pub shards: Vec<u64>,
 }
 
@@ -837,52 +709,290 @@ impl DiskStats {
     /// Empty stats with all shard slots present.
     pub fn new() -> DiskStats {
         DiskStats {
-            entries: 0,
-            bytes: 0,
             shards: vec![0; SHARDS],
+            ..DiskStats::default()
         }
     }
 }
 
-/// Whether `name` is a well-formed cache entry file name
-/// (`{key_hash:016x}-{config_fp:016x}.json`). `.tmp` leftovers and
-/// `.quarantine`d corrupt entries fail this.
-fn is_entry_name(name: &str) -> bool {
-    let Some(stem) = name.strip_suffix(".json") else {
-        return false;
-    };
-    let mut parts = stem.splitn(2, '-');
-    let (Some(key_hex), Some(cfg_hex)) = (parts.next(), parts.next()) else {
-        return false;
-    };
-    key_hex.len() == 16
-        && cfg_hex.len() == 16
-        && u64::from_str_radix(key_hex, 16).is_ok()
-        && u64::from_str_radix(cfg_hex, 16).is_ok()
+/// Where a live record sits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Loc {
+    seg: usize,
+    offset: u64,
+    len: u64,
+    stamp: u64,
 }
 
-/// Scans `dir` for cache entries. Files that are not well-formed cache
-/// names — including `.tmp` leftovers and `.quarantine`d corrupt
-/// entries — are ignored.
-fn scan_disk(dir: &Path) -> DiskStats {
-    let mut stats = DiskStats::new();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return stats;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if !is_entry_name(name) {
-            continue;
+/// One segment file known to the index.
+struct Segment {
+    name: String,
+    file: Arc<File>,
+    /// Every record before this offset is indexed.
+    walked: u64,
+    /// The file length at the last walk: a walk resumes only past it.
+    seen: u64,
+}
+
+/// The disk tier's record index, and the journal of unflushed reads.
+#[derive(Default)]
+struct Index {
+    segments: Vec<Segment>,
+    by_name: HashMap<String, usize>,
+    live: HashMap<(u64, u64), Loc>,
+    /// This store's own segment, once its first insert opened one.
+    writer: Option<usize>,
+    /// Walked segment bytes.
+    seg_bytes: u64,
+    touch_bytes: u64,
+    /// (key hash, config) → stamp of its latest unflushed read.
+    touches: HashMap<(u64, u64), u64>,
+}
+
+impl Index {
+    fn occupancy(&self) -> u64 {
+        self.seg_bytes + self.touch_bytes
+    }
+
+    /// The live record for `id` and its segment's descriptor, catching
+    /// up with the directory first when the index lacks the key.
+    /// Journals the read.
+    fn locate(&mut self, dir: &Path, id: (u64, u64)) -> Option<(Arc<File>, Loc)> {
+        if !self.live.contains_key(&id) {
+            self.refresh(dir);
         }
-        let key_hash = u64::from_str_radix(&name[..16], 16).expect("validated hex");
-        stats.entries += 1;
-        stats.shards[(key_hash as usize) % SHARDS] += 1;
-        if let Ok(meta) = entry.metadata() {
-            stats.bytes += meta.len();
+        let loc = *self.live.get(&id)?;
+        self.touches.insert(id, next_stamp());
+        Some((Arc::clone(&self.segments[loc.seg].file), loc))
+    }
+
+    /// Catches up with the directory: opens segments it has not seen
+    /// and walks the new tails of the rest. A known segment that
+    /// vanished means another store compacted the tier, so the index is
+    /// rebuilt from scratch.
+    fn refresh(&mut self, dir: &Path) {
+        let Ok(listing) = std::fs::read_dir(dir) else {
+            return;
+        };
+        let mut present = vec![false; self.segments.len()];
+        let mut fresh = Vec::new();
+        self.touch_bytes = 0;
+        for dirent in listing.flatten() {
+            let name = dirent.file_name();
+            let Some(name) = name.to_str() else { continue };
+            if name == TOUCH_LOG {
+                self.touch_bytes = dirent.metadata().map_or(0, |m| m.len());
+            } else if name.ends_with(SEGMENT_SUFFIX) {
+                match self.by_name.get(name) {
+                    Some(&seg) => present[seg] = true,
+                    None => fresh.push(name.to_owned()),
+                }
+            }
+        }
+        if present.contains(&false) {
+            *self = Index {
+                touches: std::mem::take(&mut self.touches),
+                ..Index::default()
+            };
+            return self.refresh(dir);
+        }
+        for name in fresh {
+            if let Ok(file) = File::open(dir.join(&name)) {
+                self.add_segment(name, file);
+            }
+        }
+        for seg in 0..self.segments.len() {
+            if Some(seg) != self.writer {
+                self.walk(seg);
+            }
         }
     }
-    stats
+
+    fn add_segment(&mut self, name: String, file: File) -> usize {
+        self.by_name.insert(name.clone(), self.segments.len());
+        self.segments.push(Segment {
+            name,
+            file: Arc::new(file),
+            walked: 0,
+            seen: 0,
+        });
+        self.segments.len() - 1
+    }
+
+    /// Appends one record to this store's segment, creating the segment
+    /// (and the directory) on first use; whether it created one. After a
+    /// failed write the segment may end in a torn tail, so it is
+    /// abandoned and the next append starts a new one.
+    fn append(
+        &mut self,
+        dir: &Path,
+        id: (u64, u64),
+        stamp: u64,
+        record: &[u8],
+    ) -> std::io::Result<bool> {
+        let created = self.writer.is_none();
+        if created {
+            let name = segment_name();
+            let path = dir.join(&name);
+            let create = || {
+                File::options()
+                    .read(true)
+                    .append(true)
+                    .create_new(true)
+                    .open(&path)
+            };
+            let file = match create() {
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                    std::fs::create_dir_all(dir)?;
+                    create()?
+                }
+                opened => opened?,
+            };
+            self.writer = Some(self.add_segment(name, file));
+        }
+        let seg = self.writer.expect("a writer segment is open");
+        let segment = &mut self.segments[seg];
+        if let Err(e) = (&*segment.file).write_all(record) {
+            self.writer = None;
+            return Err(e);
+        }
+        let (offset, len) = (segment.walked, record.len() as u64);
+        (segment.walked, segment.seen) = (offset + len, offset + len);
+        self.seg_bytes += len;
+        self.live.insert(
+            id,
+            Loc {
+                seg,
+                offset,
+                len,
+                stamp,
+            },
+        );
+        Ok(created)
+    }
+
+    /// Indexes the records appended to segment `seg` since its last
+    /// walk. Stops at the first header that does not parse or record
+    /// that runs past the end of the file, and resumes there once the
+    /// file grows. Only headers are read, a chunk at a time.
+    fn walk(&mut self, seg: usize) {
+        let segment = &self.segments[seg];
+        let file = Arc::clone(&segment.file);
+        let len = file.metadata().map_or(0, |m| m.len());
+        if len <= segment.seen {
+            return;
+        }
+        let (start, mut at) = (segment.walked, segment.walked);
+        let mut buf = vec![0; WALK_CHUNK];
+        let (mut buf_at, mut filled) = (at, 0);
+        while at < len {
+            if at + MAX_HEADER.min((len - at) as usize) as u64 > buf_at + filled as u64 {
+                buf_at = at;
+                filled = file.read_at(&mut buf, at).unwrap_or(0);
+            }
+            let Some(h) = parse_header(&buf[(at - buf_at) as usize..filled]) else {
+                break;
+            };
+            let rec_len = (h.line_len + h.json_len + h.wire_len) as u64;
+            if at + rec_len > len {
+                break;
+            }
+            let loc = Loc {
+                seg,
+                offset: at,
+                len: rec_len,
+                stamp: h.stamp,
+            };
+            let order = |l: &Loc| (l.stamp, &self.segments[l.seg].name, l.offset);
+            if self
+                .live
+                .get(&h.id)
+                .is_none_or(|old| order(&loc) > order(old))
+            {
+                self.live.insert(h.id, loc);
+            }
+            at += rec_len;
+        }
+        let segment = &mut self.segments[seg];
+        (segment.walked, segment.seen) = (at, len);
+        self.seg_bytes += at - start;
+    }
+
+    /// Writes the most recent live records that fit `budget` to a new
+    /// segment by tmp+rename. Returns the records kept and the damaged
+    /// ones dropped.
+    fn compact(&self, dir: &Path, budget: u64) -> std::io::Result<(u64, u64)> {
+        let touched = record::touches(&std::fs::read(dir.join(TOUCH_LOG)).unwrap_or_default());
+        let rank = |(id, loc): (&(u64, u64), &Loc)| {
+            let touch = touched.get(id).copied().unwrap_or(0);
+            (touch.max(loc.stamp), *id, *loc)
+        };
+        let mut order: Vec<_> = self.live.iter().map(rank).collect();
+        order.sort_by_key(|&(rank, id, _)| (std::cmp::Reverse(rank), id));
+        let (mut out, mut kept, mut corrupt) = (Vec::new(), 0, 0);
+        for (rank, id, loc) in order {
+            if out.len() as u64 + loc.len > budget {
+                break;
+            }
+            let mut bytes = vec![0; loc.len as usize];
+            let read = self.segments[loc.seg]
+                .file
+                .read_exact_at(&mut bytes, loc.offset);
+            match read.ok().and_then(|()| verify(&bytes, id)) {
+                Some((h, json, wire)) => {
+                    out.extend(record::entry(id, rank, h.bundle_fp, h.defects, json, wire));
+                    kept += 1;
+                }
+                None => corrupt += 1,
+            }
+        }
+        if kept > 0 {
+            let name = segment_name();
+            let tmp = dir.join(format!("{name}.tmp"));
+            let written = File::create_new(&tmp)
+                .and_then(|mut f| f.write_all(&out).and_then(|()| f.sync_data()))
+                .and_then(|()| std::fs::rename(&tmp, dir.join(name)));
+            if written.is_err() {
+                let _ = std::fs::remove_file(&tmp);
+            }
+            written?;
+        }
+        Ok((kept, corrupt))
+    }
+}
+
+/// A fresh segment file name, unique across processes.
+fn segment_name() -> String {
+    format!(
+        "{:016x}-{}{SEGMENT_SUFFIX}",
+        next_stamp(),
+        std::process::id()
+    )
+}
+
+/// Unlinks the files of the one-file-per-entry layout — entries
+/// `{key_hash:016x}-{config_fp:016x}.json` and the `.tmp` and `.atime`
+/// files beside them, not `.quarantine` ones — and returns their bytes.
+fn sweep_legacy(dir: &Path) -> u64 {
+    let Ok(listing) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    let legacy = |name: &str| {
+        let (stem, ext) = name.rsplit_once('.')?;
+        let (key, config) = stem.split_once('-')?;
+        (matches!(ext, "json" | "tmp" | "atime") && hex(key).is_some() && hex(config).is_some())
+            .then_some(())
+    };
+    let mut swept = 0;
+    for dirent in listing.flatten() {
+        if dirent.file_name().to_str().and_then(legacy).is_some() {
+            let len = dirent.metadata().map_or(0, |m| m.len());
+            if std::fs::remove_file(dirent.path()).is_ok() {
+                swept += len;
+            }
+        }
+    }
+    swept
 }
 
 impl Default for AnalysisStore {
@@ -891,53 +1001,8 @@ impl Default for AnalysisStore {
     }
 }
 
-fn lock(m: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn lock_plain<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Disk file name: key hash + config fingerprint, both hex. The key is
-/// hashed (not embedded) so arbitrary package strings cannot escape the
-/// cache directory.
-fn disk_path(dir: &Path, key: &str, config_fp: u64) -> PathBuf {
-    dir.join(format!("{:016x}-{config_fp:016x}.json", key_hash(key)))
-}
-
-/// Writes one entry tmp+rename, returning `(new_len, replaced_len)` —
-/// the bytes the write added and the bytes of whatever same-named
-/// entry it overwrote — so the caller can maintain the live occupancy
-/// estimate without a rescan.
-fn write_disk(dir: &Path, key: &str, entry: &AppCacheEntry, json: &str, obs: &Obs) -> (u64, u64) {
-    let text = encode_entry(entry, json);
-    let path = disk_path(dir, key, entry.config_fp);
-    let old_len = std::fs::metadata(&path).map_or(0, |m| m.len());
-    let tmp = path.with_extension("tmp");
-    // Cache writes are best-effort: a read-only or vanished directory
-    // degrades to memory-only, it does not fail the analysis. The
-    // directory is created only when a write finds it missing.
-    let mut written = std::fs::write(&tmp, &text);
-    if matches!(&written, Err(e) if e.kind() == std::io::ErrorKind::NotFound) {
-        if std::fs::create_dir_all(dir).is_err() {
-            obs.events.warn("cache dir could not be created");
-            return (0, 0);
-        }
-        written = std::fs::write(&tmp, &text);
-    }
-    let failure = match written {
-        Err(_) => "cache file write failed",
-        Ok(()) => match std::fs::rename(&tmp, &path) {
-            Ok(()) => return (text.len() as u64, old_len),
-            Err(_) => "cache file rename failed",
-        },
-    };
-    // GC and the occupancy scan ignore `.tmp` names, so a leftover would
-    // sit outside the budget for good.
-    let _ = std::fs::remove_file(&tmp);
-    obs.events.warn(failure);
-    (0, 0)
 }
 
 #[cfg(test)]
@@ -952,12 +1017,8 @@ mod tests {
         AppCacheEntry {
             bundle_fp,
             config_fp: 42,
-            class_fps: Vec::new(),
-            lift_seed: Default::default(),
-            callee_fps: Vec::new(),
-            analyses: Default::default(),
-            summary_seed: Default::default(),
             report,
+            ..AppCacheEntry::default()
         }
     }
 
@@ -969,6 +1030,53 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A store over a fresh cache directory, with `keys` inserted (bundle
+    /// fingerprint = position).
+    fn disk_store(tag: &str, keys: &[&str]) -> (AnalysisStore, PathBuf) {
+        let dir = tmpdir(tag);
+        let store = AnalysisStore::with_options(8, Some(dir.clone()));
+        for (i, key) in keys.iter().enumerate() {
+            store.insert(key, entry(i as u64, key), &Obs::disabled());
+        }
+        (store, dir)
+    }
+
+    fn reopen(dir: &Path) -> AnalysisStore {
+        AnalysisStore::with_options(8, Some(dir.to_path_buf()))
+    }
+
+    /// The names of the files in `dir`, sorted.
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The first segment in `dir`.
+    fn segment(dir: &Path) -> PathBuf {
+        let first = names(dir).into_iter().find(|n| n.ends_with(SEGMENT_SUFFIX));
+        dir.join(first.expect("a segment"))
+    }
+
+    fn len(path: &Path) -> u64 {
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    /// The strict disk hit: a record written for exactly `bundle_fp`.
+    fn disk_hit(store: &AnalysisStore, key: &str, bundle_fp: u64) -> bool {
+        store
+            .lookup_disk_entry(key, 42, &Obs::disabled())
+            .is_some_and(|e| e.bundle_fp == bundle_fp)
+    }
+
+    fn counter(store: &AnalysisStore, name: &str) -> u64 {
+        let counters = store.metrics().snapshot().counters;
+        counters.get(name).copied().unwrap_or(0)
     }
 
     #[test]
@@ -1081,425 +1189,310 @@ mod tests {
         assert_eq!(store.len(), 1);
     }
 
-    /// The strict disk hit: an entry recorded for exactly `bundle_fp`.
-    fn disk_hit(store: &AnalysisStore, key: &str, bundle_fp: u64, config_fp: u64) -> bool {
-        store
-            .lookup_disk_entry(key, config_fp, &Obs::disabled())
-            .is_some_and(|e| e.bundle_fp == bundle_fp)
-    }
-
     #[test]
-    fn a_failed_rename_leaves_no_tmp_and_warns() {
-        let dir = tmpdir("renamefail");
+    fn an_unwritable_cache_dir_degrades_to_memory_and_warns() {
+        let dir = tmpdir("unwritable");
         std::fs::create_dir_all(&dir).unwrap();
-        // A directory where the entry should go: the tmp write succeeds,
-        // the rename onto it fails.
-        let path = disk_path(&dir, "app.r", 42);
-        std::fs::create_dir(&path).unwrap();
+        // A file where the cache directory should be.
+        std::fs::write(dir.join("cache"), b"").unwrap();
         let (sink, buf) = nck_obs::JsonlSink::capture();
         let obs = Obs {
             events: nck_obs::Events::silent().with_sink(sink),
             ..Obs::disabled()
         };
-        assert_eq!(
-            write_disk(&dir, "app.r", &entry(5, "app.r"), "{}\n", &obs),
-            (0, 0)
-        );
-        let names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            !names.iter().any(|n| n.ends_with(".tmp")),
-            "tmp file left behind: {names:?}"
-        );
+        let store = AnalysisStore::with_options(8, Some(dir.join("cache")));
+        store.insert("app.r", entry(5, "app.r"), &obs);
+        assert_eq!(store.lookup("app.r", &obs).unwrap().bundle_fp, 5);
+        assert_eq!(counter(&store, "svc.cache.disk_records_appended"), 0);
         let log = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        assert!(
-            log.contains("cache file rename failed"),
-            "no warning: {log}"
-        );
+        assert!(log.contains("cache segment write failed"), "{log}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_missing_cache_dir_is_created_on_first_write() {
         let dir = tmpdir("lazydir").join("nested");
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
-        store.insert("app.d", entry(5, "app.d"), &Obs::disabled());
-        assert!(disk_path(&dir, "app.d", 42).exists());
+        let store = reopen(&dir);
+        assert!(!disk_hit(&store, "app.d", 0));
+        assert!(!dir.exists(), "a lookup creates nothing");
+        for (i, key) in ["app.d", "app.e", "app.d"].iter().enumerate() {
+            store.insert(key, entry(i as u64, key), &Obs::disabled());
+        }
+        assert_eq!(names(&dir).len(), 1, "one segment");
+        assert_eq!(counter(&store, "svc.cache.disk_files_created"), 1);
+        assert_eq!(counter(&store, "svc.cache.disk_records_appended"), 3);
+        let stats = store.disk_stats();
+        assert_eq!((stats.entries, stats.segments), (2, 1));
+        assert!(stats.dead_bytes > 0, "the superseded app.d record is dead");
+        assert!(disk_hit(&store, "app.d", 2), "the newest record is live");
+        store.sync_disk();
         let _ = std::fs::remove_dir_all(dir.parent().unwrap());
     }
 
     #[test]
     fn disk_tier_roundtrips_and_rejects_stale_fingerprints() {
-        let dir = tmpdir("roundtrip");
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
-        let obs = Obs::disabled();
-        let stored = entry(7, "app.d");
-        let want = render_json(&stored.report);
-        store.insert("app.d", stored, &obs);
-        let hit = store.lookup_disk_entry("app.d", 42, &obs).unwrap();
-        assert_eq!(hit.bundle_fp, 7);
-        assert_eq!(*hit.json, want, "the JSON section is the rendered report");
-        assert_eq!(hit.defects, 0);
-        assert!(
-            !store
-                .metrics()
-                .snapshot()
-                .counters
-                .contains_key("svc.cache.disk_decode"),
-            "a lookup decodes nothing"
-        );
-        assert_eq!(hit.decode().stats.package, "app.d");
-        assert_eq!(
-            store.metrics().snapshot().counters["svc.cache.disk_decode"],
-            1
-        );
-        assert!(!disk_hit(&store, "app.d", 8, 42), "bundle moved");
-        assert!(!disk_hit(&store, "app.d", 7, 43), "config moved");
-        // Corrupt file: miss, not error.
-        std::fs::write(disk_path(&dir, "app.d", 42), "{not json").unwrap();
-        assert!(!disk_hit(&store, "app.d", 7, 42));
+        let (store, dir) = disk_store("roundtrip", &["app.d"]);
+        let want = render_json(&entry(0, "app.d").report);
+        for store in [&store, &reopen(&dir)] {
+            let hit = store
+                .lookup_disk_entry("app.d", 42, &Obs::disabled())
+                .unwrap();
+            assert_eq!((hit.bundle_fp, hit.defects), (0, 0));
+            assert_eq!(*hit.json, want, "the JSON section is the rendered report");
+            assert_eq!(
+                counter(store, "svc.cache.disk_decode"),
+                0,
+                "nothing decoded"
+            );
+            assert_eq!(hit.decode().stats.package, "app.d");
+            assert_eq!(counter(store, "svc.cache.disk_decode"), 1);
+        }
+        assert!(!disk_hit(&store, "app.d", 8), "bundle moved");
+        assert!(store
+            .lookup_disk_entry("app.d", 43, &Obs::disabled())
+            .is_none());
+        // Garbage in the segment: a miss, not an error.
+        std::fs::write(segment(&dir), "{not a record").unwrap();
+        assert!(!disk_hit(&reopen(&dir), "app.d", 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn a_flipped_byte_anywhere_in_an_entry_fails_the_checksum() {
-        let dir = tmpdir("flip");
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
-        store.insert("app.f", entry(3, "app.f"), &Obs::disabled());
-        let path = disk_path(&dir, "app.f", 42);
-        let good = std::fs::read(&path).unwrap();
-        let metrics = Metrics::enabled();
-        assert!(matches!(parse_entry(&good, 42, &metrics), Parsed::Entry(_)));
+        let (_store, dir) = disk_store("flip", &["app.f"]);
+        let good = std::fs::read(segment(&dir)).unwrap();
+        let id = (key_hash("app.f"), 42);
+        assert!(verify(&good, id).is_some());
         for at in 0..good.len() {
             let mut bad = good.clone();
             bad[at] ^= 0x01;
-            assert!(
-                !matches!(parse_entry(&bad, 42, &metrics), Parsed::Entry(_)),
-                "flipping byte {at} still parsed as an entry"
-            );
+            assert!(verify(&bad, id).is_none(), "flipping byte {at} verified");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn lookup_disk_any_recovers_the_stale_entry_for_deltas() {
-        let dir = tmpdir("staleany");
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
-        let obs = Obs::disabled();
-        store.insert("app.v", entry(7, "app.v"), &obs);
-        // The strict lookup under the *new* bundle misses...
-        assert!(!disk_hit(&store, "app.v", 8, 42));
-        // ...but the any-lookup recovers the previous version's report
-        // and says which bundle it belonged to.
-        let (stored_fp, report) = store.lookup_disk_any("app.v", 42, &obs).unwrap();
-        assert_eq!(stored_fp, 7);
-        assert_eq!(report.stats.package, "app.v");
+        let (store, dir) = disk_store("staleany", &["app.v"]);
+        // The strict lookup under a *new* bundle misses, but the
+        // any-lookup recovers the previous version and its bundle.
+        assert!(!disk_hit(&store, "app.v", 8));
+        let (stored_fp, report) = store
+            .lookup_disk_any("app.v", 42, &Obs::disabled())
+            .unwrap();
+        assert_eq!((stored_fp, report.stats.package.as_str()), (0, "app.v"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A record that fails its checksum is quarantined in the index:
+    /// dropped from it, so it is never served or re-read.
     #[test]
     fn corrupt_disk_entry_is_quarantined_and_not_reread() {
-        let dir = tmpdir("corrupt");
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
+        let (store, dir) = disk_store("corrupt", &["app.q"]);
+        let mut bytes = std::fs::read(segment(&dir)).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        std::fs::write(segment(&dir), &bytes).unwrap();
         let obs = Obs::enabled();
-        store.insert("app.q", entry(9, "app.q"), &obs);
-        let path = disk_path(&dir, "app.q", 42);
-        std::fs::write(&path, "{definitely not json").unwrap();
-
-        // First lookup: miss, file moved out of the cache namespace,
-        // counter bumped on both the per-app obs and the store registry.
-        assert!(store.lookup_disk_entry("app.q", 42, &obs).is_none());
-        assert!(!path.exists(), "corrupt file left in the cache namespace");
-        assert!(
-            path.with_extension("quarantine").exists(),
-            "corrupt file quarantined, not silently lost"
-        );
-        assert_eq!(
-            obs.metrics.snapshot().counters["svc.cache.corrupt_evict"],
-            1
-        );
-        assert_eq!(
-            store.metrics().snapshot().counters["svc.cache.corrupt_evict"],
-            1
-        );
-        assert_eq!(
-            store.disk_stats().entries,
-            0,
-            "occupancy no longer counts the corrupt entry"
-        );
-
-        // Second lookup: plain miss — the bad file is gone, so it is
-        // neither re-read nor re-quarantined.
-        assert!(store.lookup_disk_entry("app.q", 42, &obs).is_none());
-        assert_eq!(
-            obs.metrics.snapshot().counters["svc.cache.corrupt_evict"],
-            1
-        );
+        for _ in 0..2 {
+            assert!(store.lookup_disk_entry("app.q", 42, &obs).is_none());
+            assert_eq!(
+                obs.metrics.snapshot().counters["svc.cache.corrupt_evict"],
+                1
+            );
+            assert_eq!(counter(&store, "svc.cache.corrupt_evict"), 1);
+        }
+        assert_eq!(store.disk_stats().entries, 0, "no longer live");
+        assert_eq!(names(&dir).len(), 1, "nothing renamed or deleted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn damaged_entries_are_corrupt_but_stale_and_outdated_ones_are_not() {
-        let dir = tmpdir("staleschema");
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
-        let obs = Obs::enabled();
-        store.insert("app.s", entry(5, "app.s"), &obs);
-        let path = disk_path(&dir, "app.s", 42);
-        let current = std::fs::read(&path).unwrap();
-        let corrupt_evicts = || {
-            obs.metrics
-                .snapshot()
-                .counters
-                .get("svc.cache.corrupt_evict")
-                .copied()
-        };
-
-        // Stale: well-formed entry for a different bundle — left on
-        // disk (the next insert overwrites it), no quarantine.
-        assert!(!disk_hit(&store, "app.s", 6, 42));
-        assert!(path.exists(), "stale entries stay for overwrite");
-
-        // Outdated layouts — the schema-1 JSON object, an older entry
-        // schema, another wire schema — miss and stay for overwrite.
-        let text = String::from_utf8(current.clone()).unwrap();
-        let outdated = [
-            format!(
-                "{{\"bundle_fp\":\"5\",\"config_fp\":\"42\",\"report\":{},\"schema\":1}}",
-                crate::wire::encode(&entry(5, "app.s").report)
-            ),
-            text.replacen("nck-entry 2 ", "nck-entry 1 ", 1),
-            text.replacen("nck-entry 2 1 ", "nck-entry 2 999 ", 1),
-        ];
-        for old in outdated {
-            std::fs::write(&path, &old).unwrap();
-            assert!(store.lookup_disk_entry("app.s", 42, &obs).is_none());
-            assert!(path.exists(), "outdated entries stay for overwrite");
+        let (store, dir) = disk_store("legacy", &["app.s"]);
+        let seg = segment(&dir);
+        let current = String::from_utf8(std::fs::read(&seg).unwrap()).unwrap();
+        assert!(!disk_hit(&store, "app.s", 6), "stale: a miss, not damage");
+        // The one-file-per-entry layouts under their old names — a
+        // schema-1 object and a schema-2 header — with `.tmp` and
+        // `.atime` leftovers and an old quarantined entry, plus a segment
+        // in another wire schema: all plain misses.
+        let name = |key: &str, ext: &str| format!("{:016x}-{:016x}.{ext}", key_hash(key), 42);
+        let schema2 = current.replacen("nck-entry 3 ", "nck-entry 2 ", 1);
+        let wire999 = current.replacen("nck-entry 3 1 ", "nck-entry 3 999 ", 1);
+        for (file, text) in [
+            (name("app.one", "json"), r#"{"bundle_fp":"5"}"#),
+            (name("app.two", "json"), &schema2),
+            (name("app.two", "tmp"), "x"),
+            (name("app.two", "atime"), ""),
+            (name("app.old", "quarantine"), "bad"),
+            ("0000000000000001-1.seg".to_owned(), &wire999),
+        ] {
+            std::fs::write(dir.join(file), text).unwrap();
         }
-        assert_eq!(corrupt_evicts(), None, "nothing quarantined so far");
-        store.insert("app.s", entry(5, "app.s"), &obs);
-        assert_eq!(std::fs::read(&path).unwrap(), current, "rewritten in place");
-
-        // Damaged: one flipped body byte fails the checksum → quarantine.
-        let mut damaged = current;
-        let last = damaged.len() - 1;
-        damaged[last] ^= 0x01;
-        std::fs::write(&path, damaged).unwrap();
-        assert!(store.lookup_disk_entry("app.s", 42, &obs).is_none());
-        assert!(!path.exists(), "damaged entry quarantined");
-        assert_eq!(corrupt_evicts(), Some(1));
+        let fresh = reopen(&dir);
+        assert!(!disk_hit(&fresh, "app.one", 5) && !disk_hit(&fresh, "app.two", 0));
+        assert!(disk_hit(&fresh, "app.s", 0), "the current record hits");
+        assert_eq!(counter(&fresh, "svc.cache.corrupt_evict"), 0);
+        // A GC sweeps the legacy files, keeps the quarantined one, and
+        // (under budget) keeps the records and the touch log.
+        let stats = fresh.gc_disk(u64::MAX, &Obs::disabled());
+        assert_eq!((stats.entries, stats.evicted), (1, 0));
+        assert!(names(&dir).contains(&name("app.old", "quarantine")));
+        assert_eq!(names(&dir).len(), 4, "two segments, touch log, quarantine");
+        // Damaged: one flipped body byte fails the checksum.
+        let mut damaged = current.into_bytes();
+        *damaged.last_mut().unwrap() ^= 0x01;
+        std::fs::write(&seg, damaged).unwrap();
+        assert!(!disk_hit(&reopen(&dir), "app.s", 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn gc_evicts_least_recently_used_down_to_budget() {
-        let dir = tmpdir("gc");
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
-        let obs = Obs::enabled();
-        for (i, key) in ["app.old", "app.mid", "app.new"].iter().enumerate() {
-            store.insert(key, entry(i as u64, key), &obs);
-        }
-        // Deterministic recency: give old/mid/new strictly increasing
-        // explicit entry mtimes (filesystem clocks are too coarse to
-        // rely on insert order).
-        for (age, key) in ["app.old", "app.mid", "app.new"].iter().enumerate() {
-            let stamp = std::time::SystemTime::UNIX_EPOCH
-                + std::time::Duration::from_secs(1_000_000 + age as u64 * 100);
-            let f = std::fs::File::options()
-                .write(true)
-                .open(disk_path(&dir, key, 42))
-                .unwrap();
-            f.set_modified(stamp).unwrap();
-        }
-        // A sidecar an older build left behind is swept, not counted.
-        let sidecar = disk_path(&dir, "app.new", 42).with_extension("atime");
-        std::fs::write(&sidecar, b"").unwrap();
-        let one_entry = std::fs::metadata(disk_path(&dir, "app.old", 42))
-            .unwrap()
-            .len();
-        // Budget for roughly two entries: the oldest goes.
-        let stats = store.gc_disk(one_entry * 2 + one_entry / 2, &obs);
-        assert_eq!(stats.entries, 3);
-        assert_eq!(stats.evicted, 1);
-        assert!(stats.freed_bytes > 0);
-        assert!(!disk_path(&dir, "app.old", 42).exists(), "LRU evicted");
-        assert!(disk_path(&dir, "app.new", 42).exists());
-        assert!(!sidecar.exists(), "leftover sidecar unlinked");
+        let (store, dir) = disk_store("gc", &["app.old", "app.mid", "app.new"]);
+        drop(store);
+        let one_record = len(&segment(&dir)) / 3;
+        // A later process reads the oldest record, so it ranks first.
+        assert!(disk_hit(&reopen(&dir), "app.old", 0));
+        assert_eq!(len(&dir.join(TOUCH_LOG)), 80, "the drop flushed one touch");
+        let store = reopen(&dir);
+        let stats = store.gc_disk(one_record * 2 + one_record / 2, &Obs::disabled());
+        assert_eq!((stats.entries, stats.kept(), stats.evicted), (3, 2, 1));
+        assert!(stats.freed_bytes > one_record, "a record and the touch log");
+        assert_eq!(stats.live_bytes(), store.disk_occupancy());
+        assert!(disk_hit(&store, "app.old", 0) && disk_hit(&store, "app.new", 2));
+        assert!(!disk_hit(&store, "app.mid", 1), "least recent: dropped");
         let snap = store.metrics().snapshot();
-        assert_eq!(snap.counters["svc.cache.gc_runs"], 1);
         assert_eq!(snap.counters["svc.cache.gc_evicted"], 1);
-        assert!(snap.counters["svc.cache.gc_freed_bytes"] > 0);
-        // Under budget: a run is counted, nothing is evicted.
-        let stats = store.gc_disk(u64::MAX, &obs);
-        assert_eq!(stats.evicted, 0);
-        assert_eq!(stats.entries, 2);
-        assert_eq!(store.metrics().snapshot().counters["svc.cache.gc_runs"], 2);
+        assert_eq!(snap.counters["svc.cache.gc_freed_bytes"], stats.freed_bytes);
+        // Under budget: the run is counted, nothing is dropped.
+        let stats = store.gc_disk(u64::MAX, &Obs::disabled());
+        assert_eq!((stats.entries, stats.evicted, stats.freed_bytes), (2, 0, 0));
+        assert_eq!(counter(&store, "svc.cache.gc_runs"), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn disk_reads_journal_the_atime_and_flush_stamps_the_entry() {
-        let dir = tmpdir("atime");
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
-        let obs = Obs::disabled();
-        store.insert("app.t", entry(3, "app.t"), &obs);
-        let path = disk_path(&dir, "app.t", 42);
-        let mtime = || std::fs::metadata(&path).unwrap().modified().unwrap();
-        let written = mtime();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(disk_hit(&store, "app.t", 3, 42));
+        let (store, dir) = disk_store("touch", &["app.t", "app.u"]);
+        let before = names(&dir);
+        let seg_len = len(&segment(&dir));
+        for key in ["app.t", "app.t", "app.u"] {
+            assert!(store.lookup_disk_entry(key, 42, &Obs::disabled()).is_some());
+        }
+        assert_eq!(names(&dir), before, "the hit path writes nothing");
+        assert_eq!(store.journaled_touches(), 2, "one journal slot per key");
+        store.flush_touches();
+        assert_eq!(store.journaled_touches(), 0, "flush drained the journal");
+        let log = std::fs::read(dir.join(TOUCH_LOG)).unwrap();
         assert_eq!(
-            mtime(),
-            written,
-            "the hit path must not stamp the entry — the read is journaled"
+            (
+                log.len(),
+                record::touches(&std::fs::read(dir.join(TOUCH_LOG)).unwrap()).len()
+            ),
+            (160, 2)
         );
-        assert_eq!(store.journaled_atimes(), 1);
-        store.flush_atimes();
-        assert!(mtime() > written, "flush stamped the entry's mtime");
-        assert_eq!(store.journaled_atimes(), 0, "flush drained the journal");
-        let names: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert_eq!(names.len(), 1, "no file beside the entry");
+        assert_eq!(len(&segment(&dir)), seg_len, "touches stay out of segments");
+        // A torn touch record is skipped, not fatal.
+        std::fs::write(dir.join(TOUCH_LOG), [&log[..], &log[..40]].concat()).unwrap();
+        assert_eq!(
+            record::touches(&std::fs::read(dir.join(TOUCH_LOG)).unwrap()).len(),
+            2
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn an_entry_rewritten_after_a_read_ranks_by_the_rewrite() {
-        let dir = tmpdir("rewrite");
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
-        let obs = Obs::disabled();
-        let pause = || std::thread::sleep(std::time::Duration::from_millis(20));
-        store.insert("app.a", entry(1, "app.a"), &obs);
-        store.insert("app.b", entry(1, "app.b"), &obs);
-        pause();
-        assert!(disk_hit(&store, "app.a", 1, 42));
-        pause();
-        assert!(disk_hit(&store, "app.b", 1, 42));
-        pause();
-        // A new version of A: the freshest entry on disk, whatever its
-        // journaled read says.
-        store.insert("app.a", entry(2, "app.a"), &obs);
-        let one_entry = std::fs::metadata(disk_path(&dir, "app.a", 42))
-            .unwrap()
-            .len();
-        let stats = store.gc_disk(one_entry, &obs);
-        assert_eq!(stats.evicted, 1);
-        assert!(disk_path(&dir, "app.a", 42).exists(), "rewritten A kept");
-        assert!(!disk_path(&dir, "app.b", 42).exists(), "B is least recent");
+        let (store, dir) = disk_store("rewrite", &["app.a", "app.b"]);
+        assert!(disk_hit(&store, "app.a", 0) && disk_hit(&store, "app.b", 1));
+        // A new version of A: the freshest record, whatever its read says.
+        store.insert("app.a", entry(2, "app.a"), &Obs::disabled());
+        let stats = store.gc_disk(store.disk_stats().dead_bytes, &Obs::disabled());
+        assert_eq!((stats.kept(), stats.evicted), (1, 1));
+        assert!(disk_hit(&store, "app.a", 2), "rewritten A kept");
+        assert!(!disk_hit(&store, "app.b", 1), "B is least recent");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn flush_preserves_read_order_and_skips_vanished_entries() {
-        let dir = tmpdir("flushorder");
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
-        let obs = Obs::disabled();
-        for key in ["app.first", "app.second", "app.gone"] {
-            store.insert(key, entry(1, key), &obs);
+        let (store, dir) = disk_store("flushorder", &["app.first", "app.second", "app.unread"]);
+        let one_record = store.disk_occupancy() / 3;
+        // Journal reads with explicit stamps after the writes, the later
+        // one first, plus a read of a key with no record: its touch must
+        // not bring anything back.
+        let at = |secs: u64| next_stamp() + secs * 1_000_000_000;
+        for (key, stamp) in [
+            ("app.second", at(100)),
+            ("app.first", at(200)),
+            ("app.gone", at(300)),
+        ] {
+            let (_, index) = store.disk.as_ref().unwrap();
+            lock(index).touches.insert((key_hash(key), 42), stamp);
         }
-        // Journal reads with explicit, strictly increasing stamps, the
-        // later one first (both after the writes).
-        let stamp = |age: u64| SystemTime::now() + std::time::Duration::from_secs(100 + age * 100);
-        let stamps = [stamp(0), stamp(1)];
-        for (key, at) in [("app.second", stamps[1]), ("app.first", stamps[0])] {
-            lock_plain(&store.atime_journal).insert(disk_path(&dir, key, 42), at);
-        }
-        // A journaled entry that was evicted before the flush must not
-        // come back as an empty file.
-        let gone = disk_path(&dir, "app.gone", 42);
-        lock_plain(&store.atime_journal).insert(gone.clone(), SystemTime::now());
-        std::fs::remove_file(&gone).unwrap();
-        store.flush_atimes();
-        assert!(!gone.exists(), "no entry resurrected");
-        let mtime = |key: &str| {
-            std::fs::metadata(disk_path(&dir, key, 42))
-                .unwrap()
-                .modified()
-                .unwrap()
-        };
-        assert!(
-            stamps[0] <= mtime("app.first") && mtime("app.first") < mtime("app.second"),
-            "flush reproduced the journaled stamps"
-        );
+        store.flush_touches();
+        let stats = store.gc_disk(one_record * 2, &Obs::disabled());
+        assert_eq!((stats.entries, stats.kept()), (3, 2), "nothing resurrected");
+        assert!(!disk_hit(&store, "app.unread", 2), "written, never read");
+        assert_eq!(store.gc_disk(one_record, &Obs::disabled()).kept(), 1);
+        assert!(disk_hit(&store, "app.first", 0), "read last: kept");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn occupancy_estimate_tracks_inserts_without_rescans() {
-        let dir = tmpdir("occupancy");
-        // Pre-existing tier from a previous process: the seed scan must
-        // count it.
-        {
-            let store = AnalysisStore::with_options(8, Some(dir.clone()));
-            store.insert("app.pre", entry(1, "app.pre"), &Obs::disabled());
-        }
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
-        let obs = Obs::disabled();
-        let seeded = store.disk_occupancy();
-        assert_eq!(seeded, store.disk_stats().bytes, "seed scan is exact");
-        store.insert("app.a", entry(2, "app.a"), &obs);
+        // A tier from a previous process: the first scan counts it.
+        let (store, dir) = disk_store("occupancy", &["app.pre"]);
+        drop(store);
+        let store = reopen(&dir);
         assert_eq!(store.disk_occupancy(), store.disk_stats().bytes);
-        // Overwriting a key replaces its charge instead of adding.
-        store.insert("app.a", entry(3, "app.a"), &obs);
-        assert_eq!(store.disk_occupancy(), store.disk_stats().bytes);
-        // Quarantine releases the corrupt entry's charge.
-        let path = disk_path(&dir, "app.a", 42);
-        let corrupt_len = 7u64;
-        std::fs::write(&path, "corrupt").unwrap();
-        let before = store.disk_occupancy();
-        assert!(store.lookup_disk_entry("app.a", 42, &obs).is_none());
-        assert_eq!(store.disk_occupancy(), before - corrupt_len);
+        store.insert("app.a", entry(2, "app.a"), &Obs::disabled());
+        let once = store.disk_occupancy();
+        // Rewriting a key appends: the old record turns dead, and its
+        // bytes stay charged until a compaction.
+        store.insert("app.a", entry(3, "app.a"), &Obs::disabled());
+        let stats = store.disk_stats();
+        assert_eq!(store.disk_occupancy(), stats.bytes);
+        assert_eq!(stats.dead_bytes, stats.bytes - once);
+        assert_eq!((stats.entries, stats.segments), (2, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn maybe_gc_skips_under_watermark_and_collects_to_the_low_one() {
-        let dir = tmpdir("watermark");
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
+        let (store, dir) = disk_store("watermark", &["app.w0", "app.w1", "app.w2", "app.w3"]);
         let obs = Obs::enabled();
-        for i in 0..4 {
-            let key = format!("app.w{i}");
-            store.insert(&key, entry(i, &key), &obs);
-        }
         let occupied = store.disk_occupancy();
         // Under the high watermark: skipped, counted, no run.
         assert!(store.maybe_gc_disk(occupied + 1, &obs).is_none());
-        let snap = store.metrics().snapshot();
-        assert_eq!(snap.counters["svc.cache.gc_skipped"], 1);
-        assert!(!snap.counters.contains_key("svc.cache.gc_runs"));
+        assert_eq!(counter(&store, "svc.cache.gc_skipped"), 1);
+        assert_eq!(counter(&store, "svc.cache.gc_runs"), 0);
         // Over it: runs, and collects below the *low* watermark
         // (budget - budget/8), not merely below the budget.
         let budget = occupied - 1;
         let stats = store.maybe_gc_disk(budget, &obs).expect("over watermark");
         assert!(stats.evicted > 0);
         assert!(store.disk_occupancy() <= budget - budget / 8);
-        assert_eq!(
-            store.disk_occupancy(),
-            store.disk_stats().bytes,
-            "GC resynced the estimate to the exact scan"
-        );
-        assert_eq!(store.metrics().snapshot().counters["svc.cache.gc_runs"], 1);
+        assert_eq!(store.disk_occupancy(), store.disk_stats().bytes);
+        assert_eq!(counter(&store, "svc.cache.gc_runs"), 1);
         // No disk tier: no skip counting, no run.
         let memonly = AnalysisStore::new();
         assert!(memonly.maybe_gc_disk(0, &obs).is_none());
-        assert!(!memonly
-            .metrics()
-            .snapshot()
-            .counters
-            .contains_key("svc.cache.gc_skipped"));
+        assert_eq!(counter(&memonly, "svc.cache.gc_skipped"), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn promote_is_memory_only_and_serves_the_next_lookup() {
         let dir = tmpdir("promote");
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
+        let store = reopen(&dir);
         let obs = Obs::disabled();
         assert!(store.lookup("app.p", &obs).is_none());
         store.promote("app.p", entry(11, "app.p"), &obs);
         assert_eq!(store.lookup("app.p", &obs).unwrap().bundle_fp, 11);
         assert_eq!(store.disk_stats().entries, 0, "promotion writes no disk");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(!dir.exists(), "nor creates anything");
     }
 
     #[test]
@@ -1536,29 +1529,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_stats_count_entries_bytes_and_shards() {
-        let dir = tmpdir("diskstats");
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
-        let obs = Obs::disabled();
-        assert_eq!(store.disk_stats(), DiskStats::new(), "missing dir is empty");
-        store.insert("app.a", entry(1, "app.a"), &obs);
-        store.insert("app.b", entry(2, "app.b"), &obs);
-        // Alien files and tmp leftovers are not entries.
-        std::fs::write(dir.join("README"), "not a cache file").unwrap();
-        std::fs::write(dir.join("0123456789abcdef-0123456789abcdef.tmp"), "x").unwrap();
-        let stats = store.disk_stats();
-        assert_eq!(stats.entries, 2);
-        assert!(stats.bytes > 0);
-        assert_eq!(stats.shards.len(), SHARDS);
-        assert_eq!(stats.shards.iter().sum::<u64>(), 2);
-        let mut expected = vec![0u64; SHARDS];
-        expected[(key_hash("app.a") as usize) % SHARDS] += 1;
-        expected[(key_hash("app.b") as usize) % SHARDS] += 1;
-        assert_eq!(stats.shards, expected);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn record_gauges_reports_mem_occupancy() {
         let store = AnalysisStore::new();
         let obs = Obs::enabled();
@@ -1573,6 +1543,24 @@ mod tests {
             store.mem_bytes() as i64
         );
         assert!(snap.gauges["svc.cache.mem_bytes"].value > 0);
+    }
+
+    #[test]
+    fn disk_stats_count_entries_bytes_and_shards() {
+        let dir = tmpdir("diskstats");
+        assert_eq!(reopen(&dir).disk_stats(), DiskStats::new(), "missing dir");
+        let (store, dir) = disk_store("diskstats", &["app.a", "app.b"]);
+        // Alien files and legacy leftovers are not records.
+        std::fs::write(dir.join("README"), "not a cache file").unwrap();
+        std::fs::write(dir.join("0123456789abcdef-0123456789abcdef.tmp"), "x").unwrap();
+        let stats = store.disk_stats();
+        assert_eq!((stats.entries, stats.segments, stats.dead_bytes), (2, 1, 0));
+        assert_eq!(stats.bytes, len(&segment(&dir)));
+        let mut expected = vec![0u64; SHARDS];
+        expected[(key_hash("app.a") as usize) % SHARDS] += 1;
+        expected[(key_hash("app.b") as usize) % SHARDS] += 1;
+        assert_eq!(stats.shards, expected);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

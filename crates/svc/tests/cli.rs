@@ -147,8 +147,17 @@ fn cache_dir_persists_entries_and_reports_hits() {
     };
     let first = run();
     assert!(first.status.success());
-    let entries = std::fs::read_dir(&cache).map(|d| d.count()).unwrap_or(0);
-    assert!(entries > 0, "cache dir must gain an entry");
+    let files = || {
+        let mut names: Vec<String> = std::fs::read_dir(&cache)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let written = files();
+    assert_eq!(written.len(), 1, "one segment: {written:?}");
+    assert!(written[0].ends_with(".seg"), "{written:?}");
     assert!(
         String::from_utf8_lossy(&first.stdout).contains("cache: 0 hit(s), 1 miss(es)"),
         "{}",
@@ -160,6 +169,8 @@ fn cache_dir_persists_entries_and_reports_hits() {
     assert!(second.status.success());
     let stdout = String::from_utf8_lossy(&second.stdout);
     assert!(stdout.contains("cache: 1 hit(s), 0 miss(es)"), "{stdout}");
+    // The hit wrote no segment; its read went to the touch log.
+    assert_eq!(files(), [written[0].clone(), "touch.log".to_owned()]);
 
     std::fs::remove_file(&path).ok();
     let _ = std::fs::remove_dir_all(&cache);
@@ -304,8 +315,15 @@ fn doctor_snapshot_is_byte_identical_across_runs_and_jobs() {
         out.stdout
     };
     // Warm the cache, then compare warm snapshots: the disk tier is
-    // unchanged from here on.
-    let _cold = run("2");
+    // unchanged from here on (reads go to the touch log only).
+    let cold = run("2");
+    let cold: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&cold).unwrap()).expect("doctor emits JSON");
+    let disk = &cold["cache"]["disk"];
+    assert_eq!(disk["files_created"], 1, "one segment: {disk:?}");
+    assert_eq!(disk["records_appended"], 4, "{disk:?}");
+    assert_eq!(disk["segments"], 1, "{disk:?}");
+    assert_eq!(disk["dead_bytes"], 0, "{disk:?}");
     let warm1 = run("1");
     let warm8 = run("8");
     let warm1b = run("1");
@@ -317,6 +335,11 @@ fn doctor_snapshot_is_byte_identical_across_runs_and_jobs() {
     assert_eq!(v["schema"], 2);
     assert_eq!(v["cache"]["hit"], 4, "warm run hits all apps");
     assert_eq!(v["cache"]["disk"]["entries"], 4);
+    assert_eq!(v["cache"]["disk"]["bytes"], disk["bytes"]);
+    assert_eq!(
+        v["cache"]["disk"]["files_created"], 0,
+        "a warm run writes no record"
+    );
     assert_eq!(v["last_run"]["apps"], 4);
     for key in ["build", "config", "funnel"] {
         assert!(v.get(key).is_some(), "missing {key}");

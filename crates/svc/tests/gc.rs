@@ -1,6 +1,6 @@
-//! Disk-cache GC correctness: quarantined entries stay dead, eviction
-//! under concurrent readers is full-or-miss, and a post-GC warm run
-//! reproduces the cold run byte for byte.
+//! Disk-cache GC correctness: quarantined (damaged) records stay dead,
+//! compaction under concurrent readers is full-or-miss, and a post-GC
+//! warm run reproduces the cold run byte for byte.
 
 use nck_appgen::CorpusStream;
 use nck_obs::Obs;
@@ -43,9 +43,11 @@ fn corpus_bundles(seed: u64, n: usize) -> Vec<(String, Vec<u8>)> {
         .collect()
 }
 
-/// A corrupt entry is quarantined on first read; GC neither counts the
-/// `.quarantine` file against the budget nor resurrects it, and a
-/// later run re-analyzes rather than serving the poisoned bytes.
+/// A damaged record is quarantined on first read — dropped from the
+/// index, recomputed, and superseded by the new record. GC never counts
+/// it as live or copies it forward, a `.quarantine` file an older build
+/// left stays for the operator, and a later run serves the recomputed
+/// bytes, never the poisoned ones.
 #[test]
 fn quarantined_entries_are_invisible_to_gc_and_stay_dead() {
     let cache = temp_dir("quarantine");
@@ -54,40 +56,66 @@ fn quarantined_entries_are_invisible_to_gc_and_stay_dead() {
     let cold = service(&cache).analyze_one(&bundles[0].0, &bundles[0].1);
     let cold_report = render(cold.report.as_ref().expect("analyzes"));
 
-    // Poison the single entry on disk.
-    let entry_path = std::fs::read_dir(&cache)
+    // Poison the single record's JSON section, beside a quarantined
+    // entry of the one-file-per-entry layout.
+    let segment = std::fs::read_dir(&cache)
         .unwrap()
         .filter_map(|e| Some(e.ok()?.path()))
-        .find(|p| p.extension().is_some_and(|e| e == "json"))
-        .expect("one cache entry");
-    std::fs::write(&entry_path, b"{ not json").unwrap();
+        .find(|p| p.extension().is_some_and(|e| e == "seg"))
+        .expect("one segment");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    let json = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    bytes[json + 40] ^= 1;
+    std::fs::write(&segment, bytes).unwrap();
+    let quarantined = cache.join("0123456789abcdef-0123456789abcdef.quarantine");
+    std::fs::write(&quarantined, b"{ not json").unwrap();
 
-    // A fresh service (empty memory tier) hits the corrupt entry,
-    // quarantines it, and re-analyzes to the same bytes.
-    let warm = service(&cache).analyze_one(&bundles[0].0, &bundles[0].1);
+    // A fresh service (empty memory tier) reads the damaged record,
+    // drops it, and re-analyzes to the same bytes.
+    let svc = service(&cache);
+    let warm = svc.analyze_one(&bundles[0].0, &bundles[0].1);
     assert_eq!(
         render(warm.report.as_ref().expect("re-analyzes")),
         cold_report
     );
-    let quarantined: Vec<PathBuf> = std::fs::read_dir(&cache)
-        .unwrap()
-        .filter_map(|e| Some(e.ok()?.path()))
-        .filter(|p| p.extension().is_some_and(|e| e == "quarantine"))
-        .collect();
-    assert_eq!(quarantined.len(), 1, "corrupt entry moved aside");
+    let corrupt = |store: &AnalysisStore| {
+        let counters = store.metrics().snapshot().counters;
+        counters
+            .get("svc.cache.corrupt_evict")
+            .copied()
+            .unwrap_or(0)
+    };
+    assert_eq!(corrupt(svc.store()), 1);
+    drop(svc);
 
-    // GC with an unlimited budget: the quarantine file is not an entry.
+    // GC with an unlimited budget: only the rewritten record is live.
     let store = AnalysisStore::with_options(4, Some(cache.clone()));
-    let stats = store.gc_disk(u64::MAX, &Obs::disabled());
-    assert_eq!(stats.entries, 1, "only the rewritten entry is live");
-    assert_eq!(stats.evicted, 0);
+    let full = store.gc_disk(u64::MAX, &Obs::disabled());
+    assert_eq!((full.entries, full.evicted), (1, 0), "one live record");
 
-    // GC to zero evicts the live entry but leaves the quarantine file
-    // for the operator — and never un-quarantines it.
+    // A compaction just under the occupancy keeps the live record and
+    // reclaims the damaged one; it never comes back.
+    let stats = store.gc_disk(full.bytes - 1, &Obs::disabled());
+    assert_eq!((stats.kept(), stats.evicted), (1, 0));
+    assert_eq!(
+        store.disk_stats().dead_bytes,
+        0,
+        "the damaged record is gone"
+    );
+    let svc = service(&cache);
+    let again = svc.analyze_one(&bundles[0].0, &bundles[0].1);
+    assert!(again.reuse.whole_report, "the recomputed record hits");
+    assert_eq!(render(again.report.as_ref().unwrap()), cold_report);
+    assert_eq!(corrupt(svc.store()), 0);
+    drop(svc);
+
+    // GC to zero drops the live record but leaves the quarantine file
+    // for the operator.
     let stats = store.gc_disk(0, &Obs::disabled());
     assert_eq!(stats.evicted, 1);
-    assert!(quarantined[0].exists(), "quarantine survives GC");
+    assert!(quarantined.exists(), "quarantine survives GC");
     assert_eq!(store.disk_stats().entries, 0, "nothing resurrected");
+    assert_eq!(corrupt(&store), 0, "GC copied nothing damaged");
 }
 
 /// Readers racing a GC pass must see full entries or clean misses —

@@ -125,24 +125,35 @@ fn vet_across_workers_matches_the_single_process_bytes() {
         );
     }
 
-    // Damage the JSON section of one entry: the next run quarantines
-    // it and recomputes instead of serving it.
-    let entry = std::fs::read_dir(&cache)
+    // Damage the JSON section of one record: the next run drops it and
+    // recomputes instead of serving it, and a third run hits every app,
+    // the recomputed record included — the damaged one is not read
+    // again.
+    let segment = std::fs::read_dir(&cache)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|x| x == "json"))
-        .expect("a cache entry");
-    let mut bytes = std::fs::read(&entry).unwrap();
+        .find(|p| p.extension().is_some_and(|x| x == "seg"))
+        .expect("a cache segment");
+    let mut bytes = std::fs::read(&segment).unwrap();
     let body = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
     bytes[body + 40] ^= 1;
-    std::fs::write(&entry, bytes).unwrap();
+    std::fs::write(&segment, bytes).unwrap();
     let out = vet(&[]);
     assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
-    assert!(text(&out.stdout) == want, "a damaged entry was served");
-    assert!(
-        entry.with_extension("quarantine").exists(),
-        "not quarantined"
-    );
+    assert!(text(&out.stdout) == want, "a damaged record was served");
+    let out = nchecker(&[
+        "vet",
+        "--workers",
+        "3",
+        "--cache-dir",
+        cache.to_str().unwrap(),
+        "--corpus-dir",
+        corpus.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    assert!(text(&out.stdout) == want, "after the damage: vet diverged");
+    let hits = format!("0 delta(s), {} cache hit(s)", paths.len());
+    assert!(text(&out.stderr).contains(&hits), "{}", text(&out.stderr));
 
     // Churn: every 37th app ships a new version. A one-shot run over a
     // copy of the cache sees the same history as `vet`.
@@ -265,5 +276,76 @@ fn no_damaged_input_takes_vet_down() {
         failed > 0 && analyzed > intact.len(),
         "both damage outcomes occur"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Seeded kills: `vet --cache-dir` is SIGKILLed at a seeded point of
+/// its run, then rerun over the same cache. Whatever the kill left —
+/// a torn segment tail, an unflushed read journal — the rerun's stdout
+/// is byte-identical to a cold `--no-cache` run.
+#[test]
+fn a_killed_vet_leaves_a_cache_the_rerun_serves_byte_identically() {
+    let dir = temp_dir("kill");
+    let stream = CorpusStream::new(21, 600);
+    let mut paths: Vec<String> = (0..600)
+        .map(|i| {
+            let bytes = nck_appgen::generate(&stream.spec_at(i)).to_bytes();
+            write_bundle(&dir, &format!("app{i:06}.apk"), &bytes)
+        })
+        .collect();
+    paths.sort();
+    let mut args = vec!["--json", "--quiet", "--keep-going", "--no-cache"];
+    args.extend(paths.iter().map(String::as_str));
+    let cold = nchecker(&args);
+    assert_eq!(cold.status.code(), Some(0), "{}", text(&cold.stderr));
+
+    let corpus = dir.join("corpus");
+    let vet_args = |cache: &Path| -> Vec<String> {
+        ["vet", "--workers", "2", "--quiet", "--cache-dir"]
+            .iter()
+            .map(|s| s.to_string())
+            .chain([cache.to_string_lossy().into_owned()])
+            .chain([
+                "--corpus-dir".to_owned(),
+                corpus.to_string_lossy().into_owned(),
+            ])
+            .collect()
+    };
+    // The length of one full run, to spread the kills across it.
+    let t = std::time::Instant::now();
+    let full = Command::new(env!("CARGO_BIN_EXE_nchecker"))
+        .args(vet_args(&dir.join("cache-full")))
+        .output()
+        .unwrap();
+    assert!(full.stdout == cold.stdout, "an unkilled vet diverged");
+    let run_ms = t.elapsed().as_millis() as u64;
+
+    let mut killed = 0;
+    for seed in 0..4u64 {
+        let cache = dir.join(format!("cache-{seed}"));
+        let mut child = Command::new(env!("CARGO_BIN_EXE_nchecker"))
+            .args(vet_args(&cache))
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .unwrap();
+        // A seeded point between 20% and 95% of a full run.
+        let mix = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+        let at = run_ms * (20 + mix % 76) / 100;
+        std::thread::sleep(std::time::Duration::from_millis(at));
+        let _ = child.kill();
+        let status = child.wait().unwrap();
+        killed += usize::from(status.code().is_none());
+
+        let rerun = Command::new(env!("CARGO_BIN_EXE_nchecker"))
+            .args(vet_args(&cache))
+            .output()
+            .unwrap();
+        assert_eq!(rerun.status.code(), Some(0), "{}", text(&rerun.stderr));
+        assert!(
+            rerun.stdout == cold.stdout,
+            "seed {seed}: the rerun after a kill at {at} ms diverged"
+        );
+    }
+    assert!(killed > 0, "no run was killed mid-way ({run_ms} ms runs)");
     let _ = std::fs::remove_dir_all(&dir);
 }

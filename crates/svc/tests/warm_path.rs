@@ -1,9 +1,9 @@
 //! Warm-path byte-identity suite: every warm surface (memory hit, disk
 //! hit served as stored bytes, memoized report rendering) must be
 //! byte-identical to a cold analysis of the same bytes — including
-//! after a crash-restart that loses the unflushed atime journal, where
-//! GC ranks those entries by their older mtimes and must never evict
-//! *wrongly*, after a disk format upgrade, and when an entry's bytes
+//! after a crash-restart that loses the unflushed read journal, where
+//! GC ranks those records by their write stamps and must never drop
+//! *wrongly*, after a disk format upgrade, and when a record's bytes
 //! are damaged.
 
 use nck_appgen::generate_with_bulk;
@@ -91,23 +91,31 @@ fn counter(svc: &AnalysisService, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn entry_files(dir: &Path, ext: &str) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+/// Every file under `dir` with its length, in name order.
+fn dir_files(dir: &Path) -> Vec<(String, u64)> {
+    let mut files: Vec<(String, u64)> = std::fs::read_dir(dir)
         .unwrap()
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == ext))
+        .map(|e| {
+            let e = e.unwrap();
+            let len = e.metadata().unwrap().len();
+            (e.file_name().to_string_lossy().into_owned(), len)
+        })
         .collect();
     files.sort();
     files
 }
 
-/// The mtime of every cache entry under `dir`, in file-name order.
-fn entry_mtimes(dir: &Path) -> Vec<std::time::SystemTime> {
-    entry_files(dir, "json")
-        .iter()
-        .map(|p| std::fs::metadata(p).unwrap().modified().unwrap())
+/// The disk tier's segment files, in name (creation stamp) order.
+fn segments(dir: &Path) -> Vec<PathBuf> {
+    dir_files(dir)
+        .into_iter()
+        .filter(|(name, _)| name.ends_with(".seg"))
+        .map(|(name, _)| dir.join(name))
         .collect()
 }
+
+/// Length of one touch record in the directory's `touch.log`.
+const TOUCH_LEN: u64 = 80;
 
 #[test]
 fn memory_and_disk_warm_paths_are_byte_identical_to_cold() {
@@ -122,22 +130,22 @@ fn memory_and_disk_warm_paths_are_byte_identical_to_cold() {
     assert_eq!(AnalysisService::batch_stats(&mem_warm).hits, items.len());
     assert_matches_cold(&mem_warm, &cold, &items, "memory-warm");
     drop(svc); // clean shutdown: flushes the (empty) journal
-    let written = entry_mtimes(&dir);
-    std::thread::sleep(std::time::Duration::from_millis(20));
+    let written = dir_files(&dir);
+    assert_eq!(written.len(), 1, "one segment, no touch log: {written:?}");
 
-    // Process 2: every app is a disk hit, served from the entry's
-    // stored bytes. The hit path journals the reads (no stamp I/O
+    // Process 2: every app is a disk hit, served from the record's
+    // stored bytes. The hit path journals the reads (no recency I/O
     // inline), decodes nothing, and promotes nothing.
     let svc = disk_service(&dir);
     let disk_warm = svc.analyze_batch(&items);
     assert_eq!(AnalysisService::batch_stats(&disk_warm).hits, items.len());
     assert_matches_cold(&disk_warm, &cold, &items, "disk-warm");
     assert_eq!(
-        svc.store().journaled_atimes(),
+        svc.store().journaled_touches(),
         items.len(),
         "disk hits land in the journal"
     );
-    assert_eq!(entry_mtimes(&dir), written, "no entry stamped inline");
+    assert_eq!(dir_files(&dir), written, "nothing written inline");
     assert_eq!(svc.store().len(), 0, "disk hits are not promoted");
     assert_eq!(counter(&svc, "svc.cache.disk_decode"), 0);
 
@@ -154,12 +162,13 @@ fn memory_and_disk_warm_paths_are_byte_identical_to_cold() {
     let again = svc.analyze_batch(&items);
     assert_eq!(AnalysisService::batch_stats(&again).hits, items.len());
     assert_matches_cold(&again, &cold, &items, "disk-warm again");
-    // A clean shutdown stamps every read entry's mtime forward.
+    // A clean shutdown appends one touch record per read key to the
+    // touch log, and leaves the segment as it was.
     drop(svc);
-    for (read, write) in entry_mtimes(&dir).iter().zip(&written) {
-        assert!(read > write, "the journaled read stamped its entry");
-    }
-    assert!(entry_files(&dir, "atime").is_empty(), "no sidecar files");
+    let mut flushed = written.clone();
+    flushed.push(("touch.log".to_owned(), items.len() as u64 * TOUCH_LEN));
+    flushed.sort();
+    assert_eq!(dir_files(&dir), flushed, "the journaled reads were flushed");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -229,80 +238,102 @@ fn a_schema_1_cache_dir_misses_without_quarantine_and_is_rewritten() {
     let items = suite(4, 2016);
     let cold = cold_renders(&items);
 
-    // Build the cache, then turn every entry into the schema-1 layout:
-    // one JSON object holding the fingerprints and the wire report.
+    // Build the cache, then replace it with a directory of the
+    // one-file-per-entry layout: schema-1 entries (one JSON object
+    // holding the fingerprints and the wire report) under their
+    // `{key hash}-{config}.json` names, beside a `.tmp` and an `.atime`
+    // leftover.
     let svc = disk_service(&dir);
     let _ = svc.analyze_batch(&items);
     let config_fp = nchecker::cache::config_fingerprint(&nchecker::CheckerConfig::default());
-    for (key, bytes) in &items {
-        let (bundle_fp, report) = svc
-            .store()
-            .lookup_disk_any(key, config_fp, &Obs::disabled())
-            .expect("entry written");
-        assert_eq!(bundle_fp, nck_dex::wire::fnv1a(bytes));
-        let legacy = serde_json::json!({
-            "schema": 1,
-            "bundle_fp": bundle_fp.to_string(),
-            "config_fp": config_fp.to_string(),
-            "report": nck_svc::wire::report_to_wire(&report),
-        });
-        let path = entry_files(&dir, "json")
-            .into_iter()
-            .find(|p| {
-                let name = p.file_name().unwrap().to_str().unwrap();
-                name.starts_with(&format!("{:016x}", nck_dex::wire::fnv1a(key.as_bytes())))
-            })
-            .expect("entry file for the key");
-        std::fs::write(&path, serde_json::to_string(&legacy).unwrap()).unwrap();
-    }
+    let legacy: Vec<(String, String)> = items
+        .iter()
+        .map(|(key, bytes)| {
+            let (bundle_fp, report) = svc
+                .store()
+                .lookup_disk_any(key, config_fp, &Obs::disabled())
+                .expect("record written");
+            assert_eq!(bundle_fp, nck_dex::wire::fnv1a(bytes));
+            let entry = serde_json::json!({
+                "schema": 1,
+                "bundle_fp": bundle_fp.to_string(),
+                "config_fp": config_fp.to_string(),
+                "report": nck_svc::wire::report_to_wire(&report),
+            });
+            let stem = format!(
+                "{:016x}-{config_fp:016x}",
+                nck_dex::wire::fnv1a(key.as_bytes())
+            );
+            (stem, serde_json::to_string(&entry).unwrap())
+        })
+        .collect();
     drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (stem, text) in &legacy {
+        std::fs::write(dir.join(format!("{stem}.json")), text).unwrap();
+    }
+    std::fs::write(dir.join(format!("{}.tmp", legacy[0].0)), "partial").unwrap();
+    std::fs::write(dir.join(format!("{}.atime", legacy[1].0)), "").unwrap();
+    let old_files = dir_files(&dir);
 
-    // The new build: every lookup misses, nothing is quarantined, the
-    // entries are rewritten in the current layout, output is unchanged.
+    // The new build: every lookup misses, nothing counts as corrupt,
+    // the records are written in the current layout, output is
+    // unchanged.
     let svc = disk_service(&dir);
     let upgraded = svc.analyze_batch(&items);
     let stats = AnalysisService::batch_stats(&upgraded);
     assert_eq!((stats.hits, stats.misses), (0, items.len()));
     assert_matches_cold(&upgraded, &cold, &items, "upgrade");
-    assert!(
-        entry_files(&dir, "quarantine").is_empty(),
-        "nothing quarantined"
-    );
     assert_eq!(counter(&svc, "svc.cache.corrupt_evict"), 0);
-    let entries = entry_files(&dir, "json");
-    assert_eq!(entries.len(), items.len(), "rewritten in place, not beside");
-    for path in &entries {
-        assert!(std::fs::read(path).unwrap().starts_with(b"nck-entry 2 "));
-    }
+    assert_eq!(svc.store().disk_stats().entries, items.len() as u64);
     drop(svc);
 
-    // And the rewritten entries serve the next process.
+    // The rewritten records serve the next process, and its GC sweeps
+    // every file of the old layout.
     let svc = disk_service(&dir);
     let warm = svc.analyze_batch(&items);
     assert_eq!(AnalysisService::batch_stats(&warm).hits, items.len());
     assert_matches_cold(&warm, &cold, &items, "after upgrade");
+    let gc = svc.store().gc_disk(u64::MAX, &Obs::disabled());
+    assert_eq!((gc.kept(), gc.evicted), (items.len() as u64, 0));
+    assert_eq!(
+        gc.freed_bytes,
+        old_files.iter().map(|(_, len)| len).sum::<u64>()
+    );
+    let left = dir_files(&dir);
+    assert!(
+        left.iter()
+            .all(|(name, _)| name.ends_with(".seg") || name == "touch.log"),
+        "legacy files swept: {left:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Damage one section of one record per round: the next store never
+/// serves it — the lookup drops it from the index (its quarantine),
+/// counts `svc.cache.corrupt_evict`, recomputes, and appends a record
+/// that supersedes it — and a third store hits the new record with no
+/// corrupt count.
 #[test]
 fn a_flipped_byte_in_either_section_quarantines_and_recomputes() {
     let dir = tmpdir("flip");
     let items = suite(2, 2016);
     let cold = cold_renders(&items);
     let _ = disk_service(&dir).analyze_batch(&items);
+    let first = segments(&dir).remove(0);
 
-    // Damage one section of one entry per round, then re-vet everything.
-    for (round, section) in ["json", "wire"].into_iter().enumerate() {
-        let path = entry_files(&dir, "json").remove(round);
-        let mut bytes = std::fs::read(&path).unwrap();
-        // The JSON section follows the header line; the wire section
-        // ends the file.
+    for section in ["json", "wire"] {
+        // The first segment holds both original records. The JSON
+        // section follows the first header line; the wire section ends
+        // the segment.
+        let mut bytes = std::fs::read(&first).unwrap();
         let i = match section {
             "json" => bytes.iter().position(|&b| b == b'\n').unwrap() + 40,
             _ => bytes.len() - 40,
         };
         bytes[i] ^= 0x01;
-        std::fs::write(&path, bytes).unwrap();
+        std::fs::write(&first, bytes).unwrap();
 
         let svc = disk_service(&dir);
         let outcomes = svc.analyze_batch(&items);
@@ -310,20 +341,22 @@ fn a_flipped_byte_in_either_section_quarantines_and_recomputes() {
         assert_eq!(
             (stats.hits, stats.misses),
             (items.len() - 1, 1),
-            "{section}: the damaged entry recomputes"
+            "{section}: the damaged record recomputes"
         );
         assert_matches_cold(&outcomes, &cold, &items, section);
         assert_eq!(counter(&svc, "svc.cache.corrupt_evict"), 1, "{section}");
+        assert_eq!(counter(&svc, "svc.cache.disk_records_appended"), 1);
+        drop(svc);
+
+        let svc = disk_service(&dir);
+        let outcomes = svc.analyze_batch(&items);
         assert_eq!(
-            entry_files(&dir, "quarantine").len(),
-            round + 1,
-            "{section}"
-        );
-        assert_eq!(
-            entry_files(&dir, "json").len(),
+            AnalysisService::batch_stats(&outcomes).hits,
             items.len(),
-            "{section}: rewritten"
+            "{section}: the recomputed record supersedes the damaged one"
         );
+        assert_matches_cold(&outcomes, &cold, &items, section);
+        assert_eq!(counter(&svc, "svc.cache.corrupt_evict"), 0, "{section}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -336,7 +369,7 @@ fn crash_restart_with_unflushed_journal_degrades_to_mtime_without_wrong_eviction
 
     // Populate, then restart and read everything — the reads sit in
     // the journal only. `mem::forget` simulates the crash: Drop never
-    // runs, the journal is lost, no entry was ever stamped.
+    // runs, the journal is lost, no touch record was ever written.
     {
         let svc = AnalysisService::new(
             ServiceOptions {
@@ -354,20 +387,20 @@ fn crash_restart_with_unflushed_journal_degrades_to_mtime_without_wrong_eviction
         },
         Obs::disabled(),
     );
-    let written = entry_mtimes(&dir);
+    let written = dir_files(&dir);
     let warm = svc.analyze_batch(&items);
     assert_eq!(AnalysisService::batch_stats(&warm).hits, items.len());
-    assert_eq!(svc.store().journaled_atimes(), items.len());
+    assert_eq!(svc.store().journaled_touches(), items.len());
     std::mem::forget(svc);
     assert_eq!(
-        entry_mtimes(&dir),
+        dir_files(&dir),
         written,
         "the crash lost every journaled read"
     );
 
     // Restart after the crash: GC ranks by the write stamps alone — it
-    // evicts *by budget*, never corrupts, and every surviving entry
-    // still serves bytes identical to cold.
+    // drops records *by budget*, never corrupts, and every surviving
+    // record still serves bytes identical to cold.
     let svc = AnalysisService::new(
         ServiceOptions {
             cache_dir: Some(dir.clone()),
@@ -380,19 +413,17 @@ fn crash_restart_with_unflushed_journal_degrades_to_mtime_without_wrong_eviction
     assert_eq!(before.entries, 3);
     let per_entry = before.bytes / before.entries;
     let stats = svc.store().gc_disk(per_entry * 2 + per_entry / 2, &obs);
-    assert_eq!(
-        stats.evicted, 1,
-        "budget for two entries evicts exactly one"
-    );
+    assert_eq!(stats.evicted, 1, "budget for two records drops exactly one");
     assert_eq!(svc.store().disk_stats().entries, 2);
 
-    // The post-crash warm run: survivors hit, the evicted app
+    // The post-crash warm run: survivors hit, the dropped app
     // recomputes — and everything is still byte-identical to cold.
     let after = svc.analyze_batch(&items);
     let stats = AnalysisService::batch_stats(&after);
     assert_eq!(stats.hits, 2, "survivors still decode and hit");
-    assert_eq!(stats.misses, 1, "the evicted app recomputes");
+    assert_eq!(stats.misses, 1, "the dropped app recomputes");
     assert_matches_cold(&after, &cold, &items, "post-crash warm");
+    assert_eq!(counter(&svc, "svc.cache.corrupt_evict"), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

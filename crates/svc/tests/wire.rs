@@ -1,5 +1,5 @@
 //! The disk tier's wire section: the streamed encoder must round-trip
-//! every report through the decoder, and entries written by the
+//! every report through the decoder, and sections written by the
 //! previous `json!`-tree encoder must still hit and decode.
 
 use nchecker::report::Location;
@@ -192,11 +192,34 @@ proptest! {
     }
 }
 
-/// An entry written by the previous `json!`-tree encoder for app 20 of
-/// the 285-app corpus (seed 2016) under key `fixture.app` and the
-/// default configuration. Its layout and wire schema are current, so it
-/// must still hit, serve the bytes a fresh analysis renders, and decode
-/// to the report a fresh analysis produces.
+/// The disk record checksum (documented in `nck_svc::store`), restated
+/// here so the fixture test pins the on-disk format: a multiply-xor over
+/// each part's 8-byte little-endian words, then its tail bytes, then
+/// the total length.
+fn record_checksum(parts: &[&[u8]]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut len = 0u64;
+    for part in parts {
+        let mut words = part.chunks_exact(8);
+        for w in &mut words {
+            let w = u64::from_le_bytes(w.try_into().unwrap());
+            h = (h ^ w).wrapping_mul(K).rotate_left(31);
+        }
+        for &b in words.remainder() {
+            h = (h ^ u64::from(b)).wrapping_mul(K).rotate_left(31);
+        }
+        len += part.len() as u64;
+    }
+    (h ^ len).wrapping_mul(K)
+}
+
+/// The schema-2 entry file the previous `json!`-tree encoder wrote for
+/// app 20 of the 285-app corpus (seed 2016) under key `fixture.app` and
+/// the default configuration, with its JSON and wire sections re-wrapped
+/// in a schema-3 record of a segment. Its wire schema is current, so the
+/// old encoder's bytes must still hit, serve the bytes a fresh analysis
+/// renders, and decode to the report a fresh analysis produces.
 #[test]
 fn a_schema_2_entry_from_the_json_tree_encoder_still_hits() {
     const NAME: &str = "e7cc8cce14c42327-f4a43abc1f3c442e.json";
@@ -204,7 +227,26 @@ fn a_schema_2_entry_from_the_json_tree_encoder_still_hits() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/");
-    std::fs::copy(format!("{fixture}{NAME}"), dir.join(NAME)).unwrap();
+    let old = std::fs::read(format!("{fixture}{NAME}")).unwrap();
+    let nl = old.iter().position(|&b| b == b'\n').unwrap();
+    let header = std::str::from_utf8(&old[..nl]).unwrap();
+    let [magic, schema, wire_schema, bundle_fp, config_fp, defects, json_len, wire_len, _sum] =
+        header.split(' ').collect::<Vec<_>>()[..]
+    else {
+        panic!("schema-2 header: {header}");
+    };
+    assert_eq!((magic, schema), ("nck-entry", "2"));
+    let body = &old[nl + 1..];
+    let key = nck_dex::wire::fnv1a(b"fixture.app");
+    let prefix = format!(
+        "nck-entry 3 {wire_schema} {key:016x} {:016x} {bundle_fp} {config_fp} {defects} {json_len} {wire_len} ",
+        1
+    );
+    let mut record = prefix.clone().into_bytes();
+    let sum = record_checksum(&[prefix.as_bytes(), body]);
+    record.extend_from_slice(format!("{sum:016x}\n").as_bytes());
+    record.extend_from_slice(body);
+    std::fs::write(dir.join("0000000000000001-1.seg"), record).unwrap();
 
     let spec = &nck_appgen::profile::corpus(2016)[20];
     let bytes = nck_appgen::generate(spec).to_bytes();

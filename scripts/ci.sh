@@ -205,14 +205,16 @@ trap 'rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir" "$vet_dir"' EXIT
 cmp "$vet_dir/oneshot.json" "$vet_dir/vet.json" \
     || { echo "vet smoke: vet output differs from one-shot"; exit 1; }
 echo "vet smoke ok: 40 apps byte-identical to one-shot"
-# Served bytes are checksummed bytes: flip one byte in one entry's JSON
-# section (the bytes a disk hit replies with). The re-run must
-# quarantine that entry and recompute it, never serve it.
+# Served bytes are checksummed bytes: flip one byte in one record's JSON
+# section (the bytes a disk hit replies with). The re-run must drop that
+# record and recompute it, never serve it; a third run must then hit all
+# 40 apps: the recomputed record was kept and the damaged one is not read
+# again.
 python3 - "$vet_dir/cache" <<'EOF'
 import os, sys
 
 d = sys.argv[1]
-path = os.path.join(d, sorted(f for f in os.listdir(d) if f.endswith(".json"))[0])
+path = os.path.join(d, sorted(f for f in os.listdir(d) if f.endswith(".seg"))[0])
 data = bytearray(open(path, "rb").read())
 data[data.index(b"\n") + 40] ^= 1
 open(path, "wb").write(data)
@@ -220,10 +222,14 @@ EOF
 ./target/release/nchecker vet --workers 2 --corpus-dir "$vet_dir/corpus" \
     --cache-dir "$vet_dir/cache" --quiet > "$vet_dir/vet-damaged.json"
 cmp "$vet_dir/oneshot.json" "$vet_dir/vet-damaged.json" \
-    || { echo "vet smoke: a damaged cache entry was served"; exit 1; }
-compgen -G "$vet_dir/cache/*.quarantine" > /dev/null \
-    || { echo "vet smoke: the damaged entry was not quarantined"; exit 1; }
-echo "vet corruption ok: damaged entry quarantined and recomputed"
+    || { echo "vet smoke: a damaged cache record was served"; exit 1; }
+./target/release/nchecker vet --workers 2 --corpus-dir "$vet_dir/corpus" \
+    --cache-dir "$vet_dir/cache" > "$vet_dir/vet-rehit.json" 2> "$vet_dir/vet-rehit.log"
+cmp "$vet_dir/oneshot.json" "$vet_dir/vet-rehit.json" \
+    || { echo "vet smoke: the run after the damage differs from one-shot"; exit 1; }
+grep -q " 40 cache hit(s)" "$vet_dir/vet-rehit.log" \
+    || { echo "vet smoke: the recomputed record was not served"; cat "$vet_dir/vet-rehit.log"; exit 1; }
+echo "vet corruption ok: damaged record dropped, recomputed, then served"
 ./target/release/genapp corpus --seed 7 --count 40 --shards 8 --version 1 \
     "$vet_dir/corpus"
 cp -r "$vet_dir/cache" "$vet_dir/cache-oneshot"
@@ -254,7 +260,7 @@ changed = sum(1 for d in deltas if d["added"] or d["fixed"])
 print(f"delta smoke ok: {len(deltas)} deltas, {changed} with defect churn")
 EOF
 ./target/release/nchecker cache-gc --cache-dir "$vet_dir/cache" --cache-budget 64K \
-    | grep -q "evicted" || { echo "cache-gc smoke: no stats line"; exit 1; }
+    | grep -q "kept .*, dropped .*, freed" || { echo "cache-gc smoke: no stats line"; exit 1; }
 
 echo "==> nckbench smoke test"
 # The benchmark package, built through its own manifest beside the
