@@ -121,6 +121,19 @@ impl AppCacheEntry {
     }
 }
 
+/// Whether a caching analysis builds replay seeds for the next version
+/// of the app ([`crate::NChecker::analyze_bytes_reusing_fp`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Seeds<'a> {
+    /// Build them, replaying what the previous entry (if any) still
+    /// matches: the entry is a full one.
+    Keep(Option<&'a AppCacheEntry>),
+    /// Build none: the uncached pipeline runs (no class fingerprints, no
+    /// seeded lift) and the entry is report-only. For callers whose
+    /// entries no later lookup in the same process can reach.
+    Skip,
+}
+
 /// What an incremental analysis actually reused, for hit-rate reporting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReuseStats {

@@ -1,6 +1,6 @@
 //! The NChecker driver: binary in, warning reports out.
 
-use crate::cache::{config_fingerprint, AppCacheEntry, ReuseStats};
+use crate::cache::{config_fingerprint, AppCacheEntry, ReuseStats, Seeds};
 use crate::checks::{
     check_config_with, check_notification, check_response_with, is_guarded_strict_with,
     is_guarded_with, methods_invoking_connectivity, methods_observing_connectivity,
@@ -396,9 +396,9 @@ impl NChecker {
             .map(|(report, _, _)| report)
     }
 
-    /// Analyzes a serialized bundle, reusing everything `prev` can
-    /// soundly offer and returning the replay material for the *next*
-    /// version alongside the report.
+    /// Analyzes a serialized bundle, reusing everything the previous
+    /// entry in [`Seeds::Keep`] can soundly offer and returning the
+    /// replay material for the *next* version alongside the report.
     ///
     /// Reuse has three rungs, each gated by content fingerprints:
     ///
@@ -418,7 +418,10 @@ impl NChecker {
     /// inspects global state (entry reachability, scanned-loop counts,
     /// call-graph paths) that per-method caching cannot soundly slice.
     /// A pool-clean bundle's entry carries the report and class
-    /// fingerprints but no seeds. The returned entry is `None` exactly
+    /// fingerprints but no seeds. [`Seeds::Skip`] runs the uncached
+    /// pipeline (no class fingerprints, the plain lift) and records a
+    /// report-only entry, for a caller whose entries no later lookup in
+    /// the process could reach. The returned entry is `None` exactly
     /// when there is nothing safe to cache: the analysis degraded
     /// (skipped methods mean unknown behaviour — such apps also never
     /// *read* the cache beyond rung 1, which requires bytes identical to
@@ -434,10 +437,29 @@ impl NChecker {
         &self,
         bytes: &[u8],
         bundle_fp: u64,
-        prev: Option<&AppCacheEntry>,
+        seeds: Seeds<'_>,
     ) -> Result<(AppReport, Option<AppCacheEntry>, ReuseStats), AnalyzeError> {
         debug_assert_eq!(bundle_fp, nck_dex::wire::fnv1a(bytes));
         let config_fp = config_fingerprint(&self.config);
+        let prev = match seeds {
+            Seeds::Keep(prev) => prev,
+            Seeds::Skip => {
+                let (report, _, stats) = self.run(Input::Bytes(bytes), None)?;
+                // The entry holds the report unsealed, as the cached path
+                // records it.
+                let entry = (!stats.degraded).then(|| AppCacheEntry {
+                    bundle_fp,
+                    config_fp,
+                    report: AppReport {
+                        trace: None,
+                        metrics: None,
+                        ..report.clone()
+                    },
+                    ..AppCacheEntry::default()
+                });
+                return Ok((report, entry, stats));
+            }
+        };
         // A seed computed under different analysis semantics is useless.
         let prev = prev.filter(|p| p.config_fp == config_fp);
         if let Some(p) = prev.filter(|p| p.bundle_fp == bundle_fp) {

@@ -299,6 +299,13 @@ fn run_batch(
             }
         }
     }
+    // This batch is the process's only one and its keys rarely repeat
+    // (the disk tier, when given, still serves a repeat), so nothing
+    // would ever read a memory entry or a replay seed: keep neither.
+    let options = ServiceOptions {
+        mem_budget: Some(0),
+        ..options
+    };
     let service = AnalysisService::new(options, obs);
     let outcomes = service.analyze_batch(&items);
 

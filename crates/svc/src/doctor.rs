@@ -20,12 +20,12 @@
 //! only on the input and the cache directory contents, never on
 //! scheduling. Disk reads append only to the touch log, which the disk
 //! section leaves out, so a warm run leaves that section as it found
-//! it; per-shard eviction counts likewise depend only on how
-//! many distinct keys land in each shard. The one soft spot is
-//! `cache.mem.bytes`: when the memory tier actually evicted, the
-//! *membership* of the resident set (unlike its size) depends on
-//! completion order, so byte-comparing snapshots across `--jobs` is
-//! only guaranteed for runs that stayed within the memory tier's caps.
+//! it. A `--doctor` batch keeps no memory tier (one-batch front ends
+//! never do), so its `cache.mem` section and `cache.evict` are zero
+//! whatever the scheduling. Only the daemon's snapshot has a memory
+//! tier, and there the one soft spot is `cache.mem.bytes`: once the
+//! tier evicted, the *membership* of the resident set (unlike its size)
+//! depends on completion order.
 
 use crate::store::AnalysisStore;
 use nchecker::cache::{config_fingerprint, ANALYSIS_VERSION};

@@ -15,7 +15,7 @@
 use crate::delta::{diff_reports, DeltaReport};
 use crate::pool::run_pool;
 use crate::store::{render_json, AnalysisStore, RenderCell, StoredEntry};
-use nchecker::cache::{config_fingerprint, ReuseStats};
+use nchecker::cache::{config_fingerprint, ReuseStats, Seeds};
 use nchecker::{AnalyzeError, AppReport, CheckerConfig, NChecker};
 use nck_obs::Obs;
 use std::path::PathBuf;
@@ -49,9 +49,10 @@ pub struct ServedReport {
     /// The disk entry of a hit, decoded into `report` on first deref.
     stored: Option<StoredEntry>,
     /// Render-memoization cell shared with the memory-tier entry this
-    /// report came from (or was recorded as). Only attached when the
-    /// report carries no per-app metrics, so the cell's bytes — rendered
-    /// from the unsealed entry — are this report's bytes.
+    /// report came from (or was recorded as); without a memory tier, a
+    /// cell holding the bytes its disk record stores. Only attached when
+    /// the report carries no per-app metrics, so the cell's bytes —
+    /// rendered from the unsealed entry — are this report's bytes.
     rendered: Option<Arc<RenderCell>>,
 }
 
@@ -180,7 +181,10 @@ pub struct ServiceOptions {
     /// Disable the cache entirely (lookups and writes).
     pub no_cache: bool,
     /// Memory-tier byte budget override
-    /// (`None` = [`crate::store::DEFAULT_MEM_BYTES`]).
+    /// (`None` = [`crate::store::DEFAULT_MEM_BYTES`]). `Some(0)` keeps
+    /// no memory tier, and then no replay seeds either: entries go to
+    /// the disk tier alone, report-only ([`Seeds::Skip`]). That suits a
+    /// process that runs one batch, where no later lookup could hit.
     pub mem_budget: Option<usize>,
     /// Disk-tier byte budget: when set, every batch ends with a
     /// watermark-gated [`AnalysisStore::maybe_gc_disk`] — a skipped
@@ -343,8 +347,14 @@ impl AnalysisService {
             }
         }
 
+        // Seeds are only worth building for a memory tier to hold.
+        let seeds = if self.store.has_memory() {
+            Seeds::Keep(prev.as_deref())
+        } else {
+            Seeds::Skip
+        };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            checker.analyze_bytes_reusing_fp(bytes, bundle_fp, prev.as_deref())
+            checker.analyze_bytes_reusing_fp(bytes, bundle_fp, seeds)
         }))
         .unwrap_or_else(|payload| Err(AnalyzeError::from_panic(payload)));
 
@@ -386,18 +396,24 @@ impl AnalysisService {
                 if delta.is_some() {
                     self.store.count_delta(&svc_obs);
                 }
-                if let Some(entry) = entry {
+                let stored_json = entry.and_then(|entry| {
                     debug_assert!(
                         !entry.report.degraded(),
                         "degraded apps must bypass the cache write path"
                     );
-                    self.store.insert(key, entry, &svc_obs);
-                }
+                    self.store.insert(key, entry, &svc_obs)
+                });
                 // The resident entry's render cell — present after an
                 // insert, and on a rung-1 memory hit (the entry that
                 // served it is still resident with this fingerprint).
+                // Without a memory tier, the bytes the disk record
+                // stores, so the report is rendered once either way.
                 let rendered = (!svc_obs.metrics.is_enabled())
-                    .then(|| self.store.render_cell(key, bundle_fp))
+                    .then(|| {
+                        self.store
+                            .render_cell(key, bundle_fp)
+                            .or_else(|| stored_json.map(|json| Arc::new(RenderCell::filled(json))))
+                    })
                     .flatten();
                 AppOutcome {
                     report: Ok(ServedReport::decoded(

@@ -7,7 +7,13 @@
 //!   *both* an entry-count cap and an approximate byte budget (one batch
 //!   of huge apps must not blow past a memory target that a thousand
 //!   small apps respect). Seeds embed interned symbol ids and shared
-//!   pointers, so this tier is process-local by construction.
+//!   pointers, so this tier is process-local by construction. A zero
+//!   byte budget keeps no memory tier at all, which is how the
+//!   one-batch front ends (one-shot `nchecker` and `vet`) run: their
+//!   process ends with the batch, so no later lookup could read an
+//!   entry. Their entries are report-only (no seeds are built), an
+//!   insert only appends the disk record, and it hands back the
+//!   rendered bytes for the reply. `serve` keeps the tier.
 //! - **Disk** (optional, under `--cache-dir`) — the durable subset: the
 //!   bundle and config fingerprints plus the report. A disk hit serves
 //!   an *identical* bundle across process restarts; a changed bundle
@@ -157,7 +163,9 @@ impl AnalysisStore {
     /// A store with explicit entry and byte caps on the memory tier.
     /// Eviction triggers when *either* cap is exceeded; a shard always
     /// retains at least its newest entry, so one entry larger than the
-    /// whole budget still caches (and evicts everything else).
+    /// whole budget still caches (and evicts everything else). A
+    /// `mem_budget` of 0 means no memory tier at all: inserts go to the
+    /// disk tier alone and memory lookups always miss.
     pub fn with_budgets(
         capacity: usize,
         mem_budget: usize,
@@ -174,7 +182,7 @@ impl AnalysisStore {
                 .collect(),
             clock: AtomicU64::new(0),
             capacity: capacity.max(1),
-            mem_budget: mem_budget.max(1),
+            mem_budget,
             disk: disk.map(|dir| (dir, Mutex::new(Index::default()))),
             metrics: Metrics::enabled(),
         }
@@ -183,6 +191,11 @@ impl AnalysisStore {
     /// Whether a disk tier is configured.
     pub fn has_disk(&self) -> bool {
         self.disk.is_some()
+    }
+
+    /// Whether the store keeps a memory tier (a non-zero byte budget).
+    pub fn has_memory(&self) -> bool {
+        self.mem_budget > 0
     }
 
     /// The store-lifetime metrics registry: every `svc.cache.*` counter
@@ -313,13 +326,15 @@ impl AnalysisStore {
             .map_or(0, |(_, index)| lock(index).touches.len())
     }
 
-    /// Records a finished clean analysis in both tiers. Degraded apps
-    /// must never reach this (the service enforces it; the checker
-    /// already returns no entry for them). With a disk tier, the report
-    /// is rendered here — the record stores those bytes — and the
-    /// memory entry's render cell starts out holding them. Disk writes
-    /// are best-effort: a failure warns and leaves the memory tier.
-    pub fn insert(&self, key: &str, entry: AppCacheEntry, obs: &Obs) {
+    /// Records a finished clean analysis in every tier the store keeps.
+    /// Degraded apps must never reach this (the service enforces it; the
+    /// checker already returns no entry for them). With a disk tier, the
+    /// report is rendered here — the record stores those bytes, the
+    /// memory entry's render cell starts out holding them, and they are
+    /// returned for a caller with no memory tier to reply with. Disk
+    /// writes are best-effort: a failure warns and leaves the memory
+    /// tier. With neither tier, nothing is stored.
+    pub fn insert(&self, key: &str, entry: AppCacheEntry, obs: &Obs) -> Option<Arc<String>> {
         let mut rendered = None;
         if let Some((dir, index)) = &self.disk {
             let json = render_json(&entry.report);
@@ -338,13 +353,15 @@ impl AnalysisStore {
             }
             rendered = Some(Arc::new(json));
         }
-        self.insert_memory(key, entry, rendered, obs);
+        self.insert_memory(key, entry, rendered.clone(), obs);
+        rendered
     }
 
     /// Records an entry in the memory tier *only*, leaving the disk
     /// tier alone. The service does not promote disk hits (see the
     /// module docs); this is for callers that hold a decoded entry and
-    /// want later lookups served from memory.
+    /// want later lookups served from memory. A no-op without a memory
+    /// tier.
     pub fn promote(&self, key: &str, entry: AppCacheEntry, obs: &Obs) {
         self.insert_memory(key, entry, None, obs);
     }
@@ -356,6 +373,9 @@ impl AnalysisStore {
         rendered: Option<Arc<String>>,
         obs: &Obs,
     ) {
+        if !self.has_memory() {
+            return;
+        }
         let approx = entry.approx_bytes();
         let slot = MemEntry {
             tick: self.tick(),
@@ -503,7 +523,8 @@ impl AnalysisStore {
     /// Garbage-collects the disk tier down to `budget` bytes, after
     /// sweeping the files of the one-file-per-entry layout
     /// (`{key_hash:016x}-{config_fp:016x}.json` and the `.tmp` and
-    /// `.atime` files beside them, never `.quarantine` ones). Over
+    /// `.atime` files beside them, never `.quarantine` ones) and the
+    /// `*.seg.tmp` output of a dead process's interrupted compaction. Over
     /// budget, it compacts: live records in order of recency (the later
     /// of their stamp and their last flushed touch; ties break on the
     /// key) are kept while they fit, checksum-verified and restamped with
@@ -524,7 +545,7 @@ impl AnalysisStore {
         };
         let _s = obs.tracer.span("cache_gc");
         self.flush_touches();
-        let swept = sweep_legacy(dir);
+        let swept = sweep_leftovers(dir);
         let mut index = lock(index);
         index.refresh(dir);
         let before = index.occupancy();
@@ -599,7 +620,7 @@ pub struct GcStats {
     /// Live records found (before compaction).
     pub entries: u64,
     /// The tier's bytes before the run: segments, the touch log, and
-    /// legacy files.
+    /// the leftovers the run swept.
     pub bytes: u64,
     /// Live records dropped.
     pub evicted: u64,
@@ -970,10 +991,13 @@ fn segment_name() -> String {
     )
 }
 
-/// Unlinks the files of the one-file-per-entry layout — entries
+/// Unlinks leftovers no store will read, and returns their bytes: the
+/// files of the one-file-per-entry layout — entries
 /// `{key_hash:016x}-{config_fp:016x}.json` and the `.tmp` and `.atime`
-/// files beside them, not `.quarantine` ones — and returns their bytes.
-fn sweep_legacy(dir: &Path) -> u64 {
+/// files beside them, not `.quarantine` ones — and the output of a
+/// compaction killed before its rename, `{stamp:016x}-{pid}.seg.tmp`
+/// whose writer is no longer running.
+fn sweep_leftovers(dir: &Path) -> u64 {
     let Ok(listing) = std::fs::read_dir(dir) else {
         return 0;
     };
@@ -983,9 +1007,16 @@ fn sweep_legacy(dir: &Path) -> u64 {
         (matches!(ext, "json" | "tmp" | "atime") && hex(key).is_some() && hex(config).is_some())
             .then_some(())
     };
+    let orphan = |name: &str| {
+        let stem = name.strip_suffix(".seg.tmp")?;
+        let (stamp, pid) = stem.split_once('-')?;
+        (hex(stamp).is_some() && pid.parse().is_ok_and(pid_gone)).then_some(())
+    };
     let mut swept = 0;
     for dirent in listing.flatten() {
-        if dirent.file_name().to_str().and_then(legacy).is_some() {
+        let name = dirent.file_name();
+        let name = name.to_str().unwrap_or_default();
+        if legacy(name).or_else(|| orphan(name)).is_some() {
             let len = dirent.metadata().map_or(0, |m| m.len());
             if std::fs::remove_file(dirent.path()).is_ok() {
                 swept += len;
@@ -993,6 +1024,13 @@ fn sweep_legacy(dir: &Path) -> u64 {
         }
     }
     swept
+}
+
+/// Whether no process `pid` is running. Without procfs to ask, every
+/// process counts as running, so nothing is swept on a guess.
+fn pid_gone(pid: u32) -> bool {
+    let proc = Path::new("/proc");
+    proc.join("self").exists() && !proc.join(pid.to_string()).exists()
 }
 
 impl Default for AnalysisStore {

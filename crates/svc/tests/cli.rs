@@ -176,6 +176,59 @@ fn cache_dir_persists_entries_and_reports_hits() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
+/// One path given twice to one batch: with no memory tier, the repeat
+/// is recomputed, or served from the disk index once the first record
+/// is in it. Either way stdout is the `--no-cache` bytes.
+#[test]
+fn a_path_repeated_in_one_batch_prints_the_uncached_bytes() {
+    let spec = AppSpec::new(
+        "com.test.repeat",
+        vec![RequestSpec::new(Library::OkHttp, Origin::UserClick)],
+    );
+    let path = temp_path("repeat.apk");
+    let cache = temp_path("repeat-cache");
+    nck_appgen::generate(&spec).save(&path).unwrap();
+
+    let cache_dir = cache.to_str().unwrap();
+    // Each run starts from an empty cache directory.
+    let run = |extra: &[&str]| {
+        let _ = std::fs::remove_dir_all(&cache);
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
+            .arg("--json")
+            .args(extra)
+            .arg(&path)
+            .arg(&path)
+            .output()
+            .expect("cli runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        (out.stdout, stderr)
+    };
+    let (want, _) = run(&["--no-cache"]);
+    assert!(!want.is_empty());
+    // On one thread the hit counts are exact: the repeat misses without
+    // a disk tier, and hits the record the first analysis appended with
+    // one. On the default pool the repeat may race that record.
+    for (args, line) in [
+        (&["--jobs", "1"][..], Some("cache: 0 hit(s), 2 miss(es)")),
+        (&[], Some("cache: 0 hit(s), 2 miss(es)")),
+        (
+            &["--jobs", "1", "--cache-dir", cache_dir],
+            Some("cache: 1 hit(s), 1 miss(es)"),
+        ),
+        (&["--cache-dir", cache_dir], None),
+    ] {
+        let (stdout, stderr) = run(args);
+        assert_eq!(stdout, want, "{args:?}");
+        if let Some(line) = line {
+            assert!(stderr.contains(line), "{args:?}: {stderr}");
+        }
+    }
+
+    std::fs::remove_file(&path).ok();
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
 #[test]
 fn no_cache_silences_the_cache_summary() {
     let spec = AppSpec::new(
@@ -291,10 +344,20 @@ fn make_apps(prefix: &str, n: usize) -> Vec<std::path::PathBuf> {
         .collect()
 }
 
+/// A one-batch process keeps no memory tier: its snapshot shows no
+/// resident entry, no resident byte and no eviction, cold or warm.
+fn assert_no_memory_tier(doc: &serde_json::Value) {
+    let cache = &doc["cache"];
+    assert_eq!(cache["mem"]["entries"], 0, "{cache:?}");
+    assert_eq!(cache["mem"]["bytes"], 0, "{cache:?}");
+    assert_eq!(cache["evict"], 0, "{cache:?}");
+}
+
 #[test]
 fn doctor_snapshot_is_byte_identical_across_runs_and_jobs() {
     let apps = make_apps("doctor", 4);
     let cache = temp_path("doctor-cache");
+    let trace_file = temp_path("doctor-trace.json");
     let _ = std::fs::remove_dir_all(&cache);
 
     let run = |jobs: &str| {
@@ -304,6 +367,8 @@ fn doctor_snapshot_is_byte_identical_across_runs_and_jobs() {
             .arg(&cache)
             .arg("--jobs")
             .arg(jobs)
+            .arg("--trace-out")
+            .arg(&trace_file)
             .args(&apps)
             .output()
             .expect("cli runs");
@@ -319,6 +384,20 @@ fn doctor_snapshot_is_byte_identical_across_runs_and_jobs() {
     let cold = run("2");
     let cold: serde_json::Value =
         serde_json::from_str(std::str::from_utf8(&cold).unwrap()).expect("doctor emits JSON");
+    assert_no_memory_tier(&cold);
+    // Nor does it build replay seeds: the cold batch lifted every app
+    // and fingerprinted no class.
+    let trace: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&trace_file).unwrap()).unwrap();
+    let span_count = |name: &str| {
+        let events = trace["traceEvents"].as_array().expect("traceEvents array");
+        events
+            .iter()
+            .filter(|e| e["ph"] == "X" && e["name"] == name)
+            .count()
+    };
+    assert_eq!(span_count("lift"), 4, "{trace:?}");
+    assert_eq!(span_count("class_fps"), 0, "{trace:?}");
     let disk = &cold["cache"]["disk"];
     assert_eq!(disk["files_created"], 1, "one segment: {disk:?}");
     assert_eq!(disk["records_appended"], 4, "{disk:?}");
@@ -333,6 +412,7 @@ fn doctor_snapshot_is_byte_identical_across_runs_and_jobs() {
     let v: serde_json::Value =
         serde_json::from_str(std::str::from_utf8(&warm1).unwrap()).expect("doctor emits JSON");
     assert_eq!(v["schema"], 2);
+    assert_no_memory_tier(&v);
     assert_eq!(v["cache"]["hit"], 4, "warm run hits all apps");
     assert_eq!(v["cache"]["disk"]["entries"], 4);
     assert_eq!(v["cache"]["disk"]["bytes"], disk["bytes"]);
@@ -348,6 +428,7 @@ fn doctor_snapshot_is_byte_identical_across_runs_and_jobs() {
     for p in &apps {
         std::fs::remove_file(p).ok();
     }
+    std::fs::remove_file(&trace_file).ok();
     let _ = std::fs::remove_dir_all(&cache);
 }
 

@@ -560,6 +560,79 @@ fn stdio_binary_round_trip_matches_one_shot_json() {
     std::fs::remove_file(&app).ok();
 }
 
+/// `serve` keeps the memory tier and the replay rung that one-batch
+/// front ends drop: over the real binary, an identical resubmission is a
+/// whole-report hit from memory, and an edited one replays its class
+/// prefix.
+#[test]
+fn serve_keeps_its_memory_tier_and_replay() {
+    let spec = profile::corpus(23).into_iter().next().expect("corpus app");
+    let app = temp_path("serve-mem.apk");
+    std::fs::write(&app, generate_with_bulk(&spec, 8).to_bytes()).unwrap();
+
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
+        .args(["serve", "--stdio", "--quiet"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("daemon starts");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut exchange = |line: String| -> Value {
+        stdin.write_all(line.as_bytes()).unwrap();
+        stdin.write_all(b"\n").unwrap();
+        stdin.flush().unwrap();
+        let mut reply = String::new();
+        stdout.read_line(&mut reply).unwrap();
+        serde_json::from_str(&reply).expect("reply is JSON")
+    };
+    let mut analyze = || {
+        let v = exchange(format!(
+            r#"{{"verb": "submit", "path": {:?}}}"#,
+            app.to_str().unwrap()
+        ));
+        assert_eq!(v["ok"], true, "{v:?}");
+        let id = v["id"].as_i64().unwrap() as u64;
+        let v = exchange(report_line(id, true));
+        assert_eq!(v["ok"], true, "{v:?}");
+        let doctor = exchange(r#"{"verb": "doctor"}"#.to_owned());
+        let snap: Value = serde_json::from_str(doctor["doctor"].as_str().unwrap()).unwrap();
+        snap["cache"].clone()
+    };
+
+    let cold = analyze();
+    assert_eq!(cold["hit"], 0, "{cold:?}");
+    assert_eq!(cold["miss"], 1, "{cold:?}");
+    assert_eq!(cold["mem"]["entries"], 1, "{cold:?}");
+    let hit = analyze();
+    assert_eq!(
+        hit["hit"], 1,
+        "identical bytes are a whole-report hit: {hit:?}"
+    );
+    assert_eq!(
+        hit["disk"]["configured"], false,
+        "so the hit came from memory"
+    );
+    std::fs::write(
+        &app,
+        generate_with_bulk(&evolve(&spec, 0.10, 5).spec, 8).to_bytes(),
+    )
+    .unwrap();
+    let edited = analyze();
+    assert_eq!(edited["miss"], 2, "{edited:?}");
+    assert_eq!(edited["replay_apps"], 1, "{edited:?}");
+    assert!(
+        edited["replay_classes"].as_i64().unwrap() > 0,
+        "the edit must reuse classes: {edited:?}"
+    );
+
+    let v = exchange(r#"{"verb": "shutdown"}"#.to_owned());
+    assert_eq!(v["ok"], true);
+    drop(stdin);
+    assert!(child.wait().expect("daemon exits").success());
+    std::fs::remove_file(&app).ok();
+}
+
 /// Retiring a key (the watch loop's response to a deleted bundle)
 /// drops its finished jobs, surfaces in the queue counters, and makes
 /// a later `report` a clean not-found.

@@ -1,4 +1,5 @@
 //! Disk-cache GC correctness: quarantined (damaged) records stay dead,
+//! an interrupted compaction's output is swept once its writer is gone,
 //! compaction under concurrent readers is full-or-miss, and a post-GC
 //! warm run reproduces the cold run byte for byte.
 
@@ -116,6 +117,37 @@ fn quarantined_entries_are_invisible_to_gc_and_stay_dead() {
     assert!(quarantined.exists(), "quarantine survives GC");
     assert_eq!(store.disk_stats().entries, 0, "nothing resurrected");
     assert_eq!(corrupt(&store), 0, "GC copied nothing damaged");
+}
+
+/// A compaction killed between its tmp write and its rename leaves
+/// `{stamp}-{pid}.seg.tmp`. GC sweeps one whose writer is gone and counts
+/// its bytes as freed; a live writer's (maybe mid-write) stays.
+#[test]
+fn gc_sweeps_the_tmp_output_of_a_dead_compaction_only() {
+    let cache = temp_dir("orphan");
+    let bundles = corpus_bundles(11, 1);
+    service(&cache).analyze_one(&bundles[0].0, &bundles[0].1);
+
+    let mut child = std::process::Command::new("true").spawn().unwrap();
+    let dead_pid = child.id();
+    child.wait().unwrap();
+    let dead = cache.join(format!("{:016x}-{dead_pid}.seg.tmp", 1));
+    let live = cache.join(format!("{:016x}-{}.seg.tmp", 2, std::process::id()));
+    std::fs::write(&dead, [7u8; 100]).unwrap();
+    std::fs::write(&live, [7u8; 30]).unwrap();
+
+    // Under budget: nothing is compacted, so the sweep is all it frees.
+    let store = AnalysisStore::with_options(4, Some(cache.clone()));
+    let stats = store.gc_disk(u64::MAX, &Obs::disabled());
+    assert!(!dead.exists(), "a dead writer's tmp is swept");
+    assert!(live.exists(), "a running writer's tmp stays");
+    assert_eq!((stats.entries, stats.evicted), (1, 0));
+    assert_eq!(stats.freed_bytes, 100);
+    assert_eq!(stats.live_bytes(), store.disk_occupancy());
+    let again = store.gc_disk(u64::MAX, &Obs::disabled());
+    assert_eq!(again.freed_bytes, 0, "nothing left to sweep");
+    assert!(live.exists());
+    let _ = std::fs::remove_dir_all(&cache);
 }
 
 /// Readers racing a GC pass must see full entries or clean misses —

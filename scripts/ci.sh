@@ -261,6 +261,21 @@ print(f"delta smoke ok: {len(deltas)} deltas, {changed} with defect churn")
 EOF
 ./target/release/nchecker cache-gc --cache-dir "$vet_dir/cache" --cache-budget 64K \
     | grep -q "kept .*, dropped .*, freed" || { echo "cache-gc smoke: no stats line"; exit 1; }
+# A one-batch front end keeps no memory tier: re-checking the corpus over
+# the compacted cache recomputes the records GC dropped, appends them to
+# disk, and leaves nothing resident.
+./target/release/nchecker --quiet --doctor --cache-dir "$vet_dir/cache" \
+    $(find "$vet_dir/corpus" -name '*.apk' | sort) > "$vet_dir/doctor.json"
+python3 - "$vet_dir/doctor.json" <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    cache = json.load(f)["cache"]
+assert cache["miss"] > 0, f"no miss after GC, nothing to check: {cache}"
+assert cache["mem"]["entries"] == 0, f"a batch kept memory entries: {cache['mem']}"
+assert cache["mem"]["bytes"] == 0, f"a batch kept memory bytes: {cache['mem']}"
+print(f"batch memory ok: {cache['miss']} misses recomputed, 0 memory entries")
+EOF
 
 echo "==> nckbench smoke test"
 # The benchmark package, built through its own manifest beside the

@@ -7,7 +7,8 @@
 //! and, for rejected bundles, the error class must agree.
 
 use nchecker::{
-    app_report_to_json, AnalysisSkip, AnalyzeError, AnalyzedApp, AppReport, NChecker, SkipCause,
+    app_report_to_json, AnalysisSkip, AnalyzeError, AnalyzedApp, AppReport, NChecker, Seeds,
+    SkipCause,
 };
 use nck_android::apk::Apk;
 use nck_appgen::mutate::mutate;
@@ -82,14 +83,16 @@ fn assert_agrees(bytes: &[u8], what: &str) -> bool {
         want,
         "{what}: analyze_bytes diverges from the reference"
     );
-    let reusing = checker
-        .analyze_bytes_reusing_fp(bytes, nck_dex::wire::fnv1a(bytes), None)
-        .map(|(r, _, _)| r);
-    assert_eq!(
-        outcome(&reusing),
-        want,
-        "{what}: analyze_bytes_reusing_fp diverges from the reference"
-    );
+    for seeds in [Seeds::Keep(None), Seeds::Skip] {
+        let reusing = checker
+            .analyze_bytes_reusing_fp(bytes, nck_dex::wire::fnv1a(bytes), seeds)
+            .map(|(r, _, _)| r);
+        assert_eq!(
+            outcome(&reusing),
+            want,
+            "{what}: analyze_bytes_reusing_fp ({seeds:?}) diverges from the reference"
+        );
+    }
     pool_clean(bytes)
 }
 
