@@ -3,7 +3,7 @@
 //! without linking against the generator.
 //!
 //! ```text
-//! genapp [--clean-frac F] <gpslogger|suite:N|corpus:SEED:INDEX|cleancorpus:SEED:INDEX> <out.apk>
+//! genapp [--clean-frac F] <gpslogger|suite:N|corpus:SEED:INDEX|cleancorpus:SEED:INDEX|helpermix:SEED:INDEX> <out.apk>
 //! genapp corpus --seed S --count N [--clean-frac F] [--shards K] [--version V] <outdir>
 //! ```
 //!
@@ -23,7 +23,8 @@ const CLEAN_CORPUS_SIZE: usize = 100;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: genapp [--clean-frac F] \
-         <gpslogger|suite:N|corpus:SEED:INDEX|cleancorpus:SEED:INDEX> <out.apk>\n\
+         <gpslogger|suite:N|corpus:SEED:INDEX|cleancorpus:SEED:INDEX|helpermix:SEED:INDEX> \
+         <out.apk>\n\
          \x20      genapp corpus --seed S --count N [--clean-frac F] [--shards K] \
          [--version V] <outdir>"
     );
@@ -33,6 +34,8 @@ fn usage() -> ExitCode {
     eprintln!("  corpus:SEED:IDX       app IDX of the seeded evaluation corpus");
     eprintln!("  cleancorpus:SEED:IDX  app IDX of a 100-app mix of no-network and");
     eprintln!("                        defect-corpus apps (see --clean-frac)");
+    eprintln!("  helpermix:SEED:IDX    app IDX of a 60-app mix of corpus apps whose");
+    eprintln!("                        practices go through app helper methods");
     eprintln!("  --clean-frac F        no-network fraction of the mix, in [0, 1]");
     eprintln!("                        (default 0.7; corpus mode default 0.5)");
     eprintln!();
@@ -66,6 +69,15 @@ fn spec_for(what: &str, clean_frac: f64) -> Option<nck_appgen::AppSpec> {
         let seed: u64 = seed.parse().ok()?;
         let idx: usize = idx.parse().ok()?;
         return nck_appgen::profile::clean_corpus(seed, CLEAN_CORPUS_SIZE, clean_frac)
+            .into_iter()
+            .nth(idx);
+    }
+    if let Some(rest) = what.strip_prefix("helpermix:") {
+        let (seed, idx) = rest.split_once(':')?;
+        let seed: u64 = seed.parse().ok()?;
+        let idx: usize = idx.parse().ok()?;
+        let size = nck_appgen::interproc_suite::HELPER_MIX_SIZE;
+        return nck_appgen::interproc_suite::helper_mix(seed, size)
             .into_iter()
             .nth(idx);
     }

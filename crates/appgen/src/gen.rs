@@ -601,7 +601,9 @@ fn emit_request_block(m: &mut CodeBuilder<'_>, ctx: &Ctx<'_>, err_class: Option<
 /// Emits every helper method the spec needs on the host class: the
 /// retry-shape helpers (`shouldRetry`, `trySend`), the connectivity
 /// guard wrapper (`isOnline`), the retry-count getter (`getRetryCount`),
-/// and the response validator (`isValidResponse`).
+/// and the response validator (`isValidResponse`). With
+/// [`RequestSpec::chained_helpers`], each helper goes through a second
+/// layer (see there).
 fn emit_spec_helpers(c: &mut nck_dex::builder::ClassBuilder<'_>, spec: &RequestSpec, host: &str) {
     match spec.custom_retry {
         Some(RetryShape::CatchCondition) => {
@@ -634,8 +636,36 @@ fn emit_spec_helpers(c: &mut nck_dex::builder::ClassBuilder<'_>, spec: &RequestS
         }
         _ => {}
     }
+    let chained = spec.chained_helpers;
+    if spec.conn_check == ConnCheck::GuardingViaHelper && chained {
+        // isOnline() { return pollLink(2); } and pollLink(n) returns
+        // isOnline() while n > 0: one recursive component.
+        let host_c = host.to_owned();
+        c.method("isOnline", "()Z", AccessFlags::PUBLIC, 4, move |m| {
+            let this = m.param(0).expect("instance method");
+            m.const_int(m.reg(0), 2);
+            m.invoke_virtual(&host_c, "pollLink", "(I)Z", &[this, m.reg(0)]);
+            m.move_result(m.reg(1));
+            m.ret(Some(m.reg(1)));
+        });
+    }
     if spec.conn_check == ConnCheck::GuardingViaHelper {
-        c.method("isOnline", "()Z", AccessFlags::PUBLIC, 8, |m| {
+        let (name, sig) = if chained {
+            ("pollLink", "(I)Z")
+        } else {
+            ("isOnline", "()Z")
+        };
+        let host_c = host.to_owned();
+        c.method(name, sig, AccessFlags::PUBLIC, 8, move |m| {
+            if chained {
+                let probe = m.new_label();
+                let budget = m.param(1).expect("budget param");
+                m.ifz(CondOp::Le, budget, probe);
+                m.invoke_virtual(&host_c, "isOnline", "()Z", &[m.param(0).unwrap()]);
+                m.move_result(m.reg(2));
+                m.ret(Some(m.reg(2)));
+                m.bind(probe);
+            }
             let cm = m.reg(0);
             let info = m.reg(1);
             let ok = m.reg(2);
@@ -660,10 +690,26 @@ fn emit_spec_helpers(c: &mut nck_dex::builder::ClassBuilder<'_>, spec: &RequestS
     }
     if spec.retries_via_helper {
         if let Some(n) = spec.set_retries {
+            let host_c = host.to_owned();
             c.method("getRetryCount", "()I", AccessFlags::PUBLIC, 2, move |m| {
-                m.const_int(m.reg(0), i64::from(n));
+                if chained {
+                    let this = m.param(0).expect("instance method");
+                    m.iget(m.reg(0), this, &host_c, "retries", "I");
+                } else {
+                    m.const_int(m.reg(0), i64::from(n));
+                }
                 m.ret(Some(m.reg(0)));
             });
+            if chained {
+                // The constructor stores the count the getter reads.
+                let host_c = host.to_owned();
+                c.method("<init>", "()V", AccessFlags::PUBLIC, 2, move |m| {
+                    let this = m.param(0).expect("instance method");
+                    m.const_int(m.reg(0), i64::from(n));
+                    m.iput(m.reg(0), this, &host_c, "retries", "I");
+                    m.ret(None);
+                });
+            }
         }
     }
     if spec.response == RespCheck::CheckedViaHelper {
@@ -677,9 +723,31 @@ fn emit_spec_helpers(c: &mut nck_dex::builder::ClassBuilder<'_>, spec: &RequestS
             _ => None,
         };
         if let Some((resp_class, check_name, check_sig)) = resp_check {
+            let sig = format!("({resp_class})Z");
+            if chained {
+                // isValidResponse(r) { return checkResponse(r); }
+                let host_c = host.to_owned();
+                let sig_c = sig.clone();
+                c.method(
+                    "isValidResponse",
+                    &sig,
+                    AccessFlags::PUBLIC | AccessFlags::STATIC,
+                    4,
+                    move |m| {
+                        let resp = m.param(0).expect("response param");
+                        m.invoke_static(&host_c, "checkResponse", &sig_c, &[resp]);
+                        m.move_result(m.reg(0));
+                        m.ret(Some(m.reg(0)));
+                    },
+                );
+            }
             c.method(
-                "isValidResponse",
-                &format!("({resp_class})Z"),
+                if chained {
+                    "checkResponse"
+                } else {
+                    "isValidResponse"
+                },
+                &sig,
                 AccessFlags::PUBLIC | AccessFlags::STATIC,
                 4,
                 move |m| {

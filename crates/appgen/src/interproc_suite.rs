@@ -12,8 +12,12 @@
 //! configurations to identical output on baseline apps.
 
 use crate::opensource::{tally_accuracy, Accuracy, Table9Row};
+use crate::profile::{corpus, CORPUS_SIZE};
 use crate::spec::{AppSpec, ConnCheck, Notification, Origin, RequestSpec, RespCheck};
 use nck_netlibs::library::Library;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// A fully well-configured request: guarded, timed out, bounded retries,
@@ -154,6 +158,45 @@ pub fn interproc_apps() -> Vec<AppSpec> {
     apps
 }
 
+/// Apps in a [`helper_mix`] as `genapp helpermix:SEED:IDX` writes it.
+pub const HELPER_MIX_SIZE: usize = 60;
+
+/// A seeded mix of `size` corpus-like apps that spread the suite's
+/// helper idioms: each is a [`corpus`] app (seeded order, re-packaged as
+/// `com.hm.appNNN`) whose connectivity guards, configured retry counts
+/// and checked responses move behind app helpers with probability 0.7
+/// each, and whose helpers are [chained](RequestSpec::chained_helpers)
+/// with probability 0.5 per app, so recursive components and field
+/// constants occur. The oracle is the corpus app's: helpers change how
+/// a practice is written, never whether it is applied. Deterministic in
+/// `(seed, size)`; the calibrated corpus itself is left as it is.
+pub fn helper_mix(seed: u64, size: usize) -> Vec<AppSpec> {
+    let base = corpus(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x4e17_9e12);
+    let mut order: Vec<usize> = (0..CORPUS_SIZE).collect();
+    order.shuffle(&mut rng);
+    (0..size)
+        .map(|i| {
+            let mut spec = base[order[i % CORPUS_SIZE]].clone();
+            spec.package = format!("com.hm.app{i:03}");
+            let chained = rng.gen::<f64>() < 0.5;
+            for r in &mut spec.requests {
+                if r.conn_check == ConnCheck::Guarding && rng.gen::<f64>() < 0.7 {
+                    r.conn_check = ConnCheck::GuardingViaHelper;
+                }
+                if r.set_retries.is_some() && rng.gen::<f64>() < 0.7 {
+                    r.retries_via_helper = true;
+                }
+                if r.response == RespCheck::Checked && rng.gen::<f64>() < 0.7 {
+                    r.response = RespCheck::CheckedViaHelper;
+                }
+                r.chained_helpers = chained;
+            }
+            spec
+        })
+        .collect()
+}
+
 /// Runs the checker over the extended suite under `config` and tallies
 /// per-row accuracy against the oracles.
 pub fn evaluate_interproc_with(config: nchecker::CheckerConfig) -> BTreeMap<Table9Row, Accuracy> {
@@ -182,6 +225,22 @@ mod tests {
         table.values().fold((0, 0, 0), |(c, f, n), a| {
             (c + a.correct, f + a.fp, n + a.known_fn)
         })
+    }
+
+    #[test]
+    fn helper_mix_reports_match_the_oracle() {
+        let mix = helper_mix(2016, HELPER_MIX_SIZE);
+        assert_eq!(mix, helper_mix(2016, HELPER_MIX_SIZE), "deterministic");
+        let chained = |spec: &AppSpec| spec.requests.iter().any(|r| r.chained_helpers);
+        assert!(mix.iter().any(|s| uses_helper_idioms(s) && chained(s)));
+        assert!(mix.iter().any(|s| uses_helper_idioms(s) && !chained(s)));
+        for spec in &mix {
+            let mut got = report_kinds_with(spec, CheckerConfig::default());
+            let mut want = spec.expected_tool_report();
+            got.sort_by_key(|k| format!("{k:?}"));
+            want.sort_by_key(|k| format!("{k:?}"));
+            assert_eq!(got, want, "app {}", spec.package);
+        }
     }
 
     #[test]

@@ -116,6 +116,12 @@ pub struct RequestSpec {
     pub response: RespCheck,
     /// Optional customized retry loop around the request.
     pub custom_retry: Option<RetryShape>,
+    /// Route each helper idiom the request uses through a second layer
+    /// the summary engine must also see through: the guard wrapper
+    /// recurses mutually with a link poller, the helper retry count is
+    /// a field the host's constructor stores, and the response
+    /// validator forwards to a checker. No effect on the oracle.
+    pub chained_helpers: bool,
 }
 
 impl RequestSpec {
@@ -133,6 +139,7 @@ impl RequestSpec {
             check_error_types: false,
             response: RespCheck::NotUsed,
             custom_retry: None,
+            chained_helpers: false,
         }
     }
 

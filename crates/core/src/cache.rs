@@ -28,7 +28,7 @@ use std::sync::Arc;
 /// lifter, the summary engine, or the report format changes meaning, so
 /// persisted cache tiers from older builds miss instead of replaying
 /// stale results.
-pub const ANALYSIS_VERSION: u32 = 1;
+pub const ANALYSIS_VERSION: u32 = 2;
 
 /// Fingerprint of the analysis configuration: every [`CheckerConfig`]
 /// toggle plus [`ANALYSIS_VERSION`]. Two runs may share cached results
@@ -147,10 +147,6 @@ pub struct ReuseStats {
     pub methods_total: usize,
     /// Per-method dataflow artifact sets reused.
     pub analyses_reused: usize,
-    /// Summary slots seeded clean from the previous run.
-    pub summaries_clean: usize,
-    /// Summary slots recomputed.
-    pub summaries_dirty: usize,
     /// The analysis degraded, so nothing was reused or written back.
     pub degraded: bool,
 }

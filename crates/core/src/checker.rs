@@ -130,7 +130,8 @@ pub struct AppStats {
     pub over_retry_post: usize,
     /// ... of which caused by library defaults.
     pub over_retry_post_default: usize,
-    /// Methods summarized by the interprocedural engine.
+    /// Methods summarized by the interprocedural engine (this and the
+    /// other `summary_*` counts stay 0 when no checker needed a solve).
     pub summary_methods: usize,
     /// Call-graph SCCs condensed during summary computation.
     pub summary_sccs: usize,
@@ -655,10 +656,7 @@ impl NChecker {
         });
         let app =
             AnalyzedApp::new_reusing(apk.manifest.clone(), program, &self.registry, reuse, obs);
-        let ctx = app.reuse_stats();
-        stats.analyses_reused = ctx.analyses_reused;
-        stats.summaries_clean = ctx.summaries_clean;
-        stats.summaries_dirty = ctx.summaries_dirty;
+        stats.analyses_reused = app.analyses_reused();
 
         let report = self.analyze_with(&app, obs);
         let entry = caching.map(|c| AppCacheEntry {
@@ -1146,13 +1144,15 @@ impl NChecker {
                 .inc("check.defects", report.defects.len() as u64);
         }
 
-        let sstats = app.summaries().stats();
-        report.stats.summary_methods = sstats.methods;
-        report.stats.summary_sccs = sstats.sccs;
-        report.stats.summary_const_returns = sstats.const_returns;
-        report.stats.summary_largest_scc = sstats.largest_scc;
-        report.stats.summary_field_consts = sstats.field_consts;
-        report.stats.summary_hits = app.summaries().hits();
+        if let Some(summaries) = app.solved_summaries() {
+            let sstats = summaries.stats();
+            report.stats.summary_methods = sstats.methods;
+            report.stats.summary_sccs = sstats.sccs;
+            report.stats.summary_const_returns = sstats.const_returns;
+            report.stats.summary_largest_scc = sstats.largest_scc;
+            report.stats.summary_field_consts = sstats.field_consts;
+            report.stats.summary_hits = summaries.hits();
+        }
 
         report
     }

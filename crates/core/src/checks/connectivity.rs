@@ -36,34 +36,31 @@ pub fn methods_invoking_connectivity(app: &AnalyzedApp<'_>) -> BTreeSet<MethodId
     out
 }
 
-/// Returns the methods that *observe* connectivity according to the
-/// interprocedural summaries: they invoke a connectivity API directly or
-/// through any chain of app helpers (`isOnline()`-style wrappers). A
-/// strict superset of [`methods_invoking_connectivity`].
+/// Returns the methods that *observe* connectivity: they invoke a
+/// connectivity API directly or through any chain of app helpers
+/// (`isOnline()`-style wrappers), per [`AnalyzedApp::calls_source`]. A
+/// superset of [`methods_invoking_connectivity`].
 pub fn methods_observing_connectivity(app: &AnalyzedApp<'_>) -> BTreeSet<MethodId> {
-    let summaries = app.summaries();
     app.program
         .iter_methods()
-        .filter(|(id, m)| m.body.is_some() && summaries.summary(id.0 as usize).calls_source)
+        .filter(|(id, m)| m.body.is_some() && app.calls_source(*id))
         .map(|(id, _)| id)
         .collect()
 }
 
 /// Returns `true` when the call at `stmt` in `method` resolves (via
-/// explicit edges) to at least one app method whose summary satisfies
-/// `pred`.
-fn callee_summary_matches(
+/// explicit edges) to at least one app method satisfying `pred`.
+fn explicit_callee_matches(
     app: &AnalyzedApp<'_>,
     method: MethodId,
     stmt: StmtId,
-    pred: impl Fn(&nck_dataflow::interproc::MethodSummary) -> bool,
+    pred: impl Fn(MethodId) -> bool,
 ) -> bool {
-    let summaries = app.summaries();
     app.callgraph
         .callees(method)
         .iter()
         .filter(|e| e.stmt == stmt && !e.implicit)
-        .any(|e| pred(summaries.summary(e.callee.0 as usize)))
+        .any(|e| pred(e.callee))
 }
 
 /// Returns the set of methods from which `target` is reachable in the
@@ -95,7 +92,8 @@ fn guarded_intra(app: &AnalyzedApp<'_>, method: MethodId, site: StmtId, interpro
                 let class = app.program.symbols.resolve(inv.callee.class);
                 let name = app.program.symbols.resolve(inv.callee.name);
                 app.registry.is_connectivity_check(class, name)
-                    || (interproc && callee_summary_matches(app, method, *id, |s| s.calls_source))
+                    || (interproc
+                        && explicit_callee_matches(app, method, *id, |c| app.calls_source(c)))
             })
         })
         .map(|(id, _)| id)
@@ -218,8 +216,11 @@ fn guarded_by_conn_branch(
                     let name = app.program.symbols.resolve(inv.callee.name);
                     app.registry.is_connectivity_check(class, name)
                         || (interproc
-                            && callee_summary_matches(app, method, *id, |s| {
-                                s.returns_connectivity()
+                            && explicit_callee_matches(app, method, *id, |c| {
+                                // A connectivity-derived result needs a
+                                // source below it; skip the solve if none.
+                                app.calls_source(c)
+                                    && app.summaries().summary(c.0 as usize).returns_connectivity()
                             }))
                 })
         })

@@ -125,6 +125,7 @@ impl MethodAnalysis {
 /// lift replayed unchanged. All reuse is gated per method: a method id is
 /// only consulted when it appears in `reused_methods`, whose bodies are
 /// literal clones of the recording run's.
+#[derive(Debug, Clone, Copy)]
 pub struct AppReuse<'a> {
     /// Previous run's per-method dataflow artifacts.
     pub analyses: &'a BTreeMap<MethodId, Arc<MethodAnalysis>>,
@@ -137,19 +138,6 @@ pub struct AppReuse<'a> {
     pub callee_fps: &'a [u64],
     /// Previous run's round-0 summary snapshot.
     pub summary_seed: &'a SummarySeed,
-}
-
-/// How much prior work the context constructor actually reused.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ContextReuse {
-    /// Method analyses cloned from the previous run.
-    pub analyses_reused: usize,
-    /// Method analyses recomputed.
-    pub analyses_computed: usize,
-    /// Summary indices seeded clean from the previous run.
-    pub summaries_clean: usize,
-    /// Summary indices recomputed (body changed, new, or callee drift).
-    pub summaries_dirty: usize,
 }
 
 /// The fully analyzed app every checker consumes.
@@ -169,11 +157,18 @@ pub struct AnalyzedApp<'r> {
     /// in the same call-graph component share one underlying bitset.
     pub entry_reach: Vec<MethodSet>,
     analyses: BTreeMap<MethodId, Arc<MethodAnalysis>>,
-    summaries: Summaries,
-    summary_seed: SummarySeed,
-    callee_fps: Vec<u64>,
-    reuse: ContextReuse,
+    calls_source: OnceLock<Vec<bool>>,
+    prior: Option<AppReuse<'r>>,
+    obs: Obs,
+    solved: OnceLock<(Summaries, SummarySeed, Vec<u64>)>,
+    analyses_reused: usize,
 }
+
+/// An unsolved app's seed, which the next version reads as all dirty.
+const UNSOLVED_SEED: &SummarySeed = &SummarySeed {
+    round0_summaries: Vec::new(),
+    round0_contribs: Vec::new(),
+};
 
 impl<'r> AnalyzedApp<'r> {
     /// Lifts, builds the call graph, discovers entry points, and runs the
@@ -190,11 +185,13 @@ impl<'r> AnalyzedApp<'r> {
     /// rebuilt: they are whole-program properties whose inputs (method
     /// ids, resolution targets) can shift under any class change, and
     /// they are cheap relative to the per-method dataflow they guard.
+    /// Summaries are solved on first use ([`AnalyzedApp::summaries`]),
+    /// so `reuse` must outlive the context.
     pub fn new_reusing(
         manifest: Manifest,
         program: Program,
         registry: &'r Registry,
-        reuse: Option<AppReuse<'_>>,
+        reuse: Option<AppReuse<'r>>,
         obs: &Obs,
     ) -> AnalyzedApp<'r> {
         let _ctx = obs.tracer.span("context");
@@ -213,8 +210,7 @@ impl<'r> AnalyzedApp<'r> {
             let entry_methods: Vec<MethodId> = entries.iter().map(|e| e.method).collect();
             callgraph.entry_reach_sets(&entry_methods, program.methods.len())
         };
-        let callee_fps = callee_fingerprints(&program, &callgraph);
-        let mut stats = ContextReuse::default();
+        let mut analyses_reused = 0;
         let reused: BTreeSet<MethodId> = reuse
             .as_ref()
             .map(|r| r.reused_methods.iter().copied().collect())
@@ -229,12 +225,11 @@ impl<'r> AnalyzedApp<'r> {
                 };
                 if reused.contains(&id) {
                     if let Some(prev) = reuse.as_ref().and_then(|r| r.analyses.get(&id)) {
-                        stats.analyses_reused += 1;
+                        analyses_reused += 1;
                         analyses.insert(id, Arc::clone(prev));
                         continue;
                     }
                 }
-                stats.analyses_computed += 1;
                 to_compute.push((id, body));
             }
             // Per-method analyses are independent, so fan the batch out
@@ -275,37 +270,6 @@ impl<'r> AnalyzedApp<'r> {
             s.add_items(analyses.len() as u64);
             analyses
         };
-        let (summaries, summary_seed) = {
-            let _s = obs.tracer.span("summaries");
-            let seed_input = reuse.as_ref().map(|r| {
-                let n = program.methods.len();
-                let mut dirty: BTreeSet<usize> = (0..n)
-                    .filter(|&i| !reused.contains(&MethodId(i as u32)))
-                    .collect();
-                // A replayed body whose calls now resolve differently is
-                // just as dirty as a changed one.
-                for (i, &fp) in callee_fps.iter().enumerate() {
-                    if reused.contains(&MethodId(i as u32))
-                        && r.callee_fps.get(i).copied() != Some(fp)
-                    {
-                        dirty.insert(i);
-                    }
-                }
-                (r.summary_seed, dirty)
-            });
-            stats.summaries_dirty = seed_input
-                .as_ref()
-                .map_or(program.methods.len(), |(_, d)| d.len());
-            stats.summaries_clean = program.methods.len() - stats.summaries_dirty;
-            compute_summaries(
-                &program,
-                &callgraph,
-                registry,
-                &analyses,
-                seed_input.as_ref().map(|(s, d)| (*s, d)),
-                obs,
-            )
-        };
         if obs.metrics.is_enabled() {
             obs.metrics.inc("context.entries", entries.len() as u64);
             obs.metrics
@@ -319,29 +283,142 @@ impl<'r> AnalyzedApp<'r> {
             callgraph,
             entry_reach,
             analyses,
-            summaries,
-            summary_seed,
-            callee_fps,
-            reuse: stats,
+            calls_source: OnceLock::new(),
+            prior: reuse,
+            obs: obs.clone(),
+            solved: OnceLock::new(),
+            analyses_reused,
         }
     }
 
-    /// The interprocedural method summaries, computed once per app.
-    /// Method indices are dense: `MethodId(i)` ↔ summary index `i`.
+    /// Whether `method` invokes a connectivity source, directly or
+    /// through any chain of explicit calls into app methods with bodies.
+    /// Answered from the call graph; the summary engine is not consulted.
+    pub fn calls_source(&self, method: MethodId) -> bool {
+        self.calls_source.get_or_init(|| self.source_callers())[method.0 as usize]
+    }
+
+    /// The reverse walk behind [`AnalyzedApp::calls_source`]: from direct
+    /// connectivity callers along explicit caller edges whose site
+    /// [`AnalyzedApp::solve`] classifies as app-internal (neither source
+    /// nor check sink), which is the least fixpoint the engine reaches.
+    fn source_callers(&self) -> Vec<bool> {
+        let mut calls = vec![false; self.program.methods.len()];
+        let mut work: Vec<MethodId> = crate::checks::methods_invoking_connectivity(self)
+            .into_iter()
+            .collect();
+        for m in &work {
+            calls[m.0 as usize] = true;
+        }
+        while let Some(callee) = work.pop() {
+            for e in self.callgraph.callers(callee) {
+                if e.implicit || calls[e.caller.0 as usize] {
+                    continue;
+                }
+                let Some(inv) = self.body(e.caller).stmt(e.stmt).invoke_expr() else {
+                    continue;
+                };
+                let class = self.program.symbols.resolve(inv.callee.class);
+                let name = self.program.symbols.resolve(inv.callee.name);
+                if !self.registry.is_connectivity_check(class, name)
+                    && self.registry.response_check(class, name).is_none()
+                {
+                    calls[e.caller.0 as usize] = true;
+                    work.push(e.caller);
+                }
+            }
+        }
+        calls
+    }
+
+    /// The interprocedural method summaries. The first call solves the
+    /// whole program (seeded from the previous version when one was
+    /// given), recording the `summaries` span and the `summary.*`
+    /// counters into the context's `Obs` under whatever span is open
+    /// then. Method indices are dense: `MethodId(i)` ↔ summary index `i`.
     pub fn summaries(&self) -> &Summaries {
-        &self.summaries
+        &self.solved.get_or_init(|| self.solve()).0
+    }
+
+    /// The summaries if a checker asked for them, without solving.
+    pub fn solved_summaries(&self) -> Option<&Summaries> {
+        self.solved.get().map(|(s, ..)| s)
     }
 
     /// The round-0 summary snapshot, the seed for the next version's
-    /// incremental summary computation.
+    /// incremental summary computation. Empty when nothing asked for the
+    /// summaries; never forces a solve.
     pub fn summary_seed(&self) -> &SummarySeed {
-        &self.summary_seed
+        self.solved.get().map_or(UNSOLVED_SEED, |(_, seed, _)| seed)
     }
 
     /// Per-method call-resolution fingerprints for this run (dense,
-    /// parallel to `program.methods`).
+    /// parallel to `program.methods`), the companion of
+    /// [`AnalyzedApp::summary_seed`]: empty when that is.
     pub fn callee_fps(&self) -> &[u64] {
-        &self.callee_fps
+        self.solved.get().map_or(&[], |(.., fps)| fps)
+    }
+
+    /// Solves every method's summary, classifying each call site against
+    /// the API registry (connectivity APIs are sources, response-validity
+    /// APIs are check sinks) and the explicit call-graph edges
+    /// (app-internal callees). Everything else — framework calls,
+    /// implicit edges — stays opaque to keep the summaries conservative.
+    fn solve(&self) -> (Summaries, SummarySeed, Vec<u64>) {
+        let _s = self.obs.tracer.span("summaries");
+        let (program, registry) = (&self.program, self.registry);
+        let fps = callee_fingerprints(program, &self.callgraph);
+        let dirty = self.prior.map(|r| {
+            let reused: BTreeSet<usize> = r.reused_methods.iter().map(|m| m.0 as usize).collect();
+            // A replayed body whose calls now resolve differently is
+            // just as dirty as a changed one.
+            (0..fps.len())
+                .filter(|i| !reused.contains(i) || r.callee_fps.get(*i) != Some(&fps[*i]))
+                .collect::<BTreeSet<usize>>()
+        });
+        let inputs: Vec<MethodInput<'_>> = program
+            .methods
+            .iter()
+            .map(|m| MethodInput {
+                body: m.body.as_deref(),
+                is_static: m.flags.contains(nck_dex::AccessFlags::STATIC),
+            })
+            .collect();
+        // Reuse the per-method CFGs the context built.
+        let cfgs: Vec<Option<&Cfg>> = (0..inputs.len())
+            .map(|i| self.analyses.get(&MethodId(i as u32)).map(|a| &a.cfg))
+            .collect();
+        let (summaries, seed) = Summaries::compute_incremental(
+            &inputs,
+            &cfgs,
+            |m, stmt, inv| {
+                let class = program.symbols.resolve(inv.callee.class);
+                let name = program.symbols.resolve(inv.callee.name);
+                if registry.is_connectivity_check(class, name) {
+                    return CallKind::Source;
+                }
+                if registry.response_check(class, name).is_some() {
+                    return CallKind::CheckSink;
+                }
+                let callees: Vec<usize> = self
+                    .callgraph
+                    .callees(MethodId(m as u32))
+                    .iter()
+                    .filter(|e| e.stmt == stmt && !e.implicit)
+                    .map(|e| e.callee.0 as usize)
+                    .collect();
+                if callees.is_empty() {
+                    CallKind::Opaque
+                } else {
+                    CallKind::Callees(callees)
+                }
+            },
+            self.prior
+                .zip(dirty.as_ref())
+                .map(|(r, d)| (r.summary_seed, d)),
+            &self.obs,
+        );
+        (summaries, seed, fps)
     }
 
     /// The full per-method analysis map, shareable with a cache.
@@ -349,9 +426,9 @@ impl<'r> AnalyzedApp<'r> {
         &self.analyses
     }
 
-    /// How much prior work this context reused.
-    pub fn reuse_stats(&self) -> ContextReuse {
-        self.reuse
+    /// How many method analyses this context took from the previous run.
+    pub fn analyses_reused(&self) -> usize {
+        self.analyses_reused
     }
 
     /// The dataflow artifacts of `method`.
@@ -394,60 +471,6 @@ impl<'r> AnalyzedApp<'r> {
         self.program
             .display_method_key(self.program.method(method).key)
     }
-}
-
-/// Computes per-method summaries, classifying each call site against the
-/// API registry (connectivity APIs are sources, response-validity APIs
-/// are check sinks) and the explicit call-graph edges (app-internal
-/// callees). Everything else — framework calls, implicit edges — stays
-/// opaque to keep the summaries conservative.
-fn compute_summaries(
-    program: &Program,
-    callgraph: &CallGraph,
-    registry: &Registry,
-    analyses: &BTreeMap<MethodId, Arc<MethodAnalysis>>,
-    seed: Option<(&SummarySeed, &BTreeSet<usize>)>,
-    obs: &Obs,
-) -> (Summaries, SummarySeed) {
-    let inputs: Vec<MethodInput<'_>> = program
-        .methods
-        .iter()
-        .map(|m| MethodInput {
-            body: m.body.as_deref(),
-            is_static: m.flags.contains(nck_dex::AccessFlags::STATIC),
-        })
-        .collect();
-    // Reuse the per-method CFGs the analysis context just built.
-    let cfgs: Vec<Option<&Cfg>> = (0..inputs.len())
-        .map(|i| analyses.get(&MethodId(i as u32)).map(|a| &a.cfg))
-        .collect();
-    Summaries::compute_incremental(
-        &inputs,
-        &cfgs,
-        |m, stmt, inv| {
-            let class = program.symbols.resolve(inv.callee.class);
-            let name = program.symbols.resolve(inv.callee.name);
-            if registry.is_connectivity_check(class, name) {
-                return CallKind::Source;
-            }
-            if registry.response_check(class, name).is_some() {
-                return CallKind::CheckSink;
-            }
-            let callees: Vec<usize> = callgraph
-                .callees(MethodId(m as u32))
-                .iter()
-                .filter(|e| e.stmt == stmt && !e.implicit)
-                .map(|e| e.callee.0 as usize)
-                .collect();
-            if callees.is_empty() {
-                CallKind::Opaque
-            } else {
-                CallKind::Callees(callees)
-            }
-        },
-        seed,
-        obs,
-    )
 }
 
 /// Per-method fingerprints of *how this run resolved each method's
@@ -521,5 +544,134 @@ mod tests {
         assert_eq!(app.entries_reaching(helper).len(), 1);
         // Method analyses exist for both bodies.
         let _ = app.analysis(helper);
+    }
+
+    fn method_id(app: &AnalyzedApp<'_>, class: &str, name: &str) -> MethodId {
+        app.program
+            .iter_methods()
+            .find(|(_, m)| {
+                app.program.symbols.resolve(m.key.class) == class
+                    && app.program.symbols.resolve(m.key.name) == name
+            })
+            .map(|(id, _)| id)
+            .unwrap()
+    }
+
+    #[test]
+    fn calls_source_follows_explicit_callers_from_the_call_graph() {
+        // w1 -> NetworkInfo.isConnected(); w2..w5 wrap it in a chain;
+        // use() calls w5. Response.isSuccessful() is an app method here
+        // that calls w1, but a call to it is a check-sink site, so its
+        // caller does not inherit the source; gone() loses its body.
+        let static_ = AccessFlags::PUBLIC | AccessFlags::STATIC;
+        let mut b = AdxBuilder::new();
+        b.class("Lapp/G;", |c| {
+            c.method("w1", "()Z", static_, 1, |m| {
+                m.invoke_static("Landroid/net/NetworkInfo;", "isConnected", "()Z", &[]);
+                m.move_result(m.reg(0));
+                m.ret(Some(m.reg(0)));
+            });
+            for d in 2..=5 {
+                let inner = format!("w{}", d - 1);
+                c.method(&format!("w{d}"), "()Z", static_, 1, |m| {
+                    m.invoke_static("Lapp/G;", &inner, "()Z", &[]);
+                    m.move_result(m.reg(0));
+                    m.ret(Some(m.reg(0)));
+                });
+            }
+            for (name, callee_class, callee) in [
+                ("use", "Lapp/G;", "w5"),
+                ("viaSink", "Lcom/squareup/okhttp/Response;", "isSuccessful"),
+                ("gone", "Lapp/G;", "w1"),
+                ("callsGone", "Lapp/G;", "gone"),
+            ] {
+                c.method(name, "()V", static_, 1, |m| {
+                    m.invoke_static(callee_class, callee, "()Z", &[]);
+                    m.ret(None);
+                });
+            }
+            c.method("plain", "()V", static_, 1, |m| m.ret(None));
+        });
+        b.class("Lcom/squareup/okhttp/Response;", |c| {
+            c.method("isSuccessful", "()Z", static_, 1, |m| {
+                m.invoke_static("Lapp/G;", "w1", "()Z", &[]);
+                m.move_result(m.reg(0));
+                m.ret(Some(m.reg(0)));
+            });
+        });
+        let mut program = lift_file(&b.finish().unwrap()).unwrap();
+        let gone = program
+            .iter_methods()
+            .find(|(_, m)| program.symbols.resolve(m.key.name) == "gone")
+            .map(|(id, _)| id)
+            .unwrap();
+        program.methods[gone.0 as usize].body = None;
+        let registry = Registry::standard();
+        let app = AnalyzedApp::new(Manifest::new("app"), program, &registry);
+        let calls = |class: &str, name: &str| app.calls_source(method_id(&app, class, name));
+        for d in 1..=5 {
+            assert!(
+                calls("Lapp/G;", &format!("w{d}")),
+                "w{d} reaches the source"
+            );
+        }
+        assert!(calls("Lapp/G;", "use"));
+        assert!(calls("Lcom/squareup/okhttp/Response;", "isSuccessful"));
+        let via_sink = method_id(&app, "Lapp/G;", "viaSink");
+        assert!(app.callgraph.callees(via_sink).iter().any(|e| !e.implicit));
+        assert!(
+            !app.calls_source(via_sink),
+            "a check-sink site is not followed"
+        );
+        assert!(!calls("Lapp/G;", "gone"), "a bodiless method calls nothing");
+        assert!(!calls("Lapp/G;", "callsGone"));
+        assert!(!calls("Lapp/G;", "plain"));
+        assert!(app.solved_summaries().is_none(), "the walk solves nothing");
+        // The engine agrees wherever it derives connectivity.
+        let w5 = method_id(&app, "Lapp/G;", "w5");
+        assert!(app.summaries().summary(w5.0 as usize).return_from_source);
+    }
+
+    #[test]
+    fn summaries_solve_on_first_use_only() {
+        let mut b = AdxBuilder::new();
+        b.class("Lapp/A;", |c| {
+            c.method("f", "()I", AccessFlags::PUBLIC, 2, |m| {
+                m.const_int(m.reg(0), 3);
+                m.ret(Some(m.reg(0)));
+            });
+        });
+        let program = lift_file(&b.finish().unwrap()).unwrap();
+        let n = program.methods.len();
+        let registry = Registry::standard();
+        let obs = Obs::enabled();
+        let app = AnalyzedApp::new_reusing(Manifest::new("app"), program, &registry, None, &obs);
+        assert!(app.solved_summaries().is_none());
+        assert!(app.summary_seed().is_empty());
+        assert!(app.callee_fps().is_empty());
+        assert!(!obs
+            .metrics
+            .snapshot()
+            .counters
+            .contains_key("summary.method_passes"));
+
+        let f = method_id(&app, "Lapp/A;", "f");
+        assert_eq!(
+            app.summaries().summary(f.0 as usize).const_return,
+            nck_dataflow::CVal::Int(3)
+        );
+        assert!(app.solved_summaries().is_some());
+        assert_eq!(app.summary_seed().len(), n);
+        assert_eq!(app.callee_fps().len(), n);
+        assert_eq!(
+            obs.metrics.snapshot().counters.get("summary.method_passes"),
+            Some(&1)
+        );
+        assert!(obs
+            .tracer
+            .finish()
+            .roots
+            .iter()
+            .any(|r| r.name == "summaries"));
     }
 }

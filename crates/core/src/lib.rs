@@ -70,7 +70,7 @@ pub use callgraph::{CallEdge, CallGraph};
 pub use checker::{
     AnalysisSkip, AnalyzeError, AppReport, AppStats, CheckerConfig, NChecker, SkipCause,
 };
-pub use context::{callee_fingerprints, AnalyzedApp, AppReuse, ContextReuse, MethodAnalysis};
+pub use context::{callee_fingerprints, AnalyzedApp, AppReuse, MethodAnalysis};
 pub use icc::{find_icc_sends, IccKind, IccSend};
 pub use json::{
     app_report_to_json, evidence_to_json, kind_id, metrics_to_json, report_to_json, stats_to_json,

@@ -83,8 +83,6 @@ pub struct MethodSummary {
     /// Argument positions the method null-tests or forwards to a check
     /// sink (directly or through further summarized callees).
     pub args_checked: u32,
-    /// The method transitively invokes a connectivity source.
-    pub calls_source: bool,
 }
 
 impl MethodSummary {
@@ -97,7 +95,6 @@ impl MethodSummary {
             return_from_source: false,
             branches_on_source: false,
             args_checked: 0,
-            calls_source: false,
         }
     }
 
@@ -266,22 +263,6 @@ fn eval(env: &[AVal], op: Operand) -> AVal {
 const MAX_SCC_ITERS: usize = 64;
 const MAX_FIELD_ROUNDS: usize = 4;
 
-/// Minimum independent components and total statements in one
-/// condensation level before the fixpoint fans out to worker threads;
-/// below this, thread spawn overhead dwarfs the solve cost (typical
-/// corpus apps stay sequential, big real-world apps fan out).
-const PAR_MIN_COMPS: usize = 4;
-const PAR_MIN_STMTS: usize = 4096;
-
-/// Worker threads for the per-level parallel fixpoint: capped low since
-/// this nests inside the per-app service pool.
-fn par_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
 impl Summaries {
     /// Computes summaries for all `methods`, classifying each call site
     /// via `classify` (called once per site, up front) and reusing the
@@ -365,46 +346,6 @@ impl Summaries {
             for &s in ss {
                 preds[s].push(m);
             }
-        }
-
-        // Condensation-depth levels: level(c) = 1 + max level over callee
-        // components (0 with none). Components at the same level share no
-        // edges — an edge between components always strictly increases the
-        // level — so they read only summaries frozen at level entry and
-        // can be solved independently, in parallel. Tarjan emits callees
-        // first, so callee levels are always computed before their
-        // callers'.
-        let mut comp_of = vec![0u32; n];
-        for (ci, comp) in components.iter().enumerate() {
-            for &m in comp {
-                comp_of[m] = ci as u32;
-            }
-        }
-        let mut comp_level = vec![0u32; components.len()];
-        let mut max_level = 0u32;
-        for (ci, comp) in components.iter().enumerate() {
-            let mut lvl = 0;
-            for &m in comp {
-                for &s in &succs[m] {
-                    let sc = comp_of[s] as usize;
-                    if sc != ci {
-                        lvl = lvl.max(comp_level[sc] + 1);
-                    }
-                }
-            }
-            comp_level[ci] = lvl;
-            max_level = max_level.max(lvl);
-        }
-        let mut levels: Vec<Vec<usize>> = vec![
-            Vec::new();
-            if components.is_empty() {
-                0
-            } else {
-                max_level as usize + 1
-            }
-        ];
-        for (ci, &lvl) in comp_level.iter().enumerate() {
-            levels[lvl as usize].push(ci);
         }
 
         // Which fields each method loads (field-round dirtying).
@@ -496,189 +437,53 @@ impl Summaries {
         }
         let mut field_consts: BTreeMap<FieldKey, CVal> = BTreeMap::new();
 
-        // Solves one component to fixpoint against a frozen summary
-        // vector, without touching shared state — the unit of work for
-        // both the sequential and the parallel recompute path. Returns
-        // the final summary and field contribution per body-bearing
-        // member, plus the members whose update branch fired (whose
-        // callers must be dirtied) and the effort counters.
-        struct CompOutcome {
-            results: Vec<(usize, MethodSummary, BTreeMap<FieldKey, CVal>)>,
-            touched: Vec<usize>,
-            iters: u64,
-            passes: u64,
-        }
-        let solve_comp = |ci: usize,
-                          base: &[MethodSummary],
-                          field_consts: &BTreeMap<FieldKey, CVal>,
-                          force: &BTreeSet<usize>|
-         -> CompOutcome {
-            let comp = &components[ci];
-            let mut out = CompOutcome {
-                results: Vec::with_capacity(comp.len()),
-                touched: Vec::new(),
-                iters: 0,
-                passes: 0,
-            };
-            let solve_one = |m: usize, body: &Body, view: &[MethodSummary]| {
-                let cfg = cfgs[m].expect("cfg exists for body");
-                let analysis = IpAnalysis {
-                    n_locals: body.locals.len(),
-                    is_static: methods[m].is_static,
-                    kinds: &kinds[m],
-                    summaries: view,
-                    field_consts,
-                };
-                let sol = solve(body, cfg, &analysis);
-                let s = summarize(body, &sol, &kinds[m], view);
-                (s, field_contrib(body, &sol))
-            };
-            if comp.len() == 1 && !self_loop[comp[0]] {
-                // A non-recursive singleton cannot feed itself: one pass
-                // against the frozen base suffices (it never reads its
-                // own entry), no confirmation iteration needed.
-                out.iters = 1;
-                let m = comp[0];
-                if let Some(body) = methods[m].body {
-                    out.passes = 1;
-                    let (s, contrib) = solve_one(m, body, base);
-                    if s != base[m] || force.contains(&m) {
-                        out.touched.push(m);
-                    }
-                    out.results.push((m, s, contrib));
-                }
-            } else {
-                // Recursive component: members read each other's working
-                // summaries, so iterate on a private copy of the vector.
-                let mut local: Vec<MethodSummary> = base.to_vec();
-                let mut latest: BTreeMap<usize, BTreeMap<FieldKey, CVal>> = BTreeMap::new();
-                for _ in 0..MAX_SCC_ITERS {
-                    out.iters += 1;
-                    let mut changed = false;
-                    for &m in comp {
-                        let Some(body) = methods[m].body else {
-                            continue;
-                        };
-                        out.passes += 1;
-                        let (s, contrib) = solve_one(m, body, &local);
-                        if s != local[m] || force.contains(&m) {
-                            if s != local[m] {
-                                changed = true;
-                            }
-                            local[m] = s;
-                            if !out.touched.contains(&m) {
-                                out.touched.push(m);
-                            }
-                        }
-                        latest.insert(m, contrib);
-                    }
-                    if !changed {
-                        break;
-                    }
-                }
-                for &m in comp {
-                    if let Some(contrib) = latest.remove(&m) {
-                        out.results.push((m, local[m], contrib));
-                    }
-                }
-            }
-            out
-        };
-
-        // Recomputes the methods in `dirty` (bottom-up, level by level);
-        // a summary change dirties the method's callers, which always
-        // live at a later level (or in the same recursive component).
-        // Within a level the active components are independent, so when
-        // the level carries enough work they are solved on scoped worker
-        // threads; outcomes are applied in component-index order either
-        // way, which replicates the sequential schedule exactly.
+        // Recomputes the methods in `dirty`, components bottom-up in
+        // Tarjan order; a summary change dirties the method's callers,
+        // which always come later (or sit in the same recursive
+        // component).
         let recompute = |summaries: &mut Vec<MethodSummary>,
                          contribs: &mut Vec<BTreeMap<FieldKey, CVal>>,
                          field_consts: &BTreeMap<FieldKey, CVal>,
                          dirty: &mut BTreeSet<usize>,
                          force: &BTreeSet<usize>| {
-            for level in &levels {
-                let active: Vec<usize> = level
-                    .iter()
-                    .copied()
-                    .filter(|&ci| components[ci].iter().any(|m| dirty.contains(m)))
-                    .collect();
-                if active.is_empty() {
+            for comp in &components {
+                if !comp.iter().any(|m| dirty.contains(m)) {
                     continue;
                 }
-                let apply = |outcome: CompOutcome,
-                             summaries: &mut Vec<MethodSummary>,
-                             contribs: &mut Vec<BTreeMap<FieldKey, CVal>>,
-                             dirty: &mut BTreeSet<usize>| {
-                    fixpoint_iters.set(fixpoint_iters.get() + outcome.iters);
-                    method_passes.set(method_passes.get() + outcome.passes);
-                    for (m, s, contrib) in outcome.results {
-                        summaries[m] = s;
-                        contribs[m] = contrib;
-                    }
-                    for m in outcome.touched {
-                        dirty.extend(preds[m].iter().copied());
-                    }
-                };
-                let level_stmts: usize = active
-                    .iter()
-                    .flat_map(|&ci| components[ci].iter())
-                    .map(|&m| methods[m].body.map_or(0, |b| b.len()))
-                    .sum();
-                let workers = par_workers().min(active.len());
-                if workers > 1 && active.len() >= PAR_MIN_COMPS && level_stmts >= PAR_MIN_STMTS {
-                    // Heavy level: stripe the active components across
-                    // scoped threads against the frozen summary vector.
-                    // The span sits on this thread; worker outcomes carry
-                    // the counters back.
-                    let span = obs.tracer.span("scc_level_parallel");
-                    span.add_items(active.len() as u64);
-                    let frozen: &[MethodSummary] = summaries;
-                    let active_ref = &active;
-                    let solve_comp_ref = &solve_comp;
-                    let mut slots: Vec<Option<CompOutcome>> =
-                        (0..active.len()).map(|_| None).collect();
-                    crossbeam::scope(|scope| {
-                        let mut handles = Vec::with_capacity(workers);
-                        for w in 0..workers {
-                            handles.push(scope.spawn(move |_| {
-                                let mut done = Vec::new();
-                                let mut i = w;
-                                while i < active_ref.len() {
-                                    done.push((
-                                        i,
-                                        solve_comp_ref(active_ref[i], frozen, field_consts, force),
-                                    ));
-                                    i += workers;
-                                }
-                                done
-                            }));
-                        }
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("scc worker"))
-                            .collect::<Vec<_>>()
-                    })
-                    .expect("scc scope")
-                    .into_iter()
-                    .for_each(|(i, outcome)| slots[i] = Some(outcome));
-                    for outcome in slots {
-                        apply(
-                            outcome.expect("every component solved"),
+                let span = (comp.len() > 1).then(|| obs.tracer.span("scc_fixpoint"));
+                if let Some(s) = &span {
+                    s.add_items(comp.len() as u64);
+                }
+                // A non-recursive singleton never reads its own entry, so
+                // one pass suffices; members of a recursive component
+                // read each other's working summaries until none moves.
+                let recursive = comp.len() > 1 || self_loop[comp[0]];
+                for _ in 0..if recursive { MAX_SCC_ITERS } else { 1 } {
+                    fixpoint_iters.set(fixpoint_iters.get() + 1);
+                    let mut changed = false;
+                    for &m in comp {
+                        let Some(body) = methods[m].body else {
+                            continue;
+                        };
+                        method_passes.set(method_passes.get() + 1);
+                        let analysis = IpAnalysis {
+                            n_locals: body.locals.len(),
+                            is_static: methods[m].is_static,
+                            kinds: &kinds[m],
                             summaries,
-                            contribs,
-                            dirty,
-                        );
-                    }
-                } else {
-                    for &ci in &active {
-                        let span =
-                            (components[ci].len() > 1).then(|| obs.tracer.span("scc_fixpoint"));
-                        if let Some(s) = &span {
-                            s.add_items(components[ci].len() as u64);
+                            field_consts,
+                        };
+                        let sol = solve(body, cfgs[m].expect("cfg exists for body"), &analysis);
+                        let s = summarize(body, &sol, &kinds[m], summaries);
+                        contribs[m] = field_contrib(body, &sol);
+                        if s != summaries[m] || force.contains(&m) {
+                            changed |= s != summaries[m];
+                            summaries[m] = s;
+                            dirty.extend(preds[m].iter().copied());
                         }
-                        let outcome = solve_comp(ci, summaries, field_consts, force);
-                        apply(outcome, summaries, contribs, dirty);
+                    }
+                    if !changed {
+                        break;
                     }
                 }
             }
@@ -1004,7 +809,6 @@ fn summarize(
     let mut ret = BOTTOM;
     let mut branches_on_source = false;
     let mut args_checked = 0u32;
-    let mut calls_source = false;
 
     for (id, stmt) in body.iter() {
         let env: &[AVal] = sol.before(id);
@@ -1035,7 +839,6 @@ fn summarize(
         }
         if let Some(inv) = stmt.invoke_expr() {
             match kinds.get(&id) {
-                Some(CallKind::Source) => calls_source = true,
                 Some(CallKind::CheckSink) => {
                     if let Some(recv) = inv.receiver() {
                         if let Some(p) = eval(env, recv).ident {
@@ -1044,12 +847,6 @@ fn summarize(
                     }
                 }
                 Some(CallKind::Callees(cs)) if !cs.is_empty() => {
-                    if cs
-                        .iter()
-                        .any(|&c| summaries.get(c).is_some_and(|s| s.calls_source))
-                    {
-                        calls_source = true;
-                    }
                     // Forwarding our argument to a position every callee
                     // checks means we check it too.
                     for (j, &arg) in inv.args.iter().enumerate().take(32) {
@@ -1075,7 +872,6 @@ fn summarize(
         return_from_source: ret.source,
         branches_on_source,
         args_checked,
-        calls_source,
     }
 }
 
@@ -1345,11 +1141,9 @@ mod tests {
         let s = compute(&p);
         let wrapper = s.summary(idx(&p, "Lapp/G;", "isOnline"));
         assert!(wrapper.return_from_source);
-        assert!(wrapper.calls_source);
         assert!(wrapper.returns_connectivity());
         let user = s.summary(idx(&p, "Lapp/G;", "use"));
         assert!(user.branches_on_source);
-        assert!(user.calls_source);
         assert!(!user.return_from_source);
     }
 
@@ -1565,7 +1359,7 @@ mod tests {
         p.methods[id].body = None;
         let s = compute(&p);
         assert_eq!(s.summary(id).const_return, CVal::NonConst);
-        assert!(!s.summary(id).calls_source);
+        assert!(!s.summary(id).returns_connectivity());
     }
 
     #[test]
@@ -1606,7 +1400,6 @@ mod tests {
         for d in 1..=5 {
             let sum = s.summary(idx(&p, "Lapp/D;", &format!("w{d}")));
             assert!(sum.return_from_source, "w{d} must derive from the source");
-            assert!(sum.calls_source, "w{d} must transitively call the source");
         }
     }
 

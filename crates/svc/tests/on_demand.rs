@@ -1,0 +1,168 @@
+//! Summaries on demand: a context solves the interprocedural summaries
+//! only when a checker asks for a dataflow fact, and `calls_source`
+//! comes from the call graph. Every report must render to the same
+//! `--json` bytes as a reference run of the same code that solves the
+//! summaries up front, on every input family and configuration.
+
+use nchecker::{AnalyzedApp, AppReport, CheckerConfig, NChecker};
+use nck_appgen::interproc_suite::{helper_mix, interproc_apps, HELPER_MIX_SIZE};
+use nck_appgen::{profile, studyapps, AppSpec};
+use nck_netlibs::api::Registry;
+use nck_svc::store::render_json;
+use nck_svc::{AnalysisService, ServiceOptions};
+
+fn configs() -> [(&'static str, CheckerConfig); 4] {
+    let default = CheckerConfig::default();
+    [
+        ("default", default),
+        (
+            "--strict",
+            CheckerConfig {
+                strict_connectivity: true,
+                ..default
+            },
+        ),
+        (
+            "--icc",
+            CheckerConfig {
+                icc: true,
+                ..default
+            },
+        ),
+        (
+            "--no-interproc",
+            CheckerConfig {
+                interproc: false,
+                ..default
+            },
+        ),
+    ]
+}
+
+/// Analyzes `specs` under every configuration, on demand and with the
+/// summaries solved first; asserts equal `--json` bytes and returns the
+/// on-demand default-config reports.
+fn differential(family: &str, specs: &[AppSpec]) -> Vec<AppReport> {
+    let registry = Registry::standard();
+    let mut out = Vec::new();
+    for spec in specs {
+        let apk = nck_appgen::generate(spec);
+        let program = nck_ir::lift_file(&apk.adx).expect("generated apps lift");
+        for (name, config) in configs() {
+            let checker = NChecker::with_config(config);
+            let lazy = AnalyzedApp::new(apk.manifest.clone(), program.clone(), &registry);
+            let on_demand = checker.analyze(&lazy);
+            let eager = AnalyzedApp::new(apk.manifest.clone(), program.clone(), &registry);
+            let _ = eager.summaries();
+            let reference = checker.analyze(&eager);
+            assert_eq!(
+                render_json(&on_demand),
+                render_json(&reference),
+                "{family} app {} under {name}",
+                spec.package
+            );
+            if !config.interproc {
+                assert!(
+                    lazy.solved_summaries().is_none(),
+                    "{name} asks for no summary"
+                );
+            }
+            if name == "default" {
+                out.push(on_demand);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn on_demand_reports_match_eager_ones_on_the_helper_mix() {
+    let reports = differential("helper-mix", &helper_mix(2016, HELPER_MIX_SIZE));
+    // Not vacuous: the mix makes checkers solve, and the solves reach
+    // recursive components and field constants.
+    assert!(reports.iter().any(|r| r.stats.summary_methods > 0));
+    assert!(reports.iter().any(|r| r.stats.summary_largest_scc > 1));
+    assert!(reports.iter().any(|r| r.stats.summary_field_consts > 0));
+    assert!(
+        reports.iter().any(|r| r.stats.summary_methods == 0),
+        "guard wrappers alone need no solve"
+    );
+}
+
+#[test]
+fn on_demand_reports_match_eager_ones_on_the_suite_and_gpslogger() {
+    let mut specs = interproc_apps();
+    specs.push(studyapps::gpslogger());
+    let reports = differential("suite", &specs);
+    assert!(reports.iter().any(|r| r.stats.summary_methods > 0));
+}
+
+#[test]
+fn on_demand_reports_match_eager_ones_on_the_corpus() {
+    let reports = differential("corpus", &profile::corpus(2016));
+    // No corpus check needs a dataflow fact under the default config.
+    assert!(reports.iter().all(|r| r.stats.summary_methods == 0));
+}
+
+/// The path `serve` runs keeps a memory tier and builds full entries;
+/// building one must not force a solve. A corpus app's entry carries an
+/// empty summary seed, and with metrics on its run records no
+/// `summary.method_passes`. A helper-mix app that does solve stores its
+/// seed, and the edited version's seeded solve renders the bytes a
+/// fresh one-shot run does.
+#[test]
+fn a_serve_entry_build_solves_nothing_it_does_not_need() {
+    let corpus_app = nck_appgen::generate(&profile::corpus(2016)[20]).to_bytes();
+    let daemon = nck_svc::Daemon::new(nck_svc::DaemonOptions::default(), nck_obs::Events::silent());
+    daemon
+        .submit_bytes("corpus".into(), corpus_app.clone())
+        .unwrap();
+    daemon.drain_now();
+    let quiet = nck_obs::Obs::disabled();
+    let entry = daemon.service().store().lookup("corpus", &quiet).unwrap();
+    assert!(!entry.analyses.is_empty(), "a full entry");
+    assert!(entry.summary_seed.is_empty() && entry.callee_fps.is_empty());
+
+    let service = AnalysisService::new(ServiceOptions::default(), nck_obs::Obs::enabled());
+    let report = service.analyze_one("corpus", &corpus_app).report.unwrap();
+    let counters = &report.metrics.as_ref().unwrap().counters;
+    assert!(counters.contains_key("lift.stmts"));
+    assert!(!counters.contains_key("summary.method_passes"));
+
+    // A helper-mix app whose checkers ask for summaries, then an edit.
+    let mix = helper_mix(2016, HELPER_MIX_SIZE);
+    let solving = mix
+        .iter()
+        .find(|s| {
+            let bytes = nck_appgen::generate(s).to_bytes();
+            NChecker::new()
+                .analyze_bytes(&bytes)
+                .unwrap()
+                .stats
+                .summary_methods
+                > 0
+        })
+        .unwrap();
+    for (version, spec) in [
+        (0, solving.clone()),
+        (1, nck_appgen::evolve(solving, 0.5, 3).spec),
+    ] {
+        let bytes = nck_appgen::generate_with_bulk(&spec, 8).to_bytes();
+        daemon.submit_bytes("mix".into(), bytes.clone()).unwrap();
+        daemon.drain_now();
+        let entry = daemon.service().store().lookup("mix", &quiet).unwrap();
+        let fresh = NChecker::new().analyze_bytes(&bytes).unwrap();
+        assert_eq!(
+            render_json(&entry.report),
+            render_json(&fresh),
+            "version {version}"
+        );
+        assert!(fresh.stats.summary_methods > 0, "version {version} solves");
+        assert!(
+            !entry.summary_seed.is_empty(),
+            "version {version} stores its seed"
+        );
+    }
+    let snap = daemon.service().store().metrics().snapshot();
+    assert_eq!(snap.counters.get("svc.cache.replay_apps"), Some(&1));
+}

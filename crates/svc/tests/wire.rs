@@ -216,10 +216,14 @@ fn record_checksum(parts: &[&[u8]]) -> u64 {
 
 /// The schema-2 entry file the previous `json!`-tree encoder wrote for
 /// app 20 of the 285-app corpus (seed 2016) under key `fixture.app` and
-/// the default configuration, with its JSON and wire sections re-wrapped
-/// in a schema-3 record of a segment. Its wire schema is current, so the
-/// old encoder's bytes must still hit, serve the bytes a fresh analysis
-/// renders, and decode to the report a fresh analysis produces.
+/// the default configuration of analysis version 1, with its JSON and
+/// wire sections re-wrapped in a schema-3 record of a segment. Version 2
+/// moved the configuration fingerprint (the `summary_*` report counters
+/// became 0 when nothing asks for a summary), so the entry misses under
+/// today's default. Its wire schema is current, so under its own
+/// fingerprint the old encoder's bytes must still hit, serve the bytes a
+/// fresh analysis renders, and decode to the report a fresh analysis
+/// produces, apart from those counters.
 #[test]
 fn a_schema_2_entry_from_the_json_tree_encoder_still_hits() {
     const NAME: &str = "e7cc8cce14c42327-f4a43abc1f3c442e.json";
@@ -253,13 +257,33 @@ fn a_schema_2_entry_from_the_json_tree_encoder_still_hits() {
     let fresh = nchecker::NChecker::new().analyze_bytes(&bytes).unwrap();
 
     let store = AnalysisStore::with_options(8, Some(dir.clone()));
-    let config_fp = nchecker::config_fingerprint(&CheckerConfig::default());
+    let today = nchecker::config_fingerprint(&CheckerConfig::default());
+    assert_eq!(config_fp, "f4a43abc1f3c442e");
+    assert_ne!(format!("{today:016x}"), config_fp);
+    assert!(store
+        .lookup_disk_entry("fixture.app", today, &Obs::disabled())
+        .is_none());
+    let config_fp = u64::from_str_radix(config_fp, 16).unwrap();
     let entry = store
         .lookup_disk_entry("fixture.app", config_fp, &Obs::disabled())
-        .expect("the fixture entry hits");
+        .expect("the fixture entry hits under its own fingerprint");
     assert_eq!(entry.bundle_fp, nck_dex::wire::fnv1a(&bytes));
     assert_eq!(*entry.json, nck_svc::store::render_json(&fresh));
-    let decoded = entry.decode();
+    let mut decoded = entry.decode();
+    let s = &mut decoded.stats;
+    let stored = [
+        &mut s.summary_methods,
+        &mut s.summary_sccs,
+        &mut s.summary_const_returns,
+        &mut s.summary_largest_scc,
+        &mut s.summary_field_consts,
+        &mut s.summary_hits,
+    ];
+    // Version 1 solved every method; a fresh run solves nothing here.
+    assert_eq!(stored.each_ref().map(|v| **v), [10, 10, 1, 1, 0, 10]);
+    for v in stored {
+        *v = 0;
+    }
     assert!(
         same(&decoded, &fresh),
         "decoded report differs from a fresh run"

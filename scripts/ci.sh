@@ -50,6 +50,24 @@ for defect in doc["defects"]:
 print(f"smoke ok: {len(doc['defects'])} defects, "
       f"{len(metrics['counters'])} counters, provenance present")
 EOF
+# Summaries on demand: a corpus app's checkers ask for no dataflow fact,
+# so the summary engine never runs; a helper-mix app's do.
+./target/release/genapp corpus:2016:20 "$smoke_dir/corpus.apk"
+./target/release/genapp helpermix:2016:22 "$smoke_dir/helpermix.apk"
+for app in corpus helpermix; do
+    ./target/release/nchecker --json --metrics "$smoke_dir/$app.apk" > "$smoke_dir/$app.json"
+done
+python3 - "$smoke_dir/corpus.json" "$smoke_dir/helpermix.json" <<'EOF'
+import json, sys
+
+corpus, mix = (json.load(open(p))["metrics"] for p in sys.argv[1:])
+for metrics in (corpus, mix):
+    assert "summary_cache" in metrics, "metrics lacks summary_cache"
+assert corpus["counters"].get("summary.method_passes", 0) == 0, "corpus app solved summaries"
+assert mix["counters"].get("summary.method_passes", 0) > 0, "helper-mix app solved nothing"
+print(f"on-demand ok: corpus app solved nothing, helper-mix app "
+      f"{mix['counters']['summary.method_passes']} method passes")
+EOF
 
 echo "==> telemetry export smoke test"
 # Chrome trace + JSONL sinks and the --doctor snapshot, validated for

@@ -76,10 +76,13 @@ fn corpus_analysis_is_deterministic() {
     for (name, want) in [
         ("parse.bytes", 1_010_011),
         ("lift.stmts", 42_114),
-        ("summary.method_passes", 4_845),
+        // No corpus check asks for a dataflow fact, so the summary
+        // engine never runs (an absent counter reads 0).
+        ("summary.method_passes", 0),
         ("check.sites", 1_735),
         ("check.defects", 4_437),
     ] {
-        assert_eq!(metrics.counters.get(name), Some(&want), "counter {name}");
+        let got = metrics.counters.get(name).copied().unwrap_or(0);
+        assert_eq!(got, want, "counter {name}");
     }
 }
