@@ -95,19 +95,22 @@ impl AppCacheEntry {
     ///
     /// Structural accounting, not deep measurement: each retained
     /// artifact class is charged a calibrated per-item cost (a
-    /// `MethodAnalysis` holds a CFG plus per-statement dataflow facts; a
-    /// lift-seed class holds replayable bodies; a report defect carries
-    /// strings and a provenance chain). Report-only entries hold class
-    /// fingerprints but no lift seed, so they pay no per-class share.
-    /// The absolute numbers are rough by design — what matters for a
-    /// byte-budgeted LRU is that an app with 50× the methods is charged
-    /// ~50× the bytes, so one batch of huge apps cannot hide behind an
-    /// entry-count cap.
+    /// `MethodAnalysis` holds whatever the run forced: nothing but its
+    /// lazy slots for most bodies, a CFG plus per-statement dataflow
+    /// facts for some; a lift-seed class holds replayable bodies; a
+    /// report defect carries strings and a provenance chain).
+    /// Report-only entries hold class fingerprints but no lift seed, so
+    /// they pay no per-class share. The absolute numbers are rough by
+    /// design — what matters for a byte-budgeted LRU is that an app with
+    /// 50× the methods is charged ~50× the bytes, so one batch of huge
+    /// apps cannot hide behind an entry-count cap.
     pub fn approx_bytes(&self) -> usize {
         const ENTRY_OVERHEAD: usize = 512;
         const PER_CLASS: usize = 384; // lift-seed class: replayable class body
         const PER_CLASS_FP: usize = std::mem::size_of::<u64>();
-        const PER_METHOD_ANALYSIS: usize = 4096; // CFG + per-stmt dataflow facts
+        // Worst case, a forced CFG + per-stmt dataflow facts; charged
+        // whether or not the run forced them, since a later replay may.
+        const PER_METHOD_ANALYSIS: usize = 4096;
         const PER_CALLEE_FP: usize = 16;
         const PER_DEFECT: usize = 768; // message, fix, call stack, provenance
         const PER_SKIP: usize = 256;

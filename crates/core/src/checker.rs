@@ -1153,6 +1153,11 @@ impl NChecker {
             report.stats.summary_field_consts = sstats.field_consts;
             report.stats.summary_hits = summaries.hits();
         }
+        // CFGs are built on demand, so only now is their number known.
+        if obs.metrics.is_enabled() {
+            obs.metrics
+                .inc("context.cfgs_built", app.cfgs_built() as u64);
+        }
 
         report
     }

@@ -110,7 +110,7 @@ fn guarded_intra(app: &AnalyzedApp<'_>, method: MethodId, site: StmtId, interpro
             if s == site {
                 return true;
             }
-            for t in ma.cfg.succs(s, false) {
+            for t in ma.cfg().succs(s, false) {
                 if !seen[t.index()] {
                     seen[t.index()] = true;
                     stack.push(t);

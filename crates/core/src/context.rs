@@ -16,33 +16,18 @@ use nck_obs::Obs;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
-/// Minimum number of method bodies to analyze before fanning out to
-/// threads; below this, spawn overhead beats the parallelism.
-const PAR_MIN_METHODS: usize = 64;
-
-/// Worker count for intra-app parallel phases, capped so one large app
-/// cannot monopolize a shared service host.
-fn par_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
 /// All dataflow artifacts of one method body.
 ///
-/// Only the CFG is computed eagerly: every consumer (including the
-/// summary engine) needs it. The remaining artifacts initialize lazily
-/// on first access — most methods are never touched by a checker beyond
-/// their summary, so the old eager-everything constructor spent the bulk
-/// of the `method_analyses` phase on results nobody read. `OnceLock`
-/// keeps the struct `Sync`, so lazily-initialized analyses still share
-/// across threads and across incremental runs via `Arc`.
+/// Nothing is computed up front, not even the CFG: every artifact
+/// initializes on first access. Most methods issue no request and sit
+/// in no loop a checker inspects, so an eager CFG per body was mostly
+/// built for nobody. `OnceLock` keeps the struct `Sync`, so
+/// lazily-initialized analyses still share across threads and across
+/// incremental runs via `Arc`.
 #[derive(Debug)]
 pub struct MethodAnalysis {
     body: Arc<Body>,
-    /// Statement-level CFG.
-    pub cfg: Cfg,
+    cfg: OnceLock<Cfg>,
     rd: OnceLock<ReachingDefs>,
     cp: OnceLock<ConstProp>,
     doms: OnceLock<DomTree>,
@@ -53,12 +38,11 @@ pub struct MethodAnalysis {
 }
 
 impl MethodAnalysis {
-    /// Builds the CFG for `body` and sets up lazy slots for the rest.
+    /// Sets up empty lazy slots for `body`; builds nothing.
     pub fn compute(body: &Arc<Body>) -> MethodAnalysis {
-        let cfg = Cfg::build(body);
         MethodAnalysis {
             body: Arc::clone(body),
-            cfg,
+            cfg: OnceLock::new(),
             rd: OnceLock::new(),
             cp: OnceLock::new(),
             doms: OnceLock::new(),
@@ -69,32 +53,42 @@ impl MethodAnalysis {
         }
     }
 
+    /// Statement-level CFG.
+    pub fn cfg(&self) -> &Cfg {
+        self.cfg.get_or_init(|| Cfg::build(&self.body))
+    }
+
+    /// Whether the CFG has been built.
+    pub fn has_cfg(&self) -> bool {
+        self.cfg.get().is_some()
+    }
+
     /// Reaching definitions.
     pub fn rd(&self) -> &ReachingDefs {
         self.rd
-            .get_or_init(|| ReachingDefs::compute(&self.body, &self.cfg))
+            .get_or_init(|| ReachingDefs::compute(&self.body, self.cfg()))
     }
 
     /// Constant propagation.
     pub fn cp(&self) -> &ConstProp {
         self.cp
-            .get_or_init(|| ConstProp::compute(&self.body, &self.cfg))
+            .get_or_init(|| ConstProp::compute(&self.body, self.cfg()))
     }
 
     /// Dominator tree.
     pub fn doms(&self) -> &DomTree {
-        self.doms.get_or_init(|| dominators(&self.cfg))
+        self.doms.get_or_init(|| dominators(self.cfg()))
     }
 
     /// Post-dominator tree.
     pub fn pdoms(&self) -> &DomTree {
-        self.pdoms.get_or_init(|| post_dominators(&self.cfg))
+        self.pdoms.get_or_init(|| post_dominators(self.cfg()))
     }
 
     /// Control dependences.
     pub fn cdeps(&self) -> &ControlDeps {
         self.cdeps
-            .get_or_init(|| ControlDeps::compute(&self.cfg, self.pdoms()))
+            .get_or_init(|| ControlDeps::compute(self.cfg(), self.pdoms()))
     }
 
     /// Control dependences over the exception-free CFG (used by the
@@ -102,7 +96,7 @@ impl MethodAnalysis {
     /// branch?" is only meaningful without exceptional edges).
     pub fn cdeps_normal(&self) -> &ControlDeps {
         self.cdeps_normal.get_or_init(|| {
-            let normal = self.cfg.normal_only();
+            let normal = self.cfg().normal_only();
             let pdoms_normal = post_dominators(&normal);
             ControlDeps::compute(&normal, &pdoms_normal)
         })
@@ -113,10 +107,10 @@ impl MethodAnalysis {
         self.loops.get_or_init(|| {
             // A CFG with only forward edges is a DAG: no loops, and no
             // need to build the dominator tree to prove it.
-            if !self.cfg.has_backward_edge() {
+            if !self.cfg().has_backward_edge() {
                 return Vec::new();
             }
-            natural_loops(&self.cfg, self.doms())
+            natural_loops(self.cfg(), self.doms())
         })
     }
 }
@@ -162,6 +156,8 @@ pub struct AnalyzedApp<'r> {
     obs: Obs,
     solved: OnceLock<(Summaries, SummarySeed, Vec<u64>)>,
     analyses_reused: usize,
+    /// CFGs the replayed analyses already held at construction.
+    cfgs_held: usize,
 }
 
 /// An unsolved app's seed, which the next version reads as all dirty.
@@ -171,8 +167,8 @@ const UNSOLVED_SEED: &SummarySeed = &SummarySeed {
 };
 
 impl<'r> AnalyzedApp<'r> {
-    /// Lifts, builds the call graph, discovers entry points, and runs the
-    /// per-method dataflow analyses.
+    /// Builds the call graph, discovers entry points, and sets up the
+    /// lazy per-method dataflow analyses.
     pub fn new(manifest: Manifest, program: Program, registry: &'r Registry) -> AnalyzedApp<'r> {
         AnalyzedApp::new_reusing(manifest, program, registry, None, &Obs::disabled())
     }
@@ -218,58 +214,27 @@ impl<'r> AnalyzedApp<'r> {
         let analyses: BTreeMap<MethodId, Arc<MethodAnalysis>> = {
             let s = obs.tracer.span("method_analyses");
             let mut analyses: BTreeMap<MethodId, Arc<MethodAnalysis>> = BTreeMap::new();
-            let mut to_compute: Vec<(MethodId, &Arc<Body>)> = Vec::new();
             for (id, m) in program.iter_methods() {
                 let Some(body) = m.body.as_ref() else {
                     continue;
                 };
-                if reused.contains(&id) {
-                    if let Some(prev) = reuse.as_ref().and_then(|r| r.analyses.get(&id)) {
+                let prev = reuse
+                    .as_ref()
+                    .filter(|_| reused.contains(&id))
+                    .and_then(|r| r.analyses.get(&id));
+                let analysis = match prev {
+                    Some(prev) => {
                         analyses_reused += 1;
-                        analyses.insert(id, Arc::clone(prev));
-                        continue;
+                        Arc::clone(prev)
                     }
-                }
-                to_compute.push((id, body));
-            }
-            // Per-method analyses are independent, so fan the batch out
-            // over striped worker threads when there is enough of it to
-            // amortize spawning. Results land in a `BTreeMap`, so the
-            // map's contents — and everything downstream — are identical
-            // to the sequential order.
-            let workers = par_workers();
-            if workers > 1 && to_compute.len() >= PAR_MIN_METHODS {
-                let items = &to_compute;
-                let computed: Vec<(MethodId, Arc<MethodAnalysis>)> = crossbeam::scope(|sc| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            sc.spawn(move |_| {
-                                items
-                                    .iter()
-                                    .skip(w)
-                                    .step_by(workers)
-                                    .map(|&(id, body)| {
-                                        (id, Arc::new(MethodAnalysis::compute(body)))
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("method-analysis worker panicked"))
-                        .collect()
-                })
-                .expect("method-analysis scope");
-                analyses.extend(computed);
-            } else {
-                for (id, body) in to_compute {
-                    analyses.insert(id, Arc::new(MethodAnalysis::compute(body)));
-                }
+                    None => Arc::new(MethodAnalysis::compute(body)),
+                };
+                analyses.insert(id, analysis);
             }
             s.add_items(analyses.len() as u64);
             analyses
         };
+        let cfgs_held = analyses.values().filter(|a| a.has_cfg()).count();
         if obs.metrics.is_enabled() {
             obs.metrics.inc("context.entries", entries.len() as u64);
             obs.metrics
@@ -288,6 +253,7 @@ impl<'r> AnalyzedApp<'r> {
             obs: obs.clone(),
             solved: OnceLock::new(),
             analyses_reused,
+            cfgs_held,
         }
     }
 
@@ -384,9 +350,10 @@ impl<'r> AnalyzedApp<'r> {
                 is_static: m.flags.contains(nck_dex::AccessFlags::STATIC),
             })
             .collect();
-        // Reuse the per-method CFGs the context built.
+        // Share the per-method CFGs with the context (building any not
+        // yet built).
         let cfgs: Vec<Option<&Cfg>> = (0..inputs.len())
-            .map(|i| self.analyses.get(&MethodId(i as u32)).map(|a| &a.cfg))
+            .map(|i| self.analyses.get(&MethodId(i as u32)).map(|a| a.cfg()))
             .collect();
         let (summaries, seed) = Summaries::compute_incremental(
             &inputs,
@@ -429,6 +396,12 @@ impl<'r> AnalyzedApp<'r> {
     /// How many method analyses this context took from the previous run.
     pub fn analyses_reused(&self) -> usize {
         self.analyses_reused
+    }
+
+    /// How many CFGs were built since construction: those now held,
+    /// less those the replayed analyses already carried in.
+    pub fn cfgs_built(&self) -> usize {
+        self.analyses.values().filter(|a| a.has_cfg()).count() - self.cfgs_held
     }
 
     /// The dataflow artifacts of `method`.
@@ -544,6 +517,27 @@ mod tests {
         assert_eq!(app.entries_reaching(helper).len(), 1);
         // Method analyses exist for both bodies.
         let _ = app.analysis(helper);
+    }
+
+    #[test]
+    fn a_fresh_method_analysis_holds_no_cfg() {
+        let mut b = AdxBuilder::new();
+        b.class("Lapp/A;", |c| {
+            c.method("f", "()V", AccessFlags::PUBLIC, 1, |m| m.ret(None));
+        });
+        let program = lift_file(&b.finish().unwrap()).unwrap();
+        let body = program.methods[0].body.clone().unwrap();
+        let ma = MethodAnalysis::compute(&body);
+        assert!(!ma.has_cfg());
+        assert!(ma.loops().is_empty());
+        assert!(ma.has_cfg(), "a reader builds it");
+
+        let registry = Registry::standard();
+        let app = AnalyzedApp::new(Manifest::new("app"), program, &registry);
+        assert!(app.analyses_arc().values().all(|a| !a.has_cfg()));
+        assert_eq!(app.cfgs_built(), 0);
+        let _ = app.analysis(MethodId(0)).cfg();
+        assert_eq!(app.cfgs_built(), 1);
     }
 
     fn method_id(app: &AnalyzedApp<'_>, class: &str, name: &str) -> MethodId {

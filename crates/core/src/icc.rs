@@ -160,7 +160,7 @@ pub fn conn_guarded_components(
                 if s == send.stmt {
                     return true;
                 }
-                for t in ma.cfg.succs(s, false) {
+                for t in ma.cfg().succs(s, false) {
                     if !seen[t.index()] {
                         seen[t.index()] = true;
                         stack.push(t);

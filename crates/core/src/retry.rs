@@ -88,7 +88,7 @@ fn return_depends_on_catch(app: &AnalyzedApp<'_>, method: MethodId) -> bool {
         return false;
     }
     let ma = app.analysis(method);
-    let region = catch_region(body, &ma.cfg, None, None);
+    let region = catch_region(body, ma.cfg(), None, None);
     if region.is_empty() {
         return false;
     }
@@ -133,32 +133,39 @@ fn methods_reaching_targets(app: &AnalyzedApp<'_>) -> BTreeSet<MethodId> {
 /// Finds every customized retry loop in the app.
 pub fn find_retry_loops(app: &AnalyzedApp<'_>) -> Vec<RetryLoop> {
     let reach_targets = methods_reaching_targets(app);
+    // Whether statement `s` of `mid` (transitively) issues a request: a
+    // target API call, or a call into a method that reaches one.
+    let issues_request = |mid: MethodId, s: StmtId, stmt: &Stmt| {
+        let Some(inv) = stmt.invoke_expr() else {
+            return false;
+        };
+        let class = app.program.symbols.resolve(inv.callee.class);
+        let name = app.program.symbols.resolve(inv.callee.name);
+        app.registry.target(class, name).is_some()
+            || app
+                .callgraph
+                .callees_at(mid, s)
+                .any(|c| reach_targets.contains(&c))
+    };
     let mut out = Vec::new();
 
     for (mid, m) in app.program.iter_methods() {
         let Some(body) = &m.body else { continue };
+        // A loop's statements are a subset of its method's, so a method
+        // with no request-issuing statement has no loop step 1 keeps:
+        // skip it before its CFG is built.
+        if !body.iter().any(|(s, stmt)| issues_request(mid, s, stmt)) {
+            continue;
+        }
         let ma = app.analysis(mid);
         for l in ma.loops() {
             // Step 1: the loop must (transitively) issue a request.
-            let issues_request = l.body.iter().any(|&s| {
-                let Some(inv) = body.stmt(s).invoke_expr() else {
-                    return false;
-                };
-                let class = app.program.symbols.resolve(inv.callee.class);
-                let name = app.program.symbols.resolve(inv.callee.name);
-                if app.registry.target(class, name).is_some() {
-                    return true;
-                }
-                app.callgraph
-                    .callees_at(mid, s)
-                    .any(|c| reach_targets.contains(&c))
-            });
-            if !issues_request {
+            if !l.body.iter().any(|&s| issues_request(mid, s, body.stmt(s))) {
                 continue;
             }
 
-            let region = catch_region(body, &ma.cfg, Some(l), Some(l.header));
-            let exits = l.exits(body, &ma.cfg);
+            let region = catch_region(body, ma.cfg(), Some(l), Some(l.header));
+            let exits = l.exits(body, ma.cfg());
 
             // Rule (a): an unconditional exit unreachable from the catch
             // block, with a catch present inside the loop.
@@ -475,5 +482,98 @@ mod tests {
             });
         });
         assert!(find_retry_loops(&app).is_empty());
+    }
+
+    /// The scan builds a CFG only for a method with a statement that
+    /// issues a request: `onCreate`'s only loop calls a request-free
+    /// helper, while `fetch()` (loop-free) calls the library.
+    #[test]
+    fn a_method_whose_only_loop_issues_no_request_gets_no_cfg() {
+        let app = app_of(|b| {
+            b.class("Lapp/Main;", |c| {
+                c.super_class("Landroid/app/Activity;");
+                c.method(
+                    "onCreate",
+                    "(Landroid/os/Bundle;)V",
+                    AccessFlags::PUBLIC,
+                    4,
+                    |m| {
+                        let head = m.new_label();
+                        m.bind(head);
+                        m.invoke_virtual("Lapp/Main;", "compute", "()V", &[m.param(0).unwrap()]);
+                        m.goto(head);
+                    },
+                );
+                c.method("compute", "()V", AccessFlags::PUBLIC, 2, |m| m.ret(None));
+                c.method("fetch", "()V", AccessFlags::PUBLIC, 8, |m| {
+                    let cl = m.reg(0);
+                    m.new_instance(cl, BASIC);
+                    m.invoke_direct(BASIC, "<init>", "()V", &[cl]);
+                    m.invoke_virtual(BASIC, "get", GET_SIG, &[cl, m.reg(1), m.reg(2)]);
+                    m.move_result(m.reg(3));
+                    m.ret(None);
+                });
+            });
+        });
+        let method = |name: &str| {
+            let (id, _) = app
+                .program
+                .iter_methods()
+                .find(|(_, m)| app.program.symbols.resolve(m.key.name) == name)
+                .unwrap();
+            app.analysis(id)
+        };
+        assert!(find_retry_loops(&app).is_empty());
+        assert!(!method("onCreate").has_cfg());
+        assert!(!method("compute").has_cfg());
+        assert!(method("fetch").has_cfg());
+        assert_eq!(app.cfgs_built(), 1);
+        // The loop is real: asking for it builds the CFG.
+        assert_eq!(method("onCreate").loops().len(), 1);
+    }
+
+    /// `for(;;) { try { this.send(); return; } catch {} }` where only
+    /// the helper `send()` calls the library: the loop still issues a
+    /// request, through the call graph.
+    #[test]
+    fn loop_reaching_a_request_through_a_helper_is_reported() {
+        let app = app_of(|b| {
+            b.class("Lapp/Main;", |c| {
+                c.super_class("Landroid/app/Activity;");
+                c.method(
+                    "onCreate",
+                    "(Landroid/os/Bundle;)V",
+                    AccessFlags::PUBLIC,
+                    4,
+                    |m| {
+                        let head = m.new_label();
+                        let handler = m.new_label();
+                        m.bind(head);
+                        let t = m.begin_try();
+                        m.invoke_virtual("Lapp/Main;", "send", "()V", &[m.param(0).unwrap()]);
+                        m.ret(None);
+                        m.end_try(t, &[(Some("Ljava/io/IOException;"), handler)]);
+                        m.bind(handler);
+                        m.move_exception(m.reg(0));
+                        m.goto(head);
+                    },
+                );
+                c.method("send", "()V", AccessFlags::PUBLIC, 8, |m| {
+                    let cl = m.reg(0);
+                    m.new_instance(cl, BASIC);
+                    m.invoke_direct(BASIC, "<init>", "()V", &[cl]);
+                    m.invoke_virtual(BASIC, "get", GET_SIG, &[cl, m.reg(1), m.reg(2)]);
+                    m.move_result(m.reg(3));
+                    m.ret(None);
+                });
+            });
+        });
+        let loops = find_retry_loops(&app);
+        assert_eq!(loops.len(), 1);
+        assert_eq!(loops[0].kind, RetryKind::SuccessExit);
+        assert_eq!(
+            app.display_method(loops[0].method),
+            "Lapp/Main;.onCreate(Landroid/os/Bundle;)V"
+        );
     }
 }

@@ -90,14 +90,13 @@ where
     // The caller is worker 0: only the other `n_workers - 1` run on
     // spawned threads, so a one-worker pool (`--jobs 1`) runs on the
     // calling thread and spawns nothing.
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for me in 1..n_workers {
             let work = &work;
-            scope.spawn(move |_| work(me));
+            scope.spawn(move || work(me));
         }
         work(0);
-    })
-    .expect("pool workers");
+    });
 
     slots.into_iter().map(|s| lock(&s).take()).collect()
 }

@@ -1,12 +1,14 @@
-//! Summaries on demand: a context solves the interprocedural summaries
-//! only when a checker asks for a dataflow fact, and `calls_source`
-//! comes from the call graph. Every report must render to the same
-//! `--json` bytes as a reference run of the same code that solves the
-//! summaries up front, on every input family and configuration.
+//! Analyses on demand: a context solves the interprocedural summaries
+//! only when a checker asks for a dataflow fact, builds a method's CFG
+//! only when a checker reads it, and `calls_source` comes from the call
+//! graph. Every report must render to the same `--json` bytes as a
+//! reference run of the same code that solves the summaries and builds
+//! every CFG and loop nest up front, on every input family and
+//! configuration.
 
 use nchecker::{AnalyzedApp, AppReport, CheckerConfig, NChecker};
 use nck_appgen::interproc_suite::{helper_mix, interproc_apps, HELPER_MIX_SIZE};
-use nck_appgen::{profile, studyapps, AppSpec};
+use nck_appgen::{profile, studyapps, AppSpec, CorpusStream};
 use nck_netlibs::api::Registry;
 use nck_svc::store::render_json;
 use nck_svc::{AnalysisService, ServiceOptions};
@@ -39,12 +41,25 @@ fn configs() -> [(&'static str, CheckerConfig); 4] {
     ]
 }
 
+/// The on-demand default-config side of a [`differential`] run.
+struct OnDemand {
+    reports: Vec<AppReport>,
+    /// CFGs the on-demand contexts built, summed over the apps.
+    cfgs_built: usize,
+    /// Method bodies, summed over the apps.
+    bodies: usize,
+}
+
 /// Analyzes `specs` under every configuration, on demand and with the
-/// summaries solved first; asserts equal `--json` bytes and returns the
-/// on-demand default-config reports.
-fn differential(family: &str, specs: &[AppSpec]) -> Vec<AppReport> {
+/// summaries solved and every CFG and loop nest built first; asserts
+/// equal `--json` bytes and returns the on-demand default-config side.
+fn differential(family: &str, specs: &[AppSpec]) -> OnDemand {
     let registry = Registry::standard();
-    let mut out = Vec::new();
+    let mut out = OnDemand {
+        reports: Vec::new(),
+        cfgs_built: 0,
+        bodies: 0,
+    };
     for spec in specs {
         let apk = nck_appgen::generate(spec);
         let program = nck_ir::lift_file(&apk.adx).expect("generated apps lift");
@@ -53,6 +68,9 @@ fn differential(family: &str, specs: &[AppSpec]) -> Vec<AppReport> {
             let lazy = AnalyzedApp::new(apk.manifest.clone(), program.clone(), &registry);
             let on_demand = checker.analyze(&lazy);
             let eager = AnalyzedApp::new(apk.manifest.clone(), program.clone(), &registry);
+            for ma in eager.analyses_arc().values() {
+                let _ = (ma.cfg(), ma.loops());
+            }
             let _ = eager.summaries();
             let reference = checker.analyze(&eager);
             assert_eq!(
@@ -68,7 +86,9 @@ fn differential(family: &str, specs: &[AppSpec]) -> Vec<AppReport> {
                 );
             }
             if name == "default" {
-                out.push(on_demand);
+                out.reports.push(on_demand);
+                out.cfgs_built += lazy.cfgs_built();
+                out.bodies += lazy.analyses_arc().len();
             }
         }
     }
@@ -77,7 +97,7 @@ fn differential(family: &str, specs: &[AppSpec]) -> Vec<AppReport> {
 
 #[test]
 fn on_demand_reports_match_eager_ones_on_the_helper_mix() {
-    let reports = differential("helper-mix", &helper_mix(2016, HELPER_MIX_SIZE));
+    let reports = differential("helper-mix", &helper_mix(2016, HELPER_MIX_SIZE)).reports;
     // Not vacuous: the mix makes checkers solve, and the solves reach
     // recursive components and field constants.
     assert!(reports.iter().any(|r| r.stats.summary_methods > 0));
@@ -93,15 +113,37 @@ fn on_demand_reports_match_eager_ones_on_the_helper_mix() {
 fn on_demand_reports_match_eager_ones_on_the_suite_and_gpslogger() {
     let mut specs = interproc_apps();
     specs.push(studyapps::gpslogger());
-    let reports = differential("suite", &specs);
+    let reports = differential("suite", &specs).reports;
     assert!(reports.iter().any(|r| r.stats.summary_methods > 0));
 }
 
 #[test]
 fn on_demand_reports_match_eager_ones_on_the_corpus() {
-    let reports = differential("corpus", &profile::corpus(2016));
+    let reports = differential("corpus", &profile::corpus(2016)).reports;
     // No corpus check needs a dataflow fact under the default config.
     assert!(reports.iter().all(|r| r.stats.summary_methods == 0));
+}
+
+/// The traffic store-cold vets: every 7th app of the seed-7 2,000-app
+/// store mix, network-free apps and ballast classes included.
+#[test]
+fn on_demand_reports_match_eager_ones_on_the_store_mix() {
+    let stream = CorpusStream::new(7, 2_000);
+    let specs: Vec<AppSpec> = (0..stream.len())
+        .step_by(7)
+        .map(|i| stream.spec_at(i))
+        .collect();
+    assert!(specs.iter().any(|s| s.requests.is_empty()));
+    assert!(specs.iter().all(|s| s.bulk > 0));
+    let on_demand = differential("store-mix", &specs);
+    // Not vacuous: the lazy side leaves some CFGs unbuilt.
+    assert!(on_demand.cfgs_built > 0);
+    assert!(
+        on_demand.cfgs_built < on_demand.bodies,
+        "{} CFGs built for {} bodies",
+        on_demand.cfgs_built,
+        on_demand.bodies
+    );
 }
 
 /// The path `serve` runs keeps a memory tier and builds full entries;
@@ -165,4 +207,51 @@ fn a_serve_entry_build_solves_nothing_it_does_not_need() {
     }
     let snap = daemon.service().store().metrics().snapshot();
     assert_eq!(snap.counters.get("svc.cache.replay_apps"), Some(&1));
+}
+
+/// `context.cfgs_built` of one metrics-enabled run.
+fn cfgs_built(report: &AppReport) -> u64 {
+    report.metrics.as_ref().unwrap().counters["context.cfgs_built"]
+}
+
+/// `context.cfgs_built` counts the CFGs a run built. It reads the same
+/// whether the run caches nothing, builds a cold entry, or records a
+/// report-only one; a replayed run does not count the CFGs the previous
+/// version's reused analyses already held.
+#[test]
+fn cfgs_built_counts_only_the_runs_own_work() {
+    use nchecker::Seeds;
+    let mut checker = NChecker::new();
+    checker.obs = nck_obs::Obs::enabled();
+    let fp = nck_dex::wire::fnv1a;
+    for spec in profile::corpus(2016).iter().step_by(40) {
+        let bytes = nck_appgen::generate(spec).to_bytes();
+        let uncached = cfgs_built(&checker.analyze_bytes(&bytes).unwrap());
+        assert!(uncached > 0, "{}", spec.package);
+        for seeds in [Seeds::Keep(None), Seeds::Skip] {
+            let (report, ..) = checker
+                .analyze_bytes_reusing_fp(&bytes, fp(&bytes), seeds)
+                .unwrap();
+            assert_eq!(cfgs_built(&report), uncached, "{} {seeds:?}", spec.package);
+        }
+    }
+
+    let spec = &profile::corpus(2016)[20];
+    let v0 = nck_appgen::generate_with_bulk(spec, 8).to_bytes();
+    let v1 = nck_appgen::generate_with_bulk(&nck_appgen::evolve(spec, 0.5, 3).spec, 8).to_bytes();
+    let (_, entry, _) = checker
+        .analyze_bytes_reusing_fp(&v0, fp(&v0), Seeds::Keep(None))
+        .unwrap();
+    let entry = entry.unwrap();
+    let cold = cfgs_built(&checker.analyze_bytes(&v1).unwrap());
+    let (replayed, _, stats) = checker
+        .analyze_bytes_reusing_fp(&v1, fp(&v1), Seeds::Keep(Some(&entry)))
+        .unwrap();
+    assert!(stats.analyses_reused > 0);
+    assert!(entry.analyses.values().any(|a| a.has_cfg()));
+    assert!(
+        cfgs_built(&replayed) < cold,
+        "{} vs {cold}",
+        cfgs_built(&replayed)
+    );
 }

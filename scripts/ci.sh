@@ -223,6 +223,27 @@ trap 'rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir" "$vet_dir"' EXIT
 cmp "$vet_dir/oneshot.json" "$vet_dir/vet.json" \
     || { echo "vet smoke: vet output differs from one-shot"; exit 1; }
 echo "vet smoke ok: 40 apps byte-identical to one-shot"
+# CFGs are built on demand: across the tree some are built, and fewer
+# than there are method bodies.
+./target/release/nchecker --json --metrics --no-cache \
+    $(find "$vet_dir/corpus" -name '*.apk' | sort) > "$vet_dir/metrics.json"
+python3 - "$vet_dir/metrics.json" <<'EOF'
+import json, sys
+
+# One pretty-printed report per app, back to back.
+text, pos, docs = open(sys.argv[1]).read(), 0, []
+while pos < len(text):
+    if text[pos].isspace():
+        pos += 1
+        continue
+    doc, pos = json.JSONDecoder().raw_decode(text, pos)
+    docs.append(doc)
+assert len(docs) == 40, len(docs)
+total = lambda name: sum(d["metrics"]["counters"].get(name, 0) for d in docs)
+built, bodies = total("context.cfgs_built"), total("context.methods_analyzed")
+assert 0 < built < bodies, f"{built} CFGs built for {bodies} bodies"
+print(f"lazy CFG ok: {built} CFGs built for {bodies} method bodies")
+EOF
 # Served bytes are checksummed bytes: flip one byte in one record's JSON
 # section (the bytes a disk hit replies with). The re-run must drop that
 # record and recompute it, never serve it; a third run must then hit all
