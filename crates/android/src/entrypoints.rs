@@ -9,7 +9,8 @@
 use crate::callbacks::{ui_callback_for, UI_CALLBACKS};
 use crate::component::lifecycle_methods;
 use crate::manifest::{ComponentKind, Manifest};
-use nck_ir::body::{MethodId, Program, Rvalue, Stmt};
+use nck_ir::body::{ClassId, MethodId, Program, Rvalue, Stmt};
+use nck_ir::hierarchy::TypeIndex;
 use nck_ir::symbols::Symbol;
 
 /// What made a method an entry point.
@@ -100,8 +101,9 @@ fn outer_component(
     Some((sym, decl.kind))
 }
 
-/// Computes all entry points of `program` under `manifest`.
-pub fn entry_points(program: &Program, manifest: &Manifest) -> Vec<EntryPoint> {
+/// Computes all entry points of `program` under `manifest`; `types` is
+/// the program's class-hierarchy index.
+pub fn entry_points(program: &Program, types: &TypeIndex, manifest: &Manifest) -> Vec<EntryPoint> {
     let mut out = Vec::new();
 
     // 1. Lifecycle methods of declared components.
@@ -132,8 +134,8 @@ pub fn entry_points(program: &Program, manifest: &Manifest) -> Vec<EntryPoint> {
 
     // 2. UI callbacks of listener classes (including components that
     //    implement listener interfaces themselves).
-    for class in &program.classes {
-        let interfaces = program.all_interfaces(class.name);
+    for (i, class) in program.classes.iter().enumerate() {
+        let interfaces = types.class_interfaces(ClassId(i as u32));
         if interfaces.is_empty() {
             continue;
         }
@@ -243,7 +245,7 @@ mod tests {
     #[test]
     fn lifecycle_entries_found() {
         let (p, m) = activity_with_listener();
-        let entries = entry_points(&p, &m);
+        let entries = entry_points(&p, &TypeIndex::build(&p), &m);
         let lifecycles: Vec<_> = entries
             .iter()
             .filter(|e| e.kind == EntryKind::Lifecycle)
@@ -257,7 +259,7 @@ mod tests {
     #[test]
     fn inner_class_callback_attributed_to_outer_component() {
         let (p, m) = activity_with_listener();
-        let entries = entry_points(&p, &m);
+        let entries = entry_points(&p, &TypeIndex::build(&p), &m);
         let cb = entries
             .iter()
             .find(|e| matches!(e.kind, EntryKind::UiCallback { .. }))
@@ -273,7 +275,7 @@ mod tests {
     #[test]
     fn service_lifecycle_is_background_context() {
         let (p, m) = activity_with_listener();
-        let entries = entry_points(&p, &m);
+        let entries = entry_points(&p, &TypeIndex::build(&p), &m);
         let svc = entries
             .iter()
             .find(|e| e.component_kind == ComponentKind::Service)
@@ -307,7 +309,7 @@ mod tests {
         let p = lift_file(&b.finish().unwrap()).unwrap();
         let mut manifest = Manifest::new("com.app");
         manifest.component("Lcom/app/Sync;", ComponentKind::Service);
-        let entries = entry_points(&p, &manifest);
+        let entries = entry_points(&p, &TypeIndex::build(&p), &manifest);
         let cb = entries
             .iter()
             .find(|e| matches!(e.kind, EntryKind::UiCallback { .. }))
@@ -330,7 +332,7 @@ mod tests {
         });
         let p = lift_file(&b.finish().unwrap()).unwrap();
         let manifest = Manifest::new("com.app");
-        let entries = entry_points(&p, &manifest);
+        let entries = entry_points(&p, &TypeIndex::build(&p), &manifest);
         assert_eq!(entries.len(), 1);
         assert!(entries[0].component.is_none());
         assert_eq!(entries[0].component_kind, ComponentKind::Activity);

@@ -8,6 +8,7 @@
 use nck_android::callbacks::implicit_edges_for;
 use nck_dataflow::{tarjan_sccs, BitSet};
 use nck_ir::body::{MethodId, MethodKey, Operand, Program, StmtId};
+use nck_ir::hierarchy::TypeIndex;
 use nck_ir::symbols::Symbol;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -32,6 +33,10 @@ pub struct CallGraph {
     out_edges: BTreeMap<MethodId, Vec<CallEdge>>,
     /// Incoming edges per callee.
     in_edges: BTreeMap<MethodId, Vec<CallEdge>>,
+    /// Distinct virtual/interface keys CHA resolved.
+    cha_keys: usize,
+    /// Candidate subclasses CHA examined over those keys.
+    cha_candidates: usize,
 }
 
 /// A read-only set of methods backed by a shared bitset.
@@ -70,23 +75,21 @@ impl MethodSet {
 /// Resolves a virtual/interface call key to program methods via CHA:
 /// the statically named class (walking supertypes for inherited
 /// implementations) plus every program subclass overriding the method.
-fn resolve_virtual(program: &Program, key: MethodKey) -> Vec<MethodId> {
+/// Also returns how many candidate classes it examined.
+fn resolve_virtual(program: &Program, types: &TypeIndex, key: MethodKey) -> (Vec<MethodId>, usize) {
     let mut out = Vec::new();
     // Walk up from the static receiver class for an inherited definition.
-    for cls in program.hierarchy(key.class) {
+    for cls in types.chain(key.class) {
         if let Some(id) = program.lookup_method(MethodKey { class: cls, ..key }) {
             out.push(id);
             break;
         }
     }
     // Every subclass of the static class that defines the method.
-    for class in &program.classes {
+    let subs = types.subtypes(key.class);
+    for &cid in subs {
+        let class = &program.classes[cid.0 as usize];
         if class.name == key.class {
-            continue;
-        }
-        let is_sub = program.hierarchy(class.name).contains(&key.class)
-            || program.all_interfaces(class.name).contains(&key.class);
-        if !is_sub {
             continue;
         }
         if let Some(id) = program.lookup_method(MethodKey {
@@ -98,26 +101,16 @@ fn resolve_virtual(program: &Program, key: MethodKey) -> Vec<MethodId> {
     }
     out.sort_unstable();
     out.dedup();
-    out
-}
-
-/// Returns `true` when `class`'s hierarchy (within the program, ending at
-/// the first framework type) contains `base`.
-fn extends(program: &Program, class: Symbol, base: &str) -> bool {
-    program
-        .hierarchy(class)
-        .iter()
-        .chain(program.all_interfaces(class).iter())
-        .any(|&s| program.symbols.resolve(s) == base)
+    (out, subs.len())
 }
 
 impl CallGraph {
-    /// Builds the call graph of `program`.
-    pub fn build(program: &Program) -> CallGraph {
+    /// Builds the call graph of `program`, whose class hierarchy `types`
+    /// indexes.
+    pub fn build(program: &Program, types: &TypeIndex) -> CallGraph {
         let mut cg = CallGraph::default();
-        // CHA resolution walks every program class per query; apps invoke
-        // the same (class, name, sig) key from many sites, so memoize the
-        // resolution per key for the duration of the build.
+        // Apps invoke the same (class, name, sig) key from many sites, so
+        // memoize the CHA resolution per key for the duration of the build.
         let mut virt_cache: HashMap<MethodKey, Vec<MethodId>> = HashMap::new();
 
         for (caller, method) in program.iter_methods() {
@@ -135,19 +128,20 @@ impl CallGraph {
                     }
                     nck_dex::InvokeKind::Super => {
                         // Look strictly above the caller's class.
-                        let mut found = None;
-                        for cls in program.hierarchy(method.key.class).into_iter().skip(1) {
-                            if let Some(id) = program.lookup_method(MethodKey { class: cls, ..key })
-                            {
-                                found = Some(id);
-                                break;
-                            }
-                        }
+                        let found = types
+                            .chain(method.key.class)
+                            .skip(1)
+                            .find_map(|cls| program.lookup_method(MethodKey { class: cls, ..key }));
                         found.into_iter().collect()
                     }
                     nck_dex::InvokeKind::Virtual | nck_dex::InvokeKind::Interface => virt_cache
                         .entry(key)
-                        .or_insert_with(|| resolve_virtual(program, key))
+                        .or_insert_with(|| {
+                            let (callees, candidates) = resolve_virtual(program, types, key);
+                            cg.cha_keys += 1;
+                            cg.cha_candidates += candidates;
+                            callees
+                        })
                         .clone(),
                 };
                 for callee in callees {
@@ -184,8 +178,12 @@ impl CallGraph {
                         // is implicit in the lookup below.
                         true
                     } else {
-                        extends(program, flow_class, rule.trigger_class)
-                            || program.symbols.resolve(flow_class) == rule.trigger_class
+                        // A trigger class the app never names is nobody's
+                        // supertype.
+                        program
+                            .symbols
+                            .get(rule.trigger_class)
+                            .is_some_and(|base| types.is_subtype(flow_class, base))
                     };
                     if !trigger_matches {
                         continue;
@@ -193,7 +191,7 @@ impl CallGraph {
                     for &(tname, tsig) in rule.targets {
                         // Look for the target on the flow class or any
                         // superclass defined in the program.
-                        for cls in program.hierarchy(flow_class) {
+                        for cls in types.chain(flow_class) {
                             let Some(name_sym) = program.symbols.get(tname) else {
                                 continue;
                             };
@@ -363,6 +361,18 @@ impl CallGraph {
     pub fn edge_count(&self) -> usize {
         self.out_edges.values().map(Vec::len).sum()
     }
+
+    /// Distinct virtual/interface call keys CHA resolved.
+    pub fn cha_keys(&self) -> usize {
+        self.cha_keys
+    }
+
+    /// Candidate subclasses CHA examined, summed over its keys: the
+    /// length of each key's subtype list, where a scan of every program
+    /// class would examine them all.
+    pub fn cha_candidates(&self) -> usize {
+        self.cha_candidates
+    }
 }
 
 #[cfg(test)]
@@ -398,7 +408,7 @@ mod tests {
                 c.method("g", "()V", AccessFlags::PUBLIC, 1, |m| m.ret(None));
             });
         });
-        let cg = CallGraph::build(&p);
+        let cg = CallGraph::build(&p, &TypeIndex::build(&p));
         let f = method_named(&p, "La/A;", "f");
         let g = method_named(&p, "La/A;", "g");
         assert_eq!(cg.callees(f).len(), 1);
@@ -425,9 +435,11 @@ mod tests {
                 });
             });
         });
-        let cg = CallGraph::build(&p);
+        let cg = CallGraph::build(&p, &TypeIndex::build(&p));
         let use_ = method_named(&p, "La/User;", "use");
         assert_eq!(cg.callees(use_).len(), 2);
+        // One virtual key; its candidates are Base and Derived, not User.
+        assert_eq!((cg.cha_keys(), cg.cha_candidates()), (1, 2));
     }
 
     #[test]
@@ -447,7 +459,7 @@ mod tests {
                 });
             });
         });
-        let cg = CallGraph::build(&p);
+        let cg = CallGraph::build(&p, &TypeIndex::build(&p));
         let use_ = method_named(&p, "La/User;", "use");
         let base_work = method_named(&p, "La/Base;", "work");
         assert_eq!(cg.callees(use_).len(), 1);
@@ -497,7 +509,7 @@ mod tests {
                 );
             });
         });
-        let cg = CallGraph::build(&p);
+        let cg = CallGraph::build(&p, &TypeIndex::build(&p));
         let onclick = method_named(&p, "Lapp/Main;", "onClick");
         let dib = method_named(&p, "Lapp/FetchTask;", "doInBackground");
         let ope = method_named(&p, "Lapp/FetchTask;", "onPostExecute");
@@ -533,7 +545,7 @@ mod tests {
                 });
             });
         });
-        let cg = CallGraph::build(&p);
+        let cg = CallGraph::build(&p, &TypeIndex::build(&p));
         let go = method_named(&p, "Lapp/Main;", "go");
         let run = method_named(&p, "Lapp/Job;", "run");
         assert!(cg.reachable_from(go).contains(&run));
@@ -559,7 +571,7 @@ mod tests {
                 });
             });
         });
-        let cg = CallGraph::build(&p);
+        let cg = CallGraph::build(&p, &TypeIndex::build(&p));
         let use_ = method_named(&p, "La/User;", "use");
         let mut seen = std::collections::BTreeSet::new();
         for e in cg.callees(use_) {
@@ -590,7 +602,7 @@ mod tests {
                 c.method("c", "()V", AccessFlags::PUBLIC, 1, |m| m.ret(None));
             });
         });
-        let cg = CallGraph::build(&p);
+        let cg = CallGraph::build(&p, &TypeIndex::build(&p));
         let a = method_named(&p, "La/A;", "a");
         let c = method_named(&p, "La/A;", "c");
         let path = cg.path(a, c).unwrap();

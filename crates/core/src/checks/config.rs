@@ -112,9 +112,7 @@ fn match_config_calls(
         let Some(inv) = stmt.invoke_expr() else {
             continue;
         };
-        let class = app.program.symbols.resolve(inv.callee.class);
-        let name = app.program.symbols.resolve(inv.callee.name);
-        let Some(cfg) = app.registry.config(class, name) else {
+        let Some(cfg) = app.api_config(inv) else {
             continue;
         };
         if cfg.library != library {

@@ -25,9 +25,7 @@ pub fn methods_invoking_connectivity(app: &AnalyzedApp<'_>) -> BTreeSet<MethodId
             let Some(inv) = stmt.invoke_expr() else {
                 continue;
             };
-            let class = app.program.symbols.resolve(inv.callee.class);
-            let name = app.program.symbols.resolve(inv.callee.name);
-            if app.registry.is_connectivity_check(class, name) {
+            if app.api_is_connectivity(inv) {
                 out.insert(mid);
                 break;
             }
@@ -89,9 +87,7 @@ fn guarded_intra(app: &AnalyzedApp<'_>, method: MethodId, site: StmtId, interpro
         .iter()
         .filter(|(id, stmt)| {
             stmt.invoke_expr().is_some_and(|inv| {
-                let class = app.program.symbols.resolve(inv.callee.class);
-                let name = app.program.symbols.resolve(inv.callee.name);
-                app.registry.is_connectivity_check(class, name)
+                app.api_is_connectivity(inv)
                     || (interproc
                         && explicit_callee_matches(app, method, *id, |c| app.calls_source(c)))
             })
@@ -212,9 +208,7 @@ fn guarded_by_conn_branch(
         .filter(|(id, s)| {
             matches!(s, nck_ir::Stmt::Assign { .. })
                 && s.invoke_expr().is_some_and(|inv| {
-                    let class = app.program.symbols.resolve(inv.callee.class);
-                    let name = app.program.symbols.resolve(inv.callee.name);
-                    app.registry.is_connectivity_check(class, name)
+                    app.api_is_connectivity(inv)
                         || (interproc
                             && explicit_callee_matches(app, method, *id, |c| {
                                 // A connectivity-derived result needs a

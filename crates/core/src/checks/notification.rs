@@ -27,29 +27,22 @@ pub struct NotificationFinding {
     pub error_types_checked: Option<bool>,
 }
 
-/// Returns `true` when `class` implements or extends `base` within the
-/// program's knowledge.
-fn implements(app: &AnalyzedApp<'_>, class: nck_ir::Symbol, base: &str) -> bool {
-    app.program
-        .hierarchy(class)
-        .iter()
-        .chain(app.program.all_interfaces(class).iter())
-        .any(|&s| app.program.symbols.resolve(s) == base)
-}
-
 /// Finds the error callback method associated with `site`.
 fn find_callback(app: &AnalyzedApp<'_>, site: &RequestSite) -> (Option<MethodId>, bool) {
     let Some(spec) = app.registry.error_callback(site.library()) else {
         return (None, false);
     };
 
-    // Candidate classes implementing the callback interface and defining
-    // the callback method.
+    // Candidate classes implementing the callback interface (in class
+    // order; an interface the app never names has none) and defining the
+    // callback method.
     let mut candidates: Vec<(nck_ir::Symbol, MethodId)> = Vec::new();
-    for class in &app.program.classes {
-        if !implements(app, class.name, spec.interface) {
-            continue;
-        }
+    let implementors = match app.program.symbols.get(spec.interface) {
+        Some(base) => app.types.subtypes(base),
+        None => &[],
+    };
+    for &cid in implementors {
+        let class = &app.program.classes[cid.0 as usize];
         for &mid in &class.methods {
             let m = app.program.method(mid);
             if app.program.symbols.resolve(m.key.name) == spec.method && m.body.is_some() {

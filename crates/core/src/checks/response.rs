@@ -96,11 +96,9 @@ pub fn check_response_with(
                 if !flow.locals.contains(&recv) {
                     continue;
                 }
-                let class = app.program.symbols.resolve(inv.callee.class);
-                let name = app.program.symbols.resolve(inv.callee.name);
-                if app.registry.response_check(class, name).is_some() {
+                if app.api_response_check(inv).is_some() {
                     checks.push(sid);
-                } else if name != "<init>" {
+                } else if app.program.symbols.resolve(inv.callee.name) != "<init>" {
                     uses.push(sid);
                 }
             }

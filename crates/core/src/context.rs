@@ -7,11 +7,13 @@ use nck_android::manifest::Manifest;
 use nck_dataflow::interproc::{CallKind, MethodInput, Summaries, SummarySeed};
 use nck_dataflow::{ConstProp, ControlDeps, ReachingDefs};
 use nck_dex::fingerprint::Fnv;
-use nck_ir::body::{Body, MethodId, Program};
+use nck_ir::body::{Body, InvokeExpr, MethodId, MethodKey, Program};
 use nck_ir::cfg::Cfg;
 use nck_ir::dom::{dominators, post_dominators, DomTree};
+use nck_ir::hierarchy::TypeIndex;
 use nck_ir::loops::{natural_loops, NaturalLoop};
-use nck_netlibs::api::Registry;
+use nck_ir::symbols::Interner;
+use nck_netlibs::api::{ApiRoles, ConfigApi, Registry, ResponseCheckApi, TargetApi};
 use nck_obs::Obs;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
@@ -134,6 +136,52 @@ pub struct AppReuse<'a> {
     pub summary_seed: &'a SummarySeed,
 }
 
+/// The registry's roles keyed by one app's interned callee symbols, so a
+/// checker classifies a call without resolving its names to strings.
+#[derive(Debug)]
+struct ApiIndex {
+    /// One bit per symbol, set for the class of some registry key: most
+    /// invokes are rejected with one load.
+    classes: Vec<u64>,
+    /// `(class, name)` symbol pairs packed into a `u64`, sorted.
+    roles: Vec<(u64, ApiRoles)>,
+}
+
+impl ApiIndex {
+    fn build(symbols: &Interner, registry: &Registry) -> ApiIndex {
+        let mut classes = vec![0u64; symbols.len().div_ceil(64)];
+        let mut roles = Vec::new();
+        for (class, name, r) in registry.roles() {
+            let Some(c) = symbols.get(class) else {
+                continue;
+            };
+            let Some(n) = symbols.get(name) else {
+                continue;
+            };
+            classes[c.0 as usize / 64] |= 1 << (c.0 % 64);
+            roles.push((Self::key(c.0, n.0), r));
+        }
+        roles.sort_unstable_by_key(|&(k, _)| k);
+        ApiIndex { classes, roles }
+    }
+
+    fn key(class: u32, name: u32) -> u64 {
+        (u64::from(class) << 32) | u64::from(name)
+    }
+
+    fn roles(&self, callee: MethodKey) -> ApiRoles {
+        let c = callee.class.0 as usize;
+        let word = self.classes.get(c / 64).copied().unwrap_or(0);
+        if word & (1 << (c % 64)) == 0 {
+            return ApiRoles::default();
+        }
+        let key = Self::key(callee.class.0, callee.name.0);
+        self.roles
+            .binary_search_by_key(&key, |&(k, _)| k)
+            .map_or_else(|_| ApiRoles::default(), |i| self.roles[i].1)
+    }
+}
+
 /// The fully analyzed app every checker consumes.
 #[derive(Debug)]
 pub struct AnalyzedApp<'r> {
@@ -143,6 +191,8 @@ pub struct AnalyzedApp<'r> {
     pub program: Program,
     /// The annotation registry in force.
     pub registry: &'r Registry,
+    /// The program's class-hierarchy index.
+    pub types: TypeIndex,
     /// Framework entry points.
     pub entries: Vec<EntryPoint>,
     /// The call graph.
@@ -151,6 +201,7 @@ pub struct AnalyzedApp<'r> {
     /// in the same call-graph component share one underlying bitset.
     pub entry_reach: Vec<MethodSet>,
     analyses: BTreeMap<MethodId, Arc<MethodAnalysis>>,
+    apis: ApiIndex,
     calls_source: OnceLock<Vec<bool>>,
     prior: Option<AppReuse<'r>>,
     obs: Obs,
@@ -191,15 +242,17 @@ impl<'r> AnalyzedApp<'r> {
         obs: &Obs,
     ) -> AnalyzedApp<'r> {
         let _ctx = obs.tracer.span("context");
+        let types = TypeIndex::build(&program);
+        let apis = ApiIndex::build(&program.symbols, registry);
         let entries = {
             let s = obs.tracer.span("entry_points");
-            let entries = entry_points(&program, &manifest);
+            let entries = entry_points(&program, &types, &manifest);
             s.add_items(entries.len() as u64);
             entries
         };
         let callgraph = {
             let _s = obs.tracer.span("callgraph");
-            CallGraph::build(&program)
+            CallGraph::build(&program, &types)
         };
         let entry_reach: Vec<MethodSet> = {
             let _s = obs.tracer.span("entry_reach");
@@ -239,15 +292,21 @@ impl<'r> AnalyzedApp<'r> {
             obs.metrics.inc("context.entries", entries.len() as u64);
             obs.metrics
                 .inc("context.methods_analyzed", analyses.len() as u64);
+            obs.metrics
+                .inc("context.cha_keys", callgraph.cha_keys() as u64);
+            obs.metrics
+                .inc("context.cha_candidates", callgraph.cha_candidates() as u64);
         }
         AnalyzedApp {
             manifest,
             program,
             registry,
+            types,
             entries,
             callgraph,
             entry_reach,
             analyses,
+            apis,
             calls_source: OnceLock::new(),
             prior: reuse,
             obs: obs.clone(),
@@ -284,17 +343,44 @@ impl<'r> AnalyzedApp<'r> {
                 let Some(inv) = self.body(e.caller).stmt(e.stmt).invoke_expr() else {
                     continue;
                 };
-                let class = self.program.symbols.resolve(inv.callee.class);
-                let name = self.program.symbols.resolve(inv.callee.name);
-                if !self.registry.is_connectivity_check(class, name)
-                    && self.registry.response_check(class, name).is_none()
-                {
+                let roles = self.api_roles(inv);
+                if !roles.connectivity && roles.response_check.is_none() {
                     calls[e.caller.0 as usize] = true;
                     work.push(e.caller);
                 }
             }
         }
         calls
+    }
+
+    /// The registry roles of `inv`'s callee `(class, name)`.
+    pub fn api_roles(&self, inv: &InvokeExpr) -> ApiRoles {
+        self.apis.roles(inv.callee)
+    }
+
+    /// The target API `inv` calls, if any.
+    pub fn api_target(&self, inv: &InvokeExpr) -> Option<&'r TargetApi> {
+        let registry = self.registry;
+        self.api_roles(inv).target.map(|i| &registry.targets()[i])
+    }
+
+    /// The config API `inv` calls, if any.
+    pub fn api_config(&self, inv: &InvokeExpr) -> Option<&'r ConfigApi> {
+        let registry = self.registry;
+        self.api_roles(inv).config.map(|i| &registry.configs()[i])
+    }
+
+    /// The response-checking API `inv` calls, if any.
+    pub fn api_response_check(&self, inv: &InvokeExpr) -> Option<&'r ResponseCheckApi> {
+        let registry = self.registry;
+        self.api_roles(inv)
+            .response_check
+            .map(|i| &registry.response_checks()[i])
+    }
+
+    /// Whether `inv` calls a connectivity-state API.
+    pub fn api_is_connectivity(&self, inv: &InvokeExpr) -> bool {
+        self.api_roles(inv).connectivity
     }
 
     /// The interprocedural method summaries. The first call solves the
@@ -332,7 +418,7 @@ impl<'r> AnalyzedApp<'r> {
     /// implicit edges — stays opaque to keep the summaries conservative.
     fn solve(&self) -> (Summaries, SummarySeed, Vec<u64>) {
         let _s = self.obs.tracer.span("summaries");
-        let (program, registry) = (&self.program, self.registry);
+        let program = &self.program;
         let fps = callee_fingerprints(program, &self.callgraph);
         let dirty = self.prior.map(|r| {
             let reused: BTreeSet<usize> = r.reused_methods.iter().map(|m| m.0 as usize).collect();
@@ -359,12 +445,11 @@ impl<'r> AnalyzedApp<'r> {
             &inputs,
             &cfgs,
             |m, stmt, inv| {
-                let class = program.symbols.resolve(inv.callee.class);
-                let name = program.symbols.resolve(inv.callee.name);
-                if registry.is_connectivity_check(class, name) {
+                let roles = self.api_roles(inv);
+                if roles.connectivity {
                     return CallKind::Source;
                 }
-                if registry.response_check(class, name).is_some() {
+                if roles.response_check.is_some() {
                     return CallKind::CheckSink;
                 }
                 let callees: Vec<usize> = self

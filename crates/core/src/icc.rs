@@ -147,9 +147,7 @@ pub fn conn_guarded_components(
             let Some(inv) = cstmt.invoke_expr() else {
                 return false;
             };
-            let class = app.program.symbols.resolve(inv.callee.class);
-            let name = app.program.symbols.resolve(inv.callee.name);
-            if !app.registry.is_connectivity_check(class, name) {
+            if !app.api_is_connectivity(inv) {
                 return false;
             }
             // Forward reachability from check to send.

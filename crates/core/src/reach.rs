@@ -153,9 +153,7 @@ pub fn find_request_sites(app: &AnalyzedApp<'_>) -> Vec<RequestSite> {
             let Some(inv) = stmt.invoke_expr() else {
                 continue;
             };
-            let class = str_of(app, inv.callee.class);
-            let name = str_of(app, inv.callee.name);
-            let Some(target) = app.registry.target(class, name) else {
+            let Some(target) = app.api_target(inv) else {
                 continue;
             };
             let entries = app.entries_reaching(mid);

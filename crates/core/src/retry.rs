@@ -108,9 +108,7 @@ fn methods_reaching_targets(app: &AnalyzedApp<'_>) -> BTreeSet<MethodId> {
         let Some(body) = &m.body else { continue };
         for (_, stmt) in body.iter() {
             if let Some(inv) = stmt.invoke_expr() {
-                let class = app.program.symbols.resolve(inv.callee.class);
-                let name = app.program.symbols.resolve(inv.callee.name);
-                if app.registry.target(class, name).is_some() {
+                if app.api_target(inv).is_some() {
                     seeds.insert(mid);
                     break;
                 }
@@ -139,9 +137,7 @@ pub fn find_retry_loops(app: &AnalyzedApp<'_>) -> Vec<RetryLoop> {
         let Some(inv) = stmt.invoke_expr() else {
             return false;
         };
-        let class = app.program.symbols.resolve(inv.callee.class);
-        let name = app.program.symbols.resolve(inv.callee.name);
-        app.registry.target(class, name).is_some()
+        app.api_target(inv).is_some()
             || app
                 .callgraph
                 .callees_at(mid, s)

@@ -177,12 +177,7 @@ mod tests {
     use nck_ir::body::LocalDecl;
 
     fn locals(n: usize) -> Vec<LocalDecl> {
-        (0..n)
-            .map(|i| LocalDecl {
-                name: format!("v{i}"),
-                ty: None,
-            })
-            .collect()
+        vec![LocalDecl { ty: None }; n]
     }
 
     #[test]

@@ -122,10 +122,7 @@ mod tests {
             sig: p.symbols.intern("()V"),
         };
         let body = Body {
-            locals: vec![nck_ir::LocalDecl {
-                name: "e".into(),
-                ty: None,
-            }],
+            locals: vec![nck_ir::LocalDecl { ty: None }],
             stmts: vec![
                 Stmt::Invoke(InvokeExpr {
                     kind: nck_dex::InvokeKind::Static,

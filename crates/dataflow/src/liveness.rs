@@ -73,10 +73,7 @@ mod tests {
         // 1: v0 = 2
         // 2: return v0
         let body = Body {
-            locals: vec![LocalDecl {
-                name: "v0".into(),
-                ty: None,
-            }],
+            locals: vec![LocalDecl { ty: None }],
             stmts: vec![
                 Stmt::Assign {
                     local: LocalId(0),
@@ -106,16 +103,7 @@ mod tests {
         // 2: if -> 1
         // 3: return v1
         let body = Body {
-            locals: vec![
-                LocalDecl {
-                    name: "v0".into(),
-                    ty: None,
-                },
-                LocalDecl {
-                    name: "v1".into(),
-                    ty: None,
-                },
-            ],
+            locals: vec![LocalDecl { ty: None }, LocalDecl { ty: None }],
             stmts: vec![
                 Stmt::Assign {
                     local: LocalId(0),

@@ -123,10 +123,7 @@ mod tests {
         // 2: v0 = 2
         // 3: return v0
         Body {
-            locals: vec![LocalDecl {
-                name: "v0".into(),
-                ty: None,
-            }],
+            locals: vec![LocalDecl { ty: None }],
             stmts: vec![
                 Stmt::Assign {
                     local: LocalId(0),

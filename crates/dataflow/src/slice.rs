@@ -136,12 +136,7 @@ mod tests {
         // 2: v2 = 9        (irrelevant)
         // 3: return v1
         let body = Body {
-            locals: (0..3)
-                .map(|i| LocalDecl {
-                    name: format!("v{i}"),
-                    ty: None,
-                })
-                .collect(),
+            locals: vec![LocalDecl { ty: None }; 3],
             stmts: vec![
                 Stmt::Assign {
                     local: LocalId(0),
@@ -179,12 +174,7 @@ mod tests {
         // 2: v1 = 5        (controlled by 1)
         // 3: return
         let body = Body {
-            locals: (0..2)
-                .map(|i| LocalDecl {
-                    name: format!("v{i}"),
-                    ty: None,
-                })
-                .collect(),
+            locals: vec![LocalDecl { ty: None }; 2],
             stmts: vec![
                 Stmt::Assign {
                     local: LocalId(0),
@@ -228,10 +218,7 @@ mod tests {
             sig: p.symbols.intern("()V"),
         };
         let body = Body {
-            locals: vec![LocalDecl {
-                name: "v0".into(),
-                ty: None,
-            }],
+            locals: vec![LocalDecl { ty: None }],
             stmts: vec![
                 Stmt::Assign {
                     local: LocalId(0),

@@ -256,10 +256,7 @@ mod tests {
     #[test]
     fn forward_fixpoint_on_straight_line() {
         let body = Body {
-            locals: vec![LocalDecl {
-                name: "v0".into(),
-                ty: None,
-            }],
+            locals: vec![LocalDecl { ty: None }],
             stmts: vec![
                 Stmt::Assign {
                     local: LocalId(0),
@@ -286,10 +283,7 @@ mod tests {
         // 1: if -> 0 (loop back)
         // 2: return
         let body = Body {
-            locals: vec![LocalDecl {
-                name: "v0".into(),
-                ty: None,
-            }],
+            locals: vec![LocalDecl { ty: None }],
             stmts: vec![
                 Stmt::Assign {
                     local: LocalId(0),

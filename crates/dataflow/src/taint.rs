@@ -212,15 +212,12 @@ mod tests {
         lift_file(&b.finish().unwrap()).unwrap()
     }
 
-    fn flow_of(p: &Program, seed_name: &str) -> ObjectFlow {
+    /// The object flow seeded at register `seed` (`"v0"`, `"v1"`, ...).
+    fn flow_of(p: &Program, seed: &str) -> ObjectFlow {
         let body = p.methods[0].body.as_ref().unwrap();
-        let seed = body
-            .locals
-            .iter()
-            .position(|l| l.name == seed_name)
-            .map(|i| LocalId(i as u32))
-            .expect("seed local");
-        object_flow(body, seed, FlowOptions::default())
+        let reg: u32 = seed[1..].parse().expect("a register name");
+        assert!((reg as usize) < body.locals.len(), "seed local");
+        object_flow(body, LocalId(reg), FlowOptions::default())
     }
 
     #[test]

@@ -405,30 +405,35 @@ impl Insn {
         }
     }
 
-    /// Returns the registers used (read) by this instruction.
-    pub fn uses(&self) -> Vec<Reg> {
-        match self {
-            Insn::Move { src, .. } => vec![*src],
-            Insn::NewArray { len, .. } => vec![*len],
-            Insn::CheckCast { reg, .. } => vec![*reg],
-            Insn::InstanceOf { src, .. } => vec![*src],
-            Insn::ArrayLength { arr, .. } => vec![*arr],
-            Insn::Aget { arr, idx, .. } => vec![*arr, *idx],
-            Insn::Aput { src, arr, idx } => vec![*src, *arr, *idx],
-            Insn::Iget { obj, .. } => vec![*obj],
-            Insn::Iput { src, obj, .. } => vec![*src, *obj],
-            Insn::Sput { src, .. } => vec![*src],
-            Insn::Invoke { args, .. } => args.clone(),
-            Insn::Return { src } => src.iter().copied().collect(),
-            Insn::Throw { src } => vec![*src],
-            Insn::If { a, b, .. } => vec![*a, *b],
-            Insn::IfZ { a, .. } => vec![*a],
-            Insn::BinOp { a, b, .. } => vec![*a, *b],
-            Insn::BinOpLit { a, .. } => vec![*a],
-            Insn::UnOp { src, .. } => vec![*src],
-            Insn::Switch { src, .. } => vec![*src],
-            _ => vec![],
-        }
+    /// Returns the registers used (read) by this instruction, without
+    /// allocating.
+    pub fn uses(&self) -> impl Iterator<Item = Reg> + '_ {
+        let none = Reg(0);
+        let (fixed, n, rest): ([Reg; 3], usize, &[Reg]) = match *self {
+            Insn::Move { src, .. }
+            | Insn::InstanceOf { src, .. }
+            | Insn::Sput { src, .. }
+            | Insn::Throw { src }
+            | Insn::UnOp { src, .. }
+            | Insn::Switch { src, .. } => ([src, none, none], 1, &[]),
+            Insn::NewArray { len, .. } => ([len, none, none], 1, &[]),
+            Insn::CheckCast { reg, .. } => ([reg, none, none], 1, &[]),
+            Insn::ArrayLength { arr, .. } => ([arr, none, none], 1, &[]),
+            Insn::Aget { arr, idx, .. } => ([arr, idx, none], 2, &[]),
+            Insn::Aput { src, arr, idx } => ([src, arr, idx], 3, &[]),
+            Insn::Iget { obj, .. } => ([obj, none, none], 1, &[]),
+            Insn::Iput { src, obj, .. } => ([src, obj, none], 2, &[]),
+            Insn::Invoke { ref args, .. } => ([none; 3], 0, args.as_slice()),
+            Insn::Return { src } => (
+                [src.unwrap_or(none), none, none],
+                usize::from(src.is_some()),
+                &[],
+            ),
+            Insn::If { a, b, .. } | Insn::BinOp { a, b, .. } => ([a, b, none], 2, &[]),
+            Insn::IfZ { a, .. } | Insn::BinOpLit { a, .. } => ([a, none, none], 1, &[]),
+            _ => ([none; 3], 0, &[]),
+        };
+        fixed.into_iter().take(n).chain(rest.iter().copied())
     }
 
     /// Returns `true` if control cannot fall through to the next instruction.
@@ -448,14 +453,17 @@ impl Insn {
         )
     }
 
-    /// Returns all explicit branch targets of this instruction.
-    pub fn branch_targets(&self) -> Vec<u32> {
-        match self {
-            Insn::Goto { target } => vec![*target],
-            Insn::If { target, .. } | Insn::IfZ { target, .. } => vec![*target],
-            Insn::Switch { targets, .. } => targets.iter().map(|&(_, t)| t).collect(),
-            _ => vec![],
-        }
+    /// Returns all explicit branch targets of this instruction, without
+    /// allocating.
+    pub fn branch_targets(&self) -> impl Iterator<Item = u32> + '_ {
+        let (single, arms): (Option<u32>, &[(i32, u32)]) = match self {
+            Insn::Goto { target } | Insn::If { target, .. } | Insn::IfZ { target, .. } => {
+                (Some(*target), &[])
+            }
+            Insn::Switch { targets, .. } => (None, targets),
+            _ => (None, &[]),
+        };
+        single.into_iter().chain(arms.iter().map(|&(_, t)| t))
     }
 
     /// Rewrites all explicit branch targets through `f`, used by the builder
@@ -506,7 +514,7 @@ mod tests {
             args: vec![Reg(1), Reg(2)],
         };
         assert_eq!(i.def(), None);
-        assert_eq!(i.uses(), vec![Reg(1), Reg(2)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![Reg(1), Reg(2)]);
         assert!(i.can_throw());
     }
 
@@ -514,7 +522,7 @@ mod tests {
     fn move_result_defines() {
         let i = Insn::MoveResult { dst: Reg(3) };
         assert_eq!(i.def(), Some(Reg(3)));
-        assert!(i.uses().is_empty());
+        assert!(i.uses().next().is_none());
     }
 
     #[test]
@@ -541,7 +549,7 @@ mod tests {
             src: Reg(0),
             targets: vec![(1, 10), (2, 20)],
         };
-        assert_eq!(i.branch_targets(), vec![10, 20]);
+        assert_eq!(i.branch_targets().collect::<Vec<_>>(), vec![10, 20]);
     }
 
     #[test]
@@ -553,7 +561,7 @@ mod tests {
             target: 7,
         };
         i.map_targets(|t| t + 100);
-        assert_eq!(i.branch_targets(), vec![107]);
+        assert_eq!(i.branch_targets().collect::<Vec<_>>(), vec![107]);
     }
 
     #[test]

@@ -206,27 +206,40 @@ pub fn parse_signature(sig: &str) -> Result<(Vec<String>, String)> {
     }
     validate_descriptor(ret).map_err(|_| err())?;
     let mut params = Vec::new();
-    let bytes = param_str.as_bytes();
     let mut i = 0;
-    while i < bytes.len() {
-        let start = i;
-        while i < bytes.len() && bytes[i] == b'[' {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return Err(err());
-        }
-        match bytes[i] {
-            b'L' => {
-                let semi = param_str[i..].find(';').ok_or_else(err)?;
-                i += semi + 1;
-            }
-            b'Z' | b'B' | b'S' | b'C' | b'I' | b'J' | b'F' | b'D' => i += 1,
-            _ => return Err(err()),
-        }
-        params.push(param_str[start..i].to_owned());
+    while i < param_str.len() {
+        let end = param_token_end(param_str, i).ok_or_else(err)?;
+        params.push(param_str[i..end].to_owned());
+        i = end;
     }
     Ok((params, ret.to_owned()))
+}
+
+/// The end of the parameter descriptor starting at byte `i` of
+/// `params`: array dimensions, then a primitive or an `L...;` class up
+/// to the first `;`.
+fn param_token_end(params: &str, mut i: usize) -> Option<usize> {
+    let bytes = params.as_bytes();
+    while i < bytes.len() && bytes[i] == b'[' {
+        i += 1;
+    }
+    match bytes.get(i)? {
+        b'L' => params[i..].find(';').map(|semi| i + semi + 1),
+        b'Z' | b'B' | b'S' | b'C' | b'I' | b'J' | b'F' | b'D' => Some(i + 1),
+        _ => None,
+    }
+}
+
+/// Whether [`parse_signature`] of `(` + `params` concatenated + `)` +
+/// `ret` would return exactly `params` and `ret`: each parameter is one
+/// whole descriptor without `)`, and `ret` is a valid return type. A
+/// caller holding a prototype's descriptors then needs no signature
+/// string to know its parameters.
+pub fn signature_splits_as<'a>(params: impl IntoIterator<Item = &'a str>, ret: &str) -> bool {
+    validate_descriptor(ret).is_ok()
+        && params
+            .into_iter()
+            .all(|p| !p.contains(')') && param_token_end(p, 0) == Some(p.len()))
 }
 
 fn validate_descriptor(d: &str) -> std::result::Result<(), ()> {
@@ -282,5 +295,33 @@ mod tests {
         assert!(parse_signature("(I)").is_err());
         assert!(parse_signature("([)V").is_err());
         assert!(parse_signature("(I)[V").is_err());
+    }
+
+    #[test]
+    fn signature_splits_as_agrees_with_parse_signature() {
+        let cases: &[(&[&str], &str)] = &[
+            (&[], "V"),
+            (&["I", "[[Ljava/lang/String;", "Landroid/os/Bundle;"], "Z"),
+            (&["II"], "V"),
+            (&["Lfoo"], "V"),
+            (&["Lfoo", ";"], "V"),
+            (&["La)b;"], "V"),
+            (&[""], "V"),
+            (&["["], "V"),
+            (&["Q"], "V"),
+            (&["I"], "[V"),
+            (&["I"], ""),
+            (&["I"], "La/B;"),
+            (&["<bad>"], "V"),
+        ];
+        for &(params, ret) in cases {
+            let sig = format!("({}){ret}", params.concat());
+            let exact = parse_signature(&sig).is_ok_and(|(p, r)| p == params && r == ret);
+            assert_eq!(
+                signature_splits_as(params.iter().copied(), ret),
+                exact,
+                "{sig}"
+            );
+        }
     }
 }

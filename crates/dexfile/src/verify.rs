@@ -8,6 +8,7 @@
 
 use crate::insn::Insn;
 use crate::model::{AccessFlags, AdxFile, CodeItem};
+use crate::pool::MethodIdx;
 
 /// How much of the file a verification failure poisons.
 ///
@@ -49,7 +50,9 @@ impl std::fmt::Display for VerifyError {
     }
 }
 
-fn check_code(file: &AdxFile, method: &str, code: &CodeItem, errors: &mut Vec<VerifyError>) {
+/// Checks one method body. The method's display name is rendered only
+/// when an error needs it.
+fn check_code(file: &AdxFile, method: MethodIdx, code: &CodeItem, errors: &mut Vec<VerifyError>) {
     let len = code.insns.len() as u32;
     let n_strings = file.pools.strings().len() as u32;
     let n_types = file.pools.types().len() as u32;
@@ -58,7 +61,7 @@ fn check_code(file: &AdxFile, method: &str, code: &CodeItem, errors: &mut Vec<Ve
     let mut err = |pc: Option<u32>, message: String| {
         errors.push(VerifyError {
             scope: VerifyScope::Method,
-            method: method.to_owned(),
+            method: file.pools.display_method(method),
             pc,
             message,
         });
@@ -177,15 +180,16 @@ pub fn verify_with_skip(file: &AdxFile, skip: &[bool]) -> Vec<VerifyError> {
 
     let mut seen = std::collections::HashSet::new();
     for (ci, class) in file.classes.iter().enumerate() {
-        let class_name = file
-            .pools
-            .get_type(class.ty)
-            .unwrap_or("<bad type>")
-            .to_owned();
+        let class_name = || {
+            file.pools
+                .get_type(class.ty)
+                .unwrap_or("<bad type>")
+                .to_owned()
+        };
         if !seen.insert(class.ty) {
             errors.push(VerifyError {
                 scope: VerifyScope::Class,
-                method: class_name.clone(),
+                method: class_name(),
                 pc: None,
                 message: "duplicate class definition".to_owned(),
             });
@@ -197,41 +201,31 @@ pub fn verify_with_skip(file: &AdxFile, skip: &[bool]) -> Vec<VerifyError> {
             if s.0 >= n_types {
                 errors.push(VerifyError {
                     scope: VerifyScope::Class,
-                    method: class_name.clone(),
+                    method: class_name(),
                     pc: None,
                     message: format!("superclass index {s} out of range"),
                 });
             }
         }
         for m in &class.methods {
-            let name = file.pools.display_method(m.method);
+            let method_error = |message: &str| VerifyError {
+                scope: VerifyScope::Method,
+                method: file.pools.display_method(m.method),
+                pc: None,
+                message: message.to_owned(),
+            };
             let is_abstract = m.flags.contains(AccessFlags::ABSTRACT);
             match (&m.code, is_abstract) {
-                (Some(_), true) => errors.push(VerifyError {
-                    scope: VerifyScope::Method,
-                    method: name.clone(),
-                    pc: None,
-                    message: "abstract method has code".to_owned(),
-                }),
-                (None, false) => errors.push(VerifyError {
-                    scope: VerifyScope::Method,
-                    method: name.clone(),
-                    pc: None,
-                    message: "concrete method missing code".to_owned(),
-                }),
+                (Some(_), true) => errors.push(method_error("abstract method has code")),
+                (None, false) => errors.push(method_error("concrete method missing code")),
                 _ => {}
             }
             if let Some(code) = &m.code {
                 if code.ins > code.registers {
-                    errors.push(VerifyError {
-                        scope: VerifyScope::Method,
-                        method: name.clone(),
-                        pc: None,
-                        message: "ins exceeds registers".to_owned(),
-                    });
+                    errors.push(method_error("ins exceeds registers"));
                     continue;
                 }
-                check_code(file, &name, code, &mut errors);
+                check_code(file, m.method, code, &mut errors);
             }
         }
     }

@@ -150,7 +150,7 @@ impl DynamicChecker {
         program: &Program,
         manifest: &nck_android::manifest::Manifest,
     ) -> Vec<Observation> {
-        let entries = entry_points(program, manifest);
+        let entries = entry_points(program, &nck_ir::TypeIndex::build(program), manifest);
         let mut out = Vec::new();
         for scenario in &self.config.scenarios {
             for entry in &entries {

@@ -439,11 +439,10 @@ impl Stmt {
     }
 }
 
-/// A declared local variable.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A declared local variable: local `i` is register `vi`. The pretty
+/// printer names the receiver `this`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LocalDecl {
-    /// Display name (`v3`, `this`, ...).
-    pub name: String,
     /// Best-effort type descriptor symbol, when known.
     pub ty: Option<Symbol>,
 }

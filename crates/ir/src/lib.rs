@@ -27,6 +27,7 @@
 pub mod body;
 pub mod cfg;
 pub mod dom;
+pub mod hierarchy;
 pub mod lift;
 pub mod loops;
 pub mod pretty;
@@ -37,6 +38,7 @@ pub use body::{
     Body, Class, ClassId, FieldKey, IdentityKind, InvokeExpr, LocalDecl, LocalId, Method, MethodId,
     MethodKey, Operand, Program, Rvalue, Stmt, StmtId, Trap,
 };
+pub use hierarchy::TypeIndex;
 pub use lift::{lift_file, lift_file_lenient, LiftError, MethodSkip};
 pub use symbols::{Interner, Symbol};
 pub use types::Type;

@@ -8,7 +8,8 @@ use crate::body::{
     Body, Class, FieldKey, IdentityKind, InvokeExpr, LocalDecl, LocalId, Method, MethodId,
     MethodKey, Operand, Program, Rvalue, Stmt, StmtId, Trap,
 };
-use nck_dex::{AccessFlags, AdxFile, CodeItem, Insn, Reg};
+use crate::symbols::Symbol;
+use nck_dex::{AccessFlags, AdxFile, CodeItem, Insn, MethodIdx, ProtoIdx, Reg, StringIdx, TypeIdx};
 use std::sync::Arc;
 
 /// Errors produced during lifting.
@@ -86,9 +87,48 @@ pub type Result<T> = std::result::Result<T, LiftError>;
 struct Lifter<'a> {
     file: &'a AdxFile,
     program: Program,
+    /// Pool index → interned symbol or key, filled on first use (`None`
+    /// until then). A memo only skips repeat interns, so the
+    /// first-encounter interning order, which every symbol and the lift
+    /// seed's string replay depend on, is unchanged.
+    strings: Vec<Option<Symbol>>,
+    protos: Vec<Option<Symbol>>,
+    fields: Vec<Option<FieldKey>>,
+    methods: Vec<Option<MethodKey>>,
+}
+
+/// The parameter descriptors of a method being lifted.
+enum Params<'a> {
+    /// The prototype's type indices, which parse exactly as its rendered
+    /// signature does.
+    Pool(&'a [TypeIdx]),
+    /// The rendered signature, parsed (a prototype whose types do not
+    /// split cleanly).
+    Parsed(Vec<String>),
+}
+
+impl Params<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Params::Pool(types) => types.len(),
+            Params::Parsed(descs) => descs.len(),
+        }
+    }
 }
 
 impl<'a> Lifter<'a> {
+    fn new(file: &'a AdxFile) -> Lifter<'a> {
+        let pools = &file.pools;
+        Lifter {
+            file,
+            program: Program::new(),
+            strings: vec![None; pools.strings().len()],
+            protos: vec![None; pools.protos().len()],
+            fields: vec![None; pools.fields().len()],
+            methods: vec![None; pools.methods().len()],
+        }
+    }
+
     fn local(reg: Reg) -> LocalId {
         LocalId(u32::from(reg.0))
     }
@@ -97,44 +137,102 @@ impl<'a> Lifter<'a> {
         Operand::Local(Self::local(reg))
     }
 
-    fn method_key(&mut self, idx: nck_dex::MethodIdx) -> Option<MethodKey> {
-        let m = self.file.pools.get_method(idx)?;
-        let class = self.file.pools.get_type(m.class)?;
-        let name = self.file.pools.get_string(m.name)?;
-        let sig = self.file.pools.display_proto(m.proto);
-        Some(MethodKey {
-            class: self.program.symbols.intern(class),
-            name: self.program.symbols.intern(name),
-            sig: self.program.symbols.intern(&sig),
-        })
+    /// Renders method `idx` for a diagnostic.
+    fn display(&self, idx: MethodIdx) -> String {
+        self.file.pools.display_method(idx)
+    }
+
+    fn string_sym(&mut self, idx: StringIdx) -> Option<Symbol> {
+        if let Some(&Some(sym)) = self.strings.get(idx.index()) {
+            return Some(sym);
+        }
+        let sym = self
+            .program
+            .symbols
+            .intern(self.file.pools.get_string(idx)?);
+        self.strings[idx.index()] = Some(sym);
+        Some(sym)
+    }
+
+    fn type_sym(&mut self, idx: TypeIdx) -> Option<Symbol> {
+        let s = *self.file.pools.types().get(idx.index())?;
+        self.string_sym(s)
+    }
+
+    fn proto_sym(&mut self, idx: ProtoIdx) -> Symbol {
+        if let Some(&Some(sym)) = self.protos.get(idx.index()) {
+            return sym;
+        }
+        let sym = self
+            .program
+            .symbols
+            .intern(&self.file.pools.display_proto(idx));
+        if let Some(slot) = self.protos.get_mut(idx.index()) {
+            *slot = Some(sym);
+        }
+        sym
+    }
+
+    fn method_key(&mut self, idx: MethodIdx) -> Option<MethodKey> {
+        if let Some(&Some(key)) = self.methods.get(idx.index()) {
+            return Some(key);
+        }
+        let pools = &self.file.pools;
+        let m = *pools.get_method(idx)?;
+        // Resolve both names before interning either, as a failed
+        // reference must intern nothing.
+        pools.get_type(m.class)?;
+        pools.get_string(m.name)?;
+        let key = MethodKey {
+            class: self.type_sym(m.class)?,
+            name: self.string_sym(m.name)?,
+            sig: self.proto_sym(m.proto),
+        };
+        self.methods[idx.index()] = Some(key);
+        Some(key)
     }
 
     fn field_key(&mut self, idx: nck_dex::FieldIdx) -> Option<FieldKey> {
-        let f = self.file.pools.get_field(idx)?;
-        let class = self.file.pools.get_type(f.class)?;
-        let name = self.file.pools.get_string(f.name)?;
-        let ty = self.file.pools.get_type(f.ty)?;
-        Some(FieldKey {
-            class: self.program.symbols.intern(class),
-            name: self.program.symbols.intern(name),
-            ty: self.program.symbols.intern(ty),
-        })
+        if let Some(&Some(key)) = self.fields.get(idx.index()) {
+            return Some(key);
+        }
+        let pools = &self.file.pools;
+        let f = *pools.get_field(idx)?;
+        pools.get_type(f.class)?;
+        pools.get_string(f.name)?;
+        pools.get_type(f.ty)?;
+        let key = FieldKey {
+            class: self.type_sym(f.class)?,
+            name: self.string_sym(f.name)?,
+            ty: self.type_sym(f.ty)?,
+        };
+        self.fields[idx.index()] = Some(key);
+        Some(key)
     }
 
-    fn type_sym(&mut self, idx: nck_dex::TypeIdx) -> Option<crate::symbols::Symbol> {
-        let t = self.file.pools.get_type(idx)?;
-        Some(self.program.symbols.intern(t))
+    /// The parameter types of method `idx` straight from its prototype,
+    /// when parsing its rendered signature would yield exactly them.
+    fn pool_params(&self, idx: MethodIdx) -> Option<&'a [TypeIdx]> {
+        let pools = &self.file.pools;
+        let proto = pools.get_proto(pools.get_method(idx)?.proto)?;
+        let ret = pools.get_type(proto.return_type)?;
+        let params = proto
+            .params
+            .iter()
+            .map(|&t| pools.get_type(t).unwrap_or("<bad>"));
+        nck_dex::signature_splits_as(params, ret).then_some(proto.params.as_slice())
     }
 
     fn lift_code(
         &mut self,
-        method_name: &str,
+        method: MethodIdx,
         code: &CodeItem,
         is_static: bool,
-        param_descriptors: &[String],
+        params: &Params<'_>,
     ) -> Result<Body> {
+        let file = self.file;
         let bad = |pc: u32, what: &'static str| LiftError::BadPoolRef {
-            method: method_name.to_owned(),
+            method: file.pools.display_method(method),
             pc,
             what,
         };
@@ -150,7 +248,7 @@ impl<'a> Lifter<'a> {
                 .find(|r| r.0 >= code.registers);
             if let Some(r) = oob {
                 return Err(LiftError::BadRegister {
-                    method: method_name.to_owned(),
+                    method: self.display(method),
                     pc: i as u32,
                     reg: r.0,
                     frame: code.registers,
@@ -158,17 +256,12 @@ impl<'a> Lifter<'a> {
             }
         }
 
-        let mut locals: Vec<LocalDecl> = (0..code.registers)
-            .map(|r| LocalDecl {
-                name: format!("v{r}"),
-                ty: None,
-            })
-            .collect();
+        let mut locals = vec![LocalDecl { ty: None }; usize::from(code.registers)];
 
         let receiver = usize::from(!is_static);
-        if usize::from(code.ins) != param_descriptors.len() + receiver {
+        if usize::from(code.ins) != params.len() + receiver {
             return Err(LiftError::BadFrame {
-                method: method_name.to_owned(),
+                method: self.display(method),
             });
         }
 
@@ -176,17 +269,20 @@ impl<'a> Lifter<'a> {
         // Identity preamble: bind parameter registers.
         for i in 0..code.ins {
             let reg = code.param_reg(i).ok_or_else(|| LiftError::BadFrame {
-                method: method_name.to_owned(),
+                method: self.display(method),
             })?;
             let kind = if !is_static && i == 0 {
-                locals[reg.0 as usize].name = "this".to_owned();
                 IdentityKind::This
             } else {
                 IdentityKind::Param(i - receiver as u16)
             };
             if let IdentityKind::Param(p) = kind {
-                let desc = &param_descriptors[p as usize];
-                let sym = self.program.symbols.intern(desc);
+                let sym = match params {
+                    Params::Pool(types) => self
+                        .type_sym(types[p as usize])
+                        .expect("pool_params resolved every parameter type"),
+                    Params::Parsed(descs) => self.program.symbols.intern(&descs[p as usize]),
+                };
                 locals[reg.0 as usize].ty = Some(sym);
             }
             stmts.push(Stmt::Identity {
@@ -240,13 +336,7 @@ impl<'a> Lifter<'a> {
                     rvalue: Rvalue::Use(Operand::IntConst(*value)),
                 }),
                 Insn::ConstString { dst, idx } => {
-                    let s = self
-                        .file
-                        .pools
-                        .get_string(*idx)
-                        .ok_or_else(|| bad(pc, "string"))?
-                        .to_owned();
-                    let sym = self.program.symbols.intern(&s);
+                    let sym = self.string_sym(*idx).ok_or_else(|| bad(pc, "string"))?;
                     stmts.push(Stmt::Assign {
                         local: Self::local(*dst),
                         rvalue: Rvalue::Use(Operand::StrConst(sym)),
@@ -409,11 +499,11 @@ impl<'a> Lifter<'a> {
         }
 
         // Remap branch targets from instruction indices to statement ids.
-        let remap = |method: &str, pc: u32, target: StmtId| -> Result<StmtId> {
+        let remap = |pc: u32, target: StmtId| -> Result<StmtId> {
             map.get(target.index())
                 .map(|&s| StmtId(s))
-                .ok_or(LiftError::BadTarget {
-                    method: method.to_owned(),
+                .ok_or_else(|| LiftError::BadTarget {
+                    method: file.pools.display_method(method),
                     pc,
                     target: target.0,
                 })
@@ -421,14 +511,11 @@ impl<'a> Lifter<'a> {
         for (idx, stmt) in stmts.iter_mut().enumerate() {
             let pc = idx as u32;
             match stmt {
-                Stmt::Goto { target } => *target = remap(method_name, pc, *target)?,
-                Stmt::If { target, .. } => *target = remap(method_name, pc, *target)?,
+                Stmt::Goto { target } | Stmt::If { target, .. } => *target = remap(pc, *target)?,
                 Stmt::Switch { arms, .. } => {
-                    let mut new_arms = Vec::with_capacity(arms.len());
-                    for &(k, t) in arms.iter() {
-                        new_arms.push((k, remap(method_name, pc, t)?));
+                    for (_, t) in arms.iter_mut() {
+                        *t = remap(pc, *t)?;
                     }
-                    *arms = new_arms;
                 }
                 _ => {}
             }
@@ -506,22 +593,15 @@ impl<'a> Lifter<'a> {
         lenient: Option<SkipPolicy<'_>>,
         skips: &mut Vec<MethodSkip>,
     ) -> Result<(Class, Vec<Method>)> {
-        let file = self.file;
-        let name_str = file.pools.get_type(class.ty).unwrap_or("<bad>").to_owned();
-        let name = self.program.symbols.intern(&name_str);
-        let superclass = class
-            .superclass
-            .and_then(|s| file.pools.get_type(s))
-            .map(|s| s.to_owned())
-            .map(|s| self.program.symbols.intern(&s));
+        let name = match self.type_sym(class.ty) {
+            Some(name) => name,
+            None => self.program.symbols.intern("<bad>"),
+        };
+        let superclass = class.superclass.and_then(|s| self.type_sym(s));
         let interfaces = class
             .interfaces
             .iter()
-            .filter_map(|&i| file.pools.get_type(i))
-            .map(|s| s.to_owned())
-            .collect::<Vec<_>>()
-            .iter()
-            .map(|s| self.program.symbols.intern(s))
+            .filter_map(|&i| self.type_sym(i))
             .collect();
         let fields = class
             .fields
@@ -531,12 +611,11 @@ impl<'a> Lifter<'a> {
 
         let mut methods = Vec::new();
         for m in &class.methods {
-            let display = file.pools.display_method(m.method);
             let key = match self.method_key(m.method) {
                 Some(key) => key,
                 None => {
                     let err = LiftError::BadPoolRef {
-                        method: display.clone(),
+                        method: self.display(m.method),
                         pc: 0,
                         what: "method definition",
                     };
@@ -544,7 +623,7 @@ impl<'a> Lifter<'a> {
                         // Without a resolvable identity the method cannot
                         // even be declared; drop it entirely.
                         skips.push(MethodSkip {
-                            method: display,
+                            method: self.display(m.method),
                             reason: err.to_string(),
                         });
                         continue;
@@ -552,10 +631,12 @@ impl<'a> Lifter<'a> {
                     return Err(err);
                 }
             };
-            let policy_skip = lenient.and_then(|skip| skip(&display));
+            // The skip policy is keyed by display name, so only a lenient
+            // lift renders one per method.
+            let policy_skip = lenient.and_then(|skip| skip(&self.display(m.method)));
             let body = if let Some(reason) = policy_skip {
                 skips.push(MethodSkip {
-                    method: display.clone(),
+                    method: self.display(m.method),
                     reason,
                 });
                 None
@@ -563,19 +644,21 @@ impl<'a> Lifter<'a> {
                 match &m.code {
                     Some(code) => {
                         let is_static = m.flags.contains(AccessFlags::STATIC);
-                        let sig_str = self.program.symbols.resolve(key.sig).to_owned();
-                        let lifted = nck_dex::parse_signature(&sig_str)
-                            .map_err(|_| LiftError::BadFrame {
-                                method: display.clone(),
-                            })
-                            .and_then(|(params, _)| {
-                                self.lift_code(&display, code, is_static, &params)
-                            });
+                        let params = match self.pool_params(m.method) {
+                            Some(types) => Ok(Params::Pool(types)),
+                            None => nck_dex::parse_signature(self.program.symbols.resolve(key.sig))
+                                .map(|(descs, _)| Params::Parsed(descs))
+                                .map_err(|_| LiftError::BadFrame {
+                                    method: self.display(m.method),
+                                }),
+                        };
+                        let lifted = params
+                            .and_then(|params| self.lift_code(m.method, code, is_static, &params));
                         match lifted {
                             Ok(body) => Some(body),
                             Err(err) if lenient.is_some() => {
                                 skips.push(MethodSkip {
-                                    method: display.clone(),
+                                    method: self.display(m.method),
                                     reason: err.to_string(),
                                 });
                                 None
@@ -619,10 +702,7 @@ fn lift_file_impl(
     file: &AdxFile,
     lenient: Option<SkipPolicy<'_>>,
 ) -> Result<(Program, Vec<MethodSkip>)> {
-    let mut lifter = Lifter {
-        file,
-        program: Program::new(),
-    };
+    let mut lifter = Lifter::new(file);
     let mut skips = Vec::new();
 
     for class in &file.classes {
@@ -714,10 +794,7 @@ pub fn lift_file_seeded(
     );
     let prefix = seed.map_or(0, |s| s.common_prefix(fingerprints));
 
-    let mut lifter = Lifter {
-        file,
-        program: Program::new(),
-    };
+    let mut lifter = Lifter::new(file);
     let mut out = LiftSeed::default();
     let mut reused_methods = Vec::new();
 
@@ -813,7 +890,11 @@ mod tests {
             Stmt::Identity { local, .. } => local,
             _ => unreachable!(),
         };
-        assert_eq!(body.locals[this_local.0 as usize].name, "this");
+        assert_eq!(
+            this_local,
+            LocalId(2),
+            "the receiver is the first in-register"
+        );
     }
 
     #[test]
@@ -1005,6 +1086,69 @@ mod tests {
         assert_eq!(skips[0].reason, "failed verification");
         assert!(p.methods[0].body.is_none());
         assert!(p.methods[1].body.is_some());
+    }
+
+    #[test]
+    fn diagnostics_name_methods_as_display_method() {
+        // Names are rendered only for diagnostics; each must still be
+        // the pool's `display_method` rendering.
+        let mut b = AdxBuilder::new();
+        b.class("Lapp/T;", |c| {
+            for name in ["reg", "str", "target", "ok"] {
+                c.method(
+                    name,
+                    "(I[Ljava/lang/String;)V",
+                    AccessFlags::PUBLIC,
+                    4,
+                    |m| m.ret(None),
+                );
+            }
+        });
+        let mut file = b.finish().unwrap();
+        let n_strings = file.pools.strings().len() as u32;
+        let methods = &mut file.classes[0].methods;
+        let broken = [
+            nck_dex::Insn::ConstInt {
+                dst: Reg(40),
+                value: 1,
+            },
+            nck_dex::Insn::ConstString {
+                dst: Reg(0),
+                idx: nck_dex::StringIdx(n_strings + 3),
+            },
+            nck_dex::Insn::Goto { target: 99 },
+        ];
+        for (m, insn) in methods.iter_mut().zip(broken) {
+            m.code.as_mut().unwrap().insns.insert(0, insn);
+        }
+        let display: Vec<String> = file.classes[0]
+            .methods
+            .iter()
+            .map(|m| file.pools.display_method(m.method))
+            .collect();
+        assert_eq!(display[3], "Lapp/T;.ok(I[Ljava/lang/String;)V");
+
+        let errors = nck_dex::verify::verify(&file);
+        assert!(!errors.is_empty());
+        assert!(errors.iter().all(|e| display[..3].contains(&e.method)));
+        for name in &display[..3] {
+            assert!(errors.iter().any(|e| &e.method == name), "{name}");
+        }
+
+        match lift_file(&file) {
+            Err(LiftError::BadRegister { method, .. }) => assert_eq!(method, display[0]),
+            other => panic!("expected BadRegister, got {other:?}"),
+        }
+        let (_, skips) = lift_file_lenient(&file, &|_| None);
+        let skipped: Vec<&str> = skips.iter().map(|s| s.method.as_str()).collect();
+        assert_eq!(skipped, [&display[0], &display[1], &display[2]]);
+        assert!(skips[1].reason.contains("unresolvable string"));
+        assert!(skips[2].reason.contains("branch target 99"));
+        let (p, skips) = lift_file_lenient(&file, &|name| {
+            (name == display[3]).then(|| "by policy".to_owned())
+        });
+        assert_eq!(skips.last().unwrap().method, display[3]);
+        assert!(p.methods[3].body.is_none());
     }
 
     #[test]

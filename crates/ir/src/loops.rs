@@ -259,10 +259,7 @@ mod tests {
             sig: p.symbols.intern("()V"),
         };
         let b = Body {
-            locals: vec![crate::body::LocalDecl {
-                name: "e".into(),
-                ty: None,
-            }],
+            locals: vec![crate::body::LocalDecl { ty: None }],
             stmts: vec![
                 Stmt::Invoke(crate::body::InvokeExpr {
                     kind: nck_dex::InvokeKind::Static,

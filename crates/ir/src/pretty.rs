@@ -1,15 +1,30 @@
 //! Jimple-style pretty printing of IR bodies, for reports and debugging.
 
-use crate::body::{Body, IdentityKind, InvokeExpr, Operand, Program, Rvalue, Stmt};
+use crate::body::{Body, IdentityKind, InvokeExpr, LocalId, Operand, Program, Rvalue, Stmt};
 use std::fmt::Write as _;
+
+/// The name of local `l`: `this` for the receiver the identity preamble
+/// binds, otherwise its register `vN` (`v?N` past the declared frame).
+fn local_name(body: &Body, l: LocalId) -> String {
+    let is_this =
+        |s: &Stmt| matches!(s, Stmt::Identity { local, kind: IdentityKind::This } if *local == l);
+    if l.0 as usize >= body.locals.len() {
+        format!("v?{}", l.0)
+    } else if body
+        .stmts
+        .iter()
+        .take_while(|s| matches!(s, Stmt::Identity { .. }))
+        .any(is_this)
+    {
+        "this".to_owned()
+    } else {
+        format!("v{}", l.0)
+    }
+}
 
 fn fmt_operand(p: &Program, body: &Body, op: Operand) -> String {
     match op {
-        Operand::Local(l) => body
-            .locals
-            .get(l.0 as usize)
-            .map(|d| d.name.clone())
-            .unwrap_or_else(|| format!("v?{}", l.0)),
+        Operand::Local(l) => local_name(body, l),
         Operand::IntConst(v) => v.to_string(),
         Operand::StrConst(s) => format!("{:?}", p.symbols.resolve(s)),
         Operand::Null => "null".to_owned(),
@@ -79,7 +94,7 @@ fn fmt_rvalue(p: &Program, body: &Body, rv: &Rvalue) -> String {
 pub fn fmt_stmt(p: &Program, body: &Body, stmt: &Stmt) -> String {
     match stmt {
         Stmt::Identity { local, kind } => {
-            let name = &body.locals[local.0 as usize].name;
+            let name = local_name(body, *local);
             let src = match kind {
                 IdentityKind::This => "@this".to_owned(),
                 IdentityKind::Param(i) => format!("@param{i}"),
@@ -89,7 +104,7 @@ pub fn fmt_stmt(p: &Program, body: &Body, stmt: &Stmt) -> String {
         }
         Stmt::Assign { local, rvalue } => format!(
             "{} = {}",
-            body.locals[local.0 as usize].name,
+            local_name(body, *local),
             fmt_rvalue(p, body, rvalue)
         ),
         Stmt::Invoke(i) => fmt_invoke(p, body, i),
@@ -203,5 +218,35 @@ mod tests {
         assert!(text.contains("v3 := @param0"));
         assert!(text.contains("Lnet/Client;.get(Ljava/lang/String;)V(v0)"));
         assert!(text.contains("return"));
+    }
+
+    #[test]
+    fn locals_are_named_this_or_by_register() {
+        let mut b = AdxBuilder::new();
+        b.class("Lapp/T;", |c| {
+            c.method("f", "(I)V", AccessFlags::PUBLIC, 3, |m| {
+                m.mov(m.reg(0), m.param(0).unwrap());
+                m.ret(None);
+            });
+            c.method(
+                "g",
+                "(I)V",
+                AccessFlags::PUBLIC | AccessFlags::STATIC,
+                2,
+                |m| {
+                    m.mov(m.reg(0), m.param(0).unwrap());
+                    m.ret(None);
+                },
+            );
+        });
+        let p = lift_file(&b.finish().unwrap()).unwrap();
+        let text = super::fmt_program(&p);
+        assert!(text.contains("this := @this"), "{text}");
+        assert!(text.contains("v2 := @param0"), "{text}");
+        assert!(text.contains("v0 = this"), "{text}");
+        // A static method has no receiver: its first in-register is v1.
+        assert!(text.contains("v1 := @param0"), "{text}");
+        assert!(text.contains("v0 = v1"), "{text}");
+        assert_eq!(text.matches("this").count(), 3, "only f names its receiver");
     }
 }

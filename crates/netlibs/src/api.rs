@@ -999,10 +999,23 @@ pub struct Registry {
     configs: Vec<ConfigApi>,
     response_checks: Vec<ResponseCheckApi>,
     callbacks: Vec<CallbackApi>,
-    target_index: HashMap<(&'static str, &'static str), usize>,
-    config_index: HashMap<(&'static str, &'static str), usize>,
-    response_index: HashMap<(&'static str, &'static str), usize>,
-    connectivity: HashMap<(&'static str, &'static str), ()>,
+    roles: HashMap<(&'static str, &'static str), ApiRoles>,
+}
+
+/// Every role one `(class, name)` key plays in the registry. The indices
+/// point into [`Registry::targets`], [`Registry::configs`] and
+/// [`Registry::response_checks`]; when two entries of one table share a
+/// key, the later one wins.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ApiRoles {
+    /// Index of the target API with this key.
+    pub target: Option<usize>,
+    /// Index of the config API with this key.
+    pub config: Option<usize>,
+    /// Index of the response-checking API with this key.
+    pub response_check: Option<usize>,
+    /// Whether the key is a connectivity-state API.
+    pub connectivity: bool,
 }
 
 impl Registry {
@@ -1012,34 +1025,28 @@ impl Registry {
         let configs = config_apis();
         let response_checks = response_check_apis();
         let callbacks = callback_apis();
-        let target_index = targets
-            .iter()
-            .enumerate()
-            .map(|(i, t)| ((t.api.class, t.api.name), i))
-            .collect();
-        let config_index = configs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| ((c.api.class, c.api.name), i))
-            .collect();
-        let response_index = response_checks
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ((r.api.class, r.api.name), i))
-            .collect();
-        let connectivity = CONNECTIVITY_APIS
-            .iter()
-            .map(|a| ((a.class, a.name), ()))
-            .collect();
+        let mut roles: HashMap<(&'static str, &'static str), ApiRoles> = HashMap::new();
+        for (i, t) in targets.iter().enumerate() {
+            roles.entry((t.api.class, t.api.name)).or_default().target = Some(i);
+        }
+        for (i, c) in configs.iter().enumerate() {
+            roles.entry((c.api.class, c.api.name)).or_default().config = Some(i);
+        }
+        for (i, r) in response_checks.iter().enumerate() {
+            roles
+                .entry((r.api.class, r.api.name))
+                .or_default()
+                .response_check = Some(i);
+        }
+        for api in CONNECTIVITY_APIS {
+            roles.entry((api.class, api.name)).or_default().connectivity = true;
+        }
         Registry {
             targets,
             configs,
             response_checks,
             callbacks,
-            target_index,
-            config_index,
-            response_index,
-            connectivity,
+            roles,
         }
     }
 
@@ -1063,37 +1070,37 @@ impl Registry {
         &self.callbacks
     }
 
+    /// Every `(class, name)` key of the registry with its roles, in no
+    /// particular order.
+    pub fn roles(&self) -> impl Iterator<Item = (&'static str, &'static str, ApiRoles)> + '_ {
+        self.roles.iter().map(|(&(c, n), &r)| (c, n, r))
+    }
+
+    /// The roles of `class.name`; all empty for a key the registry lacks.
+    pub fn roles_of(&self, class: &str, name: &str) -> ApiRoles {
+        self.roles.get(&(class, name)).copied().unwrap_or_default()
+    }
+
     /// Looks up a target API by the call's class and method name.
     pub fn target(&self, class: &str, name: &str) -> Option<&TargetApi> {
-        // `&str` lookups against `&'static str` keys need owned pairs; use
-        // a linear probe through the index map keys instead.
-        self.target_index
-            .iter()
-            .find(|((c, n), _)| *c == class && *n == name)
-            .map(|(_, &i)| &self.targets[i])
+        self.roles_of(class, name).target.map(|i| &self.targets[i])
     }
 
     /// Looks up a config API by class and method name.
     pub fn config(&self, class: &str, name: &str) -> Option<&ConfigApi> {
-        self.config_index
-            .iter()
-            .find(|((c, n), _)| *c == class && *n == name)
-            .map(|(_, &i)| &self.configs[i])
+        self.roles_of(class, name).config.map(|i| &self.configs[i])
     }
 
     /// Looks up a response-checking API by class and method name.
     pub fn response_check(&self, class: &str, name: &str) -> Option<&ResponseCheckApi> {
-        self.response_index
-            .iter()
-            .find(|((c, n), _)| *c == class && *n == name)
-            .map(|(_, &i)| &self.response_checks[i])
+        self.roles_of(class, name)
+            .response_check
+            .map(|i| &self.response_checks[i])
     }
 
     /// Returns `true` when `class.name` is a connectivity-state API.
     pub fn is_connectivity_check(&self, class: &str, name: &str) -> bool {
-        self.connectivity
-            .keys()
-            .any(|(c, n)| *c == class && *n == name)
+        self.roles_of(class, name).connectivity
     }
 
     /// Returns the error callback of `library`, if it has an explicit one.
@@ -1119,11 +1126,10 @@ impl Registry {
     /// a request target, a config setter, a response check, or a
     /// connectivity check. This is the prescan predicate — an app whose
     /// constant pool references none of these can be skipped outright.
+    /// Every key in the registry has at least one role, so this is one
+    /// map lookup.
     pub fn is_relevant_api(&self, class: &str, name: &str) -> bool {
-        self.is_target_api(class, name)
-            || self.config(class, name).is_some()
-            || self.response_check(class, name).is_some()
-            || self.is_connectivity_check(class, name)
+        self.roles.contains_key(&(class, name))
     }
 }
 
@@ -1196,6 +1202,45 @@ mod tests {
         assert!(cb.exposes_error_types);
         let ok = r.error_callback(Library::OkHttp).unwrap();
         assert!(!ok.exposes_error_types);
+    }
+
+    #[test]
+    fn one_map_answers_like_the_tables() {
+        // Each accessor returns the last table entry with the key, as
+        // the per-role maps collected from the tables did.
+        let r = Registry::standard();
+        let last = |keys: Vec<(&str, &str)>, class: &str, name: &str| {
+            keys.iter().rposition(|&k| k == (class, name))
+        };
+        let mut probes: Vec<(&str, &str)> = r.roles().map(|(c, n, _)| (c, n)).collect();
+        probes.push(("Lcom/app/Net;", "isConnected"));
+        probes.push(("Ljava/net/HttpURLConnection;", "isConnected"));
+        for (class, name) in probes {
+            let targets = r
+                .targets()
+                .iter()
+                .map(|t| (t.api.class, t.api.name))
+                .collect();
+            let configs = r
+                .configs()
+                .iter()
+                .map(|c| (c.api.class, c.api.name))
+                .collect();
+            let checks = r
+                .response_checks()
+                .iter()
+                .map(|c| (c.api.class, c.api.name))
+                .collect();
+            let conn = CONNECTIVITY_APIS
+                .iter()
+                .any(|a| (a.class, a.name) == (class, name));
+            let roles = r.roles_of(class, name);
+            assert_eq!(roles.target, last(targets, class, name));
+            assert_eq!(roles.config, last(configs, class, name));
+            assert_eq!(roles.response_check, last(checks, class, name));
+            assert_eq!(roles.connectivity, conn);
+            assert_eq!(r.is_relevant_api(class, name), roles != ApiRoles::default());
+        }
     }
 
     #[test]

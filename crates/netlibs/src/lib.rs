@@ -29,7 +29,7 @@ pub mod library;
 pub mod patterns;
 
 pub use api::{
-    volley_method_constant, ApiRef, CallbackApi, ConfigApi, ConfigKind, HttpMethod,
+    volley_method_constant, ApiRef, ApiRoles, CallbackApi, ConfigApi, ConfigKind, HttpMethod,
     MethodDetermination, Registry, ResponseCheckApi, TargetApi, CONNECTIVITY_APIS,
 };
 pub use capability::{capability, render_table4, NpdCause, Support, ALL_CAUSES};

@@ -65,6 +65,9 @@ for metrics in (corpus, mix):
     assert "summary_cache" in metrics, "metrics lacks summary_cache"
 assert corpus["counters"].get("summary.method_passes", 0) == 0, "corpus app solved summaries"
 assert mix["counters"].get("summary.method_passes", 0) > 0, "helper-mix app solved nothing"
+# The class-hierarchy index reports the CHA work it does.
+for name in ("context.cha_keys", "context.cha_candidates"):
+    assert name in corpus["counters"], f"corpus app lacks the {name} counter"
 print(f"on-demand ok: corpus app solved nothing, helper-mix app "
       f"{mix['counters']['summary.method_passes']} method passes")
 EOF
@@ -243,6 +246,13 @@ total = lambda name: sum(d["metrics"]["counters"].get(name, 0) for d in docs)
 built, bodies = total("context.cfgs_built"), total("context.methods_analyzed")
 assert 0 < built < bodies, f"{built} CFGs built for {bodies} bodies"
 print(f"lazy CFG ok: {built} CFGs built for {bodies} method bodies")
+# CHA reads each virtual key's subtype list from the class-hierarchy
+# index: fewer candidates than a scan of every class per key.
+counter = lambda d, name: d["metrics"]["counters"].get(name, 0)
+candidates = total("context.cha_candidates")
+scan = sum(counter(d, "context.cha_keys") * counter(d, "parse.classes") for d in docs)
+assert 0 < candidates < scan, f"CHA examined {candidates} classes, a full scan {scan}"
+print(f"CHA index ok: {candidates} candidate classes where a scan examines {scan}")
 EOF
 # Served bytes are checksummed bytes: flip one byte in one record's JSON
 # section (the bytes a disk hit replies with). The re-run must drop that

@@ -80,6 +80,10 @@ fn corpus_analysis_is_deterministic() {
         // some of the bodies.
         ("context.methods_analyzed", 4_845),
         ("context.cfgs_built", 2_631),
+        // CHA reads each key's subtype list from the class-hierarchy
+        // index instead of scanning every program class per key.
+        ("context.cha_keys", 2_259),
+        ("context.cha_candidates", 905),
         // No corpus check asks for a dataflow fact, so the summary
         // engine never runs (an absent counter reads 0).
         ("summary.method_passes", 0),
