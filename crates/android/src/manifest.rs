@@ -42,16 +42,6 @@ impl ComponentKind {
             ComponentKind::Provider => "provider",
         }
     }
-
-    /// The framework base class descriptor of this kind.
-    pub fn base_class(self) -> &'static str {
-        match self {
-            ComponentKind::Activity => "Landroid/app/Activity;",
-            ComponentKind::Service => "Landroid/app/Service;",
-            ComponentKind::Receiver => "Landroid/content/BroadcastReceiver;",
-            ComponentKind::Provider => "Landroid/content/ContentProvider;",
-        }
-    }
 }
 
 impl fmt::Display for ComponentKind {

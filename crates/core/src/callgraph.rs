@@ -357,11 +357,6 @@ impl CallGraph {
         None
     }
 
-    /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.out_edges.values().map(Vec::len).sum()
-    }
-
     /// Distinct virtual/interface call keys CHA resolved.
     pub fn cha_keys(&self) -> usize {
         self.cha_keys

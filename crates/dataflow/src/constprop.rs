@@ -157,18 +157,6 @@ impl ConstProp {
     pub fn operand_value(&self, at: StmtId, op: Operand) -> CVal {
         eval_operand(self.solution.before(at), op)
     }
-
-    /// Evaluates the arguments of the call at `at`, when `at` is a call.
-    pub fn call_arg_values(&self, body: &Body, at: StmtId) -> Option<Vec<CVal>> {
-        let invoke = body.stmt(at).invoke_expr()?;
-        Some(
-            invoke
-                .args
-                .iter()
-                .map(|&a| self.operand_value(at, a))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The ADX file model: classes, fields, methods, code items, and traps.
 
 use crate::insn::Insn;
-use crate::pool::{FieldIdx, MethodIdx, Pools, ProtoIdx, StringIdx, TypeIdx};
+use crate::pool::{FieldIdx, MethodIdx, Pools, TypeIdx};
 
 /// Access and kind flags for classes, fields, and methods.
 ///
@@ -177,15 +177,6 @@ impl AdxFile {
             .find(|c| self.pools.get_type(c.ty) == Some(descriptor))
     }
 
-    /// Finds the definition of the method referred to by `idx`, if the
-    /// declaring class is defined in this file.
-    pub fn method_def(&self, idx: MethodIdx) -> Option<(&ClassDef, &MethodDef)> {
-        let mref = self.pools.get_method(idx)?;
-        let class = self.classes.iter().find(|c| c.ty == mref.class)?;
-        let m = class.methods.iter().find(|m| m.method == idx)?;
-        Some((class, m))
-    }
-
     /// Iterates over every concrete (code-bearing) method in the file.
     pub fn concrete_methods(&self) -> impl Iterator<Item = (&ClassDef, &MethodDef, &CodeItem)> {
         self.classes.iter().flat_map(|c| {
@@ -198,29 +189,6 @@ impl AdxFile {
     /// Returns the total number of instructions across all methods.
     pub fn insn_count(&self) -> usize {
         self.concrete_methods().map(|(_, _, c)| c.insns.len()).sum()
-    }
-
-    /// Returns the proto index of the method referred to by `idx`.
-    pub fn proto_of(&self, idx: MethodIdx) -> Option<ProtoIdx> {
-        self.pools.get_method(idx).map(|m| m.proto)
-    }
-
-    /// Returns the simple (unqualified) name of the method referred to by
-    /// `idx`.
-    pub fn method_name(&self, idx: MethodIdx) -> Option<&str> {
-        let m = self.pools.get_method(idx)?;
-        self.pools.get_string(m.name)
-    }
-
-    /// Returns the descriptor of the class declaring the method `idx`.
-    pub fn method_class_name(&self, idx: MethodIdx) -> Option<&str> {
-        let m = self.pools.get_method(idx)?;
-        self.pools.get_type(m.class)
-    }
-
-    /// Interns a string in this file's pools (convenience passthrough).
-    pub fn intern_string(&mut self, s: &str) -> StringIdx {
-        self.pools.string(s)
     }
 }
 

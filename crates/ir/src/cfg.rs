@@ -7,15 +7,6 @@
 use crate::body::{Body, Stmt, StmtId};
 use std::sync::OnceLock;
 
-/// The kind of a CFG edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeKind {
-    /// Ordinary fallthrough or branch.
-    Normal,
-    /// Exceptional transfer to a trap handler (or the exit for uncaught).
-    Exceptional,
-}
-
 /// A statement-level CFG.
 #[derive(Debug, Clone)]
 pub struct Cfg {

@@ -52,11 +52,6 @@ impl DomTree {
             }
         }
     }
-
-    /// Returns `true` when `a` strictly dominates `b`.
-    pub fn strictly_dominates(&self, a: StmtId, b: StmtId) -> bool {
-        a != b && self.dominates(a, b)
-    }
 }
 
 /// Computes immediate dominators of a graph given by successor lists.

@@ -1117,11 +1117,6 @@ impl Registry {
             .find(|c| c.interface == interface && c.method == method)
     }
 
-    /// Whether `(class, name)` is a request-creating target API.
-    pub fn is_target_api(&self, class: &str, name: &str) -> bool {
-        self.target(class, name).is_some()
-    }
-
     /// Whether `(class, name)` names *any* API the checkers care about:
     /// a request target, a config setter, a response check, or a
     /// connectivity check. This is the prescan predicate — an app whose

@@ -56,23 +56,9 @@ impl Library {
         )
     }
 
-    /// Returns `true` when the library exposes timeout APIs (all do).
-    pub fn has_timeout_api(self) -> bool {
-        true
-    }
-
     /// Returns `true` when the library exposes a response-validity API.
     pub fn has_response_check_api(self) -> bool {
         matches!(self, Library::OkHttp | Library::ApacheHttpClient)
-    }
-
-    /// Returns `true` when the library's request path offers an explicit
-    /// error callback interface (vs. requiring a `Handler` round trip).
-    pub fn has_explicit_error_callback(self) -> bool {
-        matches!(
-            self,
-            Library::Volley | Library::OkHttp | Library::AndroidAsyncHttp
-        )
     }
 }
 

@@ -93,11 +93,6 @@ impl Events {
         self.ceiling.is_some_and(|c| level <= c)
     }
 
-    /// Seconds elapsed since this handle was constructed.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-
     /// Writes `msg` to stderr when `level` clears the ceiling, prefixed
     /// with the elapsed time since construction. Errors print without a
     /// level tag (they are the primary channel content); lower levels

@@ -8,6 +8,7 @@
 
 use nchecker::{AnalyzedApp, AppReport, CheckerConfig, NChecker};
 use nck_appgen::interproc_suite::{helper_mix, interproc_apps, HELPER_MIX_SIZE};
+use nck_appgen::opensource::open_source_apps;
 use nck_appgen::{profile, studyapps, AppSpec, CorpusStream};
 use nck_netlibs::api::Registry;
 use nck_svc::store::render_json;
@@ -48,6 +49,9 @@ struct OnDemand {
     cfgs_built: usize,
     /// Method bodies, summed over the apps.
     bodies: usize,
+    /// The configurations under which at least one app's `--json`
+    /// bytes differ from its default-config report.
+    differs_from_default: Vec<&'static str>,
 }
 
 /// Analyzes `specs` under every configuration, on demand and with the
@@ -59,10 +63,12 @@ fn differential(family: &str, specs: &[AppSpec]) -> OnDemand {
         reports: Vec::new(),
         cfgs_built: 0,
         bodies: 0,
+        differs_from_default: Vec::new(),
     };
     for spec in specs {
         let apk = nck_appgen::generate(spec);
         let program = nck_ir::lift_file(&apk.adx).expect("generated apps lift");
+        let mut default_json = String::new();
         for (name, config) in configs() {
             let checker = NChecker::with_config(config);
             let lazy = AnalyzedApp::new(apk.manifest.clone(), program.clone(), &registry);
@@ -73,8 +79,9 @@ fn differential(family: &str, specs: &[AppSpec]) -> OnDemand {
             }
             let _ = eager.summaries();
             let reference = checker.analyze(&eager);
+            let json = render_json(&on_demand);
             assert_eq!(
-                render_json(&on_demand),
+                json,
                 render_json(&reference),
                 "{family} app {} under {name}",
                 spec.package
@@ -86,9 +93,12 @@ fn differential(family: &str, specs: &[AppSpec]) -> OnDemand {
                 );
             }
             if name == "default" {
+                default_json = json;
                 out.reports.push(on_demand);
                 out.cfgs_built += lazy.cfgs_built();
                 out.bodies += lazy.analyses_arc().len();
+            } else if json != default_json && !out.differs_from_default.contains(&name) {
+                out.differs_from_default.push(name);
             }
         }
     }
@@ -122,6 +132,23 @@ fn on_demand_reports_match_eager_ones_on_the_corpus() {
     let reports = differential("corpus", &profile::corpus(2016)).reports;
     // No corpus check needs a dataflow fact under the default config.
     assert!(reports.iter().all(|r| r.stats.summary_methods == 0));
+}
+
+/// The Table 9 accuracy suite is the family on which the modes change
+/// reports: ICC analysis clears its false positives and strict mode
+/// recovers its known false negatives (`ablation_icc`). The helper mix,
+/// the corpus, the store mix, the suite and gpslogger all render the
+/// default's bytes under `--strict` and `--icc`, so without this family
+/// a change that broke either mode would still pass.
+#[test]
+fn on_demand_reports_match_eager_ones_on_the_table9_suite() {
+    let differs = differential("table9", &open_source_apps()).differs_from_default;
+    for mode in ["--strict", "--icc"] {
+        assert!(
+            differs.contains(&mode),
+            "no Table 9 app reports differently under {mode}"
+        );
+    }
 }
 
 /// The traffic store-cold vets: every 7th app of the seed-7 2,000-app

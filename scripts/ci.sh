@@ -190,12 +190,6 @@ print("daemon ok: report byte-identical over the wire, "
       "doctor + queue served, typed errors, clean shutdown")
 EOF
 
-echo "==> cache determinism tests"
-# Cold/warm differential suite: whole-report hits, prefix replay after
-# app updates, disk-tier restarts, no-cache mode, degraded bypass — all
-# byte-identical to cold.
-cargo test --package nck-svc --test determinism --quiet
-
 echo "==> incremental re-analysis smoke test"
 # Small corpus of updated bundles through the analysis service. The
 # binary itself exits non-zero if any warm or hot report differs from
