@@ -1113,10 +1113,9 @@ pub fn generate(spec: &AppSpec) -> Apk {
 /// classes stand in for that bulk. Each is loop-heavy (the fixpoint
 /// dataflow engine has real work to do per method), touches no network
 /// API (the checkers stay silent on them), and calls only within itself
-/// (no edges into the request classes). They are emitted *first* so a
+/// (no edges into the request classes). They are emitted *first*, so a
 /// versioned update that changes request specs perturbs only the file
-/// tail, leaving a long unchanged class prefix for the incremental
-/// analyzer to replay.
+/// tail.
 pub fn generate_with_bulk(spec: &AppSpec, bulk: usize) -> Apk {
     let mut b = AdxBuilder::new();
     let base = base_of(&spec.package);

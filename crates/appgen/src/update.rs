@@ -1,7 +1,7 @@
 //! Versioned app updates: evolving a spec the way developers ship new
 //! releases.
 //!
-//! The incremental re-analysis experiments need *version N+1* of an app:
+//! The edit-loop and re-vetting experiments need *version N+1* of an app:
 //! same package, mostly the same code, a few behaviour changes. This
 //! module produces one by mutating a fraction of an [`AppSpec`]'s
 //! request specs — spec-level edits only, so the ground-truth oracle

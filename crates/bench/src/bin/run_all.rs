@@ -235,8 +235,8 @@ fn main() {
     }
 
     let mut doc = pipeline_json(reports.len(), elapsed, &phases, &metrics, &mut latency);
-    // Merge-preserve every section another bench owns (e.g.
-    // `incremental`): run_all replaces only the top-level keys it writes.
+    // Merge-preserve every section another tool owns: run_all replaces
+    // only the top-level keys it writes.
     let recorded: Option<Value> = std::fs::read_to_string("BENCH_pipeline.json")
         .ok()
         .and_then(|s| serde_json::from_str(&s).ok());

@@ -1,19 +1,17 @@
 //! Content-addressed analysis cache entries.
 //!
-//! One [`AppCacheEntry`] holds everything a later analysis of an
-//! *updated version of the same app* can soundly reuse, keyed by
-//! content: the bundle fingerprint for whole-report reuse, per-class
-//! fingerprints for prefix replay of verify/lift/per-method dataflow,
-//! and per-method call-resolution fingerprints plus the round-0 summary
-//! snapshot for seeded interprocedural computation. Entries are only
-//! ever written for *clean* (non-degraded) analyses: a degraded run has
-//! skipped methods whose behaviour is unknown, which is no foundation to
-//! replay anything on.
+//! One [`AppCacheEntry`] is what a later request for the same app key
+//! can reuse: the report of an identical bundle (rung 1), or the
+//! previous version's report as the base of a defect delta. Entries are
+//! report-only — bundle fingerprint, configuration fingerprint and
+//! report — and every cache miss runs the one uncached pipeline. They
+//! are only ever written for *clean* (non-degraded) analyses: a
+//! degraded run skipped methods whose behaviour is unknown.
 //!
-//! The entry also carries the analysis-configuration fingerprint
+//! The entry carries the analysis-configuration fingerprint
 //! ([`config_fingerprint`]): toggling any checker or bumping
-//! [`ANALYSIS_VERSION`] changes the key, so stale semantics can never be
-//! replayed into a differently-configured run.
+//! [`ANALYSIS_VERSION`] changes the key, so a report computed under
+//! other semantics is never served.
 
 use crate::checker::{AppReport, CheckerConfig};
 use crate::context::MethodAnalysis;
@@ -26,7 +24,7 @@ use std::sync::Arc;
 
 /// Version of the analysis semantics. Bump whenever a checker, the
 /// lifter, the summary engine, or the report format changes meaning, so
-/// persisted cache tiers from older builds miss instead of replaying
+/// persisted cache tiers from older builds miss instead of serving
 /// stale results.
 pub const ANALYSIS_VERSION: u32 = 2;
 
@@ -58,12 +56,13 @@ pub fn config_fingerprint(config: &CheckerConfig) -> u64 {
     h.finish()
 }
 
-/// Everything one clean analysis run leaves behind for the next version
-/// of the same app.
+/// What one clean analysis run leaves behind for the next request of
+/// the same app key: the fingerprints and the report.
 ///
-/// Pool-clean runs (the prescan fast path) write *report-only* entries:
-/// the fingerprints and the report, with every seed empty. The `Default`
-/// impl exists for exactly that shape.
+/// The program builds every entry with its seed fields (`class_fps`,
+/// `lift_seed`, `callee_fps`, `analyses`, `summary_seed`) at their
+/// defaults. They exist only for nckbench's traced twin, which still
+/// fills them (DESIGN.md, "What nckbench pins").
 #[derive(Debug, Clone, Default)]
 pub struct AppCacheEntry {
     /// FNV-1a of the raw bundle bytes: an exact match (plus config
@@ -71,20 +70,15 @@ pub struct AppCacheEntry {
     pub bundle_fp: u64,
     /// The configuration fingerprint this entry was computed under.
     pub config_fp: u64,
-    /// Canonical per-class content fingerprints
-    /// ([`nck_dex::class_fingerprints`]), in file order.
+    /// Per-class content fingerprints (empty; twin only).
     pub class_fps: Vec<u64>,
-    /// Lift replay data for the class prefix.
+    /// Lift seed (empty; twin only).
     pub lift_seed: LiftSeed,
-    /// Per-method call-resolution fingerprints
-    /// ([`crate::context::callee_fingerprints`]).
+    /// Per-method call-resolution fingerprints (empty; twin only).
     pub callee_fps: Vec<u64>,
-    /// Per-method dataflow artifacts, shared by `Arc` so reuse is a
-    /// pointer copy. Memory-tier only: these are derived wholly from the
-    /// replayed bodies and are cheap to recompute relative to their
-    /// serialized size.
+    /// Per-method dataflow artifacts (empty; twin only).
     pub analyses: BTreeMap<MethodId, Arc<MethodAnalysis>>,
-    /// Round-0 interprocedural summary snapshot.
+    /// Summary seed (empty; twin only).
     pub summary_seed: SummarySeed,
     /// The finished (unsealed: no trace/metrics) report.
     pub report: AppReport,
@@ -94,29 +88,27 @@ impl AppCacheEntry {
     /// Approximate resident size of this entry, in bytes.
     ///
     /// Structural accounting, not deep measurement: each retained
-    /// artifact class is charged a calibrated per-item cost (a
-    /// `MethodAnalysis` holds whatever the run forced: nothing but its
-    /// lazy slots for most bodies, a CFG plus per-statement dataflow
-    /// facts for some; a lift-seed class holds replayable bodies; a
-    /// report defect carries strings and a provenance chain).
-    /// Report-only entries hold class fingerprints but no lift seed, so
-    /// they pay no per-class share. The absolute numbers are rough by
-    /// design — what matters for a byte-budgeted LRU is that an app with
-    /// 50× the methods is charged ~50× the bytes, so one batch of huge
-    /// apps cannot hide behind an entry-count cap.
+    /// artifact is charged a calibrated per-item cost (a report defect
+    /// carries strings and a provenance chain; a `MethodAnalysis` holds
+    /// whatever its run forced). A resident entry also holds its
+    /// rendered `--json` bytes once a reply asks for them, so the
+    /// overhead and per-defect costs include those: 0.5 KB for an empty
+    /// report, and 1.5 KB per defect measured over the 285-app corpus.
+    /// The absolute numbers are rough by design — what matters for a
+    /// byte-budgeted LRU is that an entry holding 50× the artifacts is
+    /// charged ~50× the bytes, so one batch of huge apps cannot hide
+    /// behind an entry-count cap.
     pub fn approx_bytes(&self) -> usize {
-        const ENTRY_OVERHEAD: usize = 512;
-        const PER_CLASS: usize = 384; // lift-seed class: replayable class body
+        const ENTRY_OVERHEAD: usize = 1024;
         const PER_CLASS_FP: usize = std::mem::size_of::<u64>();
-        // Worst case, a forced CFG + per-stmt dataflow facts; charged
-        // whether or not the run forced them, since a later replay may.
+        // Worst case, a forced CFG + per-stmt dataflow facts.
         const PER_METHOD_ANALYSIS: usize = 4096;
         const PER_CALLEE_FP: usize = 16;
-        const PER_DEFECT: usize = 768; // message, fix, call stack, provenance
+        // Message, fix, call stack and provenance, then their rendering.
+        const PER_DEFECT: usize = 1536 + 1536;
         const PER_SKIP: usize = 256;
         ENTRY_OVERHEAD
             + self.class_fps.len() * PER_CLASS_FP
-            + self.lift_seed.classes.len() * PER_CLASS
             + self.callee_fps.len() * PER_CALLEE_FP
             + self.analyses.len() * PER_METHOD_ANALYSIS
             + self.report.defects.len() * PER_DEFECT
@@ -124,48 +116,13 @@ impl AppCacheEntry {
     }
 }
 
-/// Whether a caching analysis builds replay seeds for the next version
-/// of the app ([`crate::NChecker::analyze_bytes_reusing_fp`]).
-#[derive(Debug, Clone, Copy)]
-pub enum Seeds<'a> {
-    /// Build them, replaying what the previous entry (if any) still
-    /// matches: the entry is a full one.
-    Keep(Option<&'a AppCacheEntry>),
-    /// Build none: the uncached pipeline runs (no class fingerprints, no
-    /// seeded lift) and the entry is report-only. For callers whose
-    /// entries no later lookup in the same process can reach.
-    Skip,
-}
-
-/// What an incremental analysis actually reused, for hit-rate reporting.
+/// What the cache did for one app, for hit-rate reporting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReuseStats {
     /// The whole cached report was returned (identical bundle + config).
     pub whole_report: bool,
-    /// Classes in the analyzed bundle.
-    pub classes_total: usize,
-    /// Leading classes replayed from the cache (verify + lift skipped).
-    pub classes_reused: usize,
-    /// Methods with bodies in the analyzed bundle.
-    pub methods_total: usize,
-    /// Per-method dataflow artifact sets reused.
-    pub analyses_reused: usize,
-    /// The analysis degraded, so nothing was reused or written back.
+    /// The analysis degraded, so nothing was written back.
     pub degraded: bool,
-}
-
-impl ReuseStats {
-    /// Fraction of classes whose verify/lift/dataflow work was reused,
-    /// in `[0, 1]`. Whole-report hits count as full reuse.
-    pub fn class_hit_rate(&self) -> f64 {
-        if self.whole_report {
-            return 1.0;
-        }
-        if self.classes_total == 0 {
-            return 0.0;
-        }
-        self.classes_reused as f64 / self.classes_total as f64
-    }
 }
 
 #[cfg(test)]
@@ -228,42 +185,5 @@ mod tests {
             bigger.approx_bytes() > 50 * empty.approx_bytes(),
             "size scales with artifact counts, not entry count"
         );
-    }
-
-    #[test]
-    fn report_only_entries_pay_no_lift_seed_share() {
-        let mut b = nck_dex::builder::AdxBuilder::new();
-        for i in 0..20 {
-            b.class(&format!("Lapp/C{i};"), |c| {
-                c.method("f", "()V", nck_dex::AccessFlags::PUBLIC, 1, |m| m.ret(None));
-            });
-        }
-        let file = b.finish().unwrap();
-        let class_fps = nck_dex::class_fingerprints(&file);
-        let lifted = nck_ir::lift::lift_file_seeded(&file, &class_fps, None).unwrap();
-        let report_only = AppCacheEntry {
-            class_fps: class_fps.clone(),
-            ..AppCacheEntry::default()
-        };
-        let seeded = AppCacheEntry {
-            class_fps,
-            lift_seed: lifted.seed,
-            ..AppCacheEntry::default()
-        };
-        assert!(report_only.approx_bytes() < seeded.approx_bytes());
-    }
-
-    #[test]
-    fn hit_rate_edges() {
-        let mut s = ReuseStats::default();
-        assert_eq!(s.class_hit_rate(), 0.0);
-        s.whole_report = true;
-        assert_eq!(s.class_hit_rate(), 1.0);
-        let s = ReuseStats {
-            classes_total: 10,
-            classes_reused: 9,
-            ..ReuseStats::default()
-        };
-        assert!((s.class_hit_rate() - 0.9).abs() < 1e-9);
     }
 }

@@ -1,11 +1,10 @@
 //! The NChecker driver: binary in, warning reports out.
 
-use crate::cache::{config_fingerprint, AppCacheEntry, ReuseStats, Seeds};
 use crate::checks::{
     check_config_with, check_notification, check_response_with, is_guarded_strict_with,
     is_guarded_with, methods_invoking_connectivity, methods_observing_connectivity,
 };
-use crate::context::{AnalyzedApp, AppReuse};
+use crate::context::AnalyzedApp;
 use crate::icc::{
     conn_guarded_components, find_icc_sends, icc_send_reachable, some_component_displays_alert,
 };
@@ -16,7 +15,7 @@ use nck_android::apk::{Apk, ApkError};
 use nck_dex::verify::{VerifyError, VerifyScope};
 use nck_dex::AdxFile;
 use nck_ir::body::Program;
-use nck_ir::lift::{LiftError, LiftSeed, SeededLift};
+use nck_ir::lift::LiftError;
 use nck_netlibs::api::Registry;
 use nck_netlibs::library::Library;
 use nck_obs::{Metrics, MetricsSnapshot, Obs, PipelineTrace};
@@ -287,15 +286,6 @@ enum Input<'a> {
     Parsed(&'a Apk),
 }
 
-/// The caching entry point's share of a run: the fingerprints the new
-/// entry is keyed by, and the previous entry to reuse from (already
-/// filtered to the current configuration).
-struct Caching<'p> {
-    bundle_fp: u64,
-    config_fp: u64,
-    prev: Option<&'p AppCacheEntry>,
-}
-
 /// Attaches the finished trace and metrics snapshot to a report. Every
 /// live span guard must be dropped before this runs.
 fn seal(mut report: AppReport, obs: &Obs) -> AppReport {
@@ -375,8 +365,7 @@ impl NChecker {
     /// [`AppReport::skipped_methods`], and the rest of the app is
     /// analyzed normally.
     pub fn analyze_bytes(&self, bytes: &[u8]) -> Result<AppReport, AnalyzeError> {
-        self.run(Input::Bytes(bytes), None)
-            .map(|(report, _, _)| report)
+        self.run(Input::Bytes(bytes))
     }
 
     /// [`NChecker::analyze_bytes`] with a panic-containment backstop.
@@ -393,121 +382,31 @@ impl NChecker {
 
     /// Analyzes a parsed APK bundle.
     pub fn analyze_apk(&self, apk: &Apk) -> Result<AppReport, AnalyzeError> {
-        self.run(Input::Parsed(apk), None)
-            .map(|(report, _, _)| report)
+        self.run(Input::Parsed(apk))
     }
 
-    /// Analyzes a serialized bundle, reusing everything the previous
-    /// entry in [`Seeds::Keep`] can soundly offer and returning the
-    /// replay material for the *next* version alongside the report.
-    ///
-    /// Reuse has three rungs, each gated by content fingerprints:
-    ///
-    /// 1. **Whole report** — identical bundle bytes and configuration:
-    ///    the cached report is returned verbatim.
-    /// 2. **Class prefix** — the longest leading run of classes whose
-    ///    content fingerprints match skips per-class verification,
-    ///    replays the lift, reuses per-method dataflow artifacts, and
-    ///    seeds the interprocedural summaries (changed methods, plus any
-    ///    replayed method whose call resolution drifted, are recomputed
-    ///    transitively through the call-graph dirty set).
-    /// 3. **Nothing** — no entry, config mismatch, or a degraded app.
-    ///
-    /// Below rung 1 this runs the same pipeline as
-    /// [`NChecker::analyze_bytes`], so the report and its metrics are
-    /// the cold run's. Checkers always run in full: their evidence
-    /// inspects global state (entry reachability, scanned-loop counts,
-    /// call-graph paths) that per-method caching cannot soundly slice.
-    /// A pool-clean bundle's entry carries the report and class
-    /// fingerprints but no seeds. [`Seeds::Skip`] runs the uncached
-    /// pipeline (no class fingerprints, the plain lift) and records a
-    /// report-only entry, for a caller whose entries no later lookup in
-    /// the process could reach. The returned entry is `None` exactly
-    /// when there is nothing safe to cache: the analysis degraded
-    /// (skipped methods mean unknown behaviour — such apps also never
-    /// *read* the cache beyond rung 1, which requires bytes identical to
-    /// a previously *clean* run), or rung 1 hit (the old entry is still
-    /// current).
-    ///
-    /// The caller supplies the bundle fingerprint: the service hashes
-    /// each bundle once per lookup (the same fingerprint gates both
-    /// cache tiers). `bundle_fp` must be `fnv1a(bytes)`; anything else
-    /// would record a cache entry that can never be matched — or worse,
-    /// matched wrongly.
-    pub fn analyze_bytes_reusing_fp(
-        &self,
-        bytes: &[u8],
-        bundle_fp: u64,
-        seeds: Seeds<'_>,
-    ) -> Result<(AppReport, Option<AppCacheEntry>, ReuseStats), AnalyzeError> {
-        debug_assert_eq!(bundle_fp, nck_dex::wire::fnv1a(bytes));
-        let config_fp = config_fingerprint(&self.config);
-        let prev = match seeds {
-            Seeds::Keep(prev) => prev,
-            Seeds::Skip => {
-                let (report, _, stats) = self.run(Input::Bytes(bytes), None)?;
-                // The entry holds the report unsealed, as the cached path
-                // records it.
-                let entry = (!stats.degraded).then(|| AppCacheEntry {
-                    bundle_fp,
-                    config_fp,
-                    report: AppReport {
-                        trace: None,
-                        metrics: None,
-                        ..report.clone()
-                    },
-                    ..AppCacheEntry::default()
-                });
-                return Ok((report, entry, stats));
-            }
-        };
-        // A seed computed under different analysis semantics is useless.
-        let prev = prev.filter(|p| p.config_fp == config_fp);
-        if let Some(p) = prev.filter(|p| p.bundle_fp == bundle_fp) {
-            let stats = ReuseStats {
-                whole_report: true,
-                classes_total: p.class_fps.len(),
-                classes_reused: p.class_fps.len(),
-                ..ReuseStats::default()
-            };
-            return Ok((seal(p.report.clone(), &self.obs.fresh()), None, stats));
-        }
-        let caching = Caching {
-            bundle_fp,
-            config_fp,
-            prev,
-        };
-        self.run(Input::Bytes(bytes), Some(caching))
+    /// The report a whole-report cache hit returns: `cached` (recorded
+    /// unsealed) sealed with this checker's fresh trace and metrics
+    /// sinks, as [`NChecker::analyze_bytes`] seals a run.
+    pub fn sealed(&self, cached: &AppReport) -> AppReport {
+        seal(cached.clone(), &self.obs.fresh())
     }
 
     /// Mints the run's observability sinks, runs the pipeline under the
     /// `app` span, and seals the report.
-    fn run(
-        &self,
-        input: Input<'_>,
-        caching: Option<Caching<'_>>,
-    ) -> Result<(AppReport, Option<AppCacheEntry>, ReuseStats), AnalyzeError> {
+    fn run(&self, input: Input<'_>) -> Result<AppReport, AnalyzeError> {
         let obs = self.obs.fresh();
-        let mut stats = ReuseStats::default();
-        let (report, entry) = {
+        let report = {
             let _app = obs.tracer.span("app");
-            self.pipeline(input, caching, &mut stats, &obs)?
+            self.pipeline(input, &obs)?
         };
-        Ok((seal(report, &obs), entry, stats))
+        Ok(seal(report, &obs))
     }
 
     /// The one analysis pipeline behind every entry point: parse →
-    /// class fingerprints (when caching) → verify → degraded branch or
-    /// prescan fast path → lift → context → checkers → cache entry.
-    /// Returns the report and, when caching a clean run, the entry to
-    /// record.
-    fn pipeline(
-        &self,
-        input: Input<'_>,
-        caching: Option<Caching<'_>>,
-        stats: &mut ReuseStats,
-        obs: &Obs,
-    ) -> Result<(AppReport, Option<AppCacheEntry>), AnalyzeError> {
+    /// verify → degraded branch or prescan fast path → lift → context →
+    /// checkers.
+    fn pipeline(&self, input: Input<'_>, obs: &Obs) -> Result<AppReport, AnalyzeError> {
         let parsed;
         let apk = match input {
             Input::Parsed(apk) => apk,
@@ -520,62 +419,30 @@ impl NChecker {
                 &parsed
             }
         };
-        stats.classes_total = apk.adx.classes.len();
-
-        let class_fps = caching.as_ref().map(|_| {
-            let _s = obs.tracer.span("class_fps");
-            nck_dex::class_fingerprints(&apk.adx)
-        });
-        let prev = caching.as_ref().and_then(|c| c.prev);
-        let prefix = match (prev, &class_fps) {
-            (Some(p), Some(fps)) => p.lift_seed.common_prefix(fps),
-            _ => 0,
-        };
 
         // Structural verification between parse and lift: the lifter and
         // every downstream analysis assume in-range registers, branch
         // targets, and pool references; nothing downstream re-checks.
-        // Prefix classes were verified clean by the run that recorded
-        // the seed (degraded runs never write entries), so they skip it.
         let errors = {
             let s = obs.tracer.span("verify");
-            let errs = nck_dex::verify::verify_with_skip(&apk.adx, &vec![true; prefix]);
+            let errs = nck_dex::verify::verify(&apk.adx);
             s.add_items(errs.len() as u64);
             errs
         };
         obs.metrics.inc("verify.errors", errors.len() as u64);
 
         // A clean bundle ends at the prescan when its pool is clean, and
-        // otherwise lifts strictly, replaying the prefix when caching.
-        let lifted = if errors.is_empty() {
+        // otherwise lifts strictly.
+        let program = if errors.is_empty() {
             if let Some(report) = self.pool_clean_report(apk, obs) {
-                // No seeds: a later version that gains network code
-                // finds no prefix to replay and runs cold.
-                let entry = caching.map(|c| AppCacheEntry {
-                    bundle_fp: c.bundle_fp,
-                    config_fp: c.config_fp,
-                    class_fps: class_fps.unwrap_or_default(),
-                    report: report.clone(),
-                    ..AppCacheEntry::default()
-                });
-                return Ok((report, entry));
+                return Ok(report);
             }
             let _s = obs.tracer.span("lift");
-            let lifted = match &class_fps {
-                Some(fps) => {
-                    nck_ir::lift::lift_file_seeded(&apk.adx, fps, prev.map(|p| &p.lift_seed)).ok()
-                }
-                None => nck_ir::lift_file(&apk.adx).ok().map(|program| SeededLift {
-                    program,
-                    seed: LiftSeed::default(),
-                    reused_classes: 0,
-                    reused_methods: Vec::new(),
-                }),
-            };
-            if let Some(l) = &lifted {
-                record_lift(&obs.metrics, &l.program);
+            let program = nck_ir::lift_file(&apk.adx).ok();
+            if let Some(p) = &program {
+                record_lift(&obs.metrics, p);
             }
-            lifted
+            program
         } else {
             None
         };
@@ -584,8 +451,7 @@ impl NChecker {
         // lifter rejects) skips just that method; anything wider (class
         // or file scope) is unanalyzable. The report is incomplete, so
         // it is never cached.
-        let Some(lifted) = lifted else {
-            stats.degraded = true;
+        let Some(program) = program else {
             let wide: Vec<VerifyError> = errors
                 .iter()
                 .filter(|e| e.scope != VerifyScope::Method)
@@ -633,43 +499,14 @@ impl NChecker {
                         .debug(&format!("skipped {} [{}]: {}", s.method, s.cause, s.detail));
                 }
             }
-            let app =
-                AnalyzedApp::new_reusing(apk.manifest.clone(), program, &self.registry, None, obs);
+            let app = AnalyzedApp::with_obs(apk.manifest.clone(), program, &self.registry, obs);
             let mut report = self.analyze_with(&app, obs);
             report.skipped_methods = skipped_methods;
-            return Ok((report, None));
+            return Ok(report);
         };
 
-        let SeededLift {
-            program,
-            seed: lift_seed,
-            reused_classes,
-            reused_methods,
-        } = lifted;
-        stats.classes_reused = reused_classes;
-        stats.methods_total = program.methods.iter().filter(|m| m.body.is_some()).count();
-        let reuse = prev.map(|p| AppReuse {
-            analyses: &p.analyses,
-            reused_methods: &reused_methods,
-            callee_fps: &p.callee_fps,
-            summary_seed: &p.summary_seed,
-        });
-        let app =
-            AnalyzedApp::new_reusing(apk.manifest.clone(), program, &self.registry, reuse, obs);
-        stats.analyses_reused = app.analyses_reused();
-
-        let report = self.analyze_with(&app, obs);
-        let entry = caching.map(|c| AppCacheEntry {
-            bundle_fp: c.bundle_fp,
-            config_fp: c.config_fp,
-            class_fps: class_fps.unwrap_or_default(),
-            lift_seed,
-            callee_fps: app.callee_fps().to_vec(),
-            analyses: app.analyses_arc().clone(),
-            summary_seed: app.summary_seed().clone(),
-            report: report.clone(),
-        });
-        Ok((report, entry))
+        let app = AnalyzedApp::with_obs(apk.manifest.clone(), program, &self.registry, obs);
+        Ok(self.analyze_with(&app, obs))
     }
 
     /// The prescan fast path, shared by every entry point: when no

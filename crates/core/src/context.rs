@@ -6,7 +6,6 @@ use nck_android::entrypoints::{entry_points, EntryPoint};
 use nck_android::manifest::Manifest;
 use nck_dataflow::interproc::{CallKind, MethodInput, Summaries, SummarySeed};
 use nck_dataflow::{ConstProp, ControlDeps, ReachingDefs};
-use nck_dex::fingerprint::Fnv;
 use nck_ir::body::{Body, InvokeExpr, MethodId, MethodKey, Program};
 use nck_ir::cfg::Cfg;
 use nck_ir::dom::{dominators, post_dominators, DomTree};
@@ -15,7 +14,7 @@ use nck_ir::loops::{natural_loops, NaturalLoop};
 use nck_ir::symbols::Interner;
 use nck_netlibs::api::{ApiRoles, ConfigApi, Registry, ResponseCheckApi, TargetApi};
 use nck_obs::Obs;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// All dataflow artifacts of one method body.
@@ -24,8 +23,7 @@ use std::sync::{Arc, OnceLock};
 /// initializes on first access. Most methods issue no request and sit
 /// in no loop a checker inspects, so an eager CFG per body was mostly
 /// built for nobody. `OnceLock` keeps the struct `Sync`, so
-/// lazily-initialized analyses still share across threads and across
-/// incremental runs via `Arc`.
+/// lazily-initialized analyses still share across threads via `Arc`.
 #[derive(Debug)]
 pub struct MethodAnalysis {
     body: Arc<Body>,
@@ -117,22 +115,17 @@ impl MethodAnalysis {
     }
 }
 
-/// Prior-run artifacts the context constructor may reuse for methods the
-/// lift replayed unchanged. All reuse is gated per method: a method id is
-/// only consulted when it appears in `reused_methods`, whose bodies are
-/// literal clones of the recording run's.
+/// Prior-run artifacts. Exists only for nckbench's traced twin;
+/// [`AnalyzedApp::new_reusing`] ignores it.
 #[derive(Debug, Clone, Copy)]
 pub struct AppReuse<'a> {
     /// Previous run's per-method dataflow artifacts.
     pub analyses: &'a BTreeMap<MethodId, Arc<MethodAnalysis>>,
-    /// Method ids whose bodies were replayed byte-identically.
+    /// Method ids whose bodies were replayed.
     pub reused_methods: &'a [MethodId],
-    /// Previous run's per-method call-resolution fingerprints
-    /// ([`callee_fingerprints`]); a mismatch dirties the method's summary
-    /// even though its own body is unchanged (a call it makes may resolve
-    /// differently in the new version).
+    /// Previous run's per-method call-resolution fingerprints.
     pub callee_fps: &'a [u64],
-    /// Previous run's round-0 summary snapshot.
+    /// Previous run's summary seed.
     pub summary_seed: &'a SummarySeed,
 }
 
@@ -203,42 +196,39 @@ pub struct AnalyzedApp<'r> {
     analyses: BTreeMap<MethodId, Arc<MethodAnalysis>>,
     apis: ApiIndex,
     calls_source: OnceLock<Vec<bool>>,
-    prior: Option<AppReuse<'r>>,
     obs: Obs,
-    solved: OnceLock<(Summaries, SummarySeed, Vec<u64>)>,
-    analyses_reused: usize,
-    /// CFGs the replayed analyses already held at construction.
-    cfgs_held: usize,
+    solved: OnceLock<Summaries>,
 }
 
-/// An unsolved app's seed, which the next version reads as all dirty.
-const UNSOLVED_SEED: &SummarySeed = &SummarySeed {
-    round0_summaries: Vec::new(),
-    round0_contribs: Vec::new(),
-};
+/// The empty seed [`AnalyzedApp::summary_seed`] returns.
+const EMPTY_SEED: &SummarySeed = &SummarySeed {};
 
 impl<'r> AnalyzedApp<'r> {
     /// Builds the call graph, discovers entry points, and sets up the
     /// lazy per-method dataflow analyses.
     pub fn new(manifest: Manifest, program: Program, registry: &'r Registry) -> AnalyzedApp<'r> {
-        AnalyzedApp::new_reusing(manifest, program, registry, None, &Obs::disabled())
+        AnalyzedApp::with_obs(manifest, program, registry, &Obs::disabled())
     }
 
-    /// Like [`AnalyzedApp::new`], reusing prior-run artifacts for methods
-    /// the incremental lift replayed unchanged (none when `reuse` is
-    /// `None`) and recording per-phase spans and metrics into `obs`.
-    ///
-    /// Entry points, the call graph, and entry reachability are always
-    /// rebuilt: they are whole-program properties whose inputs (method
-    /// ids, resolution targets) can shift under any class change, and
-    /// they are cheap relative to the per-method dataflow they guard.
-    /// Summaries are solved on first use ([`AnalyzedApp::summaries`]),
-    /// so `reuse` must outlive the context.
+    /// [`AnalyzedApp::with_obs`]; `reuse` is ignored. Exists only for
+    /// nckbench's traced twin.
     pub fn new_reusing(
         manifest: Manifest,
         program: Program,
         registry: &'r Registry,
-        reuse: Option<AppReuse<'r>>,
+        _reuse: Option<AppReuse<'r>>,
+        obs: &Obs,
+    ) -> AnalyzedApp<'r> {
+        AnalyzedApp::with_obs(manifest, program, registry, obs)
+    }
+
+    /// Like [`AnalyzedApp::new`], recording per-phase spans and metrics
+    /// into `obs`. Summaries are solved on first use
+    /// ([`AnalyzedApp::summaries`]).
+    pub fn with_obs(
+        manifest: Manifest,
+        program: Program,
+        registry: &'r Registry,
         obs: &Obs,
     ) -> AnalyzedApp<'r> {
         let _ctx = obs.tracer.span("context");
@@ -259,11 +249,6 @@ impl<'r> AnalyzedApp<'r> {
             let entry_methods: Vec<MethodId> = entries.iter().map(|e| e.method).collect();
             callgraph.entry_reach_sets(&entry_methods, program.methods.len())
         };
-        let mut analyses_reused = 0;
-        let reused: BTreeSet<MethodId> = reuse
-            .as_ref()
-            .map(|r| r.reused_methods.iter().copied().collect())
-            .unwrap_or_default();
         let analyses: BTreeMap<MethodId, Arc<MethodAnalysis>> = {
             let s = obs.tracer.span("method_analyses");
             let mut analyses: BTreeMap<MethodId, Arc<MethodAnalysis>> = BTreeMap::new();
@@ -271,23 +256,11 @@ impl<'r> AnalyzedApp<'r> {
                 let Some(body) = m.body.as_ref() else {
                     continue;
                 };
-                let prev = reuse
-                    .as_ref()
-                    .filter(|_| reused.contains(&id))
-                    .and_then(|r| r.analyses.get(&id));
-                let analysis = match prev {
-                    Some(prev) => {
-                        analyses_reused += 1;
-                        Arc::clone(prev)
-                    }
-                    None => Arc::new(MethodAnalysis::compute(body)),
-                };
-                analyses.insert(id, analysis);
+                analyses.insert(id, Arc::new(MethodAnalysis::compute(body)));
             }
             s.add_items(analyses.len() as u64);
             analyses
         };
-        let cfgs_held = analyses.values().filter(|a| a.has_cfg()).count();
         if obs.metrics.is_enabled() {
             obs.metrics.inc("context.entries", entries.len() as u64);
             obs.metrics
@@ -308,11 +281,8 @@ impl<'r> AnalyzedApp<'r> {
             analyses,
             apis,
             calls_source: OnceLock::new(),
-            prior: reuse,
             obs: obs.clone(),
             solved: OnceLock::new(),
-            analyses_reused,
-            cfgs_held,
         }
     }
 
@@ -384,31 +354,27 @@ impl<'r> AnalyzedApp<'r> {
     }
 
     /// The interprocedural method summaries. The first call solves the
-    /// whole program (seeded from the previous version when one was
-    /// given), recording the `summaries` span and the `summary.*`
+    /// whole program, recording the `summaries` span and the `summary.*`
     /// counters into the context's `Obs` under whatever span is open
     /// then. Method indices are dense: `MethodId(i)` ↔ summary index `i`.
     pub fn summaries(&self) -> &Summaries {
-        &self.solved.get_or_init(|| self.solve()).0
+        self.solved.get_or_init(|| self.solve())
     }
 
     /// The summaries if a checker asked for them, without solving.
     pub fn solved_summaries(&self) -> Option<&Summaries> {
-        self.solved.get().map(|(s, ..)| s)
+        self.solved.get()
     }
 
-    /// The round-0 summary snapshot, the seed for the next version's
-    /// incremental summary computation. Empty when nothing asked for the
-    /// summaries; never forces a solve.
+    /// An empty summary seed. Exists only for nckbench's traced twin.
     pub fn summary_seed(&self) -> &SummarySeed {
-        self.solved.get().map_or(UNSOLVED_SEED, |(_, seed, _)| seed)
+        EMPTY_SEED
     }
 
-    /// Per-method call-resolution fingerprints for this run (dense,
-    /// parallel to `program.methods`), the companion of
-    /// [`AnalyzedApp::summary_seed`]: empty when that is.
+    /// No call-resolution fingerprints. Exists only for nckbench's
+    /// traced twin.
     pub fn callee_fps(&self) -> &[u64] {
-        self.solved.get().map_or(&[], |(.., fps)| fps)
+        &[]
     }
 
     /// Solves every method's summary, classifying each call site against
@@ -416,19 +382,10 @@ impl<'r> AnalyzedApp<'r> {
     /// APIs are check sinks) and the explicit call-graph edges
     /// (app-internal callees). Everything else — framework calls,
     /// implicit edges — stays opaque to keep the summaries conservative.
-    fn solve(&self) -> (Summaries, SummarySeed, Vec<u64>) {
+    fn solve(&self) -> Summaries {
         let _s = self.obs.tracer.span("summaries");
-        let program = &self.program;
-        let fps = callee_fingerprints(program, &self.callgraph);
-        let dirty = self.prior.map(|r| {
-            let reused: BTreeSet<usize> = r.reused_methods.iter().map(|m| m.0 as usize).collect();
-            // A replayed body whose calls now resolve differently is
-            // just as dirty as a changed one.
-            (0..fps.len())
-                .filter(|i| !reused.contains(i) || r.callee_fps.get(*i) != Some(&fps[*i]))
-                .collect::<BTreeSet<usize>>()
-        });
-        let inputs: Vec<MethodInput<'_>> = program
+        let inputs: Vec<MethodInput<'_>> = self
+            .program
             .methods
             .iter()
             .map(|m| MethodInput {
@@ -441,7 +398,7 @@ impl<'r> AnalyzedApp<'r> {
         let cfgs: Vec<Option<&Cfg>> = (0..inputs.len())
             .map(|i| self.analyses.get(&MethodId(i as u32)).map(|a| a.cfg()))
             .collect();
-        let (summaries, seed) = Summaries::compute_incremental(
+        Summaries::compute(
             &inputs,
             &cfgs,
             |m, stmt, inv| {
@@ -465,28 +422,18 @@ impl<'r> AnalyzedApp<'r> {
                     CallKind::Callees(callees)
                 }
             },
-            self.prior
-                .zip(dirty.as_ref())
-                .map(|(r, d)| (r.summary_seed, d)),
             &self.obs,
-        );
-        (summaries, seed, fps)
+        )
     }
 
-    /// The full per-method analysis map, shareable with a cache.
+    /// The full per-method analysis map.
     pub fn analyses_arc(&self) -> &BTreeMap<MethodId, Arc<MethodAnalysis>> {
         &self.analyses
     }
 
-    /// How many method analyses this context took from the previous run.
-    pub fn analyses_reused(&self) -> usize {
-        self.analyses_reused
-    }
-
-    /// How many CFGs were built since construction: those now held,
-    /// less those the replayed analyses already carried in.
+    /// How many CFGs were built since construction.
     pub fn cfgs_built(&self) -> usize {
-        self.analyses.values().filter(|a| a.has_cfg()).count() - self.cfgs_held
+        self.analyses.values().filter(|a| a.has_cfg()).count()
     }
 
     /// The dataflow artifacts of `method`.
@@ -529,37 +476,6 @@ impl<'r> AnalyzedApp<'r> {
         self.program
             .display_method_key(self.program.method(method).key)
     }
-}
-
-/// Per-method fingerprints of *how this run resolved each method's
-/// calls*: explicit and implicit call-graph edges in edge order, with
-/// callee identity taken from its resolved key strings (stable across
-/// versions) rather than its `MethodId` (not stable past the first
-/// changed class).
-///
-/// A replayed method body is only as reusable as its call resolution: if
-/// an update makes a previously opaque call resolve to a real callee (or
-/// retargets one), the caller's summary context changed even though its
-/// bytecode did not. Comparing these fingerprints across versions is how
-/// the incremental path notices.
-pub fn callee_fingerprints(program: &Program, callgraph: &CallGraph) -> Vec<u64> {
-    program
-        .methods
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let mut h = Fnv::new();
-            for edge in callgraph.callees(MethodId(i as u32)) {
-                let key = program.method(edge.callee).key;
-                h.u32(edge.stmt.0)
-                    .u32(u32::from(edge.implicit))
-                    .str(program.symbols.resolve(key.class))
-                    .str(program.symbols.resolve(key.name))
-                    .str(program.symbols.resolve(key.sig));
-            }
-            h.finish()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -721,13 +637,10 @@ mod tests {
             });
         });
         let program = lift_file(&b.finish().unwrap()).unwrap();
-        let n = program.methods.len();
         let registry = Registry::standard();
         let obs = Obs::enabled();
-        let app = AnalyzedApp::new_reusing(Manifest::new("app"), program, &registry, None, &obs);
+        let app = AnalyzedApp::with_obs(Manifest::new("app"), program, &registry, &obs);
         assert!(app.solved_summaries().is_none());
-        assert!(app.summary_seed().is_empty());
-        assert!(app.callee_fps().is_empty());
         assert!(!obs
             .metrics
             .snapshot()
@@ -740,8 +653,6 @@ mod tests {
             nck_dataflow::CVal::Int(3)
         );
         assert!(app.solved_summaries().is_some());
-        assert_eq!(app.summary_seed().len(), n);
-        assert_eq!(app.callee_fps().len(), n);
         assert_eq!(
             obs.metrics.snapshot().counters.get("summary.method_passes"),
             Some(&1)

@@ -65,12 +65,12 @@ pub mod report;
 pub mod retry;
 pub mod stats;
 
-pub use cache::{config_fingerprint, AppCacheEntry, ReuseStats, Seeds, ANALYSIS_VERSION};
+pub use cache::{config_fingerprint, AppCacheEntry, ReuseStats, ANALYSIS_VERSION};
 pub use callgraph::{CallEdge, CallGraph};
 pub use checker::{
     AnalysisSkip, AnalyzeError, AppReport, AppStats, CheckerConfig, NChecker, SkipCause,
 };
-pub use context::{callee_fingerprints, AnalyzedApp, AppReuse, MethodAnalysis};
+pub use context::{AnalyzedApp, AppReuse, MethodAnalysis};
 pub use icc::{find_icc_sends, IccKind, IccSend};
 pub use json::{
     app_report_to_json, evidence_to_json, kind_id, metrics_to_json, report_to_json, stats_to_json,

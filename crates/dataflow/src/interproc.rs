@@ -49,7 +49,7 @@ use nck_ir::body::{Body, FieldKey, IdentityKind, InvokeExpr, Operand, Rvalue, St
 use nck_ir::cfg::Cfg;
 
 /// What a call site means to the analysis, as decided by the caller of
-/// [`Summaries::compute_incremental`].
+/// [`Summaries::compute`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CallKind {
     /// A connectivity source API (e.g. `NetworkInfo.isConnected()`):
@@ -153,38 +153,9 @@ pub struct Summaries {
     hits: AtomicUsize,
 }
 
-/// A reusable snapshot of the engine's state after the *first* fixpoint
-/// round (before field-constant refinement), indexed by dense method
-/// index.
-///
-/// Seeding a later run with this snapshot lets the engine skip every
-/// method whose body, callee resolution, and transitive callee cone are
-/// unchanged: their round-0 summaries and field-store contributions are
-/// taken verbatim, and only the dirty set (plus its transitive callers,
-/// via the existing dirty-set recompute) is re-solved. The snapshot is
-/// taken at round 0 — not after field refinement — so the seeded run
-/// replays the exact same refinement trajectory as a cold run and
-/// converges to byte-identical summaries.
+/// An empty summary seed. Exists only for nckbench's traced twin.
 #[derive(Debug, Clone, Default)]
-pub struct SummarySeed {
-    /// Post-round-0 summary per method.
-    pub round0_summaries: Vec<MethodSummary>,
-    /// Post-round-0 field-store contribution per method: the join of the
-    /// values this method stores to each field.
-    pub round0_contribs: Vec<BTreeMap<FieldKey, CVal>>,
-}
-
-impl SummarySeed {
-    /// Number of methods covered by the snapshot.
-    pub fn len(&self) -> usize {
-        self.round0_summaries.len()
-    }
-
-    /// Whether the snapshot covers no methods.
-    pub fn is_empty(&self) -> bool {
-        self.round0_summaries.is_empty()
-    }
-}
+pub struct SummarySeed {}
 
 /// The abstract value of one local: a constant-lattice value plus
 /// provenance (which argument positions and whether a connectivity
@@ -266,19 +237,8 @@ const MAX_FIELD_ROUNDS: usize = 4;
 impl Summaries {
     /// Computes summaries for all `methods`, classifying each call site
     /// via `classify` (called once per site, up front) and reusing the
-    /// caller's CFGs (`cfgs[i]` for `methods[i]`). The one engine behind
-    /// both cold and warm computation.
-    ///
-    /// With `seed = None` every method is solved from the bottom — this
-    /// *is* the cold path, so the two can never diverge. With
-    /// `seed = Some((snapshot, dirty))`, methods outside `dirty` start
-    /// from their cached round-0 summaries and contributions; dirty
-    /// methods (changed bodies, changed callee resolution, or indices
-    /// beyond the snapshot) are re-solved, and any summary movement
-    /// dirties their callers through the component walk exactly as in a
-    /// cold run. Recursive components touching the dirty set are reset
-    /// wholesale to the bottom so their fixpoint iterates from the same
-    /// starting point a cold run uses.
+    /// caller's CFGs (`cfgs[i]` for `methods[i]`). Every method is
+    /// solved from the bottom.
     ///
     /// `obs` receives a `scc_fixpoint` span per recursive (size > 1)
     /// component, an SCC size histogram (`summary.scc_size`), fixpoint
@@ -286,16 +246,12 @@ impl Summaries {
     /// `summary.method_passes`), field refinement rounds
     /// (`summary.field_rounds`), and the final [`SummaryStats`] as
     /// `summary.*` counters.
-    ///
-    /// Returns the summaries plus a fresh [`SummarySeed`] for the *next*
-    /// run.
-    pub fn compute_incremental<F>(
+    pub fn compute<F>(
         methods: &[MethodInput<'_>],
         cfgs: &[Option<&Cfg>],
         mut classify: F,
-        seed: Option<(&SummarySeed, &BTreeSet<usize>)>,
         obs: &nck_obs::Obs,
-    ) -> (Summaries, SummarySeed)
+    ) -> Summaries
     where
         F: FnMut(usize, StmtId, &InvokeExpr) -> CallKind,
     {
@@ -337,8 +293,8 @@ impl Summaries {
         let fixpoint_iters = std::cell::Cell::new(0u64);
         let method_passes = std::cell::Cell::new(0u64);
 
-        // Reverse edges and self-loops drive the incremental recompute:
-        // a changed summary only dirties its callers, and a singleton
+        // Reverse edges and self-loops drive the recompute: a changed
+        // summary only dirties its callers, and a singleton
         // component without a self-call needs exactly one pass.
         let self_loop: Vec<bool> = (0..n).map(|m| succs[m].binary_search(&m).is_ok()).collect();
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -371,70 +327,18 @@ impl Summaries {
             })
             .collect();
 
-        // Seed the lattice: clean methods start from the cached round-0
-        // snapshot, everything else (and every method in an unseeded
-        // run) from the bottom. `force` carries the initially dirty
-        // methods: their callers must be revisited even when a re-solved
-        // summary happens to equal the bottom it was seeded with,
-        // because the *cached* caller value may have been computed
-        // against a different callee summary in the previous run.
-        let bottom_of = |m: usize| {
-            if methods[m].body.is_some() {
-                MethodSummary::bottom()
-            } else {
-                MethodSummary::opaque()
-            }
-        };
-        let mut summaries: Vec<MethodSummary>;
-        let mut contribs: Vec<BTreeMap<FieldKey, CVal>>;
-        let mut dirty: BTreeSet<usize>;
-        let mut force: BTreeSet<usize> = BTreeSet::new();
-        match seed {
-            Some((snapshot, changed)) => {
-                let covered = |m: usize| m < snapshot.len() && m < snapshot.round0_contribs.len();
-                dirty = changed.iter().copied().filter(|&m| m < n).collect();
-                dirty.extend((0..n).filter(|&m| !covered(m)));
-                // A recursive component touching the dirty set must
-                // iterate from the bottom, as a cold run would; seeding
-                // part of it mid-lattice could converge elsewhere.
-                for comp in &components {
-                    if (comp.len() > 1 || self_loop[comp[0]])
-                        && comp.iter().any(|m| dirty.contains(m))
-                    {
-                        dirty.extend(comp.iter().copied());
-                    }
+        let mut summaries: Vec<MethodSummary> = methods
+            .iter()
+            .map(|m| {
+                if m.body.is_some() {
+                    MethodSummary::bottom()
+                } else {
+                    MethodSummary::opaque()
                 }
-                summaries = (0..n)
-                    .map(|m| {
-                        if dirty.contains(&m) {
-                            bottom_of(m)
-                        } else {
-                            snapshot.round0_summaries[m]
-                        }
-                    })
-                    .collect();
-                contribs = (0..n)
-                    .map(|m| {
-                        if dirty.contains(&m) {
-                            BTreeMap::new()
-                        } else {
-                            snapshot.round0_contribs[m].clone()
-                        }
-                    })
-                    .collect();
-                force = dirty.clone();
-                if obs.metrics.is_enabled() {
-                    obs.metrics.inc("summary.seed_dirty", dirty.len() as u64);
-                    obs.metrics
-                        .inc("summary.seed_reused", (n - dirty.len()) as u64);
-                }
-            }
-            None => {
-                summaries = (0..n).map(bottom_of).collect();
-                contribs = vec![BTreeMap::new(); n];
-                dirty = (0..n).collect();
-            }
-        }
+            })
+            .collect();
+        let mut contribs: Vec<BTreeMap<FieldKey, CVal>> = vec![BTreeMap::new(); n];
+        let mut dirty: BTreeSet<usize> = (0..n).collect();
         let mut field_consts: BTreeMap<FieldKey, CVal> = BTreeMap::new();
 
         // Recomputes the methods in `dirty`, components bottom-up in
@@ -444,8 +348,7 @@ impl Summaries {
         let recompute = |summaries: &mut Vec<MethodSummary>,
                          contribs: &mut Vec<BTreeMap<FieldKey, CVal>>,
                          field_consts: &BTreeMap<FieldKey, CVal>,
-                         dirty: &mut BTreeSet<usize>,
-                         force: &BTreeSet<usize>| {
+                         dirty: &mut BTreeSet<usize>| {
             for comp in &components {
                 if !comp.iter().any(|m| dirty.contains(m)) {
                     continue;
@@ -476,8 +379,8 @@ impl Summaries {
                         let sol = solve(body, cfgs[m].expect("cfg exists for body"), &analysis);
                         let s = summarize(body, &sol, &kinds[m], summaries);
                         contribs[m] = field_contrib(body, &sol);
-                        if s != summaries[m] || force.contains(&m) {
-                            changed |= s != summaries[m];
+                        if s != summaries[m] {
+                            changed = true;
                             summaries[m] = s;
                             dirty.extend(preds[m].iter().copied());
                         }
@@ -496,26 +399,10 @@ impl Summaries {
         // the transitive callers of anything that shifted.
         let mut stable = false;
         let mut field_rounds = 0u64;
-        // Post-round-0 snapshot: per-method summaries plus per-method
-        // field-constant contributions, the seed for an incremental run.
-        type Round0 = (Vec<MethodSummary>, Vec<BTreeMap<FieldKey, CVal>>);
-        let mut round0: Option<Round0> = None;
         for _ in 0..MAX_FIELD_ROUNDS {
             field_rounds += 1;
             let _round = obs.tracer.span("field_round");
-            recompute(
-                &mut summaries,
-                &mut contribs,
-                &field_consts,
-                &mut dirty,
-                &force,
-            );
-            if round0.is_none() {
-                // Snapshot the post-round-0 state (the seed for a later
-                // incremental run) before refinement perturbs it.
-                round0 = Some((summaries.clone(), contribs.clone()));
-                force = BTreeSet::new();
-            }
+            recompute(&mut summaries, &mut contribs, &field_consts, &mut dirty);
             let next = merge_contribs(&contribs);
             if next == field_consts {
                 stable = true;
@@ -535,13 +422,7 @@ impl Summaries {
             field_rounds += 1;
             let _round = obs.tracer.span("field_round");
             let mut all: BTreeSet<usize> = (0..n).collect();
-            recompute(
-                &mut summaries,
-                &mut contribs,
-                &field_consts,
-                &mut all,
-                &force,
-            );
+            recompute(&mut summaries, &mut contribs, &field_consts, &mut all);
         }
 
         let stats = SummaryStats {
@@ -578,19 +459,12 @@ impl Summaries {
             obs.metrics.inc("summary.field_rounds", field_rounds);
         }
 
-        let (round0_summaries, round0_contribs) = round0.unwrap_or_default();
-        (
-            Summaries {
-                summaries,
-                field_consts,
-                stats,
-                hits: AtomicUsize::new(0),
-            },
-            SummarySeed {
-                round0_summaries,
-                round0_contribs,
-            },
-        )
+        Summaries {
+            summaries,
+            field_consts,
+            stats,
+            hits: AtomicUsize::new(0),
+        }
     }
 
     /// Number of methods covered (dense-index space).
@@ -988,7 +862,33 @@ mod tests {
     }
 
     fn compute(p: &Program) -> Summaries {
-        compute_seeded(p, None, &nck_obs::Obs::disabled()).0
+        let inputs: Vec<MethodInput<'_>> = p
+            .methods
+            .iter()
+            .map(|m| MethodInput {
+                body: m.body.as_deref(),
+                is_static: m.flags.contains(AccessFlags::STATIC),
+            })
+            .collect();
+        let owned: Vec<Option<Cfg>> = inputs.iter().map(|i| i.body.map(Cfg::build)).collect();
+        let cfgs: Vec<Option<&Cfg>> = owned.iter().map(Option::as_ref).collect();
+        Summaries::compute(
+            &inputs,
+            &cfgs,
+            |_, _, inv| {
+                let class = p.symbols.resolve(inv.callee.class);
+                if class == CONN {
+                    CallKind::Source
+                } else if class == SINK {
+                    CallKind::CheckSink
+                } else if let Some(id) = p.lookup_method(inv.callee) {
+                    CallKind::Callees(vec![id.0 as usize])
+                } else {
+                    CallKind::Opaque
+                }
+            },
+            &nck_obs::Obs::disabled(),
+        )
     }
 
     fn idx(p: &Program, class: &str, name: &str) -> usize {
@@ -1424,147 +1324,5 @@ mod tests {
         let sum = s.summary(idx(&p, "Lapp/U;", "f"));
         assert_eq!(sum.const_return, CVal::NonConst);
         assert!(!sum.return_from_source);
-    }
-
-    fn compute_seeded(
-        p: &Program,
-        seed: Option<(&SummarySeed, &BTreeSet<usize>)>,
-        obs: &nck_obs::Obs,
-    ) -> (Summaries, SummarySeed) {
-        let inputs: Vec<MethodInput<'_>> = p
-            .methods
-            .iter()
-            .map(|m| MethodInput {
-                body: m.body.as_deref(),
-                is_static: m.flags.contains(AccessFlags::STATIC),
-            })
-            .collect();
-        let owned: Vec<Option<Cfg>> = inputs.iter().map(|i| i.body.map(Cfg::build)).collect();
-        let cfgs: Vec<Option<&Cfg>> = owned.iter().map(Option::as_ref).collect();
-        Summaries::compute_incremental(
-            &inputs,
-            &cfgs,
-            |_, _, inv| {
-                let class = p.symbols.resolve(inv.callee.class);
-                if class == CONN {
-                    CallKind::Source
-                } else if class == SINK {
-                    CallKind::CheckSink
-                } else if let Some(id) = p.lookup_method(inv.callee) {
-                    CallKind::Callees(vec![id.0 as usize])
-                } else {
-                    CallKind::Opaque
-                }
-            },
-            seed,
-            obs,
-        )
-    }
-
-    /// The `base → mid → top` chain of
-    /// [`constant_returns_fold_through_call_chains`], with `base`'s
-    /// constant as a parameter, plus one method with no call edges at
-    /// all.
-    fn chain_program(base_const: i64) -> Program {
-        let mut b = AdxBuilder::new();
-        b.class("Lapp/A;", |c| {
-            c.method(
-                "base",
-                "()I",
-                AccessFlags::PUBLIC | AccessFlags::STATIC,
-                1,
-                move |m| {
-                    m.const_int(m.reg(0), base_const);
-                    m.ret(Some(m.reg(0)));
-                },
-            );
-            c.method(
-                "mid",
-                "()I",
-                AccessFlags::PUBLIC | AccessFlags::STATIC,
-                2,
-                |m| {
-                    m.invoke_static("Lapp/A;", "base", "()I", &[]);
-                    m.move_result(m.reg(0));
-                    m.binop_lit(BinOp::Add, m.reg(0), m.reg(0), 1);
-                    m.ret(Some(m.reg(0)));
-                },
-            );
-            c.method(
-                "top",
-                "()I",
-                AccessFlags::PUBLIC | AccessFlags::STATIC,
-                1,
-                |m| {
-                    m.invoke_static("Lapp/A;", "mid", "()I", &[]);
-                    m.move_result(m.reg(0));
-                    m.ret(Some(m.reg(0)));
-                },
-            );
-        });
-        b.class("Lapp/B;", |c| {
-            c.method(
-                "loner",
-                "()I",
-                AccessFlags::PUBLIC | AccessFlags::STATIC,
-                1,
-                |m| {
-                    m.const_int(m.reg(0), 42);
-                    m.ret(Some(m.reg(0)));
-                },
-            );
-        });
-        lift(b)
-    }
-
-    #[test]
-    fn dirty_callee_invalidates_cached_callers_transitively() {
-        // Version 1: base() = 7, so mid() = 8 and top() = 8 through the
-        // chain. Snapshot the seed.
-        let v1 = chain_program(7);
-        let (s1, seed1) = compute_seeded(&v1, None, &nck_obs::Obs::disabled());
-        assert_eq!(
-            s1.summary(idx(&v1, "Lapp/A;", "top")).const_return,
-            CVal::Int(8)
-        );
-
-        // Version 2 changes only base(); the incremental dirty set is
-        // exactly {base} — mid and top are "cached" but must still move
-        // because dirtiness propagates along reverse call edges.
-        let v2 = chain_program(20);
-        let dirty: BTreeSet<usize> = [idx(&v2, "Lapp/A;", "base")].into_iter().collect();
-        let obs = nck_obs::Obs::enabled();
-        let (warm, _) = compute_seeded(&v2, Some((&seed1, &dirty)), &obs);
-        let (cold, _) = compute_seeded(&v2, None, &nck_obs::Obs::disabled());
-
-        for name in ["base", "mid", "top"] {
-            let i = idx(&v2, "Lapp/A;", name);
-            assert_eq!(
-                warm.summary(i).const_return,
-                cold.summary(i).const_return,
-                "warm {name} must match cold"
-            );
-        }
-        assert_eq!(
-            warm.summary(idx(&v2, "Lapp/A;", "top")).const_return,
-            CVal::Int(21)
-        );
-
-        // The method with no path to the dirty set kept its seeded
-        // summary: the engine reports at least one seed reuse.
-        assert_eq!(
-            warm.summary(idx(&v2, "Lapp/B;", "loner")).const_return,
-            CVal::Int(42)
-        );
-        let snap = obs.metrics.snapshot();
-        assert!(
-            snap.counters
-                .get("summary.seed_reused")
-                .copied()
-                .unwrap_or(0)
-                >= 1,
-            "loner should be served from the seed: {:?}",
-            snap.counters
-        );
     }
 }

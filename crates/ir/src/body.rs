@@ -517,10 +517,9 @@ impl Body {
 
 /// A lifted method.
 ///
-/// The body is `Arc`-shared: bodies are immutable once lifted, and the
-/// incremental-analysis cache clones whole `Method` records when
-/// replaying unchanged classes — sharing the body makes that clone O(1)
-/// instead of a deep copy of every statement.
+/// The body is `Arc`-shared: bodies are immutable once lifted, and each
+/// method's lazily built dataflow analyses hold the same body instead of
+/// a deep copy of every statement.
 #[derive(Debug, Clone)]
 pub struct Method {
     /// Identity.

@@ -89,8 +89,8 @@ struct Lifter<'a> {
     program: Program,
     /// Pool index → interned symbol or key, filled on first use (`None`
     /// until then). A memo only skips repeat interns, so the
-    /// first-encounter interning order, which every symbol and the lift
-    /// seed's string replay depend on, is unchanged.
+    /// first-encounter interning order, which every symbol depends on,
+    /// is unchanged.
     strings: Vec<Option<Symbol>>,
     protos: Vec<Option<Symbol>>,
     fields: Vec<Option<FieldKey>>,
@@ -585,8 +585,7 @@ impl<'a> Lifter<'a> {
     /// body, and returns the class record (with `methods` left empty —
     /// the caller assigns ids via [`Program::add_method`]) plus the
     /// lifted methods in declaration order. The caller-visible effect on
-    /// the program is confined to the interner, which makes the
-    /// per-class intern delta recordable and replayable.
+    /// the program is confined to the interner.
     fn lift_class(
         &mut self,
         class: &nck_dex::ClassDef,
@@ -690,14 +689,6 @@ impl<'a> Lifter<'a> {
     }
 }
 
-/// Registers a lifted class: assigns method ids and records the class.
-fn register_class(program: &mut Program, mut class: Class, methods: Vec<Method>) -> Vec<MethodId> {
-    let ids: Vec<MethodId> = methods.into_iter().map(|m| program.add_method(m)).collect();
-    class.methods = ids.clone();
-    program.add_class(class);
-    ids
-}
-
 fn lift_file_impl(
     file: &AdxFile,
     lenient: Option<SkipPolicy<'_>>,
@@ -706,131 +697,52 @@ fn lift_file_impl(
     let mut skips = Vec::new();
 
     for class in &file.classes {
-        let (c, methods) = lifter.lift_class(class, lenient, &mut skips)?;
-        register_class(&mut lifter.program, c, methods);
+        let (mut c, methods) = lifter.lift_class(class, lenient, &mut skips)?;
+        let program = &mut lifter.program;
+        c.methods = methods.into_iter().map(|m| program.add_method(m)).collect();
+        program.add_class(c);
     }
 
     Ok((lifter.program, skips))
 }
 
-/// Replay data for one lifted class: the interner delta plus the lifted
-/// records, sufficient to reproduce the cold lift of this class *given
-/// an identical program state before it* — which holds exactly when
-/// every earlier class matched its fingerprint too, hence the prefix
-/// rule in [`lift_file_seeded`].
-#[derive(Debug, Clone)]
-pub struct ClassSeed {
-    /// Canonical content fingerprint of the source class
-    /// ([`nck_dex::class_fingerprints`]).
-    pub fingerprint: u64,
-    /// Strings first interned while lifting this class, in order.
-    new_strings: Vec<String>,
-    /// The lifted class record (method ids as assigned by the run that
-    /// recorded it — replay reproduces them).
-    class: Class,
-    /// The lifted methods, in declaration order.
-    methods: Vec<Method>,
-}
-
-/// Replay data for a whole file, one entry per class in file order.
-///
-/// Entries are `Arc`-shared with the seed of the run that recorded them:
-/// replaying a class must not deep-copy its method bodies a second time
-/// just to hand the next run a seed.
+/// An empty lift seed. Exists only for nckbench's traced twin.
 #[derive(Debug, Clone, Default)]
-pub struct LiftSeed {
-    /// Per-class records.
-    pub classes: Vec<Arc<ClassSeed>>,
-}
+pub struct LiftSeed {}
 
 impl LiftSeed {
-    /// Length of the longest prefix of `fingerprints` this seed can
-    /// replay.
-    pub fn common_prefix(&self, fingerprints: &[u64]) -> usize {
-        self.classes
-            .iter()
-            .zip(fingerprints)
-            .take_while(|(c, &fp)| c.fingerprint == fp)
-            .count()
+    /// Always 0: nothing is replayed.
+    pub fn common_prefix(&self, _fingerprints: &[u64]) -> usize {
+        0
     }
 }
 
-/// A seeded lift: the program plus everything the next run needs.
+/// [`lift_file`]'s program with an empty seed. Exists only for
+/// nckbench's traced twin.
 #[derive(Debug)]
 pub struct SeededLift {
-    /// The lifted program, byte-identical to what [`lift_file`] returns.
+    /// The lifted program.
     pub program: Program,
-    /// Replay data for the next run over an updated file.
+    /// Always empty.
     pub seed: LiftSeed,
-    /// How many leading classes were replayed from the seed.
+    /// Always 0.
     pub reused_classes: usize,
-    /// Method ids of every replayed (unchanged) method. Their bodies are
-    /// clones of the previous run's, so per-body artifacts (CFGs,
-    /// dataflow, summaries) keyed by these ids remain valid.
+    /// Always empty.
     pub reused_methods: Vec<MethodId>,
 }
 
-/// Lifts `file`, replaying the longest unchanged class prefix from
-/// `seed` and lifting the rest cold.
-///
-/// `fingerprints` are the canonical per-class fingerprints of `file`
-/// (computed by the caller, who also needs them for verify reuse). The
-/// prefix rule is what makes replay sound without any symbol remapping:
-/// interning is first-encounter order, so a class's lifted symbols are a
-/// pure function of the resolved file content *up to and including* that
-/// class. Equal fingerprints for every class before `i` therefore imply
-/// the interner, method ids, and class ids reach class `i` in exactly
-/// the state of the recording run. The first fingerprint mismatch ends
-/// replay; everything after lifts cold (and is re-recorded).
+/// [`lift_file`] plus an empty seed. Exists only for nckbench's traced
+/// twin.
 pub fn lift_file_seeded(
     file: &AdxFile,
-    fingerprints: &[u64],
-    seed: Option<&LiftSeed>,
+    _fingerprints: &[u64],
+    _seed: Option<&LiftSeed>,
 ) -> Result<SeededLift> {
-    assert_eq!(
-        fingerprints.len(),
-        file.classes.len(),
-        "one fingerprint per class"
-    );
-    let prefix = seed.map_or(0, |s| s.common_prefix(fingerprints));
-
-    let mut lifter = Lifter::new(file);
-    let mut out = LiftSeed::default();
-    let mut reused_methods = Vec::new();
-
-    for (i, class) in file.classes.iter().enumerate() {
-        if i < prefix {
-            let cs = &seed.expect("prefix implies seed").classes[i];
-            for s in &cs.new_strings {
-                lifter.program.symbols.intern(s);
-            }
-            let ids = register_class(&mut lifter.program, cs.class.clone(), cs.methods.clone());
-            debug_assert_eq!(ids, cs.class.methods, "replay reproduces method ids");
-            reused_methods.extend(ids);
-            out.classes.push(Arc::clone(cs));
-            continue;
-        }
-        let mark = lifter.program.symbols.len();
-        let mut skips = Vec::new();
-        let (c, methods) = lifter.lift_class(class, None, &mut skips)?;
-        let new_strings = lifter.program.symbols.strings_from(mark).to_vec();
-        let methods_copy = methods.clone();
-        let ids = register_class(&mut lifter.program, c, methods);
-        let mut class_rec = lifter.program.classes.last().expect("just added").clone();
-        class_rec.methods = ids;
-        out.classes.push(Arc::new(ClassSeed {
-            fingerprint: fingerprints[i],
-            new_strings,
-            class: class_rec,
-            methods: methods_copy,
-        }));
-    }
-
     Ok(SeededLift {
-        program: lifter.program,
-        seed: out,
-        reused_classes: prefix,
-        reused_methods,
+        program: lift_file(file)?,
+        seed: LiftSeed::default(),
+        reused_classes: 0,
+        reused_methods: Vec::new(),
     })
 }
 
@@ -1169,9 +1081,8 @@ mod tests {
         assert_eq!(p.all_interfaces(a).len(), 1);
     }
 
-    /// Two-class file whose second class's behaviour is parameterized, so
-    /// tests can produce an "updated version" with an unchanged prefix.
-    fn versioned_file(retval: i64) -> AdxFile {
+    #[test]
+    fn seeded_lift_without_seed_matches_plain_lift() {
         let mut b = AdxBuilder::new();
         b.class("Lapp/A;", |c| {
             c.method("f", "()I", AccessFlags::PUBLIC, 4, |m| {
@@ -1179,92 +1090,27 @@ mod tests {
                 m.const_int(m.reg(0), 7);
                 m.ret(Some(m.reg(0)));
             });
-            c.method("h", "()V", AccessFlags::PUBLIC, 2, |m| m.ret(None));
         });
-        b.class("Lapp/B;", |c| {
-            c.method("g", "()I", AccessFlags::PUBLIC, 4, |m| {
-                m.const_str(m.reg(1), "volatile");
-                m.const_int(m.reg(0), retval);
-                m.ret(Some(m.reg(0)));
-            });
-        });
-        b.finish().unwrap()
-    }
-
-    fn programs_equal(a: &Program, b: &Program) {
-        assert_eq!(a.symbols.strings_from(0), b.symbols.strings_from(0));
-        assert_eq!(format!("{:?}", a.classes), format!("{:?}", b.classes));
-        assert_eq!(format!("{:?}", a.methods), format!("{:?}", b.methods));
-    }
-
-    #[test]
-    fn seeded_lift_without_seed_matches_plain_lift() {
-        let file = versioned_file(1);
+        let file = b.finish().unwrap();
         let fps = nck_dex::class_fingerprints(&file);
         let cold = lift_file(&file).unwrap();
         let seeded = lift_file_seeded(&file, &fps, None).unwrap();
         assert_eq!(seeded.reused_classes, 0);
         assert!(seeded.reused_methods.is_empty());
-        assert_eq!(seeded.seed.classes.len(), 2);
-        programs_equal(&cold, &seeded.program);
-    }
-
-    #[test]
-    fn replay_reproduces_program_exactly_after_tail_change() {
-        let v1 = versioned_file(1);
-        let fps1 = nck_dex::class_fingerprints(&v1);
-        let recorded = lift_file_seeded(&v1, &fps1, None).unwrap();
-
-        let v2 = versioned_file(2);
-        let fps2 = nck_dex::class_fingerprints(&v2);
-        let warm = lift_file_seeded(&v2, &fps2, Some(&recorded.seed)).unwrap();
-        assert_eq!(warm.reused_classes, 1, "only the unchanged prefix replays");
-        // Both of A's methods come back with their original ids.
-        assert_eq!(warm.reused_methods.len(), 2);
-        assert_eq!(warm.reused_methods, warm.program.classes[0].methods);
-
-        let cold = lift_file(&v2).unwrap();
-        programs_equal(&cold, &warm.program);
-    }
-
-    #[test]
-    fn replay_of_identical_file_reuses_everything() {
-        let v1 = versioned_file(3);
-        let fps = nck_dex::class_fingerprints(&v1);
-        let recorded = lift_file_seeded(&v1, &fps, None).unwrap();
-        let warm = lift_file_seeded(&v1, &fps, Some(&recorded.seed)).unwrap();
-        assert_eq!(warm.reused_classes, 2);
-        assert_eq!(warm.reused_methods.len(), 3);
-        programs_equal(&recorded.program, &warm.program);
-    }
-
-    #[test]
-    fn prefix_change_ends_replay_immediately() {
-        // Change the FIRST class: nothing may be replayed, because every
-        // later class's symbols depend on the interner state the first
-        // class left behind.
-        let mut b = AdxBuilder::new();
-        b.class("Lapp/A;", |c| {
-            c.method("f", "()I", AccessFlags::PUBLIC, 4, |m| {
-                m.const_int(m.reg(0), 99);
-                m.ret(Some(m.reg(0)));
-            });
-            c.method("h", "()V", AccessFlags::PUBLIC, 2, |m| m.ret(None));
-        });
-        b.class("Lapp/B;", |c| {
-            c.method("g", "()I", AccessFlags::PUBLIC, 4, |m| {
-                m.const_str(m.reg(1), "volatile");
-                m.const_int(m.reg(0), 1);
-                m.ret(Some(m.reg(0)));
-            });
-        });
-        let v2 = b.finish().unwrap();
-
-        let v1 = versioned_file(1);
-        let recorded = lift_file_seeded(&v1, &nck_dex::class_fingerprints(&v1), None).unwrap();
-        let fps2 = nck_dex::class_fingerprints(&v2);
-        let warm = lift_file_seeded(&v2, &fps2, Some(&recorded.seed)).unwrap();
-        assert_eq!(warm.reused_classes, 0);
-        programs_equal(&lift_file(&v2).unwrap(), &warm.program);
+        assert_eq!(seeded.seed.common_prefix(&fps), 0);
+        let strings = |p: &Program| -> Vec<String> {
+            (0..p.symbols.len() as u32)
+                .map(|i| p.symbols.resolve(Symbol(i)).to_owned())
+                .collect()
+        };
+        assert_eq!(strings(&cold), strings(&seeded.program));
+        assert_eq!(
+            format!("{:?}", cold.classes),
+            format!("{:?}", seeded.program.classes)
+        );
+        assert_eq!(
+            format!("{:?}", cold.methods),
+            format!("{:?}", seeded.program.methods)
+        );
     }
 }

@@ -52,15 +52,6 @@ impl Interner {
         self.strings.len()
     }
 
-    /// The interned strings from index `start` on, in interning order.
-    ///
-    /// This is the replay substrate for incremental lifting: re-interning
-    /// a recorded suffix into an interner holding the same prefix
-    /// reproduces the exact symbol assignment of the original run.
-    pub fn strings_from(&self, start: usize) -> &[String] {
-        &self.strings[start.min(self.strings.len())..]
-    }
-
     /// Returns `true` when nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.strings.is_empty()

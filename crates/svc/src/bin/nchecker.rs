@@ -301,7 +301,7 @@ fn run_batch(
     }
     // This batch is the process's only one and its keys rarely repeat
     // (the disk tier, when given, still serves a repeat), so nothing
-    // would ever read a memory entry or a replay seed: keep neither.
+    // would ever read a memory entry: keep none.
     let options = ServiceOptions {
         mem_budget: Some(0),
         ..options
@@ -598,12 +598,10 @@ fn main() -> ExitCode {
         // Cache accounting, part of the end-of-run report. Stderr under
         // --json so stdout stays one JSON document per app.
         let mut line = format!(
-            "cache: {} hit(s), {} miss(es) ({:.0}% whole-report), classes reused {}/{}",
+            "cache: {} hit(s), {} miss(es) ({:.0}% whole-report)",
             cache_stats.hits,
             cache_stats.misses,
             cache_stats.hit_rate() * 100.0,
-            cache_stats.classes_reused,
-            cache_stats.classes_total,
         );
         if let (Some(p50), Some(p90), Some(p99)) = (
             latency.percentile(50.0),
@@ -865,8 +863,8 @@ fn gc_main(args: &[String]) -> ExitCode {
 }
 
 /// The `--watch` loop: polls the directory and submits changed
-/// bundles under their path as the cache key, so an edited bundle
-/// rides the incremental ladder instead of a cold run. Bundles whose
+/// bundles under their path as the cache key, so an edited bundle's
+/// reply carries a defect delta against its previous version. Bundles whose
 /// file disappears have their finished daemon state retired — a watch
 /// session over a churning directory must not accumulate state for
 /// files that no longer exist.
@@ -949,8 +947,6 @@ fn emit_jsonl(
             .str("t", "cache")
             .u64("hits", cache_stats.hits as u64)
             .u64("misses", cache_stats.misses as u64)
-            .u64("classes_reused", cache_stats.classes_reused as u64)
-            .u64("classes_total", cache_stats.classes_total as u64)
             .u64("degraded", cache_stats.degraded as u64)
             .u64("evictions", counter(merged, "svc.cache.evict"))
             .finish(),

@@ -233,8 +233,8 @@ impl Daemon {
     }
 
     /// Reads `path` and enqueues it under `key` (default: the path
-    /// itself, so re-submitting an updated file hits the incremental
-    /// ladder).
+    /// itself, so re-submitting an updated file is diffed against its
+    /// previous version).
     pub fn submit_path(
         &self,
         path: &str,

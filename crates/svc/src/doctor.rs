@@ -79,7 +79,7 @@ pub fn doctor_json(r: &DoctorReport<'_>) -> Value {
         })
         .collect();
     json!({
-        "schema": 2,
+        "schema": 3,
         "build": {
             "analysis_version": ANALYSIS_VERSION,
             "bin": "nchecker",
@@ -118,8 +118,6 @@ pub fn doctor_json(r: &DoctorReport<'_>) -> Value {
             "evict": counter(&store_counters, "svc.cache.evict"),
             "corrupt_evict": counter(&store_counters, "svc.cache.corrupt_evict"),
             "deltas": counter(&store_counters, "svc.cache.deltas"),
-            "replay_apps": counter(&store_counters, "svc.cache.replay_apps"),
-            "replay_classes": counter(&store_counters, "svc.cache.replay_classes"),
         },
         "funnel": {
             "prescan_skipped": counter(r.metrics, "prescan.skipped"),

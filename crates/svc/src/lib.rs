@@ -6,8 +6,8 @@
 //!
 //! - [`pool`] — a fault-tolerant work-stealing worker pool (panics are
 //!   contained per job; one adversarial bundle cannot take a run down),
-//! - [`store`] — a sharded, content-addressed analysis cache with an
-//!   in-memory tier (full replay seeds) and an optional on-disk tier
+//! - [`store`] — a sharded, content-addressed report cache with an
+//!   in-memory tier (report-only entries) and an optional on-disk tier
 //!   (checksummed whole-report records appended to one segment file per
 //!   writing process: the rendered `--json` bytes a hit serves as they
 //!   are, plus the report in the [`wire`] format),
@@ -22,13 +22,12 @@
 //!   (added / fixed / unchanged), computed on resubmission under a
 //!   known key.
 //!
-//! The incremental contract, end to end: analyzing version *N+1* of a
-//! bundle whose key was analyzed before replays every leading class
-//! whose content fingerprint is unchanged (verification skipped, lift
-//! replayed, per-method dataflow shared by `Arc`, interprocedural
-//! summaries seeded and recomputed only for the transitive dirty set),
-//! then re-runs the checkers in full — producing a report byte-identical
-//! to a cold analysis of the same bytes.
+//! The cache contract, end to end: an identical bundle under an
+//! identical configuration is served its cached report; anything else,
+//! version *N+1* of a known key included, runs the one uncached
+//! pipeline, and a known key also gets a defect delta against its
+//! previous report. Either way the report is byte-identical to a cold
+//! analysis of the same bytes.
 
 pub mod daemon;
 pub mod delta;

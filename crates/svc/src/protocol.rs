@@ -45,7 +45,7 @@ pub const MAX_REQUEST_LINE: usize = 1 << 20;
 pub enum Request {
     /// Enqueue the bundle at `path`; `key` is the app's stable identity
     /// across versions (defaults to the path itself, which is what
-    /// makes re-submitting an updated file hit the incremental ladder).
+    /// makes re-submitting an updated file yield a defect delta).
     Submit {
         /// Bundle file to read and analyze.
         path: String,

@@ -3,19 +3,21 @@
 //! One [`AnalysisService`] owns a configured checker template, a
 //! two-tier [`AnalysisStore`], and a pool size; callers feed it keyed
 //! bundles (the key is the app's stable identity across versions —
-//! package name, file path, corpus index) and get reports plus reuse
-//! statistics back. Feeding it a *new version* of a previously analyzed
-//! key is the incremental path: unchanged class prefixes replay, dirty
-//! methods recompute, and the report is byte-identical to a cold run.
+//! package name, file path, corpus index) and get reports plus cache
+//! statistics back. The cache has two rungs: an identical bundle under
+//! an identical configuration is served its cached report, and anything
+//! else runs the one uncached pipeline. Feeding it a *new version* of a
+//! previously analyzed key also yields a defect delta against the
+//! previous version's report.
 //!
 //! Degraded apps (any skipped method) bypass the cache write path
-//! entirely: their entries would record unknown behaviour as replayable
+//! entirely: their entries would record unknown behaviour as cached
 //! truth.
 
 use crate::delta::{diff_reports, DeltaReport};
 use crate::pool::run_pool;
 use crate::store::{render_json, AnalysisStore, RenderCell, StoredEntry};
-use nchecker::cache::{config_fingerprint, ReuseStats, Seeds};
+use nchecker::cache::{config_fingerprint, AppCacheEntry, ReuseStats};
 use nchecker::{AnalyzeError, AppReport, CheckerConfig, NChecker};
 use nck_obs::Obs;
 use std::path::PathBuf;
@@ -128,10 +130,6 @@ pub struct BatchCacheStats {
     pub hits: usize,
     /// Apps analyzed (fully or partially) this run.
     pub misses: usize,
-    /// Classes replayed from cached prefixes, across all apps.
-    pub classes_reused: usize,
-    /// Classes analyzed, across all apps.
-    pub classes_total: usize,
     /// Apps that degraded and bypassed the cache.
     pub degraded: usize,
 }
@@ -143,8 +141,6 @@ impl BatchCacheStats {
         } else {
             self.misses += 1;
         }
-        self.classes_reused += r.classes_reused;
-        self.classes_total += r.classes_total;
         self.degraded += usize::from(r.degraded);
     }
 
@@ -155,16 +151,6 @@ impl BatchCacheStats {
             0.0
         } else {
             self.hits as f64 / n as f64
-        }
-    }
-
-    /// Class-level reuse rate in `[0, 1]` (hits count their classes as
-    /// reused via the per-app stats).
-    pub fn class_reuse_rate(&self) -> f64 {
-        if self.classes_total == 0 {
-            0.0
-        } else {
-            self.classes_reused as f64 / self.classes_total as f64
         }
     }
 }
@@ -182,8 +168,7 @@ pub struct ServiceOptions {
     pub no_cache: bool,
     /// Memory-tier byte budget override
     /// (`None` = [`crate::store::DEFAULT_MEM_BYTES`]). `Some(0)` keeps
-    /// no memory tier, and then no replay seeds either: entries go to
-    /// the disk tier alone, report-only ([`Seeds::Skip`]). That suits a
+    /// no memory tier: entries go to the disk tier alone. That suits a
     /// process that runs one batch, where no later lookup could hit.
     pub mem_budget: Option<usize>,
     /// Disk-tier byte budget: when set, every batch ends with a
@@ -308,11 +293,34 @@ impl AnalysisService {
         }
 
         // The bundle is hashed exactly once per lookup: this same
-        // fingerprint gates the memory tier (inside
-        // `analyze_bytes_reusing_fp`), the disk tier, and the recorded
-        // entry.
+        // fingerprint gates the memory tier, the disk tier, and the
+        // recorded entry.
         let bundle_fp = nck_dex::wire::fnv1a(bytes);
-        let prev = self.store.lookup(key, &svc_obs);
+        let prev = self
+            .store
+            .lookup(key, &svc_obs)
+            .filter(|p| p.config_fp == self.config_fp);
+
+        // Rung 1 on the memory tier: identical bundle and configuration
+        // serve the cached report; its entry stays resident, so its
+        // render cell serves the bytes.
+        if let Some(p) = prev.as_deref().filter(|p| p.bundle_fp == bundle_fp) {
+            self.store.count_outcome(true, &svc_obs);
+            let rendered = (!svc_obs.metrics.is_enabled())
+                .then(|| self.store.render_cell(key, bundle_fp))
+                .flatten();
+            return AppOutcome {
+                report: Ok(ServedReport::decoded(
+                    self.stamp(checker.sealed(&p.report), &svc_obs),
+                    rendered,
+                )),
+                reuse: ReuseStats {
+                    whole_report: true,
+                    ..ReuseStats::default()
+                },
+                delta: None,
+            };
+        }
 
         // Disk tier: only consulted when the memory tier has nothing for
         // this key (a memory entry subsumes its own disk twin). An exact
@@ -347,91 +355,80 @@ impl AnalysisService {
             }
         }
 
-        // Seeds are only worth building for a memory tier to hold.
-        let seeds = if self.store.has_memory() {
-            Seeds::Keep(prev.as_deref())
-        } else {
-            Seeds::Skip
-        };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            checker.analyze_bytes_reusing_fp(bytes, bundle_fp, seeds)
-        }))
-        .unwrap_or_else(|payload| Err(AnalyzeError::from_panic(payload)));
-
-        match result {
-            Ok((report, entry, reuse)) => {
-                self.store.count_outcome(reuse.whole_report, &svc_obs);
-                if !reuse.whole_report && reuse.classes_reused > 0 {
-                    // Rung 2 of the incremental ladder: class-prefix
-                    // replay on a whole-report miss.
-                    self.store
-                        .count_replay(reuse.classes_reused as u64, &svc_obs);
-                }
-                // Defect delta: a known key whose bundle changed. The
-                // previous report comes from whichever tier held it; the
-                // fingerprints ride along from the cache entries — no
-                // hashing is spent on delta detection itself. Clean runs
-                // only (`entry` is `Some` exactly then): diffing against
-                // an incomplete report would invent fixes.
-                let delta = match (&entry, reuse.whole_report) {
-                    (Some(entry), false) => match (&prev, &disk_base) {
-                        (Some(p), _) => Some(diff_reports(
-                            key,
-                            p.bundle_fp,
-                            entry.bundle_fp,
-                            &p.report,
-                            &report,
-                        )),
-                        (None, Some((stored_fp, base))) => Some(diff_reports(
-                            key,
-                            *stored_fp,
-                            entry.bundle_fp,
-                            base,
-                            &report,
-                        )),
-                        (None, None) => None,
-                    },
-                    _ => None,
-                };
-                if delta.is_some() {
-                    self.store.count_delta(&svc_obs);
-                }
-                let stored_json = entry.and_then(|entry| {
-                    debug_assert!(
-                        !entry.report.degraded(),
-                        "degraded apps must bypass the cache write path"
-                    );
-                    self.store.insert(key, entry, &svc_obs)
-                });
-                // The resident entry's render cell — present after an
-                // insert, and on a rung-1 memory hit (the entry that
-                // served it is still resident with this fingerprint).
-                // Without a memory tier, the bytes the disk record
-                // stores, so the report is rendered once either way.
-                let rendered = (!svc_obs.metrics.is_enabled())
-                    .then(|| {
-                        self.store
-                            .render_cell(key, bundle_fp)
-                            .or_else(|| stored_json.map(|json| Arc::new(RenderCell::filled(json))))
-                    })
-                    .flatten();
-                AppOutcome {
-                    report: Ok(ServedReport::decoded(
-                        self.stamp(report, &svc_obs),
-                        rendered,
-                    )),
-                    reuse,
-                    delta,
-                }
-            }
+        self.store.count_outcome(false, &svc_obs);
+        let report = match checker.analyze_bytes_checked(bytes) {
+            Ok(report) => report,
             Err(e) => {
-                self.store.count_outcome(false, &svc_obs);
-                AppOutcome {
+                return AppOutcome {
                     report: Err(e),
                     reuse: ReuseStats::default(),
                     delta: None,
                 }
             }
+        };
+        let reuse = ReuseStats {
+            degraded: report.degraded(),
+            ..ReuseStats::default()
+        };
+        if reuse.degraded {
+            // An incomplete report is neither cached nor diffed: diffing
+            // it would invent fixes.
+            return AppOutcome {
+                report: Ok(ServedReport::decoded(self.stamp(report, &svc_obs), None)),
+                reuse,
+                delta: None,
+            };
+        }
+
+        // Defect delta: a known key whose bundle changed. The previous
+        // report comes from whichever tier held it; the fingerprints
+        // ride along from the cache entries — no hashing is spent on
+        // delta detection itself.
+        let delta = match (&prev, &disk_base) {
+            (Some(p), _) => Some(diff_reports(
+                key,
+                p.bundle_fp,
+                bundle_fp,
+                &p.report,
+                &report,
+            )),
+            (None, Some((stored_fp, base))) => {
+                Some(diff_reports(key, *stored_fp, bundle_fp, base, &report))
+            }
+            (None, None) => None,
+        };
+        if delta.is_some() {
+            self.store.count_delta(&svc_obs);
+        }
+        // The entry holds the report unsealed: no trace, no metrics.
+        let entry = AppCacheEntry {
+            bundle_fp,
+            config_fp: self.config_fp,
+            report: AppReport {
+                trace: None,
+                metrics: None,
+                ..report.clone()
+            },
+            ..AppCacheEntry::default()
+        };
+        let stored_json = self.store.insert(key, entry, &svc_obs);
+        // The new resident entry's render cell; without a memory tier,
+        // the bytes the disk record stores, so the report is rendered
+        // once either way.
+        let rendered = (!svc_obs.metrics.is_enabled())
+            .then(|| {
+                self.store
+                    .render_cell(key, bundle_fp)
+                    .or_else(|| stored_json.map(|json| Arc::new(RenderCell::filled(json))))
+            })
+            .flatten();
+        AppOutcome {
+            report: Ok(ServedReport::decoded(
+                self.stamp(report, &svc_obs),
+                rendered,
+            )),
+            reuse,
+            delta,
         }
     }
 

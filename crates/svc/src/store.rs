@@ -2,18 +2,16 @@
 //!
 //! Two tiers:
 //!
-//! - **Memory** — full [`AppCacheEntry`]s (replay seeds, `Arc`'d
-//!   dataflow artifacts, report) sharded by app key, LRU-evicted under
-//!   *both* an entry-count cap and an approximate byte budget (one batch
-//!   of huge apps must not blow past a memory target that a thousand
-//!   small apps respect). Seeds embed interned symbol ids and shared
-//!   pointers, so this tier is process-local by construction. A zero
-//!   byte budget keeps no memory tier at all, which is how the
-//!   one-batch front ends (one-shot `nchecker` and `vet`) run: their
-//!   process ends with the batch, so no later lookup could read an
-//!   entry. Their entries are report-only (no seeds are built), an
-//!   insert only appends the disk record, and it hands back the
-//!   rendered bytes for the reply. `serve` keeps the tier.
+//! - **Memory** — report-only [`AppCacheEntry`]s (fingerprints and the
+//!   report) sharded by app key, LRU-evicted under *both* an
+//!   entry-count cap and an approximate byte budget (one batch of huge
+//!   apps must not blow past a memory target that a thousand small apps
+//!   respect). A zero byte budget keeps no memory tier at all, which is
+//!   how the one-batch front ends (one-shot `nchecker` and `vet`) run:
+//!   their process ends with the batch, so no later lookup could read
+//!   an entry. There an insert only appends the disk record, and it
+//!   hands back the rendered bytes for the reply. `serve` keeps the
+//!   tier.
 //! - **Disk** (optional, under `--cache-dir`) — the durable subset: the
 //!   bundle and config fingerprints plus the report. A disk hit serves
 //!   an *identical* bundle across process restarts; a changed bundle

@@ -7,8 +7,8 @@
 //! in-place rewrite of identical bytes never triggers a re-analysis.
 //!
 //! The returned key is the file path, which is exactly what makes a
-//! re-submitted bundle land on the incremental ladder: same key, new
-//! bytes → class-prefix replay (rung 2) instead of a cold run.
+//! re-submitted bundle an edit of a known app: same key, new bytes → a
+//! fresh analysis plus a defect delta against the previous version.
 //!
 //! Deletion is a first-class event: a bundle that vanishes between
 //! polls is dropped from the watcher's signature map and reported in

@@ -387,8 +387,7 @@ fn doctor_snapshot_is_byte_identical_across_runs_and_jobs() {
     let cold: serde_json::Value =
         serde_json::from_str(std::str::from_utf8(&cold).unwrap()).expect("doctor emits JSON");
     assert_no_memory_tier(&cold);
-    // Nor does it build replay seeds: the cold batch lifted every app
-    // and fingerprinted no class.
+    // The cold batch lifted every app and fingerprinted no class.
     let trace: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&trace_file).unwrap()).unwrap();
     let span_count = |name: &str| {
@@ -413,7 +412,10 @@ fn doctor_snapshot_is_byte_identical_across_runs_and_jobs() {
 
     let v: serde_json::Value =
         serde_json::from_str(std::str::from_utf8(&warm1).unwrap()).expect("doctor emits JSON");
-    assert_eq!(v["schema"], 2);
+    assert_eq!(v["schema"], 3);
+    for gone in ["replay_apps", "replay_classes"] {
+        assert!(v["cache"].get(gone).is_none(), "{gone} is gone: {v:?}");
+    }
     assert_no_memory_tier(&v);
     assert_eq!(v["cache"]["hit"], 4, "warm run hits all apps");
     assert_eq!(v["cache"]["disk"]["entries"], 4);

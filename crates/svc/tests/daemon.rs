@@ -1,17 +1,22 @@
 //! Tests of the `nchecker serve` daemon: wire-protocol round trips,
 //! report byte-identity with the one-shot CLI, doctor equivalence
-//! modulo the queue section, admission control, protocol error paths,
-//! the socket transport, and watch-mode incrementality.
+//! modulo the queue section, admission control, protocol error paths
+//! and a seeded protocol fuzz, the socket transport, and the edit loop
+//! (resubmissions under a known key, in watch mode and over the real
+//! binary).
 
 use nck_appgen::spec::{AppSpec, Origin, RequestSpec};
 use nck_appgen::{evolve, generate_with_bulk, profile};
 use nck_netlibs::library::Library;
 use nck_obs::{Events, Obs};
 use nck_svc::daemon::{self, Reply};
-use nck_svc::protocol::{ErrorCode, Line, MAX_REQUEST_LINE};
+use nck_svc::protocol::{self, ErrorCode, Line, Request, MAX_REQUEST_LINE};
 use nck_svc::{AnalysisService, Daemon, DaemonOptions, ServiceOptions, Watcher};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde_json::Value;
-use std::io::{BufRead, BufReader, Write};
+use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Cursor, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -432,63 +437,171 @@ fn socket_transport_serves_and_survives_rude_clients() {
     std::fs::remove_file(&app).ok();
 }
 
-/// Watch mode's contract with the incremental ladder: editing a small
-/// fraction of an app and re-submitting it under the same key (the
-/// file path) must land on rung 2 — class-prefix replay — visible in
-/// the store's lifetime `svc.cache.replay_*` counters.
+/// Defect ids (`kind@class.method`, as `nck_svc::defect_id` forms
+/// them) of a `--json` report, as a multiset.
+fn defect_ids(report_json: &str) -> BTreeMap<String, usize> {
+    let v: Value = serde_json::from_str(report_json).expect("report is JSON");
+    let mut ids = BTreeMap::new();
+    for d in v["defects"].as_array().expect("defects array") {
+        let id = format!(
+            "{}@{}.{}",
+            d["kind"].as_str().unwrap(),
+            d["location"]["class"].as_str().unwrap(),
+            d["location"]["method"].as_str().unwrap()
+        );
+        *ids.entry(id).or_insert(0) += 1;
+    }
+    ids
+}
+
+/// Asserts that `delta` (the wire form) is the multiset difference of
+/// two consecutive reports' defect ids, between bundles `prev` and
+/// `new`.
+fn assert_delta(delta: &Value, prev: (&[u8], &str), new: (&[u8], &str)) {
+    let (before, after) = (defect_ids(prev.1), defect_ids(new.1));
+    let mut added = Vec::new();
+    let mut fixed = Vec::new();
+    let mut unchanged = 0;
+    for (id, &n) in &after {
+        let p = before.get(id).copied().unwrap_or(0);
+        unchanged += p.min(n);
+        added.extend(std::iter::repeat_n(id.clone(), n.saturating_sub(p)));
+    }
+    for (id, &p) in &before {
+        let n = after.get(id).copied().unwrap_or(0);
+        fixed.extend(std::iter::repeat_n(id.clone(), p.saturating_sub(n)));
+    }
+    let fp = |bytes: &[u8]| format!("{:016x}", nck_dex::wire::fnv1a(bytes));
+    assert_eq!(delta["prev_fp"], fp(prev.0), "{delta:?}");
+    assert_eq!(delta["new_fp"], fp(new.0), "{delta:?}");
+    assert_eq!(delta["added"], serde_json::json!(added), "{delta:?}");
+    assert_eq!(delta["fixed"], serde_json::json!(fixed), "{delta:?}");
+    assert_eq!(delta["unchanged"], unchanged, "{delta:?}");
+}
+
+/// Watch mode's edit loop: editing an app and re-submitting it under
+/// the same key (the file path) analyzes the new bytes afresh, serves
+/// one-shot `--json` bytes, and carries the defect delta against the
+/// previous version.
 #[test]
-fn watch_resubmission_hits_the_replay_rung() {
+fn watch_resubmission_is_analyzed_afresh_with_a_delta() {
     let dir = temp_path("watchdir");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
     let spec = profile::corpus(23).into_iter().next().expect("corpus app");
     let bundle = dir.join("app.apk");
-    std::fs::write(&bundle, generate_with_bulk(&spec, 8).to_bytes()).unwrap();
+    let v1 = generate_with_bulk(&spec, 8).to_bytes();
+    std::fs::write(&bundle, &v1).unwrap();
 
     let daemon = default_daemon();
     let mut watcher = Watcher::new(&dir);
     let submit_changed = |watcher: &mut Watcher| {
         let changed = watcher.poll().unwrap().changed;
-        let n = changed.len();
-        for (key, bytes) in changed {
-            daemon.submit_bytes(key, bytes).unwrap();
-        }
+        let ids: Vec<u64> = changed
+            .into_iter()
+            .map(|(key, bytes)| daemon.submit_bytes(key, bytes).unwrap().0)
+            .collect();
         daemon.drain_now();
-        n
+        ids
     };
 
-    assert_eq!(submit_changed(&mut watcher), 1, "backlog analyzed");
-    assert_eq!(submit_changed(&mut watcher), 0, "steady state");
+    let first = submit_changed(&mut watcher);
+    assert_eq!(first.len(), 1, "backlog analyzed");
+    assert!(submit_changed(&mut watcher).is_empty(), "steady state");
+    let first = parse(&request(&daemon, &report_line(first[0], false)));
+    assert_eq!(first["delta"], Value::Null, "a new key has no delta");
 
-    // A 1-class-scale edit: same key, mostly-unchanged class list.
     let evolved = evolve(&spec, 0.10, 5);
-    std::fs::write(&bundle, generate_with_bulk(&evolved.spec, 8).to_bytes()).unwrap();
-    assert_eq!(submit_changed(&mut watcher), 1, "edit detected");
+    let v2 = generate_with_bulk(&evolved.spec, 8).to_bytes();
+    assert_ne!(v1, v2);
+    std::fs::write(&bundle, &v2).unwrap();
+    let edit = submit_changed(&mut watcher);
+    assert_eq!(edit.len(), 1, "edit detected");
+    let edited = parse(&request(&daemon, &report_line(edit[0], false)));
+    let (json1, json2) = (one_shot_json(&v1), one_shot_json(&v2));
+    assert_eq!(first["report"].as_str(), Some(json1.as_str()));
+    assert_eq!(edited["report"].as_str(), Some(json2.as_str()));
+    assert_delta(&edited["delta"], (&v1, &json1), (&v2, &json2));
 
     let snap = daemon.service().store().metrics().snapshot();
-    let replay_apps = snap
-        .counters
-        .get("svc.cache.replay_apps")
-        .copied()
-        .unwrap_or(0);
-    let replay_classes = snap
-        .counters
-        .get("svc.cache.replay_classes")
-        .copied()
-        .unwrap_or(0);
-    assert_eq!(
-        replay_apps, 1,
-        "the edit must replay, not run cold: {snap:?}"
-    );
-    assert!(
-        replay_classes >= 8,
-        "the unchanged ballast prefix must be replayed, got {replay_classes}"
-    );
-    // And the first run was a plain miss, not a replay.
     assert_eq!(snap.counters.get("svc.cache.miss").copied(), Some(2));
+    assert_eq!(snap.counters.get("svc.cache.deltas").copied(), Some(1));
+    assert_eq!(snap.counters.get("svc.cache.replay_apps"), None);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One `nchecker serve --stdio --quiet` child and its pipes.
+struct StdioServe {
+    child: std::process::Child,
+    stdin: std::process::ChildStdin,
+    stdout: BufReader<std::process::ChildStdout>,
+}
+
+impl StdioServe {
+    fn spawn() -> StdioServe {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
+            .args(["serve", "--stdio", "--quiet"])
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("daemon starts");
+        StdioServe {
+            stdin: child.stdin.take().unwrap(),
+            stdout: BufReader::new(child.stdout.take().unwrap()),
+            child,
+        }
+    }
+
+    /// Writes `bytes` plus a newline and reads `replies` reply lines,
+    /// each parsed as JSON.
+    fn send(&mut self, bytes: &[u8], replies: usize) -> Vec<Value> {
+        self.stdin.write_all(bytes).unwrap();
+        self.stdin.write_all(b"\n").unwrap();
+        self.stdin.flush().unwrap();
+        (0..replies)
+            .map(|_| {
+                let mut reply = String::new();
+                self.stdout.read_line(&mut reply).unwrap();
+                serde_json::from_str(&reply).expect("reply is JSON")
+            })
+            .collect()
+    }
+
+    fn exchange(&mut self, line: &str) -> Value {
+        self.send(line.as_bytes(), 1).pop().unwrap()
+    }
+
+    /// Submits `path` and fetches its report with `"wait": true`.
+    fn analyze(&mut self, path: &std::path::Path) -> Value {
+        let v = self.exchange(&format!(
+            r#"{{"verb": "submit", "path": {:?}}}"#,
+            path.to_str().unwrap()
+        ));
+        assert_eq!(v["ok"], true, "{v:?}");
+        let v = self.exchange(&report_line(v["id"].as_i64().unwrap() as u64, true));
+        assert_eq!(v["ok"], true, "{v:?}");
+        v
+    }
+
+    /// The `cache` section of the daemon's doctor document.
+    fn cache_doctor(&mut self) -> Value {
+        let doctor = self.exchange(r#"{"verb": "doctor"}"#);
+        let snap: Value = serde_json::from_str(doctor["doctor"].as_str().unwrap()).unwrap();
+        snap["cache"].clone()
+    }
+
+    /// `shutdown`, then requires a clean exit 0.
+    fn shutdown(mut self) {
+        let v = self.exchange(r#"{"verb": "shutdown"}"#);
+        assert_eq!(v["ok"], true, "{v:?}");
+        drop(self.stdin);
+        assert!(
+            self.child.wait().expect("daemon exits").success(),
+            "clean shutdown exits 0"
+        );
+    }
 }
 
 /// End-to-end over the actual binary in `--stdio` mode: submit, poll,
@@ -560,77 +673,283 @@ fn stdio_binary_round_trip_matches_one_shot_json() {
     std::fs::remove_file(&app).ok();
 }
 
-/// `serve` keeps the memory tier and the replay rung that one-batch
-/// front ends drop: over the real binary, an identical resubmission is a
-/// whole-report hit from memory, and an edited one replays its class
-/// prefix.
+/// `serve`'s edit loop over the real binary: four versions of one
+/// corpus app under one key. Every miss runs the uncached pipeline, so
+/// each report is byte-identical to one-shot `--json --no-cache` of its
+/// version, and each delta is the defect-id multiset difference of
+/// consecutive reports. An identical resubmission is a whole-report hit
+/// from the memory tier.
 #[test]
-fn serve_keeps_its_memory_tier_and_replay() {
-    let spec = profile::corpus(23).into_iter().next().expect("corpus app");
-    let app = temp_path("serve-mem.apk");
-    std::fs::write(&app, generate_with_bulk(&spec, 8).to_bytes()).unwrap();
+fn serve_edit_loop_matches_one_shot_reports_and_deltas() {
+    let mut spec = profile::corpus(23).into_iter().next().expect("corpus app");
+    let app = temp_path("serve-edit.apk");
+    let mut serve = StdioServe::spawn();
+    let mut prev: Option<(Vec<u8>, String)> = None;
+    for version in 0..4u64 {
+        if version > 0 {
+            spec = evolve(&spec, 0.3, version).spec;
+        }
+        let bytes = generate_with_bulk(&spec, 8).to_bytes();
+        std::fs::write(&app, &bytes).unwrap();
+        let one_shot = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
+            .args(["--json", "--no-cache"])
+            .arg(&app)
+            .output()
+            .expect("one-shot runs");
+        assert!(one_shot.status.success());
+        let one_shot = String::from_utf8(one_shot.stdout).unwrap();
 
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
-        .args(["serve", "--stdio", "--quiet"])
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("daemon starts");
-    let mut stdin = child.stdin.take().unwrap();
-    let mut stdout = BufReader::new(child.stdout.take().unwrap());
-    let mut exchange = |line: String| -> Value {
-        stdin.write_all(line.as_bytes()).unwrap();
-        stdin.write_all(b"\n").unwrap();
-        stdin.flush().unwrap();
-        let mut reply = String::new();
-        stdout.read_line(&mut reply).unwrap();
-        serde_json::from_str(&reply).expect("reply is JSON")
-    };
-    let mut analyze = || {
-        let v = exchange(format!(
-            r#"{{"verb": "submit", "path": {:?}}}"#,
-            app.to_str().unwrap()
-        ));
-        assert_eq!(v["ok"], true, "{v:?}");
-        let id = v["id"].as_i64().unwrap() as u64;
-        let v = exchange(report_line(id, true));
-        assert_eq!(v["ok"], true, "{v:?}");
-        let doctor = exchange(r#"{"verb": "doctor"}"#.to_owned());
-        let snap: Value = serde_json::from_str(doctor["doctor"].as_str().unwrap()).unwrap();
-        snap["cache"].clone()
-    };
+        let reply = serve.analyze(&app);
+        assert_eq!(
+            reply["report"].as_str(),
+            Some(one_shot.as_str()),
+            "version {version}"
+        );
+        match &prev {
+            None => assert_eq!(reply["delta"], Value::Null),
+            Some((old, old_json)) => {
+                assert_ne!(old, &bytes, "version {version} is an edit");
+                assert_delta(&reply["delta"], (old, old_json), (&bytes, &one_shot));
+            }
+        }
+        prev = Some((bytes, one_shot));
+    }
 
-    let cold = analyze();
-    assert_eq!(cold["hit"], 0, "{cold:?}");
-    assert_eq!(cold["miss"], 1, "{cold:?}");
-    assert_eq!(cold["mem"]["entries"], 1, "{cold:?}");
-    let hit = analyze();
+    let again = serve.analyze(&app);
+    let (_, last_json) = prev.unwrap();
+    assert_eq!(again["report"].as_str(), Some(last_json.as_str()));
+    assert_eq!(again["delta"], Value::Null, "identical bytes: no delta");
+    let cache = serve.cache_doctor();
+    assert_eq!(cache["hit"], 1, "the resubmission is a hit: {cache:?}");
+    assert_eq!(cache["miss"], 4, "{cache:?}");
+    assert_eq!(cache["deltas"], 3, "{cache:?}");
+    assert_eq!(cache["mem"]["entries"], 1, "{cache:?}");
     assert_eq!(
-        hit["hit"], 1,
-        "identical bytes are a whole-report hit: {hit:?}"
-    );
-    assert_eq!(
-        hit["disk"]["configured"], false,
+        cache["disk"]["configured"], false,
         "so the hit came from memory"
     );
-    std::fs::write(
-        &app,
-        generate_with_bulk(&evolve(&spec, 0.10, 5).spec, 8).to_bytes(),
-    )
-    .unwrap();
-    let edited = analyze();
-    assert_eq!(edited["miss"], 2, "{edited:?}");
-    assert_eq!(edited["replay_apps"], 1, "{edited:?}");
-    assert!(
-        edited["replay_classes"].as_i64().unwrap() > 0,
-        "the edit must reuse classes: {edited:?}"
-    );
-
-    let v = exchange(r#"{"verb": "shutdown"}"#.to_owned());
-    assert_eq!(v["ok"], true);
-    drop(stdin);
-    assert!(child.wait().expect("daemon exits").success());
+    assert!(cache.get("replay_apps").is_none(), "{cache:?}");
+    serve.shutdown();
     std::fs::remove_file(&app).ok();
+}
+
+/// Every `error.code` tag a reply may carry.
+const ERROR_TAGS: [ErrorCode; 9] = [
+    ErrorCode::Malformed,
+    ErrorCode::UnknownVerb,
+    ErrorCode::Oversized,
+    ErrorCode::QueueFull,
+    ErrorCode::ShuttingDown,
+    ErrorCode::NotFound,
+    ErrorCode::NotReady,
+    ErrorCode::AnalysisFailed,
+    ErrorCode::ReadFailed,
+];
+
+/// A reply must be one JSON line: `ok: true`, or `ok: false` with a
+/// typed `error.code`. Returns `"ok"` or the code.
+fn assert_typed(reply: &Value, what: &str) -> &'static str {
+    if reply["ok"] == true {
+        return "ok";
+    }
+    assert_eq!(reply["ok"], false, "{what}: {reply:?}");
+    let code = reply["error"]["code"].as_str();
+    match ERROR_TAGS.iter().find(|c| Some(c.tag()) == code) {
+        Some(c) => c.tag(),
+        None => panic!("{what}: untyped error {reply:?}"),
+    }
+}
+
+/// `n` nested arrays: one short line that recursed once per `[` in an
+/// unbounded parser.
+fn deep_line(n: usize) -> Vec<u8> {
+    "[".repeat(n).into_bytes()
+}
+
+/// One seeded mutation of a request line.
+fn mutate_line(line: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let mut out = line.to_vec();
+    let pos = |rng: &mut StdRng, len: usize| rng.gen_range(0..len.max(1));
+    match rng.gen_range(0..7u32) {
+        // Byte flip.
+        0 if !out.is_empty() => {
+            let i = pos(rng, out.len());
+            out[i] ^= 1 << rng.gen_range(0..8u32);
+        }
+        // Truncation.
+        1 => out.truncate(pos(rng, out.len())),
+        // A duplicated run of bytes.
+        2 if !out.is_empty() => {
+            let start = pos(rng, out.len());
+            let end = rng.gen_range(start..out.len().min(start + 16) + 1);
+            let run = out[start..end].to_vec();
+            let at = pos(rng, out.len());
+            out.splice(at..at, run);
+        }
+        // Nesting wraps, now and then deep enough to have overflowed
+        // the parser's stack.
+        3 => {
+            let depth = match rng.gen_range(0..20u32) {
+                0 => 100_000,
+                1 => 129,
+                _ => rng.gen_range(1..130usize),
+            };
+            let (open, close): (&[u8], &[u8]) = if rng.gen_range(0..2u32) == 0 {
+                (b"[", b"]")
+            } else {
+                (b"{\"x\":", b"}")
+            };
+            let mut wrapped = open.repeat(depth);
+            wrapped.extend_from_slice(&out);
+            wrapped.extend_from_slice(&close.repeat(depth));
+            out = wrapped;
+        }
+        // Huge and odd integers for the id.
+        4 => {
+            const NUMBERS: [&str; 8] = [
+                "18446744073709551616",
+                "99999999999999999999999999",
+                "9223372036854775807",
+                "-9223372036854775808",
+                "-1",
+                "1e999",
+                "0.5",
+                "-0",
+            ];
+            let n = NUMBERS[pos(rng, NUMBERS.len())];
+            out = override_field(&out, "id", n);
+        }
+        // A wrong-typed field: later keys win, so it overrides.
+        5 => {
+            const WRONG: [(&str, &str); 8] = [
+                ("id", r#""1""#),
+                ("id", "true"),
+                ("wait", "1"),
+                ("wait", r#""yes""#),
+                ("path", "7"),
+                ("path", "[]"),
+                ("verb", "null"),
+                ("key", "{}"),
+            ];
+            let (field, value) = WRONG[pos(rng, WRONG.len())];
+            out = override_field(&out, field, value);
+        }
+        // Non-UTF-8 bytes.
+        _ => {
+            for _ in 0..rng.gen_range(1..4u32) {
+                let at = pos(rng, out.len());
+                out.insert(at, rng.gen_range(0x80..0x100u32) as u8);
+            }
+        }
+    }
+    out
+}
+
+/// `line` with `"field": value` spliced in before its last `}`.
+fn override_field(line: &[u8], field: &str, value: &str) -> Vec<u8> {
+    let Some(end) = line.iter().rposition(|&b| b == b'}') else {
+        return line.to_vec();
+    };
+    let mut out = line[..end].to_vec();
+    out.extend_from_slice(format!(r#", "{field}": {value}"#).as_bytes());
+    out.extend_from_slice(&line[end..]);
+    out
+}
+
+/// Whether any line of `mutant` parses to `shutdown`.
+fn asks_shutdown(mutant: &[u8]) -> bool {
+    mutant.split(|&b| b == b'\n').any(|line| {
+        protocol::parse_request(&String::from_utf8_lossy(line)) == Ok(Request::Shutdown)
+    })
+}
+
+/// Seeded protocol fuzz: mutants of valid `submit`, `status`, `report`
+/// (with and without `wait`) and `doctor` lines, framed as the
+/// transports frame them, through [`Daemon::handle_line`]. Every reply
+/// is JSON with `ok: true` or a typed `error.code`, and nothing panics.
+/// A sample, the deepest line included, then goes through the real
+/// `serve --stdio`, which must still shut down cleanly.
+#[test]
+fn protocol_fuzz_gets_typed_replies_and_never_panics() {
+    let app = temp_path("fuzz.apk");
+    std::fs::write(&app, sample_app("com.daemon.fuzz")).unwrap();
+    let path = format!("{:?}", app.to_str().unwrap());
+    let seeds = [
+        format!(r#"{{"verb": "submit", "path": {path}}}"#),
+        format!(r#"{{"verb": "submit", "path": {path}, "key": "fuzz"}}"#),
+        r#"{"verb": "status"}"#.to_owned(),
+        r#"{"verb": "status", "id": 1}"#.to_owned(),
+        r#"{"verb": "report", "id": 1}"#.to_owned(),
+        report_line(1, true),
+        report_line(2, false),
+        r#"{"verb": "doctor"}"#.to_owned(),
+    ];
+    let (daemon, dispatcher) = dispatched_daemon();
+    let mut rng = StdRng::seed_from_u64(0x6e63_6b66);
+    let mut sample = Vec::new();
+    let mut outcomes: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut mutants = 0;
+    while mutants < 2_000 {
+        let mut mutant = seeds[rng.gen_range(0..seeds.len())].clone().into_bytes();
+        for _ in 0..rng.gen_range(1..4u32) {
+            mutant = mutate_line(&mutant, &mut rng);
+        }
+        if asks_shutdown(&mutant) {
+            continue;
+        }
+        mutant.push(b'\n');
+        let mut reader = Cursor::new(&mutant);
+        loop {
+            let line = protocol::read_request_line(&mut reader).unwrap();
+            let Some(reply) = daemon.handle_line(&line) else {
+                break;
+            };
+            let outcome = assert_typed(&parse(&reply), &String::from_utf8_lossy(&mutant));
+            *outcomes.entry(outcome).or_insert(0) += 1;
+        }
+        mutant.pop();
+        if mutants % 40 == 0 {
+            sample.push(mutant);
+        }
+        mutants += 1;
+    }
+    // The mutants reach both sides of the parser.
+    for outcome in ["ok", "malformed", "read-failed"] {
+        assert!(outcomes.contains_key(outcome), "{outcomes:?}");
+    }
+    // The daemon still answers, then drains.
+    let v = parse(&request(&daemon, r#"{"verb": "status"}"#));
+    assert_eq!(v["ok"], true, "{v:?}");
+    daemon.begin_shutdown();
+    dispatcher.join().unwrap();
+
+    sample.push(deep_line(100_000));
+    let mut serve = StdioServe::spawn();
+    for mutant in &sample {
+        let lines = mutant.iter().filter(|&&b| b == b'\n').count() + 1;
+        for reply in serve.send(mutant, lines) {
+            assert_typed(&reply, &String::from_utf8_lossy(mutant));
+        }
+    }
+    let v = serve.exchange(r#"{"verb": "status"}"#);
+    assert_eq!(v["ok"], true, "{v:?}");
+    serve.shutdown();
+    std::fs::remove_file(&app).ok();
+}
+
+/// One 100,000-deep line (100 KB, under [`MAX_REQUEST_LINE`]) is a
+/// `malformed` request, not a stack overflow, and the next request is
+/// answered.
+#[test]
+fn a_deeply_nested_line_is_malformed_and_the_daemon_answers_the_next() {
+    let daemon = default_daemon();
+    let deep = deep_line(100_000);
+    assert!(deep.len() < MAX_REQUEST_LINE);
+    let line = protocol::read_request_line(&mut Cursor::new(deep)).unwrap();
+    let v = parse(&daemon.handle_line(&line).unwrap());
+    assert_eq!(error_code(&v), "malformed");
+    let v = parse(&request(&daemon, r#"{"verb": "status"}"#));
+    assert_eq!(v["ok"], true, "{v:?}");
 }
 
 /// Retiring a key (the watch loop's response to a deleted bundle)

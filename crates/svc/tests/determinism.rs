@@ -1,8 +1,7 @@
-//! Cold/warm differential tests: the incremental path must be
-//! *invisible* in the output. Whatever the cache did — whole-report
-//! reuse, class-prefix replay after an app update, disk-tier restore —
-//! the rendered report must be byte-identical to a cold analysis of the
-//! same bytes.
+//! Cold/warm differential tests: the cache must be *invisible* in the
+//! output. Whatever the cache did — whole-report reuse, a fresh analysis
+//! of an app update under a known key, disk-tier restore — the rendered
+//! report must be byte-identical to a cold analysis of the same bytes.
 
 use nchecker::app_report_to_json;
 use nchecker::AppReport;
@@ -50,8 +49,11 @@ fn identical_bundles_hit_whole_report_and_match_cold() {
     assert_eq!(stats.misses, 0);
 }
 
+/// An update under a known key is analyzed afresh: its report matches
+/// a cold service's, and its delta is the diff of the two versions'
+/// cold reports.
 #[test]
-fn updated_bundles_replay_prefixes_and_match_cold() {
+fn updated_bundles_match_cold_and_diff_against_their_predecessor() {
     let (specs, v1) = suite(16, 8, 2016);
     let v2: Vec<(String, Vec<u8>)> = specs
         .iter()
@@ -63,13 +65,14 @@ fn updated_bundles_replay_prefixes_and_match_cold() {
 
     // Warm: analyze v1 to populate the cache, then the updates.
     let warm_svc = service();
-    let _ = warm_svc.analyze_batch(&v1);
+    let before = warm_svc.analyze_batch(&v1);
     let warm = warm_svc.analyze_batch(&v2);
     // Cold: a fresh service sees v2 first.
     let cold = service().analyze_batch(&v2);
 
-    let mut reused = 0usize;
-    for ((w, c), (key, _)) in warm.iter().zip(&cold).zip(&v2) {
+    for (((w, c), b), ((key, old), (_, new))) in
+        warm.iter().zip(&cold).zip(&before).zip(v1.iter().zip(&v2))
+    {
         let wr = w.report.as_ref().expect("warm analyzes");
         let cr = c.report.as_ref().expect("cold analyzes");
         assert_eq!(render(cr), render(wr), "{key}: update must match cold");
@@ -77,14 +80,15 @@ fn updated_bundles_replay_prefixes_and_match_cold() {
             !w.reuse.whole_report,
             "{key}: an updated bundle cannot be a whole-report hit"
         );
-        reused += w.reuse.classes_reused;
+        let want = nck_svc::diff_reports(
+            key,
+            nck_dex::wire::fnv1a(old),
+            nck_dex::wire::fnv1a(new),
+            b.report.as_ref().unwrap(),
+            cr,
+        );
+        assert_eq!(w.delta.as_ref(), Some(&want), "{key}: delta");
     }
-    // The ballast prefix (8 classes per app) is unchanged by an update,
-    // so substantial class-level reuse must show up.
-    assert!(
-        reused >= 8 * specs.len(),
-        "expected at least the ballast prefix reused, got {reused}"
-    );
 }
 
 #[test]
@@ -173,7 +177,7 @@ fn reports_are_byte_identical_across_jobs() {
 
 /// Degraded apps (any skipped method) must analyze deterministically
 /// but never populate the cache: a skipped method is unknown behaviour,
-/// not replayable truth.
+/// not cacheable truth.
 #[test]
 fn degraded_apps_bypass_the_cache_write_path() {
     let spec = AppSpec::new(
@@ -396,10 +400,9 @@ proptest! {
 }
 
 /// A network-free app takes the prescan fast path on a miss and is
-/// cached like any other: memory and disk hits serve its cold bytes.
-/// Its entry holds no replay seeds, so a next version that gains network
-/// code runs cold — and still gets the right delta against the clean
-/// version, from either tier.
+/// cached like any other: memory and disk hits serve its cold bytes. A
+/// next version that gains network code runs cold, like every miss, and
+/// gets the right delta against the clean version, from either tier.
 #[test]
 fn pool_clean_apps_hit_both_tiers_and_their_network_successor_runs_cold() {
     let dir = std::env::temp_dir().join(format!("nck-svc-pool-clean-{}", std::process::id()));
@@ -431,20 +434,15 @@ fn pool_clean_apps_hit_both_tiers_and_their_network_successor_runs_cold() {
     let svc = AnalysisService::new(opts(), Obs::disabled());
     let miss = svc.analyze_one(&key, &v1);
     assert!(!miss.reuse.whole_report);
-    assert!(
-        miss.reuse.classes_total > 0,
-        "the entry keeps class fingerprints"
-    );
     assert_eq!(render(miss.report.as_ref().unwrap()), render(&cold1));
     let mem_hit = svc.analyze_one(&key, &v1);
     assert!(mem_hit.reuse.whole_report, "memory-tier hit");
     assert_eq!(render(mem_hit.report.as_ref().unwrap()), render(&cold1));
 
-    // Memory tier: the next version finds the report-only entry, replays
-    // nothing, and diffs against it.
+    // Memory tier: the next version finds the report-only entry and
+    // diffs against it.
     let next = svc.analyze_one(&key, &v2);
     assert!(!next.reuse.whole_report);
-    assert_eq!(next.reuse.classes_reused, 0, "no seed to replay: cold");
     assert_eq!(render(next.report.as_ref().unwrap()), render(&cold2));
     assert_eq!(next.delta, Some(want_delta.clone()));
     drop(svc);
@@ -464,7 +462,7 @@ fn pool_clean_apps_hit_both_tiers_and_their_network_successor_runs_cold() {
     assert_eq!(*served.json(), nck_svc::store::render_json(&cold1));
     let svc = AnalysisService::new(opts(), Obs::disabled());
     let next = svc.analyze_one(&key, &v2);
-    assert_eq!(next.reuse.classes_reused, 0);
+    assert!(!next.reuse.whole_report);
     assert_eq!(render(next.report.as_ref().unwrap()), render(&cold2));
     assert_eq!(next.delta, Some(want_delta));
     let _ = std::fs::remove_dir_all(&dir);

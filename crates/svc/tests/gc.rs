@@ -206,7 +206,7 @@ fn gc_under_concurrent_readers_is_full_or_miss() {
 
 /// After GC evicts part of the cache, a warm run over the whole corpus
 /// reproduces the cold run's bytes exactly: evicted apps re-analyze,
-/// surviving apps replay, and neither path changes the report.
+/// surviving apps hit, and neither path changes the report.
 #[test]
 fn post_gc_warm_run_is_byte_identical_to_cold() {
     let cache = temp_dir("warm");

@@ -173,12 +173,12 @@ fn on_demand_reports_match_eager_ones_on_the_store_mix() {
     );
 }
 
-/// The path `serve` runs keeps a memory tier and builds full entries;
-/// building one must not force a solve. A corpus app's entry carries an
-/// empty summary seed, and with metrics on its run records no
-/// `summary.method_passes`. A helper-mix app that does solve stores its
-/// seed, and the edited version's seeded solve renders the bytes a
-/// fresh one-shot run does.
+/// The path `serve` runs keeps a memory tier of report-only entries;
+/// recording one must not force a solve. A corpus app's entry holds
+/// the report and no analysis state, and with metrics on its run
+/// records no `summary.method_passes`. A helper-mix app that does solve,
+/// then an edit of it under the same key, store the bytes a fresh
+/// one-shot run renders, and the edit yields a delta.
 #[test]
 fn a_serve_entry_build_solves_nothing_it_does_not_need() {
     let corpus_app = nck_appgen::generate(&profile::corpus(2016)[20]).to_bytes();
@@ -189,8 +189,14 @@ fn a_serve_entry_build_solves_nothing_it_does_not_need() {
     daemon.drain_now();
     let quiet = nck_obs::Obs::disabled();
     let entry = daemon.service().store().lookup("corpus", &quiet).unwrap();
-    assert!(!entry.analyses.is_empty(), "a full entry");
-    assert!(entry.summary_seed.is_empty() && entry.callee_fps.is_empty());
+    assert!(!entry.report.defects.is_empty());
+    assert!(
+        entry.analyses.is_empty()
+            && entry.class_fps.is_empty()
+            && entry.callee_fps.is_empty()
+            && entry.lift_seed.common_prefix(&[0]) == 0,
+        "a report-only entry"
+    );
 
     let service = AnalysisService::new(ServiceOptions::default(), nck_obs::Obs::enabled());
     let report = service.analyze_one("corpus", &corpus_app).report.unwrap();
@@ -228,12 +234,13 @@ fn a_serve_entry_build_solves_nothing_it_does_not_need() {
         );
         assert!(fresh.stats.summary_methods > 0, "version {version} solves");
         assert!(
-            !entry.summary_seed.is_empty(),
-            "version {version} stores its seed"
+            entry.analyses.is_empty(),
+            "version {version} is report-only"
         );
     }
     let snap = daemon.service().store().metrics().snapshot();
-    assert_eq!(snap.counters.get("svc.cache.replay_apps"), Some(&1));
+    assert_eq!(snap.counters.get("svc.cache.deltas"), Some(&1));
+    assert_eq!(snap.counters.get("svc.cache.replay_apps"), None);
 }
 
 /// `context.cfgs_built` of one metrics-enabled run.
@@ -242,43 +249,43 @@ fn cfgs_built(report: &AppReport) -> u64 {
 }
 
 /// `context.cfgs_built` counts the CFGs a run built. It reads the same
-/// whether the run caches nothing, builds a cold entry, or records a
-/// report-only one; a replayed run does not count the CFGs the previous
-/// version's reused analyses already held.
+/// whether the service caches nothing, keeps a memory tier, or keeps
+/// none, and an edit under a known key counts what a fresh run of the
+/// new version builds.
 #[test]
 fn cfgs_built_counts_only_the_runs_own_work() {
-    use nchecker::Seeds;
     let mut checker = NChecker::new();
     checker.obs = nck_obs::Obs::enabled();
-    let fp = nck_dex::wire::fnv1a;
+    let service = |no_cache: bool, mem_budget: Option<usize>| {
+        let options = ServiceOptions {
+            no_cache,
+            mem_budget,
+            ..ServiceOptions::default()
+        };
+        AnalysisService::new(options, nck_obs::Obs::enabled())
+    };
+    let services = [
+        ("--no-cache", service(true, None)),
+        ("memory tier", service(false, None)),
+        ("no memory tier", service(false, Some(0))),
+    ];
     for spec in profile::corpus(2016).iter().step_by(40) {
         let bytes = nck_appgen::generate(spec).to_bytes();
         let uncached = cfgs_built(&checker.analyze_bytes(&bytes).unwrap());
         assert!(uncached > 0, "{}", spec.package);
-        for seeds in [Seeds::Keep(None), Seeds::Skip] {
-            let (report, ..) = checker
-                .analyze_bytes_reusing_fp(&bytes, fp(&bytes), seeds)
-                .unwrap();
-            assert_eq!(cfgs_built(&report), uncached, "{} {seeds:?}", spec.package);
+        for (what, service) in &services {
+            let report = service.analyze_one(&spec.package, &bytes).report.unwrap();
+            assert_eq!(cfgs_built(&report), uncached, "{} {what}", spec.package);
         }
     }
 
     let spec = &profile::corpus(2016)[20];
     let v0 = nck_appgen::generate_with_bulk(spec, 8).to_bytes();
     let v1 = nck_appgen::generate_with_bulk(&nck_appgen::evolve(spec, 0.5, 3).spec, 8).to_bytes();
-    let (_, entry, _) = checker
-        .analyze_bytes_reusing_fp(&v0, fp(&v0), Seeds::Keep(None))
-        .unwrap();
-    let entry = entry.unwrap();
     let cold = cfgs_built(&checker.analyze_bytes(&v1).unwrap());
-    let (replayed, _, stats) = checker
-        .analyze_bytes_reusing_fp(&v1, fp(&v1), Seeds::Keep(Some(&entry)))
-        .unwrap();
-    assert!(stats.analyses_reused > 0);
-    assert!(entry.analyses.values().any(|a| a.has_cfg()));
-    assert!(
-        cfgs_built(&replayed) < cold,
-        "{} vs {cold}",
-        cfgs_built(&replayed)
-    );
+    let (_, memory) = &services[1];
+    memory.analyze_one("edited", &v0).report.unwrap();
+    let edited = memory.analyze_one("edited", &v1);
+    assert!(edited.delta.is_some(), "an edit of a known key");
+    assert_eq!(cfgs_built(&edited.report.unwrap()), cold);
 }

@@ -129,7 +129,8 @@ with open(sys.argv[1]) as f:
     doc = json.load(f)
 for key in ("schema", "build", "config", "cache", "funnel", "last_run"):
     assert key in doc, f"doctor snapshot missing {key}"
-assert doc["schema"] == 2
+assert doc["schema"] == 3
+assert "replay_apps" not in doc["cache"] and "replay_classes" not in doc["cache"]
 assert doc["cache"]["disk"]["configured"] is True
 assert doc["cache"]["hit"] + doc["cache"]["miss"] >= 4, "no cache traffic recorded"
 print(f"doctor ok: {doc['cache']['disk']['entries']} cache entries, "
@@ -140,15 +141,23 @@ echo "==> daemon smoke test"
 # The persistent daemon (`nchecker serve`) over --stdio: submit a suite
 # app, poll status, fetch the report and require it byte-identical to
 # the one-shot --json output, fetch the doctor snapshot (canonical
-# document + queue section), exercise a typed protocol error, and shut
-# down cleanly with exit 0.
+# document + queue section), exercise a typed protocol error, resubmit
+# an edited bundle under the same path (its report must `cmp` equal to
+# one-shot --json of the edit, with a non-null delta), and shut down
+# cleanly with exit 0.
 daemon_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir"' EXIT
 ./target/release/genapp "suite:0" "$daemon_dir/app.apk"
 ./target/release/nchecker --json --no-cache "$daemon_dir/app.apk" \
     > "$daemon_dir/oneshot.json"
+for v in 0 1; do
+    ./target/release/genapp corpus --seed 7 --count 1 --shards 1 --clean-frac 0 \
+        --version "$v" "$daemon_dir/v$v" > /dev/null
+done
+./target/release/nchecker --json --no-cache "$daemon_dir"/v1/shard-00/*.apk \
+    > "$daemon_dir/edit-oneshot.json"
 python3 - "$daemon_dir" <<'EOF'
-import json, os, subprocess, sys, time
+import glob, json, os, shutil, subprocess, sys, time
 
 d = sys.argv[1]
 proc = subprocess.Popen(
@@ -182,26 +191,27 @@ for key in ("schema", "build", "config", "cache", "funnel", "queue"):
 assert snap["queue"]["completed"] == 1, snap["queue"]
 bad = rpc({"verb": "frobnicate"})
 assert not bad["ok"] and bad["error"]["code"] == "unknown-verb", bad
+# The edit loop: version 0, then version 1 under the same path.
+edit = os.path.join(d, "edit.apk")
+replies = []
+for v in (0, 1):
+    shutil.copy(glob.glob(os.path.join(d, f"v{v}", "shard-00", "*.apk"))[0], edit)
+    r = rpc({"verb": "submit", "path": edit})
+    assert r["ok"], r
+    replies.append(rpc({"verb": "report", "id": r["id"], "wait": True}))
+assert replies[0]["delta"] is None, replies[0]["delta"]
+assert replies[1]["delta"] is not None, "an edit under a known key has a delta"
+with open(os.path.join(d, "edit-served.json"), "w") as f:
+    f.write(replies[1]["report"])
 sd = rpc({"verb": "shutdown"})
 assert sd["ok"], sd
 proc.stdin.close()
 assert proc.wait(timeout=120) == 0, "daemon must exit 0 after clean shutdown"
 print("daemon ok: report byte-identical over the wire, "
-      "doctor + queue served, typed errors, clean shutdown")
+      "doctor + queue served, typed errors, edit delta, clean shutdown")
 EOF
-
-echo "==> incremental re-analysis smoke test"
-# Small corpus of updated bundles through the analysis service. The
-# binary itself exits non-zero if any warm or hot report differs from
-# cold; on top of that, require real cache traffic (hits and replay).
-incr_out="$(./target/release/incremental_bench --apps 16 --bulk 8 --reps 1 --no-write)"
-echo "$incr_out"
-echo "$incr_out" | grep -q "byte-identical to cold" \
-    || { echo "incremental smoke: missing report-identity line"; exit 1; }
-echo "$incr_out" | grep -q "100% whole-report hits" \
-    || { echo "incremental smoke: hot pass was not all cache hits"; exit 1; }
-echo "$incr_out" | grep -Eq "warm:.* [1-9][0-9]*% classes replayed" \
-    || { echo "incremental smoke: warm pass reported no class reuse"; exit 1; }
+cmp "$daemon_dir/edit-served.json" "$daemon_dir/edit-oneshot.json" \
+    || { echo "daemon smoke: edited report differs from one-shot --json"; exit 1; }
 
 echo "==> store-scale vetting smoke test"
 # A small sharded corpus through `nchecker vet`: its output must be

@@ -7,8 +7,7 @@
 //! and, for rejected bundles, the error class must agree.
 
 use nchecker::{
-    app_report_to_json, AnalysisSkip, AnalyzeError, AnalyzedApp, AppReport, NChecker, Seeds,
-    SkipCause,
+    app_report_to_json, AnalysisSkip, AnalyzeError, AnalyzedApp, AppReport, NChecker, SkipCause,
 };
 use nck_android::apk::Apk;
 use nck_appgen::mutate::mutate;
@@ -71,8 +70,8 @@ fn pool_clean(bytes: &[u8]) -> bool {
         .is_ok_and(|apk| !nck_dex::pool_touches(&apk.adx, &|c, n| registry.is_relevant_api(c, n)))
 }
 
-/// Both fast-path entry points against the reference; returns whether
-/// the bundle was pool-clean (so callers can show the path was taken).
+/// The pipeline against the reference; returns whether the bundle was
+/// pool-clean (so callers can show the path was taken).
 fn assert_agrees(bytes: &[u8], what: &str) -> bool {
     let want = outcome(&reference(bytes));
     let mut checker = NChecker::new();
@@ -83,16 +82,6 @@ fn assert_agrees(bytes: &[u8], what: &str) -> bool {
         want,
         "{what}: analyze_bytes diverges from the reference"
     );
-    for seeds in [Seeds::Keep(None), Seeds::Skip] {
-        let reusing = checker
-            .analyze_bytes_reusing_fp(bytes, nck_dex::wire::fnv1a(bytes), seeds)
-            .map(|(r, _, _)| r);
-        assert_eq!(
-            outcome(&reusing),
-            want,
-            "{what}: analyze_bytes_reusing_fp ({seeds:?}) diverges from the reference"
-        );
-    }
     pool_clean(bytes)
 }
 

@@ -113,17 +113,15 @@ fn summaries_of(p: &Program) -> Summaries {
         .collect();
     let cfgs_owned: Vec<Option<Cfg>> = inputs.iter().map(|i| i.body.map(Cfg::build)).collect();
     let cfgs: Vec<Option<&Cfg>> = cfgs_owned.iter().map(Option::as_ref).collect();
-    Summaries::compute_incremental(
+    Summaries::compute(
         &inputs,
         &cfgs,
         |_, _, inv| match p.lookup_method(inv.callee) {
             Some(id) => CallKind::Callees(vec![id.0 as usize]),
             None => CallKind::Opaque,
         },
-        None,
         &Obs::disabled(),
     )
-    .0
 }
 
 /// Checks every method of `p`: the summary's constant return must match
