@@ -53,7 +53,7 @@ fn pipeline_json(
     let gauges: BTreeMap<String, Value> = metrics
         .gauges
         .iter()
-        .map(|(k, v)| (k.clone(), json!(v.value)))
+        .map(|(k, v)| (k.clone(), json!(*v)))
         .collect();
     let histograms: BTreeMap<String, Value> = metrics
         .histograms

@@ -158,12 +158,7 @@ fn run_fault_tolerant(
 
     let mut outcome = CorpusOutcome::default();
     for (i, slot) in slots.into_iter().enumerate() {
-        let result = slot.unwrap_or_else(|| {
-            Err(AnalyzeError::Panic(
-                "worker died before writing a result".to_owned(),
-            ))
-        });
-        match result {
+        match slot.map_err(AnalyzeError::Panic).and_then(|result| result) {
             Ok(report) => outcome.reports.push(Some(report)),
             Err(error) => {
                 outcome.reports.push(None);

@@ -116,15 +116,6 @@ impl AppCacheEntry {
     }
 }
 
-/// What the cache did for one app, for hit-rate reporting.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReuseStats {
-    /// The whole cached report was returned (identical bundle + config).
-    pub whole_report: bool,
-    /// The analysis degraded, so nothing was written back.
-    pub degraded: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -148,7 +148,7 @@ pub fn metrics_to_json(r: &AppReport) -> Value {
             Value::Object(
                 snap.gauges
                     .iter()
-                    .map(|(k, v)| (k.clone(), json!(v.value)))
+                    .map(|(k, v)| (k.clone(), json!(*v)))
                     .collect::<BTreeMap<_, _>>(),
             ),
         );
@@ -365,7 +365,7 @@ fn write_metrics(w: &mut Writer, s: &AppStats, snap: &MetricsSnapshot) {
     w.begin_object();
     for (k, g) in &snap.gauges {
         w.key(k);
-        w.int(g.value);
+        w.int(*g);
     }
     w.end_object();
     w.key("histograms");

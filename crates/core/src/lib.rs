@@ -65,7 +65,7 @@ pub mod report;
 pub mod retry;
 pub mod stats;
 
-pub use cache::{config_fingerprint, AppCacheEntry, ReuseStats, ANALYSIS_VERSION};
+pub use cache::{config_fingerprint, AppCacheEntry, ANALYSIS_VERSION};
 pub use callgraph::{CallEdge, CallGraph};
 pub use checker::{
     AnalysisSkip, AnalyzeError, AppReport, AppStats, CheckerConfig, NChecker, SkipCause,

@@ -10,11 +10,11 @@
 //! from the handle's construction, so interleaved `-v` output from
 //! parallel workers can be ordered after the fact. When a
 //! [`JsonlSink`] is attached, every event is also written there as a
-//! `{"t":"event","ms":...,"level":...,"msg":...}` record — at *all*
+//! `{"level":...,"ms":...,"msg":...,"t":"event"}` record — at *all*
 //! levels, regardless of the stderr ceiling, so `--log-json` captures
 //! the full stream even under `--quiet`.
 
-use crate::export::{JsonObj, JsonlSink};
+use crate::export::JsonlSink;
 use std::io::Write;
 use std::time::Instant;
 
@@ -101,14 +101,18 @@ impl Events {
     pub fn emit(&self, level: Level, msg: &str) {
         let elapsed = self.epoch.elapsed();
         if let Some(sink) = &self.sink {
-            sink.emit(
-                &JsonObj::new()
-                    .str("t", "event")
-                    .u64("ms", elapsed.as_millis() as u64)
-                    .str("level", &level.to_string())
-                    .str("msg", msg)
-                    .finish(),
-            );
+            let mut w = serde_json::Writer::compact();
+            w.begin_object();
+            w.key("level");
+            w.display(&level);
+            w.key("ms");
+            w.int(elapsed.as_millis() as i64);
+            w.key("msg");
+            w.str(msg);
+            w.key("t");
+            w.str("event");
+            w.end_object();
+            sink.emit(&w.into_string());
         }
         if !self.would_log(level) {
             return;

@@ -1,11 +1,8 @@
 //! Machine-readable telemetry export: JSONL sinks and Chrome Trace
 //! Event output.
 //!
-//! `nck-obs` is dependency-free, so this module carries its own minimal
-//! JSON writer: [`json_escape`] plus the [`JsonObj`] builder, enough to
-//! emit flat records with stable field names. Nested structure only
-//! appears via [`JsonObj::raw`], whose value the caller has already
-//! serialized.
+//! Records are written through [`serde_json::Writer`], the one JSON
+//! encoder of the workspace, so their keys come out sorted.
 //!
 //! [`chrome_trace`] turns per-app [`PipelineTrace`]s into the Chrome
 //! Trace Event Format (the `{"traceEvents": [...]}` JSON loaded by
@@ -21,104 +18,6 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-
-/// Escapes `s` for inclusion in a JSON string literal (without the
-/// surrounding quotes).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Builds one flat JSON object, preserving insertion order. Keys are
-/// written in the order fields are added, so records keep their stable,
-/// documented field order.
-#[derive(Debug)]
-pub struct JsonObj {
-    buf: String,
-}
-
-impl JsonObj {
-    /// Starts an empty object.
-    pub fn new() -> JsonObj {
-        JsonObj { buf: String::new() }
-    }
-
-    fn key(&mut self, k: &str) {
-        if !self.buf.is_empty() {
-            self.buf.push(',');
-        }
-        self.buf.push('"');
-        self.buf.push_str(&json_escape(k));
-        self.buf.push_str("\":");
-    }
-
-    /// Adds a string field.
-    pub fn str(mut self, k: &str, v: &str) -> JsonObj {
-        self.key(k);
-        self.buf.push('"');
-        self.buf.push_str(&json_escape(v));
-        self.buf.push('"');
-        self
-    }
-
-    /// Adds an unsigned integer field.
-    pub fn u64(mut self, k: &str, v: u64) -> JsonObj {
-        self.key(k);
-        self.buf.push_str(&v.to_string());
-        self
-    }
-
-    /// Adds a signed integer field.
-    pub fn i64(mut self, k: &str, v: i64) -> JsonObj {
-        self.key(k);
-        self.buf.push_str(&v.to_string());
-        self
-    }
-
-    /// Adds a float field, rendered with three decimal places (enough
-    /// for microsecond values carrying nanosecond fractions).
-    pub fn f64(mut self, k: &str, v: f64) -> JsonObj {
-        self.key(k);
-        self.buf.push_str(&format!("{v:.3}"));
-        self
-    }
-
-    /// Adds a boolean field.
-    pub fn bool(mut self, k: &str, v: bool) -> JsonObj {
-        self.key(k);
-        self.buf.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    /// Adds a field whose value is already-serialized JSON.
-    pub fn raw(mut self, k: &str, v: &str) -> JsonObj {
-        self.key(k);
-        self.buf.push_str(v);
-        self
-    }
-
-    /// Finishes the object.
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.buf)
-    }
-}
-
-impl Default for JsonObj {
-    fn default() -> JsonObj {
-        JsonObj::new()
-    }
-}
 
 enum SinkTarget {
     Writer(Box<dyn Write + Send>),
@@ -209,30 +108,64 @@ fn assign_lanes(traces: &[(String, PipelineTrace)]) -> Vec<usize> {
     lanes
 }
 
-fn push_span_events(
-    node: &SpanNode,
-    app: Option<&str>,
-    tid: usize,
-    out: &mut Vec<(u64, u64, String)>,
-) {
-    let mut args = JsonObj::new().u64("items", node.items);
-    if let Some(app) = app {
-        args = args.str("app", app);
-    }
-    let ev = JsonObj::new()
-        .str("name", &node.name)
-        .str("cat", "nchecker")
-        .str("ph", "X")
-        .f64("ts", node.start_ns as f64 / 1e3)
-        .f64("dur", node.nanos as f64 / 1e3)
-        .u64("pid", 1)
-        .u64("tid", tid as u64)
-        .raw("args", &args.finish())
-        .finish();
-    out.push((node.start_ns, u64::MAX - node.nanos, ev));
+/// One `"X"` event: a span, labelled with its app when it is a root.
+struct SpanEvent<'a> {
+    node: &'a SpanNode,
+    app: Option<&'a str>,
+}
+
+fn push_span_events<'a>(node: &'a SpanNode, app: Option<&'a str>, out: &mut Vec<SpanEvent<'a>>) {
+    out.push(SpanEvent { node, app });
     for c in &node.children {
-        push_span_events(c, None, tid, out);
+        push_span_events(c, None, out);
     }
+}
+
+/// A `"M"` metadata event naming the process or a worker lane.
+fn write_meta(w: &mut serde_json::Writer, event: &str, tid: usize, name: &str) {
+    w.begin_object();
+    w.key("args");
+    w.begin_object();
+    w.key("name");
+    w.str(name);
+    w.end_object();
+    w.key("name");
+    w.str(event);
+    w.key("ph");
+    w.str("M");
+    w.key("pid");
+    w.int(1);
+    w.key("tid");
+    w.int(tid as i64);
+    w.end_object();
+}
+
+fn write_span(w: &mut serde_json::Writer, ev: &SpanEvent<'_>, tid: usize) {
+    w.begin_object();
+    w.key("args");
+    w.begin_object();
+    if let Some(app) = ev.app {
+        w.key("app");
+        w.str(app);
+    }
+    w.key("items");
+    w.int(ev.node.items as i64);
+    w.end_object();
+    w.key("cat");
+    w.str("nchecker");
+    w.key("dur");
+    w.float(ev.node.nanos as f64 / 1e3);
+    w.key("name");
+    w.str(&ev.node.name);
+    w.key("ph");
+    w.str("X");
+    w.key("pid");
+    w.int(1);
+    w.key("tid");
+    w.int(tid as i64);
+    w.key("ts");
+    w.float(ev.node.start_ns as f64 / 1e3);
+    w.end_object();
 }
 
 /// Renders `(app label, trace)` pairs as a Chrome Trace Event Format
@@ -243,47 +176,35 @@ fn push_span_events(
 pub fn chrome_trace(traces: &[(String, PipelineTrace)]) -> String {
     let lanes = assign_lanes(traces);
     let lane_count = lanes.iter().copied().max().map_or(0, |m| m + 1);
-    let mut events: Vec<String> = Vec::new();
-    events.push(
-        JsonObj::new()
-            .str("name", "process_name")
-            .str("ph", "M")
-            .u64("pid", 1)
-            .u64("tid", 0)
-            .raw("args", &JsonObj::new().str("name", "nchecker").finish())
-            .finish(),
-    );
+    let mut w = serde_json::Writer::compact();
+    w.begin_object();
+    w.key("traceEvents");
+    w.begin_array();
+    write_meta(&mut w, "process_name", 0, "nchecker");
     for lane in 0..lane_count {
-        events.push(
-            JsonObj::new()
-                .str("name", "thread_name")
-                .str("ph", "M")
-                .u64("pid", 1)
-                .u64("tid", lane as u64)
-                .raw(
-                    "args",
-                    &JsonObj::new()
-                        .str("name", &format!("worker {lane}"))
-                        .finish(),
-                )
-                .finish(),
-        );
+        write_meta(&mut w, "thread_name", lane, &format!("worker {lane}"));
     }
     // Collect per lane so each lane's events come out ts-sorted.
     for lane in 0..lane_count {
-        let mut lane_events: Vec<(u64, u64, String)> = Vec::new();
+        let mut lane_events = Vec::new();
         for (i, (app, trace)) in traces.iter().enumerate() {
             if lanes[i] != lane {
                 continue;
             }
             for root in &trace.roots {
-                push_span_events(root, Some(app), lane, &mut lane_events);
+                push_span_events(root, Some(app), &mut lane_events);
             }
         }
-        lane_events.sort_by_key(|a| (a.0, a.1));
-        events.extend(lane_events.into_iter().map(|(_, _, ev)| ev));
+        lane_events.sort_by_key(|e| (e.node.start_ns, u64::MAX - e.node.nanos));
+        for ev in &lane_events {
+            write_span(&mut w, ev, lane);
+        }
     }
-    format!("{{\"traceEvents\":[{}]}}\n", events.join(","))
+    w.end_array();
+    w.end_object();
+    let mut out = w.into_string();
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]
@@ -294,26 +215,15 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b"), "a\\\"b");
-        assert_eq!(json_escape("a\\b"), "a\\\\b");
-        assert_eq!(json_escape("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
-    }
-
-    #[test]
-    fn json_obj_preserves_field_order() {
-        let s = JsonObj::new()
-            .str("t", "event")
-            .u64("n", 3)
-            .i64("d", -1)
-            .bool("ok", true)
-            .raw("inner", "{\"x\":1}")
-            .finish();
-        assert_eq!(
-            s,
-            "{\"t\":\"event\",\"n\":3,\"d\":-1,\"ok\":true,\"inner\":{\"x\":1}}"
-        );
+        // An app label with quotes, a backslash and control characters
+        // comes back intact from the trace's JSON.
+        let label = "a\"b\\c\nd\te\u{1}";
+        let epoch = Instant::now();
+        let out = chrome_trace(&[(label.to_owned(), trace_with_window(epoch, 0, 2, "app"))]);
+        assert!(out.contains(r#""app":"a\"b\\c\nd\te\u0001""#), "{out}");
+        let v: serde_json::Value = serde_json::from_str(&out).expect("trace is JSON");
+        let events = v["traceEvents"].as_array().unwrap();
+        assert!(events.iter().any(|e| e["args"]["app"] == label));
     }
 
     #[test]

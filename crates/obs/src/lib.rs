@@ -1,9 +1,10 @@
 //! `nck-obs`: the observability layer of the NChecker pipeline.
 //!
 //! The pipeline (DEX parse → IR lift → CFG/dataflow → call graph →
-//! interprocedural summaries → checkers) is instrumented with three
-//! facilities, all hand-rolled on `std` alone in the style of the
-//! vendored stubs — the build environment has no crates registry:
+//! interprocedural summaries → checkers) is instrumented with these
+//! facilities, hand-rolled on `std` (the exports encode JSON through the
+//! vendored `serde_json::Writer`) — the build environment has no crates
+//! registry:
 //!
 //! - **spans** ([`trace`]): hierarchical wall-time regions with item
 //!   counts, one [`trace::PipelineTrace`] tree per analyzed app, plus
@@ -45,10 +46,8 @@ pub mod series;
 pub mod trace;
 
 pub use event::{Events, Level};
-pub use export::{chrome_trace, json_escape, JsonObj, JsonlSink};
-pub use metrics::{
-    GaugeKind, GaugeValue, HistogramSnapshot, Metrics, MetricsSnapshot, EXP2_BUCKETS,
-};
+pub use export::{chrome_trace, JsonlSink};
+pub use metrics::{HistogramSnapshot, Metrics, MetricsSnapshot, EXP2_BUCKETS};
 pub use series::Series;
 pub use trace::{PhaseTotals, PipelineTrace, Span, SpanNode, Tracer};
 

@@ -21,38 +21,10 @@ pub const EXP2_BUCKETS: [u64; 16] = [
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768,
 ];
 
-/// How a gauge folds when snapshots merge.
-///
-/// The merge rule is the point of the split: counters always sum, but a
-/// gauge is either a *point-in-time* reading (cache entries, largest
-/// SCC) — for which summing per-app values into a corpus total silently
-/// fabricates a number no process ever observed — or an *additive*
-/// contribution (bytes written by this app) that genuinely accumulates.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum GaugeKind {
-    /// Point-in-time reading: last write wins in the live registry, and
-    /// merging keeps the **maximum** (the high-water mark is the only
-    /// order-independent, meaningful fold of point-in-time values).
-    #[default]
-    Point,
-    /// Additive contribution: writes add in the live registry, and
-    /// merging **sums**.
-    Additive,
-}
-
-/// A gauge value paired with its merge semantics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GaugeValue {
-    /// Current value.
-    pub value: i64,
-    /// How the value folds on [`MetricsSnapshot::merge`].
-    pub kind: GaugeKind,
-}
-
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Metric {
     Counter(u64),
-    Gauge(GaugeValue),
+    Gauge(i64),
     Histogram(HistogramSnapshot),
 }
 
@@ -175,40 +147,13 @@ impl Metrics {
         }
     }
 
-    /// Sets the point-in-time gauge `name` to `value` (last write wins;
-    /// merges keep the maximum — see [`GaugeKind::Point`]).
+    /// Sets the gauge `name` to `value`: a point-in-time reading (cache
+    /// entries, largest SCC). Last write wins; merges keep the maximum.
     pub fn gauge(&self, name: &str, value: i64) {
         let Some(inner) = &self.inner else { return };
         let mut map = inner.lock().expect("metrics lock");
-        if let Metric::Gauge(g) = map
-            .entry(name.to_owned())
-            .or_insert(Metric::Gauge(GaugeValue {
-                value: 0,
-                kind: GaugeKind::Point,
-            }))
-        {
-            if g.kind == GaugeKind::Point {
-                g.value = value;
-            }
-        }
-    }
-
-    /// Adds `by` to the additive gauge `name` (merges sum — see
-    /// [`GaugeKind::Additive`]). Unlike a counter, an additive gauge may
-    /// go negative.
-    pub fn gauge_add(&self, name: &str, by: i64) {
-        let Some(inner) = &self.inner else { return };
-        let mut map = inner.lock().expect("metrics lock");
-        if let Metric::Gauge(g) = map
-            .entry(name.to_owned())
-            .or_insert(Metric::Gauge(GaugeValue {
-                value: 0,
-                kind: GaugeKind::Additive,
-            }))
-        {
-            if g.kind == GaugeKind::Additive {
-                g.value += by;
-            }
+        if let Metric::Gauge(g) = map.entry(name.to_owned()).or_insert(Metric::Gauge(0)) {
+            *g = value;
         }
     }
 
@@ -261,36 +206,27 @@ impl Metrics {
 pub struct MetricsSnapshot {
     /// Monotonic counters.
     pub counters: BTreeMap<String, u64>,
-    /// Gauges with their merge semantics.
-    pub gauges: BTreeMap<String, GaugeValue>,
+    /// Point-in-time gauges.
+    pub gauges: BTreeMap<String, i64>,
     /// Fixed-bucket histograms.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
     /// Folds `other` in. Counters and histogram buckets add. Gauges
-    /// fold by their [`GaugeKind`]: additive gauges sum, point-in-time
-    /// gauges keep the maximum — summing a point-in-time value (cache
-    /// entries, largest SCC) across per-app snapshots would fabricate a
-    /// total no process ever observed. On a kind conflict the
-    /// first-recorded kind wins, mirroring the registry's
-    /// first-use-binds rule.
+    /// keep the maximum: a gauge is a point-in-time reading (cache
+    /// entries, largest SCC), and summing one across per-app snapshots
+    /// would fabricate a total no process ever observed, while the
+    /// high-water mark is the one order-independent fold.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, v) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += v;
         }
-        for (name, g) in &other.gauges {
-            let mine = self.gauges.entry(name.clone()).or_insert(GaugeValue {
-                value: match g.kind {
-                    GaugeKind::Point => i64::MIN,
-                    GaugeKind::Additive => 0,
-                },
-                kind: g.kind,
-            });
-            match mine.kind {
-                GaugeKind::Point => mine.value = mine.value.max(g.value),
-                GaugeKind::Additive => mine.value += g.value,
-            }
+        for (name, &g) in &other.gauges {
+            self.gauges
+                .entry(name.clone())
+                .and_modify(|mine| *mine = (*mine).max(g))
+                .or_insert(g);
         }
         for (name, h) in &other.histograms {
             self.histograms
@@ -315,7 +251,7 @@ impl MetricsSnapshot {
             out.push_str(&format!("{name} {v}\n"));
         }
         for (name, g) in &self.gauges {
-            out.push_str(&format!("{name} {}\n", g.value));
+            out.push_str(&format!("{name} {g}\n"));
         }
         for (name, h) in &self.histograms {
             let pct = |p: f64| match h.percentile_bound(p) {
@@ -367,30 +303,7 @@ mod tests {
         let m = Metrics::enabled();
         m.gauge("g", 10);
         m.gauge("g", -3);
-        let g = m.snapshot().gauges["g"];
-        assert_eq!(g.value, -3);
-        assert_eq!(g.kind, GaugeKind::Point);
-    }
-
-    #[test]
-    fn additive_gauges_accumulate() {
-        let m = Metrics::enabled();
-        m.gauge_add("bytes", 10);
-        m.gauge_add("bytes", -3);
-        let g = m.snapshot().gauges["bytes"];
-        assert_eq!(g.value, 7);
-        assert_eq!(g.kind, GaugeKind::Additive);
-    }
-
-    #[test]
-    fn gauge_kind_conflicts_are_ignored() {
-        let m = Metrics::enabled();
-        m.gauge("g", 5); // binds Point
-        m.gauge_add("g", 100); // wrong kind: ignored
-        assert_eq!(m.snapshot().gauges["g"].value, 5);
-        m.gauge_add("a", 5); // binds Additive
-        m.gauge("a", 100); // wrong kind: ignored
-        assert_eq!(m.snapshot().gauges["a"].value, 5);
+        assert_eq!(m.snapshot().gauges["g"], -3);
     }
 
     #[test]
@@ -444,8 +357,8 @@ mod tests {
         let mut s = a.snapshot();
         s.merge(&b.snapshot());
         assert_eq!(s.counters["c"], 11);
-        // Point gauges keep the high-water mark, not the sum.
-        assert_eq!(s.gauges["g"].value, 5);
+        // Gauges keep the high-water mark, not the sum.
+        assert_eq!(s.gauges["g"], 5);
         let h = &s.histograms["h"];
         assert_eq!(h.counts, vec![1, 1]);
         assert_eq!(h.sum, 55);
@@ -453,34 +366,23 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_gauges_by_kind() {
+    fn merge_folds_gauges_by_maximum() {
         let a = Metrics::enabled();
         a.gauge("peak", 7);
-        a.gauge_add("bytes", 100);
+        a.gauge("low", -5);
         let b = Metrics::enabled();
         b.gauge("peak", 3);
-        b.gauge_add("bytes", 50);
+        b.gauge("low", -9);
+        b.gauge("only_b", -2);
         let mut s = a.snapshot();
         s.merge(&b.snapshot());
-        assert_eq!(s.gauges["peak"].value, 7); // max of point readings
-        assert_eq!(s.gauges["bytes"].value, 150); // sum of contributions
-                                                  // Merging into an empty snapshot is the identity.
+        assert_eq!(s.gauges["peak"], 7);
+        assert_eq!(s.gauges["low"], -5, "negative readings fold by max too");
+        assert_eq!(s.gauges["only_b"], -2);
+        // Merging into an empty snapshot is the identity.
         let mut empty = MetricsSnapshot::default();
         empty.merge(&s);
         assert_eq!(empty, s);
-    }
-
-    #[test]
-    fn merge_kind_conflict_keeps_self_kind() {
-        let a = Metrics::enabled();
-        a.gauge("g", 2);
-        let b = Metrics::enabled();
-        b.gauge_add("g", 100);
-        let mut s = a.snapshot();
-        s.merge(&b.snapshot());
-        // Self's binding (Point) wins: fold by max, keep Point.
-        assert_eq!(s.gauges["g"].value, 100);
-        assert_eq!(s.gauges["g"].kind, GaugeKind::Point);
     }
 
     #[test]

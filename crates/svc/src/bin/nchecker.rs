@@ -28,10 +28,11 @@
 //! was degraded (some methods skipped as unanalyzable).
 
 use nchecker::CheckerConfig;
-use nck_obs::{Events, JsonObj, JsonlSink, Level, Metrics, Obs, PhaseTotals, Series, Tracer};
+use nck_obs::{Events, JsonlSink, Level, Metrics, Obs, PhaseTotals, Series, Tracer};
 use nck_svc::{
     daemon, doctor, AnalysisService, AnalysisStore, Daemon, DaemonOptions, ServiceOptions, Watcher,
 };
+use serde_json::{json, Value};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -893,7 +894,7 @@ fn watch_loop(daemon: &Daemon, dir: &Path, poll_ms: u64, events: &Events) {
 /// Writes the structured JSONL records for the batch: one `app` record
 /// per analyzed bundle (phase totals and cache outcome), one `cache`
 /// record, one `funnel` record (prescan counters), and one `run`
-/// summary record with the latency percentiles.
+/// summary record with the latency percentiles. Keys are sorted.
 fn emit_jsonl(
     sink: &JsonlSink,
     items: &[(String, Vec<u8>)],
@@ -902,87 +903,72 @@ fn emit_jsonl(
     merged: &nck_obs::MetricsSnapshot,
     latency: &mut Series,
 ) {
+    let emit = |record: Value| sink.emit(&serde_json::to_string(&record).expect("record encodes"));
     for ((path, _), outcome) in items.iter().zip(outcomes) {
-        match &outcome.report {
-            Ok(report) => {
-                let mut rec = JsonObj::new()
-                    .str("t", "app")
-                    .str("app", path)
-                    .str("package", &report.stats.package)
-                    .u64("defects", report.defects.len() as u64)
-                    .bool("degraded", report.degraded())
-                    .bool("cache_hit", outcome.reuse.whole_report);
-                if let Some(t) = &report.trace {
-                    rec = rec.u64("wall_us", t.wall_nanos() / 1_000);
-                    let mut per_app = PhaseTotals::new();
-                    per_app.absorb(t);
-                    let mut phases_obj = JsonObj::new();
-                    for (phase_path, total) in per_app.iter() {
-                        phases_obj = phases_obj.raw(
-                            phase_path,
-                            &JsonObj::new()
-                                .u64("us", total.nanos / 1_000)
-                                .u64("items", total.items)
-                                .u64("count", total.count)
-                                .finish(),
-                        );
-                    }
-                    rec = rec.raw("phases", &phases_obj.finish());
-                }
-                sink.emit(&rec.finish());
-            }
+        let report = match &outcome.report {
+            Ok(report) => report,
             Err(e) => {
-                sink.emit(
-                    &JsonObj::new()
-                        .str("t", "app")
-                        .str("app", path)
-                        .str("error", &e.to_string())
-                        .finish(),
-                );
+                emit(json!({ "t": "app", "app": path, "error": e.to_string() }));
+                continue;
             }
+        };
+        let mut rec = json!({
+            "t": "app",
+            "app": path,
+            "package": report.stats.package,
+            "defects": report.defects.len(),
+            "degraded": report.degraded(),
+            "cache_hit": outcome.hit,
+        });
+        if let (Some(t), Value::Object(fields)) = (&report.trace, &mut rec) {
+            let mut per_app = PhaseTotals::new();
+            per_app.absorb(t);
+            let phases = per_app.iter().map(|(phase_path, total)| {
+                let total = json!({
+                    "us": total.nanos / 1_000,
+                    "items": total.items,
+                    "count": total.count,
+                });
+                (phase_path.to_owned(), total)
+            });
+            fields.insert("wall_us".to_owned(), json!(t.wall_nanos() / 1_000));
+            fields.insert("phases".to_owned(), Value::Object(phases.collect()));
         }
+        emit(rec);
     }
-    sink.emit(
-        &JsonObj::new()
-            .str("t", "cache")
-            .u64("hits", cache_stats.hits as u64)
-            .u64("misses", cache_stats.misses as u64)
-            .u64("degraded", cache_stats.degraded as u64)
-            .u64("evictions", counter(merged, "svc.cache.evict"))
-            .finish(),
-    );
-    sink.emit(
-        &JsonObj::new()
-            .str("t", "funnel")
-            .u64("prescan_skipped", counter(merged, "prescan.skipped"))
-            .finish(),
-    );
-    let mut run = JsonObj::new()
-        .str("t", "run")
-        .u64("apps", items.len() as u64)
-        .u64(
-            "failed",
-            outcomes.iter().filter(|o| o.report.is_err()).count() as u64,
-        )
-        .i64(
-            "cache_mem_entries",
-            merged
-                .gauges
-                .get("svc.cache.mem_entries")
-                .map_or(0, |g| g.value),
-        );
-    if let (Some(p50), Some(p90), Some(p99)) = (
+    emit(json!({
+        "t": "cache",
+        "hits": cache_stats.hits,
+        "misses": cache_stats.misses,
+        "degraded": cache_stats.degraded,
+        "evictions": counter(merged, "svc.cache.evict"),
+    }));
+    emit(json!({
+        "t": "funnel",
+        "prescan_skipped": counter(merged, "prescan.skipped"),
+    }));
+    let mut run = json!({
+        "t": "run",
+        "apps": items.len(),
+        "failed": outcomes.iter().filter(|o| o.report.is_err()).count(),
+        "cache_mem_entries": merged.gauges.get("svc.cache.mem_entries").copied().unwrap_or(0),
+    });
+    if let (Some(p50), Some(p90), Some(p99), Value::Object(fields)) = (
         latency.percentile(50.0),
         latency.percentile(90.0),
         latency.percentile(99.0),
+        &mut run,
     ) {
-        run = run
-            .u64("wall_us_p50", p50)
-            .u64("wall_us_p90", p90)
-            .u64("wall_us_p99", p99)
-            .u64("wall_us_max", latency.max().unwrap_or(0));
+        for (key, us) in [
+            ("wall_us_p50", p50),
+            ("wall_us_p90", p90),
+            ("wall_us_p99", p99),
+            ("wall_us_max", latency.max().unwrap_or(0)),
+        ] {
+            fields.insert(key.to_owned(), json!(us));
+        }
     }
-    sink.emit(&run.finish());
+    emit(run);
 }
 
 fn counter(snap: &nck_obs::MetricsSnapshot, name: &str) -> u64 {

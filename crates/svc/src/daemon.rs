@@ -2,16 +2,20 @@
 //!
 //! A [`Daemon`] owns an [`AnalysisService`] and a bounded request
 //! queue in front of it. Clients submit bundle paths over the
-//! [`crate::protocol`] wire (Unix socket or stdio); a dispatcher
-//! thread drains the queue in batches onto the work-stealing pool;
-//! finished jobs keep their rendered report — the *exact* bytes the
-//! one-shot CLI would print under `--json` — until they age out of
+//! [`crate::protocol`] wire (Unix socket or stdio); the dispatcher runs
+//! the pool's worker loop ([`crate::pool::run_workers`]) over the queue
+//! with `--jobs` workers, each keeping one checker. A worker claims the
+//! oldest queued job, analyzes it, and finishes it at once: the job is
+//! `done` and keeps its rendered report — the *exact* bytes the
+//! one-shot CLI would print under `--json` — until it ages out of
 //! retention. A `report` request answers at once (`not-ready` for an
 //! unfinished job) unless it asks to `wait`, in which case the reply is
-//! held until the dispatcher finishes the job.
+//! held until a worker finishes that job. A panic that escapes the
+//! pipeline fails only its own job.
 //!
-//! Admission control is explicit: a submit against a full queue is
-//! rejected with a typed `queue-full` reply (never blocked, never
+//! Admission control is explicit: a submit while the capacity is held
+//! by queued and running jobs together is rejected with a typed
+//! `queue-full` reply (never blocked, never
 //! silently dropped), and a submit after shutdown began gets
 //! `shutting-down`. Shutdown is graceful — in-flight and queued apps
 //! drain, then the disk cache tier is flushed before the dispatcher
@@ -29,8 +33,9 @@
 //!   `"queue"` object — strip that key and the bytes match.
 
 use crate::doctor::{self, DoctorReport};
+use crate::pool::{default_workers, run_workers};
 use crate::protocol::{self, ErrorCode, Line, ProtocolError, Request};
-use crate::service::{AnalysisService, ServiceOptions};
+use crate::service::{AnalysisService, AppOutcome, ServiceOptions};
 use nchecker::CheckerConfig;
 use nck_obs::{Events, Metrics, MetricsSnapshot, Obs, PhaseTotals, Tracer};
 use serde_json::{json, Value};
@@ -41,7 +46,7 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Default bound on the request queue.
+/// Default bound on the jobs held: queued plus running.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
 /// Finished jobs retained for `report` fetches; older ones age out
@@ -67,8 +72,8 @@ const WAIT_US_BUCKETS: [u64; 8] = [
 pub struct DaemonOptions {
     /// The underlying batch service (config, jobs, cache tiers).
     pub service: ServiceOptions,
-    /// Request-queue bound (`0` is clamped to `1`); `None` =
-    /// [`DEFAULT_QUEUE_CAPACITY`].
+    /// Bound on the jobs held, queued plus running (`0` is clamped to
+    /// `1`); `None` = [`DEFAULT_QUEUE_CAPACITY`].
     pub queue_capacity: Option<usize>,
 }
 
@@ -117,7 +122,10 @@ struct State {
     next_id: u64,
     accepting: bool,
     stopped: bool,
+    /// Jobs claimed by a worker and not yet finished.
     inflight: usize,
+    /// A job finished since the last disk-GC check.
+    gc_due: bool,
     submitted: u64,
     rejected: u64,
     completed: u64,
@@ -137,6 +145,7 @@ impl State {
             accepting: true,
             stopped: false,
             inflight: 0,
+            gc_due: false,
             submitted: 0,
             rejected: 0,
             completed: 0,
@@ -176,15 +185,17 @@ impl Reply {
 pub struct Daemon {
     service: AnalysisService,
     config: CheckerConfig,
+    /// Dispatcher workers: `--jobs`, or [`default_workers`].
+    workers: usize,
     capacity: usize,
     /// Lifetime queue telemetry: `svc.queue.{depth,inflight}` gauges,
     /// `svc.queue.{submitted,rejected,completed,failed}` counters, and
     /// the `svc.queue.wait_us` histogram.
     metrics: Metrics,
     state: Mutex<State>,
-    /// Signals the dispatcher: work arrived or shutdown began.
+    /// Signals idle workers: work arrived or shutdown began.
     work: Condvar,
-    /// Signals waiting `report` requests: a batch finished, or the
+    /// Signals waiting `report` requests: a job finished, or the
     /// dispatcher exited.
     finished: Condvar,
     /// Signals drain waiters: the dispatcher exited.
@@ -197,6 +208,7 @@ impl Daemon {
     /// through for diagnostics.
     pub fn new(options: DaemonOptions, events: Events) -> Daemon {
         let config = options.service.config;
+        let workers = options.service.jobs.unwrap_or_else(default_workers).max(1);
         let obs = Obs {
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
@@ -205,6 +217,7 @@ impl Daemon {
         Daemon {
             service: AnalysisService::new(options.service, obs),
             config,
+            workers,
             capacity: options
                 .queue_capacity
                 .unwrap_or(DEFAULT_QUEUE_CAPACITY)
@@ -245,7 +258,8 @@ impl Daemon {
         self.submit_bytes(key.unwrap_or_else(|| path.to_owned()), bytes)
     }
 
-    /// Enqueues a bundle. Admission control: `queue-full` at capacity,
+    /// Enqueues a bundle. Admission control: `queue-full` when queued
+    /// and running jobs fill the capacity,
     /// `shutting-down` after shutdown began. Returns the job id and the
     /// queue depth after the enqueue.
     pub fn submit_bytes(&self, key: String, bytes: Vec<u8>) -> Result<(u64, usize), ProtocolError> {
@@ -256,7 +270,7 @@ impl Daemon {
                 "daemon is shutting down; submit rejected".to_owned(),
             ));
         }
-        if st.queue.len() >= self.capacity {
+        if st.queue.len() + st.inflight >= self.capacity {
             st.rejected += 1;
             self.metrics.inc("svc.queue.rejected", 1);
             return Err((
@@ -335,106 +349,107 @@ impl Daemon {
         }
     }
 
-    /// The dispatcher loop: waits for work, drains the queue in
-    /// batches onto the pool, and on shutdown flushes the disk cache
-    /// before signalling drain waiters. Run on a dedicated thread.
+    /// The dispatcher: runs the service's worker loop over the queue
+    /// with `--jobs` workers (this thread is worker 0), each keeping one
+    /// checker. A worker claims one job at a time and finishes it, so
+    /// its `report` is answered, as soon as its own analysis ends. Once
+    /// shutdown began and the queue is empty, the workers exit and the
+    /// disk cache is flushed before drain waiters are signalled. Run on
+    /// a dedicated thread.
     pub fn run_dispatcher(&self) {
-        loop {
-            let batch = {
-                let mut st = self.state.lock().expect("daemon state");
-                loop {
-                    if !st.queue.is_empty() {
-                        break;
-                    }
-                    if !st.accepting {
-                        drop(st);
-                        self.service.store().sync_disk();
-                        let mut st = self.state.lock().expect("daemon state");
-                        st.stopped = true;
-                        self.idle.notify_all();
-                        self.finished.notify_all();
-                        return;
-                    }
-                    st = self.work.wait(st).expect("daemon state");
-                }
-                self.begin_batch(&mut st)
-            };
-            self.run_batch(batch);
-        }
+        self.serve_queue(self.workers, true);
+        self.service.store().sync_disk();
+        let mut st = self.state.lock().expect("daemon state");
+        st.stopped = true;
+        self.idle.notify_all();
+        self.finished.notify_all();
     }
 
     /// Drains the queue synchronously on the calling thread (tests and
     /// single-shot embedding; the daemon binary uses the dispatcher).
-    /// A waiting `report` is only answered by the dispatcher, so issue
-    /// one only once the job is finished when draining this way.
+    /// A waiting `report` is only answered by a worker, so issue one
+    /// only once the job is finished when draining this way.
     pub fn drain_now(&self) {
-        loop {
-            let batch = {
-                let mut st = self.state.lock().expect("daemon state");
-                if st.queue.is_empty() {
-                    return;
-                }
-                self.begin_batch(&mut st)
-            };
-            self.run_batch(batch);
-        }
+        self.serve_queue(1, false);
     }
 
-    /// Takes every queued job: marks it running, records its queue
-    /// wait, and returns `(id, key, bytes)` triples for the pool.
-    fn begin_batch(&self, st: &mut State) -> Vec<(u64, String, Vec<u8>)> {
-        let mut batch = Vec::with_capacity(st.queue.len());
-        while let Some(id) = st.queue.pop_front() {
-            let Some(job) = st.jobs.get_mut(&id) else {
-                continue;
-            };
-            job.phase = Phase::Running;
-            let wait_us = u64::try_from(job.enqueued.elapsed().as_micros()).unwrap_or(u64::MAX);
-            self.metrics
-                .observe_with("svc.queue.wait_us", &WAIT_US_BUCKETS, wait_us);
-            let bytes = job.bytes.take().unwrap_or_default();
-            batch.push((id, job.key.clone(), bytes));
-        }
-        st.inflight = batch.len();
-        self.metrics.gauge("svc.queue.depth", 0);
-        self.metrics.gauge("svc.queue.inflight", batch.len() as i64);
-        batch
+    fn serve_queue(&self, workers: usize, block: bool) {
+        run_workers(
+            workers,
+            || self.service.make_checker(),
+            || self.claim(block),
+            |checker, (_, key, bytes)| self.service.analyze_with_checker(checker, key, bytes),
+            |(id, _, _), result| self.finish_job(id, result.unwrap_or_else(AppOutcome::panicked)),
+        );
     }
 
-    fn run_batch(&self, batch: Vec<(u64, String, Vec<u8>)>) {
-        let (ids, items): (Vec<u64>, Vec<(String, Vec<u8>)>) = batch
-            .into_iter()
-            .map(|(id, key, bytes)| (id, (key, bytes)))
-            .unzip();
-        let outcomes = self.service.analyze_batch(&items);
+    /// Claims the oldest queued job: marks it running and records its
+    /// queue wait. When the queue is empty and no job runs, a finished
+    /// job since the last check makes this worker run the budgeted disk
+    /// GC, once per drain. Then, with the queue still empty, `None` if
+    /// `block` is off or shutdown began; otherwise waits for work.
+    fn claim(&self, block: bool) -> Option<(u64, String, Vec<u8>)> {
         let mut st = self.state.lock().expect("daemon state");
-        for (id, outcome) in ids.into_iter().zip(outcomes) {
-            self.finish_job(&mut st, id, outcome);
+        loop {
+            if let Some(id) = st.queue.pop_front() {
+                let Some(job) = st.jobs.get_mut(&id) else {
+                    continue;
+                };
+                job.phase = Phase::Running;
+                let wait_us = u64::try_from(job.enqueued.elapsed().as_micros()).unwrap_or(u64::MAX);
+                let claimed = (id, job.key.clone(), job.bytes.take().unwrap_or_default());
+                self.metrics
+                    .observe_with("svc.queue.wait_us", &WAIT_US_BUCKETS, wait_us);
+                st.inflight += 1;
+                self.metrics.gauge("svc.queue.depth", st.queue.len() as i64);
+                self.metrics.gauge("svc.queue.inflight", st.inflight as i64);
+                return Some(claimed);
+            }
+            if st.gc_due && st.inflight == 0 {
+                st.gc_due = false;
+                drop(st);
+                self.service.collect_garbage();
+                st = self.state.lock().expect("daemon state");
+                continue;
+            }
+            if !block || !st.accepting {
+                return None;
+            }
+            st = self.work.wait(st).expect("daemon state");
         }
-        st.inflight = 0;
-        self.metrics.gauge("svc.queue.inflight", 0);
-        self.finished.notify_all();
     }
 
-    fn finish_job(&self, st: &mut State, id: u64, outcome: crate::service::AppOutcome) {
+    /// Records a claimed job's outcome and wakes its waiting `report`.
+    fn finish_job(&self, id: u64, outcome: AppOutcome) {
+        // The exact byte surface the one-shot CLI prints under --json,
+        // rendered before the state lock is taken. The daemon's per-app
+        // obs is always disabled, so these are the stored bytes of a
+        // disk hit or the memoized rendering of a resident entry — a
+        // repeat hit costs an Arc clone, not a decode or re-encode.
+        let finished = outcome.report.map(|report| {
+            let json = report.json();
+            (report.degraded(), report.defects(), json)
+        });
+        let delta = outcome.delta.map(|d| d.to_json());
+        let mut st = self.state.lock().expect("daemon state");
+        let st = &mut *st;
+        st.inflight -= 1;
+        st.gc_due = true;
+        self.metrics.gauge("svc.queue.inflight", st.inflight as i64);
+        self.finished.notify_all();
         let Some(job) = st.jobs.get_mut(&id) else {
             return;
         };
-        match outcome.report {
-            Ok(report) => {
-                // The exact byte surface the one-shot CLI prints under
-                // --json. The daemon's per-app obs is always disabled, so
-                // these are the stored bytes of a disk hit or the
-                // memoized rendering of a resident entry — a repeat hit
-                // costs an Arc clone, not a decode or re-encode.
-                job.degraded = report.degraded();
-                job.defects = report.defects();
-                job.report_json = Some(report.json());
-                job.delta = outcome.delta.map(|d| d.to_json());
+        match finished {
+            Ok((degraded, defects, json)) => {
+                job.degraded = degraded;
+                job.defects = defects;
+                job.report_json = Some(json);
+                job.delta = delta;
                 job.phase = Phase::Done;
                 st.completed += 1;
                 self.metrics.inc("svc.queue.completed", 1);
-                if job.degraded {
+                if degraded {
                     st.degraded += 1;
                 }
             }
@@ -512,8 +527,8 @@ impl Daemon {
             }
             Request::Report { id, wait } => {
                 let mut st = self.state.lock().expect("daemon state");
-                // A waiting fetch holds its reply until the job leaves
-                // the queue and the pool. Only the dispatcher finishes
+                // A waiting fetch holds its reply until a worker
+                // finishes the job. Only the dispatcher's workers finish
                 // jobs, so the wait also ends if it has exited.
                 while wait
                     && !st.stopped

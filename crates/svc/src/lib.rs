@@ -4,8 +4,10 @@
 //! and real deployments re-analyze *updated versions* of the same apps.
 //! This crate packages the batch machinery those workloads share:
 //!
-//! - [`pool`] — a fault-tolerant work-stealing worker pool (panics are
-//!   contained per job; one adversarial bundle cannot take a run down),
+//! - [`pool`] — the one worker loop behind batches and `serve`: workers
+//!   claim jobs one at a time and finish each as soon as it is done;
+//!   panics are contained per job, so one adversarial bundle cannot
+//!   take a run down,
 //! - [`store`] — a sharded, content-addressed report cache with an
 //!   in-memory tier (report-only entries) and an optional on-disk tier
 //!   (checksummed whole-report records appended to one segment file per

@@ -1,16 +1,20 @@
-//! A fault-tolerant work-stealing worker pool.
+//! The worker loop every parallel run shares.
 //!
-//! This is the generalized engine behind every parallel corpus run: `n`
-//! jobs are pre-distributed round-robin across per-worker deques, each
-//! worker drains its own deque from the front and steals from the back
-//! of its neighbours' when empty (stolen work is the *oldest* queued, so
-//! contention stays at opposite deque ends), and every job runs under
-//! panic containment — a panicking job loses only its own result slot,
-//! and the worker rebuilds its state and keeps going. The calling
-//! thread is worker 0, so a one-worker pool spawns no thread at all.
+//! [`run_workers`] runs `n` workers, the calling thread being worker 0,
+//! so a one-worker loop spawns no thread at all. Each worker claims one
+//! job at a time from a shared `next` source, runs it under panic
+//! containment, and hands the result to a `finish` callback as soon as
+//! that job is done. A panicking job yields `Err(message)` for its own
+//! result only; the worker rebuilds its private state, which the panic
+//! may have left inconsistent, and keeps going.
+//!
+//! [`run_pool`] is that loop over a fixed job count: workers claim
+//! indices from one atomic counter, so jobs start in input order and
+//! each result lands in its input slot. `nchecker serve`'s dispatcher
+//! runs the same loop over its request queue.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Default worker count: available parallelism, capped at 16 (analysis
@@ -22,96 +26,85 @@ pub fn default_workers() -> usize {
         .min(16)
 }
 
-fn pop_or_steal(me: usize, deques: &[Mutex<VecDeque<usize>>]) -> Option<usize> {
-    // Own deque first, front end.
-    if let Some(i) = lock(&deques[me]).pop_front() {
-        return Some(i);
-    }
-    // Steal from the back of the others, scanning from the right
-    // neighbour so thieves spread out instead of mobbing deque 0.
-    let n = deques.len();
-    for off in 1..n {
-        if let Some(i) = lock(&deques[(me + off) % n]).pop_back() {
-            return Some(i);
+/// Runs `workers` workers (at least one; the caller is worker 0) until
+/// `next` returns `None` to each of them. A worker loops: claim a job
+/// from `next`, run `task` on it, and pass the job and its result to
+/// `finish`. Its state is built by `make_worker` when its first job
+/// arrives, so an idle worker (a daemon waiting for its first submit)
+/// builds nothing. A panic in `task` reaches `finish` as `Err` with the
+/// panic message, and the worker's state is rebuilt for its next job.
+pub fn run_workers<J, W, T>(
+    workers: usize,
+    make_worker: impl Fn() -> W + Sync,
+    next: impl Fn() -> Option<J> + Sync,
+    task: impl Fn(&mut W, &J) -> T + Sync,
+    finish: impl Fn(J, Result<T, String>) + Sync,
+) {
+    let work = || {
+        let mut state = None;
+        while let Some(job) = next() {
+            let worker = state.get_or_insert_with(&make_worker);
+            let result = catch_unwind(AssertUnwindSafe(|| task(worker, &job)));
+            let result = result.map_err(|payload| {
+                state = None;
+                nchecker::AnalyzeError::panic_message(&*payload)
+            });
+            finish(job, result);
         }
-    }
-    None
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // Jobs run under catch_unwind, so a poisoned deque or slot means a
-    // panic escaped mid-lock; the data (a queue of indices / a result
-    // option) is still well-formed, so recover rather than cascade.
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `n` jobs across a work-stealing pool and returns one slot per
-/// job, in order. A slot is `None` only when the job's panic escaped
-/// `task`'s own containment *and* the pool's backstop — i.e. the job
-/// panicked; all other jobs are unaffected.
-///
-/// `workers` overrides the pool size ([`default_workers`] when `None`;
-/// clamped to at least 1 and at most `n`). `make_worker` builds each
-/// worker's private state (e.g. a configured checker); after a contained
-/// panic the state is rebuilt, since the panicking job may have left it
-/// inconsistent.
-pub fn run_pool<W, T>(
+/// Runs `n` jobs on up to `workers` workers ([`default_workers`] when
+/// `None`; never more than `n`) and returns one result per job, in
+/// input order: `Err` with the panic message for a job that panicked,
+/// and every other job unaffected. `make_worker` builds each worker's
+/// private state (e.g. a configured checker).
+pub fn run_pool<W, T: Send>(
     n: usize,
     workers: Option<usize>,
     make_worker: impl Fn() -> W + Sync,
     task: impl Fn(&mut W, usize) -> T + Sync,
-) -> Vec<Option<T>>
-where
-    T: Send,
-{
+) -> Vec<Result<T, String>> {
     if n == 0 {
         return Vec::new();
     }
-    let n_workers = workers.unwrap_or_else(default_workers).clamp(1, n);
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..n_workers)
-        .map(|w| Mutex::new((w..n).step_by(n_workers).collect()))
-        .collect();
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    let work = |me: usize| {
-        let mut state = make_worker();
-        while let Some(i) = pop_or_steal(me, &deques) {
-            match catch_unwind(AssertUnwindSafe(|| task(&mut state, i))) {
-                Ok(v) => *lock(&slots[i]) = Some(v),
-                Err(_) => {
-                    // The job panicked through `task`'s own
-                    // containment; its slot stays empty and the worker
-                    // state is suspect — rebuild it.
-                    state = make_worker();
-                }
-            }
-        }
-    };
-    // The caller is worker 0: only the other `n_workers - 1` run on
-    // spawned threads, so a one-worker pool (`--jobs 1`) runs on the
-    // calling thread and spawns nothing.
-    std::thread::scope(|scope| {
-        for me in 1..n_workers {
-            let work = &work;
-            scope.spawn(move || work(me));
-        }
-        work(0);
-    });
-
-    slots.into_iter().map(|s| lock(&s).take()).collect()
+    // Relaxed: the counter only hands out indices; results travel
+    // through the slot locks and the scope's join.
+    let claimed = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<T, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    run_workers(
+        workers.unwrap_or_else(default_workers).clamp(1, n),
+        make_worker,
+        || Some(claimed.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n),
+        |state, &i| task(state, i),
+        |i, result| *slots[i].lock().expect("no panic holds a slot lock") = Some(result),
+    );
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("no panic holds a slot lock")
+                .expect("every claimed job finishes")
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn all_jobs_complete_in_order_slots() {
         let out = run_pool(100, Some(4), || (), |(), i| i * 2);
         assert_eq!(out.len(), 100);
         for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, Some(i * 2));
+            assert_eq!(*v, Ok(i * 2));
         }
     }
 
@@ -119,12 +112,9 @@ mod tests {
     fn single_worker_and_more_workers_than_jobs() {
         assert_eq!(
             run_pool(3, Some(1), || (), |(), i| i),
-            vec![Some(0), Some(1), Some(2)]
+            vec![Ok(0), Ok(1), Ok(2)]
         );
-        assert_eq!(
-            run_pool(2, Some(64), || (), |(), i| i),
-            vec![Some(0), Some(1)]
-        );
+        assert_eq!(run_pool(2, Some(64), || (), |(), i| i), vec![Ok(0), Ok(1)]);
         assert!(run_pool(0, None, || (), |(), i: usize| i).is_empty());
     }
 
@@ -147,15 +137,17 @@ mod tests {
                     i
                 },
             );
-            assert_eq!(out[7], None);
+            assert_eq!(out[7], Err("job 7 explodes".to_owned()));
             for (i, v) in out.iter().enumerate() {
                 if i != 7 {
-                    assert_eq!(*v, Some(i), "job {i} unaffected ({workers} workers)");
+                    assert_eq!(*v, Ok(i), "job {i} unaffected ({workers} workers)");
                 }
             }
-            // Initial worker states plus at least one rebuild after the
-            // contained panic.
-            assert!(rebuilds.load(Ordering::SeqCst) > workers);
+            // The worker that ran job 7 rebuilt its state: one worker
+            // builds it for job 0 and again for job 8.
+            if workers == 1 {
+                assert_eq!(rebuilds.load(Ordering::SeqCst), 2);
+            }
         }
     }
 
@@ -163,26 +155,74 @@ mod tests {
     fn one_worker_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
         let out = run_pool(5, Some(1), || (), |(), _| std::thread::current().id());
-        assert!(out.iter().all(|t| *t == Some(caller)));
+        assert!(out.iter().all(|t| *t == Ok(caller)));
     }
 
     #[test]
-    fn workers_steal_a_skewed_queue() {
-        // One worker's own deque holds a long serial job list; stealing
-        // must spread the rest. Verified indirectly: every job completes
-        // even when worker 0's deque is stacked with slow jobs.
-        let out = run_pool(
-            32,
-            Some(4),
-            || (),
-            |(), i| {
-                if i % 4 == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
+    fn one_worker_claims_jobs_in_input_order() {
+        // One worker runs the jobs in input order; with four, jobs are
+        // still claimed in input order, so each worker's own sequence
+        // rises.
+        for workers in [1, 4] {
+            let claims = Mutex::new(Vec::new());
+            run_pool(
+                64,
+                Some(workers),
+                || (),
+                |(), i| {
+                    claims
+                        .lock()
+                        .unwrap()
+                        .push((std::thread::current().id(), i))
+                },
+            );
+            let claims = claims.into_inner().unwrap();
+            assert_eq!(claims.len(), 64);
+            if workers == 1 {
+                let order: Vec<usize> = claims.iter().map(|&(_, i)| i).collect();
+                assert_eq!(order, (0..64).collect::<Vec<_>>());
+            }
+            let mut last = std::collections::HashMap::new();
+            for (thread, i) in claims {
+                if let Some(prev) = last.insert(thread, i) {
+                    assert!(prev < i, "a worker ran job {i} after job {prev}");
                 }
-                i + 1
+            }
+        }
+    }
+
+    #[test]
+    fn finish_sees_each_job_as_it_completes() {
+        // `finish` runs per job, before the worker claims its next one:
+        // with one worker, job i's result is in before job i + 1 starts.
+        let queue = Mutex::new((0..5).collect::<std::collections::VecDeque<usize>>());
+        let done = Mutex::new(Vec::new());
+        run_workers(
+            1,
+            || (),
+            || queue.lock().unwrap().pop_front(),
+            |(), &i| {
+                assert_eq!(done.lock().unwrap().len(), i, "job {i} started early");
+                i * 10
             },
+            |i, r| done.lock().unwrap().push((i, r)),
         );
-        assert!(out.iter().all(|v| v.is_some()));
+        let done = done.into_inner().unwrap();
+        assert_eq!(done, (0..5).map(|i| (i, Ok(i * 10))).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn an_idle_worker_builds_no_state() {
+        // State is built per job-taking worker, on its first job: a loop
+        // with nothing to do builds none.
+        let builds = AtomicUsize::new(0);
+        let build = || {
+            builds.fetch_add(1, Ordering::SeqCst);
+        };
+        run_workers(3, build, || None::<usize>, |(), _| (), |_, _| {});
+        assert_eq!(builds.load(Ordering::SeqCst), 0);
+        run_pool(4, Some(1), build, |(), i| i);
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! The batch analysis service: worker pool + analysis cache + checker.
 //!
 //! One [`AnalysisService`] owns a configured checker template, a
-//! two-tier [`AnalysisStore`], and a pool size; callers feed it keyed
+//! two-tier [`AnalysisStore`], and a pool size. A batch runs on
+//! [`run_pool`]: workers claim apps in input order, each on a checker
+//! of its own, and an app whose analysis panics past every containment
+//! inside the pipeline fails alone ([`AnalyzeError::Panic`]). `serve`
+//! runs the same worker loop over its queue. Callers feed it keyed
 //! bundles (the key is the app's stable identity across versions —
 //! package name, file path, corpus index) and get reports plus cache
 //! statistics back. The cache has two rungs: an identical bundle under
@@ -17,7 +21,7 @@
 use crate::delta::{diff_reports, DeltaReport};
 use crate::pool::run_pool;
 use crate::store::{render_json, AnalysisStore, RenderCell, StoredEntry};
-use nchecker::cache::{config_fingerprint, AppCacheEntry, ReuseStats};
+use nchecker::cache::{config_fingerprint, AppCacheEntry};
 use nchecker::{AnalyzeError, AppReport, CheckerConfig, NChecker};
 use nck_obs::Obs;
 use std::path::PathBuf;
@@ -28,14 +32,26 @@ use std::sync::{Arc, OnceLock};
 pub struct AppOutcome {
     /// The analysis result.
     pub report: Result<ServedReport, AnalyzeError>,
-    /// Cache/reuse accounting for this app.
-    pub reuse: ReuseStats,
+    /// Whether the cache served the whole report (either tier).
+    pub hit: bool,
     /// The defect delta against the previous version of this key, when
     /// the key was seen before (either cache tier) and the bundle
     /// changed. `None` on first submission, identical resubmission
     /// (whole-report reuse — nothing changed), failure, and degraded
     /// runs (an incomplete report would produce phantom "fixes").
     pub delta: Option<DeltaReport>,
+}
+
+impl AppOutcome {
+    /// The outcome of an app whose analysis panicked through every
+    /// containment inside the pipeline and was caught by the pool.
+    pub(crate) fn panicked(message: String) -> AppOutcome {
+        AppOutcome {
+            report: Err(AnalyzeError::Panic(message)),
+            hit: false,
+            delta: None,
+        }
+    }
 }
 
 /// A finished app's report as the service hands it out.
@@ -135,15 +151,6 @@ pub struct BatchCacheStats {
 }
 
 impl BatchCacheStats {
-    fn absorb(&mut self, r: &ReuseStats) {
-        if r.whole_report {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        self.degraded += usize::from(r.degraded);
-    }
-
     /// Whole-report hit rate in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
         let n = self.hits + self.misses;
@@ -171,10 +178,11 @@ pub struct ServiceOptions {
     /// no memory tier: entries go to the disk tier alone. That suits a
     /// process that runs one batch, where no later lookup could hit.
     pub mem_budget: Option<usize>,
-    /// Disk-tier byte budget: when set, every batch ends with a
-    /// watermark-gated [`AnalysisStore::maybe_gc_disk`] — a skipped
-    /// check while under budget, a collection down to the low
-    /// watermark once occupancy crosses it.
+    /// Disk-tier byte budget: when set, every batch ends (and `serve`
+    /// runs one whenever its queue drains) with a watermark-gated
+    /// [`AnalysisStore::maybe_gc_disk`] — a skipped check while under
+    /// budget, a collection down to the low watermark once occupancy
+    /// crosses it.
     pub cache_budget: Option<u64>,
 }
 
@@ -239,47 +247,52 @@ impl AnalysisService {
                 let (key, bytes) = &items[i];
                 self.analyze_with_checker(checker, key, bytes)
             },
-        );
-        let outcomes: Vec<AppOutcome> = outcomes
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| AppOutcome {
-                    report: Err(AnalyzeError::Panic(
-                        "worker died before writing a result".to_owned(),
-                    )),
-                    reuse: ReuseStats::default(),
-                    delta: None,
-                })
-            })
-            .collect();
-        // Auto-GC: a budgeted service never lets the disk tier grow
-        // unbounded across batches. Watermark-gated — while the live
-        // occupancy estimate is under budget this is one atomic load,
-        // not a directory rescan.
+        )
+        .into_iter()
+        .map(|result| result.unwrap_or_else(AppOutcome::panicked))
+        .collect();
+        self.collect_garbage();
+        outcomes
+    }
+
+    /// Auto-GC: a budgeted service never lets the disk tier grow
+    /// unbounded across batches. Watermark-gated, but not free: the
+    /// occupancy check refreshes the disk index, which lists the cache
+    /// directory. So it runs once per batch (for `serve`, whenever its
+    /// queue drains), never once per app. A no-op without a budget.
+    pub(crate) fn collect_garbage(&self) {
         if let Some(budget) = self.cache_budget {
             self.store.maybe_gc_disk(budget, &self.obs.fresh());
         }
-        outcomes
     }
 
     /// Folds a batch's outcomes into aggregate cache stats.
     pub fn batch_stats(outcomes: &[AppOutcome]) -> BatchCacheStats {
         let mut stats = BatchCacheStats::default();
         for o in outcomes {
-            if o.report.is_ok() {
-                stats.absorb(&o.reuse);
+            if let Ok(report) = &o.report {
+                stats.hits += usize::from(o.hit);
+                stats.misses += usize::from(!o.hit);
+                stats.degraded += usize::from(report.degraded());
             }
         }
         stats
     }
 
-    fn make_checker(&self) -> NChecker {
+    /// A configured checker, as each pool worker keeps one.
+    pub(crate) fn make_checker(&self) -> NChecker {
         let mut checker = NChecker::with_config(self.config);
         checker.obs = self.obs.fresh();
         checker
     }
 
-    fn analyze_with_checker(&self, checker: &NChecker, key: &str, bytes: &[u8]) -> AppOutcome {
+    /// Analyzes one keyed bundle through the cache on a worker's checker.
+    pub(crate) fn analyze_with_checker(
+        &self,
+        checker: &NChecker,
+        key: &str,
+        bytes: &[u8],
+    ) -> AppOutcome {
         let svc_obs = self.obs.fresh();
 
         if self.no_cache {
@@ -287,7 +300,7 @@ impl AnalysisService {
                 report: checker
                     .analyze_bytes_checked(bytes)
                     .map(|r| ServedReport::decoded(r, None)),
-                reuse: ReuseStats::default(),
+                hit: false,
                 delta: None,
             };
         }
@@ -314,10 +327,7 @@ impl AnalysisService {
                     self.stamp(checker.sealed(&p.report), &svc_obs),
                     rendered,
                 )),
-                reuse: ReuseStats {
-                    whole_report: true,
-                    ..ReuseStats::default()
-                },
+                hit: true,
                 delta: None,
             };
         }
@@ -343,10 +353,7 @@ impl AnalysisService {
                     };
                     return AppOutcome {
                         report: Ok(report),
-                        reuse: ReuseStats {
-                            whole_report: true,
-                            ..ReuseStats::default()
-                        },
+                        hit: true,
                         delta: None,
                     };
                 }
@@ -361,21 +368,17 @@ impl AnalysisService {
             Err(e) => {
                 return AppOutcome {
                     report: Err(e),
-                    reuse: ReuseStats::default(),
+                    hit: false,
                     delta: None,
                 }
             }
         };
-        let reuse = ReuseStats {
-            degraded: report.degraded(),
-            ..ReuseStats::default()
-        };
-        if reuse.degraded {
+        if report.degraded() {
             // An incomplete report is neither cached nor diffed: diffing
             // it would invent fixes.
             return AppOutcome {
                 report: Ok(ServedReport::decoded(self.stamp(report, &svc_obs), None)),
-                reuse,
+                hit: false,
                 delta: None,
             };
         }
@@ -427,7 +430,7 @@ impl AnalysisService {
                 self.stamp(report, &svc_obs),
                 rendered,
             )),
-            reuse,
+            hit: false,
             delta,
         }
     }

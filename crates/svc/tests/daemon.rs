@@ -304,6 +304,47 @@ fn shutdown_with_a_waiter_pending_drains_it_without_hanging() {
     dispatcher.join().unwrap();
 }
 
+/// A job is done, and its waiting `report` answered, as soon as its own
+/// analysis ends: with one worker and 100 jobs queued before the
+/// dispatcher starts, the first report comes back while most of the
+/// queue is still ahead of the worker.
+#[test]
+fn each_job_completes_as_soon_as_its_own_analysis_ends() {
+    let daemon = Arc::new(quiet_daemon(DaemonOptions {
+        service: ServiceOptions {
+            jobs: Some(1),
+            ..ServiceOptions::default()
+        },
+        queue_capacity: Some(128),
+    }));
+    let stream = nck_appgen::CorpusStream::new(7, 100);
+    let mut ids = Vec::new();
+    for i in 0..100 {
+        let bytes = nck_appgen::generate(&stream.spec_at(i)).to_bytes();
+        ids.push(daemon.submit_bytes(format!("app{i}"), bytes).unwrap().0);
+    }
+    let d = Arc::clone(&daemon);
+    let dispatcher = std::thread::spawn(move || d.run_dispatcher());
+    let first = parse(&request(&daemon, &report_line(ids[0], true)));
+    assert_eq!(first["ok"], true, "{first:?}");
+    let status = parse(&request(&daemon, r#"{"verb": "status"}"#));
+    let completed = status["completed"].as_i64().expect("completed count");
+    assert!(
+        completed < 100,
+        "job 1 was reported only after all 100 finished: {status:?}"
+    );
+    // The rest drain in order, each reported once it is done.
+    for &id in &ids[1..] {
+        let v = parse(&request(&daemon, &report_line(id, true)));
+        assert_eq!(v["ok"], true, "{v:?}");
+    }
+    daemon.begin_shutdown();
+    dispatcher.join().unwrap();
+    let status = parse(&request(&daemon, r#"{"verb": "status"}"#));
+    assert_eq!(status["completed"], 100);
+    assert_eq!(status["inflight"], 0);
+}
+
 #[test]
 fn admission_control_rejects_on_full_queue_and_after_shutdown() {
     let daemon = quiet_daemon(DaemonOptions {

@@ -250,10 +250,7 @@ fn churn_waves_hit_every_unchanged_app_and_delta_every_changed_one() {
         let deltas = outcomes.iter().filter(|o| o.delta.is_some()).count();
         assert_eq!(deltas, n_changed, "wave {wave}: deltas");
         for (i, ((key, bytes), outcome)) in items.iter().zip(&outcomes).enumerate() {
-            assert_eq!(
-                outcome.reuse.whole_report, !changed[i],
-                "wave {wave} app {i}"
-            );
+            assert_eq!(outcome.hit, !changed[i], "wave {wave} app {i}");
             let served = outcome.report.as_ref().expect("churned app analyzes");
             let cold = reference.analyze_one(key, bytes);
             let cold = cold.report.as_ref().expect("reference analyzes");

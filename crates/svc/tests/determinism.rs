@@ -77,7 +77,7 @@ fn updated_bundles_match_cold_and_diff_against_their_predecessor() {
         let cr = c.report.as_ref().expect("cold analyzes");
         assert_eq!(render(cr), render(wr), "{key}: update must match cold");
         assert!(
-            !w.reuse.whole_report,
+            !w.hit,
             "{key}: an updated bundle cannot be a whole-report hit"
         );
         let want = nck_svc::diff_reports(
@@ -219,12 +219,13 @@ fn degraded_apps_bypass_the_cache_write_path() {
     let first = svc.analyze_one("com.svc.broken", &bytes);
     let r1 = first.report.as_ref().expect("degrades, not fails");
     assert!(r1.degraded());
-    assert!(first.reuse.degraded);
+    let stats = AnalysisService::batch_stats(std::slice::from_ref(&first));
+    assert_eq!((stats.misses, stats.degraded), (1, 1));
     assert!(svc.store().is_empty(), "degraded app must not be cached");
 
     let second = svc.analyze_one("com.svc.broken", &bytes);
     let r2 = second.report.as_ref().expect("degrades, not fails");
-    assert!(!second.reuse.whole_report, "nothing cached to hit");
+    assert!(!second.hit, "nothing cached to hit");
     assert_eq!(render(r1), render(r2), "degraded analysis is deterministic");
     assert!(svc.store().is_empty());
 }
@@ -433,16 +434,16 @@ fn pool_clean_apps_hit_both_tiers_and_their_network_successor_runs_cold() {
 
     let svc = AnalysisService::new(opts(), Obs::disabled());
     let miss = svc.analyze_one(&key, &v1);
-    assert!(!miss.reuse.whole_report);
+    assert!(!miss.hit);
     assert_eq!(render(miss.report.as_ref().unwrap()), render(&cold1));
     let mem_hit = svc.analyze_one(&key, &v1);
-    assert!(mem_hit.reuse.whole_report, "memory-tier hit");
+    assert!(mem_hit.hit, "memory-tier hit");
     assert_eq!(render(mem_hit.report.as_ref().unwrap()), render(&cold1));
 
     // Memory tier: the next version finds the report-only entry and
     // diffs against it.
     let next = svc.analyze_one(&key, &v2);
-    assert!(!next.reuse.whole_report);
+    assert!(!next.hit);
     assert_eq!(render(next.report.as_ref().unwrap()), render(&cold2));
     assert_eq!(next.delta, Some(want_delta.clone()));
     drop(svc);
@@ -455,14 +456,11 @@ fn pool_clean_apps_hit_both_tiers_and_their_network_successor_runs_cold() {
     let svc = AnalysisService::new(opts(), Obs::disabled());
     let disk_hit = svc.analyze_one(&key, &v1);
     let served = disk_hit.report.as_ref().unwrap();
-    assert!(
-        disk_hit.reuse.whole_report && !served.is_decoded(),
-        "disk-tier hit"
-    );
+    assert!(disk_hit.hit && !served.is_decoded(), "disk-tier hit");
     assert_eq!(*served.json(), nck_svc::store::render_json(&cold1));
     let svc = AnalysisService::new(opts(), Obs::disabled());
     let next = svc.analyze_one(&key, &v2);
-    assert!(!next.reuse.whole_report);
+    assert!(!next.hit);
     assert_eq!(render(next.report.as_ref().unwrap()), render(&cold2));
     assert_eq!(next.delta, Some(want_delta));
     let _ = std::fs::remove_dir_all(&dir);

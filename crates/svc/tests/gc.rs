@@ -105,7 +105,7 @@ fn quarantined_entries_are_invisible_to_gc_and_stay_dead() {
     );
     let svc = service(&cache);
     let again = svc.analyze_one(&bundles[0].0, &bundles[0].1);
-    assert!(again.reuse.whole_report, "the recomputed record hits");
+    assert!(again.hit, "the recomputed record hits");
     assert_eq!(render(again.report.as_ref().unwrap()), cold_report);
     assert_eq!(corrupt(svc.store()), 0);
     drop(svc);

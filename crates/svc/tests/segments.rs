@@ -139,20 +139,20 @@ fn a_record_another_store_appends_is_a_hit_and_a_delta_base() {
     let b = service(&dir);
 
     // B's index is open (it looked up, missed, and wrote a record).
-    assert!(!b.analyze_one("app.other", &other).reuse.whole_report);
+    assert!(!b.analyze_one("app.other", &other).hit);
     assert_eq!(b.store().disk_stats().entries, 1);
     let cold = a.analyze_one("app.k", &v1);
-    assert!(!cold.reuse.whole_report);
+    assert!(!cold.hit);
     let want = render(cold.report.as_ref().unwrap());
 
     // B has no memory entry for the key: the disk record A appended hits.
     let hit = b.analyze_one("app.k", &v1);
-    assert!(hit.reuse.whole_report, "B sees A's record");
+    assert!(hit.hit, "B sees A's record");
     assert_eq!(*hit.report.as_ref().unwrap().json(), want);
 
     // A new version: A's record is the stale one B diffs against.
     let next = b.analyze_one("app.k", &v2);
-    assert!(!next.reuse.whole_report);
+    assert!(!next.hit);
     let delta = next.delta.expect("a delta against A's record");
     assert_eq!(delta.prev_fp, nck_dex::wire::fnv1a(&v1));
     assert_eq!(delta.new_fp, nck_dex::wire::fnv1a(&v2));
@@ -162,7 +162,7 @@ fn a_record_another_store_appends_is_a_hit_and_a_delta_base() {
     // A third store sees B's newer record as the live one.
     let c = service(&dir);
     let again = c.analyze_one("app.k", &v2);
-    assert!(again.reuse.whole_report);
+    assert!(again.hit);
     assert_eq!(c.store().disk_stats().entries, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }

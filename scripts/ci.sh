@@ -216,7 +216,7 @@ cmp "$daemon_dir/edit-served.json" "$daemon_dir/edit-oneshot.json" \
 echo "==> store-scale vetting smoke test"
 # A small sharded corpus through `nchecker vet`: its output must be
 # byte-identical to the one-shot --json run, cold and with a damaged
-# cache entry; a version-churn rerun over the same cache must print
+# cache entry, and so must the reports of a burst through `serve`; a version-churn rerun over the same cache must print
 # the one-shot reports and --delta-out bytes of a one-shot run over a
 # copy of that cache, and emit well-formed report deltas; and an
 # explicit GC pass must respect a tight byte budget.
@@ -230,6 +230,36 @@ trap 'rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir" "$vet_dir"' EXIT
 cmp "$vet_dir/oneshot.json" "$vet_dir/vet.json" \
     || { echo "vet smoke: vet output differs from one-shot"; exit 1; }
 echo "vet smoke ok: 40 apps byte-identical to one-shot"
+# The same tree in one burst through `serve --jobs 2`: every submit
+# first, then each report fetched in order with "wait"; the concatenated
+# reports must be the one-shot bytes.
+python3 - "$vet_dir" $(find "$vet_dir/corpus" -name '*.apk' | sort) <<'EOF'
+import json, os, subprocess, sys
+
+d, apps = sys.argv[1], sys.argv[2:]
+proc = subprocess.Popen(
+    ["./target/release/nchecker", "serve", "--stdio", "--quiet", "--jobs", "2", "--no-cache"],
+    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+proc.stdin.write("".join(json.dumps({"verb": "submit", "path": a}) + "\n" for a in apps))
+proc.stdin.flush()
+ids = []
+for _ in apps:
+    r = json.loads(proc.stdout.readline())
+    assert r["ok"], r
+    ids.append(r["id"])
+with open(os.path.join(d, "burst.json"), "w") as out:
+    for i in ids:
+        proc.stdin.write(json.dumps({"verb": "report", "id": i, "wait": True}) + "\n")
+        proc.stdin.flush()
+        r = json.loads(proc.stdout.readline())
+        assert r["ok"], r
+        out.write(r["report"])
+proc.stdin.close()
+assert proc.wait(timeout=120) == 0, "daemon must exit 0 at EOF"
+EOF
+cmp "$vet_dir/oneshot.json" "$vet_dir/burst.json" \
+    || { echo "serve burst: reports differ from one-shot"; exit 1; }
+echo "serve burst ok: 40 apps through serve --jobs 2 byte-identical to one-shot"
 # CFGs are built on demand: across the tree some are built, and fewer
 # than there are method bodies.
 ./target/release/nchecker --json --metrics --no-cache \
