@@ -96,8 +96,8 @@ impl AppCacheEntry {
     /// report, and 1.5 KB per defect measured over the 285-app corpus.
     /// The absolute numbers are rough by design — what matters for a
     /// byte-budgeted LRU is that an entry holding 50× the artifacts is
-    /// charged ~50× the bytes, so one batch of huge apps cannot hide
-    /// behind an entry-count cap.
+    /// charged ~50× the bytes, so one batch of huge apps evicts as much
+    /// as it holds.
     pub fn approx_bytes(&self) -> usize {
         const ENTRY_OVERHEAD: usize = 1024;
         const PER_CLASS_FP: usize = std::mem::size_of::<u64>();

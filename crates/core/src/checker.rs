@@ -1,8 +1,8 @@
 //! The NChecker driver: binary in, warning reports out.
 
 use crate::checks::{
-    check_config_with, check_notification, check_response_with, is_guarded_strict_with,
-    is_guarded_with, methods_invoking_connectivity, methods_observing_connectivity,
+    check_config, check_notification, check_response, is_guarded, is_guarded_strict,
+    methods_invoking_connectivity, methods_observing_connectivity,
 };
 use crate::context::AnalyzedApp;
 use crate::icc::{
@@ -687,14 +687,14 @@ impl NChecker {
                         .is_some_and(|c| icc_guarded.contains(&c))
                 });
             let conn_ok = if self.config.strict_connectivity {
-                is_guarded_strict_with(
+                is_guarded_strict(
                     app,
                     site,
                     self.config.interproc,
                     self.config.strict_caller_depth,
                 )
             } else {
-                is_guarded_with(app, site, &conn_methods, self.config.interproc)
+                is_guarded(app, site, &conn_methods, self.config.interproc)
             } || icc_conn_guard;
             if self.config.connectivity && !conn_ok {
                 report.stats.requests_missing_conn += 1;
@@ -729,7 +729,7 @@ impl NChecker {
 
             // §4.4.1 — config APIs.
             let t0 = timing.then(Instant::now);
-            let sc = check_config_with(app, site, self.config.interproc);
+            let sc = check_config(app, site, self.config.interproc);
             let custom = covered_by_retry(app, &retry_loops, site);
             // IR facts for the config calls the taint analysis attributed
             // to this request's carrier object, shared by the config and
@@ -931,7 +931,7 @@ impl NChecker {
             // §4.4.4 — response validity.
             let t0 = timing.then(Instant::now);
             if self.config.response {
-                if let Some(rf) = check_response_with(app, site, self.config.interproc) {
+                if let Some(rf) = check_response(app, site, self.config.interproc) {
                     if !rf.uses.is_empty() {
                         report.stats.responses += 1;
                         if !rf.unchecked_uses.is_empty() {

@@ -236,17 +236,10 @@ fn volley_policy_calls(
     }
 }
 
-/// Analyzes the config APIs in force for `site`, resolving parameter
-/// values through the interprocedural summaries by default; see
-/// [`check_config_with`].
-pub fn check_config(app: &AnalyzedApp<'_>, site: &RequestSite) -> SiteConfig {
-    check_config_with(app, site, true)
-}
-
-/// [`check_config`] with explicit configuration: `interproc` enables
+/// Analyzes the config APIs in force for `site`. `interproc` enables
 /// resolving config parameters through constant-returning helpers and
 /// app-wide field constants when local constant propagation fails.
-pub fn check_config_with(app: &AnalyzedApp<'_>, site: &RequestSite, interproc: bool) -> SiteConfig {
+pub fn check_config(app: &AnalyzedApp<'_>, site: &RequestSite, interproc: bool) -> SiteConfig {
     let body = app.body(site.method);
     let library = site.library();
     let mut calls = Vec::new();
@@ -373,7 +366,7 @@ mod tests {
             });
         });
         let sites = find_request_sites(&app);
-        let sc = check_config(&app, &sites[0]);
+        let sc = check_config(&app, &sites[0], true);
         assert!(sc.has_timeout);
         assert!(sc.has_retry_config);
         assert_eq!(sc.effective_retries, Some(3));
@@ -406,7 +399,7 @@ mod tests {
             });
         });
         let sites = find_request_sites(&app);
-        let sc = check_config(&app, &sites[0]);
+        let sc = check_config(&app, &sites[0], true);
         assert!(!sc.has_timeout);
         assert!(!sc.has_retry_config);
         // Async HTTP defaults to 5 retries — the over-retry trap.
@@ -450,7 +443,7 @@ mod tests {
         });
         let sites = find_request_sites(&app);
         assert_eq!(sites.len(), 1);
-        let sc = check_config(&app, &sites[0]);
+        let sc = check_config(&app, &sites[0], true);
         assert!(sc.has_timeout, "cross-method config via field must be seen");
     }
 
@@ -515,7 +508,7 @@ mod tests {
         });
         let sites = find_request_sites(&app);
         assert_eq!(sites.len(), 1);
-        let sc = check_config(&app, &sites[0]);
+        let sc = check_config(&app, &sites[0], true);
         assert!(sc.has_retry_config);
         assert!(sc.has_timeout, "DefaultRetryPolicy carries the timeout");
         assert_eq!(sc.effective_retries, Some(2));
@@ -551,7 +544,7 @@ mod tests {
             });
         });
         let sites = find_request_sites(&app);
-        let sc = check_config(&app, &sites[0]);
+        let sc = check_config(&app, &sites[0], true);
         assert!(
             !sc.has_timeout,
             "config on an unrelated object must not count"

@@ -125,17 +125,11 @@ fn guarded_intra(app: &AnalyzedApp<'_>, method: MethodId, site: StmtId, interpro
 /// the default analysis treats a connectivity API call whose result is
 /// ignored as a guard; this one does not.
 ///
-/// Defaults to interprocedural summaries and an unbounded caller walk;
-/// see [`is_guarded_strict_with`] for the ablation knobs.
-pub fn is_guarded_strict(app: &AnalyzedApp<'_>, site: &RequestSite) -> bool {
-    is_guarded_strict_with(app, site, true, None)
-}
-
-/// [`is_guarded_strict`] with explicit configuration: `interproc`
-/// enables summary-based guard recognition (`if (isOnline())` wrappers),
-/// and `caller_depth` optionally restores the historical bounded caller
-/// recursion (`Some(3)`) instead of the exhaustive visited-set walk.
-pub fn is_guarded_strict_with(
+/// `interproc` enables summary-based guard recognition (`if
+/// (isOnline())` wrappers), and `caller_depth` optionally restores the
+/// historical bounded caller recursion (`Some(3)`) instead of the
+/// exhaustive visited-set walk (`None`).
+pub fn is_guarded_strict(
     app: &AnalyzedApp<'_>,
     site: &RequestSite,
     interproc: bool,
@@ -259,21 +253,11 @@ fn guarded_by_conn_branch(
 }
 
 /// Decides whether `site` is guarded by a connectivity check on some
-/// entry-to-request path. Defaults to summary-aware guard recognition;
-/// see [`is_guarded_with`].
-pub fn is_guarded(
-    app: &AnalyzedApp<'_>,
-    site: &RequestSite,
-    conn_methods: &BTreeSet<MethodId>,
-) -> bool {
-    is_guarded_with(app, site, conn_methods, true)
-}
-
-/// [`is_guarded`] with explicit configuration. `conn_methods` is the set
-/// of connectivity-checking methods the caller considers (typically
+/// entry-to-request path. `conn_methods` is the set of
+/// connectivity-checking methods the caller considers (typically
 /// [`methods_observing_connectivity`] when `interproc` is on, or
 /// [`methods_invoking_connectivity`] when off).
-pub fn is_guarded_with(
+pub fn is_guarded(
     app: &AnalyzedApp<'_>,
     site: &RequestSite,
     conn_methods: &BTreeSet<MethodId>,
@@ -351,7 +335,7 @@ mod tests {
         });
         let sites = find_request_sites(&app);
         let conn = methods_invoking_connectivity(&app);
-        assert!(!is_guarded(&app, &sites[0], &conn));
+        assert!(!is_guarded(&app, &sites[0], &conn, true));
     }
 
     #[test]
@@ -401,7 +385,7 @@ mod tests {
         let sites = find_request_sites(&app);
         assert_eq!(sites.len(), 1);
         let conn = methods_invoking_connectivity(&app);
-        assert!(is_guarded(&app, &sites[0], &conn));
+        assert!(is_guarded(&app, &sites[0], &conn, true));
     }
 
     fn emit_request_inner(m: &mut nck_dex::builder::CodeBuilder<'_>) {
@@ -445,7 +429,7 @@ mod tests {
         });
         let sites = find_request_sites(&app);
         let conn = methods_invoking_connectivity(&app);
-        assert!(!is_guarded(&app, &sites[0], &conn));
+        assert!(!is_guarded(&app, &sites[0], &conn, true));
     }
 
     #[test]
@@ -483,7 +467,7 @@ mod tests {
         });
         let sites = find_request_sites(&app);
         let conn = methods_invoking_connectivity(&app);
-        assert!(is_guarded(&app, &sites[0], &conn));
+        assert!(is_guarded(&app, &sites[0], &conn, true));
     }
 
     #[test]
@@ -518,7 +502,7 @@ mod tests {
         let sites = find_request_sites(&app);
         let conn = methods_invoking_connectivity(&app);
         assert_eq!(conn.len(), 1);
-        assert!(!is_guarded(&app, &sites[0], &conn));
+        assert!(!is_guarded(&app, &sites[0], &conn, true));
     }
 
     #[test]
@@ -559,7 +543,7 @@ mod tests {
         let sites = find_request_sites(&app);
         let conn = methods_invoking_connectivity(&app);
         assert!(
-            is_guarded(&app, &sites[0], &conn),
+            is_guarded(&app, &sites[0], &conn, true),
             "path-insensitivity: treated as guarded"
         );
     }
@@ -628,11 +612,11 @@ mod tests {
             assert_eq!(sites.len(), 1, "depth {depth}");
             let observing = methods_observing_connectivity(&app);
             assert!(
-                is_guarded(&app, &sites[0], &observing),
+                is_guarded(&app, &sites[0], &observing, true),
                 "summaries see through the wrapper chain at depth {depth}"
             );
             assert!(
-                is_guarded_strict(&app, &sites[0]),
+                is_guarded_strict(&app, &sites[0], true, None),
                 "the strict check accepts the wrapper-derived branch at depth {depth}"
             );
         }
@@ -645,11 +629,11 @@ mod tests {
             let sites = find_request_sites(&app);
             let invoking = methods_invoking_connectivity(&app);
             assert!(
-                !is_guarded_with(&app, &sites[0], &invoking, false),
+                !is_guarded(&app, &sites[0], &invoking, false),
                 "without summaries the wrapper is invisible at depth {depth}"
             );
             assert!(
-                !is_guarded_strict_with(&app, &sites[0], false, Some(3)),
+                !is_guarded_strict(&app, &sites[0], false, Some(3)),
                 "the bounded local strict walk misses the wrapper at depth {depth}"
             );
         }

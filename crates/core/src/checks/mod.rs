@@ -6,10 +6,9 @@ pub mod connectivity;
 pub mod notification;
 pub mod response;
 
-pub use config::{check_config, check_config_with, SiteConfig};
+pub use config::{check_config, SiteConfig};
 pub use connectivity::{
-    is_guarded, is_guarded_strict, is_guarded_strict_with, is_guarded_with,
-    methods_invoking_connectivity, methods_observing_connectivity,
+    is_guarded, is_guarded_strict, methods_invoking_connectivity, methods_observing_connectivity,
 };
 pub use notification::{check_notification, NotificationFinding};
-pub use response::{check_response, check_response_with, ResponseFinding};
+pub use response::{check_response, ResponseFinding};

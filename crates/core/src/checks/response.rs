@@ -26,15 +26,10 @@ pub struct ResponseFinding {
 /// Returns `None` when the target does not produce a checkable response
 /// (async delivery, or a library without response-check APIs — the paper
 /// evaluates this check only on "apps that use libs that have resp. check
-/// APIs", Table 6).
-pub fn check_response(app: &AnalyzedApp<'_>, site: &RequestSite) -> Option<ResponseFinding> {
-    check_response_with(app, site, true)
-}
-
-/// [`check_response`] with explicit configuration: `interproc` lets a
-/// call that hands the response to an app helper count as a validity
-/// check when the helper's summary proves it checks that argument.
-pub fn check_response_with(
+/// APIs", Table 6). `interproc` lets a call that hands the response to
+/// an app helper count as a validity check when the helper's summary
+/// proves it checks that argument.
+pub fn check_response(
     app: &AnalyzedApp<'_>,
     site: &RequestSite,
     interproc: bool,
@@ -212,7 +207,7 @@ mod tests {
         });
         let sites = find_request_sites(&app);
         assert_eq!(sites.len(), 1);
-        let f = check_response(&app, &sites[0]).unwrap();
+        let f = check_response(&app, &sites[0], true).unwrap();
         assert_eq!(f.uses.len(), 1);
         assert_eq!(f.unchecked_uses.len(), 1);
     }
@@ -232,7 +227,7 @@ mod tests {
             m.ret(None);
         });
         let sites = find_request_sites(&app);
-        let f = check_response(&app, &sites[0]).unwrap();
+        let f = check_response(&app, &sites[0], true).unwrap();
         assert_eq!(f.uses.len(), 1);
         assert!(f.unchecked_uses.is_empty());
     }
@@ -249,7 +244,7 @@ mod tests {
             m.ret(None);
         });
         let sites = find_request_sites(&app);
-        let f = check_response(&app, &sites[0]).unwrap();
+        let f = check_response(&app, &sites[0], true).unwrap();
         assert!(f.unchecked_uses.is_empty());
     }
 
@@ -273,7 +268,7 @@ mod tests {
             m.ret(None);
         });
         let sites = find_request_sites(&app);
-        let f = check_response(&app, &sites[0]).unwrap();
+        let f = check_response(&app, &sites[0], true).unwrap();
         assert_eq!(
             f.unchecked_uses.len(),
             1,
@@ -292,7 +287,7 @@ mod tests {
             m.ret(None);
         });
         let sites = find_request_sites(&app);
-        assert!(check_response(&app, &sites[0]).is_none());
+        assert!(check_response(&app, &sites[0], true).is_none());
     }
 
     #[test]
@@ -325,6 +320,6 @@ mod tests {
             m.ret(None);
         });
         let sites = find_request_sites(&app);
-        assert!(check_response(&app, &sites[0]).is_none());
+        assert!(check_response(&app, &sites[0], true).is_none());
     }
 }

@@ -88,8 +88,9 @@ fn usage() -> ExitCode {
     eprintln!("vet mode (store-scale vetting; keeps going past failures):");
     eprintln!("  --workers N     with --jobs J, the pool runs N x J threads (default");
     eprintln!("                  N: 2); without --jobs it has the --jobs default");
-    eprintln!("  --corpus-dir DIR  vet every *.apk/*.adx under DIR (recursive),");
-    eprintln!("                  sorted; positional paths also accepted");
+    eprintln!("  --corpus-dir DIR  vet every *.apk/*.adx under DIR (recursive,");
+    eprintln!("                  symlinked directories not followed), sorted;");
+    eprintln!("                  positional paths also accepted");
     eprintln!("  --summary       counts only; skip report output");
     eprintln!("  stdout is the reports in input order, byte-identical to");
     eprintln!("  one-shot --json output over the same paths");
@@ -724,13 +725,17 @@ fn parse_bytes(s: &str) -> Option<u64> {
 }
 
 /// Collects every `*.apk` / `*.adx` under `dir`, recursively, sorted by
-/// path — the fixed input order a sharded corpus tree is vetted in.
+/// path — the fixed input order a sharded corpus tree is vetted in. The
+/// walk descends only into real directories: a symlinked directory is
+/// not followed (a link to an ancestor would loop), while a symlinked
+/// bundle file is collected like any other.
 fn collect_corpus_dir(dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
         for entry in std::fs::read_dir(&d)? {
-            let path = entry?.path();
-            if path.is_dir() {
+            let entry = entry?;
+            let path = entry.path();
+            if entry.file_type()?.is_dir() {
                 stack.push(path);
             } else if path
                 .extension()
@@ -849,7 +854,7 @@ fn gc_main(args: &[String]) -> ExitCode {
     let (Some(dir), Some(budget)) = (cache_dir, budget) else {
         return usage();
     };
-    let store = AnalysisStore::with_options(1, Some(dir));
+    let store = AnalysisStore::with_budgets(0, 0, Some(dir));
     let stats = store.gc_disk(budget, &Obs::disabled());
     println!(
         "cache-gc: {} records ({} bytes) -> kept {}, dropped {}, freed {} bytes, {} bytes live",

@@ -61,7 +61,6 @@ fn counter(metrics: &MetricsSnapshot, name: &str) -> u64 {
 /// [`render`] for the canonical byte form.
 pub fn doctor_json(r: &DoctorReport<'_>) -> Value {
     let disk = r.store.disk_stats();
-    let mem_shards = r.store.mem_shard_sizes();
     // Cache counters come from the store's own lifetime registry, not
     // the merged per-app metrics: the store is the authoritative owner
     // of its traffic, and a daemon (whose per-app obs handles stay
@@ -79,7 +78,7 @@ pub fn doctor_json(r: &DoctorReport<'_>) -> Value {
         })
         .collect();
     json!({
-        "schema": 3,
+        "schema": 4,
         "build": {
             "analysis_version": ANALYSIS_VERSION,
             "bin": "nchecker",
@@ -98,14 +97,12 @@ pub fn doctor_json(r: &DoctorReport<'_>) -> Value {
                 "bytes": disk.bytes,
                 "dead_bytes": disk.dead_bytes,
                 "segments": disk.segments,
-                "shards": disk.shards,
                 "files_created": counter(&store_counters, "svc.cache.disk_files_created"),
                 "records_appended": counter(&store_counters, "svc.cache.disk_records_appended"),
             },
             "mem": {
-                "entries": mem_shards.iter().sum::<usize>(),
+                "entries": r.store.len(),
                 "bytes": r.store.mem_bytes(),
-                "shards": mem_shards,
             },
             "gc": {
                 "runs": counter(&store_counters, "svc.cache.gc_runs"),

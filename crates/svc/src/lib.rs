@@ -1,4 +1,4 @@
-//! `nck-svc`: the sharded batch-analysis service.
+//! `nck-svc`: the batch-analysis service.
 //!
 //! NChecker's corpus experiments re-analyze thousands of app bundles,
 //! and real deployments re-analyze *updated versions* of the same apps.
@@ -8,11 +8,12 @@
 //!   claim jobs one at a time and finish each as soon as it is done;
 //!   panics are contained per job, so one adversarial bundle cannot
 //!   take a run down,
-//! - [`store`] — a sharded, content-addressed report cache with an
-//!   in-memory tier (report-only entries) and an optional on-disk tier
-//!   (checksummed whole-report records appended to one segment file per
-//!   writing process: the rendered `--json` bytes a hit serves as they
-//!   are, plus the report in the [`wire`] format),
+//! - [`store`] — a content-addressed report cache with an in-memory
+//!   tier (report-only entries in one byte-budgeted LRU) and an
+//!   optional on-disk tier (checksummed whole-report records appended
+//!   to one segment file per writing process: the rendered `--json`
+//!   bytes a hit serves as they are, plus the report in the [`wire`]
+//!   format),
 //! - [`service`] — the [`service::AnalysisService`] façade gluing pool,
 //!   store, and checker together behind a keyed batch API,
 //! - [`daemon`] + [`protocol`] — the long-running `nchecker serve`

@@ -186,7 +186,7 @@ pub struct ServiceOptions {
     pub cache_budget: Option<u64>,
 }
 
-/// The sharded batch-analysis service.
+/// The batch-analysis service.
 pub struct AnalysisService {
     config: CheckerConfig,
     /// [`config_fingerprint`] of `config`, computed once — it gates
@@ -206,12 +206,8 @@ impl AnalysisService {
         AnalysisService {
             config: options.config,
             config_fp: config_fingerprint(&options.config),
-            // The byte budget is the service's memory-tier cap; an
-            // entry-count cap on top would silently shrink the tier to
-            // 256 apps and push every hit beyond that to the disk tier
-            // (a ~100x slower lookup) long before memory is at risk.
             store: AnalysisStore::with_budgets(
-                usize::MAX,
+                0,
                 options
                     .mem_budget
                     .unwrap_or(crate::store::DEFAULT_MEM_BYTES),

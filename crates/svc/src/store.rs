@@ -1,12 +1,15 @@
-//! The sharded, content-addressed analysis store.
+//! The content-addressed analysis store.
 //!
 //! Two tiers:
 //!
 //! - **Memory** — report-only [`AppCacheEntry`]s (fingerprints and the
-//!   report) sharded by app key, LRU-evicted under *both* an
-//!   entry-count cap and an approximate byte budget (one batch of huge
-//!   apps must not blow past a memory target that a thousand small apps
-//!   respect). A zero byte budget keeps no memory tier at all, which is
+//!   report) keyed by app, in one LRU behind one lock, evicted
+//!   least-recently-used first to keep an approximate byte budget (one
+//!   batch of huge apps must not blow past a memory target that a
+//!   thousand small apps respect). A lookup re-ranks its key and an
+//!   eviction drops the oldest, each in O(log n) on a recency index.
+//!   One entry larger than the whole budget still caches, alone. A zero
+//!   byte budget keeps no memory tier at all, which is
 //!   how the one-batch front ends (one-shot `nchecker` and `vet`) run:
 //!   their process ends with the batch, so no later lookup could read
 //!   an entry. There an insert only appends the disk record, and it
@@ -69,7 +72,7 @@
 use crate::record::{self, hex, parse_header, verify, MAX_HEADER};
 use nchecker::cache::AppCacheEntry;
 use nck_obs::{Metrics, Obs};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
@@ -78,14 +81,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::SystemTime;
 
-const SHARDS: usize = 16;
-
-/// Default memory-tier capacity (entries across all shards).
-pub const DEFAULT_CAPACITY: usize = 256;
-
-/// Default memory-tier byte budget (approximate, across all shards).
-/// Generous enough that the entry-count cap binds first for typical
-/// corpora; the byte cap exists for the huge-app tail.
+/// Default memory-tier byte budget (approximate,
+/// [`AppCacheEntry::approx_bytes`]): room for several thousand typical
+/// report-only entries.
 pub const DEFAULT_MEM_BYTES: usize = 256 << 20;
 
 fn key_hash(key: &str) -> u64 {
@@ -129,17 +127,28 @@ impl RenderCell {
     }
 }
 
-struct Shard {
+/// The memory tier: the entries, and their keys in order of last use.
+#[derive(Default)]
+struct Lru {
     entries: HashMap<String, MemEntry>,
+    /// Last-used tick → key, oldest first.
+    recency: BTreeMap<u64, String>,
     /// Sum of the approx-bytes column.
     bytes: usize,
+    /// The last tick handed out.
+    clock: u64,
 }
 
-/// A sharded two-tier analysis cache, safe to hammer from the pool.
+impl Lru {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+}
+
+/// A two-tier analysis cache, safe to share across the pool.
 pub struct AnalysisStore {
-    shards: Vec<Mutex<Shard>>,
-    clock: AtomicU64,
-    capacity: usize,
+    mem: Mutex<Lru>,
     mem_budget: usize,
     /// The disk tier's directory and record index.
     disk: Option<(PathBuf, Mutex<Index>)>,
@@ -147,39 +156,32 @@ pub struct AnalysisStore {
 }
 
 impl AnalysisStore {
-    /// An in-memory store with the default capacity and no disk tier.
+    /// An in-memory store with the default byte budget and no disk tier.
     pub fn new() -> AnalysisStore {
-        AnalysisStore::with_options(DEFAULT_CAPACITY, None)
+        AnalysisStore::with_options(None)
     }
 
-    /// A store with an explicit entry capacity, the default byte
-    /// budget, and an optional disk directory (created on first write).
-    pub fn with_options(capacity: usize, disk: Option<PathBuf>) -> AnalysisStore {
-        AnalysisStore::with_budgets(capacity, DEFAULT_MEM_BYTES, disk)
+    /// A store with the default byte budget and an optional disk
+    /// directory (created on first write).
+    pub fn with_options(disk: Option<PathBuf>) -> AnalysisStore {
+        AnalysisStore::with_budgets(0, DEFAULT_MEM_BYTES, disk)
     }
 
-    /// A store with explicit entry and byte caps on the memory tier.
-    /// Eviction triggers when *either* cap is exceeded; a shard always
-    /// retains at least its newest entry, so one entry larger than the
-    /// whole budget still caches (and evicts everything else). A
-    /// `mem_budget` of 0 means no memory tier at all: inserts go to the
-    /// disk tier alone and memory lookups always miss.
+    /// A store with an explicit memory-tier byte budget. Eviction drops
+    /// least-recently-used entries until the tier fits the budget, but
+    /// never the newest entry, so one entry larger than the whole budget
+    /// still caches (and evicts everything else). A `mem_budget` of 0
+    /// means no memory tier at all: inserts go to the disk tier alone
+    /// and memory lookups always miss. `_capacity` is unused; the
+    /// parameter stays only for the benchmark's traced twin, which
+    /// calls this signature.
     pub fn with_budgets(
-        capacity: usize,
+        _capacity: usize,
         mem_budget: usize,
         disk: Option<PathBuf>,
     ) -> AnalysisStore {
         AnalysisStore {
-            shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        entries: HashMap::new(),
-                        bytes: 0,
-                    })
-                })
-                .collect(),
-            clock: AtomicU64::new(0),
-            capacity: capacity.max(1),
+            mem: Mutex::new(Lru::default()),
             mem_budget,
             disk: disk.map(|dir| (dir, Mutex::new(Index::default()))),
             metrics: Metrics::enabled(),
@@ -208,25 +210,23 @@ impl AnalysisStore {
         obs.metrics.inc(name, by);
     }
 
-    fn shard(&self, key: &str) -> &Mutex<Shard> {
-        &self.shards[(key_hash(key) as usize) % SHARDS]
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Memory-tier lookup. Counts neither hit nor miss — the *outcome*
     /// of the analysis (whole-report reuse vs. recompute) decides that;
     /// see [`AnalysisStore::count_outcome`].
     pub fn lookup(&self, key: &str, obs: &Obs) -> Option<Arc<AppCacheEntry>> {
         let _s = obs.tracer.span("cache_lookup");
-        let mut shard = lock(self.shard(key));
-        let tick = self.tick();
-        shard.entries.get_mut(key).map(|slot| {
-            slot.tick = tick;
-            Arc::clone(&slot.entry)
-        })
+        let mut mem = lock(&self.mem);
+        let tick = mem.tick();
+        let Lru {
+            entries, recency, ..
+        } = &mut *mem;
+        let slot = entries.get_mut(key)?;
+        let key = recency
+            .remove(&slot.tick)
+            .expect("a resident key is ranked");
+        recency.insert(tick, key);
+        slot.tick = tick;
+        Some(Arc::clone(&slot.entry))
     }
 
     /// The render-memoization cell of the resident memory entry for
@@ -234,8 +234,7 @@ impl AnalysisStore {
     /// must never serve bytes rendered from a different bundle's
     /// report). `None` when the key is absent or the entry moved on.
     pub fn render_cell(&self, key: &str, bundle_fp: u64) -> Option<Arc<RenderCell>> {
-        let shard = lock(self.shard(key));
-        shard
+        lock(&self.mem)
             .entries
             .get(key)
             .filter(|m| m.entry.bundle_fp == bundle_fp)
@@ -375,33 +374,35 @@ impl AnalysisStore {
             return;
         }
         let approx = entry.approx_bytes();
+        let mut mem = lock(&self.mem);
+        let tick = mem.tick();
         let slot = MemEntry {
-            tick: self.tick(),
+            tick,
             approx,
             entry: Arc::new(entry),
             rendered: Arc::new(rendered.map_or_else(RenderCell::default, RenderCell::filled)),
         };
-        let mut shard = lock(self.shard(key));
-        if let Some(old) = shard.entries.insert(key.to_owned(), slot) {
-            shard.bytes -= old.approx;
+        if let Some(old) = mem.entries.insert(key.to_owned(), slot) {
+            mem.bytes -= old.approx;
+            mem.recency.remove(&old.tick);
         }
-        shard.bytes += approx;
-        // Per-shard share of the global caps, at least 1 entry / 1 byte.
-        // Evicting down to (but never past) a single entry means an
+        mem.recency.insert(tick, key.to_owned());
+        mem.bytes += approx;
+        // Evicting down to (but never past) the newest entry means an
         // over-budget giant still caches.
-        let cap = self.capacity.div_ceil(SHARDS);
-        let byte_cap = self.mem_budget.div_ceil(SHARDS);
-        while (shard.entries.len() > cap || shard.bytes > byte_cap) && shard.entries.len() > 1 {
-            let oldest = shard
+        let mut evicted = 0;
+        while mem.bytes > self.mem_budget && mem.entries.len() > 1 {
+            let (_, oldest) = mem.recency.pop_first().expect("a resident key is ranked");
+            let old = mem
                 .entries
-                .iter()
-                .min_by(|(ka, ma), (kb, mb)| (ma.tick, ka.as_str()).cmp(&(mb.tick, kb.as_str())))
-                .map(|(k, _)| k.clone())
-                .expect("non-empty shard");
-            if let Some(old) = shard.entries.remove(&oldest) {
-                shard.bytes -= old.approx;
-            }
-            self.count("svc.cache.evict", 1, obs);
+                .remove(&oldest)
+                .expect("a ranked key is resident");
+            mem.bytes -= old.approx;
+            evicted += 1;
+        }
+        drop(mem);
+        if evicted > 0 {
+            self.count("svc.cache.evict", evicted, obs);
         }
     }
 
@@ -434,9 +435,9 @@ impl AnalysisStore {
         self.count("svc.cache.deltas", 1, obs);
     }
 
-    /// Number of memory-tier entries, across all shards.
+    /// Number of memory-tier entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).entries.len()).sum()
+        lock(&self.mem).entries.len()
     }
 
     /// Whether the memory tier is empty.
@@ -444,48 +445,34 @@ impl AnalysisStore {
         self.len() == 0
     }
 
-    /// Per-shard memory-tier entry counts, in shard order.
-    pub fn mem_shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| lock(s).entries.len()).collect()
-    }
-
-    /// Approximate memory-tier bytes, across all shards (the
-    /// [`AppCacheEntry::approx_bytes`] accounting the byte cap evicts
+    /// Approximate memory-tier bytes (the
+    /// [`AppCacheEntry::approx_bytes`] accounting the byte budget evicts
     /// on).
     pub fn mem_bytes(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).bytes).sum()
+        lock(&self.mem).bytes
     }
 
     /// Records the memory tier's occupancy as point-in-time gauges:
-    /// `svc.cache.mem_entries` (total), `svc.cache.mem_bytes`
-    /// (approximate resident size), and `svc.cache.mem_largest_shard`
-    /// (balance indicator).
+    /// `svc.cache.mem_entries` and `svc.cache.mem_bytes` (approximate
+    /// resident size).
     pub fn record_gauges(&self, metrics: &nck_obs::Metrics) {
-        let sizes = self.mem_shard_sizes();
-        metrics.gauge("svc.cache.mem_entries", sizes.iter().sum::<usize>() as i64);
-        metrics.gauge("svc.cache.mem_bytes", self.mem_bytes() as i64);
-        metrics.gauge(
-            "svc.cache.mem_largest_shard",
-            sizes.iter().copied().max().unwrap_or(0) as i64,
-        );
+        let mem = lock(&self.mem);
+        metrics.gauge("svc.cache.mem_entries", mem.entries.len() as i64);
+        metrics.gauge("svc.cache.mem_bytes", mem.bytes as i64);
     }
 
     /// The disk tier as the index sees it after catching up with the
     /// directory. Zeroed stats when no disk tier is configured or the
     /// directory does not exist yet.
     pub fn disk_stats(&self) -> DiskStats {
-        let mut stats = DiskStats::new();
+        let mut stats = DiskStats::default();
         let Some((dir, index)) = &self.disk else {
             return stats;
         };
         let mut index = lock(index);
         index.refresh(dir);
-        let mut live_bytes = 0;
-        for (id, loc) in &index.live {
-            stats.entries += 1;
-            stats.shards[(id.0 as usize) % SHARDS] += 1;
-            live_bytes += loc.len;
-        }
+        let live_bytes: u64 = index.live.values().map(|loc| loc.len).sum();
+        stats.entries = index.live.len() as u64;
         stats.bytes = index.seg_bytes;
         stats.dead_bytes = stats.bytes - live_bytes;
         stats.segments = index.segments.len() as u64;
@@ -709,7 +696,7 @@ fn next_stamp() -> u64 {
 }
 
 /// Disk-tier occupancy, as the record index sees it.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Live records: the newest intact-looking record per key and config.
     pub entries: u64,
@@ -720,18 +707,6 @@ pub struct DiskStats {
     pub dead_bytes: u64,
     /// Segment files.
     pub segments: u64,
-    /// Live records per shard, `SHARDS` slots in shard order.
-    pub shards: Vec<u64>,
-}
-
-impl DiskStats {
-    /// Empty stats with all shard slots present.
-    pub fn new() -> DiskStats {
-        DiskStats {
-            shards: vec![0; SHARDS],
-            ..DiskStats::default()
-        }
-    }
 }
 
 /// Where a live record sits.
@@ -1072,7 +1047,7 @@ mod tests {
     /// fingerprint = position).
     fn disk_store(tag: &str, keys: &[&str]) -> (AnalysisStore, PathBuf) {
         let dir = tmpdir(tag);
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
+        let store = AnalysisStore::with_options(Some(dir.clone()));
         for (i, key) in keys.iter().enumerate() {
             store.insert(key, entry(i as u64, key), &Obs::disabled());
         }
@@ -1080,7 +1055,7 @@ mod tests {
     }
 
     fn reopen(dir: &Path) -> AnalysisStore {
-        AnalysisStore::with_options(8, Some(dir.to_path_buf()))
+        AnalysisStore::with_options(Some(dir.to_path_buf()))
     }
 
     /// The names of the files in `dir`, sorted.
@@ -1128,74 +1103,82 @@ mod tests {
 
     #[test]
     fn capacity_evicts_least_recently_used() {
-        // Capacity 1 → every shard caps at 1 entry; two keys in the
-        // same shard must evict the older.
-        let store = AnalysisStore::with_options(1, None);
+        // A budget of one entry: the second key evicts the first.
+        let charge = entry(1, "app.x").approx_bytes();
+        let store = AnalysisStore::with_budgets(0, charge, None);
         let obs = Obs::enabled();
-        // Find two keys landing in the same shard.
-        let k1 = "app.x".to_owned();
-        let mut k2 = None;
-        for i in 0..200 {
-            let cand = format!("app.y{i}");
-            if (key_hash(&cand) as usize) % SHARDS == (key_hash(&k1) as usize) % SHARDS {
-                k2 = Some(cand);
-                break;
-            }
-        }
-        let k2 = k2.expect("a colliding shard key exists");
-        store.insert(&k1, entry(1, &k1), &obs);
-        store.insert(&k2, entry(2, &k2), &obs);
-        assert!(store.lookup(&k1, &obs).is_none(), "older key evicted");
-        assert!(store.lookup(&k2, &obs).is_some());
-        assert_eq!(
-            *obs.metrics
-                .snapshot()
-                .counters
-                .get("svc.cache.evict")
-                .unwrap(),
-            1
-        );
+        store.insert("app.x", entry(1, "app.x"), &obs);
+        store.insert("app.y", entry(2, "app.y"), &obs);
+        assert!(store.lookup("app.x", &obs).is_none(), "older key evicted");
+        assert!(store.lookup("app.y", &obs).is_some());
+        assert_eq!(obs.metrics.snapshot().counters["svc.cache.evict"], 1);
+        assert_eq!(counter(&store, "svc.cache.evict"), 1);
     }
 
     #[test]
-    fn byte_budget_evicts_before_the_entry_cap() {
-        // Entry cap is generous; the byte budget is what binds. Entries
-        // with many class fingerprints are charged more.
+    fn the_byte_budget_is_global_and_evicts_least_recently_used() {
+        // Entries of equal charge under a budget of three: the tier holds
+        // three whatever the keys, and a lookup re-ranks its key.
+        let keys: Vec<String> = (0..33).map(|i| format!("app.g{i:02}")).collect();
+        let charge = entry(0, &keys[0]).approx_bytes();
+        let budget = 3 * charge;
+        let store = AnalysisStore::with_budgets(0, budget, None);
+        let obs = Obs::disabled();
+        for (i, key) in keys[..32].iter().enumerate() {
+            assert_eq!(entry(i as u64, key).approx_bytes(), charge);
+            store.insert(key, entry(i as u64, key), &obs);
+        }
+        assert_eq!(store.len(), 3);
+        assert!(store.mem_bytes() <= budget);
+        let resident = |store: &AnalysisStore| -> Vec<&str> {
+            let mem = lock(&store.mem);
+            let mut keys: Vec<&str> = keys
+                .iter()
+                .filter(|k| mem.entries.contains_key(k.as_str()))
+                .map(String::as_str)
+                .collect();
+            keys.sort();
+            keys
+        };
+        assert_eq!(resident(&store), ["app.g29", "app.g30", "app.g31"]);
+        // Using the oldest keeps it: the next insert evicts app.g30.
+        assert!(store.lookup("app.g29", &obs).is_some());
+        store.insert(&keys[32], entry(32, &keys[32]), &obs);
+        assert_eq!(resident(&store), ["app.g29", "app.g31", "app.g32"]);
+        assert_eq!(counter(&store, "svc.cache.evict"), 30);
+    }
+
+    #[test]
+    fn the_byte_budget_charges_large_entries_more() {
+        // Entries with many class fingerprints are charged more: one
+        // large entry evicts several small ones, least recent first.
         let big = |fp: u64, package: &str| {
             let mut e = entry(fp, package);
-            e.class_fps = vec![0; 1000]; // ~8.5 KB of charged bytes
+            e.class_fps = vec![0; 1000]; // ~8.8 KB of charged bytes
             e
         };
-        let budget = big(0, "probe").approx_bytes() * SHARDS * 2;
-        let store = AnalysisStore::with_budgets(1_000_000, budget, None);
+        let (small, large) = (
+            entry(0, "app.s").approx_bytes(),
+            big(0, "app.b").approx_bytes(),
+        );
+        let budget = large + 2 * small;
+        let store = AnalysisStore::with_budgets(0, budget, None);
         let obs = Obs::enabled();
-        // Find three keys in one shard: per-shard byte cap fits ~2 big
-        // entries, so the third insert evicts the least recently used.
-        let mut keys = Vec::new();
-        for i in 0..400 {
-            let cand = format!("app.b{i}");
-            if (key_hash(&cand) as usize).is_multiple_of(SHARDS) {
-                keys.push(cand);
-                if keys.len() == 3 {
-                    break;
-                }
-            }
+        for i in 0..6 {
+            let key = format!("app.s{i}");
+            store.insert(&key, entry(i, &key), &obs);
         }
-        assert_eq!(keys.len(), 3, "three same-shard keys exist");
-        for (i, k) in keys.iter().enumerate() {
-            store.insert(k, big(i as u64, k), &obs);
-        }
+        assert_eq!(store.len(), 6, "small entries fit");
+        store.insert("app.b", big(9, "app.b"), &obs);
+        assert!(store.lookup("app.b", &obs).is_some());
         assert!(
-            store.lookup(&keys[0], &obs).is_none(),
-            "oldest evicted by byte pressure"
+            store.lookup("app.s3", &obs).is_none(),
+            "oldest evicted first"
         );
-        assert!(store.lookup(&keys[2], &obs).is_some());
-        assert!(
-            obs.metrics.snapshot().counters["svc.cache.evict"] >= 1,
-            "byte eviction counted"
-        );
-        // Accounting matches what is resident.
-        assert!(store.mem_bytes() <= budget.div_ceil(SHARDS) * SHARDS);
+        assert!(store.lookup("app.s4", &obs).is_some() && store.lookup("app.s5", &obs).is_some());
+        assert_eq!(store.len(), 3);
+        assert_eq!(store.mem_bytes(), budget);
+        assert_eq!(obs.metrics.snapshot().counters["svc.cache.evict"], 4);
     }
 
     #[test]
@@ -1218,7 +1201,7 @@ mod tests {
     fn an_oversized_entry_still_caches() {
         // One entry bigger than the whole budget: everything else
         // evicts, the newcomer stays.
-        let store = AnalysisStore::with_budgets(16, 1, None);
+        let store = AnalysisStore::with_budgets(0, 1, None);
         let obs = Obs::enabled();
         store.insert("app.huge", entry(1, "app.huge"), &obs);
         assert!(store.lookup("app.huge", &obs).is_some());
@@ -1236,7 +1219,7 @@ mod tests {
             events: nck_obs::Events::silent().with_sink(sink),
             ..Obs::disabled()
         };
-        let store = AnalysisStore::with_options(8, Some(dir.join("cache")));
+        let store = AnalysisStore::with_options(Some(dir.join("cache")));
         store.insert("app.r", entry(5, "app.r"), &obs);
         assert_eq!(store.lookup("app.r", &obs).unwrap().bundle_fp, 5);
         assert_eq!(counter(&store, "svc.cache.disk_records_appended"), 0);
@@ -1573,15 +1556,19 @@ mod tests {
         store.record_gauges(&obs.metrics);
         let snap = obs.metrics.snapshot();
         assert_eq!(snap.gauges["svc.cache.mem_entries"], 2);
-        assert!(snap.gauges["svc.cache.mem_largest_shard"] >= 1);
         assert_eq!(snap.gauges["svc.cache.mem_bytes"], store.mem_bytes() as i64);
         assert!(snap.gauges["svc.cache.mem_bytes"] > 0);
+        assert_eq!(snap.gauges.len(), 2, "entries and bytes only");
     }
 
     #[test]
-    fn disk_stats_count_entries_bytes_and_shards() {
+    fn disk_stats_count_entries_and_bytes() {
         let dir = tmpdir("diskstats");
-        assert_eq!(reopen(&dir).disk_stats(), DiskStats::new(), "missing dir");
+        assert_eq!(
+            reopen(&dir).disk_stats(),
+            DiskStats::default(),
+            "missing dir"
+        );
         let (store, dir) = disk_store("diskstats", &["app.a", "app.b"]);
         // Alien files and legacy leftovers are not records.
         std::fs::write(dir.join("README"), "not a cache file").unwrap();
@@ -1589,10 +1576,6 @@ mod tests {
         let stats = store.disk_stats();
         assert_eq!((stats.entries, stats.segments, stats.dead_bytes), (2, 1, 0));
         assert_eq!(stats.bytes, len(&segment(&dir)));
-        let mut expected = vec![0u64; SHARDS];
-        expected[(key_hash("app.a") as usize) % SHARDS] += 1;
-        expected[(key_hash("app.b") as usize) % SHARDS] += 1;
-        assert_eq!(stats.shards, expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -412,9 +412,12 @@ fn doctor_snapshot_is_byte_identical_across_runs_and_jobs() {
 
     let v: serde_json::Value =
         serde_json::from_str(std::str::from_utf8(&warm1).unwrap()).expect("doctor emits JSON");
-    assert_eq!(v["schema"], 3);
+    assert_eq!(v["schema"], 4);
     for gone in ["replay_apps", "replay_classes"] {
         assert!(v["cache"].get(gone).is_none(), "{gone} is gone: {v:?}");
+    }
+    for tier in ["mem", "disk"] {
+        assert!(v["cache"][tier].get("shards").is_none(), "{tier}: {v:?}");
     }
     assert_no_memory_tier(&v);
     assert_eq!(v["cache"]["hit"], 4, "warm run hits all apps");

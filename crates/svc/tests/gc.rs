@@ -90,7 +90,7 @@ fn quarantined_entries_are_invisible_to_gc_and_stay_dead() {
     drop(svc);
 
     // GC with an unlimited budget: only the rewritten record is live.
-    let store = AnalysisStore::with_options(4, Some(cache.clone()));
+    let store = AnalysisStore::with_options(Some(cache.clone()));
     let full = store.gc_disk(u64::MAX, &Obs::disabled());
     assert_eq!((full.entries, full.evicted), (1, 0), "one live record");
 
@@ -137,7 +137,7 @@ fn gc_sweeps_the_tmp_output_of_a_dead_compaction_only() {
     std::fs::write(&live, [7u8; 30]).unwrap();
 
     // Under budget: nothing is compacted, so the sweep is all it frees.
-    let store = AnalysisStore::with_options(4, Some(cache.clone()));
+    let store = AnalysisStore::with_options(Some(cache.clone()));
     let stats = store.gc_disk(u64::MAX, &Obs::disabled());
     assert!(!dead.exists(), "a dead writer's tmp is swept");
     assert!(live.exists(), "a running writer's tmp stays");
@@ -165,7 +165,7 @@ fn gc_under_concurrent_readers_is_full_or_miss() {
         .map(|((key, _), o)| (key.clone(), render(o.report.as_ref().unwrap())))
         .collect();
 
-    let store = AnalysisStore::with_options(4, Some(cache.clone()));
+    let store = AnalysisStore::with_options(Some(cache.clone()));
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         for _ in 0..3 {
@@ -219,7 +219,7 @@ fn post_gc_warm_run_is_byte_identical_to_cold() {
         .collect();
 
     // Evict roughly half the tier.
-    let store = AnalysisStore::with_options(4, Some(cache.clone()));
+    let store = AnalysisStore::with_options(Some(cache.clone()));
     let full = store.gc_disk(u64::MAX, &Obs::disabled()).bytes;
     let stats = store.gc_disk(full / 2, &Obs::disabled());
     assert!(stats.evicted > 0, "GC must evict something for this test");

@@ -81,7 +81,7 @@ fn a_torn_tail_at_every_offset_serves_earlier_records_and_misses_the_cut_one() {
         .map(|(i, key)| entry(i as u64 + 1, key))
         .collect();
     let (before_last, whole) = {
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
+        let store = AnalysisStore::with_options(Some(dir.clone()));
         for (key, e) in keys.iter().zip(&entries).take(2) {
             store.insert(key, e.clone(), &Obs::disabled());
         }
@@ -94,7 +94,7 @@ fn a_torn_tail_at_every_offset_serves_earlier_records_and_misses_the_cut_one() {
 
     for cut in before_last..whole.len() {
         std::fs::write(&segment, &whole[..cut]).unwrap();
-        let store = AnalysisStore::with_options(8, Some(dir.clone()));
+        let store = AnalysisStore::with_options(Some(dir.clone()));
         let obs = Obs::disabled();
         for (key, e) in keys.iter().zip(&entries).take(2) {
             let got = store.lookup_disk_entry(key, CONFIG_FP, &obs);
@@ -116,10 +116,10 @@ fn a_torn_tail_at_every_offset_serves_earlier_records_and_misses_the_cut_one() {
 
     // The recomputed record lands in a new segment and serves the next
     // store; the torn tail stays behind it, harmless.
-    let store = AnalysisStore::with_options(8, Some(dir.clone()));
+    let store = AnalysisStore::with_options(Some(dir.clone()));
     store.insert(keys[2], entries[2].clone(), &Obs::disabled());
     drop(store);
-    let store = AnalysisStore::with_options(8, Some(dir.clone()));
+    let store = AnalysisStore::with_options(Some(dir.clone()));
     let got = store.lookup_disk_entry(keys[2], CONFIG_FP, &Obs::disabled());
     assert_eq!(*got.unwrap().json, render_json(&entries[2].report));
     assert_eq!(segments(&dir).len(), 2);
@@ -174,10 +174,10 @@ fn a_record_another_store_appends_is_a_hit_and_a_delta_base() {
 fn concurrent_appends_from_two_stores_read_back_whole() {
     let dir = temp_dir("concurrent");
     let writers = [
-        AnalysisStore::with_options(8, Some(dir.clone())),
-        AnalysisStore::with_options(8, Some(dir.clone())),
+        AnalysisStore::with_options(Some(dir.clone())),
+        AnalysisStore::with_options(Some(dir.clone())),
     ];
-    let reader = AnalysisStore::with_options(8, Some(dir.clone()));
+    let reader = AnalysisStore::with_options(Some(dir.clone()));
     let key = |w: usize, t: usize, i: usize| format!("app.w{w}.t{t}.i{i}");
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -216,7 +216,7 @@ fn concurrent_appends_from_two_stores_read_back_whole() {
     });
     assert_eq!(counter(&reader, "svc.cache.corrupt_evict"), 0);
 
-    let store = AnalysisStore::with_options(8, Some(dir.clone()));
+    let store = AnalysisStore::with_options(Some(dir.clone()));
     for w in 0..2 {
         for t in 0..2 {
             for i in 0..60 {

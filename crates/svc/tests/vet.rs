@@ -279,6 +279,31 @@ fn no_damaged_input_takes_vet_down() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--corpus-dir` descends only into real directories: a link back to
+/// an ancestor is not followed (the walk would loop until path
+/// resolution failed), while a symlinked bundle file is vetted like any
+/// other.
+#[test]
+fn corpus_dir_walk_skips_symlinked_directories() {
+    let dir = temp_dir("symlinks");
+    let corpus = dir.join("corpus");
+    std::fs::create_dir_all(corpus.join("a")).unwrap();
+    let spec = &profile::corpus(2016)[0];
+    let bundle = write_bundle(&dir, "a/app.apk", &nck_appgen::generate(spec).to_bytes());
+    std::os::unix::fs::symlink("..", corpus.join("a").join("up")).unwrap();
+    std::os::unix::fs::symlink("a/app.apk", corpus.join("b.apk")).unwrap();
+    let linked = corpus.join("b.apk").to_string_lossy().into_owned();
+
+    let out = nchecker(&["vet", "--corpus-dir", corpus.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    assert_eq!(
+        text(&out.stdout),
+        reference(&[bundle, linked]),
+        "the bundle and its file link, once each"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Seeded kills: `vet --cache-dir` is SIGKILLed at a seeded point of
 /// its run, then rerun over the same cache. Whatever the kill left —
 /// a torn segment tail, an unflushed read journal — the rerun's stdout

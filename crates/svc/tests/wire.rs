@@ -256,7 +256,7 @@ fn a_schema_2_entry_from_the_json_tree_encoder_still_hits() {
     let bytes = nck_appgen::generate(spec).to_bytes();
     let fresh = nchecker::NChecker::new().analyze_bytes(&bytes).unwrap();
 
-    let store = AnalysisStore::with_options(8, Some(dir.clone()));
+    let store = AnalysisStore::with_options(Some(dir.clone()));
     let today = nchecker::config_fingerprint(&CheckerConfig::default());
     assert_eq!(config_fp, "f4a43abc1f3c442e");
     assert_ne!(format!("{today:016x}"), config_fp);

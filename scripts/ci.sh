@@ -129,8 +129,9 @@ with open(sys.argv[1]) as f:
     doc = json.load(f)
 for key in ("schema", "build", "config", "cache", "funnel", "last_run"):
     assert key in doc, f"doctor snapshot missing {key}"
-assert doc["schema"] == 3
+assert doc["schema"] == 4
 assert "replay_apps" not in doc["cache"] and "replay_classes" not in doc["cache"]
+assert "shards" not in doc["cache"]["mem"] and "shards" not in doc["cache"]["disk"]
 assert doc["cache"]["disk"]["configured"] is True
 assert doc["cache"]["hit"] + doc["cache"]["miss"] >= 4, "no cache traffic recorded"
 print(f"doctor ok: {doc['cache']['disk']['entries']} cache entries, "
@@ -188,6 +189,8 @@ doc = rpc({"verb": "doctor"})
 snap = json.loads(doc["doctor"])
 for key in ("schema", "build", "config", "cache", "funnel", "queue"):
     assert key in snap, f"daemon doctor missing {key}"
+assert snap["schema"] == 4, snap["schema"]
+assert "shards" not in snap["cache"]["mem"] and "shards" not in snap["cache"]["disk"]
 assert snap["queue"]["completed"] == 1, snap["queue"]
 bad = rpc({"verb": "frobnicate"})
 assert not bad["ok"] and bad["error"]["code"] == "unknown-verb", bad
@@ -353,7 +356,10 @@ python3 - "$vet_dir/doctor.json" <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
-    cache = json.load(f)["cache"]
+    doc = json.load(f)
+assert doc["schema"] == 4, doc["schema"]
+cache = doc["cache"]
+assert "shards" not in cache["mem"] and "shards" not in cache["disk"], cache
 assert cache["miss"] > 0, f"no miss after GC, nothing to check: {cache}"
 assert cache["mem"]["entries"] == 0, f"a batch kept memory entries: {cache['mem']}"
 assert cache["mem"]["bytes"] == 0, f"a batch kept memory bytes: {cache['mem']}"
