@@ -146,18 +146,27 @@ impl CorpusStream {
     }
 
     /// Version `v` of app `i`: `v` successive [`evolve`] steps over
-    /// [`spec_at`]`(i)`, each editing ~30% of the app's requests.
-    /// Network-free apps have no requests to evolve, so a new version
-    /// grows its ballast instead — an update must change the bundle
-    /// bytes, or resubmission would be a no-op.
+    /// [`spec_at`]`(i)`, each editing ~30% of the app's requests. A step
+    /// whose edits leave the bundle as it was (each edited a field the
+    /// generator does not emit for that request's library) grows the
+    /// app's ballast instead, and network-free apps, with no requests to
+    /// evolve, grow it at every step — an update must change the bundle bytes, or
+    /// resubmission would be a no-op.
     ///
     /// [`spec_at`]: CorpusStream::spec_at
     pub fn version_at(&self, i: usize, v: u32) -> AppSpec {
         let mut spec = self.spec_at(i);
+        if v == 0 {
+            return spec;
+        }
         if spec.requests.is_empty() {
             spec.bulk += v as usize;
             return spec;
         }
+        // Steps in a row, ending at step `v`, that left the bundle as it
+        // was.
+        let mut unchanged = 0;
+        let mut bytes = crate::generate(&spec).to_bytes();
         for step in 1..=v {
             spec = evolve(
                 &spec,
@@ -165,7 +174,11 @@ impl CorpusStream {
                 mix(self.seed ^ 0xeb01, ((i as u64) << 8) | step as u64),
             )
             .spec;
+            let next = crate::generate(&spec).to_bytes();
+            unchanged = if next == bytes { unchanged + 1 } else { 0 };
+            bytes = next;
         }
+        spec.bulk += unchanged;
         spec
     }
 }
@@ -249,16 +262,26 @@ mod tests {
 
     #[test]
     fn versions_always_change_the_bundle() {
-        let stream = CorpusStream::new(5, 40);
-        for i in 0..40 {
-            let v0 = crate::generate(&stream.version_at(i, 0)).to_bytes();
-            let v1 = crate::generate(&stream.version_at(i, 1)).to_bytes();
-            assert_ne!(v0, v1, "app {i}: version 1 must differ from version 0");
-            assert_eq!(
-                v1,
-                crate::generate(&stream.version_at(i, 1)).to_bytes(),
-                "app {i}: versions are deterministic"
-            );
+        // The default mix, and an all-network stream at seed 5, whose app
+        // 0 has an evolve step that edits nothing.
+        let all_network = StreamOptions {
+            clean_frac: 0.0,
+            ..StreamOptions::default()
+        };
+        for stream in [
+            CorpusStream::new(5, 40),
+            CorpusStream::with_options(5, 40, all_network),
+        ] {
+            for i in 0..40 {
+                let v0 = crate::generate(&stream.version_at(i, 0)).to_bytes();
+                let v1 = crate::generate(&stream.version_at(i, 1)).to_bytes();
+                assert_ne!(v0, v1, "app {i}: version 1 must differ from version 0");
+                assert_eq!(
+                    v1,
+                    crate::generate(&stream.version_at(i, 1)).to_bytes(),
+                    "app {i}: versions are deterministic"
+                );
+            }
         }
     }
 

@@ -102,11 +102,10 @@ pub fn run_specs_with(specs: &[AppSpec], config: CheckerConfig, obs: &Obs) -> Ve
 /// Fault-tolerant corpus run: analyzes every spec in parallel and always
 /// returns, even when individual apps fail or panic.
 ///
-/// Each app is generated and analyzed under panic containment
-/// ([`NChecker::analyze_bytes_checked`] plus a `catch_unwind` around
-/// generation), so one adversarial or bug-triggering app cannot abort
-/// the run, poison the result slots, or take other workers down with it.
-/// Failed apps leave a `None` in their slot and an [`AppFailure`] record.
+/// The pool contains a panic in generation or analysis, so one
+/// adversarial or bug-triggering app cannot abort the run or take other
+/// workers down with it. Failed apps leave a `None` in their slot and an
+/// [`AppFailure`] record.
 pub fn try_run_specs_with(specs: &[AppSpec], config: CheckerConfig, obs: &Obs) -> CorpusOutcome {
     run_fault_tolerant(
         specs.len(),
@@ -129,23 +128,24 @@ pub fn try_run_bundles_with(
         bundles.len(),
         config,
         obs,
-        |checker, i| checker.analyze_bytes_checked(&bundles[i]),
+        |checker, i| checker.analyze_bytes(&bundles[i]),
         |_| "<unparsed>".to_owned(),
     )
 }
 
 /// The shared worker pool behind the fault-tolerant runners: `task`
-/// produces app `i`'s result (with panics already contained), `name`
-/// labels a failed app. The pool itself lives in [`nck_svc::pool`]; this
-/// wrapper only folds its slots into a [`CorpusOutcome`].
+/// produces app `i`'s result, `name` labels a failed app. The pool
+/// ([`nck_svc::pool`]) contains panics and hands each result over in
+/// input order, folded straight into a [`CorpusOutcome`].
 fn run_fault_tolerant(
     n: usize,
     config: CheckerConfig,
     obs: &Obs,
     task: impl Fn(&NChecker, usize) -> Result<AppReport, AnalyzeError> + Sync,
-    name: impl Fn(usize) -> String,
+    name: impl Fn(usize) -> String + Sync,
 ) -> CorpusOutcome {
-    let slots = nck_svc::run_pool(
+    let mut outcome = CorpusOutcome::default();
+    nck_svc::run_in_order(
         n,
         None,
         || {
@@ -154,37 +154,32 @@ fn run_fault_tolerant(
             checker
         },
         |checker, i| task(checker, i),
-    );
-
-    let mut outcome = CorpusOutcome::default();
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.map_err(AnalyzeError::Panic).and_then(|result| result) {
-            Ok(report) => outcome.reports.push(Some(report)),
-            Err(error) => {
-                outcome.reports.push(None);
-                outcome.failures.push(AppFailure {
-                    index: i,
-                    package: name(i),
-                    error,
-                });
+        |_| false,
+        |i, result| {
+            match result
+                .map_err(AnalyzeError::Panic)
+                .and_then(|result| result)
+            {
+                Ok(report) => outcome.reports.push(Some(report)),
+                Err(error) => {
+                    outcome.reports.push(None);
+                    outcome.failures.push(AppFailure {
+                        index: i,
+                        package: name(i),
+                        error,
+                    });
+                }
             }
-        }
-    }
+            std::ops::ControlFlow::Continue(())
+        },
+    );
     outcome
 }
 
-/// Generates and analyzes one spec with panics contained: generation
-/// runs under `catch_unwind`, and analysis goes through the checked
-/// entry point.
+/// Generates and analyzes one spec. A panic in either is the pool's to
+/// contain.
 fn analyze_one(checker: &NChecker, spec: &AppSpec) -> Result<AppReport, AnalyzeError> {
-    let bytes = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        nck_appgen::generate(spec).to_bytes()
-    }))
-    .map_err(|payload| {
-        let msg = AnalyzeError::panic_message(&*payload);
-        AnalyzeError::Panic(format!("app generation panicked: {msg}"))
-    })?;
-    checker.analyze_bytes_checked(&bytes)
+    checker.analyze_bytes(&nck_appgen::generate(spec).to_bytes())
 }
 
 /// Folds the per-app traces and metrics of `reports` into corpus-level

@@ -224,8 +224,9 @@ pub enum AnalyzeError {
     /// (class- or file-scoped), leaving no sound way to analyze the app.
     Verify(Vec<VerifyError>),
     /// A panic escaped the pipeline and was contained by
-    /// [`NChecker::analyze_bytes_checked`]. Always a bug: the pipeline
-    /// is meant to return typed errors on any input.
+    /// [`NChecker::analyze_bytes_checked`] or by the worker pool that ran
+    /// it. Always a bug: the pipeline is meant to return typed errors on
+    /// any input.
     Panic(String),
 }
 

@@ -28,12 +28,18 @@
 //! was degraded (some methods skipped as unanalyzable).
 
 use nchecker::CheckerConfig;
-use nck_obs::{Events, JsonlSink, Level, Metrics, Obs, PhaseTotals, Series, Tracer};
+use nck_obs::{
+    Events, JsonlSink, Level, Metrics, MetricsSnapshot, Obs, PhaseTotals, PipelineTrace, Series,
+    Tracer,
+};
 use nck_svc::{
-    daemon, doctor, AnalysisService, AnalysisStore, Daemon, DaemonOptions, ServiceOptions, Watcher,
+    daemon, doctor, AnalysisService, AnalysisStore, AppOutcome, BatchCacheStats, Daemon,
+    DaemonOptions, ServiceOptions, Watcher,
 };
 use serde_json::{json, Value};
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -258,74 +264,68 @@ struct View {
     /// Print each app's counters on stderr (never under `Print::Json`,
     /// whose documents embed them).
     metrics: bool,
+    /// Keep each app's trace for `--trace-out`.
+    keep_traces: bool,
 }
 
-/// One finished batch: the bundles read and their outcomes, both in
-/// input order, and the service that ran them.
-struct Batch {
-    service: AnalysisService,
-    items: Vec<(String, Vec<u8>)>,
-    outcomes: Vec<nck_svc::AppOutcome>,
+/// What a batch adds up as it folds each app in, in input order. An
+/// unreadable bundle and a failed analysis are each one failed app.
+#[derive(Default)]
+struct Tally {
     /// Unreadable bundles plus failed analyses.
     failures: usize,
-    degraded: usize,
+    /// Hits, misses and degraded analyses of the apps that finished.
+    cache: BatchCacheStats,
+    deltas: usize,
+    merged: MetricsSnapshot,
+    phases: PhaseTotals,
+    latency: Series,
+    /// `(label, trace)` per app, kept only for `--trace-out`.
+    traces: Vec<(String, PipelineTrace)>,
+    /// The `--delta-out` file, or the error that creating or writing it
+    /// hit.
+    delta_file: Option<std::io::Result<BufWriter<File>>>,
+    /// Output files (`--delta-out`, `--trace-out`) that could not be
+    /// written.
+    write_failures: usize,
 }
 
-/// The batch path `nchecker` and `nchecker vet` share: reads every
-/// bundle up front, analyzes them on the service's pool, and reports
-/// each outcome in input order — the report on stdout, a failure as
-/// one logged `<path>: <error>` line. `Err` is the exit code of a batch
-/// that stopped at its first failure (without `keep_going`) or could
-/// not write stdout.
-fn run_batch(
-    options: ServiceOptions,
-    obs: Obs,
-    paths: &[String],
-    view: &View,
-) -> Result<Batch, ExitCode> {
-    let events = obs.events.clone();
-    let mut items = Vec::with_capacity(paths.len());
-    let mut failures = 0usize;
-    for path in paths {
-        match std::fs::read(path) {
-            Ok(bytes) => {
-                events.debug(&format!("{path}: read {} bytes", bytes.len()));
-                items.push((path.clone(), bytes));
-            }
-            Err(e) => {
-                events.error(&format!("{path}: {e}"));
-                failures += 1;
-                if !view.keep_going {
-                    return Err(ExitCode::from(EXIT_FAILED));
-                }
-            }
+impl Tally {
+    /// Counts a failed app: one logged `<path>: <error>` line and its
+    /// `app` record. It prints nothing, so it cannot fail.
+    fn fail(
+        &mut self,
+        path: &str,
+        error: &dyn std::fmt::Display,
+        events: &Events,
+    ) -> std::io::Result<()> {
+        let error = error.to_string();
+        events.error(&format!("{path}: {error}"));
+        self.failures += 1;
+        if let Some(sink) = events.sink() {
+            emit_record(sink, json!({ "t": "app", "app": path, "error": error }));
         }
+        Ok(())
     }
-    // This batch is the process's only one and its keys rarely repeat
-    // (the disk tier, when given, still serves a repeat), so nothing
-    // would ever read a memory entry: keep none.
-    let options = ServiceOptions {
-        mem_budget: Some(0),
-        ..options
-    };
-    let service = AnalysisService::new(options, obs);
-    let outcomes = service.analyze_batch(&items);
 
-    let failed_write = |_| ExitCode::from(EXIT_FAILED);
-    let mut out = std::io::stdout().lock();
-    let mut degraded = 0usize;
-    for ((path, _), outcome) in items.iter().zip(&outcomes) {
+    /// Folds one app in: prints it, logs it, and adds it to every
+    /// count. `Err` is a failed stdout write.
+    fn add(
+        &mut self,
+        path: &str,
+        loaded: std::io::Result<AppOutcome>,
+        view: &View,
+        events: &Events,
+    ) -> std::io::Result<()> {
+        let outcome = match loaded {
+            Ok(outcome) => outcome,
+            Err(e) => return self.fail(path, &e, events),
+        };
         let report = match &outcome.report {
             Ok(report) => report,
-            Err(e) => {
-                events.error(&format!("{path}: {e}"));
-                failures += 1;
-                if !view.keep_going {
-                    return Err(ExitCode::from(EXIT_FAILED));
-                }
-                continue;
-            }
+            Err(e) => return self.fail(path, e, events),
         };
+        self.cache.count(&outcome);
         // Reading the structured report decodes a disk hit's stored
         // entry; `--json` alone never needs to.
         if events.would_log(Level::Info) || events.sink().is_some() {
@@ -336,7 +336,6 @@ fn run_batch(
             ));
         }
         if report.degraded() {
-            degraded += 1;
             events.warn(&format!(
                 "{path}: degraded analysis, {} method(s) skipped",
                 report.skipped_methods.len()
@@ -348,11 +347,10 @@ fn run_batch(
                 ));
             }
         }
+        let mut out = std::io::stdout().lock();
         match view.print {
             Print::Nothing => {}
-            Print::Json => out
-                .write_all(report.json().as_bytes())
-                .map_err(failed_write)?,
+            Print::Json => out.write_all(report.json().as_bytes())?,
             Print::Summary => writeln!(
                 out,
                 "{path}: {} ({} requests, {} defects{})",
@@ -360,18 +358,16 @@ fn run_batch(
                 report.stats.requests,
                 report.defects.len(),
                 if report.degraded() { ", degraded" } else { "" }
-            )
-            .map_err(failed_write)?,
+            )?,
             Print::Reports => {
                 writeln!(
                     out,
                     "=== {} ({} defects) ===",
                     report.stats.package,
                     report.defects.len()
-                )
-                .map_err(failed_write)?;
+                )?;
                 for d in &report.defects {
-                    writeln!(out, "{}", d.render()).map_err(failed_write)?;
+                    writeln!(out, "{}", d.render())?;
                 }
             }
         }
@@ -390,37 +386,121 @@ fn run_batch(
                 eprint!("{}", m.render());
             }
         }
+        // A disk hit's undecoded stored report carries no telemetry.
+        if report.is_decoded() {
+            if let Some(m) = &report.metrics {
+                self.merged.merge(m);
+            }
+            if let Some(t) = &report.trace {
+                self.phases.absorb(t);
+                self.latency.push(t.wall_nanos() / 1_000);
+                if view.keep_traces {
+                    let label = match report.stats.package.as_str() {
+                        "" => path,
+                        package => package,
+                    };
+                    self.traces.push((label.to_owned(), t.clone()));
+                }
+            }
+        }
+        if let Some(sink) = events.sink() {
+            let mut rec = json!({
+                "t": "app",
+                "app": path,
+                "package": report.stats.package,
+                "defects": report.defects.len(),
+                "degraded": report.degraded(),
+                "cache_hit": outcome.hit,
+            });
+            if let (Some(t), Value::Object(fields)) = (&report.trace, &mut rec) {
+                let mut per_app = PhaseTotals::new();
+                per_app.absorb(t);
+                let phases = per_app.iter().map(|(phase_path, total)| {
+                    let total = json!({
+                        "us": total.nanos / 1_000,
+                        "items": total.items,
+                        "count": total.count,
+                    });
+                    (phase_path.to_owned(), total)
+                });
+                fields.insert("wall_us".to_owned(), json!(t.wall_nanos() / 1_000));
+                fields.insert("phases".to_owned(), Value::Object(phases.collect()));
+            }
+            emit_record(sink, rec);
+        }
+        if let Some(delta) = &outcome.delta {
+            self.deltas += 1;
+            if let Some(Ok(file)) = &mut self.delta_file {
+                let line = serde_json::to_string(&delta.to_json()).expect("delta serializes");
+                if let Err(e) = writeln!(file, "{line}") {
+                    self.delta_file = Some(Err(e));
+                }
+            }
+        }
+        Ok(())
     }
-    out.flush().map_err(failed_write)?;
-    Ok(Batch {
-        service,
-        items,
-        outcomes,
-        failures,
-        degraded,
-    })
 }
 
-/// Writes the defect deltas to `path`: one JSONL record per
-/// resubmitted-and-changed app, in input order (apps without a delta
-/// contribute no line). Returns whether the write succeeded; a failure
-/// is logged.
-fn write_deltas(path: &Path, outcomes: &[nck_svc::AppOutcome], events: &Events) -> bool {
-    let mut text = String::new();
-    for delta in outcomes.iter().filter_map(|o| o.delta.as_ref()) {
-        text.push_str(&serde_json::to_string(&delta.to_json()).expect("delta serializes"));
-        text.push('\n');
+/// The batch path `nchecker` and `nchecker vet` share, one pass over
+/// the service's pool: a worker reads each bundle when it claims it and
+/// drops it once analyzed, and each outcome is folded into the
+/// [`Tally`] in input order — the report on stdout, a failure as one
+/// logged `<path>: <error>` line, the deltas into `delta_out`. `Err` is
+/// the exit code of a batch that stopped at its first failure (without
+/// `keep_going`, claiming nothing after it) or could not write stdout.
+fn run_batch(
+    options: ServiceOptions,
+    obs: Obs,
+    paths: &[String],
+    view: &View,
+    delta_out: Option<&Path>,
+) -> Result<(AnalysisService, Tally), ExitCode> {
+    let events = obs.events.clone();
+    // This batch is the process's only one and its keys rarely repeat
+    // (the disk tier, when given, still serves a repeat), so nothing
+    // would ever read a memory entry: keep none.
+    let options = ServiceOptions {
+        mem_budget: Some(0),
+        ..options
+    };
+    let service = AnalysisService::new(options, obs);
+    let mut tally = Tally {
+        delta_file: delta_out.map(|path| File::create(path).map(BufWriter::new)),
+        ..Tally::default()
+    };
+    let mut stdout_failed = false;
+    service.analyze_each(
+        paths.len(),
+        |i| {
+            let bytes = std::fs::read(&paths[i])?;
+            events.debug(&format!("{}: read {} bytes", paths[i], bytes.len()));
+            Ok((paths[i].as_str(), bytes))
+        },
+        !view.keep_going,
+        |i, loaded| match tally.add(&paths[i], loaded, view, &events) {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(_) => {
+                stdout_failed = true;
+                ControlFlow::Break(())
+            }
+        },
+    );
+    if stdout_failed
+        || std::io::stdout().flush().is_err()
+        || (tally.failures > 0 && !view.keep_going)
+    {
+        return Err(ExitCode::from(EXIT_FAILED));
     }
-    match std::fs::write(path, text) {
-        Ok(()) => {
-            events.info(&format!("wrote {}", path.display()));
-            true
-        }
-        Err(e) => {
-            events.error(&format!("{}: {e}", path.display()));
-            false
+    if let (Some(path), Some(file)) = (delta_out, tally.delta_file.take()) {
+        match file.and_then(|mut file| file.flush()) {
+            Ok(()) => events.info(&format!("wrote {}", path.display())),
+            Err(e) => {
+                events.error(&format!("{}: {e}", path.display()));
+                tally.write_failures += 1;
+            }
         }
     }
+    Ok((service, tally))
 }
 
 /// The run's exit code: failures first, then degraded analyses.
@@ -510,78 +590,34 @@ fn main() -> ExitCode {
         keep_going,
         trace,
         metrics,
+        keep_traces: trace_out.is_some(),
     };
-    let Batch {
-        service,
-        items,
-        outcomes,
-        mut failures,
-        degraded,
-    } = match run_batch(cl.service, obs, &cl.paths, &view) {
-        Ok(batch) => batch,
-        Err(code) => return code,
-    };
-    let cache_stats = AnalysisService::batch_stats(&outcomes);
-
-    // Corpus-level aggregation over the attached per-app telemetry.
-    let mut merged = nck_obs::MetricsSnapshot::default();
-    let mut phases = PhaseTotals::new();
-    let mut latency = Series::new();
-    // A disk hit's undecoded stored report carries no telemetry.
-    for outcome in &outcomes {
-        if let Some(report) = outcome.report.as_ref().ok().filter(|r| r.is_decoded()) {
-            if let Some(m) = &report.metrics {
-                merged.merge(m);
-            }
-            if let Some(t) = &report.trace {
-                phases.absorb(t);
-                latency.push(t.wall_nanos() / 1_000);
-            }
-        }
-    }
+    let (service, mut tally) =
+        match run_batch(cl.service, obs, &cl.paths, &view, delta_out.as_deref()) {
+            Ok(batch) => batch,
+            Err(code) => return code,
+        };
     // The per-app snapshots cannot see the store; the batch end is the
     // only point where its occupancy is final.
     let store_metrics = Metrics::enabled();
     service.store().record_gauges(&store_metrics);
-    merged.merge(&store_metrics.snapshot());
-    let analysis_failures = failures;
-
-    // Defect deltas, one JSONL record per resubmitted-and-changed app,
-    // in input order (apps without a delta contribute no line).
-    if let Some(path) = &delta_out {
-        failures += usize::from(!write_deltas(path, &outcomes, &events));
-    }
+    tally.merged.merge(&store_metrics.snapshot());
 
     if let Some(path) = &trace_out {
-        let traces: Vec<(String, nck_obs::PipelineTrace)> = items
-            .iter()
-            .zip(&outcomes)
-            .filter_map(|((path, _), outcome)| match &outcome.report {
-                Ok(report) if report.is_decoded() => report.trace.clone().map(|t| {
-                    let label = if report.stats.package.is_empty() {
-                        path.clone()
-                    } else {
-                        report.stats.package.clone()
-                    };
-                    (label, t)
-                }),
-                _ => None,
-            })
-            .collect();
-        if let Err(e) = std::fs::write(path, nck_obs::chrome_trace(&traces)) {
+        if let Err(e) = std::fs::write(path, nck_obs::chrome_trace(&tally.traces)) {
             events.error(&format!("{}: {e}", path.display()));
-            failures += 1;
+            tally.write_failures += 1;
         } else {
             events.info(&format!(
                 "wrote {} ({} app traces)",
                 path.display(),
-                traces.len()
+                tally.traces.len()
             ));
         }
     }
 
     if let Some(sink) = &sink {
-        emit_jsonl(sink, &items, &outcomes, &cache_stats, &merged, &mut latency);
+        emit_run_records(sink, cl.paths.len(), &mut tally);
         sink.flush();
     }
 
@@ -589,26 +625,26 @@ fn main() -> ExitCode {
         let report = doctor::DoctorReport {
             config: &config,
             store: service.store(),
-            metrics: &merged,
-            phases: &phases,
-            apps: items.len(),
-            failed: analysis_failures,
-            degraded,
+            metrics: &tally.merged,
+            phases: &tally.phases,
+            apps: cl.paths.len(),
+            failed: tally.failures,
+            degraded: tally.cache.degraded,
         };
         print!("{}", doctor::render(&report));
-    } else if !no_cache && !items.is_empty() {
+    } else if !no_cache && !cl.paths.is_empty() {
         // Cache accounting, part of the end-of-run report. Stderr under
         // --json so stdout stays one JSON document per app.
         let mut line = format!(
             "cache: {} hit(s), {} miss(es) ({:.0}% whole-report)",
-            cache_stats.hits,
-            cache_stats.misses,
-            cache_stats.hit_rate() * 100.0,
+            tally.cache.hits,
+            tally.cache.misses,
+            tally.cache.hit_rate() * 100.0,
         );
         if let (Some(p50), Some(p90), Some(p99)) = (
-            latency.percentile(50.0),
-            latency.percentile(90.0),
-            latency.percentile(99.0),
+            tally.latency.percentile(50.0),
+            tally.latency.percentile(90.0),
+            tally.latency.percentile(99.0),
         ) {
             line.push_str(&format!(
                 "\nlatency: p50 {p50} µs, p90 {p90} µs, p99 {p99} µs per app"
@@ -621,7 +657,7 @@ fn main() -> ExitCode {
         }
     }
 
-    exit_code(failures, degraded)
+    exit_code(tally.failures + tally.write_failures, tally.cache.degraded)
 }
 
 /// Flags `nchecker serve` accepts without a value.
@@ -803,32 +839,28 @@ fn vet_main(args: &[String]) -> ExitCode {
         keep_going: true,
         trace: false,
         metrics: false,
+        keep_traces: false,
     };
     let obs = Obs {
         events: events.clone(),
         ..Obs::disabled()
     };
-    let Batch {
-        outcomes,
-        mut failures,
-        degraded,
-        ..
-    } = match run_batch(cl.service, obs, &paths, &view) {
-        Ok(batch) => batch,
+    let tally = match run_batch(cl.service, obs, &paths, &view, delta_out.as_deref()) {
+        Ok((_, tally)) => tally,
         Err(code) => return code,
     };
-    if let Some(path) = &delta_out {
-        failures += usize::from(!write_deltas(path, &outcomes, &events));
-    }
+    let failures = tally.failures + tally.write_failures;
+    let cache = tally.cache;
     events.warn(&format!(
         "vet: {} app(s) on {threads} thread(s): {} completed, {failures} failed, \
-         {degraded} degraded, {} delta(s), {} cache hit(s)",
+         {} degraded, {} delta(s), {} cache hit(s)",
         paths.len(),
-        outcomes.iter().filter(|o| o.report.is_ok()).count(),
-        outcomes.iter().filter(|o| o.delta.is_some()).count(),
-        AnalysisService::batch_stats(&outcomes).hits,
+        cache.hits + cache.misses,
+        cache.degraded,
+        tally.deltas,
+        cache.hits,
     ));
-    exit_code(failures, degraded)
+    exit_code(failures, cache.degraded)
 }
 
 /// The `nchecker cache-gc` entry point: one explicit GC pass over a
@@ -896,66 +928,20 @@ fn watch_loop(daemon: &Daemon, dir: &Path, poll_ms: u64, events: &Events) {
     }
 }
 
-/// Writes the structured JSONL records for the batch: one `app` record
-/// per analyzed bundle (phase totals and cache outcome), one `cache`
-/// record, one `funnel` record (prescan counters), and one `run`
-/// summary record with the latency percentiles. Keys are sorted.
-fn emit_jsonl(
-    sink: &JsonlSink,
-    items: &[(String, Vec<u8>)],
-    outcomes: &[nck_svc::AppOutcome],
-    cache_stats: &nck_svc::BatchCacheStats,
-    merged: &nck_obs::MetricsSnapshot,
-    latency: &mut Series,
-) {
-    let emit = |record: Value| sink.emit(&serde_json::to_string(&record).expect("record encodes"));
-    for ((path, _), outcome) in items.iter().zip(outcomes) {
-        let report = match &outcome.report {
-            Ok(report) => report,
-            Err(e) => {
-                emit(json!({ "t": "app", "app": path, "error": e.to_string() }));
-                continue;
-            }
-        };
-        let mut rec = json!({
-            "t": "app",
-            "app": path,
-            "package": report.stats.package,
-            "defects": report.defects.len(),
-            "degraded": report.degraded(),
-            "cache_hit": outcome.hit,
-        });
-        if let (Some(t), Value::Object(fields)) = (&report.trace, &mut rec) {
-            let mut per_app = PhaseTotals::new();
-            per_app.absorb(t);
-            let phases = per_app.iter().map(|(phase_path, total)| {
-                let total = json!({
-                    "us": total.nanos / 1_000,
-                    "items": total.items,
-                    "count": total.count,
-                });
-                (phase_path.to_owned(), total)
-            });
-            fields.insert("wall_us".to_owned(), json!(t.wall_nanos() / 1_000));
-            fields.insert("phases".to_owned(), Value::Object(phases.collect()));
-        }
-        emit(rec);
-    }
-    emit(json!({
-        "t": "cache",
-        "hits": cache_stats.hits,
-        "misses": cache_stats.misses,
-        "degraded": cache_stats.degraded,
-        "evictions": counter(merged, "svc.cache.evict"),
-    }));
-    emit(json!({
-        "t": "funnel",
-        "prescan_skipped": counter(merged, "prescan.skipped"),
-    }));
+/// One batch record on the `--log-json` sink, keys sorted.
+fn emit_record(sink: &JsonlSink, record: Value) {
+    sink.emit(&serde_json::to_string(&record).expect("record encodes"));
+}
+
+/// Writes the batch's closing JSONL records, after the per-app `app`
+/// records: one `cache` record, one `funnel` record (prescan counters),
+/// and one `run` summary record with the latency percentiles.
+fn emit_run_records(sink: &JsonlSink, apps: usize, tally: &mut Tally) {
+    let (merged, latency) = (&tally.merged, &mut tally.latency);
     let mut run = json!({
         "t": "run",
-        "apps": items.len(),
-        "failed": outcomes.iter().filter(|o| o.report.is_err()).count(),
+        "apps": apps,
+        "failed": tally.failures,
         "cache_mem_entries": merged.gauges.get("svc.cache.mem_entries").copied().unwrap_or(0),
     });
     if let (Some(p50), Some(p90), Some(p99), Value::Object(fields)) = (
@@ -973,7 +959,20 @@ fn emit_jsonl(
             fields.insert(key.to_owned(), json!(us));
         }
     }
-    emit(run);
+    let cache = json!({
+        "t": "cache",
+        "hits": tally.cache.hits,
+        "misses": tally.cache.misses,
+        "degraded": tally.cache.degraded,
+        "evictions": counter(merged, "svc.cache.evict"),
+    });
+    let funnel = json!({
+        "t": "funnel",
+        "prescan_skipped": counter(merged, "prescan.skipped"),
+    });
+    for record in [cache, funnel, run] {
+        emit_record(sink, record);
+    }
 }
 
 fn counter(snap: &nck_obs::MetricsSnapshot, name: &str) -> u64 {

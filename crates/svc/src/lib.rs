@@ -5,9 +5,10 @@
 //! This crate packages the batch machinery those workloads share:
 //!
 //! - [`pool`] — the one worker loop behind batches and `serve`: workers
-//!   claim jobs one at a time and finish each as soon as it is done;
-//!   panics are contained per job, so one adversarial bundle cannot
-//!   take a run down,
+//!   claim jobs one at a time and finish each as soon as it is done (a
+//!   batch emits its results in input order through a bounded reorder
+//!   window); panics are contained per job, so one adversarial bundle
+//!   cannot take a run down,
 //! - [`store`] — a content-addressed report cache with an in-memory
 //!   tier (report-only entries in one byte-budgeted LRU) and an
 //!   optional on-disk tier (checksummed whole-report records appended
@@ -46,7 +47,7 @@ pub mod wire;
 pub use daemon::{Daemon, DaemonOptions};
 pub use delta::{defect_id, diff_reports, DeltaReport};
 pub use doctor::DoctorReport;
-pub use pool::{default_workers, run_pool};
+pub use pool::{default_workers, run_in_order};
 pub use protocol::{ErrorCode, Request, MAX_REQUEST_LINE};
 pub use service::{AnalysisService, AppOutcome, BatchCacheStats, ServedReport, ServiceOptions};
 pub use store::{AnalysisStore, DiskStats, GcStats, RenderCell};

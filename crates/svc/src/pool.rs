@@ -8,14 +8,16 @@
 //! result only; the worker rebuilds its private state, which the panic
 //! may have left inconsistent, and keeps going.
 //!
-//! [`run_pool`] is that loop over a fixed job count: workers claim
-//! indices from one atomic counter, so jobs start in input order and
-//! each result lands in its input slot. `nchecker serve`'s dispatcher
-//! runs the same loop over its request queue.
+//! [`run_in_order`] is that loop over a fixed job count, the one pass
+//! every batch makes: workers claim jobs in input order, and each
+//! result reaches an `emit` callback in input order through a reorder
+//! window of [`WINDOW_PER_WORKER`] jobs per worker, so a batch holds a
+//! window of results however long it is. `nchecker serve`'s dispatcher
+//! runs the worker loop over its request queue.
 
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 
 /// Default worker count: available parallelism, capped at 16 (analysis
 /// is memory-bandwidth-bound well before that on bigger hosts).
@@ -60,48 +62,126 @@ pub fn run_workers<J, W, T>(
     });
 }
 
-/// Runs `n` jobs on up to `workers` workers ([`default_workers`] when
-/// `None`; never more than `n`) and returns one result per job, in
+/// Jobs the pool may run ahead of the oldest result not yet emitted,
+/// per worker; the window is never larger than the batch. The slowest
+/// store-mix miss takes about 35 median hits' worth of wall time, so
+/// with twice that per worker the other workers keep claiming behind it
+/// instead of idling (EXPERIMENTS.md, "One pass per batch").
+pub const WINDOW_PER_WORKER: usize = 64;
+
+/// Runs jobs `0..n` on up to `workers` workers ([`default_workers`]
+/// when `None`; never more than `n`) and hands each result to `emit` in
 /// input order: `Err` with the panic message for a job that panicked,
 /// and every other job unaffected. `make_worker` builds each worker's
 /// private state (e.g. a configured checker).
-pub fn run_pool<W, T: Send>(
+///
+/// Workers claim jobs in input order, and a claim waits while the
+/// reorder window ([`WINDOW_PER_WORKER`] jobs per worker) is full, so at
+/// most a window of results is ever held. A result for which `halts`
+/// is true ends the run as soon as it finishes: no later job is
+/// claimed, and `emit` sees that result last. An `emit` that breaks
+/// ends the run the same way, after the result it was given.
+pub fn run_in_order<W, T: Send>(
     n: usize,
     workers: Option<usize>,
     make_worker: impl Fn() -> W + Sync,
     task: impl Fn(&mut W, usize) -> T + Sync,
-) -> Vec<Result<T, String>> {
-    if n == 0 {
-        return Vec::new();
-    }
-    // Relaxed: the counter only hands out indices; results travel
-    // through the slot locks and the scope's join.
-    let claimed = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<T, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    halts: impl Fn(&Result<T, String>) -> bool + Sync,
+    emit: impl FnMut(usize, Result<T, String>) -> ControlFlow<()> + Send,
+) {
+    let workers = workers.unwrap_or_else(default_workers).clamp(1, n.max(1));
+    let window = workers.saturating_mul(WINDOW_PER_WORKER).min(n);
+    let state = Mutex::new(Window {
+        claimed: 0,
+        emitted: 0,
+        end: n,
+        parked: (0..window).map(|_| None).collect(),
+        emit,
+    });
+    let lock = || state.lock().expect("no panic holds the window lock");
+    let turn = Condvar::new();
     run_workers(
-        workers.unwrap_or_else(default_workers).clamp(1, n),
+        workers,
         make_worker,
-        || Some(claimed.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n),
-        |state, &i| task(state, i),
-        |i, result| *slots[i].lock().expect("no panic holds a slot lock") = Some(result),
+        || {
+            let mut st = lock();
+            while st.claimed < st.end && st.claimed - st.emitted == window {
+                st = turn.wait(st).expect("no panic holds the window lock");
+            }
+            (st.claimed < st.end).then(|| {
+                st.claimed += 1;
+                st.claimed - 1
+            })
+        },
+        |worker, &i| task(worker, i),
+        |i, result| {
+            let halt = halts(&result);
+            let mut guard = lock();
+            let st = &mut *guard;
+            if halt {
+                st.end = st.end.min(i + 1);
+            }
+            if i < st.end {
+                st.parked[i % window] = Some(result);
+            }
+            while st.emitted < st.end {
+                let Some(result) = st.parked[st.emitted % window].take() else {
+                    break;
+                };
+                st.emitted += 1;
+                if (st.emit)(st.emitted - 1, result).is_break() {
+                    st.end = st.emitted;
+                }
+            }
+            turn.notify_all();
+        },
     );
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("no panic holds a slot lock")
-                .expect("every claimed job finishes")
-        })
-        .collect()
+}
+
+/// [`run_in_order`]'s reorder window, under one lock. Jobs
+/// `emitted..claimed` are running or parked; `end` is `n`, lowered by a
+/// halting result or a breaking `emit`.
+struct Window<R, E> {
+    claimed: usize,
+    emitted: usize,
+    end: usize,
+    /// Finished results waiting for their turn, job `i` at `i % window`.
+    parked: Vec<Option<R>>,
+    emit: E,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Every result [`run_in_order`] emits, checking that each arrives
+    /// in its input slot.
+    fn collect<W, T: Send>(
+        n: usize,
+        workers: Option<usize>,
+        make_worker: impl Fn() -> W + Sync,
+        task: impl Fn(&mut W, usize) -> T + Sync,
+    ) -> Vec<Result<T, String>> {
+        let mut out = Vec::new();
+        run_in_order(
+            n,
+            workers,
+            make_worker,
+            task,
+            |_| false,
+            |i, result| {
+                assert_eq!(i, out.len(), "results arrive in input order");
+                out.push(result);
+                ControlFlow::Continue(())
+            },
+        );
+        out
+    }
 
     #[test]
     fn all_jobs_complete_in_order_slots() {
-        let out = run_pool(100, Some(4), || (), |(), i| i * 2);
+        let out = collect(100, Some(4), || (), |(), i| i * 2);
         assert_eq!(out.len(), 100);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, Ok(i * 2));
@@ -111,11 +191,119 @@ mod tests {
     #[test]
     fn single_worker_and_more_workers_than_jobs() {
         assert_eq!(
-            run_pool(3, Some(1), || (), |(), i| i),
+            collect(3, Some(1), || (), |(), i| i),
             vec![Ok(0), Ok(1), Ok(2)]
         );
-        assert_eq!(run_pool(2, Some(64), || (), |(), i| i), vec![Ok(0), Ok(1)]);
-        assert!(run_pool(0, None, || (), |(), i: usize| i).is_empty());
+        assert_eq!(collect(2, Some(64), || (), |(), i| i), vec![Ok(0), Ok(1)]);
+        assert!(collect(0, None, || (), |(), i: usize| i).is_empty());
+    }
+
+    #[test]
+    fn the_window_bounds_jobs_claimed_but_not_emitted() {
+        // Job 10 is slow: the other workers keep claiming behind it until
+        // the window is full, and never past it. Results still arrive in
+        // input order, a panicking job's `Err` in its own slot.
+        let workers = 3;
+        let window = workers * WINDOW_PER_WORKER;
+        let (started, emitted, ahead) = (
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+        );
+        let mut out = Vec::new();
+        run_in_order(
+            window * 3,
+            Some(workers),
+            || (),
+            |(), i| {
+                let running = started.fetch_add(1, Ordering::SeqCst) + 1;
+                ahead.fetch_max(running - emitted.load(Ordering::SeqCst), Ordering::SeqCst);
+                match i {
+                    10 => std::thread::sleep(std::time::Duration::from_millis(200)),
+                    20 => panic!("job 20 explodes"),
+                    _ => {}
+                }
+                i
+            },
+            |_| false,
+            |i, result| {
+                assert_eq!(i, out.len(), "results arrive in input order");
+                out.push(result);
+                emitted.fetch_add(1, Ordering::SeqCst);
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(
+            ahead.load(Ordering::SeqCst),
+            window,
+            "the window fills, and no more"
+        );
+        assert_eq!(out.len(), window * 3);
+        for (i, v) in out.iter().enumerate() {
+            match i {
+                20 => assert_eq!(*v, Err("job 20 explodes".to_owned())),
+                _ => assert_eq!(*v, Ok(i)),
+            }
+        }
+    }
+
+    #[test]
+    fn a_halting_result_or_a_breaking_emit_ends_the_run() {
+        // Job 5 halts the run when it finishes: nothing after it is
+        // claimed (one worker) or emitted (any count), and every job
+        // before it is. An emit that breaks on job 3 ends the run there.
+        for workers in [1, 3] {
+            let last_started = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            run_in_order(
+                40,
+                Some(workers),
+                || (),
+                |(), i| {
+                    last_started.fetch_max(i, Ordering::SeqCst);
+                    if i < 5 {
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                    }
+                    i
+                },
+                |result| *result == Ok(5),
+                |i, _| {
+                    seen.push(i);
+                    ControlFlow::Continue(())
+                },
+            );
+            assert_eq!(seen, (0..=5).collect::<Vec<_>>(), "{workers} workers");
+            if workers == 1 {
+                assert_eq!(last_started.load(Ordering::SeqCst), 5);
+            }
+
+            let mut seen = Vec::new();
+            run_in_order(
+                40,
+                Some(workers),
+                || (),
+                |(), i| i,
+                |_| false,
+                |i, _| {
+                    seen.push(i);
+                    if i == 3 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            assert_eq!(seen, (0..=3).collect::<Vec<_>>(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_one_job_batch_holds_a_one_result_window() {
+        // The window is never larger than the batch, and one worker runs
+        // on the calling thread.
+        let caller = std::thread::current().id();
+        let out = collect(1, Some(8), || (), |(), _| std::thread::current().id());
+        assert_eq!(out, vec![Ok(caller)]);
     }
 
     #[test]
@@ -124,7 +312,7 @@ mod tests {
         // contain a panic just like a spawned worker.
         for workers in [3, 1] {
             let rebuilds = AtomicUsize::new(0);
-            let out = run_pool(
+            let out = collect(
                 20,
                 Some(workers),
                 || {
@@ -154,7 +342,7 @@ mod tests {
     #[test]
     fn one_worker_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        let out = run_pool(5, Some(1), || (), |(), _| std::thread::current().id());
+        let out = collect(5, Some(1), || (), |(), _| std::thread::current().id());
         assert!(out.iter().all(|t| *t == Ok(caller)));
     }
 
@@ -165,7 +353,7 @@ mod tests {
         // rises.
         for workers in [1, 4] {
             let claims = Mutex::new(Vec::new());
-            run_pool(
+            collect(
                 64,
                 Some(workers),
                 || (),
@@ -221,7 +409,7 @@ mod tests {
         };
         run_workers(3, build, || None::<usize>, |(), _| (), |_, _| {});
         assert_eq!(builds.load(Ordering::SeqCst), 0);
-        run_pool(4, Some(1), build, |(), i| i);
+        collect(4, Some(1), build, |(), i| i);
         assert_eq!(builds.load(Ordering::SeqCst), 1);
     }
 
@@ -229,7 +417,7 @@ mod tests {
     fn worker_state_is_private_and_reused() {
         // Each worker counts its jobs in private state; totals add up.
         let totals = Mutex::new(Vec::new());
-        let out = run_pool(
+        let out = collect(
             50,
             Some(4),
             || 0usize,

@@ -1,11 +1,13 @@
 //! The batch analysis service: worker pool + analysis cache + checker.
 //!
 //! One [`AnalysisService`] owns a configured checker template, a
-//! two-tier [`AnalysisStore`], and a pool size. A batch runs on
-//! [`run_pool`]: workers claim apps in input order, each on a checker
-//! of its own, and an app whose analysis panics past every containment
-//! inside the pipeline fails alone ([`AnalyzeError::Panic`]). `serve`
-//! runs the same worker loop over its queue. Callers feed it keyed
+//! two-tier [`AnalysisStore`], and a pool size. A batch is one pass on
+//! [`run_in_order`]: a worker claims the next app in input order, loads
+//! its bundle, analyzes it on a checker of its own and drops it, and
+//! each outcome reaches the caller in input order as it finishes. The
+//! pool is the one panic boundary: an app whose analysis panics fails
+//! alone ([`AnalyzeError::Panic`]). `serve` runs the same worker loop
+//! over its queue. Callers feed it keyed
 //! bundles (the key is the app's stable identity across versions —
 //! package name, file path, corpus index) and get reports plus cache
 //! statistics back. The cache has two rungs: an identical bundle under
@@ -19,11 +21,13 @@
 //! truth.
 
 use crate::delta::{diff_reports, DeltaReport};
-use crate::pool::run_pool;
+use crate::pool::run_in_order;
 use crate::store::{render_json, AnalysisStore, RenderCell, StoredEntry};
 use nchecker::cache::{config_fingerprint, AppCacheEntry};
 use nchecker::{AnalyzeError, AppReport, CheckerConfig, NChecker};
 use nck_obs::Obs;
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
@@ -43,8 +47,8 @@ pub struct AppOutcome {
 }
 
 impl AppOutcome {
-    /// The outcome of an app whose analysis panicked through every
-    /// containment inside the pipeline and was caught by the pool.
+    /// The outcome of an app whose analysis panicked and was caught by
+    /// the pool.
     pub(crate) fn panicked(message: String) -> AppOutcome {
         AppOutcome {
             report: Err(AnalyzeError::Panic(message)),
@@ -151,6 +155,16 @@ pub struct BatchCacheStats {
 }
 
 impl BatchCacheStats {
+    /// Adds one outcome: a finished report counts as a hit or a miss,
+    /// and as degraded when it is; a failure counts in none.
+    pub fn count(&mut self, outcome: &AppOutcome) {
+        if let Ok(report) = &outcome.report {
+            self.hits += usize::from(outcome.hit);
+            self.misses += usize::from(!outcome.hit);
+            self.degraded += usize::from(report.degraded());
+        }
+    }
+
     /// Whole-report hit rate in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
         let n = self.hits + self.misses;
@@ -225,30 +239,54 @@ impl AnalysisService {
         &self.store
     }
 
-    /// Analyzes one keyed bundle through the cache.
+    /// Analyzes one keyed bundle through the cache: a one-app batch, on
+    /// the calling thread.
     pub fn analyze_one(&self, key: &str, bytes: &[u8]) -> AppOutcome {
-        let checker = self.make_checker();
-        self.analyze_with_checker(&checker, key, bytes)
+        let mut outcomes = self.analyze_batch(&[(key.to_owned(), bytes.to_vec())]);
+        outcomes.pop().expect("a one-app batch emits its app")
     }
 
-    /// Analyzes a batch of keyed bundles on the worker pool, preserving
-    /// input order. Panicking apps (contained) report
-    /// [`AnalyzeError::Panic`].
+    /// Analyzes a batch of keyed bundles on the worker pool and collects
+    /// the outcomes in input order.
     pub fn analyze_batch(&self, items: &[(String, Vec<u8>)]) -> Vec<AppOutcome> {
-        let outcomes = run_pool(
-            items.len(),
+        let mut outcomes = Vec::with_capacity(items.len());
+        let item = |i: usize| Ok::<_, Infallible>((items[i].0.as_str(), &items[i].1));
+        self.analyze_each(items.len(), item, false, |_, outcome| {
+            let Ok(outcome) = outcome;
+            outcomes.push(outcome);
+            ControlFlow::Continue(())
+        });
+        outcomes
+    }
+
+    /// Analyzes apps `0..n` in one pass over the worker pool. The worker
+    /// that claims app `i` calls `load(i)` for its key and bundle,
+    /// analyzes it and drops the bundle; `emit` receives each outcome in
+    /// input order, or the error that kept the app from loading. A
+    /// panicking analysis reports [`AnalyzeError::Panic`]. With
+    /// `fail_fast`, the first app that fails to load or analyze ends the
+    /// batch: no later app is claimed, and `emit` sees it last. An `emit`
+    /// that breaks ends the batch after that app. The budgeted disk GC
+    /// runs once, at the end.
+    pub fn analyze_each<'k, B: AsRef<[u8]>, E: Send>(
+        &self,
+        n: usize,
+        load: impl Fn(usize) -> Result<(&'k str, B), E> + Sync,
+        fail_fast: bool,
+        mut emit: impl FnMut(usize, Result<AppOutcome, E>) -> ControlFlow<()> + Send,
+    ) {
+        run_in_order(
+            n,
             self.jobs,
             || self.make_checker(),
             |checker, i| {
-                let (key, bytes) = &items[i];
-                self.analyze_with_checker(checker, key, bytes)
+                let (key, bytes) = load(i)?;
+                Ok(self.analyze_with_checker(checker, key, bytes.as_ref()))
             },
-        )
-        .into_iter()
-        .map(|result| result.unwrap_or_else(AppOutcome::panicked))
-        .collect();
+            |result| fail_fast && !matches!(result, Ok(Ok(o)) if o.report.is_ok()),
+            |i, result| emit(i, result.unwrap_or_else(|e| Ok(AppOutcome::panicked(e)))),
+        );
         self.collect_garbage();
-        outcomes
     }
 
     /// Auto-GC: a budgeted service never lets the disk tier grow
@@ -266,11 +304,7 @@ impl AnalysisService {
     pub fn batch_stats(outcomes: &[AppOutcome]) -> BatchCacheStats {
         let mut stats = BatchCacheStats::default();
         for o in outcomes {
-            if let Ok(report) = &o.report {
-                stats.hits += usize::from(o.hit);
-                stats.misses += usize::from(!o.hit);
-                stats.degraded += usize::from(report.degraded());
-            }
+            stats.count(o);
         }
         stats
     }
@@ -283,6 +317,7 @@ impl AnalysisService {
     }
 
     /// Analyzes one keyed bundle through the cache on a worker's checker.
+    /// A panic in the pipeline unwinds to the pool, which contains it.
     pub(crate) fn analyze_with_checker(
         &self,
         checker: &NChecker,
@@ -294,7 +329,7 @@ impl AnalysisService {
         if self.no_cache {
             return AppOutcome {
                 report: checker
-                    .analyze_bytes_checked(bytes)
+                    .analyze_bytes(bytes)
                     .map(|r| ServedReport::decoded(r, None)),
                 hit: false,
                 delta: None,
@@ -359,7 +394,7 @@ impl AnalysisService {
         }
 
         self.store.count_outcome(false, &svc_obs);
-        let report = match checker.analyze_bytes_checked(bytes) {
+        let report = match checker.analyze_bytes(bytes) {
             Ok(report) => report,
             Err(e) => {
                 return AppOutcome {

@@ -582,3 +582,102 @@ fn jobs_flag_accepts_a_worker_count_and_rejects_zero() {
     std::fs::remove_file(&path).ok();
     assert_eq!(zero.status.code(), Some(2), "--jobs 0 is a usage error");
 }
+
+/// The `--log-json` records of type `t`, in file order.
+fn log_records(path: &std::path::Path, t: &str) -> Vec<serde_json::Value> {
+    std::fs::read_to_string(path)
+        .expect("log file written")
+        .lines()
+        .map(|line| -> serde_json::Value {
+            serde_json::from_str(line).expect("every line is JSON")
+        })
+        .filter(|v| v["t"] == t)
+        .collect()
+}
+
+/// An unreadable path is one app that failed, in every count: the
+/// `--doctor` snapshot, the JSONL `run` record, an `app` record of its
+/// own, and `vet`'s summary line.
+#[test]
+fn an_unreadable_path_is_one_failed_app_everywhere() {
+    let mut paths = make_apps("unreadable", 2);
+    let missing = temp_path("unreadable-missing.apk");
+    paths.insert(1, missing.clone());
+    let log_file = temp_path("unreadable.jsonl");
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
+        .args(["--keep-going", "--quiet", "--doctor", "--log-json"])
+        .arg(&log_file)
+        .args(&paths)
+        .output()
+        .expect("cli runs");
+    assert_eq!(out.status.code(), Some(1), "a failed app fails the run");
+    let doctor: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&out.stdout).unwrap()).expect("doctor emits JSON");
+    assert_eq!(doctor["last_run"]["apps"], 3, "{doctor:?}");
+    assert_eq!(doctor["last_run"]["failed"], 1, "{doctor:?}");
+    let run = &log_records(&log_file, "run")[0];
+    assert_eq!(run["apps"], 3, "{run:?}");
+    assert_eq!(run["failed"], 1, "{run:?}");
+    let apps = log_records(&log_file, "app");
+    assert_eq!(apps.len(), 3, "one app record per path: {apps:?}");
+    assert_eq!(apps[1]["app"], missing.to_str().unwrap());
+    assert!(apps[1]["error"].as_str().is_some(), "{apps:?}");
+
+    let vet = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
+        .args(["vet", "--summary", "--no-interproc"])
+        .args(&paths)
+        .output()
+        .expect("vet runs");
+    assert_eq!(vet.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&vet.stderr);
+    assert!(stderr.contains("vet: 3 app(s)"), "{stderr}");
+    assert!(stderr.contains("2 completed, 1 failed"), "{stderr}");
+
+    for p in &paths {
+        std::fs::remove_file(p).ok();
+    }
+    std::fs::remove_file(&log_file).ok();
+}
+
+/// Without `--keep-going`, a batch stops at its first failure: the
+/// reports before it print, the failure is logged, the run exits 1, and
+/// no app after it is analyzed — an unreadable path as a failed
+/// analysis.
+#[test]
+fn fail_fast_prints_the_prefix_and_analyzes_nothing_after_the_failure() {
+    let apps = make_apps("failfast", 2);
+    let missing = temp_path("failfast-missing.apk");
+    let log_file = temp_path("failfast.jsonl");
+    let paths = [&apps[0], &missing, &apps[1]];
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_nchecker"))
+        .args(["--json", "--no-cache", "--jobs", "1", "--log-json"])
+        .arg(&log_file)
+        .args(paths)
+        .output()
+        .expect("cli runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = std::str::from_utf8(&out.stdout).unwrap();
+    let report: serde_json::Value = serde_json::from_str(stdout).expect("one JSON report");
+    assert_eq!(report["stats"]["package"], "com.test.failfast0", "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("{}: ", missing.display())),
+        "{stderr}"
+    );
+    let analyzed: Vec<serde_json::Value> = log_records(&log_file, "app")
+        .into_iter()
+        .map(|v| v["app"].clone())
+        .collect();
+    assert_eq!(
+        analyzed,
+        [apps[0].to_str().unwrap(), missing.to_str().unwrap()],
+        "the third app is never analyzed"
+    );
+
+    for p in &apps {
+        std::fs::remove_file(p).ok();
+    }
+    std::fs::remove_file(&log_file).ok();
+}

@@ -366,6 +366,42 @@ assert cache["mem"]["bytes"] == 0, f"a batch kept memory bytes: {cache['mem']}"
 print(f"batch memory ok: {cache['miss']} misses recomputed, 0 memory entries")
 EOF
 
+echo "==> batch memory gate"
+# A batch reads each bundle when a worker claims it and holds at most a
+# reorder window of results, so its peak RSS must not grow with the
+# batch: `vet` over 1,600 apps may peak at most 10% above `vet` over 200
+# (it grew about 4x while every bundle was read up front). `ru_maxrss`
+# of a child Python starts includes Python's own RSS at exec (vfork),
+# about 13 MiB, so the gate sees growth past that floor: a batch that
+# keeps kilobytes per app, not the path list and disk index.
+mem_dir="$(mktemp -d)"
+trap 'rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir" "$vet_dir" "$mem_dir"' EXIT
+for n in 200 1600; do
+    ./target/release/genapp corpus --seed 7 --count "$n" --shards 16 \
+        "$mem_dir/tree-$n" > /dev/null
+done
+python3 - "$mem_dir" <<'EOF'
+import os, subprocess, sys
+
+root = sys.argv[1]
+peak = {}
+for n in (200, 1600):
+    with open(os.devnull, "wb") as out:
+        child = subprocess.Popen(
+            ["./target/release/nchecker", "vet", "--workers", "2", "--jobs", "1",
+             "--cache-dir", f"{root}/cache-{n}", "--corpus-dir", f"{root}/tree-{n}",
+             "--quiet"],
+            stdout=out,
+        )
+        _, status, usage = os.wait4(child.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, f"vet over {n} apps failed"
+    peak[n] = usage.ru_maxrss  # KiB on Linux
+ratio = peak[1600] / peak[200]
+assert ratio <= 1.10, f"batch peak RSS grows with the batch: {peak} KiB ({ratio:.2f}x)"
+print(f"batch memory ok: peak RSS {peak[200] // 1024} MiB at 200 apps, "
+      f"{peak[1600] // 1024} MiB at 1,600 ({ratio:.2f}x)")
+EOF
+
 echo "==> nckbench smoke test"
 # The benchmark package, built through its own manifest beside the
 # release nchecker it drives: all four workloads at toy sizes with every
@@ -376,7 +412,7 @@ echo "==> nckbench smoke test"
 # are tier-1 tests (tests/corpus.rs, crates/svc/tests/delta.rs).
 cargo build --release --offline --manifest-path nckbench/Cargo.toml --target-dir target
 bench_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir" "$vet_dir" "$bench_dir"' EXIT
+trap 'rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir" "$vet_dir" "$mem_dir" "$bench_dir"' EXIT
 ./target/release/nckbench --smoke --out "$bench_dir"
 
 echo "CI green."
