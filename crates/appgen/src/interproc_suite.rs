@@ -199,16 +199,13 @@ pub fn helper_mix(seed: u64, size: usize) -> Vec<AppSpec> {
 
 /// Runs the checker over the extended suite under `config` and tallies
 /// per-row accuracy against the oracles.
-pub fn evaluate_interproc_with(config: nchecker::CheckerConfig) -> BTreeMap<Table9Row, Accuracy> {
+pub fn evaluate_interproc(config: nchecker::CheckerConfig) -> BTreeMap<Table9Row, Accuracy> {
     tally_accuracy(&interproc_apps(), config)
 }
 
 /// The defect kinds reported for one spec under `config` (per-app raw
 /// material for the ablation comparison).
-pub fn report_kinds_with(
-    spec: &AppSpec,
-    config: nchecker::CheckerConfig,
-) -> Vec<nchecker::DefectKind> {
+pub fn report_kinds(spec: &AppSpec, config: nchecker::CheckerConfig) -> Vec<nchecker::DefectKind> {
     let apk = crate::gen::generate(spec);
     let report = nchecker::NChecker::with_config(config)
         .analyze_apk(&apk)
@@ -235,7 +232,7 @@ mod tests {
         assert!(mix.iter().any(|s| uses_helper_idioms(s) && chained(s)));
         assert!(mix.iter().any(|s| uses_helper_idioms(s) && !chained(s)));
         for spec in &mix {
-            let mut got = report_kinds_with(spec, CheckerConfig::default());
+            let mut got = report_kinds(spec, CheckerConfig::default());
             let mut want = spec.expected_tool_report();
             got.sort_by_key(|k| format!("{k:?}"));
             want.sort_by_key(|k| format!("{k:?}"));
@@ -250,7 +247,7 @@ mod tests {
 
     #[test]
     fn summary_engine_matches_the_oracle_exactly() {
-        let table = evaluate_interproc_with(CheckerConfig::default());
+        let table = evaluate_interproc(CheckerConfig::default());
         let (_, fp, known_fn) = totals(&table);
         assert_eq!(fp, 0, "engine on: no false positives: {table:?}");
         assert_eq!(known_fn, 0, "engine on: no false negatives: {table:?}");
@@ -258,8 +255,8 @@ mod tests {
 
     #[test]
     fn ablation_strictly_worse_without_the_engine() {
-        let on = totals(&evaluate_interproc_with(CheckerConfig::default()));
-        let off = totals(&evaluate_interproc_with(CheckerConfig {
+        let on = totals(&evaluate_interproc(CheckerConfig::default()));
+        let off = totals(&evaluate_interproc(CheckerConfig {
             interproc: false,
             ..CheckerConfig::default()
         }));
@@ -285,8 +282,8 @@ mod tests {
                 continue;
             }
             baseline += 1;
-            let mut a = report_kinds_with(&spec, CheckerConfig::default());
-            let mut b = report_kinds_with(&spec, off);
+            let mut a = report_kinds(&spec, CheckerConfig::default());
+            let mut b = report_kinds(&spec, off);
             a.sort_by_key(|k| format!("{k:?}"));
             b.sort_by_key(|k| format!("{k:?}"));
             assert_eq!(a, b, "baseline app {} must not shift", spec.package);

@@ -248,15 +248,11 @@ pub struct Accuracy {
     pub known_fn: usize,
 }
 
-/// Runs the checker over the 16 apps and tallies accuracy against the
-/// specs' oracles, with the paper's default configuration.
-pub fn evaluate_accuracy() -> std::collections::BTreeMap<Table9Row, Accuracy> {
-    evaluate_accuracy_with(nchecker::CheckerConfig::default())
-}
-
-/// Runs the accuracy evaluation under a specific checker configuration
-/// (used by the ICC / strict-connectivity / summary-engine ablations).
-pub fn evaluate_accuracy_with(
+/// Runs the checker over the 16 apps under `config` and tallies
+/// accuracy against the specs' oracles. Table 9 uses the paper's
+/// default configuration; the ICC, strict-connectivity and
+/// summary-engine ablations pass their own.
+pub fn evaluate_accuracy(
     config: nchecker::CheckerConfig,
 ) -> std::collections::BTreeMap<Table9Row, Accuracy> {
     tally_accuracy(&open_source_apps(), config)
@@ -314,7 +310,7 @@ mod tests {
 
     #[test]
     fn accuracy_matches_table9() {
-        let table = evaluate_accuracy();
+        let table = evaluate_accuracy(nchecker::CheckerConfig::default());
         let get = |r: Table9Row| table[&r];
         assert_eq!(
             get(Table9Row::Conn),

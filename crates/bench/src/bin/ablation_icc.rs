@@ -8,10 +8,10 @@
 //! evaluation under each configuration.
 
 use nchecker::CheckerConfig;
-use nck_appgen::opensource::{evaluate_accuracy_with, Table9Row};
+use nck_appgen::opensource::{evaluate_accuracy, Table9Row};
 
 fn totals(config: CheckerConfig) -> (usize, usize, usize) {
-    let table = evaluate_accuracy_with(config);
+    let table = evaluate_accuracy(config);
     Table9Row::ALL.iter().fold((0, 0, 0), |(c, f, n), row| {
         let a = table[row];
         (c + a.correct, f + a.fp, n + a.known_fn)

@@ -11,7 +11,7 @@
 
 use nchecker::{CheckerConfig, NChecker};
 use nck_appgen::interproc_suite::{
-    evaluate_interproc_with, interproc_apps, report_kinds_with, uses_helper_idioms,
+    evaluate_interproc, interproc_apps, report_kinds, uses_helper_idioms,
 };
 use nck_appgen::opensource::Table9Row;
 
@@ -26,7 +26,7 @@ fn local_config() -> CheckerConfig {
 }
 
 fn totals(config: CheckerConfig) -> (usize, usize, usize) {
-    let table = evaluate_interproc_with(config);
+    let table = evaluate_interproc(config);
     Table9Row::ALL.iter().fold((0, 0, 0), |(c, f, n), row| {
         let a = table[row];
         (c + a.correct, f + a.fp, n + a.known_fn)
@@ -67,8 +67,8 @@ fn main() {
     );
 
     println!("\nPer-row delta (engine on vs off):");
-    let ton = evaluate_interproc_with(on);
-    let toff = evaluate_interproc_with(off);
+    let ton = evaluate_interproc(on);
+    let toff = evaluate_interproc(off);
     for row in Table9Row::ALL {
         let (a, b) = (ton[&row], toff[&row]);
         if a != b {
@@ -89,8 +89,8 @@ fn main() {
         if uses_helper_idioms(&spec) {
             continue;
         }
-        let mut a = report_kinds_with(&spec, on);
-        let mut b = report_kinds_with(&spec, off);
+        let mut a = report_kinds(&spec, on);
+        let mut b = report_kinds(&spec, off);
         a.sort_by_key(|k| format!("{k:?}"));
         b.sort_by_key(|k| format!("{k:?}"));
         assert_eq!(a, b, "baseline app {} shifted", spec.package);

@@ -2,11 +2,13 @@
 //! connectivity checks (red) and timeouts (blue), among apps that set
 //! the API at least once but not everywhere.
 
-use nchecker::CorpusStats;
-use nck_bench::{aggregate, downsample, print_series, run_corpus, SEED};
+use nchecker::{CheckerConfig, CorpusStats};
+use nck_appgen::profile::corpus;
+use nck_bench::{aggregate, downsample, print_series, run_specs, SEED};
+use nck_obs::Obs;
 
 fn main() {
-    let reports = run_corpus(SEED);
+    let reports = run_specs(&corpus(SEED), CheckerConfig::default(), &Obs::disabled()).expect_all();
     let stats = aggregate(&reports);
 
     let conn = CorpusStats::cdf(&stats.conn_miss_ratios());

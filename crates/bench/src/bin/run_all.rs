@@ -5,7 +5,7 @@
 //! `BENCH_pipeline.json`.
 
 use nchecker::{CheckerConfig, CorpusStats};
-use nck_bench::{aggregate, collect_obs, downsample, latency_series, try_run_specs_with, SEED};
+use nck_bench::{aggregate, collect_obs, downsample, latency_series, run_specs, SEED};
 use nck_obs::{MetricsSnapshot, Obs, PhaseTotals, Series};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
@@ -112,7 +112,7 @@ fn main() {
     let mut best = None;
     for _ in 0..passes {
         let start = std::time::Instant::now();
-        let outcome = try_run_specs_with(&specs, CheckerConfig::default(), &Obs::enabled());
+        let outcome = run_specs(&specs, CheckerConfig::default(), &Obs::enabled());
         let elapsed = start.elapsed();
         if best
             .as_ref()

@@ -1,10 +1,13 @@
 //! Regenerates Table 6: percentage of buggy apps detected by NChecker,
 //! categorized by NPD cause, over the full 285-app corpus.
 
-use nck_bench::{aggregate, run_corpus, SEED};
+use nchecker::CheckerConfig;
+use nck_appgen::profile::corpus;
+use nck_bench::{aggregate, run_specs, SEED};
+use nck_obs::Obs;
 
 fn main() {
-    let reports = run_corpus(SEED);
+    let reports = run_specs(&corpus(SEED), CheckerConfig::default(), &Obs::disabled()).expect_all();
     let stats = aggregate(&reports);
     println!("Table 6: Percent of buggy apps detected by NChecker by NPD cause");
     println!("{:-<100}", "");

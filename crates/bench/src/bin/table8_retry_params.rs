@@ -1,10 +1,13 @@
 //! Regenerates Table 8: ratio of apps with inappropriate retry
 //! behaviours among those using retry-capable libraries.
 
-use nck_bench::{aggregate, run_corpus, SEED};
+use nchecker::CheckerConfig;
+use nck_appgen::profile::corpus;
+use nck_bench::{aggregate, run_specs, SEED};
+use nck_obs::Obs;
 
 fn main() {
-    let reports = run_corpus(SEED);
+    let reports = run_specs(&corpus(SEED), CheckerConfig::default(), &Obs::disabled()).expect_all();
     let stats = aggregate(&reports);
     println!("Table 8: Apps with inappropriate retry behaviours");
     println!("{:-<72}", "");

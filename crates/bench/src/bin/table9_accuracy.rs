@@ -4,7 +4,7 @@
 use nck_appgen::opensource::{evaluate_accuracy, Table9Row};
 
 fn main() {
-    let table = evaluate_accuracy();
+    let table = evaluate_accuracy(nchecker::CheckerConfig::default());
     println!("Table 9: NChecker results on the 16 open-source apps");
     println!("{:-<72}", "");
     println!(

@@ -2,7 +2,6 @@
 //! rendering helpers.
 
 use nchecker::{AnalyzeError, AppReport, CheckerConfig, CorpusStats, NChecker};
-use nck_appgen::profile::corpus;
 use nck_appgen::spec::AppSpec;
 use nck_obs::{MetricsSnapshot, Obs, PhaseTotals, Series};
 
@@ -31,22 +30,37 @@ impl std::fmt::Display for AppFailure {
 /// where the app failed) plus the failure records.
 #[derive(Debug, Default)]
 pub struct CorpusOutcome {
-    /// One slot per input spec, in order.
+    /// One slot per input, in order.
     pub reports: Vec<Option<AppReport>>,
     /// Apps that failed to generate or analyze, in index order.
     pub failures: Vec<AppFailure>,
 }
 
 impl CorpusOutcome {
-    /// The successfully analyzed reports, in spec order.
+    /// The successfully analyzed reports, in input order.
     pub fn succeeded(&self) -> Vec<&AppReport> {
         self.reports.iter().flatten().collect()
     }
 
     /// Consumes the outcome, keeping only the successful reports (in
-    /// spec order).
+    /// input order).
     pub fn into_succeeded(self) -> Vec<AppReport> {
         self.reports.into_iter().flatten().collect()
+    }
+
+    /// Every report of a trusted corpus, in input order. Any failure is
+    /// a harness bug, so this panics listing every failed app.
+    pub fn expect_all(self) -> Vec<AppReport> {
+        if !self.failures.is_empty() {
+            let lines: Vec<String> = self.failures.iter().map(|f| f.to_string()).collect();
+            panic!(
+                "{} of {} corpus apps failed to analyze:\n  {}",
+                self.failures.len(),
+                self.reports.len(),
+                lines.join("\n  ")
+            );
+        }
+        self.into_succeeded()
     }
 
     /// Number of successful apps whose analysis was degraded (some
@@ -60,70 +74,30 @@ impl CorpusOutcome {
     }
 }
 
-/// Generates, serializes, re-parses, and analyzes every corpus app,
-/// returning per-app reports. The serialize/parse round trip is
-/// deliberate: the checker must consume *binaries*, as in the paper.
-pub fn run_corpus(seed: u64) -> Vec<AppReport> {
-    let specs = corpus(seed);
-    run_specs(&specs)
-}
-
-/// Analyzes a list of specs in parallel.
-pub fn run_specs(specs: &[AppSpec]) -> Vec<AppReport> {
-    run_specs_with(specs, CheckerConfig::default(), &Obs::disabled())
-}
-
-/// Analyzes a list of specs in parallel with explicit checker toggles
-/// and an observability template. Each worker derives fresh sinks from
-/// `obs` (see [`Obs::fresh`]), so traces and metrics land per-app on the
-/// returned [`AppReport`]s; aggregate them with [`collect_obs`].
-///
-/// The corpus is trusted here: any per-app failure is a harness bug, so
-/// this panics (after the whole run completes) with the failure list.
-/// Use [`try_run_specs_with`] for inputs that are allowed to fail.
-pub fn run_specs_with(specs: &[AppSpec], config: CheckerConfig, obs: &Obs) -> Vec<AppReport> {
-    let outcome = try_run_specs_with(specs, config, obs);
-    if !outcome.failures.is_empty() {
-        let lines: Vec<String> = outcome.failures.iter().map(|f| f.to_string()).collect();
-        panic!(
-            "{} of {} corpus apps failed to analyze:\n  {}",
-            outcome.failures.len(),
-            specs.len(),
-            lines.join("\n  ")
-        );
-    }
-    outcome
-        .reports
-        .into_iter()
-        .map(|r| r.expect("no failures recorded"))
-        .collect()
-}
-
-/// Fault-tolerant corpus run: analyzes every spec in parallel and always
-/// returns, even when individual apps fail or panic.
+/// Generates, serializes and analyzes every spec in parallel under
+/// `config`. The serialize/parse round trip is deliberate: the checker
+/// must consume *binaries*, as in the paper. Each worker derives fresh
+/// sinks from `obs` (see [`Obs::fresh`]), so traces and metrics land
+/// per-app on the reports; aggregate them with [`collect_obs`].
 ///
 /// The pool contains a panic in generation or analysis, so one
 /// adversarial or bug-triggering app cannot abort the run or take other
 /// workers down with it. Failed apps leave a `None` in their slot and an
-/// [`AppFailure`] record.
-pub fn try_run_specs_with(specs: &[AppSpec], config: CheckerConfig, obs: &Obs) -> CorpusOutcome {
+/// [`AppFailure`] record; [`CorpusOutcome::expect_all`] is the trusted
+/// corpus's view.
+pub fn run_specs(specs: &[AppSpec], config: CheckerConfig, obs: &Obs) -> CorpusOutcome {
     run_fault_tolerant(
         specs.len(),
         config,
         obs,
-        |checker, i| analyze_one(checker, &specs[i]),
+        |checker, i| checker.analyze_bytes(&nck_appgen::generate(&specs[i]).to_bytes()),
         |i| specs[i].package.clone(),
     )
 }
 
-/// Fault-tolerant run over pre-serialized bundles (binaries on disk or
-/// mutated in memory) instead of trusted specs. Same containment
-/// guarantees as [`try_run_specs_with`].
-pub fn try_run_bundles_with(
-    bundles: &[Vec<u8>],
-    config: CheckerConfig,
-    obs: &Obs,
-) -> CorpusOutcome {
+/// [`run_specs`] over serialized bundles (binaries on disk or mutated
+/// in memory) instead of specs.
+pub fn run_bundles(bundles: &[Vec<u8>], config: CheckerConfig, obs: &Obs) -> CorpusOutcome {
     run_fault_tolerant(
         bundles.len(),
         config,
@@ -174,12 +148,6 @@ fn run_fault_tolerant(
         },
     );
     outcome
-}
-
-/// Generates and analyzes one spec. A panic in either is the pool's to
-/// contain.
-fn analyze_one(checker: &NChecker, spec: &AppSpec) -> Result<AppReport, AnalyzeError> {
-    checker.analyze_bytes(&nck_appgen::generate(spec).to_bytes())
 }
 
 /// Folds the per-app traces and metrics of `reports` into corpus-level
@@ -269,7 +237,7 @@ mod tests {
     #[test]
     fn small_spec_run_roundtrips() {
         let specs = vec![nck_appgen::studyapps::gpslogger()];
-        let reports = run_specs(&specs);
+        let reports = run_specs(&specs, CheckerConfig::default(), &Obs::disabled()).expect_all();
         assert_eq!(reports.len(), 1);
         assert!(!reports[0].defects.is_empty());
         let stats = aggregate(&reports);
@@ -282,7 +250,7 @@ mod tests {
             nck_appgen::studyapps::gpslogger(),
             nck_appgen::studyapps::gpslogger(),
         ];
-        let reports = run_specs_with(&specs, nchecker::CheckerConfig::default(), &Obs::enabled());
+        let reports = run_specs(&specs, CheckerConfig::default(), &Obs::enabled()).expect_all();
         for r in &reports {
             let trace = r.trace.as_ref().expect("trace attached");
             assert!(trace.find("context").is_some());

@@ -4,7 +4,7 @@
 use nchecker::{AnalyzeError, CheckerConfig};
 use nck_appgen::mutate::mutate;
 use nck_appgen::spec::{AppSpec, Origin, RequestSpec};
-use nck_bench::{try_run_bundles_with, try_run_specs_with};
+use nck_bench::{run_bundles, run_specs};
 use nck_netlibs::library::Library;
 use nck_obs::Obs;
 
@@ -26,7 +26,7 @@ fn corrupt_bundle_does_not_block_the_corpus() {
     bundles[1] = mutate(&apks[1], 0).0;
     bundles[2] = b"not an apk at all".to_vec();
 
-    let outcome = try_run_bundles_with(&bundles, CheckerConfig::default(), &Obs::disabled());
+    let outcome = run_bundles(&bundles, CheckerConfig::default(), &Obs::disabled());
 
     assert_eq!(outcome.reports.len(), 4);
     // The healthy apps analyzed and reported their defects.
@@ -56,7 +56,7 @@ fn corrupt_bundle_does_not_block_the_corpus() {
 #[test]
 fn healthy_specs_yield_no_failures() {
     let specs: Vec<_> = (0..3).map(|i| spec(&format!("com.ok.app{i}"))).collect();
-    let outcome = try_run_specs_with(&specs, CheckerConfig::default(), &Obs::disabled());
+    let outcome = run_specs(&specs, CheckerConfig::default(), &Obs::disabled());
     assert!(outcome.failures.is_empty());
     assert_eq!(outcome.succeeded().len(), 3);
     assert_eq!(outcome.degraded_count(), 0);

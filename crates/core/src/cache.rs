@@ -9,7 +9,7 @@
 //! degraded run skipped methods whose behaviour is unknown.
 //!
 //! The entry carries the analysis-configuration fingerprint
-//! ([`config_fingerprint`]): toggling any checker or bumping
+//! ([`config_fingerprint`]): changing any option or bumping
 //! [`ANALYSIS_VERSION`] changes the key, so a report computed under
 //! other semantics is never served.
 
@@ -26,26 +26,19 @@ use std::sync::Arc;
 /// lifter, the summary engine, or the report format changes meaning, so
 /// persisted cache tiers from older builds miss instead of serving
 /// stale results.
-pub const ANALYSIS_VERSION: u32 = 2;
+pub const ANALYSIS_VERSION: u32 = 3;
 
 /// Fingerprint of the analysis configuration: every [`CheckerConfig`]
-/// toggle plus [`ANALYSIS_VERSION`]. Two runs may share cached results
+/// option plus [`ANALYSIS_VERSION`]. Two runs may share cached results
 /// only when these match.
 pub fn config_fingerprint(config: &CheckerConfig) -> u64 {
     let mut h = Fnv::new();
     h.u32(ANALYSIS_VERSION);
     for (name, on) in [
-        ("connectivity", config.connectivity),
-        ("timeout", config.timeout),
-        ("retry", config.retry),
-        ("retry_params", config.retry_params),
-        ("notification", config.notification),
-        ("response", config.response),
         ("custom_retry", config.custom_retry),
         ("icc", config.icc),
         ("strict_connectivity", config.strict_connectivity),
         ("interproc", config.interproc),
-        ("targeted", false), // retired mode, hashed off so persisted keys still match
     ] {
         h.str(name).u32(u32::from(on));
     }
@@ -136,18 +129,7 @@ mod tests {
                 } )*
             };
         }
-        flip!(
-            connectivity,
-            timeout,
-            retry,
-            retry_params,
-            notification,
-            response,
-            custom_retry,
-            icc,
-            strict_connectivity,
-            interproc
-        );
+        flip!(custom_retry, icc, strict_connectivity, interproc);
         let mut c = base;
         c.strict_caller_depth = Some(3);
         variants.push(c);
@@ -155,7 +137,18 @@ mod tests {
         let mut fps: Vec<u64> = variants.iter().map(config_fingerprint).collect();
         fps.push(fp);
         let distinct: std::collections::BTreeSet<u64> = fps.iter().copied().collect();
-        assert_eq!(distinct.len(), fps.len(), "every toggle moves the key");
+        assert_eq!(distinct.len(), fps.len(), "every option moves the key");
+    }
+
+    /// The default key, as `--doctor` prints it: a change that moves it
+    /// invalidates every persisted entry.
+    #[test]
+    fn default_config_fingerprint_is_pinned() {
+        assert_eq!(ANALYSIS_VERSION, 3);
+        assert_eq!(
+            format!("{:016x}", config_fingerprint(&CheckerConfig::default())),
+            "a7e1e7c0d122c59d"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use nck_android::apk::{Apk, ApkError};
 use nck_dex::verify::{VerifyError, VerifyScope};
 use nck_dex::AdxFile;
 use nck_ir::body::Program;
-use nck_ir::lift::LiftError;
+use nck_ir::lift::SkipReason;
 use nck_netlibs::api::Registry;
 use nck_netlibs::library::Library;
 use nck_obs::{Metrics, MetricsSnapshot, Obs, PipelineTrace};
@@ -23,21 +23,10 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
-/// Which analyses to run.
+/// Analysis options. Every checker always runs, as in the paper's
+/// evaluation; these select the variants and ablations.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckerConfig {
-    /// Check connectivity guards (§4.4.1).
-    pub connectivity: bool,
-    /// Check timeout config APIs (§4.4.1).
-    pub timeout: bool,
-    /// Check retry config APIs (§4.4.1).
-    pub retry: bool,
-    /// Check retry parameters against the request context (§4.4.2).
-    pub retry_params: bool,
-    /// Check failure notifications (§4.4.3).
-    pub notification: bool,
-    /// Check response validity (§4.4.4).
-    pub response: bool,
     /// Identify customized retry loops (§4.5); disabling this is the
     /// ablation of the loop rules.
     pub custom_retry: bool,
@@ -63,12 +52,6 @@ pub struct CheckerConfig {
 impl Default for CheckerConfig {
     fn default() -> Self {
         CheckerConfig {
-            connectivity: true,
-            timeout: true,
-            retry: true,
-            retry_params: true,
-            notification: true,
-            response: true,
             custom_retry: true,
             icc: false,
             strict_connectivity: false,
@@ -218,8 +201,6 @@ impl AppReport {
 pub enum AnalyzeError {
     /// The container failed to parse.
     Apk(ApkError),
-    /// The bytecode failed to lift.
-    Lift(LiftError),
     /// Structural verification found damage wider than a single method
     /// (class- or file-scoped), leaving no sound way to analyze the app.
     Verify(Vec<VerifyError>),
@@ -234,7 +215,6 @@ impl std::fmt::Display for AnalyzeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AnalyzeError::Apk(e) => write!(f, "apk: {e}"),
-            AnalyzeError::Lift(e) => write!(f, "lift: {e}"),
             AnalyzeError::Verify(errs) => match errs.first() {
                 Some(first) if errs.len() > 1 => {
                     write!(f, "verify: {first} (+{} more)", errs.len() - 1)
@@ -271,7 +251,7 @@ impl AnalyzeError {
 #[derive(Debug, Default)]
 pub struct NChecker {
     registry: Registry,
-    /// Analysis toggles.
+    /// Analysis options.
     pub config: CheckerConfig,
     /// Observability template. Disabled by default; each analyzed app
     /// mints fresh sinks from it via [`Obs::fresh`], so span trees and
@@ -347,7 +327,7 @@ impl NChecker {
         NChecker::default()
     }
 
-    /// Creates a checker with specific toggles.
+    /// Creates a checker with specific options.
     pub fn with_config(config: CheckerConfig) -> NChecker {
         NChecker {
             registry: Registry::standard(),
@@ -405,8 +385,7 @@ impl NChecker {
     }
 
     /// The one analysis pipeline behind every entry point: parse →
-    /// verify → degraded branch or prescan fast path → lift → context →
-    /// checkers.
+    /// verify → prescan fast path → lift → context → checkers.
     fn pipeline(&self, input: Input<'_>, obs: &Obs) -> Result<AppReport, AnalyzeError> {
         let parsed;
         let apk = match input {
@@ -432,89 +411,80 @@ impl NChecker {
         };
         obs.metrics.inc("verify.errors", errors.len() as u64);
 
-        // A clean bundle ends at the prescan when its pool is clean, and
-        // otherwise lifts strictly.
-        let program = if errors.is_empty() {
+        // Damage wider than one method (class or file scope) leaves no
+        // sound way to analyze the app.
+        let wide: Vec<VerifyError> = errors
+            .iter()
+            .filter(|e| e.scope != VerifyScope::Method)
+            .cloned()
+            .collect();
+        if !wide.is_empty() {
+            return Err(AnalyzeError::Verify(wide));
+        }
+        // The verifier flags every method the lifter would reject, so a
+        // clean bundle lifts whole and the prescan may answer it.
+        if errors.is_empty() {
             if let Some(report) = self.pool_clean_report(apk, obs) {
                 return Ok(report);
             }
+        }
+
+        // Method-scoped damage skips just that method. The report is
+        // then incomplete, so it is never cached.
+        let mut bad_methods: BTreeMap<&str, String> = BTreeMap::new();
+        for e in &errors {
+            bad_methods
+                .entry(&e.method)
+                .or_insert_with(|| e.to_string());
+        }
+        let policy = |name: &str| bad_methods.get(name).cloned();
+        let (program, lift_skips) = {
             let _s = obs.tracer.span("lift");
-            let program = nck_ir::lift_file(&apk.adx).ok();
-            if let Some(p) = &program {
-                record_lift(&obs.metrics, p);
-            }
-            program
-        } else {
-            None
+            let (program, skips) =
+                nck_ir::lift_skipping(&apk.adx, (!errors.is_empty()).then_some(&policy));
+            record_lift(&obs.metrics, &program);
+            (program, skips)
         };
-
-        // Degraded branch: method-scoped damage (or a method the strict
-        // lifter rejects) skips just that method; anything wider (class
-        // or file scope) is unanalyzable. The report is incomplete, so
-        // it is never cached.
-        let Some(program) = program else {
-            let wide: Vec<VerifyError> = errors
-                .iter()
-                .filter(|e| e.scope != VerifyScope::Method)
-                .cloned()
-                .collect();
-            if !wide.is_empty() {
-                return Err(AnalyzeError::Verify(wide));
-            }
-            let mut bad_methods: BTreeMap<String, String> = BTreeMap::new();
-            for e in &errors {
-                bad_methods
-                    .entry(e.method.clone())
-                    .or_insert_with(|| e.to_string());
-            }
-            let (program, lift_skips) = {
-                let _s = obs.tracer.span("lift");
-                let (program, skips) =
-                    nck_ir::lift_file_lenient(&apk.adx, &|name| bad_methods.get(name).cloned());
-                record_lift(&obs.metrics, &program);
-                (program, skips)
-            };
-            let skipped_methods: Vec<AnalysisSkip> = lift_skips
-                .into_iter()
-                .map(|s| AnalysisSkip {
-                    cause: if bad_methods.contains_key(&s.method) {
-                        SkipCause::Verify
-                    } else {
-                        SkipCause::Lift
-                    },
+        // A lift failure the verifier missed is a backstop only.
+        let skipped_methods: Vec<AnalysisSkip> = lift_skips
+            .into_iter()
+            .map(|s| {
+                let (cause, detail) = match s.reason {
+                    SkipReason::Policy(detail) => (SkipCause::Verify, detail),
+                    SkipReason::Lift(err) => (SkipCause::Lift, err.to_string()),
+                };
+                AnalysisSkip {
                     method: s.method,
-                    detail: s.reason,
-                })
-                .collect();
-            if !skipped_methods.is_empty() {
-                obs.metrics
-                    .inc("analyze.skipped_methods", skipped_methods.len() as u64);
-                obs.events.warn(&format!(
-                    "{}: degraded analysis, {} method(s) skipped (first: {})",
-                    apk.manifest.package,
-                    skipped_methods.len(),
-                    skipped_methods[0].method
-                ));
-                for s in &skipped_methods {
-                    obs.events
-                        .debug(&format!("skipped {} [{}]: {}", s.method, s.cause, s.detail));
+                    cause,
+                    detail,
                 }
+            })
+            .collect();
+        if !skipped_methods.is_empty() {
+            obs.metrics
+                .inc("analyze.skipped_methods", skipped_methods.len() as u64);
+            obs.events.warn(&format!(
+                "{}: degraded analysis, {} method(s) skipped (first: {})",
+                apk.manifest.package,
+                skipped_methods.len(),
+                skipped_methods[0].method
+            ));
+            for s in &skipped_methods {
+                obs.events
+                    .debug(&format!("skipped {} [{}]: {}", s.method, s.cause, s.detail));
             }
-            let app = AnalyzedApp::with_obs(apk.manifest.clone(), program, &self.registry, obs);
-            let mut report = self.analyze_with(&app, obs);
-            report.skipped_methods = skipped_methods;
-            return Ok(report);
-        };
-
-        let app = AnalyzedApp::with_obs(apk.manifest.clone(), program, &self.registry, obs);
-        Ok(self.analyze_with(&app, obs))
+        }
+        let app = AnalyzedApp::new(apk.manifest.clone(), program, &self.registry, obs);
+        let mut report = self.analyze_with(&app, obs);
+        report.skipped_methods = skipped_methods;
+        Ok(report)
     }
 
     /// The prescan fast path, shared by every entry point: when no
     /// method-pool entry names a relevant API, no statement anywhere in
     /// the bundle can invoke one, so the checkers find zero request
-    /// sites and zero retry loops. For a bundle that verified clean — no method the
-    /// lifter could skip — that whole-app report is the empty one, and
+    /// sites and zero retry loops. For a bundle that verified clean — no
+    /// method the lifter could skip — that whole-app report is the empty one, and
     /// it is returned without lifting a single instruction. `None` means
     /// the pipeline must run: the pool names a relevant API, or `icc` is
     /// on (the ICC model reads component bodies beyond request sites).
@@ -697,7 +667,7 @@ impl NChecker {
             } else {
                 is_guarded(app, site, &conn_methods, self.config.interproc)
             } || icc_conn_guard;
-            if self.config.connectivity && !conn_ok {
+            if !conn_ok {
                 report.stats.requests_missing_conn += 1;
                 let mut ev = vec![Evidence::Absence {
                     what: "connectivity check guarding the request".into(),
@@ -745,7 +715,7 @@ impl NChecker {
                     what: "config API call on the request object".into(),
                 })
                 .collect();
-            if self.config.timeout && !sc.has_timeout {
+            if !sc.has_timeout {
                 report.stats.requests_missing_timeout += 1;
                 let mut ev = vec![Evidence::Absence {
                     what: format!("timeout config API call for {api}"),
@@ -761,7 +731,7 @@ impl NChecker {
             }
             if site.library().has_retry_api() {
                 report.stats.retry_capable_requests += 1;
-                if self.config.retry && !sc.has_retry_config && !custom {
+                if !sc.has_retry_config && !custom {
                     report.stats.requests_missing_retry += 1;
                     let ev = vec![Evidence::Absence {
                         what: format!("retry config API call or custom retry loop for {api}"),
@@ -783,7 +753,7 @@ impl NChecker {
             // behaviour only for apps "that use libraries with retry
             // APIs" (Table 8, 91 apps).
             let t0 = timing.then(Instant::now);
-            if self.config.retry_params && site.library().has_retry_api() {
+            if site.library().has_retry_api() {
                 // `None` means a retry API was invoked with an unknown
                 // count: retries are enabled.
                 let retries_enabled = sc.effective_retries.map(|n| n > 0).unwrap_or(true);
@@ -860,7 +830,7 @@ impl NChecker {
             // error message is only helpful when the user initiates the
             // request").
             let t0 = timing.then(Instant::now);
-            if self.config.notification && site.user_initiated {
+            if site.user_initiated {
                 report.stats.user_requests += 1;
                 let nf = check_notification(app, site);
                 if nf.explicit_error_callback {
@@ -922,8 +892,6 @@ impl NChecker {
                         );
                     }
                 }
-            } else if site.user_initiated {
-                report.stats.user_requests += 1;
             }
             if let Some(t0) = t0 {
                 t_notif += t0.elapsed();
@@ -931,34 +899,32 @@ impl NChecker {
 
             // §4.4.4 — response validity.
             let t0 = timing.then(Instant::now);
-            if self.config.response {
-                if let Some(rf) = check_response(app, site, self.config.interproc) {
-                    if !rf.uses.is_empty() {
-                        report.stats.responses += 1;
-                        if !rf.unchecked_uses.is_empty() {
-                            report.stats.responses_missing_check += 1;
-                            let mut ev: Vec<Evidence> = rf
-                                .unchecked_uses
-                                .iter()
-                                .take(3)
-                                .map(|u| Evidence::IrFact {
-                                    method: site_method.clone(),
-                                    stmt: u.0,
-                                    what: "response value used without a dominating validity check"
-                                        .into(),
-                                })
-                                .collect();
-                            ev.push(Evidence::Absence {
-                                what: "null/validity check dominating the response use".into(),
-                                scanned: rf.uses.len(),
-                            });
-                            push(
-                                &mut report,
-                                DefectKind::MissedResponseCheck,
-                                "Response used without a validity/null check".to_owned(),
-                                ev,
-                            );
-                        }
+            if let Some(rf) = check_response(app, site, self.config.interproc) {
+                if !rf.uses.is_empty() {
+                    report.stats.responses += 1;
+                    if !rf.unchecked_uses.is_empty() {
+                        report.stats.responses_missing_check += 1;
+                        let mut ev: Vec<Evidence> = rf
+                            .unchecked_uses
+                            .iter()
+                            .take(3)
+                            .map(|u| Evidence::IrFact {
+                                method: site_method.clone(),
+                                stmt: u.0,
+                                what: "response value used without a dominating validity check"
+                                    .into(),
+                            })
+                            .collect();
+                        ev.push(Evidence::Absence {
+                            what: "null/validity check dominating the response use".into(),
+                            scanned: rf.uses.len(),
+                        });
+                        push(
+                            &mut report,
+                            DefectKind::MissedResponseCheck,
+                            "Response used without a validity/null check".to_owned(),
+                            ev,
+                        );
                     }
                 }
             }
@@ -1107,19 +1073,6 @@ mod tests {
         let report = checker.analyze_bytes(&bytes).unwrap();
         assert_eq!(report.stats.package, "com.example.naive");
         assert!(!report.defects.is_empty());
-    }
-
-    #[test]
-    fn toggles_disable_checks() {
-        let checker = NChecker::with_config(CheckerConfig {
-            connectivity: false,
-            timeout: false,
-            ..CheckerConfig::default()
-        });
-        let report = checker.analyze_apk(&naive_apk()).unwrap();
-        assert!(!report.has(DefectKind::MissedConnectivityCheck));
-        assert!(!report.has(DefectKind::MissedTimeout));
-        assert!(report.has(DefectKind::MissedRetry));
     }
 
     #[test]

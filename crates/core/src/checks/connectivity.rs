@@ -316,7 +316,7 @@ mod tests {
         let program = lift_file(&b.finish().unwrap()).unwrap();
         let mut manifest = Manifest::new("app");
         manifest.component("Lapp/Main;", ComponentKind::Activity);
-        AnalyzedApp::new(manifest, program, registry())
+        AnalyzedApp::new(manifest, program, registry(), &nck_obs::Obs::disabled())
     }
 
     #[test]

@@ -204,13 +204,7 @@ pub struct AnalyzedApp<'r> {
 const EMPTY_SEED: &SummarySeed = &SummarySeed {};
 
 impl<'r> AnalyzedApp<'r> {
-    /// Builds the call graph, discovers entry points, and sets up the
-    /// lazy per-method dataflow analyses.
-    pub fn new(manifest: Manifest, program: Program, registry: &'r Registry) -> AnalyzedApp<'r> {
-        AnalyzedApp::with_obs(manifest, program, registry, &Obs::disabled())
-    }
-
-    /// [`AnalyzedApp::with_obs`]; `reuse` is ignored. Exists only for
+    /// [`AnalyzedApp::new`]; `reuse` is ignored. Exists only for
     /// nckbench's traced twin.
     pub fn new_reusing(
         manifest: Manifest,
@@ -219,13 +213,15 @@ impl<'r> AnalyzedApp<'r> {
         _reuse: Option<AppReuse<'r>>,
         obs: &Obs,
     ) -> AnalyzedApp<'r> {
-        AnalyzedApp::with_obs(manifest, program, registry, obs)
+        AnalyzedApp::new(manifest, program, registry, obs)
     }
 
-    /// Like [`AnalyzedApp::new`], recording per-phase spans and metrics
-    /// into `obs`. Summaries are solved on first use
+    /// Builds the class-hierarchy and API-role indexes, entry points, the
+    /// call graph and entry reachability, and sets up the lazy
+    /// per-method dataflow analyses, recording per-phase spans and
+    /// metrics into `obs`. Summaries are solved on first use
     /// ([`AnalyzedApp::summaries`]).
-    pub fn with_obs(
+    pub fn new(
         manifest: Manifest,
         program: Program,
         registry: &'r Registry,
@@ -507,7 +503,7 @@ mod tests {
         let mut manifest = Manifest::new("app");
         manifest.component("Lapp/Main;", ComponentKind::Activity);
         let registry = Registry::standard();
-        let app = AnalyzedApp::new(manifest, program, &registry);
+        let app = AnalyzedApp::new(manifest, program, &registry, &Obs::disabled());
         assert_eq!(app.entries.len(), 1);
         let helper = app
             .program
@@ -534,7 +530,7 @@ mod tests {
         assert!(ma.has_cfg(), "a reader builds it");
 
         let registry = Registry::standard();
-        let app = AnalyzedApp::new(Manifest::new("app"), program, &registry);
+        let app = AnalyzedApp::new(Manifest::new("app"), program, &registry, &Obs::disabled());
         assert!(app.analyses_arc().values().all(|a| !a.has_cfg()));
         assert_eq!(app.cfgs_built(), 0);
         let _ = app.analysis(MethodId(0)).cfg();
@@ -602,7 +598,7 @@ mod tests {
             .unwrap();
         program.methods[gone.0 as usize].body = None;
         let registry = Registry::standard();
-        let app = AnalyzedApp::new(Manifest::new("app"), program, &registry);
+        let app = AnalyzedApp::new(Manifest::new("app"), program, &registry, &Obs::disabled());
         let calls = |class: &str, name: &str| app.calls_source(method_id(&app, class, name));
         for d in 1..=5 {
             assert!(
@@ -639,7 +635,7 @@ mod tests {
         let program = lift_file(&b.finish().unwrap()).unwrap();
         let registry = Registry::standard();
         let obs = Obs::enabled();
-        let app = AnalyzedApp::with_obs(Manifest::new("app"), program, &registry, &obs);
+        let app = AnalyzedApp::new(Manifest::new("app"), program, &registry, &obs);
         assert!(app.solved_summaries().is_none());
         assert!(!obs
             .metrics

@@ -246,7 +246,7 @@ mod tests {
         let mut b = AdxBuilder::new();
         build(&mut b);
         let program = lift_file(&b.finish().unwrap()).unwrap();
-        AnalyzedApp::new(manifest, program, registry())
+        AnalyzedApp::new(manifest, program, registry(), &nck_obs::Obs::disabled())
     }
 
     #[test]

@@ -269,7 +269,7 @@ mod tests {
         let program = lift_file(&b.finish().unwrap()).unwrap();
         let mut manifest = Manifest::new("app");
         manifest.component("Lapp/Main;", ComponentKind::Activity);
-        AnalyzedApp::new(manifest, program, registry())
+        AnalyzedApp::new(manifest, program, registry(), &nck_obs::Obs::disabled())
     }
 
     /// Figure 6(b): `for(;;) { try { send(request); return; } catch {} }`.

@@ -107,7 +107,7 @@ fn strict_guard_in_caller_is_recognized() {
 
 #[test]
 fn both_extensions_reach_perfect_table9_accuracy() {
-    let table = nck_appgen::opensource::evaluate_accuracy_with(CheckerConfig {
+    let table = nck_appgen::opensource::evaluate_accuracy(CheckerConfig {
         icc: true,
         strict_connectivity: true,
         ..CheckerConfig::default()

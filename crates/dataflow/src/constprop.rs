@@ -4,7 +4,7 @@
 //! API calls — e.g. the `5` in `setMaxRetries(5)` even when the constant
 //! travels through copies and arithmetic before the call (§4.4.2).
 
-use crate::solver::{solve, Analysis, Direction, Solution};
+use crate::solver::{solve, Analysis, Solution};
 use nck_ir::body::{Body, LocalId, Operand, Rvalue, Stmt, StmtId};
 use nck_ir::cfg::Cfg;
 use nck_ir::symbols::Symbol;
@@ -71,10 +71,6 @@ fn eval_operand(env: &Env, op: Operand) -> CVal {
 
 impl Analysis for CpAnalysis {
     type Fact = Env;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn bottom(&self) -> Env {
         vec![CVal::Undef; self.n_locals]

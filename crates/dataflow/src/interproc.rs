@@ -43,7 +43,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::constprop::CVal;
-use crate::solver::{solve, Analysis, Direction, Solution};
+use crate::solver::{solve, Analysis, Solution};
 use nck_dex::CondOp;
 use nck_ir::body::{Body, FieldKey, IdentityKind, InvokeExpr, Operand, Rvalue, Stmt, StmtId};
 use nck_ir::cfg::Cfg;
@@ -519,10 +519,6 @@ struct IpAnalysis<'x> {
 
 impl Analysis for IpAnalysis<'_> {
     type Fact = Vec<AVal>;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn bottom(&self) -> Vec<AVal> {
         vec![BOTTOM; self.n_locals]

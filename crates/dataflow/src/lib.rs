@@ -3,10 +3,10 @@
 //! The paper builds its analyses on Soot and FlowDroid; this crate is the
 //! equivalent substrate implemented from first principles:
 //!
-//! - a generic worklist [`solver`] parameterized by direction, lattice,
-//!   and transfer function;
-//! - bit-vector analyses: [`reachdefs`] (reaching definitions / def-use
-//!   chains) and [`liveness`];
+//! - a generic forward worklist [`solver`] parameterized by lattice and
+//!   transfer function;
+//! - a bit-vector analysis: [`reachdefs`] (reaching definitions / def-use
+//!   chains);
 //! - [`constprop`]: flat-lattice constant propagation, used to recover
 //!   config-API argument values (§4.4.2);
 //! - [`taint`]: object-flow analysis (backward-to-allocation plus
@@ -44,7 +44,6 @@ pub mod bitset;
 pub mod constprop;
 pub mod ctrldep;
 pub mod interproc;
-pub mod liveness;
 pub mod reachdefs;
 pub mod slice;
 pub mod solver;
@@ -54,8 +53,7 @@ pub use bitset::BitSet;
 pub use constprop::{CVal, ConstProp};
 pub use ctrldep::ControlDeps;
 pub use interproc::{tarjan_sccs, CallKind, MethodInput, MethodSummary, Summaries, SummaryStats};
-pub use liveness::Liveness;
 pub use reachdefs::ReachingDefs;
 pub use slice::{backward_slice, handler_entries, slice_reaches, SliceKind};
-pub use solver::{solve, Analysis, Direction, Solution};
+pub use solver::{solve, Analysis, Solution};
 pub use taint::{object_flow, FlowOptions, ObjectFlow};

@@ -1,7 +1,7 @@
 //! Reaching definitions and the def-use chains derived from them.
 
 use crate::bitset::BitSet;
-use crate::solver::{solve, Analysis, Direction, Solution};
+use crate::solver::{solve, Analysis, Solution};
 use nck_ir::body::{Body, LocalId, Stmt, StmtId};
 use nck_ir::cfg::Cfg;
 
@@ -19,10 +19,6 @@ struct RdAnalysis<'a> {
 
 impl Analysis for RdAnalysis<'_> {
     type Fact = BitSet;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn bottom(&self) -> BitSet {
         BitSet::new(self.n_defs)

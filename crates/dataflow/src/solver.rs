@@ -8,43 +8,26 @@
 use nck_ir::body::{Body, Stmt, StmtId};
 use nck_ir::cfg::Cfg;
 
-/// Direction of propagation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts flow from predecessors to successors.
-    Forward,
-    /// Facts flow from successors to predecessors.
-    Backward,
-}
-
-/// A dataflow analysis over statement-level CFGs.
+/// A forward dataflow analysis over statement-level CFGs: facts flow
+/// from predecessors to successors, starting from `bottom` at the entry.
 pub trait Analysis {
     /// The lattice element.
     type Fact: Clone + PartialEq;
 
-    /// Propagation direction.
-    fn direction(&self) -> Direction;
-
     /// The least element, used to initialize all program points.
     fn bottom(&self) -> Self::Fact;
-
-    /// The boundary fact (at entry for forward, at exit for backward).
-    fn boundary(&self) -> Self::Fact {
-        self.bottom()
-    }
 
     /// Joins `other` into `fact`, returning `true` when `fact` changed.
     fn join(&self, fact: &mut Self::Fact, other: &Self::Fact) -> bool;
 
-    /// Applies the effect of `stmt` to `fact` in the analysis direction.
+    /// Applies the effect of `stmt` to `fact`.
     fn transfer(&self, id: StmtId, stmt: &Stmt, fact: &mut Self::Fact);
 }
 
 /// The fixpoint result: facts before and after every statement.
 #[derive(Debug, Clone)]
 pub struct Solution<F> {
-    /// Fact holding immediately before each statement (in program order,
-    /// regardless of analysis direction).
+    /// Fact holding immediately before each statement, in program order.
     pub before: Vec<F>,
     /// Fact holding immediately after each statement.
     pub after: Vec<F>,
@@ -68,9 +51,8 @@ impl<F> Solution<F> {
 /// edges, which matches how Soot's `ExceptionalUnitGraph` drives
 /// FlowDroid-style analyses.
 ///
-/// The worklist is a reverse-postorder priority queue: forward analyses
-/// visit statements in ascending RPO rank, backward analyses in ascending
-/// post-order rank (reverse RPO), so each pass sweeps the CFG in
+/// The worklist is a reverse-postorder priority queue: statements are
+/// visited in ascending RPO rank, so each pass sweeps the CFG in
 /// propagation direction and loop bodies stabilize in near-minimal
 /// visits. Because every lattice used here has a commutative, associative,
 /// idempotent join and monotone transfer, the visit order affects only
@@ -83,34 +65,14 @@ pub fn solve<A: Analysis>(body: &Body, cfg: &Cfg, analysis: &A) -> Solution<A::F
     if n == 0 {
         return Solution { before, after };
     }
-
-    let dir = analysis.direction();
     let bottom = analysis.bottom();
-    let boundary = analysis.boundary();
 
-    // Seed boundary.
-    match dir {
-        Direction::Forward => before[0] = boundary.clone(),
-        Direction::Backward => {
-            // Backward boundary applies at every statement that exits the
-            // method. When boundary == bottom the slots already hold it, so
-            // the per-statement successor scan and clone are skipped.
-            if boundary != bottom {
-                for (i, slot) in after.iter_mut().enumerate().take(n) {
-                    if !cfg.has_real_succs(StmtId(i as u32)) {
-                        *slot = boundary.clone();
-                    }
-                }
-            }
-        }
-    }
-
-    // Priority order: RPO of the reachable statements (reversed for
-    // backward analyses, giving post-order), with statements unreachable
-    // from the entry appended in index order so every statement is still
-    // visited at least once, as the old exhaustive seeding guaranteed.
-    // Both arrays are cached on the CFG, so repeated solves pay nothing.
-    let (order, rank) = cfg.solve_priority(dir == Direction::Forward);
+    // Priority order: RPO of the reachable statements, with statements
+    // unreachable from the entry appended in index order so every
+    // statement is still visited at least once, as the old exhaustive
+    // seeding guaranteed. Both arrays are cached on the CFG, so repeated
+    // solves pay nothing.
+    let (order, rank) = cfg.solve_priority();
 
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -133,56 +95,20 @@ pub fn solve<A: Analysis>(body: &Body, cfg: &Cfg, analysis: &A) -> Solution<A::F
                  scratch: &mut A::Fact| {
         on_work[idx] = false;
         let id = StmtId(idx as u32);
-        match dir {
-            Direction::Forward => {
-                // in = join of preds' out.
-                if idx == 0 {
-                    scratch.clone_from(&boundary);
-                } else {
-                    scratch.clone_from(&bottom);
-                }
-                for &p in &cfg.preds[idx] {
-                    analysis.join(scratch, &after[p.index()]);
-                }
-                before[idx].clone_from(scratch);
-                analysis.transfer(id, body.stmt(id), scratch);
-                if *scratch != after[idx] {
-                    std::mem::swap(&mut after[idx], scratch);
-                    for s in cfg.succ_iter(id) {
-                        let si = s.index();
-                        if si < n && !on_work[si] {
-                            on_work[si] = true;
-                            heap.push(Reverse(rank[si]));
-                        }
-                    }
-                }
-            }
-            Direction::Backward => {
-                // out = join of succs' in.
-                scratch.clone_from(&bottom);
-                let mut any = false;
-                for s in cfg.succ_iter(id) {
-                    if s.index() < n {
-                        any = true;
-                        analysis.join(scratch, &before[s.index()]);
-                    }
-                }
-                if !any {
-                    scratch.clone_from(&boundary);
-                }
-                after[idx].clone_from(scratch);
-                analysis.transfer(id, body.stmt(id), scratch);
-                if *scratch != before[idx] {
-                    std::mem::swap(&mut before[idx], scratch);
-                    // Pred lists only ever contain real statements (the
-                    // virtual exit has no successors), so no range check
-                    // is needed.
-                    for &p in &cfg.preds[idx] {
-                        if !on_work[p.index()] {
-                            on_work[p.index()] = true;
-                            heap.push(Reverse(rank[p.index()]));
-                        }
-                    }
+        // in = join of preds' out.
+        scratch.clone_from(&bottom);
+        for &p in &cfg.preds[idx] {
+            analysis.join(scratch, &after[p.index()]);
+        }
+        before[idx].clone_from(scratch);
+        analysis.transfer(id, body.stmt(id), scratch);
+        if *scratch != after[idx] {
+            std::mem::swap(&mut after[idx], scratch);
+            for s in cfg.succ_iter(id) {
+                let si = s.index();
+                if si < n && !on_work[si] {
+                    on_work[si] = true;
+                    heap.push(Reverse(rank[si]));
                 }
             }
         }
@@ -228,10 +154,6 @@ mod tests {
 
     impl Analysis for CountAssigns {
         type Fact = u32;
-
-        fn direction(&self) -> Direction {
-            Direction::Forward
-        }
 
         fn bottom(&self) -> u32 {
             0
@@ -305,9 +227,6 @@ mod tests {
         struct Saturating;
         impl Analysis for Saturating {
             type Fact = u32;
-            fn direction(&self) -> Direction {
-                Direction::Forward
-            }
             fn bottom(&self) -> u32 {
                 0
             }

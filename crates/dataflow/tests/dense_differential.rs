@@ -5,7 +5,7 @@
 //! traps, and field traffic. Any divergence between the optimized engine
 //! and the obviously-correct one is a bug in the optimization.
 
-use nck_dataflow::{object_flow, FlowOptions, Liveness, ObjectFlow, ReachingDefs};
+use nck_dataflow::{object_flow, FlowOptions, ObjectFlow, ReachingDefs};
 use nck_dex::builder::AdxBuilder;
 use nck_dex::{AccessFlags, BinOp, CondOp};
 use nck_ir::body::{Body, FieldKey, LocalId, Operand, Rvalue, Stmt, StmtId};
@@ -112,14 +112,6 @@ fn random_body(blocks: &[Block], consts: &[i32]) -> Body {
 
 // ---------- Reference engines (chaotic iteration over BTreeSet) ----------
 
-/// Real (non-exit) successors of `i` over both edge kinds.
-fn real_succs(cfg: &Cfg, i: usize) -> Vec<usize> {
-    cfg.succ_iter(StmtId(i as u32))
-        .filter(|t| t.index() < cfg.len)
-        .map(StmtId::index)
-        .collect()
-}
-
 /// Reaching definitions by chaotic iteration: sweep all statements in
 /// index order until nothing changes. Facts are plain `BTreeSet<StmtId>`
 /// of defining statements.
@@ -145,34 +137,6 @@ fn ref_reaching_before(body: &Body, cfg: &Cfg) -> Vec<BTreeSet<StmtId>> {
         }
         if !changed {
             return before;
-        }
-    }
-}
-
-/// Live variables by chaotic iteration over `BTreeSet<LocalId>`.
-fn ref_liveness(body: &Body, cfg: &Cfg) -> (Vec<BTreeSet<LocalId>>, Vec<BTreeSet<LocalId>>) {
-    let n = body.len();
-    let mut before: Vec<BTreeSet<LocalId>> = vec![BTreeSet::new(); n];
-    let mut after: Vec<BTreeSet<LocalId>> = vec![BTreeSet::new(); n];
-    loop {
-        let mut changed = false;
-        for i in (0..n).rev() {
-            let mut outset = BTreeSet::new();
-            for s in real_succs(cfg, i) {
-                outset.extend(before[s].iter().copied());
-            }
-            let stmt = body.stmt(StmtId(i as u32));
-            let mut inset = outset.clone();
-            if let Some(d) = stmt.def() {
-                inset.remove(&d);
-            }
-            inset.extend(stmt.uses());
-            changed |= inset != before[i] || outset != after[i];
-            before[i] = inset;
-            after[i] = outset;
-        }
-        if !changed {
-            return (before, after);
         }
     }
 }
@@ -334,34 +298,6 @@ proptest! {
         }
     }
 
-    /// The dense liveness engine agrees with chaotic iteration at every
-    /// (statement, local) pair, before and after.
-    #[test]
-    fn liveness_matches_reference(
-        blocks in arb_blocks(),
-        consts in proptest::collection::vec(any::<i32>(), 3),
-    ) {
-        let body = random_body(&blocks, &consts);
-        let cfg = Cfg::build(&body);
-        let live = Liveness::compute(&body, &cfg);
-        let (before, after) = ref_liveness(&body, &cfg);
-        for (id, _) in body.iter() {
-            for l in 0..body.locals.len() {
-                let local = LocalId(l as u32);
-                prop_assert_eq!(
-                    live.live_before(id, local),
-                    before[id.index()].contains(&local),
-                    "live_before({:?}, {:?}) diverged", id, local
-                );
-                prop_assert_eq!(
-                    live.live_after(id, local),
-                    after[id.index()].contains(&local),
-                    "live_after({:?}, {:?}) diverged", id, local
-                );
-            }
-        }
-    }
-
     /// The union-find object-flow closure agrees with the whole-body
     /// rescan fixpoint it replaced, on every output field.
     #[test]
@@ -393,7 +329,6 @@ proptest! {
         let body = random_body(&blocks, &consts);
         let cfg = Cfg::build(&body);
         let rd1 = ReachingDefs::compute(&body, &cfg);
-        let _live = Liveness::compute(&body, &cfg); // Populates the backward cache.
         let rd2 = ReachingDefs::compute(&body, &cfg);
         let fresh = ReachingDefs::compute(&body, &Cfg::build(&body));
         for (id, _) in body.iter() {

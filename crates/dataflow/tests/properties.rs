@@ -1,7 +1,7 @@
 //! Property tests for the dataflow framework: the bit set against a
 //! model, and structural invariants of the analyses on random CFGs.
 
-use nck_dataflow::{BitSet, ConstProp, Liveness, ReachingDefs};
+use nck_dataflow::{BitSet, ConstProp, ReachingDefs};
 use nck_dex::builder::AdxBuilder;
 use nck_dex::{AccessFlags, BinOp, CondOp};
 use nck_ir::cfg::Cfg;
@@ -141,25 +141,6 @@ proptest! {
                 for def in rd.reaching(id, local) {
                     prop_assert_eq!(body.stmt(def).def(), Some(local));
                 }
-            }
-        }
-    }
-
-    /// Liveness: a local is live before any statement that uses it.
-    #[test]
-    fn used_locals_are_live(
-        n in 1usize..12,
-        consts in proptest::collection::vec(any::<i32>(), 3),
-    ) {
-        let body = random_body(n, &consts);
-        let cfg = Cfg::build(&body);
-        let live = Liveness::compute(&body, &cfg);
-        for (id, stmt) in body.iter() {
-            for local in stmt.uses() {
-                prop_assert!(
-                    live.live_before(id, local),
-                    "local {local:?} used at {id:?} but not live"
-                );
             }
         }
     }

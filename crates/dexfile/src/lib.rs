@@ -53,8 +53,8 @@ pub use model::{
     AccessFlags, AdxFile, CatchHandler, ClassDef, CodeItem, FieldDef, MethodDef, TryBlock,
 };
 pub use pool::{
-    pool_touches, FieldIdx, FieldRef, MethodIdx, MethodRef, Pools, Proto, ProtoIdx, StringIdx,
-    TypeIdx,
+    pool_touches, FieldIdx, FieldRef, MethodIdx, MethodRef, ParamTypes, Pools, Proto, ProtoIdx,
+    StringIdx, TypeIdx,
 };
 pub use read::read_adx;
 pub use verify::{VerifyError, VerifyScope};

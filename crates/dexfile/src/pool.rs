@@ -61,6 +61,33 @@ pub struct Proto {
     pub params: Vec<TypeIdx>,
 }
 
+/// A method's parameter descriptors, split as its rendered signature
+/// parses.
+#[derive(Debug)]
+pub enum ParamTypes<'a> {
+    /// The prototype's type indices, which parse exactly as its rendered
+    /// signature does.
+    Pool(&'a [TypeIdx]),
+    /// The rendered signature, parsed (a prototype whose types do not
+    /// split cleanly).
+    Parsed(Vec<String>),
+}
+
+impl ParamTypes<'_> {
+    /// The number of parameters.
+    pub fn len(&self) -> usize {
+        match self {
+            ParamTypes::Pool(types) => types.len(),
+            ParamTypes::Parsed(descs) => descs.len(),
+        }
+    }
+
+    /// Whether the method takes no parameters.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// A symbolic reference to a field: declaring class, field type, and name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FieldRef {
@@ -227,6 +254,28 @@ impl Pools {
         let name = self.get_string(m.name).unwrap_or("<bad>");
         let sig = self.display_proto(m.proto);
         format!("{class}.{name}{sig}")
+    }
+
+    /// The parameters of method `idx` as its rendered signature parses:
+    /// straight from the prototype when its descriptors split cleanly
+    /// ([`signature_splits_as`](crate::signature_splits_as)), else by
+    /// parsing the rendering. `None` when the rendering does not parse.
+    /// The lifter binds one register per parameter plus the receiver,
+    /// and the verifier holds every frame to that count.
+    pub fn method_params(&self, idx: MethodIdx) -> Option<ParamTypes<'_>> {
+        let proto_idx = self.get_method(idx)?.proto;
+        let proto = self.get_proto(proto_idx)?;
+        let ret = self.get_type(proto.return_type)?;
+        let params = proto
+            .params
+            .iter()
+            .map(|&t| self.get_type(t).unwrap_or("<bad>"));
+        if crate::signature_splits_as(params, ret) {
+            return Some(ParamTypes::Pool(&proto.params));
+        }
+        crate::parse_signature(&self.display_proto(proto_idx))
+            .ok()
+            .map(|(descs, _)| ParamTypes::Parsed(descs))
     }
 
     /// Renders a prototype as `(params)ret`, for diagnostics.

@@ -3,8 +3,10 @@
 //! The parser ([`read_adx`](crate::read::read_adx)) only checks what it
 //! needs to decode safely; this module performs the deeper, whole-file
 //! checks a DEX verifier would: branch targets in range, registers within
-//! the declared frame, `move-result` placement, try-range sanity, and
-//! pool-reference validity inside instruction operands.
+//! the declared frame, parameter frames that match the prototype,
+//! `move-result` placement, try-range sanity, and pool-reference validity
+//! inside instruction operands. A parsed file that verifies clean is one
+//! the lifter lifts whole.
 
 use crate::insn::Insn;
 use crate::model::{AccessFlags, AdxFile, CodeItem};
@@ -225,6 +227,20 @@ pub fn verify_with_skip(file: &AdxFile, skip: &[bool]) -> Vec<VerifyError> {
                     errors.push(method_error("ins exceeds registers"));
                     continue;
                 }
+                // The lifter binds one in-register per parameter, plus
+                // the receiver of an instance method.
+                let receiver = usize::from(!m.flags.contains(AccessFlags::STATIC));
+                match file.pools.method_params(m.method) {
+                    None => errors.push(method_error("prototype signature does not parse")),
+                    Some(params) if usize::from(code.ins) != params.len() + receiver => {
+                        errors.push(method_error(&format!(
+                            "ins={} but the prototype binds {} parameter register(s)",
+                            code.ins,
+                            params.len() + receiver
+                        )));
+                    }
+                    Some(_) => {}
+                }
                 check_code(file, m.method, code, &mut errors);
             }
         }
@@ -336,6 +352,26 @@ mod tests {
         assert!(errs.iter().all(|e| e.scope == VerifyScope::Method));
         // The sibling method is untouched: no error names it.
         assert!(errs.iter().all(|e| !e.method.contains(".g(")));
+    }
+
+    #[test]
+    fn frame_that_disagrees_with_the_prototype_is_method_scoped() {
+        // `f(I)V` is an instance method: two in-registers, receiver and
+        // parameter. Declaring one is a lie the lifter rejects.
+        let mut f = valid_file();
+        f.classes[0].methods[0].code.as_mut().unwrap().ins = 1;
+        let errs = verify(&f);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].scope, VerifyScope::Method);
+        assert_eq!(errs[0].method, "Lcom/app/A;.f(I)V");
+        assert!(errs[0].message.contains("ins=1"), "{}", errs[0]);
+        // A static method has no receiver.
+        let mut f = valid_file();
+        let g = &mut f.classes[0].methods[1];
+        g.flags = g.flags | AccessFlags::STATIC;
+        let errs = verify(&f);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].method.contains(".g("));
     }
 
     #[test]

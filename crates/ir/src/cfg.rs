@@ -23,10 +23,8 @@ pub struct Cfg {
     /// computed once at construction (the solver consults it on every
     /// `solve`, several times per method).
     rpo: Vec<StmtId>,
-    /// Lazily cached forward solver priority (see [`Cfg::solve_priority`]).
-    fwd_priority: OnceLock<(Vec<u32>, Vec<u32>)>,
-    /// Lazily cached backward solver priority.
-    bwd_priority: OnceLock<(Vec<u32>, Vec<u32>)>,
+    /// Lazily cached solver priority (see [`Cfg::solve_priority`]).
+    priority: OnceLock<(Vec<u32>, Vec<u32>)>,
 }
 
 impl Cfg {
@@ -114,8 +112,7 @@ impl Cfg {
             preds,
             len: n,
             rpo,
-            fwd_priority: OnceLock::new(),
-            bwd_priority: OnceLock::new(),
+            priority: OnceLock::new(),
         }
     }
 
@@ -142,8 +139,7 @@ impl Cfg {
             preds,
             len: self.len,
             rpo,
-            fwd_priority: OnceLock::new(),
-            bwd_priority: OnceLock::new(),
+            priority: OnceLock::new(),
         }
     }
 
@@ -174,12 +170,6 @@ impl Cfg {
             .copied()
     }
 
-    /// Returns `true` when `s` has at least one successor other than the
-    /// virtual exit.
-    pub fn has_real_succs(&self, s: StmtId) -> bool {
-        self.succ_iter(s).any(|t| t.index() < self.len)
-    }
-
     /// Returns the statements reachable from the entry over all edges.
     pub fn reachable(&self) -> Vec<bool> {
         let mut seen = vec![false; self.len];
@@ -206,25 +196,16 @@ impl Cfg {
     }
 
     /// Solver visit priority: `order` lists statement indices in visit
-    /// order (reverse-postorder when `forward`, postorder otherwise, with
-    /// unreachable statements appended in index order), and `rank` is the
-    /// inverse permutation (statement index → position in `order`).
-    /// Computed on first use and cached for the lifetime of the CFG, so
-    /// repeated solves over the same method pay nothing.
-    pub fn solve_priority(&self, forward: bool) -> (&[u32], &[u32]) {
-        let slot = if forward {
-            &self.fwd_priority
-        } else {
-            &self.bwd_priority
-        };
-        let (order, rank) = slot.get_or_init(|| {
+    /// order (reverse-postorder, with unreachable statements appended in
+    /// index order), and `rank` is the inverse permutation (statement
+    /// index → position in `order`). Computed on first use and cached for
+    /// the lifetime of the CFG, so repeated solves over the same method
+    /// pay nothing.
+    pub fn solve_priority(&self) -> (&[u32], &[u32]) {
+        let (order, rank) = self.priority.get_or_init(|| {
             let n = self.len;
             let mut order: Vec<u32> = Vec::with_capacity(n);
-            if forward {
-                order.extend(self.rpo.iter().map(|s| s.0));
-            } else {
-                order.extend(self.rpo.iter().rev().map(|s| s.0));
-            }
+            order.extend(self.rpo.iter().map(|s| s.0));
             let mut rank = vec![u32::MAX; n];
             for (r, &s) in order.iter().enumerate() {
                 rank[s as usize] = r as u32;

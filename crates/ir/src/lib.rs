@@ -39,6 +39,6 @@ pub use body::{
     MethodKey, Operand, Program, Rvalue, Stmt, StmtId, Trap,
 };
 pub use hierarchy::TypeIndex;
-pub use lift::{lift_file, lift_file_lenient, LiftError, MethodSkip};
+pub use lift::{lift_file, lift_skipping, LiftError, MethodSkip, SkipPolicy, SkipReason};
 pub use symbols::{Interner, Symbol};
 pub use types::Type;

@@ -9,7 +9,9 @@ use crate::body::{
     MethodKey, Operand, Program, Rvalue, Stmt, StmtId, Trap,
 };
 use crate::symbols::Symbol;
-use nck_dex::{AccessFlags, AdxFile, CodeItem, Insn, MethodIdx, ProtoIdx, Reg, StringIdx, TypeIdx};
+use nck_dex::{
+    AccessFlags, AdxFile, CodeItem, Insn, MethodIdx, ParamTypes, ProtoIdx, Reg, StringIdx, TypeIdx,
+};
 use std::sync::Arc;
 
 /// Errors produced during lifting.
@@ -95,25 +97,6 @@ struct Lifter<'a> {
     protos: Vec<Option<Symbol>>,
     fields: Vec<Option<FieldKey>>,
     methods: Vec<Option<MethodKey>>,
-}
-
-/// The parameter descriptors of a method being lifted.
-enum Params<'a> {
-    /// The prototype's type indices, which parse exactly as its rendered
-    /// signature does.
-    Pool(&'a [TypeIdx]),
-    /// The rendered signature, parsed (a prototype whose types do not
-    /// split cleanly).
-    Parsed(Vec<String>),
-}
-
-impl Params<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Params::Pool(types) => types.len(),
-            Params::Parsed(descs) => descs.len(),
-        }
-    }
 }
 
 impl<'a> Lifter<'a> {
@@ -210,25 +193,12 @@ impl<'a> Lifter<'a> {
         Some(key)
     }
 
-    /// The parameter types of method `idx` straight from its prototype,
-    /// when parsing its rendered signature would yield exactly them.
-    fn pool_params(&self, idx: MethodIdx) -> Option<&'a [TypeIdx]> {
-        let pools = &self.file.pools;
-        let proto = pools.get_proto(pools.get_method(idx)?.proto)?;
-        let ret = pools.get_type(proto.return_type)?;
-        let params = proto
-            .params
-            .iter()
-            .map(|&t| pools.get_type(t).unwrap_or("<bad>"));
-        nck_dex::signature_splits_as(params, ret).then_some(proto.params.as_slice())
-    }
-
     fn lift_code(
         &mut self,
         method: MethodIdx,
         code: &CodeItem,
         is_static: bool,
-        params: &Params<'_>,
+        params: &ParamTypes<'_>,
     ) -> Result<Body> {
         let file = self.file;
         let bad = |pc: u32, what: &'static str| LiftError::BadPoolRef {
@@ -278,10 +248,10 @@ impl<'a> Lifter<'a> {
             };
             if let IdentityKind::Param(p) = kind {
                 let sym = match params {
-                    Params::Pool(types) => self
+                    ParamTypes::Pool(types) => self
                         .type_sym(types[p as usize])
-                        .expect("pool_params resolved every parameter type"),
-                    Params::Parsed(descs) => self.program.symbols.intern(&descs[p as usize]),
+                        .expect("method_params resolved every parameter type"),
+                    ParamTypes::Parsed(descs) => self.program.symbols.intern(&descs[p as usize]),
                 };
                 locals[reg.0 as usize].ty = Some(sym);
             }
@@ -562,7 +532,25 @@ impl<'a> Lifter<'a> {
     }
 }
 
-/// Record of one method whose body was dropped during lenient lifting.
+/// Why a method's body was dropped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SkipReason {
+    /// The skip policy named the method, with this reason.
+    Policy(String),
+    /// The body failed to lift.
+    Lift(LiftError),
+}
+
+impl std::fmt::Display for SkipReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SkipReason::Policy(reason) => f.write_str(reason),
+            SkipReason::Lift(err) => err.fmt(f),
+        }
+    }
+}
+
+/// Record of one method whose body was dropped during lifting.
 ///
 /// The method still exists in the lifted [`Program`] (bodiless, so call
 /// graph edges into it resolve) unless even its identity was
@@ -572,10 +560,10 @@ pub struct MethodSkip {
     /// Rendered `class.name(sig)` identity.
     pub method: String,
     /// Why the body was dropped.
-    pub reason: String,
+    pub reason: SkipReason,
 }
 
-/// Skip policy for [`lift_file_lenient`]: maps a rendered method identity
+/// Skip policy for [`lift_skipping`]: maps a rendered method identity
 /// to `Some(reason)` when its body must not be lifted (e.g. it failed
 /// structural verification).
 pub type SkipPolicy<'p> = &'p dyn Fn(&str) -> Option<String>;
@@ -584,14 +572,16 @@ impl<'a> Lifter<'a> {
     /// Lifts one class definition: interns its names, lifts every method
     /// body, and returns the class record (with `methods` left empty —
     /// the caller assigns ids via [`Program::add_method`]) plus the
-    /// lifted methods in declaration order. The caller-visible effect on
-    /// the program is confined to the interner.
+    /// lifted methods in declaration order. A method the policy names,
+    /// or whose body fails to lift, is recorded in `skips` and kept
+    /// bodiless. The caller-visible effect on the program is confined
+    /// to the interner.
     fn lift_class(
         &mut self,
         class: &nck_dex::ClassDef,
-        lenient: Option<SkipPolicy<'_>>,
+        policy: Option<SkipPolicy<'_>>,
         skips: &mut Vec<MethodSkip>,
-    ) -> Result<(Class, Vec<Method>)> {
+    ) -> (Class, Vec<Method>) {
         let name = match self.type_sym(class.ty) {
             Some(name) => name,
             None => self.program.symbols.intern("<bad>"),
@@ -610,64 +600,45 @@ impl<'a> Lifter<'a> {
 
         let mut methods = Vec::new();
         for m in &class.methods {
-            let key = match self.method_key(m.method) {
-                Some(key) => key,
-                None => {
-                    let err = LiftError::BadPoolRef {
-                        method: self.display(m.method),
-                        pc: 0,
-                        what: "method definition",
-                    };
-                    if lenient.is_some() {
-                        // Without a resolvable identity the method cannot
-                        // even be declared; drop it entirely.
-                        skips.push(MethodSkip {
-                            method: self.display(m.method),
-                            reason: err.to_string(),
-                        });
-                        continue;
-                    }
-                    return Err(err);
-                }
+            let Some(key) = self.method_key(m.method) else {
+                // Without a resolvable identity the method cannot even be
+                // declared; drop it entirely.
+                let err = LiftError::BadPoolRef {
+                    method: self.display(m.method),
+                    pc: 0,
+                    what: "method definition",
+                };
+                skips.push(MethodSkip {
+                    method: self.display(m.method),
+                    reason: SkipReason::Lift(err),
+                });
+                continue;
             };
-            // The skip policy is keyed by display name, so only a lenient
-            // lift renders one per method.
-            let policy_skip = lenient.and_then(|skip| skip(&self.display(m.method)));
-            let body = if let Some(reason) = policy_skip {
+            // The skip policy is keyed by display name, so only a lift
+            // with a policy renders one per method.
+            let body = match (policy.and_then(|p| p(&self.display(m.method))), &m.code) {
+                (Some(reason), _) => Err(SkipReason::Policy(reason)),
+                (None, Some(code)) => {
+                    let is_static = m.flags.contains(AccessFlags::STATIC);
+                    let file = self.file;
+                    match file.pools.method_params(m.method) {
+                        Some(params) => self.lift_code(m.method, code, is_static, &params),
+                        None => Err(LiftError::BadFrame {
+                            method: self.display(m.method),
+                        }),
+                    }
+                    .map(Some)
+                    .map_err(SkipReason::Lift)
+                }
+                (None, None) => Ok(None),
+            };
+            let body = body.unwrap_or_else(|reason| {
                 skips.push(MethodSkip {
                     method: self.display(m.method),
                     reason,
                 });
                 None
-            } else {
-                match &m.code {
-                    Some(code) => {
-                        let is_static = m.flags.contains(AccessFlags::STATIC);
-                        let params = match self.pool_params(m.method) {
-                            Some(types) => Ok(Params::Pool(types)),
-                            None => nck_dex::parse_signature(self.program.symbols.resolve(key.sig))
-                                .map(|(descs, _)| Params::Parsed(descs))
-                                .map_err(|_| LiftError::BadFrame {
-                                    method: self.display(m.method),
-                                }),
-                        };
-                        let lifted = params
-                            .and_then(|params| self.lift_code(m.method, code, is_static, &params));
-                        match lifted {
-                            Ok(body) => Some(body),
-                            Err(err) if lenient.is_some() => {
-                                skips.push(MethodSkip {
-                                    method: self.display(m.method),
-                                    reason: err.to_string(),
-                                });
-                                None
-                            }
-                            Err(err) => return Err(err),
-                        }
-                    }
-                    None => None,
-                }
-            };
+            });
             methods.push(Method {
                 key,
                 flags: m.flags,
@@ -675,7 +646,7 @@ impl<'a> Lifter<'a> {
             });
         }
 
-        Ok((
+        (
             Class {
                 name,
                 superclass,
@@ -685,25 +656,28 @@ impl<'a> Lifter<'a> {
                 methods: Vec::new(),
             },
             methods,
-        ))
+        )
     }
 }
 
-fn lift_file_impl(
-    file: &AdxFile,
-    lenient: Option<SkipPolicy<'_>>,
-) -> Result<(Program, Vec<MethodSkip>)> {
+/// Lifts a whole ADX file into an IR [`Program`], degrading per method
+/// instead of failing.
+///
+/// Methods `policy` names (the caller's structural verification
+/// verdicts) and methods whose bodies fail to lift are kept *bodiless*
+/// and recorded in the returned skip list, in declaration order; every
+/// other method lifts normally. This function never fails: the worst
+/// adversarial input yields an empty program plus a skip per method.
+pub fn lift_skipping(file: &AdxFile, policy: Option<SkipPolicy<'_>>) -> (Program, Vec<MethodSkip>) {
     let mut lifter = Lifter::new(file);
     let mut skips = Vec::new();
-
     for class in &file.classes {
-        let (mut c, methods) = lifter.lift_class(class, lenient, &mut skips)?;
+        let (mut c, methods) = lifter.lift_class(class, policy, &mut skips);
         let program = &mut lifter.program;
         c.methods = methods.into_iter().map(|m| program.add_method(m)).collect();
         program.add_class(c);
     }
-
-    Ok((lifter.program, skips))
+    (lifter.program, skips)
 }
 
 /// An empty lift seed. Exists only for nckbench's traced twin.
@@ -746,21 +720,18 @@ pub fn lift_file_seeded(
     })
 }
 
-/// Lifts a whole ADX file into an IR [`Program`], failing on the first
-/// unliftable method.
+/// Lifts a whole ADX file into an IR [`Program`]: [`lift_skipping`]
+/// without a policy, with the first method that fails to lift as the
+/// error.
 pub fn lift_file(file: &AdxFile) -> Result<Program> {
-    lift_file_impl(file, None).map(|(p, _)| p)
-}
-
-/// Lifts a whole ADX file, degrading per-method instead of failing.
-///
-/// Methods for which `skip` returns a reason (the caller's structural
-/// verification verdicts) and methods whose bodies fail to lift are kept
-/// *bodiless* and recorded in the returned skip list; every other method
-/// lifts normally. This function never fails: the worst adversarial
-/// input yields an empty program plus a skip per method.
-pub fn lift_file_lenient(file: &AdxFile, skip: SkipPolicy<'_>) -> (Program, Vec<MethodSkip>) {
-    lift_file_impl(file, Some(skip)).expect("lenient lifting is total")
+    let (program, skips) = lift_skipping(file, None);
+    match skips.into_iter().next() {
+        Some(MethodSkip {
+            reason: SkipReason::Lift(err),
+            ..
+        }) => Err(err),
+        _ => Ok(program),
+    }
 }
 
 #[cfg(test)]
@@ -972,10 +943,13 @@ mod tests {
             },
         );
         assert!(lift_file(&file).is_err());
-        let (p, skips) = lift_file_lenient(&file, &|_| None);
+        let (p, skips) = lift_skipping(&file, None);
         assert_eq!(skips.len(), 1);
         assert!(skips[0].method.contains("bad"));
-        assert!(skips[0].reason.contains("v99"));
+        assert!(matches!(
+            skips[0].reason,
+            SkipReason::Lift(LiftError::BadRegister { reg: 99, .. })
+        ));
         // Both methods exist; only the bad one is bodiless.
         assert_eq!(p.methods.len(), 2);
         assert!(p.methods[0].body.is_none());
@@ -990,12 +964,18 @@ mod tests {
             c.method("g", "()V", AccessFlags::PUBLIC, 2, |m| m.ret(None));
         });
         let file = b.finish().unwrap();
-        let (p, skips) = lift_file_lenient(&file, &|name| {
-            name.contains(".f(")
-                .then(|| "failed verification".to_owned())
-        });
+        let (p, skips) = lift_skipping(
+            &file,
+            Some(&|name| {
+                name.contains(".f(")
+                    .then(|| "failed verification".to_owned())
+            }),
+        );
         assert_eq!(skips.len(), 1);
-        assert_eq!(skips[0].reason, "failed verification");
+        assert_eq!(
+            skips[0].reason,
+            SkipReason::Policy("failed verification".to_owned())
+        );
         assert!(p.methods[0].body.is_none());
         assert!(p.methods[1].body.is_some());
     }
@@ -1051,14 +1031,15 @@ mod tests {
             Err(LiftError::BadRegister { method, .. }) => assert_eq!(method, display[0]),
             other => panic!("expected BadRegister, got {other:?}"),
         }
-        let (_, skips) = lift_file_lenient(&file, &|_| None);
+        let (_, skips) = lift_skipping(&file, None);
         let skipped: Vec<&str> = skips.iter().map(|s| s.method.as_str()).collect();
         assert_eq!(skipped, [&display[0], &display[1], &display[2]]);
-        assert!(skips[1].reason.contains("unresolvable string"));
-        assert!(skips[2].reason.contains("branch target 99"));
-        let (p, skips) = lift_file_lenient(&file, &|name| {
-            (name == display[3]).then(|| "by policy".to_owned())
-        });
+        assert!(skips[1].reason.to_string().contains("unresolvable string"));
+        assert!(skips[2].reason.to_string().contains("branch target 99"));
+        let (p, skips) = lift_skipping(
+            &file,
+            Some(&|name| (name == display[3]).then(|| "by policy".to_owned())),
+        );
         assert_eq!(skips.last().unwrap().method, display[3]);
         assert!(p.methods[3].body.is_none());
     }

@@ -8,12 +8,14 @@
 //! 2. valid serialized files with raw byte damage (the checksum must
 //!    catch every flip; truncation must be a typed error), and
 //! 3. well-formed containers whose *parsed content* lies (the verifier
-//!    must flag them, the strict lifter must return `Err` not panic,
-//!    and the lenient lifter must stay total).
+//!    must flag them, `lift_file` must return `Err` not panic, and
+//!    `lift_skipping` must stay total).
 
 use nck_dex::builder::AdxBuilder;
-use nck_dex::{read_adx, write_adx, AccessFlags, AdxFile, Insn, Reg};
+use nck_dex::{read_adx, write_adx, AccessFlags, AdxFile, Insn, Reg, VerifyScope};
+use nck_ir::SkipReason;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// A small but non-trivial file: two classes, a call, a branch.
 fn sample_file() -> AdxFile {
@@ -59,11 +61,25 @@ fn front_half_is_total(file: &AdxFile) {
     match nck_ir::lift_file(file) {
         Ok(_) | Err(_) => {}
     }
-    let (program, skips) = nck_ir::lift_file_lenient(file, &|_| None);
-    // Lenient lifting keeps skipped methods bodiless rather than
-    // dropping them, so resolution stays intact for the others.
+    let (program, skips) = nck_ir::lift_skipping(file, None);
+    // Skipped methods stay bodiless rather than dropped, so resolution
+    // stays intact for the others.
     assert!(program.methods.iter().filter(|m| m.body.is_none()).count() >= skips.len());
-    let _ = errors;
+    // The prescan's precondition: once the methods the verifier flags
+    // are skipped, the lifter rejects nothing more.
+    if errors.iter().all(|e| e.scope == VerifyScope::Method) {
+        let flagged: BTreeSet<&str> = errors.iter().map(|e| e.method.as_str()).collect();
+        let policy = |m: &str| flagged.contains(m).then(|| "flagged".to_owned());
+        let (_, skips) = nck_ir::lift_skipping(file, (!flagged.is_empty()).then_some(&policy));
+        for skip in skips {
+            assert!(
+                matches!(skip.reason, SkipReason::Policy(_)),
+                "the verifier missed {}: {}",
+                skip.method,
+                skip.reason
+            );
+        }
+    }
 }
 
 proptest! {
@@ -115,10 +131,10 @@ proptest! {
     #[test]
     fn lenient_lift_honours_arbitrary_skip_policies(skip_mask in 0u32..8) {
         let file = sample_file();
-        let (program, skips) = nck_ir::lift_file_lenient(&file, &|name| {
+        let (program, skips) = nck_ir::lift_skipping(&file, Some(&|name| {
             let h = name.len() as u32 % 8;
             (h & skip_mask != 0).then(|| "policy".to_owned())
-        });
+        }));
         // Skipped methods stay resolvable (declared, bodiless).
         for skip in &skips {
             assert!(

@@ -466,7 +466,7 @@ impl AnalysisService {
         }
     }
 
-    /// Merges the service-level metrics (cache counters, lookup spans)
+    /// Merges the service-level metrics (the cache counters)
     /// into the report's snapshot so `--json` exports carry
     /// `svc.cache.*` under the schema-v1 `"metrics"` key. No-op when
     /// metrics are disabled (keeping cold/warm reports byte-identical in

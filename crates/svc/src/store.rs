@@ -212,9 +212,9 @@ impl AnalysisStore {
 
     /// Memory-tier lookup. Counts neither hit nor miss — the *outcome*
     /// of the analysis (whole-report reuse vs. recompute) decides that;
-    /// see [`AnalysisStore::count_outcome`].
-    pub fn lookup(&self, key: &str, obs: &Obs) -> Option<Arc<AppCacheEntry>> {
-        let _s = obs.tracer.span("cache_lookup");
+    /// see [`AnalysisStore::count_outcome`]. `_obs` is unused; nckbench's
+    /// traced twin passes one (DESIGN.md, "What nckbench pins").
+    pub fn lookup(&self, key: &str, _obs: &Obs) -> Option<Arc<AppCacheEntry>> {
         let mut mem = lock(&self.mem);
         let tick = mem.tick();
         let Lru {
@@ -252,7 +252,6 @@ impl AnalysisStore {
     /// is what makes [`AnalysisStore::gc_disk`]'s order an LRU.
     pub fn lookup_disk_entry(&self, key: &str, config_fp: u64, obs: &Obs) -> Option<StoredEntry> {
         let (dir, index) = self.disk.as_ref()?;
-        let _s = obs.tracer.span("cache_lookup_disk");
         let id = (key_hash(key), config_fp);
         let (file, loc) = lock(index).locate(dir, id)?;
         let mut bytes = vec![0; loc.len as usize];
@@ -528,7 +527,6 @@ impl AnalysisStore {
         let Some((dir, index)) = &self.disk else {
             return stats;
         };
-        let _s = obs.tracer.span("cache_gc");
         self.flush_touches();
         let swept = sweep_leftovers(dir);
         let mut index = lock(index);

@@ -281,7 +281,7 @@ fn analysis_metrics(stdout: &[u8]) -> serde_json::Value {
 /// cache miss records exactly the cold run's parse, verify, lift,
 /// context, summary and checker metrics, and renders the same bytes.
 /// Covered: a network app, a pool-clean app (the prescan fast path) and
-/// a degraded mutant (the lenient-lift branch).
+/// a degraded mutant (a lift that skips the verifier's flagged methods).
 #[test]
 fn cached_and_uncached_runs_record_the_same_analysis_metrics() {
     let network = nck_appgen::generate(&AppSpec::new(
@@ -330,6 +330,51 @@ fn cached_and_uncached_runs_record_the_same_analysis_metrics() {
         assert_eq!(metrics, analysis_metrics(&cold), "{name}: metrics differ");
         assert!(json == json_cold, "{name}: --json bytes differ");
     }
+}
+
+/// A network-free activity whose `onCreate(Bundle)` declares one
+/// in-register where its prototype binds two is verify damage, not a
+/// pool-clean app: the report degrades and the run exits 3, as it does
+/// under `--icc`, which skips the prescan.
+#[test]
+fn a_frame_mismatch_in_a_network_free_app_exits_degraded() {
+    let mut b = nck_dex::builder::AdxBuilder::new();
+    b.class("Lcom/frame/Main;", |c| {
+        c.super_class("Landroid/app/Activity;");
+        c.method(
+            "onCreate",
+            "(Landroid/os/Bundle;)V",
+            nck_dex::AccessFlags::PUBLIC,
+            3,
+            |m| {
+                m.const_int(m.reg(0), 1);
+                m.ret(None);
+            },
+        );
+    });
+    let mut adx = b.finish().unwrap();
+    adx.classes[0].methods[0].code.as_mut().unwrap().ins = 1;
+    let mut manifest = nck_android::manifest::Manifest::new("com.frame.lie");
+    manifest.component(
+        "Lcom/frame/Main;",
+        nck_android::manifest::ComponentKind::Activity,
+    );
+    let path = temp_path("frame-lie.apk");
+    std::fs::write(&path, nck_android::apk::Apk::new(manifest, adx).to_bytes()).unwrap();
+    for flags in [
+        &["--json"][..],
+        &["--json", "--icc"],
+        &["--json", "--no-cache"],
+    ] {
+        let (stdout, code) = run_on(flags, &path);
+        assert_eq!(code, Some(3), "{flags:?}");
+        let doc: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(&stdout).unwrap()).expect("json");
+        let skipped = doc["skipped_methods"].as_array().expect("skips listed");
+        assert_eq!(skipped.len(), 1, "{flags:?}: {doc:?}");
+        assert_eq!(skipped[0]["cause"], "verify", "{flags:?}: {doc:?}");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 fn make_apps(prefix: &str, n: usize) -> Vec<std::path::PathBuf> {

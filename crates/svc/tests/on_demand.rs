@@ -71,9 +71,19 @@ fn differential(family: &str, specs: &[AppSpec]) -> OnDemand {
         let mut default_json = String::new();
         for (name, config) in configs() {
             let checker = NChecker::with_config(config);
-            let lazy = AnalyzedApp::new(apk.manifest.clone(), program.clone(), &registry);
+            let lazy = AnalyzedApp::new(
+                apk.manifest.clone(),
+                program.clone(),
+                &registry,
+                &nck_obs::Obs::disabled(),
+            );
             let on_demand = checker.analyze(&lazy);
-            let eager = AnalyzedApp::new(apk.manifest.clone(), program.clone(), &registry);
+            let eager = AnalyzedApp::new(
+                apk.manifest.clone(),
+                program.clone(),
+                &registry,
+                &nck_obs::Obs::disabled(),
+            );
             for ma in eager.analyses_arc().values() {
                 let _ = (ma.cfg(), ma.loops());
             }

@@ -410,9 +410,14 @@ echo "==> nckbench smoke test"
 # verdict: that is nckbench's full-size run (nckbench/run.sh) under the
 # bounds in BENCHMARK.json. Exact work counters and the churn invariant
 # are tier-1 tests (tests/corpus.rs, crates/svc/tests/delta.rs).
-cargo build --release --offline --manifest-path nckbench/Cargo.toml --target-dir target
+# Building nckbench rewrites its Cargo.lock against the workspace, so
+# the committed lock is saved first and put back on exit: CI leaves the
+# tree as it found it.
 bench_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir" "$vet_dir" "$mem_dir" "$bench_dir"' EXIT
+bench_lock="$(mktemp)"
+cp nckbench/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" nckbench/Cargo.lock; rm -f "$bench_lock"; rm -rf "$smoke_dir" "$tele_dir" "$daemon_dir" "$vet_dir" "$mem_dir" "$bench_dir"' EXIT
+cargo build --release --offline --manifest-path nckbench/Cargo.toml --target-dir target
 ./target/release/nckbench --smoke --out "$bench_dir"
 
 echo "CI green."

@@ -71,7 +71,8 @@ fn corpus_analysis_is_deterministic() {
     // pipeline did more (or less) work than before, not that the host
     // was slow; changing a number here needs a CHANGES.md line saying
     // why the work changed.
-    let reports = nck_bench::run_specs_with(&specs, CheckerConfig::default(), &Obs::enabled());
+    let reports =
+        nck_bench::run_specs(&specs, CheckerConfig::default(), &Obs::enabled()).expect_all();
     let (_, metrics) = nck_bench::collect_obs(&reports);
     for (name, want) in [
         ("parse.bytes", 1_010_011),

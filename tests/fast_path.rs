@@ -2,9 +2,10 @@
 //! whose constant pool names no relevant API is answered with the empty
 //! report, without lifting. Every entry point takes that path, so each
 //! result here is compared against a reference built from the public
-//! phase calls with no fast path at all (parse → verify → lenient lift →
-//! `AnalyzedApp::new` → `NChecker::analyze`): the rendered report bytes
-//! and, for rejected bundles, the error class must agree.
+//! phase calls with no fast path at all (parse → verify → lift skipping
+//! the flagged methods → `AnalyzedApp::new` → `NChecker::analyze`): the
+//! rendered report bytes and, for rejected bundles, the error class must
+//! agree.
 
 use nchecker::{
     app_report_to_json, AnalysisSkip, AnalyzeError, AnalyzedApp, AppReport, NChecker, SkipCause,
@@ -14,8 +15,10 @@ use nck_appgen::mutate::mutate;
 use nck_appgen::spec::{AppSpec, Origin, RequestSpec};
 use nck_appgen::{generate, interproc_suite, profile, CorpusStream};
 use nck_dex::verify::{verify, VerifyScope};
+use nck_ir::SkipReason;
 use nck_netlibs::api::Registry;
 use nck_netlibs::library::Library;
+use nck_obs::Obs;
 use std::collections::BTreeMap;
 
 /// The whole-app pipeline spelled out phase by phase, with no prescan.
@@ -34,20 +37,20 @@ fn reference(bytes: &[u8]) -> Result<AppReport, AnalyzeError> {
     for e in &errors {
         bad.entry(e.method.clone()).or_insert_with(|| e.to_string());
     }
-    let (program, skips) = nck_ir::lift_file_lenient(&apk.adx, &|m| bad.get(m).cloned());
+    let policy = |m: &str| bad.get(m).cloned();
+    let (program, skips) = nck_ir::lift_skipping(&apk.adx, Some(&policy));
     let registry = Registry::standard();
-    let app = AnalyzedApp::new(apk.manifest.clone(), program, &registry);
+    let app = AnalyzedApp::new(apk.manifest.clone(), program, &registry, &Obs::disabled());
     let mut report = NChecker::new().analyze(&app);
     report.skipped_methods = skips
         .into_iter()
         .map(|s| AnalysisSkip {
-            cause: if bad.contains_key(&s.method) {
-                SkipCause::Verify
-            } else {
-                SkipCause::Lift
+            cause: match s.reason {
+                SkipReason::Policy(_) => SkipCause::Verify,
+                SkipReason::Lift(_) => SkipCause::Lift,
             },
             method: s.method,
-            detail: s.reason,
+            detail: s.reason.to_string(),
         })
         .collect();
     Ok(report)
@@ -58,7 +61,6 @@ fn outcome(r: &Result<AppReport, AnalyzeError>) -> String {
     match r {
         Ok(report) => serde_json::to_string(&app_report_to_json(report)).expect("renders"),
         Err(AnalyzeError::Apk(_)) => "error: apk".into(),
-        Err(AnalyzeError::Lift(_)) => "error: lift".into(),
         Err(AnalyzeError::Verify(_)) => "error: verify".into(),
         Err(AnalyzeError::Panic(msg)) => format!("error: panic {msg}"),
     }
@@ -174,6 +176,53 @@ fn fast_path_matches_the_reference_on_pool_clean_mutations() {
         pool_clean_mutants > 300,
         "only {pool_clean_mutants} pool-clean mutants"
     );
+}
+
+/// A network-free app whose activity's `onCreate(Bundle)` declares one
+/// in-register where its prototype binds two, the receiver and the
+/// bundle.
+fn frame_mismatch_bundle() -> Vec<u8> {
+    let mut b = nck_dex::builder::AdxBuilder::new();
+    b.class("Lcom/frame/Main;", |c| {
+        c.super_class("Landroid/app/Activity;");
+        c.method(
+            "onCreate",
+            "(Landroid/os/Bundle;)V",
+            nck_dex::AccessFlags::PUBLIC,
+            3,
+            |m| {
+                m.const_int(m.reg(0), 1);
+                m.ret(None);
+            },
+        );
+    });
+    let mut adx = b.finish().unwrap();
+    let code = adx.classes[0].methods[0].code.as_mut().unwrap();
+    assert_eq!(code.ins, 2);
+    code.ins = 1;
+    let mut manifest = nck_android::manifest::Manifest::new("com.frame.lie");
+    manifest.component(
+        "Lcom/frame/Main;",
+        nck_android::manifest::ComponentKind::Activity,
+    );
+    Apk::new(manifest, adx).to_bytes()
+}
+
+/// A frame that disagrees with its prototype is verify damage: the
+/// prescan stays closed, and the pipeline matches the reference, a
+/// degraded report with one `verify` skip.
+#[test]
+fn a_frame_mismatch_in_a_pool_clean_app_degrades() {
+    let bytes = frame_mismatch_bundle();
+    assert!(assert_agrees(&bytes, "frame mismatch"), "pool-clean");
+    let mut checker = NChecker::new();
+    checker.obs.events = nck_obs::Events::silent();
+    let report = checker.analyze_bytes(&bytes).expect("analyzes");
+    assert_eq!(report.skipped_methods.len(), 1, "{report:?}");
+    let skip = &report.skipped_methods[0];
+    assert_eq!(skip.cause, SkipCause::Verify);
+    assert!(skip.method.ends_with(".onCreate(Landroid/os/Bundle;)V"));
+    assert!(skip.detail.contains("ins=1"), "{}", skip.detail);
 }
 
 /// Analyzes `spec` with metrics on and returns the run's counters.

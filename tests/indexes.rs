@@ -76,7 +76,7 @@ fn type_index_agrees_with_the_hierarchy_walks() {
 /// the registry's string lookups; returns how many invokes hit a role.
 fn assert_roles_agree(registry: &Registry, spec: &AppSpec) -> usize {
     let (manifest, program) = lift(spec);
-    let app = AnalyzedApp::new(manifest, program, registry);
+    let app = AnalyzedApp::new(manifest, program, registry, &nck_obs::Obs::disabled());
     let mut hits = 0;
     for (_, m) in app.program.iter_methods() {
         let Some(body) = &m.body else { continue };
