@@ -24,7 +24,8 @@
 //!   [`Expectation::MustError`].
 //! - **Structural** mutations patch the parsed [`AdxFile`] in memory and
 //!   re-serialize, producing a well-formed container (valid checksum)
-//!   whose *content* lies: out-of-frame registers, frame-size lies,
+//!   whose *content* lies: out-of-frame registers, frame-size lies
+//!   above and below the register count,
 //!   branch targets past the end of a method, dangling pool references.
 //!   These reach the verifier and lifter; the pipeline may reject them
 //!   outright or degrade per-method, but must not accept them cleanly:
@@ -56,6 +57,9 @@ pub enum MutationKind {
     BadPoolIndex,
     /// Structural: declare more parameter registers than the frame holds.
     FrameLie,
+    /// Structural: declare a parameter-register count within the frame
+    /// that differs from the one the prototype binds.
+    FrameMismatch,
     /// Structural: aim a branch past the end of the instruction stream.
     BranchOutOfRange,
     /// Structural: make an instruction touch a register outside its
@@ -73,6 +77,7 @@ pub const ALL_KINDS: &[MutationKind] = &[
     MutationKind::FlipPayloadByte,
     MutationKind::BadPoolIndex,
     MutationKind::FrameLie,
+    MutationKind::FrameMismatch,
     MutationKind::BranchOutOfRange,
     MutationKind::RegisterOutOfFrame,
     MutationKind::DanglingSuperclass,
@@ -87,6 +92,7 @@ impl MutationKind {
             MutationKind::FlipPayloadByte => "flip-payload-byte",
             MutationKind::BadPoolIndex => "bad-pool-index",
             MutationKind::FrameLie => "frame-lie",
+            MutationKind::FrameMismatch => "frame-mismatch",
             MutationKind::BranchOutOfRange => "branch-out-of-range",
             MutationKind::RegisterOutOfFrame => "register-out-of-frame",
             MutationKind::DanglingSuperclass => "dangling-superclass",
@@ -221,6 +227,22 @@ fn apply(apk: &Apk, kind: MutationKind, rng: &mut StdRng) -> (Vec<u8>, String, M
             let lie = code.registers + rng.gen_range(1..16u16);
             code.ins = lie;
             format!("ins={lie} exceeds registers={}", code.registers)
+        }),
+        MutationKind::FrameMismatch => structural(apk, rng, kind, |adx, rng, class, method, _| {
+            let code = adx.classes[class].methods[method].code.as_mut().unwrap();
+            // Any count in `0..=registers` but the healthy one; a
+            // zero-register frame grows one register to make room.
+            let binds = code.ins;
+            code.registers = code.registers.max(1);
+            let mut lie = rng.gen_range(0..code.registers);
+            if lie >= binds {
+                lie += 1;
+            }
+            code.ins = lie;
+            format!(
+                "ins={lie} within registers={} but the prototype binds {binds}",
+                code.registers
+            )
         }),
         MutationKind::BranchOutOfRange => {
             structural(apk, rng, kind, |adx, rng, class, method, insn| {
@@ -417,6 +439,34 @@ mod tests {
         for &kind in ALL_KINDS {
             assert!(seen.contains(&kind), "no seed in 0..256 produced {kind}");
         }
+    }
+
+    #[test]
+    fn frame_mismatch_stays_within_the_frame_and_degrades() {
+        let apk = healthy();
+        let checker = quiet_checker();
+        let mut seen = 0;
+        for seed in 0..256 {
+            let (bytes, m) = mutate(&apk, seed);
+            if m.kind != MutationKind::FrameMismatch {
+                continue;
+            }
+            seen += 1;
+            let adx = Apk::from_bytes(&bytes).expect("a valid container").adx;
+            let frames_fit = adx
+                .classes
+                .iter()
+                .flat_map(|c| &c.methods)
+                .filter_map(|m| m.code.as_ref())
+                .all(|code| code.ins <= code.registers);
+            assert!(frames_fit, "seed {seed}: {}", m.detail);
+            let verified = nck_dex::verify::verify(&adx).expect("method-scoped damage");
+            let flagged: Vec<_> = verified.flagged().collect();
+            assert_eq!(flagged.len(), 1, "seed {seed}: {}", m.detail);
+            assert!(flagged[0].2.message.contains("the prototype binds"));
+            assert_eq!(check(&checker, &bytes, &m), Ok(Outcome::Degraded));
+        }
+        assert!(seen > 0, "no seed in 0..256 drew frame-mismatch");
     }
 
     #[test]

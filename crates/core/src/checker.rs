@@ -15,12 +15,11 @@ use nck_android::apk::{Apk, ApkError};
 use nck_dex::verify::{VerifyError, VerifyScope};
 use nck_dex::AdxFile;
 use nck_ir::body::Program;
-use nck_ir::lift::SkipReason;
 use nck_netlibs::api::Registry;
 use nck_netlibs::library::Library;
 use nck_obs::{Metrics, MetricsSnapshot, Obs, PipelineTrace};
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Analysis options. Every checker always runs, as in the paper's
@@ -127,36 +126,18 @@ pub struct AppStats {
     pub summary_hits: usize,
 }
 
-/// Which pipeline stage dropped a method from the analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SkipCause {
-    /// Structural verification rejected the method body.
-    Verify,
-    /// The lifter could not translate the method body.
-    Lift,
-}
-
-impl std::fmt::Display for SkipCause {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SkipCause::Verify => "verify",
-            SkipCause::Lift => "lift",
-        })
-    }
-}
-
-/// One method the pipeline skipped while degrading per-method: the rest
-/// of the app was analyzed normally, but nothing is known about this
-/// method's behaviour (so no defect is reported *inside* it, and checks
-/// that would have needed its body err on the side of the surrounding
-/// evidence).
+/// One method the pipeline skipped while degrading per-method: the
+/// verifier flagged it, so it was lifted bodiless. The rest of the app
+/// was analyzed normally, but nothing is known about this method's
+/// behaviour (so no defect is reported *inside* it, and checks that
+/// would have needed its body err on the side of the surrounding
+/// evidence). Reports render its cause as `"verify"`, the one stage
+/// that skips methods.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisSkip {
     /// Rendered `class.name(sig)` identity.
     pub method: String,
-    /// Which stage gave up on the method.
-    pub cause: SkipCause,
-    /// Human-readable failure detail.
+    /// The method's first verify error, rendered.
     pub detail: String,
 }
 
@@ -400,30 +381,32 @@ impl NChecker {
             }
         };
 
-        // Structural verification between parse and lift: the lifter and
-        // every downstream analysis assume in-range registers, branch
-        // targets, and pool references; nothing downstream re-checks.
-        let errors = {
+        // Structural verification between parse and lift: the lifter
+        // takes only the verifier's witness, and every downstream
+        // analysis assumes in-range registers, branch targets, and pool
+        // references; nothing downstream re-checks.
+        let verified = {
             let s = obs.tracer.span("verify");
-            let errs = nck_dex::verify::verify(&apk.adx);
-            s.add_items(errs.len() as u64);
-            errs
+            let verified = nck_dex::verify::verify(&apk.adx);
+            let n = verified
+                .as_ref()
+                .map_or_else(Vec::len, |v| v.errors().len());
+            s.add_items(n as u64);
+            obs.metrics.inc("verify.errors", n as u64);
+            verified
         };
-        obs.metrics.inc("verify.errors", errors.len() as u64);
-
         // Damage wider than one method (class or file scope) leaves no
         // sound way to analyze the app.
-        let wide: Vec<VerifyError> = errors
-            .iter()
-            .filter(|e| e.scope != VerifyScope::Method)
-            .cloned()
-            .collect();
-        if !wide.is_empty() {
-            return Err(AnalyzeError::Verify(wide));
-        }
-        // The verifier flags every method the lifter would reject, so a
-        // clean bundle lifts whole and the prescan may answer it.
-        if errors.is_empty() {
+        let verified = verified.map_err(|errors| {
+            AnalyzeError::Verify(
+                errors
+                    .into_iter()
+                    .filter(|e| e.scope != VerifyScope::Method)
+                    .collect(),
+            )
+        })?;
+        // A clean bundle lifts whole, so the prescan may answer it.
+        if verified.is_clean() {
             if let Some(report) = self.pool_clean_report(apk, obs) {
                 return Ok(report);
             }
@@ -431,33 +414,17 @@ impl NChecker {
 
         // Method-scoped damage skips just that method. The report is
         // then incomplete, so it is never cached.
-        let mut bad_methods: BTreeMap<&str, String> = BTreeMap::new();
-        for e in &errors {
-            bad_methods
-                .entry(&e.method)
-                .or_insert_with(|| e.to_string());
-        }
-        let policy = |name: &str| bad_methods.get(name).cloned();
-        let (program, lift_skips) = {
+        let program = {
             let _s = obs.tracer.span("lift");
-            let (program, skips) =
-                nck_ir::lift_skipping(&apk.adx, (!errors.is_empty()).then_some(&policy));
+            let program = nck_ir::lift(&verified);
             record_lift(&obs.metrics, &program);
-            (program, skips)
+            program
         };
-        // A lift failure the verifier missed is a backstop only.
-        let skipped_methods: Vec<AnalysisSkip> = lift_skips
-            .into_iter()
-            .map(|s| {
-                let (cause, detail) = match s.reason {
-                    SkipReason::Policy(detail) => (SkipCause::Verify, detail),
-                    SkipReason::Lift(err) => (SkipCause::Lift, err.to_string()),
-                };
-                AnalysisSkip {
-                    method: s.method,
-                    cause,
-                    detail,
-                }
+        let skipped_methods: Vec<AnalysisSkip> = verified
+            .flagged()
+            .map(|(_, _, first)| AnalysisSkip {
+                method: first.method.clone(),
+                detail: first.to_string(),
             })
             .collect();
         if !skipped_methods.is_empty() {
@@ -471,7 +438,7 @@ impl NChecker {
             ));
             for s in &skipped_methods {
                 obs.events
-                    .debug(&format!("skipped {} [{}]: {}", s.method, s.cause, s.detail));
+                    .debug(&format!("skipped {} [verify]: {}", s.method, s.detail));
             }
         }
         let app = AnalyzedApp::new(apk.manifest.clone(), program, &self.registry, obs);
@@ -1126,7 +1093,7 @@ mod tests {
         assert_eq!(report.skipped_methods.len(), 1);
         let skip = &report.skipped_methods[0];
         assert!(skip.method.contains("broken"), "skip: {skip:?}");
-        assert_eq!(skip.cause, SkipCause::Verify);
+        assert!(skip.detail.starts_with(&skip.method), "skip: {skip:?}");
         // ...while the healthy entry point still yields its defects.
         assert_eq!(report.stats.requests, 1);
         assert!(report.has(DefectKind::MissedConnectivityCheck));

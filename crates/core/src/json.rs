@@ -192,7 +192,7 @@ pub fn app_report_to_json(r: &AppReport) -> Value {
             .map(|s| {
                 json!({
                     "method": s.method,
-                    "cause": s.cause.to_string(),
+                    "cause": "verify",
                     "detail": s.detail,
                 })
             })
@@ -232,7 +232,7 @@ pub fn write_app_report(w: &mut Writer, r: &AppReport) {
     for s in &r.skipped_methods {
         w.begin_object();
         w.key("cause");
-        w.display(&s.cause);
+        w.str("verify");
         w.key("detail");
         w.str(&s.detail);
         w.key("method");
@@ -490,14 +490,13 @@ mod tests {
 
     #[test]
     fn app_report_json_carries_degradation() {
-        use crate::checker::{AnalysisSkip, SkipCause};
+        use crate::checker::AnalysisSkip;
         let mut report = AppReport::default();
         let v = app_report_to_json(&report);
         assert_eq!(v["degraded"], false);
         assert_eq!(v["skipped_methods"].as_array().unwrap().len(), 0);
         report.skipped_methods.push(AnalysisSkip {
             method: "Lapp/Main;.broken".into(),
-            cause: SkipCause::Verify,
             detail: "register out of frame".into(),
         });
         let v = app_report_to_json(&report);

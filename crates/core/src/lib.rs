@@ -67,9 +67,7 @@ pub mod stats;
 
 pub use cache::{config_fingerprint, AppCacheEntry, ANALYSIS_VERSION};
 pub use callgraph::{CallEdge, CallGraph};
-pub use checker::{
-    AnalysisSkip, AnalyzeError, AppReport, AppStats, CheckerConfig, NChecker, SkipCause,
-};
+pub use checker::{AnalysisSkip, AnalyzeError, AppReport, AppStats, CheckerConfig, NChecker};
 pub use context::{AnalyzedApp, AppReuse, MethodAnalysis};
 pub use icc::{find_icc_sends, IccKind, IccSend};
 pub use json::{

@@ -6,7 +6,7 @@
 use nchecker::report::Location;
 use nchecker::{
     app_report_to_json, write_app_report, AnalysisSkip, AppReport, CheckerConfig, DefectKind,
-    Evidence, NChecker, OverRetryContext, Report, SkipCause,
+    Evidence, NChecker, OverRetryContext, Report,
 };
 use nck_appgen::{generate, interproc_suite, profile, CorpusStream};
 use nck_netlibs::library::ALL_LIBRARIES;
@@ -119,12 +119,8 @@ prop_compose! {
 }
 
 prop_compose! {
-    fn arb_skip()(method in arb_text(), verify in any::<bool>(), detail in arb_text()) -> AnalysisSkip {
-        AnalysisSkip {
-            method,
-            cause: if verify { SkipCause::Verify } else { SkipCause::Lift },
-            detail,
-        }
+    fn arb_skip()(method in arb_text(), detail in arb_text()) -> AnalysisSkip {
+        AnalysisSkip { method, detail }
     }
 }
 

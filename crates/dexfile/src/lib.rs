@@ -11,7 +11,8 @@
 //! - the in-memory model ([`AdxFile`], [`ClassDef`], [`CodeItem`], ...),
 //! - the instruction set ([`Insn`]),
 //! - a binary writer ([`write_adx`]) and defensive parser ([`read_adx`]),
-//! - a structural verifier ([`verify::verify`]),
+//! - a structural verifier ([`verify::verify`]) whose [`Verified`] witness
+//!   is the lifter's only input,
 //! - an ergonomic programmatic builder ([`builder::AdxBuilder`]), and
 //! - a disassembler ([`disasm::disassemble`]).
 //!
@@ -57,7 +58,7 @@ pub use pool::{
     StringIdx, TypeIdx,
 };
 pub use read::read_adx;
-pub use verify::{VerifyError, VerifyScope};
+pub use verify::{Verified, VerifyError, VerifyScope};
 pub use write::write_adx;
 
 /// Errors produced while reading or constructing ADX containers.

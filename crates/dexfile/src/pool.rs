@@ -260,8 +260,10 @@ impl Pools {
     /// straight from the prototype when its descriptors split cleanly
     /// ([`signature_splits_as`](crate::signature_splits_as)), else by
     /// parsing the rendering. `None` when the rendering does not parse.
-    /// The lifter binds one register per parameter plus the receiver,
-    /// and the verifier holds every frame to that count.
+    /// [`verify`](crate::verify::verify) derives it once per method
+    /// definition, holds the frame to one register per parameter plus
+    /// the receiver, and hands the split to the lifter in its
+    /// [`Verified`](crate::verify::Verified) witness.
     pub fn method_params(&self, idx: MethodIdx) -> Option<ParamTypes<'_>> {
         let proto_idx = self.get_method(idx)?.proto;
         let proto = self.get_proto(proto_idx)?;

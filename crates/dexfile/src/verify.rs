@@ -5,12 +5,14 @@
 //! checks a DEX verifier would: branch targets in range, registers within
 //! the declared frame, parameter frames that match the prototype,
 //! `move-result` placement, try-range sanity, and pool-reference validity
-//! inside instruction operands. A parsed file that verifies clean is one
-//! the lifter lifts whole.
+//! inside instruction operands and class definitions. It returns a
+//! [`Verified`] witness, the lifter's only input: each method definition
+//! either carries the parameter split it lifts with or is flagged and
+//! lifts bodiless.
 
 use crate::insn::Insn;
-use crate::model::{AccessFlags, AdxFile, CodeItem};
-use crate::pool::MethodIdx;
+use crate::model::{AccessFlags, AdxFile, CodeItem, MethodDef};
+use crate::pool::{MethodIdx, ParamTypes};
 
 /// How much of the file a verification failure poisons.
 ///
@@ -165,87 +167,185 @@ fn check_code(file: &AdxFile, method: MethodIdx, code: &CodeItem, errors: &mut V
     }
 }
 
-/// Verifies `file`, returning every failure found (empty means valid).
-pub fn verify(file: &AdxFile) -> Vec<VerifyError> {
-    verify_with_skip(file, &[])
+/// A file the verifier passed on to the lifter: every class-level pool
+/// index resolves, and each method definition either lifts whole or is
+/// flagged. [`verify`] is the only way to make one, and the lifter
+/// (`nck_ir::lift`) takes nothing else.
+#[derive(Debug)]
+pub struct Verified<'a> {
+    file: &'a AdxFile,
+    errors: Vec<VerifyError>,
+    /// Flagged definitions as (class index, method index, index of the
+    /// method's first error in `errors`), in declaration order.
+    flagged: Vec<(usize, usize, usize)>,
+    /// What [`Verified::params`] returns.
+    params: Vec<Option<ParamTypes<'a>>>,
 }
 
-/// Like [`verify`], but skips the per-class checks for every class index
-/// where `skip` is `true` — the incremental path's lever for classes a
-/// previous run already verified clean (by content fingerprint). The
-/// cross-class duplicate-definition check still covers *all* classes:
-/// it is the one file-scoped property a per-class cache cannot carry.
-/// Indices beyond `skip.len()` are verified normally.
-pub fn verify_with_skip(file: &AdxFile, skip: &[bool]) -> Vec<VerifyError> {
+impl<'a> Verified<'a> {
+    /// The verified file.
+    pub fn file(&self) -> &'a AdxFile {
+        self.file
+    }
+
+    /// Every method-scoped failure found, in declaration order.
+    pub fn errors(&self) -> &[VerifyError] {
+        &self.errors
+    }
+
+    /// Whether no method was flagged, so the whole file lifts.
+    pub fn is_clean(&self) -> bool {
+        self.errors.is_empty()
+    }
+
+    /// The flagged method definitions in declaration order, as (class
+    /// index, method index, first error). The lifter keeps them
+    /// bodiless.
+    pub fn flagged(&self) -> impl Iterator<Item = (usize, usize, &VerifyError)> + '_ {
+        self.flagged
+            .iter()
+            .map(|&(class, method, first)| (class, method, &self.errors[first]))
+    }
+
+    /// One entry per method definition, class by class in declaration
+    /// order: the parameter split of each method that lifts with a body,
+    /// `None` for a flagged or bodiless one.
+    pub fn params(&self) -> &[Option<ParamTypes<'a>>] {
+        &self.params
+    }
+}
+
+/// Verifies `file`. `Ok` holds the witness the lifter consumes, with
+/// every method-scoped failure (none on a clean file); `Err` holds every
+/// failure found when any of them is class- or file-scoped, which leaves
+/// nothing the lifter may take.
+pub fn verify(file: &AdxFile) -> Result<Verified<'_>, Vec<VerifyError>> {
+    let pools = &file.pools;
+    let n_types = pools.types().len() as u32;
+    let n_fields = pools.fields().len() as u32;
+    let n_methods = pools.methods().len() as u32;
     let mut errors = Vec::new();
-    let n_types = file.pools.types().len() as u32;
+    let mut flagged = Vec::new();
+    let mut params = Vec::with_capacity(file.classes.iter().map(|c| c.methods.len()).sum());
 
     let mut seen = std::collections::HashSet::new();
     for (ci, class) in file.classes.iter().enumerate() {
-        let class_name = || {
-            file.pools
-                .get_type(class.ty)
-                .unwrap_or("<bad type>")
-                .to_owned()
+        let class_name = || pools.get_type(class.ty).unwrap_or("<bad type>").to_owned();
+        let class_error = |message: String| VerifyError {
+            scope: VerifyScope::Class,
+            method: class_name(),
+            pc: None,
+            message,
         };
-        if !seen.insert(class.ty) {
-            errors.push(VerifyError {
-                scope: VerifyScope::Class,
-                method: class_name(),
-                pc: None,
-                message: "duplicate class definition".to_owned(),
-            });
+        // The parser range-checks these indices on read; an in-memory
+        // model gets the same checks here.
+        if class.ty.0 >= n_types {
+            errors.push(class_error(format!(
+                "class type index {} out of range",
+                class.ty
+            )));
         }
-        if skip.get(ci).copied().unwrap_or(false) {
-            continue;
+        if !seen.insert(class.ty) {
+            errors.push(class_error("duplicate class definition".to_owned()));
         }
         if let Some(s) = class.superclass {
             if s.0 >= n_types {
-                errors.push(VerifyError {
-                    scope: VerifyScope::Class,
-                    method: class_name(),
-                    pc: None,
-                    message: format!("superclass index {s} out of range"),
-                });
+                errors.push(class_error(format!("superclass index {s} out of range")));
             }
         }
-        for m in &class.methods {
-            let method_error = |message: &str| VerifyError {
-                scope: VerifyScope::Method,
-                method: file.pools.display_method(m.method),
-                pc: None,
-                message: message.to_owned(),
-            };
-            let is_abstract = m.flags.contains(AccessFlags::ABSTRACT);
-            match (&m.code, is_abstract) {
-                (Some(_), true) => errors.push(method_error("abstract method has code")),
-                (None, false) => errors.push(method_error("concrete method missing code")),
-                _ => {}
+        for &i in &class.interfaces {
+            if i.0 >= n_types {
+                errors.push(class_error(format!("interface index {i} out of range")));
             }
-            if let Some(code) = &m.code {
-                if code.ins > code.registers {
-                    errors.push(method_error("ins exceeds registers"));
-                    continue;
-                }
-                // The lifter binds one in-register per parameter, plus
-                // the receiver of an instance method.
-                let receiver = usize::from(!m.flags.contains(AccessFlags::STATIC));
-                match file.pools.method_params(m.method) {
-                    None => errors.push(method_error("prototype signature does not parse")),
-                    Some(params) if usize::from(code.ins) != params.len() + receiver => {
-                        errors.push(method_error(&format!(
-                            "ins={} but the prototype binds {} parameter register(s)",
-                            code.ins,
-                            params.len() + receiver
-                        )));
-                    }
-                    Some(_) => {}
-                }
-                check_code(file, m.method, code, &mut errors);
+        }
+        for f in &class.fields {
+            if f.field.0 >= n_fields {
+                errors.push(class_error(format!(
+                    "field definition index {} out of range",
+                    f.field
+                )));
+            }
+        }
+        for (mi, m) in class.methods.iter().enumerate() {
+            if m.method.0 >= n_methods {
+                errors.push(class_error(format!(
+                    "method definition index {} out of range",
+                    m.method
+                )));
+                params.push(None);
+                continue;
+            }
+            let first = errors.len();
+            let split = check_method(file, m, &mut errors);
+            if errors.len() > first {
+                flagged.push((ci, mi, first));
+                params.push(None);
+            } else {
+                params.push(split);
             }
         }
     }
-    errors
+    if errors.iter().any(|e| e.scope != VerifyScope::Method) {
+        return Err(errors);
+    }
+    Ok(Verified {
+        file,
+        errors,
+        flagged,
+        params,
+    })
+}
+
+/// Checks one method definition, returning its parameter split when it
+/// has code. The lifter binds one in-register per parameter, plus the
+/// receiver of an instance method, so the frame must hold exactly that.
+fn check_method<'a>(
+    file: &'a AdxFile,
+    m: &MethodDef,
+    errors: &mut Vec<VerifyError>,
+) -> Option<ParamTypes<'a>> {
+    let method_error = |message: &str| VerifyError {
+        scope: VerifyScope::Method,
+        method: file.pools.display_method(m.method),
+        pc: None,
+        message: message.to_owned(),
+    };
+    let is_abstract = m.flags.contains(AccessFlags::ABSTRACT);
+    match (&m.code, is_abstract) {
+        (Some(_), true) => errors.push(method_error("abstract method has code")),
+        (None, false) => errors.push(method_error("concrete method missing code")),
+        _ => {}
+    }
+    let code = m.code.as_ref()?;
+    if code.ins > code.registers {
+        errors.push(method_error("ins exceeds registers"));
+        return None;
+    }
+    let receiver = usize::from(!m.flags.contains(AccessFlags::STATIC));
+    let params = file.pools.method_params(m.method);
+    match &params {
+        None => errors.push(method_error("prototype signature does not parse")),
+        Some(params) if usize::from(code.ins) != params.len() + receiver => {
+            errors.push(method_error(&format!(
+                "ins={} but the prototype binds {} parameter register(s)",
+                code.ins,
+                params.len() + receiver
+            )));
+        }
+        Some(_) => {}
+    }
+    check_code(file, m.method, code, errors);
+    params
+}
+
+/// Every failure [`verify`] finds, whatever its scope. `skip` is
+/// ignored: it remains for nckbench's traced twin, which passes an
+/// all-false mask.
+pub fn verify_with_skip(file: &AdxFile, _skip: &[bool]) -> Vec<VerifyError> {
+    match verify(file) {
+        Ok(verified) => verified.errors,
+        Err(errors) => errors,
+    }
 }
 
 #[cfg(test)]
@@ -271,9 +371,17 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// Every failure found, whatever its scope.
+    fn errors(f: &AdxFile) -> Vec<VerifyError> {
+        match verify(f) {
+            Ok(verified) => verified.errors,
+            Err(errors) => errors,
+        }
+    }
+
     #[test]
     fn valid_file_verifies_clean() {
-        assert!(verify(&valid_file()).is_empty());
+        assert!(verify(&valid_file()).is_ok_and(|v| v.is_clean()));
     }
 
     #[test]
@@ -286,7 +394,7 @@ mod tests {
                 value: 0,
             },
         );
-        let errs = verify(&f);
+        let errs = errors(&f);
         assert!(errs.iter().any(|e| e.message.contains("out of frame")));
     }
 
@@ -295,7 +403,7 @@ mod tests {
         let mut f = valid_file();
         let code = f.classes[0].methods[0].code.as_mut().unwrap();
         code.insns[0] = Insn::Goto { target: 1000 };
-        let errs = verify(&f);
+        let errs = errors(&f);
         assert!(errs.iter().any(|e| e.message.contains("out of range")));
     }
 
@@ -304,7 +412,7 @@ mod tests {
         let mut f = valid_file();
         let code = f.classes[0].methods[1].code.as_mut().unwrap();
         code.insns = vec![Insn::Nop];
-        let errs = verify(&f);
+        let errs = errors(&f);
         assert!(errs.iter().any(|e| e.message.contains("fall off")));
     }
 
@@ -313,7 +421,7 @@ mod tests {
         let mut f = valid_file();
         let code = f.classes[0].methods[1].code.as_mut().unwrap();
         code.insns = vec![Insn::MoveResult { dst: Reg(0) }, Insn::Return { src: None }];
-        let errs = verify(&f);
+        let errs = errors(&f);
         assert!(errs
             .iter()
             .any(|e| e.message.contains("move-result not immediately")));
@@ -328,7 +436,7 @@ mod tests {
             end: 3,
             handlers: vec![],
         });
-        let errs = verify(&f);
+        let errs = errors(&f);
         assert!(errs.iter().any(|e| e.message.contains("invalid")));
         assert!(errs.iter().any(|e| e.message.contains("no handlers")));
     }
@@ -338,7 +446,7 @@ mod tests {
         let mut f = valid_file();
         let dup = f.classes[0].clone();
         f.classes.push(dup);
-        let errs = verify(&f);
+        let errs = errors(&f);
         assert!(errs.iter().any(|e| e.message.contains("duplicate class")));
     }
 
@@ -347,7 +455,7 @@ mod tests {
         let mut f = valid_file();
         let code = f.classes[0].methods[0].code.as_mut().unwrap();
         code.insns[0] = Insn::Goto { target: 1000 };
-        let errs = verify(&f);
+        let errs = errors(&f);
         assert!(!errs.is_empty());
         assert!(errs.iter().all(|e| e.scope == VerifyScope::Method));
         // The sibling method is untouched: no error names it.
@@ -360,7 +468,7 @@ mod tests {
         // parameter. Declaring one is a lie the lifter rejects.
         let mut f = valid_file();
         f.classes[0].methods[0].code.as_mut().unwrap().ins = 1;
-        let errs = verify(&f);
+        let errs = errors(&f);
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert_eq!(errs[0].scope, VerifyScope::Method);
         assert_eq!(errs[0].method, "Lcom/app/A;.f(I)V");
@@ -369,7 +477,7 @@ mod tests {
         let mut f = valid_file();
         let g = &mut f.classes[0].methods[1];
         g.flags = g.flags | AccessFlags::STATIC;
-        let errs = verify(&f);
+        let errs = errors(&f);
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].method.contains(".g("));
     }
@@ -379,7 +487,7 @@ mod tests {
         let mut f = valid_file();
         let dup = f.classes[0].clone();
         f.classes.push(dup);
-        let errs = verify(&f);
+        let errs = errors(&f);
         assert!(errs
             .iter()
             .any(|e| e.scope == VerifyScope::Class && e.message.contains("duplicate class")));
@@ -399,9 +507,49 @@ mod tests {
                 idx: crate::pool::StringIdx(n + 7),
             },
         );
-        let errs = verify(&f);
+        let errs = errors(&f);
         assert!(errs
             .iter()
             .any(|e| e.message.contains("string index") && e.scope == VerifyScope::Method));
+    }
+
+    #[test]
+    fn witness_flags_by_definition_and_splits_the_rest() {
+        let mut f = valid_file();
+        f.classes[0].methods[0].code.as_mut().unwrap().insns[0] = Insn::Goto { target: 1000 };
+        let verified = verify(&f).expect("method-scoped damage only");
+        assert!(!verified.is_clean());
+        let flagged: Vec<_> = verified.flagged().collect();
+        assert_eq!(flagged.len(), 1);
+        assert_eq!((flagged[0].0, flagged[0].1), (0, 0));
+        assert_eq!(flagged[0].2, &verified.errors()[0]);
+        // The flagged method carries no split; its sibling's is `()V`.
+        assert!(verified.params()[0].is_none());
+        assert_eq!(verified.params()[1].as_ref().map(ParamTypes::len), Some(0));
+    }
+
+    #[test]
+    fn class_level_indices_of_an_in_memory_model_are_class_scoped() {
+        let damage: [fn(&mut AdxFile); 4] = [
+            |f| f.classes[0].ty = crate::pool::TypeIdx(900),
+            |f| f.classes[0].interfaces.push(crate::pool::TypeIdx(900)),
+            |f| {
+                f.classes[0].fields.push(crate::model::FieldDef {
+                    field: crate::pool::FieldIdx(900),
+                    flags: AccessFlags::PUBLIC,
+                })
+            },
+            |f| f.classes[0].methods[1].method = MethodIdx(900),
+        ];
+        for (i, damage) in damage.into_iter().enumerate() {
+            let mut f = valid_file();
+            damage(&mut f);
+            let errs = verify(&f).expect_err("class-scoped damage");
+            assert!(
+                errs.iter()
+                    .any(|e| e.scope == VerifyScope::Class && e.message.contains("#900")),
+                "damage {i}: {errs:?}"
+            );
+        }
     }
 }

@@ -138,8 +138,9 @@ impl DynamicChecker {
         }
     }
 
-    /// Runs every entry point of `apk` under every scenario.
-    pub fn observe(&self, apk: &Apk) -> Result<Vec<Observation>, nck_ir::LiftError> {
+    /// Runs every entry point of `apk` under every scenario; a bundle
+    /// that does not verify clean is its first verify error.
+    pub fn observe(&self, apk: &Apk) -> Result<Vec<Observation>, nck_dex::VerifyError> {
         let program = nck_ir::lift_file(&apk.adx)?;
         Ok(self.observe_program(&program, &apk.manifest))
     }

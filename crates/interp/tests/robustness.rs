@@ -117,7 +117,7 @@ fn build(blocks: &[Block]) -> nck_ir::Program {
         );
     });
     let file = b.finish().expect("labels bound");
-    assert!(nck_dex::verify::verify(&file).is_empty());
+    assert!(nck_dex::verify::verify(&file).is_ok_and(|v| v.is_clean()));
     nck_ir::lift_file(&file).expect("liftable")
 }
 

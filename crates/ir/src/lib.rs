@@ -1,8 +1,11 @@
 //! `nck-ir`: a Jimple-like typed 3-address IR for ADX binaries.
 //!
 //! This crate plays the role of Soot's Jimple plus Dexpler in the paper's
-//! pipeline: [`lift::lift_file`] turns a parsed [`nck_dex::AdxFile`] into a
-//! [`Program`] of 3-address [`Stmt`]s, over which the crate provides
+//! pipeline: [`lift::lift`] turns a file the verifier passed (its
+//! [`nck_dex::Verified`] witness) into a [`Program`] of 3-address
+//! [`Stmt`]s, with the methods the verifier flagged left bodiless;
+//! [`lift::lift_file`] verifies and lifts in one all-or-nothing call.
+//! Over a program the crate provides
 //! statement-level CFGs ([`cfg::Cfg`]), dominator and post-dominator trees
 //! ([`dom`]), natural loops ([`loops`]), and a pretty printer ([`pretty`]).
 //!
@@ -39,6 +42,6 @@ pub use body::{
     MethodKey, Operand, Program, Rvalue, Stmt, StmtId, Trap,
 };
 pub use hierarchy::TypeIndex;
-pub use lift::{lift_file, lift_skipping, LiftError, MethodSkip, SkipPolicy, SkipReason};
+pub use lift::{lift, lift_file};
 pub use symbols::{Interner, Symbol};
 pub use types::Type;

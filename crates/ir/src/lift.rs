@@ -3,6 +3,12 @@
 //! Registers become locals (`v0`..`vN`), parameters get identity
 //! statements, `invoke`/`move-result` pairs fuse into assigning calls, and
 //! branch targets are remapped from instruction indices to statement ids.
+//!
+//! The lifter takes only what the verifier passed: a
+//! [`Verified`] witness, in which every register, branch target and pool
+//! reference is in range and each frame matches its prototype. So
+//! [`lift`] has no error path; the methods the verifier flagged stay
+//! bodiless.
 
 use crate::body::{
     Body, Class, FieldKey, IdentityKind, InvokeExpr, LocalDecl, LocalId, Method, MethodId,
@@ -11,80 +17,9 @@ use crate::body::{
 use crate::symbols::Symbol;
 use nck_dex::{
     AccessFlags, AdxFile, CodeItem, Insn, MethodIdx, ParamTypes, ProtoIdx, Reg, StringIdx, TypeIdx,
+    Verified, VerifyError,
 };
 use std::sync::Arc;
-
-/// Errors produced during lifting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LiftError {
-    /// A pool reference inside an instruction was unresolvable.
-    BadPoolRef {
-        /// Rendered method identity.
-        method: String,
-        /// Instruction index.
-        pc: u32,
-        /// Which pool failed.
-        what: &'static str,
-    },
-    /// A branch target fell outside the method.
-    BadTarget {
-        /// Rendered method identity.
-        method: String,
-        /// Instruction index of the branch.
-        pc: u32,
-        /// The bad target.
-        target: u32,
-    },
-    /// The method's declared signature disagrees with its frame.
-    BadFrame {
-        /// Rendered method identity.
-        method: String,
-    },
-    /// An instruction referenced a register outside the declared frame.
-    ///
-    /// Verified binaries never trip this, but the lifter must stay
-    /// memory-safe on *unverified* ones: downstream consumers index
-    /// `Body::locals` by register number, so an out-of-frame register
-    /// must be rejected here rather than panicking later.
-    BadRegister {
-        /// Rendered method identity.
-        method: String,
-        /// Instruction index.
-        pc: u32,
-        /// The out-of-frame register.
-        reg: u16,
-        /// The declared frame size.
-        frame: u16,
-    },
-}
-
-impl std::fmt::Display for LiftError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LiftError::BadPoolRef { method, pc, what } => {
-                write!(f, "{method} @{pc}: unresolvable {what} reference")
-            }
-            LiftError::BadTarget { method, pc, target } => {
-                write!(f, "{method} @{pc}: branch target {target} out of range")
-            }
-            LiftError::BadFrame { method } => write!(f, "{method}: bad parameter frame"),
-            LiftError::BadRegister {
-                method,
-                pc,
-                reg,
-                frame,
-            } => write!(
-                f,
-                "{method} @{pc}: register v{reg} outside the {frame}-register frame"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for LiftError {}
-
-/// Convenience alias for lifting results.
-pub type Result<T> = std::result::Result<T, LiftError>;
 
 struct Lifter<'a> {
     file: &'a AdxFile,
@@ -120,137 +55,81 @@ impl<'a> Lifter<'a> {
         Operand::Local(Self::local(reg))
     }
 
-    /// Renders method `idx` for a diagnostic.
-    fn display(&self, idx: MethodIdx) -> String {
-        self.file.pools.display_method(idx)
-    }
-
-    fn string_sym(&mut self, idx: StringIdx) -> Option<Symbol> {
-        if let Some(&Some(sym)) = self.strings.get(idx.index()) {
-            return Some(sym);
+    fn string_sym(&mut self, idx: StringIdx) -> Symbol {
+        if let Some(sym) = self.strings[idx.index()] {
+            return sym;
         }
         let sym = self
             .program
             .symbols
-            .intern(self.file.pools.get_string(idx)?);
+            .intern(&self.file.pools.strings()[idx.index()]);
         self.strings[idx.index()] = Some(sym);
-        Some(sym)
+        sym
     }
 
-    fn type_sym(&mut self, idx: TypeIdx) -> Option<Symbol> {
-        let s = *self.file.pools.types().get(idx.index())?;
+    fn type_sym(&mut self, idx: TypeIdx) -> Symbol {
+        let s = self.file.pools.types()[idx.index()];
         self.string_sym(s)
     }
 
     fn proto_sym(&mut self, idx: ProtoIdx) -> Symbol {
-        if let Some(&Some(sym)) = self.protos.get(idx.index()) {
+        if let Some(sym) = self.protos[idx.index()] {
             return sym;
         }
         let sym = self
             .program
             .symbols
             .intern(&self.file.pools.display_proto(idx));
-        if let Some(slot) = self.protos.get_mut(idx.index()) {
-            *slot = Some(sym);
-        }
+        self.protos[idx.index()] = Some(sym);
         sym
     }
 
-    fn method_key(&mut self, idx: MethodIdx) -> Option<MethodKey> {
-        if let Some(&Some(key)) = self.methods.get(idx.index()) {
-            return Some(key);
+    fn method_key(&mut self, idx: MethodIdx) -> MethodKey {
+        if let Some(key) = self.methods[idx.index()] {
+            return key;
         }
-        let pools = &self.file.pools;
-        let m = *pools.get_method(idx)?;
-        // Resolve both names before interning either, as a failed
-        // reference must intern nothing.
-        pools.get_type(m.class)?;
-        pools.get_string(m.name)?;
+        let m = self.file.pools.methods()[idx.index()];
         let key = MethodKey {
-            class: self.type_sym(m.class)?,
-            name: self.string_sym(m.name)?,
+            class: self.type_sym(m.class),
+            name: self.string_sym(m.name),
             sig: self.proto_sym(m.proto),
         };
         self.methods[idx.index()] = Some(key);
-        Some(key)
+        key
     }
 
-    fn field_key(&mut self, idx: nck_dex::FieldIdx) -> Option<FieldKey> {
-        if let Some(&Some(key)) = self.fields.get(idx.index()) {
-            return Some(key);
+    fn field_key(&mut self, idx: nck_dex::FieldIdx) -> FieldKey {
+        if let Some(key) = self.fields[idx.index()] {
+            return key;
         }
-        let pools = &self.file.pools;
-        let f = *pools.get_field(idx)?;
-        pools.get_type(f.class)?;
-        pools.get_string(f.name)?;
-        pools.get_type(f.ty)?;
+        let f = self.file.pools.fields()[idx.index()];
         let key = FieldKey {
-            class: self.type_sym(f.class)?,
-            name: self.string_sym(f.name)?,
-            ty: self.type_sym(f.ty)?,
+            class: self.type_sym(f.class),
+            name: self.string_sym(f.name),
+            ty: self.type_sym(f.ty),
         };
         self.fields[idx.index()] = Some(key);
-        Some(key)
+        key
     }
 
-    fn lift_code(
-        &mut self,
-        method: MethodIdx,
-        code: &CodeItem,
-        is_static: bool,
-        params: &ParamTypes<'_>,
-    ) -> Result<Body> {
-        let file = self.file;
-        let bad = |pc: u32, what: &'static str| LiftError::BadPoolRef {
-            method: file.pools.display_method(method),
-            pc,
-            what,
-        };
-
-        // Reject out-of-frame registers up front: every statement emitted
-        // below carries `LocalId(reg)` and downstream consumers (pretty
-        // printer, interpreter, dataflow) index `locals` by it.
-        for (i, insn) in code.insns.iter().enumerate() {
-            let oob = insn
-                .def()
-                .into_iter()
-                .chain(insn.uses())
-                .find(|r| r.0 >= code.registers);
-            if let Some(r) = oob {
-                return Err(LiftError::BadRegister {
-                    method: self.display(method),
-                    pc: i as u32,
-                    reg: r.0,
-                    frame: code.registers,
-                });
-            }
-        }
-
+    fn lift_code(&mut self, code: &CodeItem, is_static: bool, params: &ParamTypes<'_>) -> Body {
         let mut locals = vec![LocalDecl { ty: None }; usize::from(code.registers)];
-
-        let receiver = usize::from(!is_static);
-        if usize::from(code.ins) != params.len() + receiver {
-            return Err(LiftError::BadFrame {
-                method: self.display(method),
-            });
-        }
+        let receiver = u16::from(!is_static);
+        // The in-registers are the frame's last `ins`.
+        let first_param = code.registers - code.ins;
 
         let mut stmts: Vec<Stmt> = Vec::with_capacity(code.insns.len() + usize::from(code.ins));
         // Identity preamble: bind parameter registers.
         for i in 0..code.ins {
-            let reg = code.param_reg(i).ok_or_else(|| LiftError::BadFrame {
-                method: self.display(method),
-            })?;
+            let reg = Reg(first_param + i);
             let kind = if !is_static && i == 0 {
                 IdentityKind::This
             } else {
-                IdentityKind::Param(i - receiver as u16)
+                IdentityKind::Param(i - receiver)
             };
             if let IdentityKind::Param(p) = kind {
                 let sym = match params {
-                    ParamTypes::Pool(types) => self
-                        .type_sym(types[p as usize])
-                        .expect("method_params resolved every parameter type"),
+                    ParamTypes::Pool(types) => self.type_sym(types[p as usize]),
                     ParamTypes::Parsed(descs) => self.program.symbols.intern(&descs[p as usize]),
                 };
                 locals[reg.0 as usize].ty = Some(sym);
@@ -265,11 +144,10 @@ impl<'a> Lifter<'a> {
         let mut map: Vec<u32> = Vec::with_capacity(code.insns.len());
         let mut i = 0usize;
         while i < code.insns.len() {
-            let pc = i as u32;
             let stmt_idx = stmts.len() as u32;
             match &code.insns[i] {
                 Insn::Invoke { kind, method, args } => {
-                    let callee = self.method_key(*method).ok_or_else(|| bad(pc, "method"))?;
+                    let callee = self.method_key(*method);
                     let expr = InvokeExpr {
                         kind: *kind,
                         callee,
@@ -289,8 +167,8 @@ impl<'a> Lifter<'a> {
                     stmts.push(Stmt::Invoke(expr));
                 }
                 Insn::MoveResult { dst } => {
-                    // Unfused move-result (verifier rejects these, but the
-                    // lifter stays total): treat as an opaque definition.
+                    // Unfused move-result (the verifier flags these, but
+                    // the lifter stays total): an opaque definition.
                     stmts.push(Stmt::Assign {
                         local: Self::local(*dst),
                         rvalue: Rvalue::Use(Operand::Null),
@@ -306,7 +184,7 @@ impl<'a> Lifter<'a> {
                     rvalue: Rvalue::Use(Operand::IntConst(*value)),
                 }),
                 Insn::ConstString { dst, idx } => {
-                    let sym = self.string_sym(*idx).ok_or_else(|| bad(pc, "string"))?;
+                    let sym = self.string_sym(*idx);
                     stmts.push(Stmt::Assign {
                         local: Self::local(*dst),
                         rvalue: Rvalue::Use(Operand::StrConst(sym)),
@@ -317,14 +195,14 @@ impl<'a> Lifter<'a> {
                     rvalue: Rvalue::Use(Operand::Null),
                 }),
                 Insn::ConstClass { dst, ty } => {
-                    let sym = self.type_sym(*ty).ok_or_else(|| bad(pc, "type"))?;
+                    let sym = self.type_sym(*ty);
                     stmts.push(Stmt::Assign {
                         local: Self::local(*dst),
                         rvalue: Rvalue::Use(Operand::ClassConst(sym)),
                     });
                 }
                 Insn::NewInstance { dst, ty } => {
-                    let sym = self.type_sym(*ty).ok_or_else(|| bad(pc, "type"))?;
+                    let sym = self.type_sym(*ty);
                     locals[dst.0 as usize].ty = Some(sym);
                     stmts.push(Stmt::Assign {
                         local: Self::local(*dst),
@@ -332,7 +210,7 @@ impl<'a> Lifter<'a> {
                     });
                 }
                 Insn::NewArray { dst, len, ty } => {
-                    let sym = self.type_sym(*ty).ok_or_else(|| bad(pc, "type"))?;
+                    let sym = self.type_sym(*ty);
                     stmts.push(Stmt::Assign {
                         local: Self::local(*dst),
                         rvalue: Rvalue::NewArray {
@@ -342,7 +220,7 @@ impl<'a> Lifter<'a> {
                     });
                 }
                 Insn::CheckCast { reg, ty } => {
-                    let sym = self.type_sym(*ty).ok_or_else(|| bad(pc, "type"))?;
+                    let sym = self.type_sym(*ty);
                     stmts.push(Stmt::Assign {
                         local: Self::local(*reg),
                         rvalue: Rvalue::Cast {
@@ -352,7 +230,7 @@ impl<'a> Lifter<'a> {
                     });
                 }
                 Insn::InstanceOf { dst, src, ty } => {
-                    let sym = self.type_sym(*ty).ok_or_else(|| bad(pc, "type"))?;
+                    let sym = self.type_sym(*ty);
                     stmts.push(Stmt::Assign {
                         local: Self::local(*dst),
                         rvalue: Rvalue::InstanceOf {
@@ -380,7 +258,7 @@ impl<'a> Lifter<'a> {
                     value: Self::op(*src),
                 }),
                 Insn::Iget { dst, obj, field } => {
-                    let field = self.field_key(*field).ok_or_else(|| bad(pc, "field"))?;
+                    let field = self.field_key(*field);
                     stmts.push(Stmt::Assign {
                         local: Self::local(*dst),
                         rvalue: Rvalue::InstanceField {
@@ -390,7 +268,7 @@ impl<'a> Lifter<'a> {
                     });
                 }
                 Insn::Iput { src, obj, field } => {
-                    let field = self.field_key(*field).ok_or_else(|| bad(pc, "field"))?;
+                    let field = self.field_key(*field);
                     stmts.push(Stmt::StoreInstanceField {
                         base: Self::op(*obj),
                         field,
@@ -398,14 +276,14 @@ impl<'a> Lifter<'a> {
                     });
                 }
                 Insn::Sget { dst, field } => {
-                    let field = self.field_key(*field).ok_or_else(|| bad(pc, "field"))?;
+                    let field = self.field_key(*field);
                     stmts.push(Stmt::Assign {
                         local: Self::local(*dst),
                         rvalue: Rvalue::StaticField { field },
                     });
                 }
                 Insn::Sput { src, field } => {
-                    let field = self.field_key(*field).ok_or_else(|| bad(pc, "field"))?;
+                    let field = self.field_key(*field);
                     stmts.push(Stmt::StoreStaticField {
                         field,
                         value: Self::op(*src),
@@ -469,24 +347,11 @@ impl<'a> Lifter<'a> {
         }
 
         // Remap branch targets from instruction indices to statement ids.
-        let remap = |pc: u32, target: StmtId| -> Result<StmtId> {
-            map.get(target.index())
-                .map(|&s| StmtId(s))
-                .ok_or_else(|| LiftError::BadTarget {
-                    method: file.pools.display_method(method),
-                    pc,
-                    target: target.0,
-                })
-        };
-        for (idx, stmt) in stmts.iter_mut().enumerate() {
-            let pc = idx as u32;
+        let remap = |target: &mut StmtId| *target = StmtId(map[target.index()]);
+        for stmt in &mut stmts {
             match stmt {
-                Stmt::Goto { target } | Stmt::If { target, .. } => *target = remap(pc, *target)?,
-                Stmt::Switch { arms, .. } => {
-                    for (_, t) in arms.iter_mut() {
-                        *t = remap(pc, *t)?;
-                    }
-                }
+                Stmt::Goto { target } | Stmt::If { target, .. } => remap(target),
+                Stmt::Switch { arms, .. } => arms.iter_mut().for_each(|(_, t)| remap(t)),
                 _ => {}
             }
         }
@@ -508,13 +373,7 @@ impl<'a> Lifter<'a> {
             // more exceptional edges (sound for the checkers).
             let end = end_map(t.end);
             for h in &t.handlers {
-                let exception = match h.exception {
-                    Some(ty) => Some(
-                        self.type_sym(ty)
-                            .ok_or_else(|| bad(t.start, "exception type"))?,
-                    ),
-                    None => None,
-                };
+                let exception = h.exception.map(|ty| self.type_sym(ty));
                 traps.push(Trap {
                     start,
                     end,
@@ -524,128 +383,52 @@ impl<'a> Lifter<'a> {
             }
         }
 
-        Ok(Body {
+        Body {
             locals,
             stmts,
             traps,
-        })
-    }
-}
-
-/// Why a method's body was dropped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SkipReason {
-    /// The skip policy named the method, with this reason.
-    Policy(String),
-    /// The body failed to lift.
-    Lift(LiftError),
-}
-
-impl std::fmt::Display for SkipReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SkipReason::Policy(reason) => f.write_str(reason),
-            SkipReason::Lift(err) => err.fmt(f),
         }
     }
-}
 
-/// Record of one method whose body was dropped during lifting.
-///
-/// The method still exists in the lifted [`Program`] (bodiless, so call
-/// graph edges into it resolve) unless even its identity was
-/// unrecoverable; only its behaviour is unknown to the analyses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MethodSkip {
-    /// Rendered `class.name(sig)` identity.
-    pub method: String,
-    /// Why the body was dropped.
-    pub reason: SkipReason,
-}
-
-/// Skip policy for [`lift_skipping`]: maps a rendered method identity
-/// to `Some(reason)` when its body must not be lifted (e.g. it failed
-/// structural verification).
-pub type SkipPolicy<'p> = &'p dyn Fn(&str) -> Option<String>;
-
-impl<'a> Lifter<'a> {
     /// Lifts one class definition: interns its names, lifts every method
-    /// body, and returns the class record (with `methods` left empty —
-    /// the caller assigns ids via [`Program::add_method`]) plus the
-    /// lifted methods in declaration order. A method the policy names,
-    /// or whose body fails to lift, is recorded in `skips` and kept
-    /// bodiless. The caller-visible effect on the program is confined
-    /// to the interner.
+    /// body that `params` (this class's slice of the witness) splits, and
+    /// returns the class record (with `methods` left empty — the caller
+    /// assigns ids via [`Program::add_method`]) plus the lifted methods
+    /// in declaration order. A flagged method is kept bodiless. The
+    /// caller-visible effect on the program is confined to the interner.
     fn lift_class(
         &mut self,
         class: &nck_dex::ClassDef,
-        policy: Option<SkipPolicy<'_>>,
-        skips: &mut Vec<MethodSkip>,
+        params: &[Option<ParamTypes<'_>>],
     ) -> (Class, Vec<Method>) {
-        let name = match self.type_sym(class.ty) {
-            Some(name) => name,
-            None => self.program.symbols.intern("<bad>"),
-        };
-        let superclass = class.superclass.and_then(|s| self.type_sym(s));
-        let interfaces = class
-            .interfaces
-            .iter()
-            .filter_map(|&i| self.type_sym(i))
-            .collect();
+        let name = self.type_sym(class.ty);
+        let superclass = class.superclass.map(|s| self.type_sym(s));
+        let interfaces = class.interfaces.iter().map(|&i| self.type_sym(i)).collect();
         let fields = class
             .fields
             .iter()
-            .filter_map(|f| self.field_key(f.field))
+            .map(|f| self.field_key(f.field))
             .collect();
-
-        let mut methods = Vec::new();
-        for m in &class.methods {
-            let Some(key) = self.method_key(m.method) else {
-                // Without a resolvable identity the method cannot even be
-                // declared; drop it entirely.
-                let err = LiftError::BadPoolRef {
-                    method: self.display(m.method),
-                    pc: 0,
-                    what: "method definition",
-                };
-                skips.push(MethodSkip {
-                    method: self.display(m.method),
-                    reason: SkipReason::Lift(err),
-                });
-                continue;
-            };
-            // The skip policy is keyed by display name, so only a lift
-            // with a policy renders one per method.
-            let body = match (policy.and_then(|p| p(&self.display(m.method))), &m.code) {
-                (Some(reason), _) => Err(SkipReason::Policy(reason)),
-                (None, Some(code)) => {
-                    let is_static = m.flags.contains(AccessFlags::STATIC);
-                    let file = self.file;
-                    match file.pools.method_params(m.method) {
-                        Some(params) => self.lift_code(m.method, code, is_static, &params),
-                        None => Err(LiftError::BadFrame {
-                            method: self.display(m.method),
-                        }),
+        let methods = class
+            .methods
+            .iter()
+            .zip(params)
+            .map(|(m, params)| {
+                let key = self.method_key(m.method);
+                let is_static = m.flags.contains(AccessFlags::STATIC);
+                let body = match (&m.code, params) {
+                    (Some(code), Some(params)) => {
+                        Some(Arc::new(self.lift_code(code, is_static, params)))
                     }
-                    .map(Some)
-                    .map_err(SkipReason::Lift)
+                    _ => None,
+                };
+                Method {
+                    key,
+                    flags: m.flags,
+                    body,
                 }
-                (None, None) => Ok(None),
-            };
-            let body = body.unwrap_or_else(|reason| {
-                skips.push(MethodSkip {
-                    method: self.display(m.method),
-                    reason,
-                });
-                None
-            });
-            methods.push(Method {
-                key,
-                flags: m.flags,
-                body: body.map(Arc::new),
-            });
-        }
-
+            })
+            .collect();
         (
             Class {
                 name,
@@ -660,24 +443,22 @@ impl<'a> Lifter<'a> {
     }
 }
 
-/// Lifts a whole ADX file into an IR [`Program`], degrading per method
-/// instead of failing.
-///
-/// Methods `policy` names (the caller's structural verification
-/// verdicts) and methods whose bodies fail to lift are kept *bodiless*
-/// and recorded in the returned skip list, in declaration order; every
-/// other method lifts normally. This function never fails: the worst
-/// adversarial input yields an empty program plus a skip per method.
-pub fn lift_skipping(file: &AdxFile, policy: Option<SkipPolicy<'_>>) -> (Program, Vec<MethodSkip>) {
+/// Lifts a verified file into an IR [`Program`]. The methods the
+/// verifier flagged ([`Verified::flagged`]) are kept bodiless, so call
+/// edges into them still resolve; every other method lifts whole.
+pub fn lift(verified: &Verified<'_>) -> Program {
+    let file = verified.file();
     let mut lifter = Lifter::new(file);
-    let mut skips = Vec::new();
+    let mut params = verified.params();
     for class in &file.classes {
-        let (mut c, methods) = lifter.lift_class(class, policy, &mut skips);
+        let (mine, rest) = params.split_at(class.methods.len());
+        params = rest;
+        let (mut c, methods) = lifter.lift_class(class, mine);
         let program = &mut lifter.program;
         c.methods = methods.into_iter().map(|m| program.add_method(m)).collect();
         program.add_class(c);
     }
-    (lifter.program, skips)
+    lifter.program
 }
 
 /// An empty lift seed. Exists only for nckbench's traced twin.
@@ -705,13 +486,13 @@ pub struct SeededLift {
     pub reused_methods: Vec<MethodId>,
 }
 
-/// [`lift_file`] plus an empty seed. Exists only for nckbench's traced
-/// twin.
+/// [`lift_file`] (verify, then lift) plus an empty seed. Exists only for
+/// nckbench's traced twin.
 pub fn lift_file_seeded(
     file: &AdxFile,
     _fingerprints: &[u64],
     _seed: Option<&LiftSeed>,
-) -> Result<SeededLift> {
+) -> Result<SeededLift, VerifyError> {
     Ok(SeededLift {
         program: lift_file(file)?,
         seed: LiftSeed::default(),
@@ -720,17 +501,13 @@ pub fn lift_file_seeded(
     })
 }
 
-/// Lifts a whole ADX file into an IR [`Program`]: [`lift_skipping`]
-/// without a policy, with the first method that fails to lift as the
-/// error.
-pub fn lift_file(file: &AdxFile) -> Result<Program> {
-    let (program, skips) = lift_skipping(file, None);
-    match skips.into_iter().next() {
-        Some(MethodSkip {
-            reason: SkipReason::Lift(err),
-            ..
-        }) => Err(err),
-        _ => Ok(program),
+/// Verifies `file` and lifts it whole, with the first verify error as
+/// the error: the all-or-nothing convenience for tests and tools.
+pub fn lift_file(file: &AdxFile) -> Result<Program, VerifyError> {
+    let verified = nck_dex::verify::verify(file).map_err(|mut errors| errors.swap_remove(0))?;
+    match verified.errors().first() {
+        Some(e) => Err(e.clone()),
+        None => Ok(lift(&verified)),
     }
 }
 
@@ -906,7 +683,6 @@ mod tests {
             c.method("f", "()V", AccessFlags::PUBLIC, 2, |m| m.ret(None));
         });
         let mut file = b.finish().unwrap();
-        // Shrink the frame below the registers the preamble binds.
         let code = file.classes[0].methods[0].code.as_mut().unwrap();
         code.insns.insert(
             0,
@@ -915,12 +691,10 @@ mod tests {
                 value: 1,
             },
         );
-        match lift_file(&file) {
-            Err(LiftError::BadRegister {
-                reg: 40, frame: 2, ..
-            }) => {}
-            other => panic!("expected BadRegister, got {other:?}"),
-        }
+        let err = lift_file(&file).expect_err("out-of-frame register");
+        assert_eq!(err.scope, nck_dex::VerifyScope::Method);
+        assert_eq!(err.pc, Some(0));
+        assert!(err.message.contains("v40"), "{err}");
     }
 
     #[test]
@@ -943,39 +717,33 @@ mod tests {
             },
         );
         assert!(lift_file(&file).is_err());
-        let (p, skips) = lift_skipping(&file, None);
-        assert_eq!(skips.len(), 1);
-        assert!(skips[0].method.contains("bad"));
-        assert!(matches!(
-            skips[0].reason,
-            SkipReason::Lift(LiftError::BadRegister { reg: 99, .. })
-        ));
+        let verified = nck_dex::verify::verify(&file).expect("method-scoped damage");
+        let flagged: Vec<_> = verified.flagged().collect();
+        assert_eq!(flagged.len(), 1);
+        assert_eq!((flagged[0].0, flagged[0].1), (0, 0));
+        assert!(flagged[0].2.method.contains("bad"));
         // Both methods exist; only the bad one is bodiless.
+        let p = lift(&verified);
         assert_eq!(p.methods.len(), 2);
         assert!(p.methods[0].body.is_none());
         assert!(p.methods[1].body.is_some());
     }
 
+    /// The verifier alone decides what lifts: a method it flags for
+    /// damage the lifter could translate (control falling off the end)
+    /// stays bodiless too.
     #[test]
-    fn lenient_lift_honours_the_skip_policy() {
+    fn lift_honours_the_verifiers_flags() {
         let mut b = AdxBuilder::new();
         b.class("Lapp/T;", |c| {
             c.method("f", "()V", AccessFlags::PUBLIC, 2, |m| m.ret(None));
             c.method("g", "()V", AccessFlags::PUBLIC, 2, |m| m.ret(None));
         });
-        let file = b.finish().unwrap();
-        let (p, skips) = lift_skipping(
-            &file,
-            Some(&|name| {
-                name.contains(".f(")
-                    .then(|| "failed verification".to_owned())
-            }),
-        );
-        assert_eq!(skips.len(), 1);
-        assert_eq!(
-            skips[0].reason,
-            SkipReason::Policy("failed verification".to_owned())
-        );
+        let mut file = b.finish().unwrap();
+        file.classes[0].methods[0].code.as_mut().unwrap().insns = vec![nck_dex::Insn::Nop];
+        let verified = nck_dex::verify::verify(&file).expect("method-scoped damage");
+        assert!(verified.errors()[0].message.contains("fall off"));
+        let p = lift(&verified);
         assert!(p.methods[0].body.is_none());
         assert!(p.methods[1].body.is_some());
     }
@@ -1020,28 +788,27 @@ mod tests {
             .collect();
         assert_eq!(display[3], "Lapp/T;.ok(I[Ljava/lang/String;)V");
 
-        let errors = nck_dex::verify::verify(&file);
+        let verified = nck_dex::verify::verify(&file).expect("method-scoped damage");
+        let errors = verified.errors();
         assert!(!errors.is_empty());
         assert!(errors.iter().all(|e| display[..3].contains(&e.method)));
-        for name in &display[..3] {
-            assert!(errors.iter().any(|e| &e.method == name), "{name}");
-        }
-
-        match lift_file(&file) {
-            Err(LiftError::BadRegister { method, .. }) => assert_eq!(method, display[0]),
-            other => panic!("expected BadRegister, got {other:?}"),
-        }
-        let (_, skips) = lift_skipping(&file, None);
-        let skipped: Vec<&str> = skips.iter().map(|s| s.method.as_str()).collect();
-        assert_eq!(skipped, [&display[0], &display[1], &display[2]]);
-        assert!(skips[1].reason.to_string().contains("unresolvable string"));
-        assert!(skips[2].reason.to_string().contains("branch target 99"));
-        let (p, skips) = lift_skipping(
-            &file,
-            Some(&|name| (name == display[3]).then(|| "by policy".to_owned())),
+        let flagged: Vec<&str> = verified
+            .flagged()
+            .map(|(_, _, e)| e.method.as_str())
+            .collect();
+        assert_eq!(flagged, [&display[0], &display[1], &display[2]]);
+        let details: Vec<String> = verified.flagged().map(|(_, _, e)| e.to_string()).collect();
+        assert!(details[1].contains("string index"), "{}", details[1]);
+        assert!(details[2].contains("branch target 99"), "{}", details[2]);
+        assert_eq!(lift_file(&file).expect_err("damaged").method, display[0]);
+        let p = lift(&verified);
+        assert_eq!(
+            p.methods
+                .iter()
+                .map(|m| m.body.is_some())
+                .collect::<Vec<_>>(),
+            [false, false, false, true]
         );
-        assert_eq!(skips.last().unwrap().method, display[3]);
-        assert!(p.methods[3].body.is_none());
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //!    catch every flip; truncation must be a typed error), and
 //! 3. well-formed containers whose *parsed content* lies (the verifier
 //!    must flag them, `lift_file` must return `Err` not panic, and
-//!    `lift_skipping` must stay total).
+//!    `lift` must take whatever the verifier passes).
 
 use nck_dex::builder::AdxBuilder;
-use nck_dex::{read_adx, write_adx, AccessFlags, AdxFile, Insn, Reg, VerifyScope};
-use nck_ir::SkipReason;
+use nck_dex::{
+    read_adx, write_adx, AccessFlags, AdxFile, FieldDef, FieldIdx, Insn, MethodIdx, Reg, TypeIdx,
+};
+use nck_ir::Program;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -54,31 +56,42 @@ fn sample_file() -> AdxFile {
     b.finish().unwrap()
 }
 
+/// Whether `program` holds a body for exactly the concrete methods of
+/// `file` outside `flagged` (class index, method index).
+fn bodies_match(file: &AdxFile, program: &Program, flagged: &BTreeSet<(usize, usize)>) -> bool {
+    file.classes
+        .iter()
+        .zip(&program.classes)
+        .enumerate()
+        .all(|(ci, (class, lifted))| {
+            class.methods.len() == lifted.methods.len()
+                && class
+                    .methods
+                    .iter()
+                    .zip(&lifted.methods)
+                    .enumerate()
+                    .all(|(mi, (m, &id))| {
+                        let concrete = !m.flags.contains(AccessFlags::ABSTRACT);
+                        program.method(id).body.is_some()
+                            == (concrete && !flagged.contains(&(ci, mi)))
+                    })
+        })
+}
+
 /// Runs the whole front half on a parsed file; every step must return,
-/// never panic.
+/// never panic. A file that reaches the lifter lifts every method,
+/// with bodies for exactly the concrete ones the verifier did not flag.
 fn front_half_is_total(file: &AdxFile) {
-    let errors = nck_dex::verify::verify(file);
-    match nck_ir::lift_file(file) {
-        Ok(_) | Err(_) => {}
-    }
-    let (program, skips) = nck_ir::lift_skipping(file, None);
-    // Skipped methods stay bodiless rather than dropped, so resolution
-    // stays intact for the others.
-    assert!(program.methods.iter().filter(|m| m.body.is_none()).count() >= skips.len());
-    // The prescan's precondition: once the methods the verifier flags
-    // are skipped, the lifter rejects nothing more.
-    if errors.iter().all(|e| e.scope == VerifyScope::Method) {
-        let flagged: BTreeSet<&str> = errors.iter().map(|e| e.method.as_str()).collect();
-        let policy = |m: &str| flagged.contains(m).then(|| "flagged".to_owned());
-        let (_, skips) = nck_ir::lift_skipping(file, (!flagged.is_empty()).then_some(&policy));
-        for skip in skips {
-            assert!(
-                matches!(skip.reason, SkipReason::Policy(_)),
-                "the verifier missed {}: {}",
-                skip.method,
-                skip.reason
-            );
-        }
+    let _ = nck_ir::lift_file(file);
+    if let Ok(verified) = nck_dex::verify::verify(file) {
+        let program = nck_ir::lift(&verified);
+        assert_eq!(program.classes.len(), file.classes.len());
+        let flagged = verified.flagged().map(|(c, m, _)| (c, m)).collect();
+        assert!(
+            bodies_match(file, &program, &flagged),
+            "{:?}",
+            verified.errors()
+        );
     }
 }
 
@@ -114,37 +127,45 @@ proptest! {
         reg in 0u16..64,
         target in 0u32..64,
         ins_lie in 0u16..64,
-        which in 0usize..3,
+        which in 0usize..7,
     ) {
         let mut file = sample_file();
         // Damage the parsed model directly, bypassing the parser's own
         // range checks — the strongest adversary verify/lift can face.
-        let code = file.classes[1].methods[0].code.as_mut().unwrap();
+        // `target` doubles as a pool index, in range or past the pool.
+        let class = &mut file.classes[1];
+        let code = class.methods[0].code.as_mut().unwrap();
         match which {
             0 => code.insns[0] = Insn::Move { dst: Reg(reg), src: Reg(reg) },
             1 => code.insns[0] = Insn::Goto { target },
-            _ => code.ins = ins_lie,
+            2 => code.ins = ins_lie,
+            3 => class.ty = TypeIdx(target),
+            4 => class.interfaces.push(TypeIdx(target)),
+            5 => class.fields.push(FieldDef { field: FieldIdx(target), flags: AccessFlags::PUBLIC }),
+            _ => class.methods[0].method = MethodIdx(target),
         }
         front_half_is_total(&file);
     }
 
     #[test]
-    fn lenient_lift_honours_arbitrary_skip_policies(skip_mask in 0u32..8) {
-        let file = sample_file();
-        let (program, skips) = nck_ir::lift_skipping(&file, Some(&|name| {
-            let h = name.len() as u32 % 8;
-            (h & skip_mask != 0).then(|| "policy".to_owned())
-        }));
-        // Skipped methods stay resolvable (declared, bodiless).
-        for skip in &skips {
-            assert!(
-                program.iter_methods().any(|(_, m)| {
-                    program.symbols.resolve(m.key.name) == skip.method
-                        || skip.method.contains(program.symbols.resolve(m.key.name))
-                }),
-                "skipped {} vanished from the program",
-                skip.method
-            );
+    fn lift_honours_arbitrary_flagged_sets(damage_mask in 0u32..4) {
+        let mut file = sample_file();
+        // Method `i` (one per class) gets an out-of-frame register when
+        // bit `i` is set.
+        let mut damaged = BTreeSet::new();
+        for (ci, class) in file.classes.iter_mut().enumerate() {
+            if damage_mask & (1 << ci) != 0 {
+                let code = class.methods[0].code.as_mut().unwrap();
+                code.insns.insert(0, Insn::Move { dst: Reg(99), src: Reg(99) });
+                damaged.insert((ci, 0));
+            }
         }
+        let verified = nck_dex::verify::verify(&file).expect("method-scoped damage only");
+        let flagged: BTreeSet<(usize, usize)> = verified.flagged().map(|(c, m, _)| (c, m)).collect();
+        prop_assert_eq!(&flagged, &damaged);
+        // Flagged methods stay declared, bodiless; the rest lift whole.
+        let program = nck_ir::lift(&verified);
+        prop_assert_eq!(program.methods.len(), 2);
+        prop_assert!(bodies_match(&file, &program, &flagged));
     }
 }

@@ -138,12 +138,12 @@ impl Metrics {
         self.inner.is_some()
     }
 
-    /// Adds `by` to the counter `name`.
+    /// Adds `by` to the counter `name`, saturating at `u64::MAX`.
     pub fn inc(&self, name: &str, by: u64) {
         let Some(inner) = &self.inner else { return };
         let mut map = inner.lock().expect("metrics lock");
         if let Metric::Counter(c) = map.entry(name.to_owned()).or_insert(Metric::Counter(0)) {
-            *c += by;
+            *c = c.saturating_add(by);
         }
     }
 
@@ -213,14 +213,16 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Folds `other` in. Counters and histogram buckets add. Gauges
+    /// Folds `other` in. Counters (saturating) and histogram buckets
+    /// add. Gauges
     /// keep the maximum: a gauge is a point-in-time reading (cache
     /// entries, largest SCC), and summing one across per-app snapshots
     /// would fabricate a total no process ever observed, while the
     /// high-water mark is the one order-independent fold.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
+            let c = self.counters.entry(name.clone()).or_insert(0);
+            *c = c.saturating_add(*v);
         }
         for (name, &g) in &other.gauges {
             self.gauges

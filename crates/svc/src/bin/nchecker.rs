@@ -342,8 +342,8 @@ impl Tally {
             ));
             for s in &report.skipped_methods {
                 events.debug(&format!(
-                    "{path}: skipped {} [{}]: {}",
-                    s.method, s.cause, s.detail
+                    "{path}: skipped {} [verify]: {}",
+                    s.method, s.detail
                 ));
             }
         }

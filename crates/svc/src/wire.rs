@@ -15,7 +15,7 @@
 //! decode to `None`; the caller treats that as a cache miss, never an
 //! error.
 
-use nchecker::checker::{AnalysisSkip, AppReport, AppStats, SkipCause};
+use nchecker::checker::{AnalysisSkip, AppReport, AppStats};
 use nchecker::report::{DefectKind, Evidence, Location, OverRetryContext, Report};
 use nck_netlibs::library::Library;
 use serde_json::{Value, Writer};
@@ -350,10 +350,7 @@ pub fn encode(r: &AppReport) -> String {
     for skip in &r.skipped_methods {
         w.begin_object();
         w.key("cause");
-        w.str(match skip.cause {
-            SkipCause::Verify => "verify",
-            SkipCause::Lift => "lift",
-        });
+        w.str("verify");
         str_members(
             &mut w,
             &[("detail", &skip.detail), ("method", &skip.method)],
@@ -392,13 +389,11 @@ pub fn report_from_wire(v: &Value) -> Option<AppReport> {
             .as_array()?
             .iter()
             .map(|s| {
+                // Every skip is the verifier's; any other cause (such as
+                // the retired "lift") is a miss.
+                (s.get("cause")?.as_str()? == "verify").then_some(())?;
                 Some(AnalysisSkip {
                     method: str_of(s, "method")?,
-                    cause: match s.get("cause")?.as_str()? {
-                        "verify" => SkipCause::Verify,
-                        "lift" => SkipCause::Lift,
-                        _ => return None,
-                    },
                     detail: str_of(s, "detail")?,
                 })
             })
@@ -477,7 +472,6 @@ mod tests {
         });
         r.skipped_methods.push(AnalysisSkip {
             method: "Lcom/example/Main;.broken".into(),
-            cause: SkipCause::Verify,
             detail: "register out of frame".into(),
         });
         r

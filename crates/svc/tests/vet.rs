@@ -272,10 +272,9 @@ fn no_damaged_input_takes_vet_down() {
         }
     }
     assert_eq!(reports.next(), None, "more reports than analyzed inputs");
-    assert!(
-        failed > 0 && analyzed > intact.len(),
-        "both damage outcomes occur"
-    );
+    // Both damage outcomes occur; `mutate` is seeded, so the split is
+    // exact (the 23 intact inputs among the analyzed).
+    assert_eq!((analyzed, failed, intact.len()), (146, 177, 23));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

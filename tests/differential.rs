@@ -152,7 +152,7 @@ proptest! {
     ) {
         let spec = AppSpec::new("com.prop.bin", requests);
         let apk = nck_appgen::generate(&spec);
-        prop_assert!(nck_dex::verify::verify(&apk.adx).is_empty());
+        prop_assert!(nck_dex::verify::verify(&apk.adx).is_ok_and(|v| v.is_clean()));
         let bytes = apk.to_bytes();
         let loaded = nck_android::Apk::from_bytes(&bytes).expect("roundtrip");
         prop_assert_eq!(loaded.manifest, apk.manifest);

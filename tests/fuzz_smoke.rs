@@ -57,7 +57,7 @@ fn a_thousand_mutations_never_panic_or_pass() {
     }
     assert_eq!(runs, 1000);
     // Both recovery paths must actually be exercised, or the corpus has
-    // gone stale and the test proves less than it claims.
-    assert!(rejected > 0, "no mutation was rejected");
-    assert!(degraded > 0, "no mutation exercised degraded analysis");
+    // gone stale and the test proves less than it claims. `mutate` is
+    // seeded, so the split is exact.
+    assert_eq!((rejected, degraded), (558, 442));
 }

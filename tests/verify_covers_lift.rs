@@ -1,8 +1,8 @@
-//! The prescan's precondition, stated as a differential test: a bundle
-//! whose damage the verifier scopes to methods lifts whole once those
-//! methods are skipped. The lifter's own rejections are then a backstop
-//! that never fires, so a bundle that verifies clean is one the lifter
-//! lifts without a skip, and the prescan may answer it unlifted.
+//! The prescan's precondition, stated as a differential test: every
+//! bundle that reaches the lifter (the verifier scoped its damage to
+//! methods) lifts without panicking, with a body for exactly the
+//! concrete methods the verifier did not flag. So a bundle that verifies
+//! clean lifts whole, and the prescan may answer it unlifted.
 //!
 //! Inputs: every seeded `mutate` corpus the fuzz harnesses use — the
 //! `fuzz_smoke` binary's and `vet`'s base apps at the CI seed count, the
@@ -13,30 +13,31 @@ use nck_android::apk::Apk;
 use nck_appgen::mutate::{base_apps, mutate};
 use nck_appgen::spec::{AppSpec, Origin, RequestSpec};
 use nck_appgen::{generate, profile};
-use nck_dex::verify::{verify, VerifyScope};
-use nck_ir::{lift_skipping, SkipReason};
+use nck_dex::verify::verify;
+use nck_dex::AccessFlags;
+use nck_ir::lift;
 use nck_netlibs::library::Library;
 use std::collections::BTreeSet;
 
-/// Lifts `bytes` with the verifier's flagged methods skipped. Returns
-/// `None` when the bundle does not reach the lifter (parse failure or
-/// class-wide damage), else whether the verifier flagged anything.
+/// Verifies and lifts `bytes`. Returns `None` when the bundle does not
+/// reach the lifter (parse failure or class-wide damage), else whether
+/// the verifier flagged anything.
 fn lift_after_verify(bytes: &[u8], what: &str) -> Option<bool> {
     let apk = Apk::from_bytes(bytes).ok()?;
-    let errors = verify(&apk.adx);
-    if errors.iter().any(|e| e.scope != VerifyScope::Method) {
-        return None;
-    }
-    let flagged: BTreeSet<&str> = errors.iter().map(|e| e.method.as_str()).collect();
-    let policy = |m: &str| flagged.contains(m).then(|| "flagged".to_owned());
-    let (_, skips) = lift_skipping(&apk.adx, (!flagged.is_empty()).then_some(&policy));
-    for skip in &skips {
-        assert!(
-            matches!(skip.reason, SkipReason::Policy(_)),
-            "{what}: the verifier passed {}, which the lifter rejects: {}",
-            skip.method,
-            skip.reason
-        );
+    let verified = verify(&apk.adx).ok()?;
+    let program = lift(&verified);
+    let flagged: BTreeSet<(usize, usize)> = verified.flagged().map(|(c, m, _)| (c, m)).collect();
+    assert_eq!(program.classes.len(), apk.adx.classes.len(), "{what}");
+    for (ci, (class, lifted)) in apk.adx.classes.iter().zip(&program.classes).enumerate() {
+        assert_eq!(class.methods.len(), lifted.methods.len(), "{what}");
+        for (mi, (m, &id)) in class.methods.iter().zip(&lifted.methods).enumerate() {
+            let concrete = !m.flags.contains(AccessFlags::ABSTRACT);
+            assert_eq!(
+                program.method(id).body.is_some(),
+                concrete && !flagged.contains(&(ci, mi)),
+                "{what}: class {ci} method {mi}"
+            );
+        }
     }
     Some(!flagged.is_empty())
 }
@@ -67,8 +68,12 @@ fn check(bases: &[AppSpec], seeds: u64) -> usize {
 #[test]
 fn the_verifier_flags_every_method_the_lifter_rejects_in_the_fuzz_corpora() {
     // `fuzz_smoke` (CI runs 2,000 seeds) and `vet.rs` share these bases.
-    let flagged = check(&base_apps(), 2_000);
-    assert!(flagged > 1_000, "only {flagged} mutants reached the lifter");
+    // `mutate` is seeded, so the counts are exact.
+    assert_eq!(
+        check(&base_apps(), 2_000),
+        2_691,
+        "mutants lifted with a flag"
+    );
     // The in-tree smoke test's bases, and network-free ones.
     let smoke = [
         AppSpec::new(
@@ -85,5 +90,5 @@ fn the_verifier_flags_every_method_the_lifter_rejects_in_the_fuzz_corpora() {
         profile::no_network_app(0, 4),
         profile::no_network_app(1, 16),
     ];
-    assert!(check(&smoke, 500) > 0);
+    assert_eq!(check(&smoke, 500), 884, "mutants lifted with a flag");
 }
